@@ -9,10 +9,9 @@ square roots of the diagonal of the linearized covariance at the optimum.
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize, stats
 
 from .errors import FitError, ParameterError
 
@@ -33,6 +32,14 @@ class FitResult:
 
 
 def _run_fit(fn, xs, ys, p0, names, model):
+    """curve_fit wrapper; converged only when every parameter and every
+    uncertainty is finite (a singular covariance reports inf uncertainties).
+
+    scipy is imported here, not at module load, so that importing the CLI
+    (and `qmemsim validate`) does not pay for it.
+    """
+    from scipy import optimize
+
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", optimize.OptimizeWarning)
         try:
@@ -47,7 +54,7 @@ def _run_fit(fn, xs, ys, p0, names, model):
         params=dict(zip(names, popt)),
         uncertainties=dict(zip(names, sigma)),
         residual_norm=float(np.sqrt(np.mean(resid**2))),
-        converged=bool(np.all(np.isfinite(popt))),
+        converged=bool(np.all(np.isfinite(popt)) and np.all(np.isfinite(sigma))),
         model=model,
     )
 
@@ -225,6 +232,8 @@ class SampleStats:
 def sample_statistics(samples):
     """Mean, sample std, D'Agostino-Pearson normality p-value and a
     Freedman-Diaconis histogram."""
+    from scipy import stats
+
     x = np.asarray(samples, dtype=float)
     if x.size < 8:
         raise ParameterError(f"need >= 8 samples, got {x.size}")

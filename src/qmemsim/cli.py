@@ -7,7 +7,8 @@
 manifest.json into the output directory.  Reruns with identical
 configuration and seed are byte-identical, and `run --from-manifest
 <manifest.json>` reproduces a previous run.  Physics or fit failures exit
-with status 1, usage errors (unknown experiment, missing config) with 2.
+with status 1, usage errors (unknown experiment, missing config, a sweep
+that does not strictly increase) with 2.
 """
 
 import argparse
@@ -20,13 +21,11 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import __version__, analysis, protocol, tomography
-from .config import (device_params_to_config, load_run_settings,
-                     parse_config_text, parse_value, write_sample_config,
-                     SAMPLE_CONFIG)
-from .device import DeviceParams, bsb_frequency, purcell_limit
+from .config import (load_run_settings, parse_run_settings, parse_value,
+                     write_sample_config)
+from .device import bsb_frequency, purcell_limit
 from .errors import ConfigError, QmemError
-from .lindblad import effective_bsb_check
-from .qsys import SubsystemDims
+from .lindblad import FRAMES, build_model, effective_bsb_check
 from .units import GHZ, MHZ, TWO_PI
 
 EXPERIMENTS = ("memory-protocol", "fock-decay", "memory-ramsey", "ringdown",
@@ -41,7 +40,7 @@ FIT_MODELS = {
 
 
 def _parse_sweep(text):
-    """VAR=start:stop:steps -> (name, numpy grid)."""
+    """VAR=start:stop:steps -> (name, strictly increasing numpy grid)."""
     try:
         name, spec = text.split("=", 1)
         start, stop, steps = spec.split(":")
@@ -51,6 +50,9 @@ def _parse_sweep(text):
                           "expected VAR=start:stop:steps") from exc
     if grid.size < 1:
         raise ConfigError("sweep needs at least one point")
+    if np.any(np.diff(grid) <= 0):
+        raise ConfigError(f"sweep {text!r} must strictly increase: "
+                          "give start < stop")
     return name.strip(), grid
 
 
@@ -58,13 +60,6 @@ def _write_json(path, payload):
     with open(path, "w") as f:
         json.dump(payload, f, indent=2, sort_keys=True)
         f.write("\n")
-
-
-def _write_results_csv(path, header, rows):
-    with open(path, "w") as f:
-        f.write(",".join(header) + "\n")
-        for row in rows:
-            f.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
 
 # module-level workers so process pools can pickle them
@@ -80,25 +75,18 @@ def _pmap(fn, items, jobs):
         return list(pool.map(fn, items))
 
 
-def _options_from_args(p, dims, run_kw, args):
-    kw = dict(dims=dims)
-    if "frame" in run_kw:
-        kw["frame"] = run_kw["frame"]
-    if "dt_pulse" in run_kw:
-        kw["dt_pulse"] = run_kw["dt_pulse"]
-    if "dt_idle" in run_kw:
-        kw["dt_idle"] = run_kw["dt_idle"]
+def _options_from_args(dims, run_kw, args):
+    kw = dict(run_kw, seed=args.seed)
     if args.dt is not None:
         # same exact conversion as `dt_pulse = <dt> ns` in a config file
         kw["dt_pulse"] = parse_value("dt_pulse", f"{args.dt!r} ns")
     if args.shots is not None:
         kw["shots"] = args.shots
-    kw["seed"] = args.seed
-    return protocol.ProtocolOptions(**kw)
+    return protocol.ProtocolOptions(dims=dims, **kw)
 
 
 def run_experiment(p, options, args, sweep):
-    """Dispatch one experiment; returns (csv_header, csv_rows, fits, extra)."""
+    """Dispatch one experiment; returns (ExperimentRecord, manifest extra)."""
     name = args.experiment
 
     if name == "memory-protocol":
@@ -110,27 +98,21 @@ def run_experiment(p, options, args, sweep):
         else:
             raise ConfigError(f"memory-protocol cannot sweep {var!r}")
         pgs = _pmap(_protocol_point, items, args.jobs)
-        rows = [(x, y, 0.0) for x, y in zip(grid, pgs)]
-        return ([var, "p_g", "uncertainty"], rows, {}, {})
+        return protocol.ExperimentRecord(
+            kind=name, sweep_variable=var, observable="p_g", xs=grid, ys=pgs), {}
 
     if name == "fock-decay":
         delays = sweep[1] if sweep else None
-        rec = protocol.fock_decay_experiment(p, delays, options)
-        rows = [(x, y, 0.0) for x, y in zip(rec.xs, rec.ys)]
-        return (["delay_us", "p_g", "uncertainty"], rows, rec.fit_summary(), {})
+        return protocol.fock_decay_experiment(p, delays, options), {}
 
     if name == "memory-ramsey":
         delays = sweep[1] if sweep else None
-        rec = protocol.memory_ramsey_experiment(p, delays, args.detuning, options)
-        rows = [(x, y, 0.0) for x, y in zip(rec.xs, rec.ys)]
-        return (["delay_us", "p_g", "uncertainty"], rows, rec.fit_summary(), {})
+        return protocol.memory_ramsey_experiment(p, delays, args.detuning,
+                                                 options), {}
 
     if name == "ringdown":
-        rec = protocol.mode_ringdown_experiment(p, args.mode, options)
-        rows = [(x, y, 0.0, n) for x, y, n in
-                zip(rec.xs, rec.ys, rec.columns["n"])]
-        return (["t_us", "field_amplitude", "uncertainty", "n"], rows,
-                rec.fit_summary(), {"mode": args.mode})
+        return (protocol.mode_ringdown_experiment(p, args.mode, options),
+                {"mode": args.mode})
 
     if name == "zfidelity-sweep":
         wps = None
@@ -139,60 +121,46 @@ def run_experiment(p, options, args, sweep):
             if var not in ("bsb_amp_ghz",):
                 raise ConfigError(f"zfidelity-sweep cannot sweep {var!r}")
             wps = [protocol.WorkingPoint(TWO_PI * 1e3 * a) for a in grid]
-        rec = protocol.z_fidelity_sweep(p, wps, options, fit=args.fit_leakage)
-        rows = [(x, y, 0.0, c) for x, y, c in
-                zip(rec.xs, rec.ys, rec.columns["f_z_corr"])]
-        return (["t_p_us", "f_z", "uncertainty", "f_z_corr"], rows,
-                rec.fit_summary(), {})
+        return protocol.z_fidelity_sweep(p, wps, options, fit=args.fit_leakage), {}
 
     if name == "bsb-check":
         grid = sweep[1] if sweep else np.array([1.2e3, 2.0e3, 3.4e3]) / 1e3
-        rows, rates = [], []
-        for amp_ghz in grid:
-            chk = effective_bsb_check(p, TWO_PI * 1e3 * amp_ghz,
+        checks = [effective_bsb_check(p, TWO_PI * 1e3 * amp_ghz,
                                       dims=options.dims, frame=options.frame)
-            rows.append((amp_ghz, chk.measured_rate / MHZ, 0.0,
-                         chk.predicted_rate / MHZ, chk.ratio))
-            rates.append(chk.measured_rate)
+                  for amp_ghz in grid]
+        rates = np.array([c.measured_rate for c in checks])
         fits = {}
         if len(grid) >= 3:
             slope = float(np.polyfit(np.log(grid), np.log(rates), 1)[0])
             fits["drive_scaling"] = {"log_log_slope": slope}
-        return (["omega_drv_ghz", "measured_rate_mhz", "uncertainty",
-                 "predicted_rate_mhz", "ratio"], rows, fits, {})
+        return protocol.ExperimentRecord(
+            kind=name, sweep_variable="omega_drv_ghz",
+            observable="measured_rate_mhz", xs=grid, ys=rates / MHZ,
+            columns={"predicted_rate_mhz":
+                     np.array([c.predicted_rate for c in checks]) / MHZ,
+                     "ratio": np.array([c.ratio for c in checks])},
+            fits=fits), {}
 
     if name == "qpt":
         out = protocol.qpt_experiment(p, options)
         chi = out["chi"]
-        rows = []
-        basis = ("I", "X", "Y", "Z")
-        for i in range(4):
-            for j in range(4):
-                rows.append((i * 4 + j, abs(chi.entries[i, j]), 0.0))
-        fits = {
-            "process_fidelity": {
-                "f_qpt": out["f_qpt"], "f_qpt_raw": out["f_qpt_raw"],
-                "z_rotation_rad": out["z_rotation_rad"], "f_z": out["f_z"],
-                "t_p_us": out["t_p_us"],
-            }
-        }
-        return (["chi_index", "abs_chi", "uncertainty"], rows, fits,
-                {"chi": tomography.chi_export_dict(chi)})
+        fits = {"process_fidelity": {
+            key: out[key] for key in ("f_qpt", "f_qpt_raw", "z_rotation_rad",
+                                      "f_z", "t_p_us")}}
+        return protocol.ExperimentRecord(
+            kind=name, sweep_variable="chi_index", observable="abs_chi",
+            # scalar abs: numpy's vectorized complex abs differs in the last bit
+            xs=np.arange(16), ys=[abs(c) for c in chi.entries.ravel()],
+            fits=fits), {"chi": tomography.chi_export_dict(chi)}
 
     if name == "fit":
         if not args.input:
             raise ConfigError("--experiment fit requires --input CSV")
         data = np.loadtxt(args.input, delimiter=",", skiprows=1)
         fit = FIT_MODELS[args.fit_model](data[:, 0], data[:, 1])
-        rows = [(x, y, 0.0) for x, y in zip(data[:, 0], data[:, 1])]
-        fits = {args.fit_model: {
-            "model": fit.model,
-            "params": {k: float(v) for k, v in fit.params.items()},
-            "uncertainties": {k: float(v) for k, v in fit.uncertainties.items()},
-            "residual_norm": fit.residual_norm,
-            "converged": fit.converged,
-        }}
-        return (["x", "y", "uncertainty"], rows, fits, {})
+        return protocol.ExperimentRecord(
+            kind=name, sweep_variable="x", observable="y", xs=data[:, 0],
+            ys=data[:, 1], fits={args.fit_model: fit}), {}
 
     raise ConfigError(f"unknown experiment {name!r}")
 
@@ -201,14 +169,12 @@ def cmd_run(args):
     if args.from_manifest:
         with open(args.from_manifest) as f:
             manifest = json.load(f)
-        device_kw, run_kw = parse_config_text(manifest["config_text"])
-        p = DeviceParams(**device_kw)
-        dims = SubsystemDims(*manifest["run"]["dims"])
+        config_text = manifest["config_text"]
+        p, dims, run_kw = parse_run_settings(config_text, args.from_manifest)
         ns = argparse.Namespace(**vars(args))
         for key, val in manifest["run"]["args"].items():
             setattr(ns, key, val)
         args = ns
-        config_text = manifest["config_text"]
     else:
         if not args.config:
             print("error: --config is required (or --from-manifest)",
@@ -217,22 +183,22 @@ def cmd_run(args):
         if not os.path.exists(args.config):
             print(f"error: config file {args.config!r} not found", file=sys.stderr)
             return 2
-        p, dims, run_kw = load_run_settings(args.config)
         with open(args.config) as f:
             config_text = f.read()
+        p, dims, run_kw = parse_run_settings(config_text, args.config)
 
     if args.experiment is None:
         print("error: --experiment is required", file=sys.stderr)
         return 2
 
     sweep = _parse_sweep(args.sweep) if args.sweep else None
-    options = _options_from_args(p, dims, run_kw, args)
+    options = _options_from_args(dims, run_kw, args)
 
-    header, rows, fits, extra = run_experiment(p, options, args, sweep)
+    rec, extra = run_experiment(p, options, args, sweep)
 
     os.makedirs(args.out, exist_ok=True)
-    _write_results_csv(os.path.join(args.out, "results.csv"), header, rows)
-    _write_json(os.path.join(args.out, "fits.json"), fits)
+    rec.to_csv(os.path.join(args.out, "results.csv"))
+    _write_json(os.path.join(args.out, "fits.json"), rec.fit_summary())
     manifest = {
         "version": __version__,
         "experiment": args.experiment,
@@ -298,17 +264,16 @@ def cmd_validate(args):
         print(f"  {name:14s} {lin:>22s}   {ang}")
     print(f"  truncation     {dims.as_tuple()} (total {dims.total}, cap {dims.cap})")
 
-    frame = run_kw.get("frame", "dispersive")
-    dt = run_kw.get("dt_pulse", 1e-4)
-    if frame == "bare":
-        w_max = max(abs(a.w_q - a.w_s), abs(a.w_q - a.w_ro))
-        bound = TWO_PI / (20.0 * w_max)
+    options = protocol.ProtocolOptions(dims=dims, **run_kw)
+    frame, dt = options.frame, options.dt_pulse
+    if frame not in FRAMES:
+        breaches.append(f"unknown frame {frame!r}")
+    else:
+        bound = build_model(p, dims, frame=frame).max_step()
         if dt > bound:
             breaches.append(
-                f"dt_pulse = {dt:.3g} us too large for frame 'bare'; "
+                f"dt_pulse = {dt:.3g} us too large for frame {frame!r}; "
                 f"need <= {bound:.3g} us")
-    if frame not in ("dispersive", "bare", "lab"):
-        breaches.append(f"unknown frame {frame!r}")
 
     if breaches:
         for b in breaches:

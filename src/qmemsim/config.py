@@ -21,13 +21,17 @@ is stored bit-for-bit as written, and ``6234 MHz`` gives the same float as
 ``6.234 GHz``.  :func:`device_params_to_config` writes each value in its
 storage unit as the shortest literal that rounds back to it, so render ->
 parse returns an equal :class:`DeviceParams`.
+
+Every number must be finite, and the truncation sizes (n_transmon,
+n_storage, n_readout) must be integral; anything else raises ConfigError
+naming the key.
 """
 
 import decimal
-from dataclasses import dataclass, field
+import math
 
 from .device import DeviceParams
-from .errors import ConfigError
+from .errors import ConfigError, ParameterError
 from .qsys import SubsystemDims
 
 # power of ten from each unit to the base unit: GHz for frequencies, us for times
@@ -71,11 +75,14 @@ _EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
 
 
 def _scaled_float(key, text, exp):
-    """Nearest float to the decimal literal ``text`` times 10**exp."""
+    """Nearest float to the finite decimal literal ``text`` times 10**exp."""
     try:
-        return float(decimal.Decimal(text, _EXACT).scaleb(exp, _EXACT))
+        value = float(decimal.Decimal(text, _EXACT).scaleb(exp, _EXACT))
     except decimal.InvalidOperation as exc:
         raise ConfigError(f"{key}: cannot parse number {text!r}") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"{key}: value must be finite, got {text!r}")
+    return value
 
 
 def parse_value(key, raw):
@@ -120,30 +127,35 @@ def parse_config_text(text):
     return device_kw, run_kw
 
 
-def load_device_params(path):
-    """DeviceParams from a config file (missing keys keep sample defaults)."""
-    with open(path) as f:
-        device_kw, _ = parse_config_text(f.read())
+def _truncation(run_kw, key, default):
+    value = run_kw.pop(key, default)
+    if value != int(value):
+        raise ConfigError(f"{key}: truncation size must be an integer, got {value!r}")
+    return int(value)
+
+
+def parse_run_settings(text, source):
+    """(DeviceParams, dims, run settings dict) from config text.
+
+    Missing device keys keep the sample defaults; the run settings dict
+    holds the remaining run keys (frame, dt_pulse, dt_idle).  source names
+    the text in error messages.
+    """
+    device_kw, run_kw = parse_config_text(text)
     try:
-        return DeviceParams(**device_kw)
-    except Exception as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+        params = DeviceParams(**device_kw)
+    except ParameterError as exc:
+        raise ConfigError(f"{source}: {exc}") from exc
+    dims = SubsystemDims(_truncation(run_kw, "n_transmon", 3),
+                         _truncation(run_kw, "n_storage", 5),
+                         _truncation(run_kw, "n_readout", 2))
+    return params, dims, run_kw
 
 
 def load_run_settings(path):
     """(DeviceParams, dims, run settings dict) from a config file."""
     with open(path) as f:
-        device_kw, run_kw = parse_config_text(f.read())
-    try:
-        params = DeviceParams(**device_kw)
-    except Exception as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-    dims = SubsystemDims(
-        int(run_kw.pop("n_transmon", 3)),
-        int(run_kw.pop("n_storage", 5)),
-        int(run_kw.pop("n_readout", 2)),
-    )
-    return params, dims, run_kw
+        return parse_run_settings(f.read(), path)
 
 
 SAMPLE_CONFIG = """\

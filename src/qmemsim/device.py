@@ -19,7 +19,7 @@ Sign and bookkeeping conventions
 """
 
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 from .errors import ParameterError
 from .units import GHZ, MHZ, KHZ
@@ -111,10 +111,6 @@ class AngularParams:
     t2_q: float
     n_ro: float
     p_e: float
-
-    @property
-    def gamma1_q(self):
-        return 1.0 / self.t1_q
 
     @property
     def t_phi_q(self):

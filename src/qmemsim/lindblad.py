@@ -45,7 +45,7 @@ and are cross-checked against the full integration by
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,13 +63,9 @@ FRAMES = ("dispersive", "bare", "lab")
 # retained physics is the near-resonant linear drive (with its full
 # multi-level transmon structure, so leakage survives) and the near-resonant
 # two-photon sideband term
-DEFAULT_RWA_CUTOFF = 0.15 * GHZ
+RWA_CUTOFF = 0.15 * GHZ
 CARRIER_ZERO_TOL = 1e-9             # rad/us treated as a static term
 TRACE_DRIFT_TOL = 1e-6
-
-# default integrator steps (us): the dispersive frame leaves only MHz-scale
-# carriers, the bare frame keeps the GHz difference-frequency couplings
-DEFAULT_DT = {"dispersive": 1e-4, "bare": 2e-5, "lab": 2e-5}
 
 
 @dataclass(frozen=True)
@@ -302,8 +298,7 @@ def _bare_operators(dims, a):
 
 
 def build_model(p: DeviceParams, dims: SubsystemDims, seq=None, frame="dispersive",
-                *, noiseless=False, rwa_cutoff=DEFAULT_RWA_CUTOFF,
-                storage_t_phi=None, p_e=None):
+                *, noiseless=False, storage_t_phi=None, p_e=None):
     """Construct the rotating-frame Lindblad model for a pulse sequence.
 
     noiseless strips all collapse channels (used for calibration).
@@ -328,7 +323,7 @@ def build_model(p: DeviceParams, dims: SubsystemDims, seq=None, frame="dispersiv
         lt, ls, lr = labels
         drift = np.diag(rel - rot[0] * lt - rot[1] * ls - rot[2] * lr).astype(complex)
         couplings = {}
-        cutoff = rwa_cutoff
+        cutoff = RWA_CUTOFF
     else:
         U = np.eye(dims.total, dtype=complex)
         # eigenenergies are still labeled for dressed_frequencies()
@@ -342,7 +337,7 @@ def build_model(p: DeviceParams, dims: SubsystemDims, seq=None, frame="dispersiv
                 "storage": class_component(a.g * (b.conj().T @ a_s), labels, 1, -1, 0),
                 "readout": class_component(a.g * (b.conj().T @ a_r), labels, 1, 0, -1),
             }
-            cutoff = rwa_cutoff
+            cutoff = RWA_CUTOFF
         else:  # lab
             rot = (0.0, 0.0, 0.0)
             drift = h0.astype(complex)
@@ -475,8 +470,8 @@ class Trajectory:
         return np.real(self.expectations[name])
 
 
-def evolve(model: LindbladModel, rho0, t_span, dt=None, observables=None,
-           sample_dt=None, store_states=False, check=True):
+def evolve(model: LindbladModel, rho0, t_span, dt, observables=None,
+           sample_dt=None, store_states=False):
     """Integrate d rho/dt = -i[H(t), rho] + sum_k D[c_k] rho with classic RK4.
 
     dt is adjusted to divide the span exactly (fixed step within the call).
@@ -487,8 +482,6 @@ def evolve(model: LindbladModel, rho0, t_span, dt=None, observables=None,
     t0, t1 = t_span
     if t1 < t0:
         raise ParameterError("t_span must be increasing")
-    if dt is None:
-        dt = DEFAULT_DT[model.frame]
     dt_bound = model.max_step(t0, t1)
     if dt > dt_bound * (1.0 + 1e-9):
         raise StepSizeError(
@@ -568,13 +561,12 @@ def evolve(model: LindbladModel, rho0, t_span, dt=None, observables=None,
             expect[k].append(np.trace(rho @ op))
         if states is not None:
             states.append(QuantumState(rho.copy(), model.dims))
-        if check:
-            drift = abs(np.trace(rho).real - 1.0) + abs(np.trace(rho).imag)
-            if drift > TRACE_DRIFT_TOL:
-                raise IntegrationError(
-                    f"trace drifted by {drift:.3g} at t = {t:.6g} us; "
-                    f"retry with dt <= {h / 2:.3g} us"
-                )
+        drift = abs(np.trace(rho).real - 1.0) + abs(np.trace(rho).imag)
+        if drift > TRACE_DRIFT_TOL:
+            raise IntegrationError(
+                f"trace drifted by {drift:.3g} at t = {t:.6g} us; "
+                f"retry with dt <= {h / 2:.3g} us"
+            )
 
     for k in range(n_steps):
         s = 2 * k
@@ -617,13 +609,13 @@ class BsbComparison:
 
 
 def effective_bsb_check(p: DeviceParams, omega_drv, *, dims=None,
-                        frame="dispersive", noiseless=True, periods=2.5,
-                        dt=None, samples_per_period=36):
+                        frame="dispersive"):
     """Drive a constant sideband tone and compare the extracted |g0> <-> |e1>
     oscillation rate with the closed-form effective coupling.
 
     The tone is placed at the model's own two-photon pair resonance, so the
-    comparison isolates the rate rather than a detuning.  Returns a
+    comparison isolates the rate rather than a detuning.  The noiseless tone
+    lasts 2.5 swap periods, sampled 36 times per period.  Returns a
     BsbComparison with the measured/predicted ratio.
     """
     from .analysis import fit_decaying_cosine
@@ -638,18 +630,17 @@ def effective_bsb_check(p: DeviceParams, omega_drv, *, dims=None,
 
     period = math.pi / predicted
     rise = 1e-3
-    seg = PulseSegment(QUBIT_CHANNEL, omega_drv, carrier, plateau=periods * period,
+    seg = PulseSegment(QUBIT_CHANNEL, omega_drv, carrier, plateau=2.5 * period,
                        rise=rise, start=0.0, label="bsb-tone")
     model = build_model(p, dims, PulseSequence((seg,)), frame=frame,
-                        noiseless=noiseless)
+                        noiseless=True)
     rho0 = model.basis_state(0, 0, 0)
     obs = {"p_g0": model.label_projector(0, 0, 0)}
-    if dt is None:
-        # only slow carriers remain on a resonant sideband tone; a coarse
-        # fixed step resolves the MHz-scale dynamics comfortably
-        dt = min(5e-4, model.max_step(0.0, seg.end), period / 400.0)
+    # only slow carriers remain on a resonant sideband tone; a coarse fixed
+    # step resolves the MHz-scale dynamics comfortably
+    dt = min(5e-4, model.max_step(0.0, seg.end), period / 400.0)
     traj = evolve(model, rho0, (0.0, seg.end), dt,
-                  observables=obs, sample_dt=period / samples_per_period)
+                  observables=obs, sample_dt=period / 36)
 
     pop = traj.real("p_g0")
     fit = fit_decaying_cosine(traj.times, pop)

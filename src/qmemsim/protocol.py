@@ -4,10 +4,8 @@ tomography channel.
 
 Readout convention: the retrieved ground-state population p_g is extracted by
 tracing out both cavity modes and reading the transmon ground-level
-population.  An optional short readout-mode probe can be enabled to include
-its dispersive back-action; the extracted quantity stays a population either
-way.  Storage-time axes count only the idle delay between the storage and
-retrieval halves; protocol overhead is excluded.
+population.  Storage-time axes count only the idle delay between the storage
+and retrieval halves; protocol overhead is excluded.
 """
 
 import math
@@ -18,13 +16,13 @@ import numpy as np
 from . import analysis, qsys, tomography
 from .device import DeviceParams
 from .errors import ParameterError
-from .lindblad import build_model, evolve, two_photon_resonance
+from .lindblad import build_model, evolve
 from .pulses import (DEFAULT_RISE, PulseSegment, PulseSequence,
                      ProtocolCalibration, QUBIT_CHANNEL, READOUT_CHANNEL,
                      STORAGE_CHANNEL, build_memory_sequence,
                      calibrate_pi_pulse)
 from .qsys import QuantumState, SubsystemDims
-from .units import MHZ, TWO_PI
+from .units import TWO_PI
 
 
 @dataclass(frozen=True)
@@ -46,8 +44,6 @@ class ProtocolOptions:
     noiseless: bool = False
     storage_t_phi: float | None = None
     p_e: float | None = None
-    thermal_init: bool = False
-    readout_probe: bool = False
     shots: int | None = None
     seed: int = 0
 
@@ -78,32 +74,18 @@ def get_calibration(p: DeviceParams, options: ProtocolOptions):
     return ProtocolCalibration(qubit=_CAL_CACHE[key_q], bsb=_CAL_CACHE[key_b])
 
 
-def initial_state(p: DeviceParams, options: ProtocolOptions):
-    """Ground product state, or the thermal-qubit equivalent."""
-    dims = options.dims
-    rho = np.zeros((dims.total, dims.total), dtype=complex)
-    pe = p.p_e if options.p_e is None else options.p_e
-    if options.thermal_init and pe > 0:
-        rho[dims.index(0, 0, 0), dims.index(0, 0, 0)] = 1.0 - pe
-        rho[dims.index(1, 0, 0), dims.index(1, 0, 0)] = pe
-    else:
-        rho[dims.index(0, 0, 0), dims.index(0, 0, 0)] = 1.0
-    return QuantumState(rho, dims)
-
-
 def simulate_sequence(p: DeviceParams, seq: PulseSequence,
-                      options: ProtocolOptions, rho0=None, upto=None,
-                      observables=None, sample_dt=None):
+                      options: ProtocolOptions, rho0=None, upto=None):
     """Run a pulse sequence piecewise: fine steps inside pulse windows, the
     coarse idle step in the gaps.  Both steps are fixed within each window.
 
-    Returns (final QuantumState, trajectory dict or None).  When observables
-    are given, the per-window trajectories are concatenated.
+    Starts from rho0, by default the ground product state, and stops at
+    upto, by default the readout marker.  Returns (model, final QuantumState).
     """
     model = build_model(p, options.dims, seq, frame=options.frame,
                         noiseless=options.noiseless,
                         storage_t_phi=options.storage_t_phi, p_e=options.p_e)
-    state = rho0 if rho0 is not None else initial_state(p, options)
+    state = rho0 if rho0 is not None else qsys.basis_state(options.dims)
     t_end = upto if upto is not None else (seq.readout_time or seq.end)
 
     events = {0.0, t_end}
@@ -113,40 +95,14 @@ def simulate_sequence(p: DeviceParams, seq: PulseSequence,
             events.add(min(s.end, t_end))
     events = sorted(events)
 
-    times, expect = [], {k: [] for k in (observables or {})}
     for t0, t1 in zip(events, events[1:]):
         if t1 - t0 < 1e-12:
             continue
         active = any(s.start < t1 - 1e-12 and s.end > t0 + 1e-12
                      for s in seq.segments)
         dt = options.dt_pulse if active else options.dt_idle
-        traj = evolve(model, state, (t0, t1), dt, observables=observables,
-                      sample_dt=sample_dt)
-        state = traj.final_state
-        if observables:
-            skip = 1 if times and traj.times[0] == times[-1] else 0
-            times.extend(traj.times[skip:])
-            for k in observables:
-                expect[k].extend(traj.expectations[k][skip:])
-
-    traj_out = None
-    if observables:
-        traj_out = {"times": np.asarray(times),
-                    **{k: np.asarray(v) for k, v in expect.items()}}
-    return model, state, traj_out
-
-
-def _append_readout_probe(p, seq, options, model_freqs=None):
-    """Optional dispersive-readout emulation: a short resonant probe on the
-    readout mode right after retrieval (adds its back-action)."""
-    from .lindblad import dressed_frequencies
-
-    w_ro = dressed_frequencies(p, options.dims, options.frame)[2]
-    a = p.angular()
-    start = seq.readout_time if seq.readout_time is not None else seq.end
-    probe = PulseSegment(READOUT_CHANNEL, 0.5 * a.k_ro, w_ro, plateau=0.08,
-                         rise=options.rise, start=start, label="readout-probe")
-    return PulseSequence(seq.segments + (probe,), readout_time=probe.end)
+        state = evolve(model, state, (t0, t1), dt).final_state
+    return model, state
 
 
 def ground_population(model, state):
@@ -155,7 +111,7 @@ def ground_population(model, state):
 
 def run_memory_protocol(p: DeviceParams, prep_angle=0.0, storage_delay=0.0,
                         options: ProtocolOptions | None = None, cal=None,
-                        return_state=False, extra_segments=()):
+                        extra_segments=()):
     """Full storage/retrieval protocol; returns the retrieved p_g.
 
     extra_segments (e.g. a trailing analysis pulse) are appended before the
@@ -168,13 +124,8 @@ def run_memory_protocol(p: DeviceParams, prep_angle=0.0, storage_delay=0.0,
     for seg in extra_segments:
         seg = seg.shifted(seq.readout_time)
         seq = PulseSequence(seq.segments + (seg,), readout_time=seg.end)
-    if options.readout_probe:
-        seq = _append_readout_probe(p, seq, options)
-    model, state, _ = simulate_sequence(p, seq, options)
-    p_g = ground_population(model, state)
-    if return_state:
-        return p_g, state, seq
-    return p_g
+    model, state = simulate_sequence(p, seq, options)
+    return ground_population(model, state)
 
 
 def reference_ground_population(p: DeviceParams, prep_angle=0.0,
@@ -183,7 +134,7 @@ def reference_ground_population(p: DeviceParams, prep_angle=0.0,
     """p_g(0): the zero-length reference protocol (prep + immediate readout)."""
     options = options or ProtocolOptions()
     if prep_angle == 0.0:
-        model, state, _ = simulate_sequence(p, PulseSequence(()), options)
+        model, state = simulate_sequence(p, PulseSequence(()), options)
         return ground_population(model, state)
     cal = cal or get_calibration(p, options)
     q = cal.qubit
@@ -191,7 +142,7 @@ def reference_ground_population(p: DeviceParams, prep_angle=0.0,
                        q.carrier, phase=math.pi if prep_angle < 0 else 0.0,
                        plateau=q.plateau, rise=q.rise, start=0.0, label="prep")
     seq = PulseSequence((seg,), readout_time=seg.end)
-    model, state, _ = simulate_sequence(p, seq, options)
+    model, state = simulate_sequence(p, seq, options)
     return ground_population(model, state)
 
 
@@ -203,7 +154,7 @@ def storage_state_after_half(p: DeviceParams, prep_angle=0.0,
     seq = build_memory_sequence(p, prep_angle, 1.0, cal,
                                 qubit_pi_multiplier=options.qubit_pi_multiplier)
     t_half = max(s.end for s in seq.segments if s.label == "qubit-pi-store")
-    _, state, _ = simulate_sequence(p, seq, options, upto=t_half)
+    _, state = simulate_sequence(p, seq, options, upto=t_half)
     return state.ptrace_storage()
 
 
@@ -245,8 +196,13 @@ class ExperimentRecord:
                 f.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
     def fit_summary(self):
+        """JSON-ready fits: each FitResult as a dict; entries that are
+        already dicts of numbers (closed-form summaries) pass through."""
         out = {}
         for name, fit in self.fits.items():
+            if isinstance(fit, dict):
+                out[name] = fit
+                continue
             out[name] = {
                 "model": fit.model,
                 "params": {k: float(v) for k, v in fit.params.items()},
@@ -377,9 +333,9 @@ def prep_angle_sweep(p: DeviceParams, angles=None, delays=(0.25,),
 
 
 def mode_ringdown_experiment(p: DeviceParams, mode="readout",
-                             options: ProtocolOptions | None = None,
-                             target_amp=0.45):
-    """Displace a cavity mode, switch the drive off and fit the free decay.
+                             options: ProtocolOptions | None = None):
+    """Displace a cavity mode to a coherent amplitude near 0.45, switch the
+    drive off and fit the free decay.
 
     Reports the field-amplitude decay time (2/kappa) and the energy decay
     time (1/kappa).
@@ -398,6 +354,7 @@ def mode_ringdown_experiment(p: DeviceParams, mode="readout",
         raise ParameterError(f"unknown mode {mode!r}")
 
     # drive long enough to settle near the target coherent amplitude
+    target_amp = 0.45
     drive_len = min(6.0 / kappa, 0.12)
     amp = 2.0 * target_amp / drive_len if kappa * drive_len < 1.0 \
         else target_amp * kappa
@@ -411,8 +368,8 @@ def mode_ringdown_experiment(p: DeviceParams, mode="readout",
     low = model.lowering_op(slot)
     obs = {"a": low, "n": low.conj().T @ low}
 
-    state = initial_state(p, options)
-    traj_on = evolve(model, state, (0.0, seg.end), options.dt_pulse)
+    traj_on = evolve(model, qsys.basis_state(dims), (0.0, seg.end),
+                     options.dt_pulse)
     traj = evolve(model, traj_on.final_state, (seg.end, seg.end + span),
                   min(options.dt_idle, span / 2000.0), observables=obs,
                   sample_dt=span / 120.0)
@@ -517,8 +474,6 @@ def memory_channel(p: DeviceParams, options: ProtocolOptions | None = None,
     cal = cal or get_calibration(p, options)
     seq = build_memory_sequence(p, 0.0, 0.0, cal,
                                 qubit_pi_multiplier=options.qubit_pi_multiplier)
-    if options.readout_probe:
-        seq = _append_readout_probe(p, seq, options)
     dims = options.dims
 
     def channel(rho_in):
@@ -526,7 +481,7 @@ def memory_channel(p: DeviceParams, options: ProtocolOptions | None = None,
         for i in range(2):
             for j in range(2):
                 rho_full[dims.index(i, 0, 0), dims.index(j, 0, 0)] = rho_in[i, j]
-        _, state, _ = simulate_sequence(
+        _, state = simulate_sequence(
             p, seq, options, rho0=QuantumState(rho_full, dims))
         block = state.ptrace_transmon()[:2, :2]
         if options.shots is None:
@@ -555,8 +510,6 @@ def qpt_experiment(p: DeviceParams, options: ProtocolOptions | None = None):
     chi = tomography.process_tomography(memory_channel(p, options, cal))
     f_raw = tomography.process_fidelity(chi)
     theta, f_opt = tomography.fidelity_with_z_optimization(chi)
-    seq = build_memory_sequence(p, 0.0, 0.0, cal,
-                                qubit_pi_multiplier=options.qubit_pi_multiplier)
     t_p, f_z, f_z_corr = z_fidelity_point(
         p, WorkingPoint(options.bsb_amplitude, options.qubit_amplitude,
                         options.qubit_pi_multiplier), options)

@@ -11,7 +11,7 @@ amplitude equals the Rabi frequency, so a square pi-pulse lasts pi/amplitude.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -123,16 +123,8 @@ class PulseSegment:
         """Duration of the square pulse with the same area and amplitude."""
         return self.plateau + 2.0 * _RAMP_AREA * self.sigma
 
-    def equivalent_width_sq(self):
-        """Square-pulse width matching the squared-envelope area."""
-        return self.plateau + 2.0 * _RAMP_AREA_SQ * self.sigma
-
     def shifted(self, start):
         return replace(self, start=start)
-
-
-def envelope_at(seg, t):
-    return seg.envelope_at(t)
 
 
 @dataclass(frozen=True)
@@ -188,9 +180,6 @@ class PulseSequence:
         """Protocol length t_p: storage+retrieval pulses, preparation excluded."""
         t0, t1 = self.memory_window()
         return t1 - t0
-
-    def with_segment(self, seg):
-        return PulseSequence(self.segments + (seg,), self.readout_time)
 
     def to_json_dict(self):
         """Serializable form: times in ns, frequencies in GHz."""
@@ -354,8 +343,7 @@ def _parabolic_peak(xs, ys):
 
 
 def calibrate_pi_pulse(params: DeviceParams, dims, channel, amplitude, *,
-                       frame="dispersive", rise=DEFAULT_RISE, dt=None,
-                       carrier_window=None, n_scan=9):
+                       frame="dispersive", rise=DEFAULT_RISE, dt=None):
     """Calibrate a pi pulse on the qubit or sideband channel.
 
     Scans the carrier about the model's own resonance and then the plateau
@@ -382,7 +370,7 @@ def calibrate_pi_pulse(params: DeviceParams, dims, channel, amplitude, *,
         center = dressed_frequencies(params, dims, frame=frame)[0]
         pi_width = math.pi / amplitude
         initial, target = (0, 0, 0), (1, 0, 0)
-        window = carrier_window or max(0.15 * amplitude, 2.0 * math.pi * 0.5)
+        window = max(0.15 * amplitude, 2.0 * math.pi * 0.5)
         ramp_eq = 2.0 * _RAMP_AREA * sigma
     else:
         nominal = 0.5 * bsb_frequency(params)
@@ -390,7 +378,7 @@ def calibrate_pi_pulse(params: DeviceParams, dims, channel, amplitude, *,
         omega_eff = bsb_effective_rate(params, amplitude, carrier=center)
         pi_width = math.pi / (2.0 * omega_eff)
         initial, target = (0, 0, 0), (1, 1, 0)
-        window = carrier_window or max(1.5 * omega_eff, 2.0 * math.pi * 0.3)
+        window = max(1.5 * omega_eff, 2.0 * math.pi * 0.3)
         ramp_eq = 2.0 * _RAMP_AREA_SQ * sigma
 
     plateau0 = pi_width - ramp_eq
@@ -410,10 +398,10 @@ def calibrate_pi_pulse(params: DeviceParams, dims, channel, amplitude, *,
         return _probe_transfer(params, dims, seg, frame, probe_dt, initial, target)
 
     # carrier scan at the estimated pi plateau, then parabolic refinement
-    offsets = np.linspace(-window, window, n_scan)
+    offsets = np.linspace(-window, window, 9)
     transfers = np.array([probe(plateau0, center + d) for d in offsets])
     best = _parabolic_peak(offsets, transfers)
-    fine = np.linspace(best - window / (n_scan - 1), best + window / (n_scan - 1), 5)
+    fine = np.linspace(best - window / 8, best + window / 8, 5)
     transfers = np.array([probe(plateau0, center + d) for d in fine])
     carrier = center + _parabolic_peak(fine, transfers)
 

@@ -117,10 +117,6 @@ def is_hermitian(op, tol=1e-12):
     return bool(np.max(np.abs(op - op.conj().T)) < tol)
 
 
-def dagger(op):
-    return op.conj().T
-
-
 @dataclass
 class QuantumState:
     """Density matrix over the composite space, with its sanity checks."""

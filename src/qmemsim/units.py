@@ -1,4 +1,4 @@
-"""Unit conversion helpers.
+"""Unit conversion constants.
 
 Internal convention: angular frequencies in rad/us, time in us.  1 MHz of
 linear frequency equals 2*pi rad/us, which makes the MHz converter the
@@ -21,27 +21,3 @@ NS = 1e-3
 MS = 1e3
 S = 1e6
 
-
-def ghz(f):
-    """Linear GHz -> angular rad/us."""
-    return f * GHZ
-
-
-def mhz(f):
-    """Linear MHz -> angular rad/us."""
-    return f * MHZ
-
-
-def khz(f):
-    """Linear kHz -> angular rad/us."""
-    return f * KHZ
-
-
-def to_ghz(w):
-    """Angular rad/us -> linear GHz."""
-    return w / GHZ
-
-
-def to_mhz(w):
-    """Angular rad/us -> linear MHz."""
-    return w / MHZ

@@ -166,6 +166,20 @@ def test_leakage_fit_flat_input():
     assert abs(fit.params["a"]) <= max(fit.uncertainties["a"], 1e-6)
 
 
+def test_leakage_fit_degenerate_is_not_converged():
+    # (t_p_us, f_z_corr) of the default Z-fidelity working points; f_z_corr
+    # exceeds 1 everywhere, so the fit runs off to a singular covariance
+    t_p = [0.22359761761608127, 0.26619110485492148, 0.32977090722981034,
+           0.38788681284348758, 0.5415132608179114, 0.77731306836096126,
+           1.0394242336530721]
+    f_corr = [1.1021721396602113, 1.1252891841568633, 1.1610228733545394,
+              1.1950080105761456, 1.2914378467007284, 1.4607241856220652,
+              1.6583747565758404]
+    fit = analysis.fit_leakage(t_p, f_corr)
+    assert not np.all(np.isfinite(list(fit.uncertainties.values())))
+    assert not fit.converged
+
+
 # --- statistics ------------------------------------------------------------
 
 def test_stats_constant_samples():

@@ -10,6 +10,8 @@ import pytest
 from qmemsim import config
 from qmemsim.device import DeviceParams
 from qmemsim.errors import ConfigError
+from qmemsim.lindblad import build_model
+from qmemsim.qsys import SubsystemDims
 
 CLI = [sys.executable, "-m", "qmemsim.cli"]
 
@@ -68,6 +70,26 @@ def test_parse_rejects_unparseable_number():
             config.parse_config_text(text)
 
 
+@pytest.mark.parametrize("line", ["omega_q = nan GHz", "kappa_s = inf kHz",
+                                  "t1_q = -inf us", "p_e = NaN", "q0_ro = 1e400"])
+def test_parse_rejects_non_finite_number(line):
+    key = line.split()[0]
+    with pytest.raises(ConfigError, match=f"^{key}: value must be finite"):
+        config.parse_config_text(line + "\n")
+
+
+def test_truncation_sizes_must_be_integers(tmp_path):
+    path = tmp_path / "dims.cfg"
+    path.write_text("n_storage = 4.7\n")
+    with pytest.raises(ConfigError, match="n_storage"):
+        config.load_run_settings(path)
+    for text in ("n_storage = 4\n", "n_storage = 4.0\n"):
+        path.write_text(text)
+        _, dims, run_kw = config.load_run_settings(path)
+        assert dims.n_storage == 4
+        assert run_kw == {}
+
+
 def test_sample_configs_parse_to_default_params():
     packaged = (importlib.resources.files("qmemsim") / "data" / "sample.cfg").read_text()
     for text in (config.SAMPLE_CONFIG, packaged):
@@ -121,12 +143,26 @@ def test_validate_rejects_t2_bound(tmp_path):
     assert "t2" in res.stderr.lower()
 
 
+def test_validate_rejects_non_finite_values(tmp_path):
+    path = tmp_path / "nan.cfg"
+    path.write_text("omega_q = nan GHz\nkappa_s = inf kHz\nt1_q = nan us\n")
+    res = run_cli("validate", "--config", str(path))
+    assert res.returncode == 1
+    assert "omega_q" in res.stderr
+    assert "config valid" not in res.stdout
+
+
 def test_validate_rejects_bad_step_for_bare_frame(tmp_path):
     path = tmp_path / "bare.cfg"
     path.write_text("frame = bare\ndt_pulse = 1 ns\n")
     res = run_cli("validate", "--config", str(path))
     assert res.returncode == 1
-    assert "dt" in res.stderr
+    bound = build_model(DeviceParams(), SubsystemDims(), frame="bare").max_step()
+    assert f"need <= {bound:.3g} us" in res.stderr
+    # the bound itself is not a breach: 0.02 ns lies just below it
+    path.write_text("frame = bare\ndt_pulse = 0.02 ns\n")
+    res = run_cli("validate", "--config", str(path))
+    assert res.returncode == 0, res.stderr
 
 
 def test_run_requires_existing_config(tmp_path):
@@ -134,6 +170,15 @@ def test_run_requires_existing_config(tmp_path):
     res = run_cli("run", "--config", str(tmp_path / "missing.cfg"),
                   "--experiment", "ringdown", "--out", str(out))
     assert res.returncode == 2
+    assert not out.exists()
+
+
+def test_descending_sweep_is_a_usage_error(tmp_path, sample_cfg):
+    out = tmp_path / "desc"
+    res = run_cli("run", "--config", sample_cfg, "--experiment", "fock-decay",
+                  "--sweep", "delay=16:3:8", "--out", str(out))
+    assert res.returncode == 2
+    assert "delay=16:3:8" in res.stderr
     assert not out.exists()
 
 
