@@ -207,7 +207,6 @@ def cmd_run(args):
             "dims": dims.as_tuple(),
             "frame": options.frame,
             "dt_pulse_us": options.dt_pulse,
-            "dt_idle_us": options.dt_idle,
             "args": {
                 "experiment": args.experiment,
                 "sweep": args.sweep,

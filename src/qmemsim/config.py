@@ -61,6 +61,8 @@ _DEVICE_KEYS = {
 
 _RUN_KEYS = {
     "dt_pulse": ("time", "us"),
+    # retired (idle windows propagate exactly); still parsed so that old
+    # configs and manifests load, then dropped by parse_run_settings
     "dt_idle": ("time", "us"),
     "n_transmon": ("plain", None),
     "n_storage": ("plain", None),
@@ -138,10 +140,12 @@ def parse_run_settings(text, source):
     """(DeviceParams, dims, run settings dict) from config text.
 
     Missing device keys keep the sample defaults; the run settings dict
-    holds the remaining run keys (frame, dt_pulse, dt_idle).  source names
-    the text in error messages.
+    holds the remaining run keys (frame, dt_pulse), the ProtocolOptions
+    fields they name.  The retired dt_idle key is checked and ignored.
+    source names the text in error messages.
     """
     device_kw, run_kw = parse_config_text(text)
+    run_kw.pop("dt_idle", None)
     try:
         params = DeviceParams(**device_kw)
     except ParameterError as exc:

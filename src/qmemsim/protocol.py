@@ -16,7 +16,7 @@ import numpy as np
 from . import analysis, qsys, tomography
 from .device import DeviceParams
 from .errors import ParameterError
-from .lindblad import build_model, evolve
+from .lindblad import StaticPropagator, build_model, evolve
 from .pulses import (DEFAULT_RISE, PulseSegment, PulseSequence,
                      ProtocolCalibration, QUBIT_CHANNEL, READOUT_CHANNEL,
                      STORAGE_CHANNEL, build_memory_sequence,
@@ -40,7 +40,6 @@ class ProtocolOptions:
     qubit_pi_multiplier: int = 1
     rise: float = DEFAULT_RISE
     dt_pulse: float = 1e-4                  # us
-    dt_idle: float = 2e-3                   # us; idle drift is static and slow
     noiseless: bool = False
     storage_t_phi: float | None = None
     p_e: float | None = None
@@ -76,11 +75,14 @@ def get_calibration(p: DeviceParams, options: ProtocolOptions):
 
 def simulate_sequence(p: DeviceParams, seq: PulseSequence,
                       options: ProtocolOptions, rho0=None, upto=None):
-    """Run a pulse sequence piecewise: fine steps inside pulse windows, the
-    coarse idle step in the gaps.  Both steps are fixed within each window.
+    """Run a pulse sequence piecewise between its segment edges.
 
-    Starts from rho0, by default the ground product state, and stops at
-    upto, by default the readout marker.  Returns (model, final QuantumState).
+    A window with an active drive term (``model.active_terms``) is
+    integrated by RK4 at the fixed step options.dt_pulse; any other window
+    is propagated exactly by one StaticPropagator, built the first time the
+    run meets such a window.  Starts from rho0, by default the ground
+    product state, and stops at upto, by default the readout marker.
+    Returns (model, final QuantumState).
     """
     model = build_model(p, options.dims, seq, frame=options.frame,
                         noiseless=options.noiseless,
@@ -95,13 +97,16 @@ def simulate_sequence(p: DeviceParams, seq: PulseSequence,
             events.add(min(s.end, t_end))
     events = sorted(events)
 
+    static = None
     for t0, t1 in zip(events, events[1:]):
         if t1 - t0 < 1e-12:
             continue
-        active = any(s.start < t1 - 1e-12 and s.end > t0 + 1e-12
-                     for s in seq.segments)
-        dt = options.dt_pulse if active else options.dt_idle
-        state = evolve(model, state, (t0, t1), dt).final_state
+        if model.active_terms(t0, t1):
+            state = evolve(model, state, (t0, t1), options.dt_pulse).final_state
+            continue
+        if static is None:
+            static = StaticPropagator(model)
+        state = static.propagate(state, (t0, t1))[-1]
     return model, state
 
 
@@ -219,7 +224,6 @@ def _base_meta(p, options, cal=None, **extra):
         "dims": options.dims.as_tuple(),
         "frame": options.frame,
         "dt_pulse_us": options.dt_pulse,
-        "dt_idle_us": options.dt_idle,
         "noiseless": options.noiseless,
     }
     if cal is not None:
@@ -337,8 +341,9 @@ def mode_ringdown_experiment(p: DeviceParams, mode="readout",
     """Displace a cavity mode to a coherent amplitude near 0.45, switch the
     drive off and fit the free decay.
 
-    Reports the field-amplitude decay time (2/kappa) and the energy decay
-    time (1/kappa).
+    The free decay is propagated exactly and sampled at 121 equally spaced
+    times over 5/kappa.  Reports the field-amplitude decay time (2/kappa)
+    and the energy decay time (1/kappa).
     """
     from .lindblad import dressed_frequencies
 
@@ -366,16 +371,16 @@ def mode_ringdown_experiment(p: DeviceParams, mode="readout",
                         noiseless=options.noiseless,
                         storage_t_phi=options.storage_t_phi, p_e=options.p_e)
     low = model.lowering_op(slot)
-    obs = {"a": low, "n": low.conj().T @ low}
+    n_op = low.conj().T @ low
 
     traj_on = evolve(model, qsys.basis_state(dims), (0.0, seg.end),
                      options.dt_pulse)
-    traj = evolve(model, traj_on.final_state, (seg.end, seg.end + span),
-                  min(options.dt_idle, span / 2000.0), observables=obs,
-                  sample_dt=span / 120.0)
-    t = traj.times - seg.end
-    amp_abs = np.abs(traj.expectations["a"])
-    n_vals = traj.real("n")
+    steps = 120
+    states = StaticPropagator(model).propagate(
+        traj_on.final_state, (seg.end, seg.end + span), steps=steps)
+    t = np.linspace(0.0, span, steps + 1)
+    amp_abs = np.array([abs(np.trace(s.rho @ low)) for s in states])
+    n_vals = np.array([np.trace(s.rho @ n_op).real for s in states])
 
     fit_amp = analysis.fit_exponential(t, amp_abs)
     fit_n = analysis.fit_exponential(t, n_vals)
@@ -422,14 +427,17 @@ def z_fidelity_point(p: DeviceParams, wp: WorkingPoint,
         bsb_amplitude=wp.bsb_amplitude, qubit_amplitude=wp.qubit_amplitude,
         qubit_pi_multiplier=wp.qubit_pi_multiplier)
     cal = get_calibration(p, options)
-    seq = build_memory_sequence(p, 0.0, 0.0, cal,
-                                qubit_pi_multiplier=wp.qubit_pi_multiplier)
-    t_p = seq.memory_duration
-    p_g0 = reference_ground_population(p, 0.0, options, cal)
     p_g = run_memory_protocol(p, 0.0, 0.0, options, cal)
-    f_z = p_g / p_g0
-    f_z_corr = f_z / math.exp(-t_p / p.t1_q)
-    return t_p, f_z, f_z_corr
+    return _z_fidelity(p, p_g, options, cal)
+
+
+def _z_fidelity(p, p_g, options, cal):
+    """(t_p, F_Z, F_Z_corr) from the zero-delay protocol's retrieved p_g."""
+    seq = build_memory_sequence(p, 0.0, 0.0, cal,
+                                qubit_pi_multiplier=options.qubit_pi_multiplier)
+    t_p = seq.memory_duration
+    f_z = p_g / reference_ground_population(p, 0.0, options, cal)
+    return t_p, f_z, f_z / math.exp(-t_p / p.t1_q)
 
 
 def z_fidelity_sweep(p: DeviceParams, working_points=None,
@@ -466,9 +474,7 @@ def memory_channel(p: DeviceParams, options: ProtocolOptions | None = None,
 
     The input state is placed on the (g, e) levels with both modes in
     vacuum; the output is the unnormalized (g, e) block of the retrieved
-    transmon state (trace deficiency = leakage and loss).  With shots set in
-    the options, the output is instead reconstructed from binomially sampled
-    Pauli expectations (normalized, seeded).
+    transmon state (trace deficiency = leakage and loss).
     """
     options = options or ProtocolOptions()
     cal = cal or get_calibration(p, options)
@@ -483,7 +489,30 @@ def memory_channel(p: DeviceParams, options: ProtocolOptions | None = None,
                 rho_full[dims.index(i, 0, 0), dims.index(j, 0, 0)] = rho_in[i, j]
         _, state = simulate_sequence(
             p, seq, options, rho0=QuantumState(rho_full, dims))
-        block = state.ptrace_transmon()[:2, :2]
+        return state.ptrace_transmon()[:2, :2]
+
+    return channel
+
+
+def qpt_experiment(p: DeviceParams, options: ProtocolOptions | None = None):
+    """Process tomography of the memory protocol; returns a dict with the
+    chi matrix, raw and Z-optimized process fidelities and the Z fidelity at
+    the same working point.
+
+    With options.shots set, each output is reconstructed from binomially
+    sampled Pauli expectations (normalized, seeded by options.seed and the
+    input).  The Z fidelity's p_g is the exact ground population of the |g>
+    input's output, so the zero-delay protocol runs once per input.
+    """
+    options = options or ProtocolOptions()
+    cal = get_calibration(p, options)
+    exact = memory_channel(p, options, cal)
+    p_g = []
+
+    def channel(rho_in):
+        block = exact(rho_in)
+        if rho_in is tomography.INPUT_STATES[0]:     # |g><g|
+            p_g.append(float(np.real(block[0, 0])))
         if options.shots is None:
             return block
         rng = np.random.default_rng(
@@ -498,21 +527,10 @@ def memory_channel(p: DeviceParams, options: ProtocolOptions | None = None,
             out[name] = 2.0 * k / options.shots - 1.0
         return tomography.state_tomography(lambda ax: out[ax])
 
-    return channel
-
-
-def qpt_experiment(p: DeviceParams, options: ProtocolOptions | None = None):
-    """Process tomography of the memory protocol; returns a dict with the
-    chi matrix, raw and Z-optimized process fidelities and the Z fidelity at
-    the same working point."""
-    options = options or ProtocolOptions()
-    cal = get_calibration(p, options)
-    chi = tomography.process_tomography(memory_channel(p, options, cal))
+    chi = tomography.process_tomography(channel)
     f_raw = tomography.process_fidelity(chi)
     theta, f_opt = tomography.fidelity_with_z_optimization(chi)
-    t_p, f_z, f_z_corr = z_fidelity_point(
-        p, WorkingPoint(options.bsb_amplitude, options.qubit_amplitude,
-                        options.qubit_pi_multiplier), options)
+    t_p, f_z, f_z_corr = _z_fidelity(p, p_g[0], options, cal)
     return {
         "chi": chi,
         "f_qpt_raw": f_raw,

@@ -1,0 +1,23 @@
+"""Session fixtures shared by the acceptance suite and the pinned-number
+regression tests, so each default-device experiment runs once per session."""
+
+import pytest
+
+from qmemsim import protocol
+from qmemsim.device import DeviceParams
+from qmemsim.protocol import ProtocolOptions, WorkingPoint
+from qmemsim.units import TWO_PI
+
+
+@pytest.fixture(scope="session")
+def fock_record():
+    """Fock decay at the default delays, device and options."""
+    return protocol.fock_decay_experiment(DeviceParams(), options=ProtocolOptions())
+
+
+@pytest.fixture(scope="session")
+def anchor_z_point():
+    """(t_p, F_Z, F_Z_corr) at the 6 GHz sideband drive, the working point
+    whose protocol length sits near the 0.37 us anchor."""
+    return protocol.z_fidelity_point(DeviceParams(), WorkingPoint(TWO_PI * 6.0e3),
+                                     ProtocolOptions())

@@ -48,11 +48,6 @@ def test_criterion_03_readout_ringdown():
     report(3, f"readout amplitude decay {t_amp:.2f} ns vs 79.6 ns (within 2%)")
 
 
-@pytest.fixture(scope="module")
-def fock_record():
-    return protocol.fock_decay_experiment(P, options=OPTS)
-
-
 def test_criterion_04_fock_state_lifetime(fock_record):
     t1_s = fock_record.fits["T1_s"].params["T"]
     expected = 1.0 / P.angular().k_s
@@ -106,11 +101,6 @@ def test_criterion_07_superposition_storage():
     assert r_sq >= 0.98
     report(7, f"storage mapping fidelities {fid_g:.4f}/{fid_e:.4f}, "
               f"Rabi pattern R^2 = {r_sq:.4f}")
-
-
-@pytest.fixture(scope="module")
-def anchor_z_point():
-    return protocol.z_fidelity_point(P, ANCHOR_POINT, OPTS)
 
 
 def test_criterion_08_z_fidelity(anchor_z_point):

@@ -227,6 +227,34 @@ def test_manifest_round_trip(tmp_path, sample_cfg):
     assert (out1 / "fits.json").read_bytes() == (out2 / "fits.json").read_bytes()
 
 
+def test_retired_dt_idle_key_is_accepted_and_ignored(tmp_path, sample_cfg):
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text(open(sample_cfg).read() + "dt_idle = 2 ns\n")
+    assert "dt_idle" not in config.load_run_settings(str(cfg))[2]
+    assert run_cli("validate", "--config", str(cfg)).returncode == 0
+
+    data = tmp_path / "d.csv"
+    data.write_text("x,y\n" + "".join(f"{x:.17g},{np.exp(-x / 3.0):.17g}\n"
+                                      for x in np.linspace(0.0, 10.0, 20)))
+    first = tmp_path / "first"
+    res = run_cli("run", "--config", str(cfg), "--experiment", "fit",
+                  "--input", str(data), "--out", str(first))
+    assert res.returncode == 0, res.stderr
+    manifest = json.loads((first / "manifest.json").read_text())
+    assert "dt_idle = 2 ns" in manifest["config_text"]
+    assert "dt_idle_us" not in manifest["run"]
+
+    # a manifest written before the key was retired also records it
+    manifest["run"]["dt_idle_us"] = 0.002
+    old_manifest = tmp_path / "old-manifest.json"
+    old_manifest.write_text(json.dumps(manifest))
+    replay = tmp_path / "replay"
+    res = run_cli("run", "--from-manifest", str(old_manifest), "--out", str(replay))
+    assert res.returncode == 0, res.stderr
+    assert "dt_idle_us" not in json.loads((replay / "manifest.json").read_text())["run"]
+    assert (first / "results.csv").read_bytes() == (replay / "results.csv").read_bytes()
+
+
 def test_ringdown_cli_reproduces_decay_time(tmp_path, sample_cfg):
     out = tmp_path / "ring"
     res = run_cli("run", "--config", sample_cfg, "--experiment", "ringdown",

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,7 +7,8 @@ import pytest
 from qmemsim import analysis, lindblad, qsys
 from qmemsim.device import DeviceParams, dispersive_shift_estimate
 from qmemsim.errors import IntegrationError, ParameterError, StepSizeError
-from qmemsim.lindblad import build_model, effective_bsb_check, evolve
+from qmemsim.lindblad import (StaticPropagator, build_model,
+                              effective_bsb_check, evolve)
 from qmemsim.pulses import PulseSegment, PulseSequence, QUBIT_CHANNEL
 from qmemsim.qsys import SubsystemDims
 from qmemsim.units import GHZ, MHZ, TWO_PI
@@ -14,6 +16,20 @@ from qmemsim.units import GHZ, MHZ, TWO_PI
 
 def decoupled_params(**kw):
     return DeviceParams(g=1e-12, p_e=0.0, **kw)
+
+
+# small, slow instance on which lab-frame evolution is integrable
+SLOW_PARAMS = DeviceParams(omega_ro=0.021, omega_s=0.034, omega_q=0.027,
+                           alpha=-3.0, g=0.4, chi_ro=0.1, chi_s=0.1,
+                           kappa_ro=0.05, kappa_s=0.02, t1_q=40.0, t2_q=60.0,
+                           p_e=0.0)
+
+
+def random_density_matrix(d, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    rho = x @ x.conj().T
+    return rho / np.trace(rho)
 
 
 def test_build_model_channel_set():
@@ -176,12 +192,9 @@ def test_step_halving_fourth_order():
 
 
 def test_frame_invariance_small_system():
-    # small, slow instance where both the bare rotating frame and the lab
-    # frame are integrable: eigenstate populations must agree
-    p = DeviceParams(omega_ro=0.021, omega_s=0.034, omega_q=0.027,
-                     alpha=-3.0, g=0.4, chi_ro=0.1, chi_s=0.1,
-                     kappa_ro=0.05, kappa_s=0.02, t1_q=40.0, t2_q=60.0,
-                     p_e=0.0)
+    # both the bare rotating frame and the lab frame are integrable on the
+    # slow instance: eigenstate populations must agree
+    p = SLOW_PARAMS
     dims = SubsystemDims(2, 2, 2)
     t_end = 0.8
 
@@ -230,3 +243,80 @@ def test_trajectory_csv_export(tmp_path):
     assert lines[0] == "t_us,observable_name,value"
     assert len(lines) == 1 + len(traj.times)
     assert lines[1].split(",")[1] == "pe"
+
+
+# ---------------------------------------------------------------------------
+# exact propagation of static windows
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def default_static():
+    return StaticPropagator(build_model(DeviceParams(), SubsystemDims(), None))
+
+
+def test_static_blocks_partition_liouville_space(default_static):
+    blocks = [idx for idx, _ in default_static.blocks]
+    elements = np.concatenate([idx.ravel() for idx in blocks])
+    assert np.array_equal(np.sort(elements), np.arange(30 * 30))
+    # dispersive frame: one block per label difference of (i, j)
+    assert sum(idx.shape[0] for idx in blocks) == 135
+    assert max(idx.shape[1] for idx in blocks) == 30
+
+
+def test_static_propagation_conserves_trace_over_16_us(default_static):
+    rho = random_density_matrix(30, 0)
+    out = default_static.propagate(rho, (0.0, 16.0))[-1].rho
+    assert abs(np.trace(out) - 1.0) < 1e-12
+
+
+def test_static_propagator_is_a_semigroup(default_static):
+    rho = random_density_matrix(30, 1)
+    mid = default_static.propagate(rho, (0.0, 0.7))[-1]
+    split = default_static.propagate(mid, (0.7, 16.0))[-1].rho
+    whole = default_static.propagate(rho, (0.0, 16.0))[-1].rho
+    assert np.max(np.abs(split - whole)) < 1e-12
+
+
+def test_static_propagation_keeps_positivity(default_static):
+    states = default_static.propagate(random_density_matrix(30, 2),
+                                      (0.0, 16.0), steps=8)
+    assert len(states) == 9
+    for state in states:
+        assert np.min(np.linalg.eigvalsh(state.rho)) >= -1e-12
+
+
+def test_static_propagation_matches_fine_rk4():
+    # three transmon levels keep the fast |f> coherences (~1.2e3 rad/us)
+    m = build_model(DeviceParams(), SubsystemDims(3, 2, 1), None)
+    rho = random_density_matrix(6, 3)
+    exact = StaticPropagator(m).propagate(rho, (0.0, 0.2))[-1].rho
+    rk4 = evolve(m, rho, (0.0, 0.2), 5e-6).final_state.rho
+    assert np.max(np.abs(exact - rk4)) < 1e-9
+
+
+def test_static_propagation_dense_lab_drift_is_one_block():
+    dims = SubsystemDims(2, 2, 1)
+    m = build_model(SLOW_PARAMS, dims, None, frame="lab")
+    x = np.random.default_rng(4).normal(size=(4, 4))
+    m = dataclasses.replace(m, drift=m.drift + 10.0 * (x + x.T))
+    static = StaticPropagator(m)
+    assert [idx.shape for idx, _ in static.blocks] == [(1, 16)]
+    rho = random_density_matrix(4, 5)
+    exact = static.propagate(rho, (0.0, 0.2))[-1].rho
+    rk4 = evolve(m, rho, (0.0, 0.2), 1e-5).final_state.rho
+    assert np.max(np.abs(exact - rk4)) < 1e-9
+
+
+def test_static_propagation_refuses_active_terms():
+    p = DeviceParams()
+    drive = PulseSegment(QUBIT_CHANNEL, TWO_PI * 20.0, p.angular().w_q,
+                         plateau=0.05, start=0.0)
+    silent = PulseSegment(QUBIT_CHANNEL, 0.0, p.angular().w_q, plateau=0.05,
+                          start=drive.end)
+    m = build_model(p, SubsystemDims(2, 2, 1), PulseSequence((drive, silent)))
+    static = StaticPropagator(m)
+    with pytest.raises(ParameterError):
+        static.propagate(m.basis_state(), (0.0, 0.01))
+    # a zero-amplitude segment contributes no term: its window is static
+    out = static.propagate(m.basis_state(), (silent.start, silent.end))[-1]
+    assert np.real(np.trace(out.rho)) == pytest.approx(1.0, abs=1e-12)

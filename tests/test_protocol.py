@@ -166,6 +166,23 @@ def test_memory_channel_trace_deficiency():
     assert 0.7 <= tr <= 1.0 + 1e-9
 
 
+def test_qpt_simulates_each_tomography_input_once(monkeypatch):
+    sequences = []
+    simulate = protocol.simulate_sequence
+
+    def counting(p, seq, options, **kw):
+        sequences.append(seq)
+        return simulate(p, seq, options, **kw)
+
+    monkeypatch.setattr(protocol, "simulate_sequence", counting)
+    out = protocol.qpt_experiment(P, OPTS.replace(shots=1000))
+    # four tomography inputs; the empty reference sequence has no window
+    assert sum(1 for seq in sequences if seq.segments) == 4
+    # F_Z comes from the unsampled |g> output, also with shots set
+    _, f_z, _ = z_fidelity_point(P, WorkingPoint(OPTS.bsb_amplitude), OPTS)
+    assert out["f_z"] == pytest.approx(f_z, rel=0, abs=1e-12)
+
+
 def test_record_validation_and_csv(tmp_path):
     with pytest.raises(ParameterError):
         ExperimentRecord("k", "x", "y", [], [])
