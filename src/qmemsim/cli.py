@@ -64,8 +64,8 @@ def _write_json(path, payload):
 
 # module-level workers so process pools can pickle them
 def _protocol_point(args):
-    p, angle, delay, options = args
-    return protocol.run_memory_protocol(p, angle, delay, options)
+    p, angle, delay, options, cal = args
+    return protocol.run_memory_protocol(p, angle, delay, options, cal)
 
 
 def _pmap(fn, items, jobs):
@@ -92,11 +92,14 @@ def run_experiment(p, options, args, sweep):
     if name == "memory-protocol":
         var, grid = sweep if sweep else ("prep_angle", np.linspace(0, 2 * math.pi, 13))
         if var in ("prep_angle", "prep_angle_rad"):
-            items = [(p, a, args.delay, options) for a in grid]
+            points = [(a, args.delay) for a in grid]
         elif var in ("delay", "delay_us"):
-            items = [(p, args.prep_angle, d, options) for d in grid]
+            points = [(args.prep_angle, d) for d in grid]
         else:
             raise ConfigError(f"memory-protocol cannot sweep {var!r}")
+        # calibrate once here: pool workers do not share the calibration cache
+        cal = protocol.get_calibration(p, options)
+        items = [(p, angle, delay, options, cal) for angle, delay in points]
         pgs = _pmap(_protocol_point, items, args.jobs)
         return protocol.ExperimentRecord(
             kind=name, sweep_variable=var, observable="p_g", xs=grid, ys=pgs), {}

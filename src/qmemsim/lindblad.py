@@ -49,12 +49,13 @@ A window in which a drive or coupling term is active
 (``LindbladModel.active_terms``) is integrated by :func:`evolve`, classic
 RK4 at a fixed step (the protocols use ``dt_pulse``).  A window with no
 active term has a constant generator and is propagated exactly by
-:class:`StaticPropagator`, rho(t) = exp(L t) rho(0), whatever its length:
-the storage delays, the gaps between pulses and the cavity ringdowns' free
-decay.  The exponential is computed block by block on the decoupled blocks
-of the static Liouvillian, in numpy alone.  In the ``bare`` frame the
-exchange couplings are always-active terms, so every window there is
-integrated.
+:meth:`StaticPropagator.propagate`, rho(t) = exp(L t) rho(0), whatever its
+length: the storage delays, the gaps between pulses and the cavity
+ringdowns' free decay.  The exponential is computed block by block on the
+decoupled blocks of the static Liouvillian, in numpy alone.  Both return
+the states at the steps + 1 equally spaced times of the window, the
+initial state first.  In the ``bare`` frame the exchange couplings are
+always-active terms, so every window there is integrated.
 """
 
 import math
@@ -311,14 +312,13 @@ def _bare_operators(dims, a):
 
 
 def build_model(p: DeviceParams, dims: SubsystemDims, seq=None, frame="dispersive",
-                *, noiseless=False, storage_t_phi=None, p_e=None):
+                *, noiseless=False, storage_t_phi=None):
     """Construct the rotating-frame Lindblad model for a pulse sequence.
 
     noiseless strips all collapse channels (used for calibration).
     storage_t_phi adds an optional pure-dephasing channel on the storage
     mode; by default memory dephasing arises only from thermal qubit jumps
-    through the dispersive interaction.  p_e overrides the equilibrium qubit
-    excitation used for the thermal channel.
+    through the dispersive interaction.
     """
     if frame not in FRAMES:
         raise ParameterError(f"unknown frame {frame!r}, expected one of {FRAMES}")
@@ -401,7 +401,6 @@ def build_model(p: DeviceParams, dims: SubsystemDims, seq=None, frame="dispersiv
 
     channels = []
     if not noiseless:
-        pe = a.p_e if p_e is None else p_e
         t_phi_q = pure_dephasing_time(a.t1_q, a.t2_q)
         n_t = to_model(qsys.tensor_embed(
             qsys.number_op(dims.n_transmon), qsys.TRANSMON, dims))
@@ -418,10 +417,10 @@ def build_model(p: DeviceParams, dims: SubsystemDims, seq=None, frame="dispersiv
             channels.append(CollapseChannel(
                 class_component(n_t, labels, 0, 0, 0), 2.0 / t_phi_q,
                 "qubit-dephasing"))
-        if pe > 0:
+        if a.p_e > 0:
             channels.append(CollapseChannel(
-                class_component(to_model(b.conj().T), labels, 1, 0, 0), pe / a.t1_q,
-                "qubit-thermal"))
+                class_component(to_model(b.conj().T), labels, 1, 0, 0),
+                a.p_e / a.t1_q, "qubit-thermal"))
         if storage_t_phi is not None and math.isfinite(storage_t_phi):
             n_s = to_model(qsys.tensor_embed(
                 qsys.number_op(dims.n_storage), qsys.STORAGE, dims))
@@ -434,7 +433,7 @@ def build_model(p: DeviceParams, dims: SubsystemDims, seq=None, frame="dispersiv
                          energies=energies, sequence=seq, labels=labels)
 
 
-def dressed_frequencies(p: DeviceParams, dims: SubsystemDims, frame="dispersive"):
+def dressed_frequencies(p: DeviceParams, dims: SubsystemDims):
     """Dressed (w_q, w_s, w_ro) of the static Hamiltonian, rad/us."""
     a = p.angular()
     _, _, _, h0 = _bare_operators(dims, a)
@@ -471,18 +470,6 @@ def storage_shift_from_drift(p: DeviceParams, dims: SubsystemDims):
 # fixed-step RK4 master-equation integrator
 # ---------------------------------------------------------------------------
 
-@dataclass
-class Trajectory:
-    times: np.ndarray
-    expectations: dict
-    final_state: QuantumState
-    states: list | None
-    dt: float
-
-    def real(self, name):
-        return np.real(self.expectations[name])
-
-
 def _static_generator(model):
     """(A, scaled collapse operators, their (K d, d) stack or None) of the
     model's static generator
@@ -508,14 +495,15 @@ def _initial_rho(model, rho0):
     return rho
 
 
-def evolve(model: LindbladModel, rho0, t_span, dt, observables=None,
-           sample_dt=None, store_states=False):
+def evolve(model: LindbladModel, rho0, t_span, dt, steps=1):
     """Integrate d rho/dt = -i[H(t), rho] + sum_k D[c_k] rho with classic RK4.
 
-    dt is adjusted to divide the span exactly (fixed step within the call).
-    Expectation values of `observables` (name -> operator) are sampled every
-    `sample_dt`; the trace is checked at each sample and a drift beyond 1e-6
-    raises IntegrationError suggesting a smaller step.
+    Returns the states at the steps + 1 equally spaced times of t_span, the
+    initial state first, as StaticPropagator.propagate does.  dt is adjusted
+    so that a whole number of fixed steps spans each sub-interval.  The trace
+    is checked every max(1, n // 200) of the n steps and at every returned
+    state; a drift beyond 1e-6 raises IntegrationError suggesting a smaller
+    step.
     """
     t0, t1 = t_span
     if t1 < t0:
@@ -530,20 +518,10 @@ def evolve(model: LindbladModel, rho0, t_span, dt, observables=None,
     rho = _initial_rho(model, rho0)
     d = model.dims.total
 
-    if t1 == t0:
-        state = QuantumState(rho, model.dims)
-        obs = {k: np.array([np.trace(rho @ op)]) for k, op in (observables or {}).items()}
-        return Trajectory(np.array([t0]), obs, state,
-                          [state] if store_states else None, 0.0)
-
-    n_steps = max(1, int(round((t1 - t0) / dt)))
+    per_sample = max(1, int(round((t1 - t0) / steps / dt)))
+    n_steps = steps * per_sample
     h = (t1 - t0) / n_steps
-
-    observables = observables or {}
-    if sample_dt is None:
-        sample_every = max(1, n_steps // 200)
-    else:
-        sample_every = max(1, int(round(sample_dt / h)))
+    check_every = max(1, n_steps // 200)
 
     # stage times: grid points and midpoints
     stage_t = t0 + 0.5 * h * np.arange(2 * n_steps + 1)
@@ -580,23 +558,7 @@ def evolve(model: LindbladModel, rho0, t_span, dt, observables=None,
             out += blocks.transpose(1, 0, 2).reshape(d, n_ch * d) @ cdag_stack
         return out
 
-    times = [t0]
-    expect = {k: [np.trace(rho @ op)] for k, op in observables.items()}
-    states = [QuantumState(rho.copy(), model.dims)] if store_states else None
-
-    def sample(t):
-        times.append(t)
-        for k, op in observables.items():
-            expect[k].append(np.trace(rho @ op))
-        if states is not None:
-            states.append(QuantumState(rho.copy(), model.dims))
-        drift = abs(np.trace(rho).real - 1.0) + abs(np.trace(rho).imag)
-        if drift > TRACE_DRIFT_TOL:
-            raise IntegrationError(
-                f"trace drifted by {drift:.3g} at t = {t:.6g} us; "
-                f"retry with dt <= {h / 2:.3g} us"
-            )
-
+    states = [QuantumState(rho.copy(), model.dims)]
     for k in range(n_steps):
         s = 2 * k
         k1 = rhs(rho, s)
@@ -604,13 +566,19 @@ def evolve(model: LindbladModel, rho0, t_span, dt, observables=None,
         k3 = rhs(rho + 0.5 * h * k2, s + 1)
         k4 = rhs(rho + h * k3, s + 2)
         rho += (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-        if (k + 1) % sample_every == 0 or k == n_steps - 1:
-            sample(t0 + (k + 1) * h)
-
-    final = QuantumState(rho, model.dims)
-    return Trajectory(np.asarray(times),
-                      {k: np.asarray(v) for k, v in expect.items()},
-                      final, states, h)
+        keep = (k + 1) % per_sample == 0
+        if keep or (k + 1) % check_every == 0:
+            trace = np.trace(rho)
+            drift = abs(trace.real - 1.0) + abs(trace.imag)
+            if drift > TRACE_DRIFT_TOL:
+                t = t0 + (k + 1) * h
+                raise IntegrationError(
+                    f"trace drifted by {drift:.3g} at t = {t:.6g} us; "
+                    f"retry with dt <= {h / 2:.3g} us"
+                )
+            if keep:
+                states.append(QuantumState(rho.copy(), model.dims))
+    return states
 
 
 # ---------------------------------------------------------------------------
@@ -750,16 +718,6 @@ class StaticPropagator:
         return states
 
 
-def export_trajectory_csv(traj: Trajectory, path):
-    """CSV with columns (t_us, observable_name, value), full precision."""
-    with open(path, "w") as f:
-        f.write("t_us,observable_name,value\n")
-        for name, vals in traj.expectations.items():
-            for t, v in zip(traj.times, vals):
-                v = v.real if abs(v.imag) < 1e-12 else v
-                f.write(f"{t:.17g},{name},{v:.17g}\n")
-
-
 # ---------------------------------------------------------------------------
 # Eq.-(effective sideband) cross-check against the full integration
 # ---------------------------------------------------------------------------
@@ -800,16 +758,15 @@ def effective_bsb_check(p: DeviceParams, omega_drv, *, dims=None,
                        rise=rise, start=0.0, label="bsb-tone")
     model = build_model(p, dims, PulseSequence((seg,)), frame=frame,
                         noiseless=True)
-    rho0 = model.basis_state(0, 0, 0)
-    obs = {"p_g0": model.label_projector(0, 0, 0)}
     # only slow carriers remain on a resonant sideband tone; a coarse fixed
     # step resolves the MHz-scale dynamics comfortably
     dt = min(5e-4, model.max_step(0.0, seg.end), period / 400.0)
-    traj = evolve(model, rho0, (0.0, seg.end), dt,
-                  observables=obs, sample_dt=period / 36)
-
-    pop = traj.real("p_g0")
-    fit = fit_decaying_cosine(traj.times, pop)
+    samples = 90                        # 36 per swap period
+    states = evolve(model, model.basis_state(0, 0, 0), (0.0, seg.end), dt,
+                    steps=samples)
+    proj = model.label_projector(0, 0, 0)
+    pop = np.array([qsys.expectation(s, proj).real for s in states])
+    fit = fit_decaying_cosine(np.linspace(0.0, seg.end, samples + 1), pop)
     contrast = 2.0 * abs(fit.params["A"])
     if contrast < 0.2:
         raise IntegrationError(

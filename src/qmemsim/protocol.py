@@ -16,13 +16,15 @@ import numpy as np
 from . import analysis, qsys, tomography
 from .device import DeviceParams
 from .errors import ParameterError
-from .lindblad import StaticPropagator, build_model, evolve
-from .pulses import (DEFAULT_RISE, PulseSegment, PulseSequence,
-                     ProtocolCalibration, QUBIT_CHANNEL, READOUT_CHANNEL,
-                     STORAGE_CHANNEL, build_memory_sequence,
-                     calibrate_pi_pulse)
+from .lindblad import (StaticPropagator, build_model, dressed_frequencies,
+                       evolve)
+from .pulses import (PulseSegment, PulseSequence, ProtocolCalibration,
+                     QUBIT_CHANNEL, READOUT_CHANNEL, STORAGE_CHANNEL,
+                     build_memory_sequence, calibrate_pi_pulse)
 from .qsys import QuantumState, SubsystemDims
 from .units import TWO_PI
+
+QUBIT_AMPLITUDE = TWO_PI * 20.0             # rad/us (20 MHz Rabi)
 
 
 @dataclass(frozen=True)
@@ -36,13 +38,10 @@ class ProtocolOptions:
     dims: SubsystemDims = field(default_factory=SubsystemDims)
     frame: str = "dispersive"
     bsb_amplitude: float = TWO_PI * 5.1e3   # rad/us
-    qubit_amplitude: float = TWO_PI * 20.0  # rad/us (20 MHz Rabi)
     qubit_pi_multiplier: int = 1
-    rise: float = DEFAULT_RISE
     dt_pulse: float = 1e-4                  # us
     noiseless: bool = False
     storage_t_phi: float | None = None
-    p_e: float | None = None
     shots: int | None = None
     seed: int = 0
 
@@ -55,21 +54,19 @@ _CAL_CACHE = {}
 
 def _cal_key(p, options, channel, amplitude):
     return (tuple(sorted(p.as_dict().items())), options.dims.as_tuple(),
-            options.frame, options.rise, channel, amplitude)
+            options.frame, channel, amplitude)
 
 
 def get_calibration(p: DeviceParams, options: ProtocolOptions):
     """Calibrate (or fetch cached) qubit and sideband pi pulses."""
-    key_q = _cal_key(p, options, QUBIT_CHANNEL, options.qubit_amplitude)
+    key_q = _cal_key(p, options, QUBIT_CHANNEL, QUBIT_AMPLITUDE)
     if key_q not in _CAL_CACHE:
         _CAL_CACHE[key_q] = calibrate_pi_pulse(
-            p, options.dims, QUBIT_CHANNEL, options.qubit_amplitude,
-            frame=options.frame, rise=options.rise)
+            p, options.dims, QUBIT_CHANNEL, QUBIT_AMPLITUDE, frame=options.frame)
     key_b = _cal_key(p, options, "bsb", options.bsb_amplitude)
     if key_b not in _CAL_CACHE:
         _CAL_CACHE[key_b] = calibrate_pi_pulse(
-            p, options.dims, "bsb", options.bsb_amplitude,
-            frame=options.frame, rise=options.rise)
+            p, options.dims, "bsb", options.bsb_amplitude, frame=options.frame)
     return ProtocolCalibration(qubit=_CAL_CACHE[key_q], bsb=_CAL_CACHE[key_b])
 
 
@@ -86,7 +83,7 @@ def simulate_sequence(p: DeviceParams, seq: PulseSequence,
     """
     model = build_model(p, options.dims, seq, frame=options.frame,
                         noiseless=options.noiseless,
-                        storage_t_phi=options.storage_t_phi, p_e=options.p_e)
+                        storage_t_phi=options.storage_t_phi)
     state = rho0 if rho0 is not None else qsys.basis_state(options.dims)
     t_end = upto if upto is not None else (seq.readout_time or seq.end)
 
@@ -102,7 +99,7 @@ def simulate_sequence(p: DeviceParams, seq: PulseSequence,
         if t1 - t0 < 1e-12:
             continue
         if model.active_terms(t0, t1):
-            state = evolve(model, state, (t0, t1), options.dt_pulse).final_state
+            state = evolve(model, state, (t0, t1), options.dt_pulse)[-1]
             continue
         if static is None:
             static = StaticPropagator(model)
@@ -129,24 +126,6 @@ def run_memory_protocol(p: DeviceParams, prep_angle=0.0, storage_delay=0.0,
     for seg in extra_segments:
         seg = seg.shifted(seq.readout_time)
         seq = PulseSequence(seq.segments + (seg,), readout_time=seg.end)
-    model, state = simulate_sequence(p, seq, options)
-    return ground_population(model, state)
-
-
-def reference_ground_population(p: DeviceParams, prep_angle=0.0,
-                                options: ProtocolOptions | None = None,
-                                cal=None):
-    """p_g(0): the zero-length reference protocol (prep + immediate readout)."""
-    options = options or ProtocolOptions()
-    if prep_angle == 0.0:
-        model, state = simulate_sequence(p, PulseSequence(()), options)
-        return ground_population(model, state)
-    cal = cal or get_calibration(p, options)
-    q = cal.qubit
-    seg = PulseSegment(QUBIT_CHANNEL, abs(prep_angle) / math.pi * q.amplitude,
-                       q.carrier, phase=math.pi if prep_angle < 0 else 0.0,
-                       plateau=q.plateau, rise=q.rise, start=0.0, label="prep")
-    seq = PulseSequence((seg,), readout_time=seg.end)
     model, state = simulate_sequence(p, seq, options)
     return ground_population(model, state)
 
@@ -345,12 +324,9 @@ def mode_ringdown_experiment(p: DeviceParams, mode="readout",
     times over 5/kappa.  Reports the field-amplitude decay time (2/kappa)
     and the energy decay time (1/kappa).
     """
-    from .lindblad import dressed_frequencies
-
     options = options or ProtocolOptions()
     a = p.angular()
-    dims = options.dims
-    freqs = dressed_frequencies(p, dims, options.frame)
+    freqs = dressed_frequencies(p, options.dims)
     if mode == "readout":
         channel, slot, carrier, kappa = READOUT_CHANNEL, 2, freqs[2], a.k_ro
     elif mode == "storage":
@@ -363,21 +339,16 @@ def mode_ringdown_experiment(p: DeviceParams, mode="readout",
     drive_len = min(6.0 / kappa, 0.12)
     amp = 2.0 * target_amp / drive_len if kappa * drive_len < 1.0 \
         else target_amp * kappa
-    seg = PulseSegment(channel, amp, carrier, plateau=drive_len,
-                       rise=options.rise, start=0.0, label="displace")
-    seq = PulseSequence((seg,))
-    span = 2.5 * (2.0 / kappa)
-    model = build_model(p, dims, seq, frame=options.frame,
-                        noiseless=options.noiseless,
-                        storage_t_phi=options.storage_t_phi, p_e=options.p_e)
+    seg = PulseSegment(channel, amp, carrier, plateau=drive_len, start=0.0,
+                       label="displace")
+    model, driven = simulate_sequence(p, PulseSequence((seg,)), options)
     low = model.lowering_op(slot)
     n_op = low.conj().T @ low
 
-    traj_on = evolve(model, qsys.basis_state(dims), (0.0, seg.end),
-                     options.dt_pulse)
+    span = 2.5 * (2.0 / kappa)
     steps = 120
     states = StaticPropagator(model).propagate(
-        traj_on.final_state, (seg.end, seg.end + span), steps=steps)
+        driven, (seg.end, seg.end + span), steps=steps)
     t = np.linspace(0.0, span, steps + 1)
     amp_abs = np.array([abs(np.trace(s.rho @ low)) for s in states])
     n_vals = np.array([np.trace(s.rho @ n_op).real for s in states])
@@ -402,7 +373,6 @@ class WorkingPoint:
     """One protocol configuration of the Z-fidelity sweep."""
 
     bsb_amplitude: float
-    qubit_amplitude: float = TWO_PI * 20.0
     qubit_pi_multiplier: int = 1
 
 
@@ -424,7 +394,7 @@ def z_fidelity_point(p: DeviceParams, wp: WorkingPoint,
                      options: ProtocolOptions | None = None):
     """(t_p, F_Z, F_Z_corr) at one working point, zero storage delay."""
     options = (options or ProtocolOptions()).replace(
-        bsb_amplitude=wp.bsb_amplitude, qubit_amplitude=wp.qubit_amplitude,
+        bsb_amplitude=wp.bsb_amplitude,
         qubit_pi_multiplier=wp.qubit_pi_multiplier)
     cal = get_calibration(p, options)
     p_g = run_memory_protocol(p, 0.0, 0.0, options, cal)
@@ -436,8 +406,7 @@ def _z_fidelity(p, p_g, options, cal):
     seq = build_memory_sequence(p, 0.0, 0.0, cal,
                                 qubit_pi_multiplier=options.qubit_pi_multiplier)
     t_p = seq.memory_duration
-    f_z = p_g / reference_ground_population(p, 0.0, options, cal)
-    return t_p, f_z, f_z / math.exp(-t_p / p.t1_q)
+    return t_p, p_g, p_g / math.exp(-t_p / p.t1_q)
 
 
 def z_fidelity_sweep(p: DeviceParams, working_points=None,
@@ -459,7 +428,6 @@ def z_fidelity_sweep(p: DeviceParams, working_points=None,
         meta=_base_meta(p, options,
                         working_points=[
                             {"bsb_amplitude": wp.bsb_amplitude,
-                             "qubit_amplitude": wp.qubit_amplitude,
                              "qubit_pi_multiplier": wp.qubit_pi_multiplier}
                             for wp in working_points]))
 

@@ -325,8 +325,8 @@ def _probe_transfer(params, dims, seg, frame, dt, initial, target):
                         noiseless=True)
     rho0 = model.basis_state(*initial)
     proj = model.label_projector(*target)
-    traj = evolve(model, rho0, (seg.start, seg.end), dt)
-    return float(np.real(np.trace(traj.final_state.rho @ proj)))
+    state = evolve(model, rho0, (seg.start, seg.end), dt)[-1]
+    return float(np.real(np.trace(state.rho @ proj)))
 
 
 def _parabolic_peak(xs, ys):
@@ -343,7 +343,7 @@ def _parabolic_peak(xs, ys):
 
 
 def calibrate_pi_pulse(params: DeviceParams, dims, channel, amplitude, *,
-                       frame="dispersive", rise=DEFAULT_RISE, dt=None):
+                       frame="dispersive", rise=DEFAULT_RISE):
     """Calibrate a pi pulse on the qubit or sideband channel.
 
     Scans the carrier about the model's own resonance and then the plateau
@@ -367,7 +367,7 @@ def calibrate_pi_pulse(params: DeviceParams, dims, channel, amplitude, *,
 
     if channel == QUBIT_CHANNEL:
         nominal = a.w_q
-        center = dressed_frequencies(params, dims, frame=frame)[0]
+        center = dressed_frequencies(params, dims)[0]
         pi_width = math.pi / amplitude
         initial, target = (0, 0, 0), (1, 0, 0)
         window = max(0.15 * amplitude, 2.0 * math.pi * 0.5)
@@ -390,7 +390,7 @@ def calibrate_pi_pulse(params: DeviceParams, dims, channel, amplitude, *,
 
     # the sideband probe dynamics is MHz-scale (two-photon term only), so a
     # coarser fixed step resolves it; qubit probes keep the fine default
-    probe_dt = dt or (5e-4 if channel == "bsb" else 1e-4)
+    probe_dt = 5e-4 if channel == "bsb" else 1e-4
 
     def probe(plateau, carrier):
         seg = PulseSegment(QUBIT_CHANNEL, amplitude, carrier,

@@ -97,7 +97,7 @@ def _physicality_projection(chi):
     return chi / np.trace(chi)
 
 
-def chi_from_channel_fn(channel):
+def process_tomography(channel):
     """Linear-inversion chi matrix of a channel evaluated on the 4 inputs.
 
     ``channel`` maps a 2x2 density matrix to its (possibly trace-deficient)
@@ -123,11 +123,6 @@ def chi_from_channel_fn(channel):
         raise ParameterError(f"chi reconstruction is singular: {exc}") from exc
     raw = chi_vec.reshape(4, 4)
     return ChiMatrix(_physicality_projection(raw), raw=raw)
-
-
-def process_tomography(channel):
-    """Alias following the experiment naming: reconstruct the chi matrix."""
-    return chi_from_channel_fn(channel)
 
 
 def chi_from_kraus(kraus_ops):
@@ -178,7 +173,7 @@ def apply_z_rotation(chi: ChiMatrix, theta):
     def rotated(rho):
         return rz @ chi.apply(rho) @ rz.conj().T
 
-    return chi_from_channel_fn(rotated)
+    return process_tomography(rotated)
 
 
 def chi_export_dict(chi: ChiMatrix):

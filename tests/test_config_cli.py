@@ -283,6 +283,31 @@ def test_memory_protocol_sweep_cli(tmp_path, sample_cfg):
     assert first > 0.85 and last < 0.15
 
 
+def test_jobs_workers_reuse_the_parent_calibration(tmp_path, monkeypatch):
+    # the pool forks, so the patch reaches the workers: any calibration
+    # there, even a cache lookup, fails the run
+    from qmemsim import cli, protocol
+
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text(config.SAMPLE_CONFIG
+                   + "n_transmon = 2\nn_storage = 2\nn_readout = 1\n")
+    parent, calibrate = os.getpid(), protocol.get_calibration
+
+    def parent_only(*args, **kwargs):
+        assert os.getpid() == parent, "a --jobs worker calibrated"
+        return calibrate(*args, **kwargs)
+
+    monkeypatch.setattr(protocol, "get_calibration", parent_only)
+    results = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}"
+        assert cli.main(["run", "--config", str(cfg), "--experiment",
+                         "memory-protocol", "--sweep", "delay=0:1:2",
+                         "--jobs", jobs, "--out", str(out)]) == 0
+        results.append((out / "results.csv").read_bytes())
+    assert results[0] == results[1]
+
+
 def test_init_config(tmp_path):
     path = tmp_path / "new.cfg"
     res = run_cli("init-config", str(path))

@@ -1,5 +1,6 @@
-"""Imports of the package: every imported name is used, importing the CLI
-loads no scipy, and neither does simulating.
+"""Imports of the package: every imported name is used, every qmemsim name
+the demos use exists, importing the CLI loads no scipy, and neither does
+simulating.
 
 No linter ships with the test environment, so this AST scan stands in for
 the unused-import check.  A name listed in the module's ``__all__`` counts
@@ -7,6 +8,8 @@ as used (re-exports).
 """
 
 import ast
+import importlib
+import inspect
 import pathlib
 import subprocess
 import sys
@@ -16,6 +19,7 @@ import pytest
 import qmemsim
 
 MODULES = sorted(pathlib.Path(qmemsim.__file__).parent.glob("*.py"))
+DEMOS = sorted((pathlib.Path(__file__).parents[1] / "demos").glob("*.py"))
 
 
 def _imported_names(tree):
@@ -47,6 +51,74 @@ def test_module_uses_every_import(path):
     assert not unused, f"{path.name} imports names it never uses: {unused}"
 
 
+def _import_target(module, name):
+    """What `from module import name` binds, or None if it does not exist."""
+    mod = importlib.import_module(module)
+    if hasattr(mod, name):
+        return getattr(mod, name)
+    try:
+        return importlib.import_module(f"{module}.{name}")
+    except ModuleNotFoundError:
+        return None
+
+
+def _missing_qmemsim_names(tree):
+    """qmemsim names the script imports, or reads as module.attr, that the
+    package does not define."""
+    modules, missing = {}, []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module \
+                and node.module.split(".")[0] == "qmemsim":
+            for alias in node.names:
+                target = _import_target(node.module, alias.name)
+                if target is None:
+                    missing.append(
+                        f"{node.module}.{alias.name} (line {node.lineno})")
+                elif inspect.ismodule(target):
+                    modules[alias.asname or alias.name] = target
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] != "qmemsim":
+                    continue
+                try:
+                    target = importlib.import_module(alias.name)
+                except ModuleNotFoundError:
+                    missing.append(f"{alias.name} (line {node.lineno})")
+                    continue
+                modules[alias.asname or "qmemsim"] = (
+                    target if alias.asname else qmemsim)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                and node.value.id in modules \
+                and not hasattr(modules[node.value.id], node.attr):
+            missing.append(f"{modules[node.value.id].__name__}.{node.attr} "
+                           f"(line {node.lineno})")
+    return missing
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.name)
+def test_demo_uses_existing_names(path):
+    # Tier-1 runs no demo, so a renamed or deleted public name would
+    # otherwise break a demo unnoticed
+    tree = ast.parse(path.read_text(), filename=str(path))
+    missing = _missing_qmemsim_names(tree)
+    assert not missing, f"{path.name} uses names qmemsim lacks: {missing}"
+
+
+def test_demo_name_check_flags_missing_names():
+    tree = ast.parse("from qmemsim import protocol\n"
+                     "from qmemsim.lindblad import Trajectory, evolve\n"
+                     "import qmemsim.tomography as tg\n"
+                     "protocol.run_memory_protocol\n"
+                     "protocol.reference_ground_population\n"
+                     "tg.chi_from_channel_fn\n")
+    assert _missing_qmemsim_names(tree) == [
+        "qmemsim.lindblad.Trajectory (line 2)",
+        "qmemsim.protocol.reference_ground_population (line 5)",
+        "qmemsim.tomography.chi_from_channel_fn (line 6)",
+    ]
+
+
 def test_cli_import_loads_no_scipy():
     # scipy is imported where the fitters run, so CLI start-up (and
     # `qmemsim validate`) does not pay for it
@@ -71,7 +143,7 @@ from qmemsim.qsys import SubsystemDims
 p = DeviceParams()
 seg = PulseSegment(QUBIT_CHANNEL, 100.0, p.angular().w_q, plateau=0.01)
 m = build_model(p, SubsystemDims(2, 2, 1), PulseSequence((seg,)))
-state = evolve(m, m.basis_state(), (0.0, seg.end), 1e-4).final_state
+state = evolve(m, m.basis_state(), (0.0, seg.end), 1e-4)[-1]
 StaticPropagator(m).propagate(state, (seg.end, seg.end + 1.0))
 print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))
 """

@@ -25,6 +25,11 @@ SLOW_PARAMS = DeviceParams(omega_ro=0.021, omega_s=0.034, omega_q=0.027,
                            p_e=0.0)
 
 
+def real_expectations(states, op):
+    """Real expectation of a Hermitian op in each state."""
+    return np.array([qsys.expectation(s, op).real for s in states])
+
+
 def random_density_matrix(d, seed):
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
@@ -52,18 +57,18 @@ def test_drift_generator_preserves_trace():
     x = rng.normal(size=(30, 30)) + 1j * rng.normal(size=(30, 30))
     rho = x @ x.conj().T
     rho /= np.trace(rho)
-    traj = evolve(m, rho, (0.0, 0.05), 1e-3)
-    assert abs(np.trace(traj.final_state.rho) - 1.0) < 1e-10
+    final = evolve(m, rho, (0.0, 0.05), 1e-3)[-1]
+    assert abs(np.trace(final.rho) - 1.0) < 1e-10
 
 
 def test_decoupled_excited_state_decays_at_t1():
     p = decoupled_params()
     m = build_model(p, SubsystemDims(), None)
     rho0 = m.basis_state(1, 0, 0)
-    obs = {"pe": m.label_projector(nt=1)}
-    traj = evolve(m, rho0, (0.0, 3.0), 1e-3, observables=obs, sample_dt=0.1)
-    expected = np.exp(-traj.times / p.t1_q)
-    assert np.max(np.abs(traj.real("pe") - expected) / expected) < 1e-3
+    states = evolve(m, rho0, (0.0, 3.0), 1e-3, steps=30)
+    pe = real_expectations(states, m.label_projector(nt=1))
+    expected = np.exp(-np.linspace(0.0, 3.0, 31) / p.t1_q)
+    assert np.max(np.abs(pe - expected) / expected) < 1e-3
 
 
 def test_drift_dispersive_shift_consistent_with_estimator():
@@ -81,9 +86,8 @@ def test_thermal_steady_state():
     keep = {"qubit-decay", "qubit-thermal"}
     m.channels = [c for c in m.channels if c.name in keep]
     rho0 = m.basis_state(0, 0, 0)
-    traj = evolve(m, rho0, (0.0, 12.0), 2e-3,
-                  observables={"pe": m.label_projector(nt=1)}, sample_dt=1.0)
-    p_inf = traj.real("pe")[-1]
+    final = evolve(m, rho0, (0.0, 12.0), 2e-3, steps=12)[-1]
+    p_inf = qsys.expectation(final, m.label_projector(nt=1)).real
     assert abs(p_inf - p.p_e) / p.p_e < 0.05
 
 
@@ -94,9 +98,9 @@ def test_analytic_decay_of_fock_state():
     k_s = p.angular().k_s
     rho0 = m.basis_state(0, 1, 0)
     span = 5.0 / k_s
-    traj = evolve(m, rho0, (0.0, span), 2e-3,
-                  observables={"n": m.number_op(1)}, sample_dt=span / 50)
-    assert np.max(np.abs(traj.real("n") - np.exp(-k_s * traj.times))) < 1e-4
+    states = evolve(m, rho0, (0.0, span), 2e-3, steps=50)
+    n = real_expectations(states, m.number_op(1))
+    assert np.max(np.abs(n - np.exp(-k_s * np.linspace(0.0, span, 51)))) < 1e-4
 
 
 def test_resonant_rabi_analytic():
@@ -106,14 +110,15 @@ def test_resonant_rabi_analytic():
     seg = PulseSegment(QUBIT_CHANNEL, amp, p.angular().w_q, plateau=0.12,
                        rise=1e-4, start=0.0)
     m = build_model(p, dims, PulseSequence((seg,)), noiseless=True)
-    traj = evolve(m, m.basis_state(0, 0, 0), (0.0, 0.1), 5e-6,
-                  observables={"pe": m.label_projector(nt=1)}, sample_dt=1e-3)
+    states = evolve(m, m.basis_state(0, 0, 0), (0.0, 0.1), 5e-6, steps=100)
+    pe = real_expectations(states, m.label_projector(nt=1))
+    times = np.linspace(0.0, 0.1, 101)
     # the short ramp advances the rotation by its pulse area; folding it into
     # the time origin leaves the square-pulse law sin^2(Omega t / 2)
     t0_eff = seg.ramp - 0.5 * (seg.equivalent_width() - seg.plateau)
-    mask = traj.times > seg.ramp
-    expected = np.sin(0.5 * amp * (traj.times[mask] - t0_eff)) ** 2
-    assert np.max(np.abs(traj.real("pe")[mask] - expected)) < 1e-4
+    mask = times > seg.ramp
+    expected = np.sin(0.5 * amp * (times[mask] - t0_eff)) ** 2
+    assert np.max(np.abs(pe[mask] - expected)) < 1e-4
 
 
 def test_ramsey_t2_closed_form():
@@ -126,9 +131,9 @@ def test_ramsey_t2_closed_form():
     rho[i_g, i_e] = rho[i_e, i_g] = 0.5
     coh_op = np.zeros((4, 4), dtype=complex)
     coh_op[i_g, i_e] = 1.0
-    traj = evolve(m, rho, (0.0, 5.0), 2e-3,
-                  observables={"coh": coh_op}, sample_dt=0.1)
-    fit = analysis.fit_exponential(traj.times, 2.0 * np.abs(traj.expectations["coh"]))
+    states = evolve(m, rho, (0.0, 5.0), 2e-3, steps=50)
+    coh = np.array([qsys.expectation(s, coh_op) for s in states])
+    fit = analysis.fit_exponential(np.linspace(0.0, 5.0, 51), 2.0 * np.abs(coh))
     t2 = 1.0 / (0.5 / p.t1_q + 1.0 / 43.8197)
     assert fit.params["T"] == pytest.approx(t2, rel=0.02)
 
@@ -146,15 +151,14 @@ def test_trace_divergence_detected():
     m = build_model(p, SubsystemDims(2, 2, 2), None, frame="lab")
     rho0 = m.basis_state(0, 0, 1)
     with pytest.raises(IntegrationError):
-        evolve(m, rho0, (0.0, 2.0), 1e-3, sample_dt=0.05)
+        evolve(m, rho0, (0.0, 2.0), 1e-3, steps=40)
 
 
 def test_purity_and_positivity_along_trajectory():
     p = DeviceParams()
     m = build_model(p, SubsystemDims(), None)
     rho0 = m.basis_state(1, 1, 0)
-    traj = evolve(m, rho0, (0.0, 2.0), 1e-3, store_states=True, sample_dt=0.1)
-    for state in traj.states:
+    for state in evolve(m, rho0, (0.0, 2.0), 1e-3, steps=20):
         assert state.purity() <= 1.0 + 1e-9
         assert np.min(np.linalg.eigvalsh(state.rho)) >= -1e-9
 
@@ -168,8 +172,8 @@ def test_purity_monotone_for_dephasing():
     rho = np.zeros((4, 4), dtype=complex)
     rho[i_g, i_g] = rho[i_e, i_e] = 0.5
     rho[i_g, i_e] = rho[i_e, i_g] = 0.5
-    traj = evolve(m, rho, (0.0, 20.0), 5e-3, store_states=True, sample_dt=1.0)
-    purities = np.array([s.purity() for s in traj.states])
+    states = evolve(m, rho, (0.0, 20.0), 5e-3, steps=20)
+    purities = np.array([s.purity() for s in states])
     assert np.all(np.diff(purities) <= 1e-12)
 
 
@@ -182,10 +186,10 @@ def test_step_halving_fourth_order():
         m.channels = [c for c in m.channels if c.name == "qubit-decay"]
         # rescale to kappa*dt ~ 0.3 so the truncation error is visible
         m.channels = [lindblad.CollapseChannel(m.channels[0].op, 1.5, "decay")]
-        traj = evolve(m, m.basis_state(1, 0, 0), (0.0, 2.0), dt,
-                      observables={"pe": m.label_projector(nt=1)},
-                      sample_dt=0.25)
-        return np.max(np.abs(traj.real("pe") - np.exp(-1.5 * traj.times)))
+        # samples every 0.2 us: one or two steps per sample
+        states = evolve(m, m.basis_state(1, 0, 0), (0.0, 2.0), dt, steps=10)
+        pe = real_expectations(states, m.label_projector(nt=1))
+        return np.max(np.abs(pe - np.exp(-1.5 * np.linspace(0.0, 2.0, 11))))
 
     ratio = max_err(0.2) / max_err(0.1)
     assert 12.0 <= ratio <= 20.0
@@ -208,8 +212,8 @@ def test_frame_invariance_small_system():
             v[dims.index(1, 1, 0)] = 1.0
             v[dims.index(0, 0, 1)] = 0.5
             rho0 = qsys.pure_state(dims, v)
-        traj = evolve(m, rho0, (0.0, t_end), 2e-5)
-        lab_state = m.to_lab_frame(traj.final_state, t_end)
+        final = evolve(m, rho0, (0.0, t_end), 2e-5)[-1]
+        lab_state = m.to_lab_frame(final, t_end)
         h0 = build_model(p, dims, None, frame="lab").drift
         _, vecs = np.linalg.eigh(h0)
         pops[frame] = np.real(np.diag(vecs.conj().T @ lab_state.rho @ vecs))
@@ -230,19 +234,6 @@ def test_effective_bsb_requires_dispersive_regime():
     p = DeviceParams(g=900.0)
     with pytest.raises(ParameterError):
         effective_bsb_check(p, TWO_PI * 2.0e3)
-
-
-def test_trajectory_csv_export(tmp_path):
-    p = decoupled_params()
-    m = build_model(p, SubsystemDims(2, 2, 1), None)
-    traj = evolve(m, m.basis_state(1, 0, 0), (0.0, 0.5), 1e-3,
-                  observables={"pe": m.label_projector(nt=1)}, sample_dt=0.1)
-    path = tmp_path / "traj.csv"
-    lindblad.export_trajectory_csv(traj, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "t_us,observable_name,value"
-    assert len(lines) == 1 + len(traj.times)
-    assert lines[1].split(",")[1] == "pe"
 
 
 # ---------------------------------------------------------------------------
@@ -286,12 +277,15 @@ def test_static_propagation_keeps_positivity(default_static):
 
 
 def test_static_propagation_matches_fine_rk4():
-    # three transmon levels keep the fast |f> coherences (~1.2e3 rad/us)
+    # three transmon levels keep the fast |f> coherences (~1.2e3 rad/us);
+    # both propagators return the same grid of states
     m = build_model(DeviceParams(), SubsystemDims(3, 2, 1), None)
     rho = random_density_matrix(6, 3)
-    exact = StaticPropagator(m).propagate(rho, (0.0, 0.2))[-1].rho
-    rk4 = evolve(m, rho, (0.0, 0.2), 5e-6).final_state.rho
-    assert np.max(np.abs(exact - rk4)) < 1e-9
+    exact = StaticPropagator(m).propagate(rho, (0.0, 0.2), steps=8)
+    rk4 = evolve(m, rho, (0.0, 0.2), 5e-6, steps=8)
+    assert len(exact) == len(rk4) == 9
+    for e, r in zip(exact, rk4):
+        assert np.max(np.abs(e.rho - r.rho)) < 1e-9
 
 
 def test_static_propagation_dense_lab_drift_is_one_block():
@@ -303,7 +297,7 @@ def test_static_propagation_dense_lab_drift_is_one_block():
     assert [idx.shape for idx, _ in static.blocks] == [(1, 16)]
     rho = random_density_matrix(4, 5)
     exact = static.propagate(rho, (0.0, 0.2))[-1].rho
-    rk4 = evolve(m, rho, (0.0, 0.2), 1e-5).final_state.rho
+    rk4 = evolve(m, rho, (0.0, 0.2), 1e-5)[-1].rho
     assert np.max(np.abs(exact - rk4)) < 1e-9
 
 

@@ -10,7 +10,6 @@ from qmemsim.protocol import (ExperimentRecord, ProtocolOptions, WorkingPoint,
                               fock_decay_experiment, memory_channel,
                               memory_ramsey_experiment,
                               mode_ringdown_experiment, prep_angle_sweep,
-                              reference_ground_population,
                               run_memory_protocol, storage_state_after_half,
                               z_fidelity_point, z_fidelity_sweep)
 from qmemsim.units import TWO_PI
@@ -33,10 +32,6 @@ def frozen_qubit_params():
 def test_noiseless_round_trip():
     p_g = run_memory_protocol(P, 0.0, 0.0, NOISELESS)
     assert p_g >= 0.99
-
-
-def test_reference_population_is_unity_for_ground_input():
-    assert reference_ground_population(P, 0.0, NOISELESS) == pytest.approx(1.0)
 
 
 def test_storage_mapping_ground_to_fock_one():
