@@ -45,16 +45,18 @@ and are cross-checked against the full integration by
 
 Propagation
 -----------
-A window in which a drive or coupling term is active
-(``LindbladModel.active_terms``) is integrated by :func:`evolve`, classic
-RK4 at a fixed step (the protocols use ``dt_pulse``).  A window with no
-active term has a constant generator and is propagated exactly by
-:meth:`StaticPropagator.propagate`, rho(t) = exp(L t) rho(0), whatever its
-length: the storage delays, the gaps between pulses and the cavity
-ringdowns' free decay.  The exponential is computed block by block on the
-decoupled blocks of the static Liouvillian, in numpy alone.  Both return
-the states at the steps + 1 equally spaced times of the window, the
-initial state first.  In the ``bare`` frame the exchange couplings are
+Every window uses one form of the generator, a :class:`LiouvilleTable`:
+each operator is split into label-shift classes, so the Liouvillian on
+vec(rho) is a diagonal plus gather rows.  A window in which a drive or
+coupling term is active (``LindbladModel.active_terms``) is integrated by
+:func:`evolve`, classic RK4 at a fixed step (the protocols use
+``dt_pulse``).  A window with no active term has a constant generator and
+is propagated exactly by :meth:`StaticPropagator.propagate`,
+rho(t) = exp(L t) rho(0), whatever its length: the storage delays, the gaps
+between pulses and the cavity ringdowns' free decay, block by block on the
+decoupled blocks of the static rows.  Both use numpy alone and return the
+states at the steps + 1 equally spaced times of the window, the initial
+state first.  In the ``bare`` frame the exchange couplings are
 always-active terms, so every window there is integrated.
 """
 
@@ -110,11 +112,6 @@ class HamiltonianTerm:
     strength: float = 0.0
     segment: PulseSegment | None = None
 
-    def window(self):
-        if self.segment is None:
-            return (-math.inf, math.inf)
-        return (self.segment.start, self.segment.end)
-
     def amplitude_at(self, t):
         if self.kind == "coupling":
             t = np.asarray(t, dtype=float)
@@ -127,30 +124,20 @@ class HamiltonianTerm:
         raise ParameterError(f"unknown term kind {self.kind!r}")
 
 
-def _class_masks(labels):
-    nt, ns, nr = labels
-    return (nt[:, None] - nt[None, :],
-            ns[:, None] - ns[None, :],
-            nr[:, None] - nr[None, :])
-
-
 def class_component(op, labels, dnt, dns, dnr):
     """Part of op whose elements change the label quantum numbers by (dnt,dns,dnr)."""
-    mt, ms, mr = _class_masks(labels)
-    return np.where((mt == dnt) & (ms == dns) & (mr == dnr), op, 0.0)
+    keep = np.ones(op.shape, dtype=bool)
+    for lab, shift in zip(labels, (dnt, dns, dnr)):
+        keep &= lab[:, None] - lab[None, :] == shift
+    return np.where(keep, op, 0.0)
 
 
 def _split_classes(op, labels, tol=1e-12):
     """All frequency classes present in op: {(dnt,dns,dnr): component}."""
     nt, ns, nr = labels
-    out = {}
     rows, cols = np.nonzero(np.abs(op) > tol)
     keys = set(zip(nt[rows] - nt[cols], ns[rows] - ns[cols], nr[rows] - nr[cols]))
-    for key in sorted(keys):
-        comp = class_component(op, labels, *key)
-        if np.max(np.abs(comp)) > tol:
-            out[key] = comp
-    return out
+    return {key: class_component(op, labels, *key) for key in sorted(keys)}
 
 
 def _transition_freqs(energies, dims):
@@ -208,7 +195,6 @@ class LindbladModel:
     channels: list                    # CollapseChannel entries
     rot: tuple                        # per-subsystem rotation freqs (rad/us)
     dressing: np.ndarray              # U, columns = model basis in the bare basis
-    energies: np.ndarray              # lab-frame eigenenergies by label
     sequence: PulseSequence | None = None
     labels: tuple = None
 
@@ -222,9 +208,6 @@ class LindbladModel:
     def basis_state(self, nt=0, ns=0, nr=0):
         return qsys.basis_state(self.dims, nt, ns, nr)
 
-    def pure_state(self, vec):
-        return qsys.pure_state(self.dims, vec)
-
     def label_projector(self, nt=None, ns=None, nr=None):
         """Projector onto model basis states matching the given labels."""
         lt, ls, lr = self.labels
@@ -237,9 +220,6 @@ class LindbladModel:
             mask &= lr == nr
         return np.diag(mask.astype(complex))
 
-    def number_op(self, slot):
-        return np.diag(self.labels[slot].astype(complex))
-
     def lowering_op(self, slot):
         """Model-basis ladder operator for one subsystem (label algebra)."""
         ops = [qsys.identity(self.dims.dim_of(s)) if s != slot
@@ -250,39 +230,23 @@ class LindbladModel:
         return out
 
     # -- frame bookkeeping -------------------------------------------------
-    def rotation_phases(self, t):
-        lt, ls, lr = self.labels
-        gvec = self.rot[0] * lt + self.rot[1] * ls + self.rot[2] * lr
-        return np.exp(1j * gvec * t)
-
     def to_lab_frame(self, state, t):
         """Map a rotating-frame model-basis state to the lab bare basis."""
-        ph = self.rotation_phases(t)
+        gvec = sum(w * lab for w, lab in zip(self.rot, self.labels))
+        ph = np.exp(1j * gvec * t)
         rho = (ph.conj()[:, None] * state.rho) * ph[None, :]
         rho = self.dressing @ rho @ self.dressing.conj().T
         return QuantumState(rho, self.dims)
 
-    def dressed_frequencies(self):
-        """(w_q, w_s, w_ro) transition frequencies of the diagonalized drift."""
-        return _transition_freqs(self.energies, self.dims)
-
     # -- integrator support --------------------------------------------------
     def active_terms(self, t0, t1):
-        out = []
-        for term in self.terms:
-            w0, w1 = term.window()
-            if w1 > t0 and w0 < t1:
-                out.append(term)
-        return out
-
-    def max_carrier(self, t0=-math.inf, t1=math.inf):
-        """Largest retained carrier magnitude (rad/us) in the window."""
-        carriers = [abs(t.carrier) for t in self.active_terms(t0, t1)]
-        return max(carriers) if carriers else 0.0
+        """Terms whose segment overlaps (t0, t1); a coupling is always on."""
+        return [term for term in self.terms if term.segment is None
+                or (term.segment.end > t0 and term.segment.start < t1)]
 
     def max_step(self, t0=-math.inf, t1=math.inf):
         """Largest dt satisfying dt <= 1/(20 f_max) for the retained carriers."""
-        w = self.max_carrier(t0, t1)
+        w = max((abs(t.carrier) for t in self.active_terms(t0, t1)), default=0.0)
         if w < CARRIER_ZERO_TOL:
             return math.inf
         return TWO_PI / (20.0 * w)
@@ -339,8 +303,6 @@ def build_model(p: DeviceParams, dims: SubsystemDims, seq=None, frame="dispersiv
         cutoff = RWA_CUTOFF
     else:
         U = np.eye(dims.total, dtype=complex)
-        # eigenenergies are still labeled for dressed_frequencies()
-        _, energies = _dress(h0, dims)
         if frame == "bare":
             rot = (a.w_q, a.w_s, a.w_ro)
             lt, ls, lr = labels
@@ -430,15 +392,18 @@ def build_model(p: DeviceParams, dims: SubsystemDims, seq=None, frame="dispersiv
 
     return LindbladModel(dims=dims, params=p, frame=frame, drift=drift,
                          terms=terms, channels=channels, rot=rot, dressing=U,
-                         energies=energies, sequence=seq, labels=labels)
+                         sequence=seq, labels=labels)
+
+
+def dressed_energies(p: DeviceParams, dims: SubsystemDims):
+    """Eigenenergies of the static Hamiltonian, rad/us, indexed by label."""
+    _, _, _, h0 = _bare_operators(dims, p.angular())
+    return _dress(h0, dims)[1]
 
 
 def dressed_frequencies(p: DeviceParams, dims: SubsystemDims):
     """Dressed (w_q, w_s, w_ro) of the static Hamiltonian, rad/us."""
-    a = p.angular()
-    _, _, _, h0 = _bare_operators(dims, a)
-    _, energies = _dress(h0, dims)
-    return _transition_freqs(energies, dims)
+    return _transition_freqs(dressed_energies(p, dims), dims)
 
 
 def two_photon_resonance(p: DeviceParams, dims: SubsystemDims):
@@ -447,44 +412,106 @@ def two_photon_resonance(p: DeviceParams, dims: SubsystemDims):
     Differs from (w_q + w_s)/2 by half the cross-Kerr residual of the
     doubly excited state.
     """
-    a = p.angular()
-    _, _, _, h0 = _bare_operators(dims, a)
-    _, energies = _dress(h0, dims)
-    return 0.5 * (energies[dims.index(1, 1, 0)] - energies[dims.index(0, 0, 0)])
+    e = dressed_energies(p, dims)
+    return 0.5 * (e[dims.index(1, 1, 0)] - e[dims.index(0, 0, 0)])
 
 
-def storage_shift_from_drift(p: DeviceParams, dims: SubsystemDims):
-    """Qubit-state-dependent storage frequency splitting of the drift (rad/us).
+# ---------------------------------------------------------------------------
+# the generator as one table of gather rows
+# ---------------------------------------------------------------------------
 
-    Eigenvalue difference (E_e1 - E_e0) - (E_g1 - E_g0); comparable to the
-    2*chi splitting convention of the device module.
+def _monomial(op):
+    """(columns, weights) of op, which has at most one nonzero per row: row i
+    holds weights[i] at column columns[i]; an empty row points at i."""
+    rows, nonzero = np.arange(len(op)), op != 0
+    cols = np.where(nonzero.any(axis=1), nonzero.argmax(axis=1), rows)
+    return cols, op[rows, cols]
+
+
+def _gather_row(left, right, scale):
+    """(P, W) with scale * vec(left @ rho @ right) = W * x[P] on row-major
+    x = vec(rho), for monomial left and right: entry (i, j) of the product
+    is left[i, p(i)] rho[p(i), q(j)] right[q(j), j].  An entry of zero
+    weight gathers its own element."""
+    d = left.shape[0]
+    p, w_left = _monomial(left)
+    q, w_right = _monomial(right.T)
+    weight = (scale * w_left[:, None] * w_right[None, :]).ravel()
+    gather = np.where(weight != 0, (p[:, None] * d + q[None, :]).ravel(),
+                      np.arange(d * d))
+    return gather, weight
+
+
+class LiouvilleTable:
+    """The generator of a model with the given terms on, on row-major
+    x = vec(rho): L(t) x = lam * x + sum_r s_r(t) * W_r * x[P_r].
+
+    Every operator is split into its label-shift classes (`_split_classes`).
+    Labels are unique, so a class has at most one nonzero per row and per
+    column, and each product left @ rho @ right of classes is one gather
+    row.  The static rows (s = 1) are -i A rho and i rho A^dag for each
+    class of A = H0 - (i/2) sum_k c_k^dag c_k, and the sandwiches
+    c rho c^dag; those that gather the identity, such as the diagonal of A
+    and the qubit dephasing, fold into lam.  Each class of the op of
+    terms[k] adds -i op rho and i rho op, scaled by c_k(t), and -i op^dag
+    rho and i rho op^dag, scaled by conj(c_k(t)).
     """
-    a = p.angular()
-    _, _, _, h0 = _bare_operators(dims, a)
-    _, e = _dress(h0, dims)
-    i = dims.index
-    return (e[i(1, 1, 0)] - e[i(1, 0, 0)]) - (e[i(0, 1, 0)] - e[i(0, 0, 0)])
+
+    def __init__(self, model, terms=()):
+        d = model.dims.total
+        eye = np.eye(d)
+
+        def classes(op):
+            return _split_classes(op, model.labels, tol=0.0).values()
+
+        ops = [math.sqrt(c.rate) * c.op for c in model.channels]
+        a0 = model.drift - 0.5j * sum((c.conj().T @ c for c in ops),
+                                      np.zeros((d, d)))
+        # (column, scale, left, right): column -1 marks a static row, k one
+        # scaled by c_k(t) and len(terms) + k one scaled by conj(c_k(t))
+        rows = [(-1, s, left, right) for a in classes(a0) for s, left, right
+                in ((-1j, a, eye), (1j, eye, a.conj().T))]
+        rows += [(-1, 1.0, k, m.conj().T) for c in ops
+                 for k in classes(c) for m in classes(c)]
+        for k, term in enumerate(terms):
+            for op in classes(term.op):
+                rows += [(k, -1j, op, eye), (k, 1j, eye, op),
+                         (len(terms) + k, -1j, op.conj().T, eye),
+                         (len(terms) + k, 1j, eye, op.conj().T)]
+
+        self.lam = np.zeros(d * d, dtype=complex)
+        kept = []
+        for column, scale, left, right in rows:
+            gather, weight = _gather_row(left, right, scale)
+            if column < 0 and np.array_equal(gather, np.arange(d * d)):
+                self.lam += weight
+            elif np.any(weight):
+                kept.append((column, gather, weight))
+        kept.sort(key=lambda row: row[0])           # the static rows first
+        self.column = np.array([c for c, _, _ in kept if c >= 0], dtype=np.intp)
+        self.gather = np.array([g for _, g, _ in kept],
+                               dtype=np.intp).reshape(-1, d * d)
+        self.weight = np.array([w for _, _, w in kept],
+                               dtype=complex).reshape(-1, d * d)
+
+    def apply(self, x, c):
+        """L(t) x for the coefficients c[k] = c_k(t) of the table's terms.
+
+        numpy alone, no BLAS call, so the row sum runs in one fixed order.
+        """
+        out = x[self.gather]
+        out *= self.weight
+        if len(c):
+            scale = np.concatenate((c, c.conj()))[self.column]
+            out[len(out) - len(scale):] *= scale[:, None]
+        out = out.sum(axis=0)
+        out += self.lam * x
+        return out
 
 
 # ---------------------------------------------------------------------------
 # fixed-step RK4 master-equation integrator
 # ---------------------------------------------------------------------------
-
-def _static_generator(model):
-    """(A, scaled collapse operators, their (K d, d) stack or None) of the
-    model's static generator
-
-        -i (A rho - rho A^dag) + sum_k c_k rho c_k^dag,
-        A = H0 - (i/2) sum_k c_k^dag c_k,   c_k = sqrt(rate_k) * op_k.
-    """
-    ops = [math.sqrt(c.rate) * c.op for c in model.channels]
-    if not ops:
-        return model.drift.astype(complex), ops, None
-    # stacked block form: sum_k c_k^dag c_k is one GEMM, and evolve's
-    # sum_k c_k rho c_k^dag two more
-    c_stack = np.vstack(ops)
-    return model.drift - 0.5j * (c_stack.conj().T @ c_stack), ops, c_stack
-
 
 def _initial_rho(model, rho0):
     rho = (rho0.rho if isinstance(rho0, QuantumState) else np.asarray(rho0)) \
@@ -498,12 +525,13 @@ def _initial_rho(model, rho0):
 def evolve(model: LindbladModel, rho0, t_span, dt, steps=1):
     """Integrate d rho/dt = -i[H(t), rho] + sum_k D[c_k] rho with classic RK4.
 
-    Returns the states at the steps + 1 equally spaced times of t_span, the
-    initial state first, as StaticPropagator.propagate does.  dt is adjusted
-    so that a whole number of fixed steps spans each sub-interval.  The trace
-    is checked every max(1, n // 200) of the n steps and at every returned
-    state; a drift beyond 1e-6 raises IntegrationError suggesting a smaller
-    step.
+    The right-hand side is the LiouvilleTable of the model with the terms
+    active in the window on.  Returns the states at the steps + 1 equally
+    spaced times of t_span, the initial state first, as
+    StaticPropagator.propagate does.  dt is adjusted so that a whole number
+    of fixed steps spans each sub-interval.  The trace is checked every
+    max(1, n // 200) of the n steps and at every returned state; a drift
+    beyond 1e-6 raises IntegrationError suggesting a smaller step.
     """
     t0, t1 = t_span
     if t1 < t0:
@@ -515,8 +543,8 @@ def evolve(model: LindbladModel, rho0, t_span, dt, steps=1):
             f"require dt <= {dt_bound:.3g} us in this window"
         )
 
-    rho = _initial_rho(model, rho0)
     d = model.dims.total
+    x = _initial_rho(model, rho0).reshape(-1)
 
     per_sample = max(1, int(round((t1 - t0) / steps / dt)))
     n_steps = steps * per_sample
@@ -526,49 +554,28 @@ def evolve(model: LindbladModel, rho0, t_span, dt, steps=1):
     # stage times: grid points and midpoints
     stage_t = t0 + 0.5 * h * np.arange(2 * n_steps + 1)
 
-    active = model.active_terms(t0, t1)
-    term_data = []
-    for term in active:
+    terms, coeffs = [], []
+    for term in model.active_terms(t0, t1):
         coeff = term.amplitude_at(stage_t).astype(complex)
         coeff *= np.exp(1j * (term.carrier * stage_t + term.phase))
         if np.max(np.abs(coeff)) == 0.0:
             continue
-        term_data.append((term.op, term.op.conj().T, coeff))
+        terms.append(term)
+        coeffs.append(coeff)
+    table = LiouvilleTable(model, terms)
+    coeff = np.stack(coeffs, axis=1) if coeffs else np.empty((len(stage_t), 0))
 
-    a0, ops, c_stack = _static_generator(model)
-    if ops:
-        # stacked block form: sum_k c_k rho c_k^dag costs two plain GEMMs
-        n_ch = len(ops)
-        cdag_stack = np.vstack([o.conj().T for o in ops])  # (K d, d)
-    a0_dag = a0.conj().T
-
-    def rhs(r, s):
-        if term_data:
-            a_mat = a0.copy()
-            for op, opd, coeff in term_data:
-                c = coeff[s]
-                if c != 0.0:
-                    a_mat += c * op + np.conj(c) * opd
-            a_dag = a_mat.conj().T
-        else:
-            a_mat, a_dag = a0, a0_dag
-        out = -1j * (a_mat @ r - r @ a_dag)
-        if c_stack is not None:
-            blocks = (c_stack @ r).reshape(n_ch, d, d)
-            out += blocks.transpose(1, 0, 2).reshape(d, n_ch * d) @ cdag_stack
-        return out
-
-    states = [QuantumState(rho.copy(), model.dims)]
+    states = [QuantumState(x.reshape(d, d).copy(), model.dims)]
     for k in range(n_steps):
         s = 2 * k
-        k1 = rhs(rho, s)
-        k2 = rhs(rho + 0.5 * h * k1, s + 1)
-        k3 = rhs(rho + 0.5 * h * k2, s + 1)
-        k4 = rhs(rho + h * k3, s + 2)
-        rho += (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+        k1 = table.apply(x, coeff[s])
+        k2 = table.apply(x + 0.5 * h * k1, coeff[s + 1])
+        k3 = table.apply(x + 0.5 * h * k2, coeff[s + 1])
+        k4 = table.apply(x + h * k3, coeff[s + 2])
+        x += (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
         keep = (k + 1) % per_sample == 0
         if keep or (k + 1) % check_every == 0:
-            trace = np.trace(rho)
+            trace = np.sum(x[::d + 1])
             drift = abs(trace.real - 1.0) + abs(trace.imag)
             if drift > TRACE_DRIFT_TOL:
                 t = t0 + (k + 1) * h
@@ -577,7 +584,7 @@ def evolve(model: LindbladModel, rho0, t_span, dt, steps=1):
                     f"retry with dt <= {h / 2:.3g} us"
                 )
             if keep:
-                states.append(QuantumState(rho.copy(), model.dims))
+                states.append(QuantumState(x.reshape(d, d).copy(), model.dims))
     return states
 
 
@@ -590,31 +597,18 @@ def evolve(model: LindbladModel, rho0, t_span, dt, steps=1):
 TAYLOR_ORDER = 16
 
 
-def _liouville_blocks(a0, ops, d):
-    """Decoupled blocks of the static Liouvillian, grouped by size.
-
-    On row-major vec(rho) (element (i, j) at index i*d + j) the generator is
-
-        L = -i A (x) 1 + i 1 (x) conj(A) + sum_k c_k (x) conj(c_k),
-
-    and its blocks are the connected components of that sparsity pattern:
-    L never couples two elements of different blocks.  Returns one (m, n)
-    index array per block size n, each row one block in ascending order.
+def _static_blocks(table):
+    """Decoupled blocks of a table of static rows, grouped by size: the
+    connected components of the rows' gathers, which never couple two
+    elements of different blocks.  Returns one (m, n) index array per block
+    size n, each row one block in ascending order.
     """
-    src, dst = [], []
-    x = np.arange(d)[:, None]
-    i, k = np.nonzero(a0)
-    src += [(i * d + x).ravel(), (x * d + i).ravel()]     # A (x) 1, 1 (x) conj(A)
-    dst += [(k * d + x).ravel(), (x * d + k).ravel()]
-    for c in ops:                                         # c (x) conj(c)
-        r, q = np.nonzero(c)
-        src.append((r[:, None] * d + r).ravel())
-        dst.append((q[:, None] * d + q).ravel())
-    src, dst = np.concatenate(src), np.concatenate(dst)
+    n_el, dst = len(table.lam), table.gather
+    src = np.broadcast_to(np.arange(n_el), dst.shape)
 
     # min-label propagation with pointer jumping: each element ends labeled
     # with the smallest index of its component
-    label = np.arange(d * d)
+    label = np.arange(n_el)
     while True:
         new = label.copy()
         np.minimum.at(new, src, label[dst])
@@ -625,7 +619,7 @@ def _liouville_blocks(a0, ops, d):
         label = new
 
     order = np.argsort(label, kind="stable")
-    cuts = [0, *(np.flatnonzero(np.diff(label[order])) + 1), d * d]
+    cuts = [0, *(np.flatnonzero(np.diff(label[order])) + 1), n_el]
     by_size = {}
     for lo, hi in zip(cuts, cuts[1:]):
         by_size.setdefault(hi - lo, []).append(order[lo:hi])
@@ -659,29 +653,30 @@ class StaticPropagator:
     """Exact propagation of a model across windows with no active term.
 
     With no drive term active, the Liouvillian L is constant and
-    rho(t0 + t) = exp(L t) rho(t0) holds exactly; L is the generator that
-    `evolve` integrates with its terms off.  L splits into decoupled blocks
-    (see `_liouville_blocks`), found once from its sparsity pattern, so the
-    code holds in any frame.  In the dispersive frame the drift and every
-    c^dag c are diagonal and each collapse operator shifts the labels by one
-    fixed class, so the blocks are the label differences of (i, j): 135
-    blocks at the default dims (3, 5, 2), the largest (the populations) of
-    30 elements.  Same-size blocks are exponentiated as one batch.
+    rho(t0 + t) = exp(L t) rho(t0) holds exactly; L is the model's
+    LiouvilleTable with no term on.  It splits into decoupled blocks
+    (`_static_blocks`), so the code holds in any frame.  In the dispersive
+    frame the drift and every c^dag c are diagonal and each collapse
+    operator shifts the labels by one fixed class, so the blocks are the
+    label differences of (i, j): 135 blocks at the default dims (3, 5, 2),
+    the largest (the populations) of 30 elements.  Each block's generator
+    is read off the table's rows, and same-size blocks are exponentiated
+    as one batch.
     """
 
     def __init__(self, model: LindbladModel):
         self.model = model
-        d = model.dims.total
-        a0, ops, _ = _static_generator(model)
-        a0_conj = a0.conj()
+        table = LiouvilleTable(model)
         self.blocks = []                  # (index (m, n), generator (m, n, n))
-        for idx in _liouville_blocks(a0, ops, d):
-            i, j = idx // d, idx % d
-            ri, ci = i[:, :, None], i[:, None, :]
-            rj, cj = j[:, :, None], j[:, None, :]
-            gen = -1j * a0[ri, ci] * (rj == cj) + 1j * a0_conj[rj, cj] * (ri == ci)
-            for c in ops:
-                gen += c[ri, ci] * c.conj()[rj, cj]
+        for idx in _static_blocks(table):
+            m, n = idx.shape
+            position = np.empty(len(table.lam), dtype=np.intp)
+            position[idx] = np.arange(n)
+            block, row = np.arange(m)[:, None], np.arange(n)[None, :]
+            gen = np.zeros((m, n, n), dtype=complex)
+            gen[block, row, row] = table.lam[idx]
+            for gather, weight in zip(table.gather, table.weight):
+                gen[block, row, position[gather[idx]]] += weight[idx]
             self.blocks.append((idx, gen))
 
     def propagate(self, rho0, t_span, steps=1):

@@ -16,9 +16,9 @@ from qmemsim.qsys import SubsystemDims
 CLI = [sys.executable, "-m", "qmemsim.cli"]
 
 
-def run_cli(*args, cwd=None):
+def run_cli(*args, cwd=None, env=None):
     return subprocess.run(CLI + list(args), capture_output=True, text=True,
-                          cwd=cwd)
+                          cwd=cwd, env=env)
 
 
 @pytest.fixture()
@@ -304,6 +304,22 @@ def test_jobs_workers_reuse_the_parent_calibration(tmp_path, monkeypatch):
         assert cli.main(["run", "--config", str(cfg), "--experiment",
                          "memory-protocol", "--sweep", "delay=0:1:2",
                          "--jobs", jobs, "--out", str(out)]) == 0
+        results.append((out / "results.csv").read_bytes())
+    assert results[0] == results[1]
+
+
+def test_results_do_not_depend_on_blas_threads(tmp_path):
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text(config.SAMPLE_CONFIG
+                   + "n_transmon = 2\nn_storage = 2\nn_readout = 1\n")
+    results = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"blas{threads}"
+        res = run_cli("run", "--config", str(cfg), "--experiment",
+                      "memory-protocol", "--sweep", "delay=0:1:2",
+                      "--out", str(out),
+                      env={**os.environ, "OPENBLAS_NUM_THREADS": threads})
+        assert res.returncode == 0, res.stderr
         results.append((out / "results.csv").read_bytes())
     assert results[0] == results[1]
 

@@ -7,7 +7,7 @@ import pytest
 from qmemsim import analysis, lindblad, qsys
 from qmemsim.device import DeviceParams, dispersive_shift_estimate
 from qmemsim.errors import IntegrationError, ParameterError, StepSizeError
-from qmemsim.lindblad import (StaticPropagator, build_model,
+from qmemsim.lindblad import (LiouvilleTable, StaticPropagator, build_model,
                               effective_bsb_check, evolve)
 from qmemsim.pulses import PulseSegment, PulseSequence, QUBIT_CHANNEL
 from qmemsim.qsys import SubsystemDims
@@ -72,9 +72,12 @@ def test_decoupled_excited_state_decays_at_t1():
 
 
 def test_drift_dispersive_shift_consistent_with_estimator():
+    # qubit-state-dependent storage splitting of the drift's eigenvalues,
+    # (E_e1 - E_e0) - (E_g1 - E_g0), against the 2*chi convention
     p = DeviceParams()
     dims = SubsystemDims()
-    shift = lindblad.storage_shift_from_drift(p, dims)
+    e, i = lindblad.dressed_energies(p, dims), dims.index
+    shift = (e[i(1, 1, 0)] - e[i(1, 0, 0)]) - (e[i(0, 1, 0)] - e[i(0, 0, 0)])
     a = p.angular()
     est = 2.0 * dispersive_shift_estimate(a.g, a.w_q - a.w_s, a.alpha)
     assert abs(shift - est) / abs(est) < 0.15
@@ -99,7 +102,7 @@ def test_analytic_decay_of_fock_state():
     rho0 = m.basis_state(0, 1, 0)
     span = 5.0 / k_s
     states = evolve(m, rho0, (0.0, span), 2e-3, steps=50)
-    n = real_expectations(states, m.number_op(1))
+    n = real_expectations(states, np.diag(m.labels[1].astype(complex)))
     assert np.max(np.abs(n - np.exp(-k_s * np.linspace(0.0, span, 51)))) < 1e-4
 
 
@@ -314,3 +317,84 @@ def test_static_propagation_refuses_active_terms():
     # a zero-amplitude segment contributes no term: its window is static
     out = static.propagate(m.basis_state(), (silent.start, silent.end))[-1]
     assert np.real(np.trace(out.rho)) == pytest.approx(1.0, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the generator table against a dense reference
+# ---------------------------------------------------------------------------
+
+def dense_lindbladian(model, rho, drive=()):
+    """-i[H, rho] + sum_k (c rho c^dag - {c^dag c, rho} / 2) in plain
+    matmuls, with H = drift + sum of c op + conj(c) op^dag over the
+    (term, c) pairs in drive."""
+    h = model.drift.astype(complex)
+    for term, c in drive:
+        h = h + c * term.op + np.conj(c) * term.op.conj().T
+    out = -1j * (h @ rho - rho @ h)
+    for channel in model.channels:
+        c = math.sqrt(channel.rate) * channel.op
+        cdc = c.conj().T @ c
+        out += c @ rho @ c.conj().T - 0.5 * (cdc @ rho + rho @ cdc)
+    return out
+
+
+def test_liouville_table_matches_dense_reference():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=30, deadline=None)
+    @hypothesis.given(st.data())
+    def check(data):
+        t1_q = data.draw(st.floats(0.5, 5.0))
+        p = DeviceParams(
+            omega_ro=data.draw(st.floats(4.5, 5.5)),
+            omega_s=data.draw(st.floats(7.5, 9.0)),
+            omega_q=data.draw(st.floats(6.0, 7.0)),
+            alpha=data.draw(st.floats(-300.0, -100.0)),
+            g=data.draw(st.floats(10.0, 80.0)),
+            kappa_ro=data.draw(st.floats(1.0, 10.0)),
+            kappa_s=data.draw(st.floats(5.0, 50.0)),
+            t1_q=t1_q, t2_q=data.draw(st.floats(0.2, 2.0)) * t1_q,
+            p_e=data.draw(st.floats(0.0, 0.1)))
+        dims = SubsystemDims(data.draw(st.integers(2, 3)),
+                             data.draw(st.integers(2, 3)),
+                             data.draw(st.integers(1, 2)))
+        frame = data.draw(st.sampled_from(lindblad.FRAMES))
+        carriers = [lindblad.dressed_frequencies(p, dims)[0],
+                    lindblad.two_photon_resonance(p, dims)]
+        seg = PulseSegment(QUBIT_CHANNEL, TWO_PI * data.draw(st.floats(1.0, 5e3)),
+                           data.draw(st.sampled_from(carriers)),
+                           phase=data.draw(st.floats(-math.pi, math.pi)),
+                           plateau=0.05, rise=0.01, start=0.0)
+        m = build_model(p, dims, PulseSequence((seg,)), frame=frame)
+        d = dims.total
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        rho = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+
+        t = data.draw(st.floats(0.0, seg.end))
+        terms = m.active_terms(0.0, seg.end)
+        coeffs = np.array([term.amplitude_at(t)
+                           * np.exp(1j * (term.carrier * t + term.phase))
+                           for term in terms], dtype=complex)
+        got = LiouvilleTable(m, terms).apply(rho.reshape(-1), coeffs)
+        want = dense_lindbladian(m, rho, zip(terms, coeffs))
+        assert np.max(np.abs(got.reshape(d, d) - want)) \
+            <= 1e-12 * np.max(np.abs(want))
+
+        # the static generator column by column, against its blocks
+        basis = np.eye(d * d).reshape(d * d, d, d)
+        dense = np.array([dense_lindbladian(m, e).reshape(-1) for e in basis]).T
+        scale = np.max(np.abs(dense))
+        blocks = StaticPropagator(m).blocks
+        member = np.full(d * d, -1)
+        for k, (idx, gen) in enumerate(blocks):
+            for b in range(idx.shape[0]):
+                assert np.all(member[idx[b]] == -1)
+                member[idx[b]] = k * d * d + b
+                sub = dense[np.ix_(idx[b], idx[b])]
+                assert np.max(np.abs(gen[b] - sub)) <= 1e-12 * scale
+        assert np.all(member >= 0)
+        coupling = dense[member[:, None] != member[None, :]]
+        assert np.all(np.abs(coupling) <= 1e-12 * scale)
+
+    check()

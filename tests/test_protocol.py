@@ -131,6 +131,16 @@ def test_storage_ringdown_times():
     assert rec.meta["expected_amp_decay_us"] == pytest.approx(12.887, rel=1e-3)
 
 
+def test_pulse_step_is_converged(anchor_z_point):
+    # halving dt_pulse with the same calibration (its cache key has no step)
+    # moves the headline numbers by far less than their pinned tolerance
+    fine = OPTS.replace(dt_pulse=0.5 * OPTS.dt_pulse)
+    p_g = run_memory_protocol(P, 0.0, 0.0, OPTS)
+    assert abs(run_memory_protocol(P, 0.0, 0.0, fine) - p_g) < 1e-8
+    f_z = z_fidelity_point(P, WorkingPoint(TWO_PI * 6.0e3), fine)[1]
+    assert abs(f_z - anchor_z_point[1]) < 1e-8
+
+
 def test_z_point_correction_identity():
     t_p, f_z, f_corr = z_fidelity_point(P, WorkingPoint(TWO_PI * 6.0e3), OPTS)
     assert f_corr * math.exp(-t_p / P.t1_q) == pytest.approx(f_z, abs=1e-12)
