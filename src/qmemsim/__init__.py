@@ -8,7 +8,7 @@ device      device parameters and closed-form derived quantities
 pulses      flat-top Gaussian envelopes, protocol sequences, pi calibration
 lindblad    rotating-frame model construction and master-equation integration
 protocol    end-to-end memory experiments (decay, Ramsey, ringdown, Z fidelity)
-analysis    deterministic curve fitting and statistics
+analysis    deterministic curve fitting
 tomography  single-qubit state/process tomography and process fidelity
 config      unit-suffixed configuration files
 cli         command-line entry point

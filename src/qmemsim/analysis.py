@@ -1,4 +1,4 @@
-"""Deterministic curve fitting and statistics for the experiment records.
+"""Deterministic curve fitting for the experiment records.
 
 All fitters use MINPACK Levenberg-Marquardt through scipy.curve_fit with a
 fixed relative step tolerance (1e-10) and the standard bounded evaluation cap
@@ -217,34 +217,3 @@ def fit_leakage(t_ps, f_corrs):
     result = _run_fit(fn, xs, ys, [a0, g0], ["a", "gamma_sp"], "leakage")
     result.params["floor"] = leakage_fidelity_floor(result.params["a"])
     return result
-
-
-@dataclass
-class SampleStats:
-    mean: float
-    std: float
-    normality_p: float
-    hist_counts: np.ndarray
-    hist_edges: np.ndarray
-    n: int
-
-
-def sample_statistics(samples):
-    """Mean, sample std, D'Agostino-Pearson normality p-value and a
-    Freedman-Diaconis histogram."""
-    from scipy import stats
-
-    x = np.asarray(samples, dtype=float)
-    if x.size < 8:
-        raise ParameterError(f"need >= 8 samples, got {x.size}")
-    std = float(np.std(x, ddof=1))
-    if std == 0.0:
-        p = float("nan")
-        counts, edges = np.histogram(x, bins=1)
-    else:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            p = float(stats.normaltest(x).pvalue)
-        counts, edges = np.histogram(x, bins="fd")
-    return SampleStats(mean=float(np.mean(x)), std=std, normality_p=p,
-                       hist_counts=counts, hist_edges=edges, n=x.size)

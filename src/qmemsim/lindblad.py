@@ -58,6 +58,8 @@ decoupled blocks of the static rows.  Both use numpy alone and return the
 states at the steps + 1 equally spaced times of the window, the initial
 state first.  In the ``bare`` frame the exchange couplings are
 always-active terms, so every window there is integrated.
+Noiseless kets, such as the calibration probes, step as one batch by
+:func:`evolve_kets`, with the ket form of the table and the same RK4 step.
 """
 
 import math
@@ -430,15 +432,16 @@ def _monomial(op):
 
 def _gather_row(left, right, scale):
     """(P, W) with scale * vec(left @ rho @ right) = W * x[P] on row-major
-    x = vec(rho), for monomial left and right: entry (i, j) of the product
-    is left[i, p(i)] rho[p(i), q(j)] right[q(j), j].  An entry of zero
-    weight gathers its own element."""
-    d = left.shape[0]
+    x = vec(rho) of a d x m rho (m = 1 for a ket), for monomial left and
+    right: entry (i, j) of the product is
+    left[i, p(i)] rho[p(i), q(j)] right[q(j), j].  An entry of zero weight
+    gathers its own element."""
+    m = right.shape[0]
     p, w_left = _monomial(left)
     q, w_right = _monomial(right.T)
     weight = (scale * w_left[:, None] * w_right[None, :]).ravel()
-    gather = np.where(weight != 0, (p[:, None] * d + q[None, :]).ravel(),
-                      np.arange(d * d))
+    gather = np.where(weight != 0, (p[:, None] * m + q[None, :]).ravel(),
+                      np.arange(weight.size))
     return gather, weight
 
 
@@ -455,9 +458,12 @@ class LiouvilleTable:
     and the qubit dephasing, fold into lam.  Each class of the op of
     terms[k] adds -i op rho and i rho op, scaled by c_k(t), and -i op^dag
     rho and i rho op^dag, scaled by conj(c_k(t)).
+
+    With ket=True it is -i H(t) on a ket psi, for a model without collapse
+    channels: only the rows -i op psi remain.
     """
 
-    def __init__(self, model, terms=()):
+    def __init__(self, model, terms=(), ket=False):
         d = model.dims.total
         eye = np.eye(d)
 
@@ -478,34 +484,42 @@ class LiouvilleTable:
                 rows += [(k, -1j, op, eye), (k, 1j, eye, op),
                          (len(terms) + k, -1j, op.conj().T, eye),
                          (len(terms) + k, 1j, eye, op.conj().T)]
+        if ket:
+            # the products left @ psi: the rows with the identity on the right
+            rows = [(column, scale, left, np.eye(1))
+                    for column, scale, left, right in rows if right is eye]
 
-        self.lam = np.zeros(d * d, dtype=complex)
+        n = d if ket else d * d
+        self.lam = np.zeros(n, dtype=complex)
         kept = []
         for column, scale, left, right in rows:
             gather, weight = _gather_row(left, right, scale)
-            if column < 0 and np.array_equal(gather, np.arange(d * d)):
+            if column < 0 and np.array_equal(gather, np.arange(n)):
                 self.lam += weight
             elif np.any(weight):
                 kept.append((column, gather, weight))
         kept.sort(key=lambda row: row[0])           # the static rows first
         self.column = np.array([c for c, _, _ in kept if c >= 0], dtype=np.intp)
         self.gather = np.array([g for _, g, _ in kept],
-                               dtype=np.intp).reshape(-1, d * d)
+                               dtype=np.intp).reshape(-1, n)
         self.weight = np.array([w for _, _, w in kept],
-                               dtype=complex).reshape(-1, d * d)
+                               dtype=complex).reshape(-1, n)
 
     def apply(self, x, c):
         """L(t) x for the coefficients c[k] = c_k(t) of the table's terms.
 
-        numpy alone, no BLAS call, so the row sum runs in one fixed order.
+        x may carry a trailing batch axis, (n, B), with c then (K, B): one
+        coefficient per term and column.  numpy alone, no BLAS call, so the
+        row sum runs in one fixed order, the same for every column.
         """
+        batch = (...,) + (None,) * (x.ndim - 1)
         out = x[self.gather]
-        out *= self.weight
+        out *= self.weight[batch]
         if len(c):
             scale = np.concatenate((c, c.conj()))[self.column]
             out[len(out) - len(scale):] *= scale[:, None]
         out = out.sum(axis=0)
-        out += self.lam * x
+        out += self.lam[batch] * x
         return out
 
 
@@ -522,6 +536,32 @@ def _initial_rho(model, rho0):
     return rho
 
 
+def _check_step(model, t0, t1, dt):
+    dt_bound = model.max_step(t0, t1)
+    if dt > dt_bound * (1.0 + 1e-9):
+        raise StepSizeError(
+            f"dt = {dt:.3g} us cannot resolve the largest retained carrier; "
+            f"require dt <= {dt_bound:.3g} us in this window"
+        )
+
+
+def _coefficient(term, t):
+    """c(t) of a term at the times t: its amplitude times its carrier phase."""
+    coeff = term.amplitude_at(t).astype(complex)
+    coeff *= np.exp(1j * (term.carrier * t + term.phase))
+    return coeff
+
+
+def _rk4_step(table, x, h, c):
+    """One classic RK4 step of dx/dt = table.apply(x, c), in place, with c
+    at the step's start, midpoint and end; h may hold one step per column."""
+    k1 = table.apply(x, c[0])
+    k2 = table.apply(x + 0.5 * h * k1, c[1])
+    k3 = table.apply(x + 0.5 * h * k2, c[1])
+    k4 = table.apply(x + h * k3, c[2])
+    x += (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+
+
 def evolve(model: LindbladModel, rho0, t_span, dt, steps=1):
     """Integrate d rho/dt = -i[H(t), rho] + sum_k D[c_k] rho with classic RK4.
 
@@ -536,12 +576,7 @@ def evolve(model: LindbladModel, rho0, t_span, dt, steps=1):
     t0, t1 = t_span
     if t1 < t0:
         raise ParameterError("t_span must be increasing")
-    dt_bound = model.max_step(t0, t1)
-    if dt > dt_bound * (1.0 + 1e-9):
-        raise StepSizeError(
-            f"dt = {dt:.3g} us cannot resolve the largest retained carrier; "
-            f"require dt <= {dt_bound:.3g} us in this window"
-        )
+    _check_step(model, t0, t1, dt)
 
     d = model.dims.total
     x = _initial_rho(model, rho0).reshape(-1)
@@ -556,8 +591,7 @@ def evolve(model: LindbladModel, rho0, t_span, dt, steps=1):
 
     terms, coeffs = [], []
     for term in model.active_terms(t0, t1):
-        coeff = term.amplitude_at(stage_t).astype(complex)
-        coeff *= np.exp(1j * (term.carrier * stage_t + term.phase))
+        coeff = _coefficient(term, stage_t)
         if np.max(np.abs(coeff)) == 0.0:
             continue
         terms.append(term)
@@ -567,12 +601,7 @@ def evolve(model: LindbladModel, rho0, t_span, dt, steps=1):
 
     states = [QuantumState(x.reshape(d, d).copy(), model.dims)]
     for k in range(n_steps):
-        s = 2 * k
-        k1 = table.apply(x, coeff[s])
-        k2 = table.apply(x + 0.5 * h * k1, coeff[s + 1])
-        k3 = table.apply(x + 0.5 * h * k2, coeff[s + 1])
-        k4 = table.apply(x + h * k3, coeff[s + 2])
-        x += (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+        _rk4_step(table, x, h, coeff[2 * k:2 * k + 3])
         keep = (k + 1) % per_sample == 0
         if keep or (k + 1) % check_every == 0:
             trace = np.sum(x[::d + 1])
@@ -586,6 +615,59 @@ def evolve(model: LindbladModel, rho0, t_span, dt, steps=1):
             if keep:
                 states.append(QuantumState(x.reshape(d, d).copy(), model.dims))
     return states
+
+
+def evolve_kets(models, spans, psi0, dt):
+    """Propagate the ket psi0 under each noiseless model across its span,
+    by evolve's RK4 step under the ket table -i H(t); returns the final
+    kets as the columns of a (d, B) array.
+
+    The columns step together, each on the grid evolve would give it,
+    n = round(span / dt) steps of span / n, and with h = 0 once those are
+    done.  Models whose active terms have different operators step as
+    separate batches.  The norms are checked at evolve's cadence, and a
+    drift beyond 1e-6 raises IntegrationError.  A model with collapse
+    channels raises ParameterError, a dt above its max_step StepSizeError.
+    """
+    if any(model.channels for model in models):
+        raise ParameterError(
+            "kets propagate only under a model without collapse channels")
+    batches = {}
+    for i, (model, (t0, t1)) in enumerate(zip(models, spans)):
+        _check_step(model, t0, t1, dt)
+        ops = (term.op.tobytes() for term in model.active_terms(t0, t1))
+        batches.setdefault((model.drift.tobytes(), *ops), []).append(i)
+
+    out = np.empty((len(psi0), len(models)), dtype=complex)
+    for cols in batches.values():
+        t0, t1 = np.array([spans[i] for i in cols], dtype=float).T
+        n = np.maximum(1, np.round((t1 - t0) / dt).astype(int))
+        h = (t1 - t0) / n
+        terms = [models[i].active_terms(a, b) for i, a, b in zip(cols, t0, t1)]
+        coeff = np.zeros((2 * n.max() + 1, len(terms[0]), len(cols)),
+                         dtype=complex)
+        for j, column in enumerate(terms):
+            stage_t = t0[j] + 0.5 * h[j] * np.arange(2 * n[j] + 1)
+            for k, term in enumerate(column):
+                coeff[:len(stage_t), k, j] = _coefficient(term, stage_t)
+        table = LiouvilleTable(models[cols[0]], terms[0], ket=True)
+
+        step = np.arange(1, n.max() + 1)[:, None]
+        hs = np.where(step <= n, h, 0.0)
+        due = (step <= n) & ((step % np.maximum(1, n // 200) == 0) | (step == n))
+        x = np.repeat(psi0[:, None].astype(complex), len(cols), axis=1)
+        for k in range(len(step)):
+            _rk4_step(table, x, hs[k], coeff[2 * k:2 * k + 3])
+            if due[k].any():
+                drift = np.abs(np.sum(np.abs(x[:, due[k]]) ** 2, axis=0) - 1.0)
+                if drift.max() > TRACE_DRIFT_TOL:
+                    j = np.flatnonzero(due[k])[np.argmax(drift)]
+                    raise IntegrationError(
+                        f"norm drifted by {drift.max():.3g} at "
+                        f"t = {t0[j] + (k + 1) * h[j]:.6g} us; "
+                        f"retry with dt <= {h[j] / 2:.3g} us")
+        out[:, cols] = x
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -71,14 +71,16 @@ def get_calibration(p: DeviceParams, options: ProtocolOptions):
 
 
 def simulate_sequence(p: DeviceParams, seq: PulseSequence,
-                      options: ProtocolOptions, rho0=None, upto=None):
+                      options: ProtocolOptions, rho0=None, start=0.0,
+                      upto=None):
     """Run a pulse sequence piecewise between its segment edges.
 
     A window with an active drive term (``model.active_terms``) is
     integrated by RK4 at the fixed step options.dt_pulse; any other window
     is propagated exactly by one StaticPropagator, built the first time the
-    run meets such a window.  Starts from rho0, by default the ground
-    product state, and stops at upto, by default the readout marker.
+    run meets such a window.  Starts from rho0 at time start, by default
+    the ground product state at 0, and stops at upto, by default the
+    readout marker; the windows after start are those of the whole run.
     Returns (model, final QuantumState).
     """
     model = build_model(p, options.dims, seq, frame=options.frame,
@@ -87,12 +89,12 @@ def simulate_sequence(p: DeviceParams, seq: PulseSequence,
     state = rho0 if rho0 is not None else qsys.basis_state(options.dims)
     t_end = upto if upto is not None else (seq.readout_time or seq.end)
 
-    events = {0.0, t_end}
+    events = {start, t_end}
     for s in seq.segments:
         if s.start < t_end:
             events.add(s.start)
             events.add(min(s.end, t_end))
-    events = sorted(events)
+    events = sorted(e for e in events if e >= start)
 
     static = None
     for t0, t1 in zip(events, events[1:]):
@@ -121,13 +123,42 @@ def run_memory_protocol(p: DeviceParams, prep_angle=0.0, storage_delay=0.0,
     """
     options = options or ProtocolOptions()
     cal = cal or get_calibration(p, options)
+    seq = _memory_sequence(p, prep_angle, storage_delay, options, cal,
+                           extra_segments)
+    model, state = simulate_sequence(p, seq, options)
+    return ground_population(model, state)
+
+
+def _memory_sequence(p, prep_angle, storage_delay, options, cal,
+                     extra_segments=()):
     seq = build_memory_sequence(p, prep_angle, storage_delay, cal,
                                 qubit_pi_multiplier=options.qubit_pi_multiplier)
     for seg in extra_segments:
         seg = seg.shifted(seq.readout_time)
         seq = PulseSequence(seq.segments + (seg,), readout_time=seg.end)
-    model, state = simulate_sequence(p, seq, options)
-    return ground_population(model, state)
+    return seq
+
+
+def _storage_half(p, prep_angle, options, cal):
+    """(t_half, state) after the preparation, sideband pi and qubit pi, in
+    the windows of the protocol at any delay (its retrieval starts later)."""
+    seq = _memory_sequence(p, prep_angle, 0.0, options, cal)
+    t_half = max(s.end for s in seq.labeled("qubit-pi-store"))
+    return t_half, simulate_sequence(p, seq, options, upto=t_half)[1]
+
+
+def _delay_sweep(p, prep_angle, delays, options, cal, extra_segments=None):
+    """run_memory_protocol's p_g at each delay, bit for bit, with the
+    storage half simulated once: each delay runs only its idle window and
+    its retrieval.  extra_segments holds one tuple per delay."""
+    t_half, half = _storage_half(p, prep_angle, options, cal)
+    pgs = []
+    for d, extra in zip(delays, extra_segments or [()] * len(delays)):
+        seq = _memory_sequence(p, prep_angle, d, options, cal, extra)
+        model, state = simulate_sequence(p, seq, options, rho0=half,
+                                         start=t_half)
+        pgs.append(ground_population(model, state))
+    return np.array(pgs)
 
 
 def storage_state_after_half(p: DeviceParams, prep_angle=0.0,
@@ -135,11 +166,7 @@ def storage_state_after_half(p: DeviceParams, prep_angle=0.0,
     """Reduced storage-mode state right after the storage half."""
     options = options or ProtocolOptions()
     cal = cal or get_calibration(p, options)
-    seq = build_memory_sequence(p, prep_angle, 1.0, cal,
-                                qubit_pi_multiplier=options.qubit_pi_multiplier)
-    t_half = max(s.end for s in seq.segments if s.label == "qubit-pi-store")
-    _, state = simulate_sequence(p, seq, options, upto=t_half)
-    return state.ptrace_storage()
+    return _storage_half(p, prep_angle, options, cal)[1].ptrace_storage()
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +275,7 @@ def fock_decay_experiment(p: DeviceParams, delays=None,
     if delays.max() - delays.min() < 1.5 * t1_expected:
         raise ParameterError("delay window too narrow for a stable fit")
     cal = get_calibration(p, options)
-    pgs = np.array([run_memory_protocol(p, 0.0, d, options, cal) for d in delays])
+    pgs = _delay_sweep(p, 0.0, delays, options, cal)
     fit = analysis.fit_exponential(delays, pgs)
     return ExperimentRecord(
         kind="fock-decay", sweep_variable="delay_us", observable="p_g",
@@ -275,17 +302,14 @@ def memory_ramsey_experiment(p: DeviceParams, delays=None, detuning=0.35,
             f"detuning {detuning} MHz gives fewer than 3 fringes over {span} us")
     cal = get_calibration(p, options)
     q = cal.qubit
-
-    pgs = []
-    for d in delays:
-        # analysis pulse: half-area at the pi-pulse duration, phase advanced
-        # by the software detuning
-        seg = PulseSegment(QUBIT_CHANNEL, 0.5 * q.amplitude, q.carrier,
-                           phase=TWO_PI * detuning * d, plateau=q.plateau,
-                           rise=q.rise, start=0.0, label="ramsey-analysis")
-        pgs.append(run_memory_protocol(p, math.pi / 2.0, d, options, cal,
-                                       extra_segments=(seg,)))
-    pgs = np.array(pgs)
+    # analysis pulse: half-area at the pi-pulse duration, phase advanced by
+    # the software detuning
+    analysis_pulses = [
+        (PulseSegment(QUBIT_CHANNEL, 0.5 * q.amplitude, q.carrier,
+                      phase=TWO_PI * detuning * d, plateau=q.plateau,
+                      rise=q.rise, start=0.0, label="ramsey-analysis"),)
+        for d in delays]
+    pgs = _delay_sweep(p, math.pi / 2.0, delays, options, cal, analysis_pulses)
     fit = analysis.fit_decaying_cosine(delays, pgs)
     return ExperimentRecord(
         kind="memory-ramsey", sweep_variable="delay_us", observable="p_g",

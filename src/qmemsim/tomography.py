@@ -166,16 +166,6 @@ def fidelity_with_z_optimization(chi: ChiMatrix, resolution=Z_SCAN_RESOLUTION):
     return float(thetas[k]), float(f[k])
 
 
-def apply_z_rotation(chi: ChiMatrix, theta):
-    """Chi matrix of (Rz(theta) after the channel)."""
-    rz = np.array([[np.exp(-0.5j * theta), 0.0], [0.0, np.exp(0.5j * theta)]])
-
-    def rotated(rho):
-        return rz @ chi.apply(rho) @ rz.conj().T
-
-    return process_tomography(rotated)
-
-
 def chi_export_dict(chi: ChiMatrix):
     """JSON-ready real/imaginary parts plus |chi_ij| rows for CSV plotting."""
     return {

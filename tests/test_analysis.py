@@ -178,34 +178,3 @@ def test_leakage_fit_degenerate_is_not_converged():
     fit = analysis.fit_leakage(t_p, f_corr)
     assert not np.all(np.isfinite(list(fit.uncertainties.values())))
     assert not fit.converged
-
-
-# --- statistics ------------------------------------------------------------
-
-def test_stats_constant_samples():
-    stats = analysis.sample_statistics(np.full(12, 8.0))
-    assert stats.std == 0.0
-    assert stats.mean == 8.0
-
-
-def test_stats_seeded_normal():
-    rng = np.random.default_rng(42)
-    samples = rng.normal(8.0, 1.8, 200)
-    stats = analysis.sample_statistics(samples)
-    assert abs(stats.mean - 8.0) < 0.3
-    assert abs(stats.std - 1.8) < 0.3
-    assert stats.normality_p > 0.05
-    assert stats.hist_counts.sum() == 200
-
-
-def test_stats_bimodal_rejected():
-    rng = np.random.default_rng(1)
-    samples = np.concatenate([rng.normal(-4.0, 0.3, 100),
-                              rng.normal(4.0, 0.3, 100)])
-    stats = analysis.sample_statistics(samples)
-    assert stats.normality_p < 0.05
-
-
-def test_stats_insufficient_samples():
-    with pytest.raises(ParameterError):
-        analysis.sample_statistics([1.0] * 7)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qmemsim import analysis, protocol
+from qmemsim import analysis, protocol, pulses
 from qmemsim.device import DeviceParams
 from qmemsim.errors import ParameterError
 from qmemsim.protocol import (ExperimentRecord, ProtocolOptions, WorkingPoint,
@@ -12,6 +12,7 @@ from qmemsim.protocol import (ExperimentRecord, ProtocolOptions, WorkingPoint,
                               mode_ringdown_experiment, prep_angle_sweep,
                               run_memory_protocol, storage_state_after_half,
                               z_fidelity_point, z_fidelity_sweep)
+from qmemsim.pulses import PulseSegment, QUBIT_CHANNEL
 from qmemsim.units import TWO_PI
 
 P = DeviceParams()
@@ -81,11 +82,17 @@ def test_fock_decay_rejects_short_span():
         fock_decay_experiment(P, np.array([0.5, 1.0, 2.0]), OPTS)
 
 
-def test_memory_ramsey_t2():
-    delays = np.linspace(0.25, 21.0, 16)
+@pytest.fixture(scope="module")
+def frozen_ramsey():
+    """Memory Ramsey with only the storage decay active."""
+    return memory_ramsey_experiment(frozen_qubit_params(),
+                                    np.linspace(0.25, 21.0, 16), 0.3, OPTS)
+
+
+def test_memory_ramsey_t2(frozen_ramsey):
+    delays = frozen_ramsey.xs
     # only the storage decay active: T2 saturates the 2 T1 bound
-    rec = memory_ramsey_experiment(frozen_qubit_params(), delays, 0.3, OPTS)
-    t2 = rec.fits["T2_s"].params["T2"]
+    t2 = frozen_ramsey.fits["T2_s"].params["T2"]
     assert t2 == pytest.approx(2.0 / P.angular().k_s, rel=0.10)
 
     # an explicit storage dephasing channel shifts T2 by the closed form
@@ -105,6 +112,24 @@ def test_memory_ramsey_t2():
     t2_hot = rec3.fits["T2_s"].params["T2"]
     assert t2_hot < 2.0 / P.angular().k_s - 0.5
     assert t2_hot < t2 - 0.5
+
+
+def test_delay_sweeps_share_the_storage_half_bit_for_bit(fock_record,
+                                                         frozen_ramsey):
+    # the sweeps simulate the storage half once and each delay from there;
+    # every p_g is the one run_memory_protocol gives at that delay
+    cal = protocol.get_calibration(P, OPTS)
+    for i in (0, -1):
+        assert fock_record.ys[i] == run_memory_protocol(
+            P, 0.0, fock_record.xs[i], OPTS, cal)
+
+    p, d = frozen_qubit_params(), frozen_ramsey.xs[5]
+    q = protocol.get_calibration(p, OPTS).qubit
+    analysis_pulse = PulseSegment(
+        QUBIT_CHANNEL, 0.5 * q.amplitude, q.carrier, phase=TWO_PI * 0.3 * d,
+        plateau=q.plateau, rise=q.rise, label="ramsey-analysis")
+    assert frozen_ramsey.ys[5] == run_memory_protocol(
+        p, math.pi / 2.0, d, OPTS, extra_segments=(analysis_pulse,))
 
 
 def test_memory_ramsey_needs_fringes():
@@ -139,6 +164,23 @@ def test_pulse_step_is_converged(anchor_z_point):
     assert abs(run_memory_protocol(P, 0.0, 0.0, fine) - p_g) < 1e-8
     f_z = z_fidelity_point(P, WorkingPoint(TWO_PI * 6.0e3), fine)[1]
     assert abs(f_z - anchor_z_point[1]) < 1e-8
+
+
+def test_calibration_step_is_converged(monkeypatch, anchor_z_point):
+    # halving every probe's step recalibrates both pulses; with dt_pulse
+    # halved too, the headline numbers stay within their pinned tolerance
+    p_g = run_memory_protocol(P, 0.0, 0.0, OPTS)
+    probe = pulses._probe_transfers
+
+    def halved(params, dims, segments, frame, dt, initial, target):
+        return probe(params, dims, segments, frame, 0.5 * dt, initial, target)
+
+    monkeypatch.setattr(pulses, "_probe_transfers", halved)
+    monkeypatch.setattr(protocol, "_CAL_CACHE", {})
+    fine = OPTS.replace(dt_pulse=0.5 * OPTS.dt_pulse)
+    assert abs(run_memory_protocol(P, 0.0, 0.0, fine) - p_g) < 1e-6
+    f_z = z_fidelity_point(P, WorkingPoint(TWO_PI * 6.0e3), fine)[1]
+    assert abs(f_z - anchor_z_point[1]) < 1e-6
 
 
 def test_z_point_correction_identity():

