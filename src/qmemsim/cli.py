@@ -8,7 +8,8 @@ manifest.json into the output directory.  Reruns with identical
 configuration and seed are byte-identical, and `run --from-manifest
 <manifest.json>` reproduces a previous run.  Physics or fit failures exit
 with status 1, usage errors (unknown experiment, missing config, a sweep
-that does not strictly increase) with 2.
+that does not strictly increase, a dt_pulse <= 0, shots or jobs < 1) with 2,
+before any simulation.
 """
 
 import argparse
@@ -24,7 +25,7 @@ from . import __version__, analysis, protocol, tomography
 from .config import (load_run_settings, parse_run_settings, parse_value,
                      write_sample_config)
 from .device import bsb_frequency, purcell_limit
-from .errors import ConfigError, QmemError
+from .errors import ConfigError, ParameterError, QmemError
 from .lindblad import FRAMES, build_model, effective_bsb_check
 from .units import GHZ, MHZ, TWO_PI
 
@@ -76,13 +77,20 @@ def _pmap(fn, items, jobs):
 
 
 def _options_from_args(dims, run_kw, args):
+    """The run's ProtocolOptions; a value it rejects, or --jobs < 1, is a
+    usage error."""
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     kw = dict(run_kw, seed=args.seed)
     if args.dt is not None:
         # same exact conversion as `dt_pulse = <dt> ns` in a config file
         kw["dt_pulse"] = parse_value("dt_pulse", f"{args.dt!r} ns")
     if args.shots is not None:
         kw["shots"] = args.shots
-    return protocol.ProtocolOptions(dims=dims, **kw)
+    try:
+        return protocol.ProtocolOptions(dims=dims, **kw)
+    except ParameterError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def run_experiment(p, options, args, sweep):
@@ -266,11 +274,15 @@ def cmd_validate(args):
         print(f"  {name:14s} {lin:>22s}   {ang}")
     print(f"  truncation     {dims.as_tuple()} (total {dims.total}, cap {dims.cap})")
 
-    options = protocol.ProtocolOptions(dims=dims, **run_kw)
-    frame, dt = options.frame, options.dt_pulse
+    frame = run_kw.get("frame", protocol.ProtocolOptions.frame)
+    try:
+        dt = protocol.ProtocolOptions(dims=dims, **run_kw).dt_pulse
+    except ParameterError as exc:
+        breaches.append(str(exc))
+        dt = None
     if frame not in FRAMES:
         breaches.append(f"unknown frame {frame!r}")
-    else:
+    elif dt is not None:
         bound = build_model(p, dims, frame=frame).max_step()
         if dt > bound:
             breaches.append(
@@ -300,7 +312,8 @@ def build_parser():
     run.add_argument("--out", default="qmemsim-out", help="output directory")
     run.add_argument("--jobs", type=int, default=1, help="parallel sweep points")
     run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--dt", type=float, default=None, help="pulse step in ns")
+    run.add_argument("--dt", type=float, default=None,
+                     help="pulse step in ns (config key dt_pulse)")
     run.add_argument("--shots", type=int, default=None,
                      help="sampled tomography shots")
     run.add_argument("--mode", choices=("readout", "storage"), default="readout")

@@ -45,6 +45,13 @@ class ProtocolOptions:
     shots: int | None = None
     seed: int = 0
 
+    def __post_init__(self):
+        if not self.dt_pulse > 0:
+            raise ParameterError(
+                f"dt_pulse must be > 0 us, got {self.dt_pulse!r} us")
+        if self.shots is not None and self.shots < 1:
+            raise ParameterError(f"shots must be >= 1, got {self.shots!r}")
+
     def replace(self, **kw):
         return dc_replace(self, **kw)
 

@@ -280,11 +280,12 @@ def build_memory_sequence(p: DeviceParams, prep_angle, storage_delay, cal,
 
 def _probe_transfers(params, dims, segments, frame, dt, initial, target):
     """Noiseless transfer probabilities of trial segments, one per segment,
-    propagated together as one batch of kets (lindblad.evolve_kets)."""
+    propagated together as one batch of kets (lindblad.evolve_kets); the
+    probes' models share one frame, built once."""
     from .lindblad import build_model, evolve_kets
 
-    models = [build_model(params, dims, PulseSequence((seg,)), frame=frame,
-                          noiseless=True) for seg in segments]
+    base = build_model(params, dims, frame=frame, noiseless=True)
+    models = [base.with_sequence(PulseSequence((seg,))) for seg in segments]
     psi0 = np.eye(dims.total)[dims.index(*initial)]
     psi = evolve_kets(models, [(seg.start, seg.end) for seg in segments],
                       psi0, dt)

@@ -165,6 +165,44 @@ def test_validate_rejects_bad_step_for_bare_frame(tmp_path):
     assert res.returncode == 0, res.stderr
 
 
+@pytest.mark.parametrize("flags, name", [
+    (["--experiment", "memory-protocol", "--dt", "0"], "dt_pulse"),
+    (["--experiment", "memory-protocol", "--dt", "-0.1"], "dt_pulse"),
+    (["--experiment", "qpt", "--shots", "0"], "shots"),
+    (["--experiment", "qpt", "--shots", "-3"], "shots"),
+    (["--experiment", "memory-protocol", "--jobs", "-1"], "--jobs"),
+    (["--experiment", "memory-protocol", "--jobs", "0"], "--jobs"),
+])
+def test_bad_run_values_fail_before_simulating(tmp_path, sample_cfg, capsys,
+                                               monkeypatch, flags, name):
+    from qmemsim import cli, protocol
+
+    def simulate(*args, **kwargs):
+        raise AssertionError("simulated before rejecting the run values")
+
+    monkeypatch.setattr(protocol, "get_calibration", simulate)
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", sample_cfg, *flags,
+                     "--out", str(out)]) == 2
+    assert name in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_non_positive_config_dt_pulse_is_rejected(tmp_path, capsys):
+    from qmemsim import cli
+
+    cfg = tmp_path / "zero.cfg"
+    for value in ("0 ns", "-0.1 ns"):
+        cfg.write_text(config.SAMPLE_CONFIG + f"dt_pulse = {value}\n")
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(cfg), "--experiment", "qpt",
+                         "--out", str(out)]) == 2
+        assert "dt_pulse must be > 0" in capsys.readouterr().err
+        assert not out.exists()
+        assert cli.main(["validate", "--config", str(cfg)]) == 1
+        assert "breach: dt_pulse must be > 0" in capsys.readouterr().err
+
+
 def test_run_requires_existing_config(tmp_path):
     out = tmp_path / "out"
     res = run_cli("run", "--config", str(tmp_path / "missing.cfg"),

@@ -4,12 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from qmemsim import analysis, lindblad, qsys
+from qmemsim import analysis, lindblad, protocol, qsys
 from qmemsim.device import DeviceParams, dispersive_shift_estimate
 from qmemsim.errors import IntegrationError, ParameterError, StepSizeError
 from qmemsim.lindblad import (LiouvilleTable, StaticPropagator, build_model,
-                              effective_bsb_check, evolve)
-from qmemsim.pulses import PulseSegment, PulseSequence, QUBIT_CHANNEL
+                              effective_bsb_check, evolve, evolve_kets)
+from qmemsim.protocol import ProtocolOptions
+from qmemsim.pulses import (PulseSegment, PulseSequence, QUBIT_CHANNEL,
+                            build_memory_sequence)
 from qmemsim.qsys import SubsystemDims
 from qmemsim.units import GHZ, MHZ, TWO_PI
 
@@ -338,6 +340,35 @@ def dense_lindbladian(model, rho, drive=()):
     return out
 
 
+def draw_driven_model(data, plateau, rise):
+    """(model, segment): a random device near the default one on dims
+    (2-3, 2-3, 1-2), in a random frame, driven by one qubit segment at the
+    dressed qubit or the two-photon carrier with a random phase."""
+    st = pytest.importorskip("hypothesis").strategies
+    t1_q = data.draw(st.floats(0.5, 5.0))
+    p = DeviceParams(
+        omega_ro=data.draw(st.floats(4.5, 5.5)),
+        omega_s=data.draw(st.floats(7.5, 9.0)),
+        omega_q=data.draw(st.floats(6.0, 7.0)),
+        alpha=data.draw(st.floats(-300.0, -100.0)),
+        g=data.draw(st.floats(10.0, 80.0)),
+        kappa_ro=data.draw(st.floats(1.0, 10.0)),
+        kappa_s=data.draw(st.floats(5.0, 50.0)),
+        t1_q=t1_q, t2_q=data.draw(st.floats(0.2, 2.0)) * t1_q,
+        p_e=data.draw(st.floats(0.0, 0.1)))
+    dims = SubsystemDims(data.draw(st.integers(2, 3)),
+                         data.draw(st.integers(2, 3)),
+                         data.draw(st.integers(1, 2)))
+    frame = data.draw(st.sampled_from(lindblad.FRAMES))
+    carriers = [lindblad.dressed_frequencies(p, dims)[0],
+                lindblad.two_photon_resonance(p, dims)]
+    seg = PulseSegment(QUBIT_CHANNEL, TWO_PI * data.draw(st.floats(1.0, 5e3)),
+                       data.draw(st.sampled_from(carriers)),
+                       phase=data.draw(st.floats(-math.pi, math.pi)),
+                       plateau=plateau, rise=rise, start=0.0)
+    return build_model(p, dims, PulseSequence((seg,)), frame=frame), seg
+
+
 def test_liouville_table_matches_dense_reference():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
@@ -345,29 +376,8 @@ def test_liouville_table_matches_dense_reference():
     @hypothesis.settings(max_examples=30, deadline=None)
     @hypothesis.given(st.data())
     def check(data):
-        t1_q = data.draw(st.floats(0.5, 5.0))
-        p = DeviceParams(
-            omega_ro=data.draw(st.floats(4.5, 5.5)),
-            omega_s=data.draw(st.floats(7.5, 9.0)),
-            omega_q=data.draw(st.floats(6.0, 7.0)),
-            alpha=data.draw(st.floats(-300.0, -100.0)),
-            g=data.draw(st.floats(10.0, 80.0)),
-            kappa_ro=data.draw(st.floats(1.0, 10.0)),
-            kappa_s=data.draw(st.floats(5.0, 50.0)),
-            t1_q=t1_q, t2_q=data.draw(st.floats(0.2, 2.0)) * t1_q,
-            p_e=data.draw(st.floats(0.0, 0.1)))
-        dims = SubsystemDims(data.draw(st.integers(2, 3)),
-                             data.draw(st.integers(2, 3)),
-                             data.draw(st.integers(1, 2)))
-        frame = data.draw(st.sampled_from(lindblad.FRAMES))
-        carriers = [lindblad.dressed_frequencies(p, dims)[0],
-                    lindblad.two_photon_resonance(p, dims)]
-        seg = PulseSegment(QUBIT_CHANNEL, TWO_PI * data.draw(st.floats(1.0, 5e3)),
-                           data.draw(st.sampled_from(carriers)),
-                           phase=data.draw(st.floats(-math.pi, math.pi)),
-                           plateau=0.05, rise=0.01, start=0.0)
-        m = build_model(p, dims, PulseSequence((seg,)), frame=frame)
-        d = dims.total
+        m, seg = draw_driven_model(data, plateau=0.05, rise=0.01)
+        d = m.dims.total
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         rho = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
 
@@ -398,3 +408,115 @@ def test_liouville_table_matches_dense_reference():
         assert np.all(np.abs(coupling) <= 1e-12 * scale)
 
     check()
+
+
+# ---------------------------------------------------------------------------
+# driven windows step only the elements their initial state can reach
+# ---------------------------------------------------------------------------
+
+def full_space_rk4(table, x, terms, t_span, n, samples=1):
+    """Classic RK4 of dx/dt = table.apply(x, c(t)) on the whole vector, n
+    steps across t_span, with c_k(t) the amplitude times the carrier phase
+    of terms[k]; x at the samples + 1 equally spaced times."""
+    t0, t1 = t_span
+    h = (t1 - t0) / n
+    t = t0 + 0.5 * h * np.arange(2 * n + 1)
+    c = np.array([term.amplitude_at(t) * np.exp(1j * (term.carrier * t + term.phase))
+                  for term in terms], dtype=complex).reshape(len(terms), -1).T
+    out = [x]
+    for k in range(n):
+        k1 = table.apply(x, c[2 * k])
+        k2 = table.apply(x + 0.5 * h * k1, c[2 * k + 1])
+        k3 = table.apply(x + 0.5 * h * k2, c[2 * k + 1])
+        k4 = table.apply(x + h * k3, c[2 * k + 2])
+        x = x + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+        if (k + 1) % (n // samples) == 0:
+            out.append(x)
+    return out
+
+
+def test_restricted_stepping_matches_full_space_rk4():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=40, deadline=None)
+    @hypothesis.given(st.data())
+    def check(data):
+        m, seg = draw_driven_model(data, plateau=0.003, rise=0.002)
+        d = m.dims.total
+        span = (0.0, seg.end)
+        terms = m.active_terms(*span)
+        # a basis projector plus one coherence
+        k = data.draw(st.integers(0, d - 1))
+        j = (k + data.draw(st.integers(1, d - 1))) % d
+        phase = np.exp(1j * data.draw(st.floats(-math.pi, math.pi)))
+        rho = np.zeros((d, d), dtype=complex)
+        rho[k, k], rho[k, j] = 1.0, 0.5 * phase
+
+        table = LiouvilleTable(m, terms)
+        outside = np.ones(d * d, dtype=bool)
+        outside[table.restricted(rho.reshape(-1))[0]] = False
+        dt = min(2e-5, m.max_step(*span))
+        n = 2 * max(1, int(round(seg.end / 2 / dt)))
+        got = evolve(m, rho, span, dt, steps=2)
+        want = full_space_rk4(table, rho.reshape(-1), terms, span, n, samples=2)
+        assert len(got) == len(want) == 3
+        for state, x in zip(got, want):
+            assert np.max(np.abs(state.rho.reshape(-1) - x)) \
+                <= 1e-12 * np.max(np.abs(x))
+            assert np.all(state.rho.reshape(-1)[outside] == 0)
+            assert np.all(x[outside] == 0)
+
+        # kets: the norm is no linear invariant of RK4, unlike the trace, so
+        # take 200 steps short against the fastest phase, from a time inside
+        # the pulse; rate bounds |H| by the drift's largest row sum, the
+        # drive amplitude and 2e3 rad/us for the couplings
+        noiseless = dataclasses.replace(m, channels=[])
+        psi = np.zeros(d, dtype=complex)
+        psi[k], psi[j] = 0.8, 0.6 * phase
+        rate = np.abs(m.drift).sum(axis=1).max() + seg.amplitude + 2e3
+        dt = min(m.max_step(*span), 0.02 / rate)
+        t0 = data.draw(st.floats(0.0, seg.end - 200 * dt))
+        ket_span = (t0, t0 + 200 * dt)
+        table = LiouvilleTable(noiseless, noiseless.active_terms(*ket_span),
+                               ket=True)
+        outside = np.ones(d, dtype=bool)
+        outside[table.restricted(psi)[0]] = False
+        got = evolve_kets([noiseless], [ket_span], psi, dt)[:, 0]
+        want = full_space_rk4(table, psi, noiseless.active_terms(*ket_span),
+                              ket_span, 200)[-1]
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        assert np.all(got[outside] == 0) and np.all(want[outside] == 0)
+
+    check()
+
+
+def test_default_protocol_windows_step_their_reached_elements(monkeypatch):
+    # from |g,0,0> the readout stays in vacuum, and the drives and collapse
+    # operators shift label differences by fixed classes: the driven windows
+    # of the default protocol reach 37, 171, 171 and 215 of the 900 elements,
+    # and the sideband-store window reaches 37 from the tomography input
+    # |e><e| and 34 from its coherence |g><e|
+    p, options = DeviceParams(), ProtocolOptions()
+    dims = options.dims
+    cal = protocol.get_calibration(p, options)
+    seq = build_memory_sequence(p, 0.0, 0.0, cal)
+    store = seq.labeled("bsb-store")[0]
+    model = build_model(p, dims, seq)
+    table = LiouvilleTable(model, model.active_terms(store.start, store.end))
+    for (i, j), size in (((1, 1), 37), ((0, 1), 34)):
+        rho = np.zeros((dims.total, dims.total), dtype=complex)
+        rho[dims.index(i, 0, 0), dims.index(j, 0, 0)] = 1.0
+        assert len(table.restricted(rho.reshape(-1))[0]) == size
+
+    sizes = []
+    restricted = LiouvilleTable.restricted
+
+    def record(table, x):
+        out = restricted(table, x)
+        sizes.append(len(out[0]))
+        return out
+
+    monkeypatch.setattr(LiouvilleTable, "restricted", record)
+    protocol.run_memory_protocol(p, 0.0, 0.0, options, cal)
+    assert sizes == [37, 171, 171, 215]
