@@ -35,7 +35,7 @@ for delay in (0.0, 2.0, 6.0):
 
 print("\npreparation-angle sweep at 0.25 us delay (stored Rabi pattern)")
 angles = np.linspace(0.0, 2.0 * math.pi, 9)
-rec = protocol.prep_angle_sweep(p, angles, delays=(0.25,), options=opts)
+rec = protocol.prep_angle_sweep(p, angles, delay=0.25, options=opts)
 for theta, y in zip(rec.xs, rec.ys):
     bar = "#" * int(round(40 * y))
     print(f"  theta = {theta:5.2f} rad  p_g = {y:.4f}  {bar}")

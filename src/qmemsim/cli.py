@@ -8,8 +8,9 @@ manifest.json into the output directory.  Reruns with identical
 configuration and seed are byte-identical, and `run --from-manifest
 <manifest.json>` reproduces a previous run.  Physics or fit failures exit
 with status 1, usage errors (unknown experiment, missing config, a sweep
-that does not strictly increase, a dt_pulse <= 0, shots or jobs < 1) with 2,
-before any simulation.
+that does not strictly increase or of a variable the experiment does not
+take, a dt_pulse <= 0, shots or jobs < 1, a fit input that cannot be read)
+with 2, before any simulation.
 """
 
 import argparse
@@ -31,6 +32,15 @@ from .units import GHZ, MHZ, TWO_PI
 
 EXPERIMENTS = ("memory-protocol", "fock-decay", "memory-ramsey", "ringdown",
                "zfidelity-sweep", "bsb-check", "qpt", "fit")
+
+# the --sweep variables each experiment takes; the others take no --sweep
+SWEEP_VARIABLES = {
+    "memory-protocol": ("prep_angle", "prep_angle_rad", "delay", "delay_us"),
+    "fock-decay": ("delay", "delay_us"),
+    "memory-ramsey": ("delay", "delay_us"),
+    "zfidelity-sweep": ("bsb_amp_ghz",),
+    "bsb-check": ("omega_drv_ghz",),
+}
 
 FIT_MODELS = {
     "exponential": analysis.fit_exponential,
@@ -101,16 +111,14 @@ def run_experiment(p, options, args, sweep):
         var, grid = sweep if sweep else ("prep_angle", np.linspace(0, 2 * math.pi, 13))
         if var in ("prep_angle", "prep_angle_rad"):
             points = [(a, args.delay) for a in grid]
-        elif var in ("delay", "delay_us"):
-            points = [(args.prep_angle, d) for d in grid]
         else:
-            raise ConfigError(f"memory-protocol cannot sweep {var!r}")
+            points = [(args.prep_angle, d) for d in grid]
         # calibrate once here: pool workers do not share the calibration cache
         cal = protocol.get_calibration(p, options)
         items = [(p, angle, delay, options, cal) for angle, delay in points]
         pgs = _pmap(_protocol_point, items, args.jobs)
         return protocol.ExperimentRecord(
-            kind=name, sweep_variable=var, observable="p_g", xs=grid, ys=pgs), {}
+            sweep_variable=var, observable="p_g", xs=grid, ys=pgs), {}
 
     if name == "fock-decay":
         delays = sweep[1] if sweep else None
@@ -128,10 +136,7 @@ def run_experiment(p, options, args, sweep):
     if name == "zfidelity-sweep":
         wps = None
         if sweep:
-            var, grid = sweep
-            if var not in ("bsb_amp_ghz",):
-                raise ConfigError(f"zfidelity-sweep cannot sweep {var!r}")
-            wps = [protocol.WorkingPoint(TWO_PI * 1e3 * a) for a in grid]
+            wps = [protocol.WorkingPoint(TWO_PI * 1e3 * a) for a in sweep[1]]
         return protocol.z_fidelity_sweep(p, wps, options, fit=args.fit_leakage), {}
 
     if name == "bsb-check":
@@ -145,7 +150,7 @@ def run_experiment(p, options, args, sweep):
             slope = float(np.polyfit(np.log(grid), np.log(rates), 1)[0])
             fits["drive_scaling"] = {"log_log_slope": slope}
         return protocol.ExperimentRecord(
-            kind=name, sweep_variable="omega_drv_ghz",
+            sweep_variable="omega_drv_ghz",
             observable="measured_rate_mhz", xs=grid, ys=rates / MHZ,
             columns={"predicted_rate_mhz":
                      np.array([c.predicted_rate for c in checks]) / MHZ,
@@ -159,7 +164,7 @@ def run_experiment(p, options, args, sweep):
             key: out[key] for key in ("f_qpt", "f_qpt_raw", "z_rotation_rad",
                                       "f_z", "t_p_us")}}
         return protocol.ExperimentRecord(
-            kind=name, sweep_variable="chi_index", observable="abs_chi",
+            sweep_variable="chi_index", observable="abs_chi",
             # scalar abs: numpy's vectorized complex abs differs in the last bit
             xs=np.arange(16), ys=[abs(c) for c in chi.entries.ravel()],
             fits=fits), {"chi": tomography.chi_export_dict(chi)}
@@ -167,11 +172,18 @@ def run_experiment(p, options, args, sweep):
     if name == "fit":
         if not args.input:
             raise ConfigError("--experiment fit requires --input CSV")
-        data = np.loadtxt(args.input, delimiter=",", skiprows=1)
+        try:
+            data = np.loadtxt(args.input, delimiter=",", skiprows=1, ndmin=2)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot read --input {args.input!r}: {exc}") \
+                from exc
+        if data.shape[1] < 2:
+            raise ConfigError(f"--input {args.input!r} must hold x,y rows "
+                              "under a header line")
         fit = FIT_MODELS[args.fit_model](data[:, 0], data[:, 1])
         return protocol.ExperimentRecord(
-            kind=name, sweep_variable="x", observable="y", xs=data[:, 0],
-            ys=data[:, 1], fits={args.fit_model: fit}), {}
+            sweep_variable="x", observable="y", xs=data[:, 0], ys=data[:, 1],
+            fits={args.fit_model: fit}), {}
 
     raise ConfigError(f"unknown experiment {name!r}")
 
@@ -203,6 +215,11 @@ def cmd_run(args):
         return 2
 
     sweep = _parse_sweep(args.sweep) if args.sweep else None
+    accepted = SWEEP_VARIABLES.get(args.experiment, ())
+    if sweep and sweep[0] not in accepted:
+        raise ConfigError(
+            f"{args.experiment} cannot sweep {sweep[0]!r}; it takes "
+            + (" or ".join(accepted) if accepted else "no --sweep"))
     options = _options_from_args(dims, run_kw, args)
 
     rec, extra = run_experiment(p, options, args, sweep)

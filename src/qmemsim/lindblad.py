@@ -207,7 +207,6 @@ class LindbladModel:
     channels: list                    # CollapseChannel entries
     rot: tuple                        # per-subsystem rotation freqs (rad/us)
     dressing: np.ndarray              # U, columns = model basis in the bare basis
-    sequence: PulseSequence | None = None
     labels: tuple = None
     # per drive channel its lowering operator, and the |g,n> -> |e,n+1>
     # ladder of the two-photon sideband, in the model basis
@@ -235,15 +234,6 @@ class LindbladModel:
         if nr is not None:
             mask &= lr == nr
         return np.diag(mask.astype(complex))
-
-    def lowering_op(self, slot):
-        """Model-basis ladder operator for one subsystem (label algebra)."""
-        ops = [qsys.identity(self.dims.dim_of(s)) if s != slot
-               else qsys.annihilation(self.dims.dim_of(s)) for s in range(3)]
-        out = ops[0]
-        for o in ops[1:]:
-            out = np.kron(out, o)
-        return out
 
     # -- frame bookkeeping -------------------------------------------------
     def to_lab_frame(self, state, t):
@@ -285,7 +275,7 @@ class LindbladModel:
                             op=self.two_photon, carrier=carrier,
                             phase=-2.0 * seg.phase, kind="two-photon",
                             strength=coeff, segment=seg))
-        return replace(self, terms=terms, sequence=seq)
+        return replace(self, terms=terms)
 
     # -- integrator support --------------------------------------------------
     def active_terms(self, t0, t1):
@@ -415,8 +405,8 @@ def build_model(p: DeviceParams, dims: SubsystemDims, seq=None, frame="dispersiv
 
     model = LindbladModel(dims=dims, params=p, frame=frame, drift=drift,
                           terms=terms, channels=channels, rot=rot, dressing=U,
-                          sequence=PulseSequence(()), labels=labels,
-                          drive_ops=drive_ops, two_photon=two_photon)
+                          labels=labels, drive_ops=drive_ops,
+                          two_photon=two_photon)
     return model if seq is None else model.with_sequence(seq)
 
 
@@ -868,7 +858,6 @@ class BsbComparison:
     predicted_rate: float      # rad/us
     ratio: float
     carrier: float
-    omega_drv: float
     contrast: float
 
 
@@ -915,4 +904,4 @@ def effective_bsb_check(p: DeviceParams, omega_drv, *, dims=None,
     measured = math.pi * abs(fit.params["f"])
     return BsbComparison(measured_rate=measured, predicted_rate=predicted,
                          ratio=measured / predicted, carrier=carrier,
-                         omega_drv=omega_drv, contrast=contrast)
+                         contrast=contrast)

@@ -182,17 +182,15 @@ def storage_state_after_half(p: DeviceParams, prep_angle=0.0,
 
 @dataclass
 class ExperimentRecord:
-    """Tabulated sweep output plus fits and a reproducibility snapshot."""
+    """Tabulated sweep output plus fits: what results.csv and fits.json
+    hold."""
 
-    kind: str
     sweep_variable: str
     observable: str
     xs: np.ndarray
     ys: np.ndarray
-    yerr: np.ndarray | None = None
     columns: dict = field(default_factory=dict)
     fits: dict = field(default_factory=dict)
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.xs = np.asarray(self.xs, dtype=float)
@@ -205,11 +203,10 @@ class ExperimentRecord:
     def to_csv(self, path):
         names = [self.sweep_variable, self.observable, "uncertainty"]
         names += list(self.columns)
-        err = self.yerr if self.yerr is not None else np.zeros_like(self.ys)
         with open(path, "w") as f:
             f.write(",".join(names) + "\n")
             for i in range(self.xs.size):
-                row = [self.xs[i], self.ys[i], err[i]]
+                row = [self.xs[i], self.ys[i], 0.0]
                 row += [self.columns[c][i] for c in self.columns]
                 f.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
@@ -229,29 +226,6 @@ class ExperimentRecord:
                 "converged": fit.converged,
             }
         return out
-
-
-def _base_meta(p, options, cal=None, **extra):
-    meta = {
-        "device": p.as_dict(),
-        "dims": options.dims.as_tuple(),
-        "frame": options.frame,
-        "dt_pulse_us": options.dt_pulse,
-        "noiseless": options.noiseless,
-    }
-    if cal is not None:
-        meta["calibration"] = {
-            "qubit": {"amplitude": cal.qubit.amplitude, "plateau": cal.qubit.plateau,
-                      "carrier": cal.qubit.carrier, "pi_time": cal.qubit.pi_time,
-                      "freq_offset": cal.qubit.freq_offset,
-                      "transfer": cal.qubit.transfer},
-            "bsb": {"amplitude": cal.bsb.amplitude, "plateau": cal.bsb.plateau,
-                    "carrier": cal.bsb.carrier, "pi_time": cal.bsb.pi_time,
-                    "freq_offset": cal.bsb.freq_offset,
-                    "transfer": cal.bsb.transfer},
-        }
-    meta.update(extra)
-    return meta
 
 
 # ---------------------------------------------------------------------------
@@ -284,10 +258,8 @@ def fock_decay_experiment(p: DeviceParams, delays=None,
     cal = get_calibration(p, options)
     pgs = _delay_sweep(p, 0.0, delays, options, cal)
     fit = analysis.fit_exponential(delays, pgs)
-    return ExperimentRecord(
-        kind="fock-decay", sweep_variable="delay_us", observable="p_g",
-        xs=delays, ys=pgs, fits={"T1_s": fit},
-        meta=_base_meta(p, options, cal, expected_t1_s=t1_expected))
+    return ExperimentRecord(sweep_variable="delay_us", observable="p_g",
+                            xs=delays, ys=pgs, fits={"T1_s": fit})
 
 
 def memory_ramsey_experiment(p: DeviceParams, delays=None, detuning=0.35,
@@ -318,32 +290,22 @@ def memory_ramsey_experiment(p: DeviceParams, delays=None, detuning=0.35,
         for d in delays]
     pgs = _delay_sweep(p, math.pi / 2.0, delays, options, cal, analysis_pulses)
     fit = analysis.fit_decaying_cosine(delays, pgs)
-    return ExperimentRecord(
-        kind="memory-ramsey", sweep_variable="delay_us", observable="p_g",
-        xs=delays, ys=pgs, fits={"T2_s": fit},
-        meta=_base_meta(p, options, cal, detuning_mhz=detuning))
+    return ExperimentRecord(sweep_variable="delay_us", observable="p_g",
+                            xs=delays, ys=pgs, fits={"T2_s": fit})
 
 
-def prep_angle_sweep(p: DeviceParams, angles=None, delays=(0.25,),
+def prep_angle_sweep(p: DeviceParams, angles=None, delay=0.25,
                      options: ProtocolOptions | None = None):
-    """Retrieved p_g versus preparation angle at fixed delays (Rabi pattern)."""
+    """Retrieved p_g versus preparation angle at a fixed delay (Rabi
+    pattern)."""
     options = options or ProtocolOptions()
     if angles is None:
         angles = np.linspace(0.0, 2.0 * math.pi, 13)
     angles = np.asarray(angles, dtype=float)
     cal = get_calibration(p, options)
-    columns = {}
-    for d in delays:
-        pgs = np.array([run_memory_protocol(p, a, d, options, cal)
-                        for a in angles])
-        columns[f"p_g_delay_{d:g}us"] = pgs
-    first = next(iter(columns.values()))
-    rec = ExperimentRecord(
-        kind="memory-protocol", sweep_variable="prep_angle_rad",
-        observable="p_g", xs=angles, ys=first,
-        columns={k: v for k, v in list(columns.items())[1:]},
-        meta=_base_meta(p, options, cal, delays_us=list(delays)))
-    return rec
+    pgs = [run_memory_protocol(p, a, delay, options, cal) for a in angles]
+    return ExperimentRecord(sweep_variable="prep_angle_rad", observable="p_g",
+                            xs=angles, ys=pgs)
 
 
 def mode_ringdown_experiment(p: DeviceParams, mode="readout",
@@ -373,7 +335,8 @@ def mode_ringdown_experiment(p: DeviceParams, mode="readout",
     seg = PulseSegment(channel, amp, carrier, plateau=drive_len, start=0.0,
                        label="displace")
     model, driven = simulate_sequence(p, PulseSequence((seg,)), options)
-    low = model.lowering_op(slot)
+    low = qsys.tensor_embed(qsys.annihilation(options.dims.dim_of(slot)),
+                            slot, options.dims)
     n_op = low.conj().T @ low
 
     span = 2.5 * (2.0 / kappa)
@@ -387,12 +350,9 @@ def mode_ringdown_experiment(p: DeviceParams, mode="readout",
     fit_amp = analysis.fit_exponential(t, amp_abs)
     fit_n = analysis.fit_exponential(t, n_vals)
     return ExperimentRecord(
-        kind="ringdown", sweep_variable="t_us", observable="field_amplitude",
-        xs=t, ys=amp_abs, columns={"n": n_vals},
-        fits={"amplitude_decay": fit_amp, "energy_decay": fit_n},
-        meta=_base_meta(p, options, mode=mode,
-                        expected_amp_decay_us=2.0 / kappa,
-                        expected_energy_decay_us=1.0 / kappa))
+        sweep_variable="t_us", observable="field_amplitude", xs=t, ys=amp_abs,
+        columns={"n": n_vals},
+        fits={"amplitude_decay": fit_amp, "energy_decay": fit_n})
 
 
 # ---------------------------------------------------------------------------
@@ -453,14 +413,9 @@ def z_fidelity_sweep(p: DeviceParams, working_points=None,
     fits = {}
     if fit:
         fits["leakage"] = analysis.fit_leakage(t_ps, f_corr)
-    return ExperimentRecord(
-        kind="zfidelity-sweep", sweep_variable="t_p_us", observable="f_z",
-        xs=t_ps, ys=f_z, columns={"f_z_corr": f_corr}, fits=fits,
-        meta=_base_meta(p, options,
-                        working_points=[
-                            {"bsb_amplitude": wp.bsb_amplitude,
-                             "qubit_pi_multiplier": wp.qubit_pi_multiplier}
-                            for wp in working_points]))
+    return ExperimentRecord(sweep_variable="t_p_us", observable="f_z",
+                            xs=t_ps, ys=f_z, columns={"f_z_corr": f_corr},
+                            fits=fits)
 
 
 # ---------------------------------------------------------------------------
@@ -500,8 +455,9 @@ def qpt_experiment(p: DeviceParams, options: ProtocolOptions | None = None):
 
     With options.shots set, each output is reconstructed from binomially
     sampled Pauli expectations (normalized, seeded by options.seed and the
-    input).  The Z fidelity's p_g is the exact ground population of the |g>
-    input's output, so the zero-delay protocol runs once per input.
+    input's index in tomography.INPUT_STATES).  The Z fidelity's p_g is the
+    exact ground population of the |g> input's output, so the zero-delay
+    protocol runs once per input.
     """
     options = options or ProtocolOptions()
     cal = get_calibration(p, options)
@@ -510,12 +466,13 @@ def qpt_experiment(p: DeviceParams, options: ProtocolOptions | None = None):
 
     def channel(rho_in):
         block = exact(rho_in)
-        if rho_in is tomography.INPUT_STATES[0]:     # |g><g|
+        k = next(i for i, rho in enumerate(tomography.INPUT_STATES)
+                 if rho is rho_in)
+        if k == 0:                                   # |g><g|
             p_g.append(float(np.real(block[0, 0])))
         if options.shots is None:
             return block
-        rng = np.random.default_rng(
-            (options.seed, int(1e6 * abs(rho_in[0, 0].real))))
+        rng = np.random.default_rng((options.seed, k))
         rho_n = block / np.trace(block)
         out = {}
         for name, op in (("X", tomography.PAULI_X), ("Y", tomography.PAULI_Y),
@@ -538,5 +495,4 @@ def qpt_experiment(p: DeviceParams, options: ProtocolOptions | None = None):
         "f_z": f_z,
         "f_z_corr": f_z_corr,
         "t_p_us": t_p,
-        "meta": _base_meta(p, options, cal),
     }

@@ -192,7 +192,6 @@ class CalibrationResult:
     nominal carrier (dressing plus any residual drive-induced shift).
     """
 
-    channel: str
     amplitude: float
     plateau: float
     carrier: float
@@ -392,7 +391,7 @@ def calibrate_pi_pulse(params: DeviceParams, dims, channel, amplitude, *,
             "(drive too weak against the decoherence-free dynamics)"
         )
     return CalibrationResult(
-        channel=channel, amplitude=amplitude, plateau=plateau, carrier=carrier,
+        amplitude=amplitude, plateau=plateau, carrier=carrier,
         freq_offset=carrier - nominal, transfer=transfer,
         pi_time=plateau + ramp_eq, rise=rise,
     )

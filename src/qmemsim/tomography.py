@@ -49,10 +49,9 @@ def state_tomography(measure):
 
 @dataclass
 class ChiMatrix:
-    """Process matrix in the Pauli basis, plus the raw (unprojected) form."""
+    """Process matrix in the Pauli basis."""
 
     entries: np.ndarray
-    raw: np.ndarray = None
 
     HERM_TOL = 1e-10
     TRACE_TOL = 1e-8
@@ -62,8 +61,6 @@ class ChiMatrix:
         self.entries = np.asarray(self.entries, dtype=complex)
         if self.entries.shape != (4, 4):
             raise DimensionError("chi matrix must be 4x4")
-        if self.raw is None:
-            self.raw = self.entries.copy()
 
     def validate(self):
         if np.max(np.abs(self.entries - self.entries.conj().T)) > self.HERM_TOL:
@@ -121,8 +118,7 @@ def process_tomography(channel):
         chi_vec = np.linalg.solve(a_mat, b_vec)
     except np.linalg.LinAlgError as exc:
         raise ParameterError(f"chi reconstruction is singular: {exc}") from exc
-    raw = chi_vec.reshape(4, 4)
-    return ChiMatrix(_physicality_projection(raw), raw=raw)
+    return ChiMatrix(_physicality_projection(chi_vec.reshape(4, 4)))
 
 
 def chi_from_kraus(kraus_ops):

@@ -13,11 +13,4 @@ TWO_PI = 2.0 * math.pi
 GHZ = TWO_PI * 1e3
 MHZ = TWO_PI
 KHZ = TWO_PI * 1e-3
-HZ = TWO_PI * 1e-9
-
-# time -> us
-US = 1.0
-NS = 1e-3
-MS = 1e3
-S = 1e6
 

@@ -91,8 +91,7 @@ def test_criterion_07_superposition_storage():
     assert fid_g >= 0.99 and fid_e >= 0.99
 
     angles = np.linspace(0.0, 2.0 * math.pi, 13)
-    rec = protocol.prep_angle_sweep(P, angles, delays=(0.25,),
-                                    options=noiseless)
+    rec = protocol.prep_angle_sweep(P, angles, delay=0.25, options=noiseless)
     basis = np.column_stack([np.cos(angles), np.sin(angles),
                              np.ones_like(angles)])
     coef, *_ = np.linalg.lstsq(basis, rec.ys, rcond=None)

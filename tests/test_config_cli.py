@@ -1,5 +1,6 @@
 import importlib.resources
 import json
+import math
 import os
 import subprocess
 import sys
@@ -217,6 +218,59 @@ def test_descending_sweep_is_a_usage_error(tmp_path, sample_cfg):
                   "--sweep", "delay=16:3:8", "--out", str(out))
     assert res.returncode == 2
     assert "delay=16:3:8" in res.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("experiment, sweep", [
+    ("fock-decay", "prep_angle=3:16:8"),
+    ("memory-ramsey", "prep_angle=0.25:9:8"),
+    ("bsb-check", "delay=1:3:3"),
+    ("memory-protocol", "bsb_amp_ghz=4:6:3"),
+    ("zfidelity-sweep", "delay=0:1:2"),
+    ("ringdown", "delay=0:1:2"),
+    ("qpt", "delay=0:1:2"),
+    ("fit", "delay=0:1:2"),
+])
+def test_sweep_of_a_variable_the_experiment_does_not_take(
+        tmp_path, sample_cfg, capsys, monkeypatch, experiment, sweep):
+    from qmemsim import cli, protocol
+
+    def simulate(*args, **kwargs):
+        raise AssertionError("simulated before rejecting the sweep")
+
+    for module, name in ((protocol, "get_calibration"),
+                         (protocol, "simulate_sequence"),
+                         (cli, "effective_bsb_check")):
+        monkeypatch.setattr(module, name, simulate)
+    data = tmp_path / "d.csv"
+    data.write_text("x,y\n" + "".join(f"{x},{math.exp(-x / 3.0)!r}\n"
+                                      for x in range(10)))
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", sample_cfg, "--experiment", experiment,
+                     "--sweep", sweep, "--input", str(data),
+                     "--out", str(out)]) == 2
+    assert f"cannot sweep {sweep.split('=')[0]!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text, status, message", [
+    (None, 2, "cannot read --input"),
+    ("y\n" + "".join(f"{y}\n" for y in range(10)), 2, "must hold x,y rows"),
+    ("x,y\n0,1\n", 1, "need >= 5 points"),
+], ids=["missing", "one-column", "one-row"])
+def test_fit_input_errors(tmp_path, sample_cfg, capsys, text, status, message):
+    from qmemsim import cli
+
+    data = tmp_path / "d.csv"
+    if text is not None:
+        data.write_text(text)
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", sample_cfg, "--experiment", "fit",
+                     "--input", str(data), "--out", str(out)]) == status
+    err = capsys.readouterr().err
+    assert message in err
+    if status == 2:         # a usage error names the file
+        assert str(data) in err
     assert not out.exists()
 
 

@@ -1,10 +1,10 @@
-"""Imports of the package: every imported name is used, every qmemsim name
-the demos use exists, importing the CLI loads no scipy, and neither does
-simulating.
+"""Imports of the package: every imported name is used, every dataclass
+field is read somewhere, every qmemsim name the demos use exists, importing
+the CLI loads no scipy, and neither does simulating.
 
-No linter ships with the test environment, so this AST scan stands in for
-the unused-import check.  A name listed in the module's ``__all__`` counts
-as used (re-exports).
+No linter ships with the test environment, so these AST scans stand in for
+the unused-import and unused-field checks.  A name listed in the module's
+``__all__`` counts as used (re-exports).
 """
 
 import ast
@@ -18,8 +18,12 @@ import pytest
 
 import qmemsim
 
+ROOT = pathlib.Path(__file__).parents[1]
 MODULES = sorted(pathlib.Path(qmemsim.__file__).parent.glob("*.py"))
-DEMOS = sorted((pathlib.Path(__file__).parents[1] / "demos").glob("*.py"))
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+# every place that may read a field of the package's dataclasses
+READERS = [path for top in ("src", "tests", "demos", "perfbench")
+           for path in sorted((ROOT / top).rglob("*.py"))]
 
 
 def _imported_names(tree):
@@ -49,6 +53,53 @@ def test_module_uses_every_import(path):
     unused = [f"{name} (line {line})" for name, line in _imported_names(tree)
               if name not in used]
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+def _dataclass_fields(tree):
+    """(class, field, line) for each annotated field of a @dataclass."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef) or not any(
+                getattr(d.func if isinstance(d, ast.Call) else d, "id", None)
+                == "dataclass" for d in node.decorator_list):
+            continue
+        for stmt in node.body:
+            if isinstance(stmt, ast.AnnAssign) \
+                    and isinstance(stmt.target, ast.Name):
+                yield node.name, stmt.target.id, stmt.lineno
+
+
+def _write_only_fields(module, readers):
+    """Dataclass fields of the module tree that no reader tree loads as an
+    attribute (by name: any `x.<field>` read counts)."""
+    loaded = {node.attr for tree in readers for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute)
+              and isinstance(node.ctx, ast.Load)}
+    return [f"{cls}.{name} (line {line})"
+            for cls, name, line in _dataclass_fields(module)
+            if name not in loaded]
+
+
+def test_every_dataclass_field_is_read():
+    # a field that is stored and never read is state nothing uses
+    readers = [ast.parse(path.read_text(), filename=str(path))
+               for path in READERS]
+    unread = [f"{path.name}: {field}" for path in MODULES
+              for field in _write_only_fields(ast.parse(path.read_text()),
+                                              readers)]
+    assert not unread, f"dataclass fields that are never read: {unread}"
+
+
+def test_field_check_flags_write_only_fields():
+    module = ast.parse("from dataclasses import dataclass\n"
+                       "@dataclass(frozen=True)\n"
+                       "class A:\n"
+                       "    read: int\n"
+                       "    stored: int = 0\n"
+                       "    LIMIT = 1\n")
+    user = ast.parse("a = A(1, stored=2)\n"
+                     "a.stored = 3\n"
+                     "print(a.read, A.LIMIT)\n")
+    assert _write_only_fields(module, [module, user]) == ["A.stored (line 5)"]
 
 
 def _import_target(module, name):
