@@ -9,8 +9,9 @@ configuration and seed are byte-identical, and `run --from-manifest
 <manifest.json>` reproduces a previous run.  Physics or fit failures exit
 with status 1, usage errors (unknown experiment, missing config, a sweep
 that does not strictly increase or of a variable the experiment does not
-take, a dt_pulse <= 0, shots or jobs < 1, a fit input that cannot be read)
-with 2, before any simulation.
+take, a dt_pulse <= 0, shots or jobs < 1, a fit input that cannot be read,
+holds no rows or whose x values do not strictly increase) with 2, before
+any simulation.
 """
 
 import argparse
@@ -18,6 +19,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -173,13 +175,20 @@ def run_experiment(p, options, args, sweep):
         if not args.input:
             raise ConfigError("--experiment fit requires --input CSV")
         try:
-            data = np.loadtxt(args.input, delimiter=",", skiprows=1, ndmin=2)
+            with warnings.catch_warnings():
+                # a file without rows is reported below
+                warnings.simplefilter("ignore", UserWarning)
+                data = np.loadtxt(args.input, delimiter=",", skiprows=1,
+                                  ndmin=2)
         except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read --input {args.input!r}: {exc}") \
                 from exc
-        if data.shape[1] < 2:
+        if data.size == 0 or data.shape[1] < 2:
             raise ConfigError(f"--input {args.input!r} must hold x,y rows "
                               "under a header line")
+        if np.any(np.diff(data[:, 0]) <= 0):
+            raise ConfigError(f"--input {args.input!r}: the x values must "
+                              "strictly increase")
         fit = FIT_MODELS[args.fit_model](data[:, 0], data[:, 1])
         return protocol.ExperimentRecord(
             sweep_variable="x", observable="y", xs=data[:, 0], ys=data[:, 1],

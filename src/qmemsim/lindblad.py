@@ -47,29 +47,45 @@ Propagation
 -----------
 Every window uses one form of the generator, a :class:`LiouvilleTable`:
 each operator is split into label-shift classes, so the Liouvillian on
-vec(rho) is a diagonal plus gather rows.  A window in which a drive or
-coupling term is active (``LindbladModel.active_terms``) is integrated by
-:func:`evolve`, classic RK4 at a fixed step (the protocols use
-``dt_pulse``).  A window with no active term has a constant generator and
-is propagated exactly by :meth:`StaticPropagator.propagate`,
-rho(t) = exp(L t) rho(0), whatever its length: the storage delays, the gaps
-between pulses and the cavity ringdowns' free decay, block by block on the
-decoupled blocks of the static rows.  Both use numpy alone and return the
-states at the steps + 1 equally spaced times of the window, the initial
-state first.  In the ``bare`` frame the exchange couplings are
-always-active terms, so every window there is integrated.
-Noiseless kets, such as the calibration probes, step as one batch by
-:func:`evolve_kets`, with the ket form of the table and the same RK4 step.
+vec(rho) is a diagonal plus gather rows.  A window whose generator is
+constant is propagated exactly, rho(t1) = exp(L (t1 - t0)) rho(t0), on the
+decoupled blocks of its rows (Moler & Van Loan scaling and squaring), in
+numpy alone and whatever its length:
 
-RK4 steps only the reached support (:meth:`LiouvilleTable.restricted`):
-the elements the window's table can reach from the entering state's
-nonzero elements.  The others have a zero derivative from zero sources and
-stay exactly zero.  Drives and collapse operators shift label differences
-by fixed classes, and the default protocol never drives the readout, so
-from |g,0,0> its sideband-store window steps 37 of the 900 elements of rho
-at dims (3, 5, 2), the qubit pi windows 171 and the sideband-retrieve
-window 215; a probe ket steps a few of its 30 amplitudes.  A state with
-full support, or the ``lab`` frame's dense drift, reaches everything.
+- a window with no active drive or coupling term
+  (``LindbladModel.active_terms``), by :meth:`StaticPropagator.propagate`:
+  the storage delays, the gaps between pulses and the cavity ringdowns'
+  free decay;
+- a window in which every active term is on its plateau, by
+  :func:`propagate_plateau`.  In the frame rho~ = exp(iKt) rho exp(-iKt),
+  with K = kappa . (n_t, n_s, n_r) diagonal and kappa . k = -carrier for
+  each active term's class k (``LindbladModel.carrier_frame``), the
+  envelopes and the carriers are both constant: the sideband and qubit
+  plateaus, and in the ``bare`` frame also the idle windows, whose
+  exchange couplings are always-active terms.
+
+Any other window, the pulse ramps and every driven window of the ``lab``
+frame (its dense drift and its +/- carriers admit no such K), is
+integrated by :func:`evolve`, classic RK4 at a fixed step (the protocols
+use ``dt_pulse``).  ``evolve`` and ``StaticPropagator.propagate`` return
+the states at the steps + 1 equally spaced times of the window, the
+initial state first.  Noiseless kets, such as the calibration probes,
+propagate as one batch: :func:`evolve_kets` steps them with the ket form of
+the table and the same RK4 step, and :func:`propagate_plateau_kets` takes
+their plateaus exactly.
+
+RK4 and the plateaus act only on the reached support
+(:meth:`LiouvilleTable.restricted`): the elements the window's table can
+reach from the entering state's nonzero elements.  The others have a zero
+derivative from zero sources and stay exactly zero.  Drives and collapse
+operators shift label differences by fixed classes, and the default
+protocol never drives the readout, so from |g,0,0> the windows of its
+sideband-store pulse reach 37 of the 900 elements of rho at dims (3, 5, 2),
+those of the qubit pi pulses 171 and those of the sideband-retrieve pulse
+215; on a sideband plateau these split into blocks of at most 37 elements,
+on a qubit plateau of at most 45.  A probe ket reaches a few of its 30
+amplitudes.  A state with full support, or the ``lab`` frame's dense drift,
+reaches everything.
 """
 
 import math
@@ -144,12 +160,18 @@ def class_component(op, labels, dnt, dns, dnr):
     return np.where(keep, op, 0.0)
 
 
-def _split_classes(op, labels, tol=1e-12):
-    """All frequency classes present in op: {(dnt,dns,dnr): component}."""
+def _class_keys(op, labels, tol=1e-12):
+    """The label shifts (dnt,dns,dnr) of op's elements above tol, sorted."""
     nt, ns, nr = labels
     rows, cols = np.nonzero(np.abs(op) > tol)
-    keys = set(zip(nt[rows] - nt[cols], ns[rows] - ns[cols], nr[rows] - nr[cols]))
-    return {key: class_component(op, labels, *key) for key in sorted(keys)}
+    return sorted(set(zip(nt[rows] - nt[cols], ns[rows] - ns[cols],
+                          nr[rows] - nr[cols])))
+
+
+def _split_classes(op, labels, tol=1e-12):
+    """All frequency classes present in op: {(dnt,dns,dnr): component}."""
+    return {key: class_component(op, labels, *key)
+            for key in _class_keys(op, labels, tol)}
 
 
 def _transition_freqs(energies, dims):
@@ -289,6 +311,40 @@ class LindbladModel:
         if w < CARRIER_ZERO_TOL:
             return math.inf
         return TWO_PI / (20.0 * w)
+
+    def carrier_frame(self, t0, t1):
+        """K = kappa . labels, the diagonal of a frame in which the
+        generator of the window (t0, t1) is constant, or None.
+
+        Under rho~ = exp(iK(t - t0)) rho exp(-iK(t - t0)) a term of class k
+        and carrier w becomes c(t0) exp(i(w + kappa . k)(t - t0)) while its
+        envelope is constant, and a static class k becomes
+        exp(i kappa . k (t - t0)).  So each active term must be on its
+        plateau and kappa . k = -w must hold for its class, and
+        kappa . k = 0 for the drift's classes and the differences of each
+        collapse operator's classes.  None when no kappa solves these to
+        rounding, as for the lab frame's dense drift and +/- carriers.
+        """
+        keys, rhs = [], []
+        for term in self.active_terms(t0, t1):
+            seg = term.segment
+            if seg is not None and not (seg.start + seg.ramp <= t0
+                                        and t1 <= seg.end - seg.ramp):
+                return None
+            for key in _class_keys(term.op, self.labels, tol=0.0):
+                keys.append(key)
+                rhs.append(-term.carrier)
+        static = {(0, 0, 0), *_class_keys(self.drift, self.labels, tol=0.0)}
+        for channel in self.channels:
+            own = _class_keys(channel.op, self.labels, tol=0.0)
+            static.update(tuple(np.subtract(k, m)) for k in own for m in own)
+        keys += static
+        rhs += [0.0] * len(static)
+        a, b = np.array(keys, dtype=float), np.array(rhs)
+        kappa = np.linalg.lstsq(a, b, rcond=None)[0]
+        if np.max(np.abs(a @ kappa - b)) > 1e-9 * max(1.0, np.max(np.abs(b))):
+            return None
+        return sum(k * lab for k, lab in zip(kappa, self.labels))
 
 
 def _lowering(dim):
@@ -543,9 +599,9 @@ class LiouvilleTable:
         Every other element has a zero derivative from zero sources, so it
         stays exactly zero, under the exact flow and under RK4 alike.  The
         table keeps lam, weight and gather on idx and the rows that still
-        gather a reached source; every other source points at one slot
-        appended to y, which holds zero.  Each row sum keeps its order and
-        loses only exact zeros.
+        gather a reached source; an entry whose source was not reached
+        gathers its own element with zero weight, as in the full table.
+        Each row sum keeps its order and loses only exact zeros.
         """
         live = self.weight != 0
         reached = (x != 0).reshape(len(x), -1).any(axis=1)
@@ -555,18 +611,18 @@ class LiouvilleTable:
                 break
             reached = grown
         idx = np.flatnonzero(reached)
-        position = np.full(len(x), len(idx))
+        position = np.zeros(len(x), dtype=np.intp)
         position[idx] = np.arange(len(idx))
         gather = self.gather[:, idx]
-        rows = (live[:, idx] & reached[gather]).any(axis=1)
-        pad = np.full((rows.sum(), 1), len(idx))
+        source = live[:, idx] & reached[gather]
+        rows = source.any(axis=1)
+        source = source[rows]
         out = object.__new__(LiouvilleTable)
-        out.lam = np.append(self.lam[idx], 0.0)
-        out.gather = np.hstack((position[gather[rows]], pad))
-        out.weight = np.hstack((self.weight[rows][:, idx], np.zeros(pad.shape)))
+        out.lam = self.lam[idx]
+        out.gather = np.where(source, position[gather[rows]], np.arange(len(idx)))
+        out.weight = np.where(source, self.weight[rows][:, idx], 0.0)
         out.column = self.column[rows[len(rows) - len(self.column):]]
-        y = np.concatenate((x[idx], np.zeros((1,) + x.shape[1:], dtype=x.dtype)))
-        return idx, out, y
+        return idx, out, x[idx]
 
 
 # ---------------------------------------------------------------------------
@@ -662,36 +718,49 @@ def evolve(model: LindbladModel, rho0, t_span, dt, steps=1):
                     f"retry with dt <= {h / 2:.3g} us"
                 )
             if keep:
-                x[idx] = y[:-1]
+                x[idx] = y
                 states.append(QuantumState(x.reshape(d, d).copy(), model.dims))
     return states
 
 
-def evolve_kets(models, spans, psi0, dt):
-    """Propagate the ket psi0 under each noiseless model across its span,
-    by evolve's RK4 step under the ket table -i H(t); returns the final
-    kets as the columns of a (d, B) array.
-
-    The columns step together, each on the grid evolve would give it,
-    n = round(span / dt) steps of span / n, and with h = 0 once those are
-    done, on the amplitudes the ket table can reach from psi0's nonzero
-    ones (LiouvilleTable.restricted); the others stay exactly zero.  Models
-    whose active terms have different operators step as separate batches.
-    The norms are checked at evolve's cadence, and a drift beyond 1e-6
-    raises IntegrationError.  A model with collapse channels raises
-    ParameterError, a dt above its max_step StepSizeError.
-    """
+def _ket_batches(models, spans):
+    """The columns of models whose active terms in their spans have the same
+    operators, as lists: they share one ket table.  A model with collapse
+    channels raises ParameterError."""
     if any(model.channels for model in models):
         raise ParameterError(
             "kets propagate only under a model without collapse channels")
     batches = {}
     for i, (model, (t0, t1)) in enumerate(zip(models, spans)):
-        _check_step(model, t0, t1, dt)
         ops = (term.op.tobytes() for term in model.active_terms(t0, t1))
         batches.setdefault((model.drift.tobytes(), *ops), []).append(i)
+    return batches.values()
 
-    out = np.zeros((len(psi0), len(models)), dtype=complex)
-    for cols in batches.values():
+
+def evolve_kets(models, spans, psi0, dt):
+    """Propagate kets under each noiseless model across its span, by
+    evolve's RK4 step under the ket table -i H(t); returns the final kets as
+    the columns of a (d, B) array.  psi0 is one ket, (d,), entering every
+    span, or one per column, (d, B).
+
+    The columns step together, each on the grid evolve would give it,
+    n = round(span / dt) steps of span / n, and with h = 0 once those are
+    done, on the amplitudes the ket table can reach from the entering kets'
+    nonzero ones (LiouvilleTable.restricted); the others stay exactly zero.
+    Models whose active terms have different operators step as separate
+    batches.  The norms are checked at evolve's cadence, and a drift beyond
+    1e-6 raises IntegrationError.  A model with collapse channels raises
+    ParameterError, a dt above its max_step StepSizeError.
+    """
+    batches = _ket_batches(models, spans)
+    for model, (t0, t1) in zip(models, spans):
+        _check_step(model, t0, t1, dt)
+    psi0 = np.asarray(psi0, dtype=complex)
+    if psi0.ndim == 1:
+        psi0 = np.repeat(psi0[:, None], len(models), axis=1)
+
+    out = np.zeros(psi0.shape, dtype=complex)
+    for cols in batches:
         t0, t1 = np.array([spans[i] for i in cols], dtype=float).T
         n = np.maximum(1, np.round((t1 - t0) / dt).astype(int))
         h = (t1 - t0) / n
@@ -702,9 +771,8 @@ def evolve_kets(models, spans, psi0, dt):
             stage_t = t0[j] + 0.5 * h[j] * np.arange(2 * n[j] + 1)
             for k, term in enumerate(column):
                 coeff[:len(stage_t), k, j] = _coefficient(term, stage_t)
-        x = np.repeat(psi0[:, None].astype(complex), len(cols), axis=1)
         idx, table, x = LiouvilleTable(models[cols[0]], terms[0],
-                                       ket=True).restricted(x)
+                                       ket=True).restricted(psi0[:, cols])
 
         step = np.arange(1, n.max() + 1)[:, None]
         hs = np.where(step <= n, h, 0.0)
@@ -719,12 +787,12 @@ def evolve_kets(models, spans, psi0, dt):
                         f"norm drifted by {drift.max():.3g} at "
                         f"t = {t0[j] + (k + 1) * h[j]:.6g} us; "
                         f"retry with dt <= {h[j] / 2:.3g} us")
-        out[np.ix_(idx, cols)] = x[:-1]
+        out[np.ix_(idx, cols)] = x
     return out
 
 
 # ---------------------------------------------------------------------------
-# exact propagation of static windows
+# exact propagation of static windows and drive plateaus
 # ---------------------------------------------------------------------------
 
 # Taylor order of exp(Y) for ||Y||_1 < 1/2: the remainder is below
@@ -761,6 +829,26 @@ def _static_blocks(table):
     return [np.array(blocks) for _, blocks in sorted(by_size.items())]
 
 
+def _block_generators(table, lam, scale):
+    """(idx, gen) per block size of the table (_static_blocks): gen[b, k]
+    is the generator of block idx[k] in column b of B, with lam (n, B) on
+    its diagonal and the weights of row r times scale[r, b]; every row is
+    taken as static."""
+    out = []
+    for idx in _static_blocks(table):
+        m, n = idx.shape
+        position = np.empty(len(table.lam), dtype=np.intp)
+        position[idx] = np.arange(n)
+        block, row = np.arange(m)[:, None], np.arange(n)[None, :]
+        gen = np.zeros((lam.shape[1], m, n, n), dtype=complex)
+        gen[:, block, row, row] = np.moveaxis(lam[idx], -1, 0)
+        for gather, weight, s in zip(table.gather, table.weight, scale):
+            gen[:, block, row, position[gather[idx]]] += \
+                weight[idx] * s[:, None, None]
+        out.append((idx, gen))
+    return out
+
+
 def _block_expm(gen):
     """exp of each matrix in the stack gen (m, n, n).
 
@@ -784,6 +872,11 @@ def _block_expm(gen):
     return out
 
 
+def _trace_drift(rho):
+    trace = np.trace(rho)
+    return abs(trace.real - 1.0) + abs(trace.imag)
+
+
 class StaticPropagator:
     """Exact propagation of a model across windows with no active term.
 
@@ -802,17 +895,10 @@ class StaticPropagator:
     def __init__(self, model: LindbladModel):
         self.model = model
         table = LiouvilleTable(model)
-        self.blocks = []                  # (index (m, n), generator (m, n, n))
-        for idx in _static_blocks(table):
-            m, n = idx.shape
-            position = np.empty(len(table.lam), dtype=np.intp)
-            position[idx] = np.arange(n)
-            block, row = np.arange(m)[:, None], np.arange(n)[None, :]
-            gen = np.zeros((m, n, n), dtype=complex)
-            gen[block, row, row] = table.lam[idx]
-            for gather, weight in zip(table.gather, table.weight):
-                gen[block, row, position[gather[idx]]] += weight[idx]
-            self.blocks.append((idx, gen))
+        ones = np.ones((len(table.weight), 1))
+        # (index (m, n), generator (m, n, n)) per block size
+        self.blocks = [(idx, gen[0]) for idx, gen in
+                       _block_generators(table, table.lam[:, None], ones)]
 
     def propagate(self, rho0, t_span, steps=1):
         """States at the steps + 1 equally spaced times of t_span, the
@@ -839,13 +925,92 @@ class StaticPropagator:
                 new[idx] = (prop @ vec[idx][:, :, None])[:, :, 0]
             vec = new
             states.append(QuantumState(vec.reshape(dims.total, dims.total), dims))
-        trace = np.trace(states[-1].rho)
-        drift = abs(trace.real - 1.0) + abs(trace.imag)
+        drift = _trace_drift(states[-1].rho)
         if drift > TRACE_DRIFT_TOL:
             raise IntegrationError(
                 f"trace drifted by {drift:.3g} over [{t0:.6g}, {t1:.6g}] us; "
                 "the static generator does not conserve the trace")
         return states
+
+
+def _plateau(table, x, c, shift, tau):
+    """exp(-shift tau) exp(tau (L + shift)) x, column by column: the columns
+    of x (n, B) across tau (B,) under the table's generator L with the
+    constant coefficients c (K, B), in the frame that adds shift (n, B) to
+    lam, then rotated back.  Only x's reached support is propagated
+    (LiouvilleTable.restricted), block by block (_block_generators), with
+    one _block_expm per block size for all columns."""
+    idx, sub, y = table.restricted(x)
+    lam = sub.lam[:, None] + shift[idx]
+    scale = np.ones((len(sub.weight), x.shape[1]), dtype=complex)
+    scale[len(scale) - len(sub.column):] = np.concatenate((c, c.conj()))[sub.column]
+    out = np.zeros_like(x)
+    for blocks, gen in _block_generators(sub, lam, scale):
+        n_col, m, n, _ = gen.shape
+        prop = _block_expm((gen * tau[:, None, None, None]).reshape(-1, n, n))
+        y_blocks = np.moveaxis(y[blocks], -1, 0)[..., None]      # (B, m, n, 1)
+        new = prop.reshape(n_col, m, n, n) @ y_blocks
+        out[idx[blocks]] = np.moveaxis(new[..., 0], 0, -1)
+    out[idx] *= np.exp(-shift[idx] * tau)
+    return out
+
+
+def _plateau_coefficients(terms, t0):
+    return np.array([_coefficient(term, np.array([t0]))[0] for term in terms],
+                    dtype=complex)
+
+
+def propagate_plateau(model: LindbladModel, rho0, t_span, frame):
+    """The state at the end of t_span, a window whose generator is constant
+    in the frame K = frame, from model.carrier_frame(*t_span): exactly.
+
+    The coefficients of the active terms are fixed at their values at t0,
+    i(K_i - K_j) is added to lam, and the window's LiouvilleTable, on the
+    elements rho0 reaches, is exponentiated on its decoupled blocks and
+    rotated back at t1.  Raises IntegrationError if the trace drifts beyond
+    1e-6.
+    """
+    t0, t1 = t_span
+    terms = model.active_terms(t0, t1)
+    d = model.dims.total
+    x = _initial_rho(model, rho0).reshape(-1, 1)
+    c = _plateau_coefficients(terms, t0)[:, None]
+    shift = 1j * (frame[:, None] - frame[None, :]).reshape(-1, 1)
+    x = _plateau(LiouvilleTable(model, terms), x, c, shift,
+                 np.array([t1 - t0]))
+    state = QuantumState(x.reshape(d, d), model.dims)
+    drift = _trace_drift(state.rho)
+    if drift > TRACE_DRIFT_TOL:
+        raise IntegrationError(
+            f"trace drifted by {drift:.3g} over the plateau [{t0:.6g}, "
+            f"{t1:.6g}] us")
+    return state
+
+
+def propagate_plateau_kets(models, spans, psi, frames):
+    """The kets psi (d, B), column j propagated exactly under models[j]
+    across spans[j], a plateau in the frame frames[j] (from carrier_frame),
+    as propagate_plateau does with iK added to the ket table's lam.
+    Columns whose active terms have the same operators share one table and
+    one _block_expm per block size.  A model with collapse channels raises
+    ParameterError, a norm drift beyond 1e-6 IntegrationError."""
+    psi = np.asarray(psi, dtype=complex)
+    out = np.empty_like(psi)
+    for cols in _ket_batches(models, spans):
+        t0, t1 = np.array([spans[i] for i in cols], dtype=float).T
+        terms = [models[i].active_terms(*spans[i]) for i in cols]
+        c = np.array([_plateau_coefficients(column, t)
+                      for column, t in zip(terms, t0)]).reshape(len(cols), -1).T
+        shift = 1j * np.array([frames[i] for i in cols]).T
+        table = LiouvilleTable(models[cols[0]], terms[0], ket=True)
+        out[:, cols] = _plateau(table, psi[:, cols], c, shift, t1 - t0)
+        drift = np.abs(np.sum(np.abs(out[:, cols]) ** 2, axis=0) - 1.0)
+        if drift.max() > TRACE_DRIFT_TOL:
+            j = np.argmax(drift)
+            raise IntegrationError(
+                f"norm drifted by {drift[j]:.3g} over the plateau "
+                f"[{t0[j]:.6g}, {t1[j]:.6g}] us")
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from . import analysis, qsys, tomography
 from .device import DeviceParams
 from .errors import ParameterError
 from .lindblad import (StaticPropagator, build_model, dressed_frequencies,
-                       evolve)
+                       evolve, propagate_plateau)
 from .pulses import (PulseSegment, PulseSequence, ProtocolCalibration,
                      QUBIT_CHANNEL, READOUT_CHANNEL, STORAGE_CHANNEL,
                      build_memory_sequence, calibrate_pi_pulse)
@@ -80,14 +80,20 @@ def get_calibration(p: DeviceParams, options: ProtocolOptions):
 def simulate_sequence(p: DeviceParams, seq: PulseSequence,
                       options: ProtocolOptions, rho0=None, start=0.0,
                       upto=None):
-    """Run a pulse sequence piecewise between its segment edges.
+    """Run a pulse sequence piecewise between its segment edges and the
+    edges of their plateaus.
 
-    A window with an active drive term (``model.active_terms``) is
-    integrated by RK4 at the fixed step options.dt_pulse; any other window
-    is propagated exactly by one StaticPropagator, built the first time the
-    run meets such a window.  Starts from rho0 at time start, by default
-    the ground product state at 0, and stops at upto, by default the
-    readout marker; the windows after start are those of the whole run.
+    A window with no active term (``model.active_terms``) is propagated
+    exactly by one StaticPropagator, built the first time the run meets
+    such a window.  A window whose active terms are all on their plateaus,
+    in a frame that rotates with their carriers (``model.carrier_frame``),
+    is propagated exactly by propagate_plateau: the sideband and qubit
+    plateaus in the dispersive frame, and in the bare frame also the idle
+    windows with their always-on couplings.  Any other window, the pulse
+    ramps and every driven window of the lab frame, is integrated by RK4 at
+    the fixed step options.dt_pulse.  Starts from rho0 at time start, by
+    default the ground product state at 0, and stops at upto, by default
+    the readout marker; the windows after start are those of the whole run.
     Returns (model, final QuantumState).
     """
     model = build_model(p, options.dims, seq, frame=options.frame,
@@ -99,20 +105,22 @@ def simulate_sequence(p: DeviceParams, seq: PulseSequence,
     events = {start, t_end}
     for s in seq.segments:
         if s.start < t_end:
-            events.add(s.start)
-            events.add(min(s.end, t_end))
+            events.update(min(e, t_end) for e in
+                          (s.start, s.start + s.ramp, s.end - s.ramp, s.end))
     events = sorted(e for e in events if e >= start)
 
     static = None
     for t0, t1 in zip(events, events[1:]):
         if t1 - t0 < 1e-12:
             continue
-        if model.active_terms(t0, t1):
+        if not model.active_terms(t0, t1):
+            if static is None:
+                static = StaticPropagator(model)
+            state = static.propagate(state, (t0, t1))[-1]
+        elif (frame := model.carrier_frame(t0, t1)) is not None:
+            state = propagate_plateau(model, state, (t0, t1), frame)
+        else:
             state = evolve(model, state, (t0, t1), options.dt_pulse)[-1]
-            continue
-        if static is None:
-            static = StaticPropagator(model)
-        state = static.propagate(state, (t0, t1))[-1]
     return model, state
 
 

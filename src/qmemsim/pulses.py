@@ -279,15 +279,30 @@ def build_memory_sequence(p: DeviceParams, prep_angle, storage_delay, cal,
 
 def _probe_transfers(params, dims, segments, frame, dt, initial, target):
     """Noiseless transfer probabilities of trial segments, one per segment,
-    propagated together as one batch of kets (lindblad.evolve_kets); the
-    probes' models share one frame, built once."""
-    from .lindblad import build_model, evolve_kets
+    propagated together as one batch of kets; the probes' models share one
+    frame, built once.
+
+    The ramps step by RK4 (lindblad.evolve_kets) and the plateaus, where
+    each probe's generator is constant in a frame rotating with its
+    carriers, propagate exactly (lindblad.propagate_plateau_kets).  In the
+    lab frame no such frame exists, and each whole probe steps by RK4.
+    """
+    from .lindblad import build_model, evolve_kets, propagate_plateau_kets
 
     base = build_model(params, dims, frame=frame, noiseless=True)
     models = [base.with_sequence(PulseSequence((seg,))) for seg in segments]
-    psi0 = np.eye(dims.total)[dims.index(*initial)]
-    psi = evolve_kets(models, [(seg.start, seg.end) for seg in segments],
-                      psi0, dt)
+    psi = np.eye(dims.total)[dims.index(*initial)]
+    plateaus = [(seg.start + seg.ramp, seg.end - seg.ramp) for seg in segments]
+    frames = [model.carrier_frame(*span) for model, span in zip(models, plateaus)]
+    if any(f is None for f in frames):
+        psi = evolve_kets(models, [(seg.start, seg.end) for seg in segments],
+                          psi, dt)
+    else:
+        psi = evolve_kets(models, [(seg.start, t0) for seg, (t0, _)
+                                   in zip(segments, plateaus)], psi, dt)
+        psi = propagate_plateau_kets(models, plateaus, psi, frames)
+        psi = evolve_kets(models, [(t1, seg.end) for seg, (_, t1)
+                                   in zip(segments, plateaus)], psi, dt)
     return np.abs(psi[dims.index(*target)]) ** 2
 
 
@@ -313,8 +328,9 @@ def calibrate_pi_pulse(params: DeviceParams, dims, channel, amplitude, *,
     channel, |g0> -> |e1> for the sideband) in a noiseless simulation.
     Deterministic: fixed scan grids plus parabolic refinement.  Each of the
     five stages (9 and 5 carriers, 9 and 5 plateaus, the final pulse)
-    propagates its trial pulses as one batch of kets (_probe_transfers),
-    at a fixed step of 1e-4 us for the qubit and 5e-4 us for the sideband.
+    propagates its trial pulses as one batch of kets (_probe_transfers):
+    their ramps by RK4 at a fixed step of 1e-4 us for the qubit and 5e-4 us
+    for the sideband, and their plateaus exactly.
 
     Returns a CalibrationResult whose freq_offset is the found carrier minus
     the nominal one (bare qubit frequency, or half the nominal sideband
@@ -354,7 +370,8 @@ def calibrate_pi_pulse(params: DeviceParams, dims, channel, amplitude, *,
         )
 
     # the sideband probe dynamics is MHz-scale (two-photon term only), so a
-    # coarser fixed step resolves it; qubit probes keep the fine default
+    # coarser fixed step resolves its ramps; qubit probes keep the fine
+    # default
     probe_dt = 5e-4 if channel == "bsb" else 1e-4
 
     def probe(plateau, carrier):

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -257,7 +258,10 @@ def test_sweep_of_a_variable_the_experiment_does_not_take(
     (None, 2, "cannot read --input"),
     ("y\n" + "".join(f"{y}\n" for y in range(10)), 2, "must hold x,y rows"),
     ("x,y\n0,1\n", 1, "need >= 5 points"),
-], ids=["missing", "one-column", "one-row"])
+    ("x,y\n", 2, "must hold x,y rows"),
+    ("x,y\n" + "".join(f"{5 - k},{k + 1}\n" for k in range(6)), 2,
+     "x values must strictly increase"),
+], ids=["missing", "one-column", "one-row", "header-only", "decreasing-x"])
 def test_fit_input_errors(tmp_path, sample_cfg, capsys, text, status, message):
     from qmemsim import cli
 
@@ -265,8 +269,11 @@ def test_fit_input_errors(tmp_path, sample_cfg, capsys, text, status, message):
     if text is not None:
         data.write_text(text)
     out = tmp_path / "out"
-    assert cli.main(["run", "--config", sample_cfg, "--experiment", "fit",
-                     "--input", str(data), "--out", str(out)]) == status
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(["run", "--config", sample_cfg, "--experiment", "fit",
+                         "--input", str(data), "--out", str(out)]) == status
+    assert not caught
     err = capsys.readouterr().err
     assert message in err
     if status == 2:         # a usage error names the file

@@ -493,10 +493,12 @@ def test_restricted_stepping_matches_full_space_rk4():
 
 def test_default_protocol_windows_step_their_reached_elements(monkeypatch):
     # from |g,0,0> the readout stays in vacuum, and the drives and collapse
-    # operators shift label differences by fixed classes: the driven windows
-    # of the default protocol reach 37, 171, 171 and 215 of the 900 elements,
-    # and the sideband-store window reaches 37 from the tomography input
-    # |e><e| and 34 from its coherence |g><e|
+    # operators shift label differences by fixed classes: the ramp-up,
+    # plateau and ramp-down windows of the default protocol's segments
+    # reach 37, 171, 171 and 215 of the 900 elements, and the
+    # sideband-store window reaches 37 from the tomography input |e><e| and
+    # 34 from its coherence |g><e|.  Only the ramps step RK4, 250 steps of
+    # 1e-4 us each.
     p, options = DeviceParams(), ProtocolOptions()
     dims = options.dims
     cal = protocol.get_calibration(p, options)
@@ -509,14 +511,104 @@ def test_default_protocol_windows_step_their_reached_elements(monkeypatch):
         rho[dims.index(i, 0, 0), dims.index(j, 0, 0)] = 1.0
         assert len(table.restricted(rho.reshape(-1))[0]) == size
 
-    sizes = []
-    restricted = LiouvilleTable.restricted
+    sizes, steps = [], []
+    restricted, rk4_step = LiouvilleTable.restricted, lindblad._rk4_step
 
     def record(table, x):
         out = restricted(table, x)
         sizes.append(len(out[0]))
         return out
 
+    def count(*args):
+        steps.append(None)
+        return rk4_step(*args)
+
     monkeypatch.setattr(LiouvilleTable, "restricted", record)
+    monkeypatch.setattr(lindblad, "_rk4_step", count)
     protocol.run_memory_protocol(p, 0.0, 0.0, options, cal)
-    assert sizes == [37, 171, 171, 215]
+    assert sizes == [37] * 3 + [171] * 6 + [215] * 3
+    ramps = [2 * round(s.ramp / options.dt_pulse) for s in seq.segments]
+    assert ramps == [500] * 4
+    assert len(steps) == sum(ramps)
+
+
+# ---------------------------------------------------------------------------
+# drive plateaus propagate exactly in a frame rotating with their carriers
+# ---------------------------------------------------------------------------
+
+def test_noisy_sideband_plateau_matches_fine_rk4():
+    # ramps at a fine step and the plateau exact, against RK4 at that step
+    # across the whole pulse
+    p, dims, dt = DeviceParams(), SubsystemDims(), 2.5e-5
+    seg = PulseSegment(QUBIT_CHANNEL, TWO_PI * 5.1e3,
+                       lindblad.two_photon_resonance(p, dims), plateau=0.02)
+    options = ProtocolOptions(dims=dims, dt_pulse=dt)
+    model, exact = protocol.simulate_sequence(p, PulseSequence((seg,)), options)
+    assert model.carrier_frame(seg.start + seg.ramp, seg.end - seg.ramp) \
+        is not None
+    rk4 = evolve(model, model.basis_state(), (seg.start, seg.end), dt)[-1]
+    assert abs(rk4.rho[dims.index(1, 1, 0), dims.index(1, 1, 0)]) > 0.05
+    assert np.max(np.abs(exact.rho - rk4.rho)) <= 1e-12
+
+
+def test_plateau_propagation_matches_rk4_in_every_frame():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=20, deadline=None)
+    @hypothesis.given(st.data())
+    def check(data):
+        m, seg = draw_driven_model(data, plateau=0.001, rise=0.002)
+        span = (seg.start + seg.ramp, seg.end - seg.ramp)
+        frame = m.carrier_frame(*span)
+        assert (frame is None) == (m.frame == "lab")
+        if frame is None:
+            return
+        d = m.dims.total
+        k = data.draw(st.integers(0, d - 1))
+        j = (k + data.draw(st.integers(1, d - 1))) % d
+        rho = np.zeros((d, d), dtype=complex)
+        rho[k, k], rho[k, j] = 1.0, 0.5
+        exact = lindblad.propagate_plateau(m, rho, span, frame).rho
+        # RK4 at dt and dt / 2: their gap bounds the error of the finer one
+        rate = np.abs(m.drift).sum(axis=1).max() + seg.amplitude + 2e3
+        dt = min(m.max_step(*span), 0.05 / rate)
+        coarse = evolve(m, rho, span, dt)[-1].rho
+        fine = evolve(m, rho, span, dt / 2)[-1].rho
+        bound = 2.0 * np.max(np.abs(coarse - fine)) / 15.0 + 1e-12
+        assert np.max(np.abs(exact - fine)) <= bound
+
+    check()
+
+
+def test_lab_plateaus_step_rk4_and_bare_plateaus_do_not(monkeypatch):
+    # the lab frame keeps both carriers +/- w_c of one class, and its dense
+    # drift, so no rotating frame makes its plateau constant; in the bare
+    # frame the drive and the always-on couplings admit one at the device
+    # parameters, and every window between the ramps, the idle ones too, is
+    # exact
+    spans = []
+
+    def record(model, rho0, t_span, dt):
+        spans.append(t_span)
+        return evolve(model, rho0, t_span, dt)
+
+    monkeypatch.setattr(protocol, "evolve", record)
+    for frame, p in (("lab", SLOW_PARAMS), ("bare", DeviceParams())):
+        seq = PulseSequence(tuple(
+            PulseSegment(QUBIT_CHANNEL, TWO_PI * 2.0, p.angular().w_q,
+                         plateau=0.02, rise=0.01, start=start)
+            for start in (0.0, 0.1)), readout_time=0.15)
+        ramps = [(s.start, s.start + s.ramp) for s in seq.segments] \
+            + [(s.end - s.ramp, s.end) for s in seq.segments]
+        plateaus = [(s.start + s.ramp, s.end - s.ramp) for s in seq.segments]
+        options = ProtocolOptions(dims=SubsystemDims(2, 2, 1), frame=frame,
+                                  dt_pulse=1e-5)
+        spans.clear()
+        model, _ = protocol.simulate_sequence(p, seq, options)
+        if frame == "lab":
+            assert model.carrier_frame(*plateaus[0]) is None
+            assert spans == sorted(ramps + plateaus)
+        else:
+            assert model.carrier_frame(0.05, 0.1) is not None
+            assert spans == sorted(ramps)

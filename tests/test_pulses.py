@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from qmemsim import pulses
+from qmemsim import pulses, qsys
 from qmemsim.device import DeviceParams, bsb_effective_rate
 from qmemsim.errors import (CalibrationError, IntegrationError, ParameterError,
                             StepSizeError)
-from qmemsim.lindblad import (build_model, dressed_frequencies, evolve,
-                              evolve_kets, two_photon_resonance)
+from qmemsim.lindblad import (build_model, dressed_frequencies, evolve_kets,
+                              two_photon_resonance)
+from qmemsim.protocol import ProtocolOptions, simulate_sequence
 from qmemsim.pulses import (PulseSegment, PulseSequence, ProtocolCalibration,
                             QUBIT_CHANNEL, build_memory_sequence,
                             calibrate_pi_pulse)
@@ -203,11 +204,13 @@ G, E1 = (0, 0, 0), (1, 1, 0)
 
 
 def rho_transfer(p, dims, segment, frame, dt, initial, target):
-    """The probe's transfer from a density-matrix evolve of its segment."""
-    model = build_model(p, dims, PulseSequence((segment,)), frame=frame,
-                        noiseless=True)
-    state = evolve(model, model.basis_state(*initial),
-                   (segment.start, segment.end), dt)[-1]
+    """The probe's transfer from a density matrix run through the same
+    windows as the probe's ket, by simulate_sequence: RK4 ramps at dt and
+    an exact plateau."""
+    options = ProtocolOptions(dims=dims, frame=frame, dt_pulse=dt,
+                              noiseless=True)
+    _, state = simulate_sequence(p, PulseSequence((segment,)), options,
+                                 rho0=qsys.basis_state(dims, *initial))
     i = dims.index(*target)
     return state.rho[i, i].real
 
@@ -236,6 +239,52 @@ def test_ket_probes_match_density_matrix_evolution():
     ref = rho_transfer(p, dims, segment, "bare", dt, G, (1, 0, 0))
     assert ref > 0.1
     assert got[0] == pytest.approx(ref, rel=0, abs=1e-9)
+
+
+def test_exact_probe_plateaus_match_fine_rk4():
+    # ramps at a fine step and the plateau exact, against RK4 at that step
+    # across the whole probe: a qubit and a sideband probe in the dispersive
+    # frame, and a qubit probe in the bare frame with its always-on
+    # couplings, at 1/32 of its step bound (at half of it, RK4 is
+    # 1.5e-9 off on the plateau)
+    p, dims, small = DeviceParams(), SubsystemDims(), SubsystemDims(3, 2, 1)
+    cases = [
+        (dims, "dispersive", (1, 0, 0), 2.5e-5,
+         PulseSegment(QUBIT_CHANNEL, TWO_PI * 20.0,
+                      dressed_frequencies(p, dims)[0], plateau=0.002)),
+        (dims, "dispersive", E1, 2.5e-5,
+         PulseSegment(QUBIT_CHANNEL, TWO_PI * 5.1e3,
+                      two_photon_resonance(p, dims), plateau=0.1)),
+        (small, "bare", (1, 0, 0), None,
+         PulseSegment(QUBIT_CHANNEL, TWO_PI * 20.0, p.angular().w_q,
+                      plateau=0.005, rise=0.001)),
+    ]
+    for dims, frame, target, dt, segment in cases:
+        model = build_model(p, dims, PulseSequence((segment,)), frame=frame,
+                            noiseless=True)
+        plateau = (segment.start + segment.ramp, segment.end - segment.ramp)
+        assert model.carrier_frame(*plateau) is not None
+        dt = dt or model.max_step() / 32.0
+        got = pulses._probe_transfers(p, dims, [segment], frame, dt, G, target)
+        psi = evolve_kets([model], [(segment.start, segment.end)],
+                          np.eye(dims.total)[dims.index(*G)], dt)
+        want = abs(psi[dims.index(*target), 0]) ** 2
+        assert want > 0.1
+        assert abs(got[0] - want) <= 1e-12
+
+    # the lab frame admits no such frame: its probes step RK4 throughout
+    p = DeviceParams(omega_ro=0.021, omega_s=0.034, omega_q=0.027, alpha=-3.0,
+                     g=0.4, chi_ro=0.1, chi_s=0.1, kappa_ro=0.05,
+                     kappa_s=0.02, t1_q=40.0, t2_q=60.0, p_e=0.0)
+    dims = SubsystemDims(2, 2, 1)
+    segment = PulseSegment(QUBIT_CHANNEL, TWO_PI * 2.0, p.angular().w_q,
+                           plateau=0.05, rise=0.01)
+    model = build_model(p, dims, PulseSequence((segment,)), frame="lab",
+                        noiseless=True)
+    got = pulses._probe_transfers(p, dims, [segment], "lab", 1e-4, G, (1, 0, 0))
+    psi = evolve_kets([model], [(segment.start, segment.end)],
+                      np.eye(dims.total)[dims.index(*G)], 1e-4)
+    assert got[0] == abs(psi[dims.index(1, 0, 0), 0]) ** 2 > 0.01
 
 
 def test_ket_batch_columns_are_independent():
