@@ -47,34 +47,30 @@ Propagation
 -----------
 Every window uses one form of the generator, a :class:`LiouvilleTable`:
 each operator is split into label-shift classes, so the Liouvillian on
-vec(rho) is a diagonal plus gather rows.  A window whose generator is
-constant is propagated exactly, rho(t1) = exp(L (t1 - t0)) rho(t0), on the
-decoupled blocks of its rows (Moler & Van Loan scaling and squaring), in
-numpy alone and whatever its length:
+vec(rho) is a diagonal plus gather rows.  One runner, :func:`propagate`,
+takes B columns, each a vec(rho) or a ket under its own model, across a
+list of windows, and routes each column in each window:
 
-- a window with no active drive or coupling term
-  (``LindbladModel.active_terms``), by :meth:`StaticPropagator.propagate`:
-  the storage delays, the gaps between pulses and the cavity ringdowns'
-  free decay;
-- a window in which every active term is on its plateau, by
-  :func:`propagate_plateau`.  In the frame rho~ = exp(iKt) rho exp(-iKt),
-  with K = kappa . (n_t, n_s, n_r) diagonal and kappa . k = -carrier for
-  each active term's class k (``LindbladModel.carrier_frame``), the
-  envelopes and the carriers are both constant: the sideband and qubit
-  plateaus, and in the ``bare`` frame also the idle windows, whose
-  exchange couplings are always-active terms.
+- exactly, where the generator is constant in the frame
+  rho~ = exp(iKt) rho exp(-iKt), with K = kappa . (n_t, n_s, n_r) diagonal
+  and kappa . k = -carrier for each active term's class k
+  (``LindbladModel.carrier_frame``): rho(t1) = exp(L~ (t1 - t0)) rho~(t0)
+  on the decoupled blocks of the table's rows (Moler & Van Loan scaling
+  and squaring), in numpy alone and whatever the window's length.  A window
+  with no active drive or coupling term has K = 0: the storage delays, the
+  gaps between pulses and the free decays.  Otherwise these are the
+  sideband and qubit plateaus, and in the ``bare`` frame also the idle
+  windows, whose exchange couplings are always-active terms;
+- by classic RK4 at a fixed step otherwise: the pulse ramps, and every
+  driven window of the ``lab`` frame (its dense drift and its +/- carriers
+  admit no such K).
 
-Any other window, the pulse ramps and every driven window of the ``lab``
-frame (its dense drift and its +/- carriers admit no such K), is
-integrated by :func:`evolve`, classic RK4 at a fixed step (the protocols
-use ``dt_pulse``).  ``evolve`` and ``StaticPropagator.propagate`` return
-the states at the steps + 1 equally spaced times of the window, the
-initial state first.  Noiseless kets, such as the calibration probes,
-propagate as one batch: :func:`evolve_kets` steps them with the ket form of
-the table and the same RK4 step, and :func:`propagate_plateau_kets` takes
-their plateaus exactly.
+Columns on the same route under the same term operators share one table,
+built once per call.  :func:`evolve` is the RK4 reference: one state,
+stepped by the same core and returned at the steps + 1 equally spaced
+times of its window.
 
-RK4 and the plateaus act only on the reached support
+Both routes act only on the reached support
 (:meth:`LiouvilleTable.restricted`): the elements the window's table can
 reach from the entering state's nonzero elements.  The others have a zero
 derivative from zero sources and stay exactly zero.  Drives and collapse
@@ -626,16 +622,13 @@ class LiouvilleTable:
 
 
 # ---------------------------------------------------------------------------
-# fixed-step RK4 master-equation integrator
+# the window runner: exact windows and fixed-step RK4
 # ---------------------------------------------------------------------------
 
-def _initial_rho(model, rho0):
-    rho = (rho0.rho if isinstance(rho0, QuantumState) else np.asarray(rho0)) \
-        .astype(complex).copy()
-    d = model.dims.total
-    if rho.shape != (d, d):
-        raise DimensionError(f"rho0 shape {rho.shape} does not match dim {d}")
-    return rho
+def _check_dt(dt):
+    if not 0.0 < dt < math.inf:
+        raise ParameterError(
+            f"dt must be a positive finite number of us, got {dt!r}")
 
 
 def _check_step(model, t0, t1, dt):
@@ -654,6 +647,19 @@ def _coefficient(term, t):
     return coeff
 
 
+def _coefficients(terms, t):
+    """(len(t), K): the coefficients of terms[k] at the times t in column k."""
+    return np.array([_coefficient(term, t) for term in terms],
+                    dtype=complex).reshape(len(terms), len(t)).T
+
+
+def _invariant(x, diag):
+    """Per column of x (m, B): the sum of its rows diag (indices or a
+    mask), a trace, or with diag None its squared norm."""
+    return np.sum(np.abs(x) ** 2, axis=0) if diag is None \
+        else np.sum(x[diag], axis=0)
+
+
 def _rk4_step(table, x, h, c):
     """One classic RK4 step of dx/dt = table.apply(x, c), in place, with c
     at the step's start, midpoint and end; h may hold one step per column."""
@@ -664,6 +670,36 @@ def _rk4_step(table, x, h, c):
     x += (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
 
 
+def _rk4(table, y, h, coeff, due, diag, t0, samples=0):
+    """Classic RK4 steps of dy/dt = table.apply(y, c(t)), in place: step k
+    advances by h[k], with coeff[2k:2k + 3] the coefficients at its start,
+    midpoint and end.  y is one column, (m,), with numbers h[k], or B
+    columns, (m, B), with one step per column (h = 0 once a column's steps
+    are done).  After each step k where due[k] holds, each column's
+    invariant (`_invariant` with diag) is checked against its entering
+    value, and a drift beyond 1e-6 raises IntegrationError; t0 (one per
+    column) only dates it.  Returns copies of y after every
+    len(h) // samples steps, none for samples = 0."""
+    cols = y.reshape(len(y), -1)
+    start = _invariant(cols, diag)
+    kept = []
+    for k, check in enumerate(due.tolist()):
+        _rk4_step(table, y, h[k], coeff[2 * k:2 * k + 3])
+        if check:
+            drift = np.abs(_invariant(cols, diag) - start)
+            if drift.max() > TRACE_DRIFT_TOL:
+                j = np.argmax(drift)
+                hj = np.broadcast_to(h[k], drift.shape)[j]
+                t = np.broadcast_to(t0, drift.shape)[j] + (k + 1) * hj
+                raise IntegrationError(
+                    f"{'norm' if diag is None else 'trace'} drifted by "
+                    f"{drift[j]:.3g} at t = {t:.6g} us; "
+                    f"retry with dt <= {hj / 2:.3g} us")
+        if samples and (k + 1) % (len(h) // samples) == 0:
+            kept.append(y.copy())
+    return kept
+
+
 def evolve(model: LindbladModel, rho0, t_span, dt, steps=1):
     """Integrate d rho/dt = -i[H(t), rho] + sum_k D[c_k] rho with classic RK4.
 
@@ -671,129 +707,70 @@ def evolve(model: LindbladModel, rho0, t_span, dt, steps=1):
     active in the window on, restricted to the elements it can reach from
     the nonzero elements of rho0 (LiouvilleTable.restricted); the others
     stay exactly zero, as under the exact flow.  Returns the states at the
-    steps + 1 equally spaced times of t_span, the initial state first, as
-    StaticPropagator.propagate does.  dt is adjusted so that a whole number
-    of fixed steps spans each sub-interval.  The trace is checked every
-    max(1, n // 200) of the n steps and at every returned state; a drift
-    beyond 1e-6 raises IntegrationError suggesting a smaller step.
+    steps + 1 equally spaced times of t_span, the initial state first.  dt
+    is adjusted so that a whole number of fixed steps spans each
+    sub-interval.  Steps by propagate's RK4 core (`_rk4`), checking the
+    trace against rho0's every max(1, n // 200) of the n steps and at every
+    returned state; a drift beyond 1e-6 raises IntegrationError suggesting a
+    smaller step.  A dt that is not a positive finite number, or steps < 1,
+    raises ParameterError.
     """
     t0, t1 = t_span
     if t1 < t0:
         raise ParameterError("t_span must be increasing")
+    _check_dt(dt)
+    if steps < 1:
+        raise ParameterError(f"steps must be >= 1, got {steps!r}")
     _check_step(model, t0, t1, dt)
 
     d = model.dims.total
-    x = _initial_rho(model, rho0).reshape(-1)
-
+    rho = rho0.rho if isinstance(rho0, QuantumState) else np.asarray(rho0)
+    if rho.shape != (d, d):
+        raise DimensionError(f"rho0 shape {rho.shape} does not match dim {d}")
+    x = rho.astype(complex).reshape(-1)
     per_sample = max(1, int(round((t1 - t0) / steps / dt)))
-    n_steps = steps * per_sample
-    h = (t1 - t0) / n_steps
-    check_every = max(1, n_steps // 200)
-
-    # stage times: grid points and midpoints
-    stage_t = t0 + 0.5 * h * np.arange(2 * n_steps + 1)
-
-    terms, coeffs = [], []
-    for term in model.active_terms(t0, t1):
-        coeff = _coefficient(term, stage_t)
-        if np.max(np.abs(coeff)) == 0.0:
-            continue
-        terms.append(term)
-        coeffs.append(coeff)
+    n = steps * per_sample
+    h = (t1 - t0) / n
+    terms = model.active_terms(t0, t1)
+    coeff = _coefficients(terms, t0 + 0.5 * h * np.arange(2 * n + 1))
     idx, table, y = LiouvilleTable(model, terms).restricted(x)
-    on_diagonal = np.flatnonzero(idx % (d + 1) == 0)
-    coeff = np.stack(coeffs, axis=1) if coeffs else np.empty((len(stage_t), 0))
+    step = np.arange(1, n + 1)
+    due = (step % per_sample == 0) | (step % max(1, n // 200) == 0)
 
-    states = [QuantumState(x.reshape(d, d).copy(), model.dims)]
-    for k in range(n_steps):
-        _rk4_step(table, y, h, coeff[2 * k:2 * k + 3])
-        keep = (k + 1) % per_sample == 0
-        if keep or (k + 1) % check_every == 0:
-            trace = np.sum(y[on_diagonal])
-            drift = abs(trace.real - 1.0) + abs(trace.imag)
-            if drift > TRACE_DRIFT_TOL:
-                t = t0 + (k + 1) * h
-                raise IntegrationError(
-                    f"trace drifted by {drift:.3g} at t = {t:.6g} us; "
-                    f"retry with dt <= {h / 2:.3g} us"
-                )
-            if keep:
-                x[idx] = y
-                states.append(QuantumState(x.reshape(d, d).copy(), model.dims))
-    return states
+    states = [x.copy()]
+    for sample in _rk4(table, y, np.full(n, h), coeff, due,
+                       np.flatnonzero(idx % (d + 1) == 0), t0, samples=steps):
+        x[idx] = sample
+        states.append(x.copy())
+    return [QuantumState(s.reshape(d, d), model.dims) for s in states]
 
 
-def _ket_batches(models, spans):
-    """The columns of models whose active terms in their spans have the same
-    operators, as lists: they share one ket table.  A model with collapse
-    channels raises ParameterError."""
-    if any(model.channels for model in models):
-        raise ParameterError(
-            "kets propagate only under a model without collapse channels")
-    batches = {}
-    for i, (model, (t0, t1)) in enumerate(zip(models, spans)):
-        ops = (term.op.tobytes() for term in model.active_terms(t0, t1))
-        batches.setdefault((model.drift.tobytes(), *ops), []).append(i)
-    return batches.values()
+def _stepped(table, x, terms, t0, t1, dt, diag):
+    """The columns of x (n, B) propagated by RK4 from t0 to t1 (B,) under
+    the table, column j with the coefficients of terms[j]: n = round((t1 -
+    t0) / dt) steps, at least one, of (t1 - t0) / n each, one grid per
+    column.  The invariants are checked wherever a column reaches a
+    multiple of max(1, n // 200) steps or its last (`_rk4`); diag masks the
+    diagonal of vec(rho), None for kets."""
+    n = np.maximum(1, np.round((t1 - t0) / dt).astype(int))
+    h = (t1 - t0) / n
+    coeff = np.zeros((2 * n.max() + 1, len(terms[0]), len(n)), dtype=complex)
+    for j, column in enumerate(terms):
+        stage_t = t0[j] + 0.5 * h[j] * np.arange(2 * n[j] + 1)
+        coeff[:len(stage_t), :, j] = _coefficients(column, stage_t)
+    step = np.arange(1, n.max() + 1)[:, None]
+    due = (step <= n) & ((step % np.maximum(1, n // 200) == 0) | (step == n))
+    due, h = due.any(axis=1), np.where(step <= n, h, 0.0)
 
-
-def evolve_kets(models, spans, psi0, dt):
-    """Propagate kets under each noiseless model across its span, by
-    evolve's RK4 step under the ket table -i H(t); returns the final kets as
-    the columns of a (d, B) array.  psi0 is one ket, (d,), entering every
-    span, or one per column, (d, B).
-
-    The columns step together, each on the grid evolve would give it,
-    n = round(span / dt) steps of span / n, and with h = 0 once those are
-    done, on the amplitudes the ket table can reach from the entering kets'
-    nonzero ones (LiouvilleTable.restricted); the others stay exactly zero.
-    Models whose active terms have different operators step as separate
-    batches.  The norms are checked at evolve's cadence, and a drift beyond
-    1e-6 raises IntegrationError.  A model with collapse channels raises
-    ParameterError, a dt above its max_step StepSizeError.
-    """
-    batches = _ket_batches(models, spans)
-    for model, (t0, t1) in zip(models, spans):
-        _check_step(model, t0, t1, dt)
-    psi0 = np.asarray(psi0, dtype=complex)
-    if psi0.ndim == 1:
-        psi0 = np.repeat(psi0[:, None], len(models), axis=1)
-
-    out = np.zeros(psi0.shape, dtype=complex)
-    for cols in batches:
-        t0, t1 = np.array([spans[i] for i in cols], dtype=float).T
-        n = np.maximum(1, np.round((t1 - t0) / dt).astype(int))
-        h = (t1 - t0) / n
-        terms = [models[i].active_terms(a, b) for i, a, b in zip(cols, t0, t1)]
-        coeff = np.zeros((2 * n.max() + 1, len(terms[0]), len(cols)),
-                         dtype=complex)
-        for j, column in enumerate(terms):
-            stage_t = t0[j] + 0.5 * h[j] * np.arange(2 * n[j] + 1)
-            for k, term in enumerate(column):
-                coeff[:len(stage_t), k, j] = _coefficient(term, stage_t)
-        idx, table, x = LiouvilleTable(models[cols[0]], terms[0],
-                                       ket=True).restricted(psi0[:, cols])
-
-        step = np.arange(1, n.max() + 1)[:, None]
-        hs = np.where(step <= n, h, 0.0)
-        due = (step <= n) & ((step % np.maximum(1, n // 200) == 0) | (step == n))
-        for k in range(len(step)):
-            _rk4_step(table, x, hs[k], coeff[2 * k:2 * k + 3])
-            if due[k].any():
-                drift = np.abs(np.sum(np.abs(x[:, due[k]]) ** 2, axis=0) - 1.0)
-                if drift.max() > TRACE_DRIFT_TOL:
-                    j = np.flatnonzero(due[k])[np.argmax(drift)]
-                    raise IntegrationError(
-                        f"norm drifted by {drift.max():.3g} at "
-                        f"t = {t0[j] + (k + 1) * h[j]:.6g} us; "
-                        f"retry with dt <= {h[j] / 2:.3g} us")
-        out[np.ix_(idx, cols)] = x
+    idx, table, y = table.restricted(x)
+    diag = None if diag is None else np.flatnonzero(diag[idx])
+    if len(n) == 1:     # a vector steps faster than an (m, 1) block
+        y, h, coeff = y[:, 0], h[:, 0], coeff[..., 0]
+    _rk4(table, y, h, coeff, due, diag, t0)
+    out = np.zeros_like(x)
+    out[idx] = y.reshape(len(idx), -1)
     return out
 
-
-# ---------------------------------------------------------------------------
-# exact propagation of static windows and drive plateaus
-# ---------------------------------------------------------------------------
 
 # Taylor order of exp(Y) for ||Y||_1 < 1/2: the remainder is below
 # 2 * 0.5**17 / 17! < 1e-19, under the float64 rounding of the sum
@@ -872,74 +849,21 @@ def _block_expm(gen):
     return out
 
 
-def _trace_drift(rho):
-    trace = np.trace(rho)
-    return abs(trace.real - 1.0) + abs(trace.imag)
-
-
-class StaticPropagator:
-    """Exact propagation of a model across windows with no active term.
-
-    With no drive term active, the Liouvillian L is constant and
-    rho(t0 + t) = exp(L t) rho(t0) holds exactly; L is the model's
-    LiouvilleTable with no term on.  It splits into decoupled blocks
-    (`_static_blocks`), so the code holds in any frame.  In the dispersive
-    frame the drift and every c^dag c are diagonal and each collapse
-    operator shifts the labels by one fixed class, so the blocks are the
-    label differences of (i, j): 135 blocks at the default dims (3, 5, 2),
-    the largest (the populations) of 30 elements.  Each block's generator
-    is read off the table's rows, and same-size blocks are exponentiated
-    as one batch.
-    """
-
-    def __init__(self, model: LindbladModel):
-        self.model = model
-        table = LiouvilleTable(model)
-        ones = np.ones((len(table.weight), 1))
-        # (index (m, n), generator (m, n, n)) per block size
-        self.blocks = [(idx, gen[0]) for idx, gen in
-                       _block_generators(table, table.lam[:, None], ones)]
-
-    def propagate(self, rho0, t_span, steps=1):
-        """States at the steps + 1 equally spaced times of t_span, the
-        initial state first; one propagator serves every sub-interval.
-
-        Raises ParameterError if a drive term is active in the window and
-        IntegrationError if the trace drifts beyond 1e-6.
-        """
-        t0, t1 = t_span
-        if t1 < t0:
-            raise ParameterError("t_span must be increasing")
-        if self.model.active_terms(t0, t1):
-            raise ParameterError(
-                f"drive terms are active in [{t0:.6g}, {t1:.6g}] us; "
-                "only a static window propagates exactly")
-        dims = self.model.dims
-        vec = _initial_rho(self.model, rho0).reshape(-1)
-        step = [(idx, _block_expm(gen * ((t1 - t0) / steps)))
-                for idx, gen in self.blocks]
-        states = [QuantumState(vec.reshape(dims.total, dims.total), dims)]
-        for _ in range(steps):
-            new = np.empty_like(vec)
-            for idx, prop in step:
-                new[idx] = (prop @ vec[idx][:, :, None])[:, :, 0]
-            vec = new
-            states.append(QuantumState(vec.reshape(dims.total, dims.total), dims))
-        drift = _trace_drift(states[-1].rho)
-        if drift > TRACE_DRIFT_TOL:
-            raise IntegrationError(
-                f"trace drifted by {drift:.3g} over [{t0:.6g}, {t1:.6g}] us; "
-                "the static generator does not conserve the trace")
-        return states
-
-
-def _plateau(table, x, c, shift, tau):
-    """exp(-shift tau) exp(tau (L + shift)) x, column by column: the columns
-    of x (n, B) across tau (B,) under the table's generator L with the
-    constant coefficients c (K, B), in the frame that adds shift (n, B) to
-    lam, then rotated back.  Only x's reached support is propagated
-    (LiouvilleTable.restricted), block by block (_block_generators), with
-    one _block_expm per block size for all columns."""
+def _exact(table, x, terms, frames, t0, t1, diag):
+    """The columns of x (n, B) propagated exactly from t0 to t1 (B,) under
+    the table, column j with the coefficients of terms[j] fixed at t0[j] in
+    the frame K = frames[j] (`LindbladModel.carrier_frame`):
+    exp(-S tau) exp(tau (L + S)) x, with S = i(K_a - K_b) on vec(rho), or iK
+    on a ket (diag None), added to lam.  Only x's reached support is
+    propagated (LiouvilleTable.restricted), block by block
+    (_block_generators), with one _block_expm per block size for all
+    columns.  A column whose invariant (`_invariant` with diag) drifts
+    beyond 1e-6 raises IntegrationError."""
+    tau = t1 - t0
+    c = np.array([_coefficients(column, np.array([t]))[0]
+                  for column, t in zip(terms, t0)]).T
+    shift = 1j * np.array([k if diag is None else (k[:, None] - k[None, :])
+                           .ravel() for k in frames]).T
     idx, sub, y = table.restricted(x)
     lam = sub.lam[:, None] + shift[idx]
     scale = np.ones((len(sub.weight), x.shape[1]), dtype=complex)
@@ -952,65 +876,76 @@ def _plateau(table, x, c, shift, tau):
         new = prop.reshape(n_col, m, n, n) @ y_blocks
         out[idx[blocks]] = np.moveaxis(new[..., 0], 0, -1)
     out[idx] *= np.exp(-shift[idx] * tau)
-    return out
-
-
-def _plateau_coefficients(terms, t0):
-    return np.array([_coefficient(term, np.array([t0]))[0] for term in terms],
-                    dtype=complex)
-
-
-def propagate_plateau(model: LindbladModel, rho0, t_span, frame):
-    """The state at the end of t_span, a window whose generator is constant
-    in the frame K = frame, from model.carrier_frame(*t_span): exactly.
-
-    The coefficients of the active terms are fixed at their values at t0,
-    i(K_i - K_j) is added to lam, and the window's LiouvilleTable, on the
-    elements rho0 reaches, is exponentiated on its decoupled blocks and
-    rotated back at t1.  Raises IntegrationError if the trace drifts beyond
-    1e-6.
-    """
-    t0, t1 = t_span
-    terms = model.active_terms(t0, t1)
-    d = model.dims.total
-    x = _initial_rho(model, rho0).reshape(-1, 1)
-    c = _plateau_coefficients(terms, t0)[:, None]
-    shift = 1j * (frame[:, None] - frame[None, :]).reshape(-1, 1)
-    x = _plateau(LiouvilleTable(model, terms), x, c, shift,
-                 np.array([t1 - t0]))
-    state = QuantumState(x.reshape(d, d), model.dims)
-    drift = _trace_drift(state.rho)
-    if drift > TRACE_DRIFT_TOL:
+    drift = np.abs(_invariant(out, diag) - _invariant(x, diag))
+    j = np.argmax(drift)
+    if drift[j] > TRACE_DRIFT_TOL:
         raise IntegrationError(
-            f"trace drifted by {drift:.3g} over the plateau [{t0:.6g}, "
-            f"{t1:.6g}] us")
-    return state
-
-
-def propagate_plateau_kets(models, spans, psi, frames):
-    """The kets psi (d, B), column j propagated exactly under models[j]
-    across spans[j], a plateau in the frame frames[j] (from carrier_frame),
-    as propagate_plateau does with iK added to the ket table's lam.
-    Columns whose active terms have the same operators share one table and
-    one _block_expm per block size.  A model with collapse channels raises
-    ParameterError, a norm drift beyond 1e-6 IntegrationError."""
-    psi = np.asarray(psi, dtype=complex)
-    out = np.empty_like(psi)
-    for cols in _ket_batches(models, spans):
-        t0, t1 = np.array([spans[i] for i in cols], dtype=float).T
-        terms = [models[i].active_terms(*spans[i]) for i in cols]
-        c = np.array([_plateau_coefficients(column, t)
-                      for column, t in zip(terms, t0)]).reshape(len(cols), -1).T
-        shift = 1j * np.array([frames[i] for i in cols]).T
-        table = LiouvilleTable(models[cols[0]], terms[0], ket=True)
-        out[:, cols] = _plateau(table, psi[:, cols], c, shift, t1 - t0)
-        drift = np.abs(np.sum(np.abs(out[:, cols]) ** 2, axis=0) - 1.0)
-        if drift.max() > TRACE_DRIFT_TOL:
-            j = np.argmax(drift)
-            raise IntegrationError(
-                f"norm drifted by {drift[j]:.3g} over the plateau "
-                f"[{t0[j]:.6g}, {t1[j]:.6g}] us")
+            f"{'norm' if diag is None else 'trace'} drifted by "
+            f"{drift[j]:.3g} over [{t0[j]:.6g}, {t1[j]:.6g}] us; the "
+            "generator of the window does not conserve it")
     return out
+
+
+def propagate(models, x, windows, dt):
+    """The columns of x propagated across the windows in turn, as a new
+    (n, B) array.
+
+    Column j of x is a row-major vec(rho) (n = d * d) or a ket (n = d)
+    under models[j]; kets need models without collapse channels.  windows
+    holds (t0, t1) pairs, each time a number or one per column.  In each
+    window a column propagates exactly (`_exact`) where
+    ``models[j].carrier_frame(t0, t1)`` gives a frame, K = 0 with no active
+    term, and by RK4 at dt otherwise (`_stepped`), where a dt above the
+    window's ``max_step`` raises StepSizeError; see the module docstring.
+
+    Columns on the same route under the same term operators propagate
+    together, under one LiouvilleTable built once per call.  Each column's
+    trace (rho) or squared norm (ket) is checked against its entering value,
+    and a drift beyond 1e-6 raises IntegrationError.  A dt that is not a
+    positive finite number raises ParameterError, as does a window with
+    t1 < t0.
+    """
+    _check_dt(dt)
+    x = np.array(x, dtype=complex)
+    d = models[0].dims.total
+    ket = len(x) == d
+    if not ket and len(x) != d * d:
+        raise DimensionError(f"columns of length {len(x)} are neither kets "
+                             f"nor vec(rho) of dimension {d}")
+    if ket and any(model.channels for model in models):
+        raise ParameterError(
+            "kets propagate only under a model without collapse channels")
+    diag = None if ket else np.eye(d, dtype=bool).ravel()
+    # what a column's table depends on besides its terms
+    bases = [(model.drift.tobytes(), *((c.rate, c.op.tobytes())
+                                       for c in model.channels))
+             for model in models]
+    tables = {}
+    for t0, t1 in windows:
+        t0, t1 = (np.broadcast_to(np.asarray(t, dtype=float), x.shape[1:])
+                  for t in (t0, t1))
+        if np.any(t1 < t0):
+            raise ParameterError("windows must have t1 >= t0")
+        routes = {}
+        for j, model in enumerate(models):
+            terms = model.active_terms(t0[j], t1[j])
+            frame = model.carrier_frame(t0[j], t1[j])
+            key = (bases[j], *(term.op.tobytes() for term in terms))
+            routes.setdefault((frame is None, key), []).append(
+                (j, terms, frame))
+        for (stepped, key), members in routes.items():
+            cols, terms, frames = (list(v) for v in zip(*members))
+            if key not in tables:
+                tables[key] = LiouvilleTable(models[cols[0]], terms[0], ket=ket)
+            if stepped:
+                for j in cols:
+                    _check_step(models[j], t0[j], t1[j], dt)
+                x[:, cols] = _stepped(tables[key], x[:, cols], terms,
+                                      t0[cols], t1[cols], dt, diag)
+            else:
+                x[:, cols] = _exact(tables[key], x[:, cols], terms, frames,
+                                    t0[cols], t1[cols], diag)
+    return x
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,7 @@ import numpy as np
 from . import analysis, qsys, tomography
 from .device import DeviceParams
 from .errors import ParameterError
-from .lindblad import (StaticPropagator, build_model, dressed_frequencies,
-                       evolve, propagate_plateau)
+from .lindblad import build_model, dressed_frequencies, propagate
 from .pulses import (PulseSegment, PulseSequence, ProtocolCalibration,
                      QUBIT_CHANNEL, READOUT_CHANNEL, STORAGE_CHANNEL,
                      build_memory_sequence, calibrate_pi_pulse)
@@ -81,25 +80,21 @@ def simulate_sequence(p: DeviceParams, seq: PulseSequence,
                       options: ProtocolOptions, rho0=None, start=0.0,
                       upto=None):
     """Run a pulse sequence piecewise between its segment edges and the
-    edges of their plateaus.
+    edges of their plateaus, as one column of lindblad.propagate.
 
-    A window with no active term (``model.active_terms``) is propagated
-    exactly by one StaticPropagator, built the first time the run meets
-    such a window.  A window whose active terms are all on their plateaus,
-    in a frame that rotates with their carriers (``model.carrier_frame``),
-    is propagated exactly by propagate_plateau: the sideband and qubit
-    plateaus in the dispersive frame, and in the bare frame also the idle
-    windows with their always-on couplings.  Any other window, the pulse
-    ramps and every driven window of the lab frame, is integrated by RK4 at
-    the fixed step options.dt_pulse.  Starts from rho0 at time start, by
-    default the ground product state at 0, and stops at upto, by default
-    the readout marker; the windows after start are those of the whole run.
-    Returns (model, final QuantumState).
+    There, each window whose generator is constant in a frame rotating with
+    its carriers propagates exactly: the idle windows, and the sideband and
+    qubit plateaus.  The others, the pulse ramps and every driven window of
+    the lab frame, step RK4 at options.dt_pulse.  Starts from rho0 at time
+    start, by default the ground product state at 0, and stops at upto, by
+    default the readout marker; the windows after start are those of the
+    whole run.  Returns (model, final QuantumState).
     """
     model = build_model(p, options.dims, seq, frame=options.frame,
                         noiseless=options.noiseless,
                         storage_t_phi=options.storage_t_phi)
     state = rho0 if rho0 is not None else qsys.basis_state(options.dims)
+    rho = np.asarray(state.rho if isinstance(state, QuantumState) else state)
     t_end = upto if upto is not None else (seq.readout_time or seq.end)
 
     events = {start, t_end}
@@ -108,20 +103,10 @@ def simulate_sequence(p: DeviceParams, seq: PulseSequence,
             events.update(min(e, t_end) for e in
                           (s.start, s.start + s.ramp, s.end - s.ramp, s.end))
     events = sorted(e for e in events if e >= start)
-
-    static = None
-    for t0, t1 in zip(events, events[1:]):
-        if t1 - t0 < 1e-12:
-            continue
-        if not model.active_terms(t0, t1):
-            if static is None:
-                static = StaticPropagator(model)
-            state = static.propagate(state, (t0, t1))[-1]
-        elif (frame := model.carrier_frame(t0, t1)) is not None:
-            state = propagate_plateau(model, state, (t0, t1), frame)
-        else:
-            state = evolve(model, state, (t0, t1), options.dt_pulse)[-1]
-    return model, state
+    windows = [(t0, t1) for t0, t1 in zip(events, events[1:])
+               if t1 - t0 >= 1e-12]
+    x = propagate([model], rho.reshape(-1, 1), windows, options.dt_pulse)
+    return model, QuantumState(x.reshape(rho.shape), options.dims)
 
 
 def ground_population(model, state):
@@ -321,9 +306,11 @@ def mode_ringdown_experiment(p: DeviceParams, mode="readout",
     """Displace a cavity mode to a coherent amplitude near 0.45, switch the
     drive off and fit the free decay.
 
-    The free decay is propagated exactly and sampled at 121 equally spaced
-    times over 5/kappa.  Reports the field-amplitude decay time (2/kappa)
-    and the energy decay time (1/kappa).
+    The free decay is sampled at 121 equally spaced times t_k over
+    5/kappa: lindblad.propagate takes 121 copies of the driven state,
+    column k exactly across (t_end, t_end + t_k).  Reports the
+    field-amplitude decay time (2/kappa) and the energy decay time
+    (1/kappa).
     """
     options = options or ProtocolOptions()
     a = p.angular()
@@ -347,13 +334,13 @@ def mode_ringdown_experiment(p: DeviceParams, mode="readout",
                             slot, options.dims)
     n_op = low.conj().T @ low
 
-    span = 2.5 * (2.0 / kappa)
-    steps = 120
-    states = StaticPropagator(model).propagate(
-        driven, (seg.end, seg.end + span), steps=steps)
-    t = np.linspace(0.0, span, steps + 1)
-    amp_abs = np.array([abs(np.trace(s.rho @ low)) for s in states])
-    n_vals = np.array([np.trace(s.rho @ n_op).real for s in states])
+    t = np.linspace(0.0, 2.5 * (2.0 / kappa), 121)
+    x = propagate([model] * len(t), np.repeat(driven.rho.reshape(-1, 1),
+                                              len(t), axis=1),
+                  [(seg.end, seg.end + t)], options.dt_pulse)
+    rhos = x.T.reshape((len(t),) + driven.rho.shape)
+    amp_abs = np.abs(np.trace(rhos @ low, axis1=1, axis2=2))
+    n_vals = np.trace(rhos @ n_op, axis1=1, axis2=2).real
 
     fit_amp = analysis.fit_exponential(t, amp_abs)
     fit_n = analysis.fit_exponential(t, n_vals)

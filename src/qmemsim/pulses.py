@@ -279,30 +279,24 @@ def build_memory_sequence(p: DeviceParams, prep_angle, storage_delay, cal,
 
 def _probe_transfers(params, dims, segments, frame, dt, initial, target):
     """Noiseless transfer probabilities of trial segments, one per segment,
-    propagated together as one batch of kets; the probes' models share one
-    frame, built once.
+    propagated together as the ket columns of one lindblad.propagate call
+    across each probe's ramp-up, plateau and ramp-down; the probes' models
+    share one frame, built once.
 
-    The ramps step by RK4 (lindblad.evolve_kets) and the plateaus, where
-    each probe's generator is constant in a frame rotating with its
-    carriers, propagate exactly (lindblad.propagate_plateau_kets).  In the
-    lab frame no such frame exists, and each whole probe steps by RK4.
+    The ramps step by RK4 at dt, and the plateaus, where each probe's
+    generator is constant in a frame rotating with its carriers, propagate
+    exactly.  In the lab frame no such frame exists, and the plateaus step
+    RK4 too.
     """
-    from .lindblad import build_model, evolve_kets, propagate_plateau_kets
+    from .lindblad import build_model, propagate
 
     base = build_model(params, dims, frame=frame, noiseless=True)
     models = [base.with_sequence(PulseSequence((seg,))) for seg in segments]
-    psi = np.eye(dims.total)[dims.index(*initial)]
-    plateaus = [(seg.start + seg.ramp, seg.end - seg.ramp) for seg in segments]
-    frames = [model.carrier_frame(*span) for model, span in zip(models, plateaus)]
-    if any(f is None for f in frames):
-        psi = evolve_kets(models, [(seg.start, seg.end) for seg in segments],
-                          psi, dt)
-    else:
-        psi = evolve_kets(models, [(seg.start, t0) for seg, (t0, _)
-                                   in zip(segments, plateaus)], psi, dt)
-        psi = propagate_plateau_kets(models, plateaus, psi, frames)
-        psi = evolve_kets(models, [(t1, seg.end) for seg, (_, t1)
-                                   in zip(segments, plateaus)], psi, dt)
+    psi = np.zeros((dims.total, len(segments)), dtype=complex)
+    psi[dims.index(*initial)] = 1.0
+    edges = np.array([(s.start, s.start + s.ramp, s.end - s.ramp, s.end)
+                      for s in segments]).T
+    psi = propagate(models, psi, list(zip(edges, edges[1:])), dt)
     return np.abs(psi[dims.index(*target)]) ** 2
 
 
@@ -328,9 +322,10 @@ def calibrate_pi_pulse(params: DeviceParams, dims, channel, amplitude, *,
     channel, |g0> -> |e1> for the sideband) in a noiseless simulation.
     Deterministic: fixed scan grids plus parabolic refinement.  Each of the
     five stages (9 and 5 carriers, 9 and 5 plateaus, the final pulse)
-    propagates its trial pulses as one batch of kets (_probe_transfers):
-    their ramps by RK4 at a fixed step of 1e-4 us for the qubit and 5e-4 us
-    for the sideband, and their plateaus exactly.
+    propagates its trial pulses as the ket columns of one
+    lindblad.propagate call (_probe_transfers): their ramps by RK4 at a
+    fixed step of 1e-4 us for the qubit and 5e-4 us for the sideband, and
+    their plateaus exactly.
 
     Returns a CalibrationResult whose freq_offset is the found carrier minus
     the nominal one (bare qubit frequency, or half the nominal sideband

@@ -1,6 +1,7 @@
 """Imports of the package: every imported name is used, every dataclass
 field is read somewhere, every qmemsim name the demos use exists, importing
-the CLI loads no scipy, and neither does simulating.
+the CLI loads no scipy, and neither does simulating.  One module routes the
+propagation windows.
 
 No linter ships with the test environment, so these AST scans stand in for
 the unused-import and unused-field checks.  A name listed in the module's
@@ -188,17 +189,55 @@ def test_simulation_path_loads_no_scipy():
     code = """
 import sys
 from qmemsim.device import DeviceParams
-from qmemsim.lindblad import StaticPropagator, build_model, evolve
+import numpy as np
+from qmemsim.lindblad import build_model, evolve, propagate
 from qmemsim.pulses import QUBIT_CHANNEL, PulseSegment, PulseSequence
 from qmemsim.qsys import SubsystemDims
 p = DeviceParams()
 seg = PulseSegment(QUBIT_CHANNEL, 100.0, p.angular().w_q, plateau=0.01)
 m = build_model(p, SubsystemDims(2, 2, 1), PulseSequence((seg,)))
 state = evolve(m, m.basis_state(), (0.0, seg.end), 1e-4)[-1]
-StaticPropagator(m).propagate(state, (seg.end, seg.end + 1.0))
+propagate([m], state.rho.reshape(-1, 1), [(seg.end, seg.end + 1.0)], 1e-4)
+kets = build_model(p, SubsystemDims(2, 2, 1), PulseSequence((seg,)),
+                   noiseless=True)
+edges = (0.0, seg.ramp, seg.end - seg.ramp, seg.end)
+propagate([kets] * 2, np.eye(4)[:, :2], list(zip(edges, edges[1:])), 1e-4)
 print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))
 """
     res = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "[]"
+
+
+ROUTING = ("carrier_frame", "active_terms")
+
+
+def _routing_calls(tree):
+    """(name, line) of each call of a routing method in the module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) \
+                else getattr(func, "id", None)
+            if name in ROUTING:
+                yield name, node.lineno
+
+
+def test_only_lindblad_routes_windows():
+    # lindblad.propagate decides each window's route; a second module that
+    # asks carrier_frame or active_terms is a second runner in the making
+    calls = [f"{path.name}: {name} (line {line})" for path in MODULES
+             if path.name != "lindblad.py"
+             for name, line in _routing_calls(ast.parse(path.read_text()))]
+    assert not calls, f"routing outside lindblad.py: {calls}"
+
+
+def test_routing_check_flags_calls():
+    tree = ast.parse("frame = model.carrier_frame(t0, t1)\n"
+                     "if not active_terms(t0, t1):\n"
+                     "    pass\n"
+                     "model.carrier_frame\n"
+                     "max_step(t0, t1)\n")
+    assert list(_routing_calls(tree)) == [("carrier_frame", 1),
+                                          ("active_terms", 2)]

@@ -7,8 +7,8 @@ import pytest
 from qmemsim import analysis, lindblad, protocol, qsys
 from qmemsim.device import DeviceParams, dispersive_shift_estimate
 from qmemsim.errors import IntegrationError, ParameterError, StepSizeError
-from qmemsim.lindblad import (LiouvilleTable, StaticPropagator, build_model,
-                              effective_bsb_check, evolve, evolve_kets)
+from qmemsim.lindblad import (LiouvilleTable, build_model, effective_bsb_check,
+                              evolve, propagate)
 from qmemsim.protocol import ProtocolOptions
 from qmemsim.pulses import (PulseSegment, PulseSequence, QUBIT_CHANNEL,
                             build_memory_sequence)
@@ -151,6 +151,25 @@ def test_step_size_error_reports_required_dt():
     assert "require dt" in str(err.value)
 
 
+def test_bad_steps_raise_parameter_error():
+    # a dt that is not a positive finite number, or steps < 1, is refused
+    # before any step: a negative dt would step backwards, and dt = 0 or
+    # steps = 0 would divide by zero
+    p = decoupled_params()
+    seg = PulseSegment(QUBIT_CHANNEL, TWO_PI * 20.0, p.angular().w_q,
+                       plateau=0.02, start=0.0)
+    m = build_model(p, SubsystemDims(2, 2, 1), PulseSequence((seg,)),
+                    noiseless=True)
+    rho = m.basis_state()
+    for dt in (-1.0, 0.0, math.nan, math.inf):
+        with pytest.raises(ParameterError):
+            evolve(m, rho, (0.0, seg.end), dt)
+        with pytest.raises(ParameterError):
+            propagate([m], rho.rho.reshape(-1, 1), [(0.0, seg.end)], dt)
+    with pytest.raises(ParameterError):
+        evolve(m, rho, (0.0, seg.end), 1e-4, steps=0)
+
+
 def test_trace_divergence_detected():
     p = decoupled_params(kappa_ro=1e4)  # kappa dt >> 1 destabilizes RK4
     m = build_model(p, SubsystemDims(2, 2, 2), None, frame="lab")
@@ -242,16 +261,39 @@ def test_effective_bsb_requires_dispersive_regime():
 
 
 # ---------------------------------------------------------------------------
-# exact propagation of static windows
+# exact propagation of static windows, those with no active term
 # ---------------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
-def default_static():
-    return StaticPropagator(build_model(DeviceParams(), SubsystemDims(), None))
+def default_model():
+    return build_model(DeviceParams(), SubsystemDims(), None)
 
 
-def test_static_blocks_partition_liouville_space(default_static):
-    blocks = [idx for idx, _ in default_static.blocks]
+def idle(model, rho, *windows):
+    """rho propagated across the windows, which have no active term, in
+    turn; one column per t1 where a window's t1 is an array."""
+    columns, d = np.size(windows[-1][1]), model.dims.total
+    x = propagate([model] * columns, np.repeat(rho.reshape(-1, 1), columns, 1),
+                  windows, 1e-4)
+    return x.T.reshape(-1, d, d)
+
+
+def record_blocks(monkeypatch):
+    """The (m, n) index arrays of the blocks `_block_generators` returns."""
+    blocks, generators = [], lindblad._block_generators
+
+    def record(*args):
+        out = generators(*args)
+        blocks.extend(idx for idx, _ in out)
+        return out
+
+    monkeypatch.setattr(lindblad, "_block_generators", record)
+    return blocks
+
+
+def test_static_blocks_partition_liouville_space(default_model, monkeypatch):
+    blocks = record_blocks(monkeypatch)
+    idle(default_model, random_density_matrix(30, 0), (0.0, 1.0))
     elements = np.concatenate([idx.ravel() for idx in blocks])
     assert np.array_equal(np.sort(elements), np.arange(30 * 30))
     # dispersive frame: one block per label difference of (i, j)
@@ -259,66 +301,70 @@ def test_static_blocks_partition_liouville_space(default_static):
     assert max(idx.shape[1] for idx in blocks) == 30
 
 
-def test_static_propagation_conserves_trace_over_16_us(default_static):
-    rho = random_density_matrix(30, 0)
-    out = default_static.propagate(rho, (0.0, 16.0))[-1].rho
+def test_static_propagation_conserves_trace_over_16_us(default_model):
+    out = idle(default_model, random_density_matrix(30, 0), (0.0, 16.0))[0]
     assert abs(np.trace(out) - 1.0) < 1e-12
 
 
-def test_static_propagator_is_a_semigroup(default_static):
+def test_static_propagator_is_a_semigroup(default_model):
     rho = random_density_matrix(30, 1)
-    mid = default_static.propagate(rho, (0.0, 0.7))[-1]
-    split = default_static.propagate(mid, (0.7, 16.0))[-1].rho
-    whole = default_static.propagate(rho, (0.0, 16.0))[-1].rho
+    split = idle(default_model, rho, (0.0, 0.7), (0.7, 16.0))[0]
+    whole = idle(default_model, rho, (0.0, 16.0))[0]
     assert np.max(np.abs(split - whole)) < 1e-12
 
 
-def test_static_propagation_keeps_positivity(default_static):
-    states = default_static.propagate(random_density_matrix(30, 2),
-                                      (0.0, 16.0), steps=8)
+def test_static_propagation_keeps_positivity(default_model):
+    states = idle(default_model, random_density_matrix(30, 2),
+                  (0.0, np.linspace(0.0, 16.0, 9)))
     assert len(states) == 9
-    for state in states:
-        assert np.min(np.linalg.eigvalsh(state.rho)) >= -1e-12
+    for rho in states:
+        assert np.min(np.linalg.eigvalsh(rho)) >= -1e-12
 
 
 def test_static_propagation_matches_fine_rk4():
     # three transmon levels keep the fast |f> coherences (~1.2e3 rad/us);
-    # both propagators return the same grid of states
+    # the exact columns at the times of evolve's grid
     m = build_model(DeviceParams(), SubsystemDims(3, 2, 1), None)
     rho = random_density_matrix(6, 3)
-    exact = StaticPropagator(m).propagate(rho, (0.0, 0.2), steps=8)
+    exact = idle(m, rho, (0.0, np.linspace(0.0, 0.2, 9)))
     rk4 = evolve(m, rho, (0.0, 0.2), 5e-6, steps=8)
     assert len(exact) == len(rk4) == 9
     for e, r in zip(exact, rk4):
-        assert np.max(np.abs(e.rho - r.rho)) < 1e-9
+        assert np.max(np.abs(e - r.rho)) < 1e-9
 
 
-def test_static_propagation_dense_lab_drift_is_one_block():
+def test_static_propagation_dense_lab_drift_is_one_block(monkeypatch):
     dims = SubsystemDims(2, 2, 1)
     m = build_model(SLOW_PARAMS, dims, None, frame="lab")
     x = np.random.default_rng(4).normal(size=(4, 4))
     m = dataclasses.replace(m, drift=m.drift + 10.0 * (x + x.T))
-    static = StaticPropagator(m)
-    assert [idx.shape for idx, _ in static.blocks] == [(1, 16)]
+    blocks = record_blocks(monkeypatch)
     rho = random_density_matrix(4, 5)
-    exact = static.propagate(rho, (0.0, 0.2))[-1].rho
+    exact = idle(m, rho, (0.0, 0.2))[0]
+    assert [idx.shape for idx in blocks] == [(1, 16)]
     rk4 = evolve(m, rho, (0.0, 0.2), 1e-5)[-1].rho
     assert np.max(np.abs(exact - rk4)) < 1e-9
 
 
-def test_static_propagation_refuses_active_terms():
+def test_driven_windows_step_rk4_and_silent_segments_are_exact(monkeypatch):
     p = DeviceParams()
     drive = PulseSegment(QUBIT_CHANNEL, TWO_PI * 20.0, p.angular().w_q,
                          plateau=0.05, start=0.0)
     silent = PulseSegment(QUBIT_CHANNEL, 0.0, p.angular().w_q, plateau=0.05,
                           start=drive.end)
     m = build_model(p, SubsystemDims(2, 2, 1), PulseSequence((drive, silent)))
-    static = StaticPropagator(m)
-    with pytest.raises(ParameterError):
-        static.propagate(m.basis_state(), (0.0, 0.01))
-    # a zero-amplitude segment contributes no term: its window is static
-    out = static.propagate(m.basis_state(), (silent.start, silent.end))[-1]
-    assert np.real(np.trace(out.rho)) == pytest.approx(1.0, abs=1e-12)
+    routes = []
+    for name in ("_stepped", "_exact"):
+        def record(*args, name=name, route=getattr(lindblad, name)):
+            routes.append(name)
+            return route(*args)
+        monkeypatch.setattr(lindblad, name, record)
+    rho = m.basis_state().rho.reshape(-1, 1)
+    propagate([m], rho, [(0.0, 0.01)], 1e-4)
+    # a zero-amplitude segment contributes no term: its window is exact
+    out = propagate([m], rho, [(silent.start, silent.end)], 1e-4)
+    assert routes == ["_stepped", "_exact"]
+    assert np.real(np.trace(out.reshape(4, 4))) == pytest.approx(1.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -395,14 +441,16 @@ def test_liouville_table_matches_dense_reference():
         basis = np.eye(d * d).reshape(d * d, d, d)
         dense = np.array([dense_lindbladian(m, e).reshape(-1) for e in basis]).T
         scale = np.max(np.abs(dense))
-        blocks = StaticPropagator(m).blocks
+        table = LiouvilleTable(m)
+        blocks = lindblad._block_generators(table, table.lam[:, None],
+                                            np.ones((len(table.weight), 1)))
         member = np.full(d * d, -1)
         for k, (idx, gen) in enumerate(blocks):
             for b in range(idx.shape[0]):
                 assert np.all(member[idx[b]] == -1)
                 member[idx[b]] = k * d * d + b
                 sub = dense[np.ix_(idx[b], idx[b])]
-                assert np.max(np.abs(gen[b] - sub)) <= 1e-12 * scale
+                assert np.max(np.abs(gen[0, b] - sub)) <= 1e-12 * scale
         assert np.all(member >= 0)
         coupling = dense[member[:, None] != member[None, :]]
         assert np.all(np.abs(coupling) <= 1e-12 * scale)
@@ -469,20 +517,24 @@ def test_restricted_stepping_matches_full_space_rk4():
 
         # kets: the norm is no linear invariant of RK4, unlike the trace, so
         # take 200 steps short against the fastest phase, from a time inside
-        # the pulse; rate bounds |H| by the drift's largest row sum, the
-        # drive amplitude and 2e3 rad/us for the couplings
+        # the pulse, and moved onto the ramp-down where they would lie on
+        # the plateau, which propagate takes exactly; rate bounds |H| by the
+        # drift's largest row sum, the drive amplitude and 2e3 rad/us for
+        # the couplings
         noiseless = dataclasses.replace(m, channels=[])
         psi = np.zeros(d, dtype=complex)
         psi[k], psi[j] = 0.8, 0.6 * phase
         rate = np.abs(m.drift).sum(axis=1).max() + seg.amplitude + 2e3
         dt = min(m.max_step(*span), 0.02 / rate)
         t0 = data.draw(st.floats(0.0, seg.end - 200 * dt))
+        if noiseless.carrier_frame(t0, t0 + 200 * dt) is not None:
+            t0 = seg.end - 200 * dt
         ket_span = (t0, t0 + 200 * dt)
         table = LiouvilleTable(noiseless, noiseless.active_terms(*ket_span),
                                ket=True)
         outside = np.ones(d, dtype=bool)
         outside[table.restricted(psi)[0]] = False
-        got = evolve_kets([noiseless], [ket_span], psi, dt)[:, 0]
+        got = propagate([noiseless], psi[:, None], [ket_span], dt)[:, 0]
         want = full_space_rk4(table, psi, noiseless.active_terms(*ket_span),
                               ket_span, 200)[-1]
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
@@ -493,12 +545,12 @@ def test_restricted_stepping_matches_full_space_rk4():
 
 def test_default_protocol_windows_step_their_reached_elements(monkeypatch):
     # from |g,0,0> the readout stays in vacuum, and the drives and collapse
-    # operators shift label differences by fixed classes: the ramp-up,
-    # plateau and ramp-down windows of the default protocol's segments
-    # reach 37, 171, 171 and 215 of the 900 elements, and the
-    # sideband-store window reaches 37 from the tomography input |e><e| and
-    # 34 from its coherence |g><e|.  Only the ramps step RK4, 250 steps of
-    # 1e-4 us each.
+    # operators shift label differences by fixed classes: the leading idle
+    # window reaches the 3 transmon populations, the ramp-up, plateau and
+    # ramp-down windows of the default protocol's segments reach 37, 171,
+    # 171 and 215 of the 900 elements, and the sideband-store window
+    # reaches 37 from the tomography input |e><e| and 34 from its coherence
+    # |g><e|.  Only the ramps step RK4, 250 steps of 1e-4 us each.
     p, options = DeviceParams(), ProtocolOptions()
     dims = options.dims
     cal = protocol.get_calibration(p, options)
@@ -526,7 +578,7 @@ def test_default_protocol_windows_step_their_reached_elements(monkeypatch):
     monkeypatch.setattr(LiouvilleTable, "restricted", record)
     monkeypatch.setattr(lindblad, "_rk4_step", count)
     protocol.run_memory_protocol(p, 0.0, 0.0, options, cal)
-    assert sizes == [37] * 3 + [171] * 6 + [215] * 3
+    assert sizes == [3] + [37] * 3 + [171] * 6 + [215] * 3
     ramps = [2 * round(s.ramp / options.dt_pulse) for s in seq.segments]
     assert ramps == [500] * 4
     assert len(steps) == sum(ramps)
@@ -569,7 +621,7 @@ def test_plateau_propagation_matches_rk4_in_every_frame():
         j = (k + data.draw(st.integers(1, d - 1))) % d
         rho = np.zeros((d, d), dtype=complex)
         rho[k, k], rho[k, j] = 1.0, 0.5
-        exact = lindblad.propagate_plateau(m, rho, span, frame).rho
+        exact = propagate([m], rho.reshape(-1, 1), [span], 1.0).reshape(d, d)
         # RK4 at dt and dt / 2: their gap bounds the error of the finer one
         rate = np.abs(m.drift).sum(axis=1).max() + seg.amplitude + 2e3
         dt = min(m.max_step(*span), 0.05 / rate)
@@ -587,13 +639,13 @@ def test_lab_plateaus_step_rk4_and_bare_plateaus_do_not(monkeypatch):
     # frame the drive and the always-on couplings admit one at the device
     # parameters, and every window between the ramps, the idle ones too, is
     # exact
-    spans = []
+    spans, stepped = [], lindblad._stepped
 
-    def record(model, rho0, t_span, dt):
-        spans.append(t_span)
-        return evolve(model, rho0, t_span, dt)
+    def record(table, x, terms, t0, t1, dt, diag):
+        spans.extend(zip(t0.tolist(), t1.tolist()))
+        return stepped(table, x, terms, t0, t1, dt, diag)
 
-    monkeypatch.setattr(protocol, "evolve", record)
+    monkeypatch.setattr(lindblad, "_stepped", record)
     for frame, p in (("lab", SLOW_PARAMS), ("bare", DeviceParams())):
         seq = PulseSequence(tuple(
             PulseSegment(QUBIT_CHANNEL, TWO_PI * 2.0, p.angular().w_q,

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qmemsim import analysis, protocol, pulses
+from qmemsim import analysis, lindblad, protocol, pulses
 from qmemsim.device import DeviceParams
 from qmemsim.errors import ParameterError
 from qmemsim.protocol import (ExperimentRecord, ProtocolOptions, WorkingPoint,
@@ -211,6 +211,31 @@ def test_memory_channel_trace_deficiency():
     out = chan(np.diag([1.0, 0.0]).astype(complex))
     tr = np.trace(out).real
     assert 0.7 <= tr <= 1.0 + 1e-9
+
+
+def test_memory_channel_is_linear():
+    # inputs of any trace propagate, |g><e| too: |+><+| maps to the mean of
+    # the four basis matrices' outputs
+    chan = memory_channel(P, OPTS)
+    units = [np.outer(a, b) for a in np.eye(2) for b in np.eye(2)]
+    plus = chan(np.full((2, 2), 0.5, dtype=complex))
+    assert np.max(np.abs(plus - 0.5 * sum(chan(u) for u in units))) <= 1e-12
+
+
+def test_zero_delay_protocol_builds_three_tables(monkeypatch):
+    # one LiouvilleTable each for the idle windows, the sideband pulses and
+    # the qubit pulses, shared by each pulse's ramps and plateau and by its
+    # store and retrieve segments
+    cal = protocol.get_calibration(P, OPTS)
+    builds, init = [], lindblad.LiouvilleTable.__init__
+
+    def count(self, *args, **kw):
+        builds.append(None)
+        init(self, *args, **kw)
+
+    monkeypatch.setattr(lindblad.LiouvilleTable, "__init__", count)
+    run_memory_protocol(P, 0.0, 0.0, OPTS, cal)
+    assert len(builds) == 3
 
 
 def test_qpt_simulates_each_tomography_input_once(monkeypatch):

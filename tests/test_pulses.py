@@ -7,7 +7,7 @@ from qmemsim import pulses, qsys
 from qmemsim.device import DeviceParams, bsb_effective_rate
 from qmemsim.errors import (CalibrationError, IntegrationError, ParameterError,
                             StepSizeError)
-from qmemsim.lindblad import (build_model, dressed_frequencies, evolve_kets,
+from qmemsim.lindblad import (build_model, dressed_frequencies, propagate,
                               two_photon_resonance)
 from qmemsim.protocol import ProtocolOptions, simulate_sequence
 from qmemsim.pulses import (PulseSegment, PulseSequence, ProtocolCalibration,
@@ -266,13 +266,14 @@ def test_exact_probe_plateaus_match_fine_rk4():
         assert model.carrier_frame(*plateau) is not None
         dt = dt or model.max_step() / 32.0
         got = pulses._probe_transfers(p, dims, [segment], frame, dt, G, target)
-        psi = evolve_kets([model], [(segment.start, segment.end)],
-                          np.eye(dims.total)[dims.index(*G)], dt)
+        psi = propagate([model], np.eye(dims.total)[:, [dims.index(*G)]],
+                        [(segment.start, segment.end)], dt)
         want = abs(psi[dims.index(*target), 0]) ** 2
         assert want > 0.1
         assert abs(got[0] - want) <= 1e-12
 
-    # the lab frame admits no such frame: its probes step RK4 throughout
+    # the lab frame admits no such frame: its probes step RK4 throughout,
+    # across the ramp-up, the plateau and the ramp-down
     p = DeviceParams(omega_ro=0.021, omega_s=0.034, omega_q=0.027, alpha=-3.0,
                      g=0.4, chi_ro=0.1, chi_s=0.1, kappa_ro=0.05,
                      kappa_s=0.02, t1_q=40.0, t2_q=60.0, p_e=0.0)
@@ -282,8 +283,11 @@ def test_exact_probe_plateaus_match_fine_rk4():
     model = build_model(p, dims, PulseSequence((segment,)), frame="lab",
                         noiseless=True)
     got = pulses._probe_transfers(p, dims, [segment], "lab", 1e-4, G, (1, 0, 0))
-    psi = evolve_kets([model], [(segment.start, segment.end)],
-                      np.eye(dims.total)[dims.index(*G)], 1e-4)
+    edges = (segment.start, segment.start + segment.ramp,
+             segment.end - segment.ramp, segment.end)
+    assert model.carrier_frame(*edges[1:3]) is None
+    psi = propagate([model], np.eye(dims.total)[:, [dims.index(*G)]],
+                    list(zip(edges, edges[1:])), 1e-4)
     assert got[0] == abs(psi[dims.index(1, 0, 0), 0]) ** 2 > 0.01
 
 
@@ -301,10 +305,11 @@ def test_ket_batch_columns_are_independent():
     models = [build_model(p, dims, PulseSequence((segment,)), noiseless=True)
               for segment in segments]
     spans = [(segment.start, segment.end) for segment in segments]
-    psi0 = np.eye(dims.total)[dims.index(*G)]
-    batch = evolve_kets(models, spans, psi0, 1e-4)
+    psi0 = np.eye(dims.total)[:, [dims.index(*G)]]
+    batch = propagate(models, np.repeat(psi0, len(models), axis=1),
+                      [np.array(spans).T], 1e-4)
     for i, (model, span) in enumerate(zip(models, spans)):
-        alone = evolve_kets([model], [span], psi0, 1e-4)
+        alone = propagate([model], psi0, [span], 1e-4)
         assert np.array_equal(batch[:, i], alone[:, 0])
     transfers = np.abs(batch[[dims.index(1, 0, 0), dims.index(*E1)]]) ** 2
     assert transfers.max(axis=0).min() > 1e-3
@@ -314,17 +319,20 @@ def test_ket_probes_reject_noise_and_coarse_steps():
     p, dims = DeviceParams(), SubsystemDims(3, 2, 1)
     segment = PulseSegment(QUBIT_CHANNEL, TWO_PI * 20.0, p.angular().w_q,
                            plateau=0.005)
-    psi0 = np.eye(dims.total)[0]
+    psi0 = np.eye(dims.total)[:, [0]]
     noisy = build_model(p, dims, PulseSequence((segment,)))
     with pytest.raises(ParameterError):
-        evolve_kets([noisy], [(segment.start, segment.end)], psi0, 1e-4)
+        propagate([noisy], psi0, [(segment.start, segment.end)], 1e-4)
     bare = build_model(p, dims, PulseSequence((segment,)), frame="bare",
                        noiseless=True)
     with pytest.raises(StepSizeError):
-        evolve_kets([bare], [(segment.start, segment.end)], psi0,
-                    2.0 * bare.max_step())
-    # undriven lab frame: no step bound, and w_q dt >> 1 destabilizes RK4
-    lab = build_model(p, dims, None, frame="lab", noiseless=True)
+        propagate([bare], psi0, [(segment.start, segment.end)],
+                  2.0 * bare.max_step())
+    # lab frame, driven at a carrier of 1e-3 rad/us: it bounds no step, and
+    # w_q dt >> 1 destabilizes RK4 (an undriven window would be exact)
+    slow = PulseSegment(QUBIT_CHANNEL, 1.0, 1e-3, plateau=0.005)
+    lab = build_model(p, dims, PulseSequence((slow,)), frame="lab",
+                      noiseless=True)
     with pytest.raises(IntegrationError):
-        evolve_kets([lab], [(0.0, 0.01)], np.eye(dims.total)[dims.index(1, 0, 0)],
-                    1e-3)
+        propagate([lab], np.eye(dims.total)[:, [dims.index(1, 0, 0)]],
+                  [(0.0, 0.01)], 1e-3)
