@@ -65,10 +65,10 @@ list of windows, and routes each column in each window:
   driven window of the ``lab`` frame (its dense drift and its +/- carriers
   admit no such K).
 
-Columns on the same route under the same term operators share one table,
-built once per call.  :func:`evolve` is the RK4 reference: one state,
-stepped by the same core and returned at the steps + 1 equally spaced
-times of its window.
+Columns on the same route whose models share their operator arrays, as
+the models of one frame do, share one table, built once per call.
+:func:`evolve` is the RK4 reference: one state, stepped by the same core
+and returned at the steps + 1 equally spaced times of its window.
 
 Both routes act only on the reached support
 (:meth:`LiouvilleTable.restricted`): the elements the window's table can
@@ -226,8 +226,8 @@ class LindbladModel:
     rot: tuple                        # per-subsystem rotation freqs (rad/us)
     dressing: np.ndarray              # U, columns = model basis in the bare basis
     labels: tuple = None
-    # per drive channel its lowering operator, and the |g,n> -> |e,n+1>
-    # ladder of the two-photon sideband, in the model basis
+    # per drive channel its lowering operator's classes {key: component},
+    # and the |g,n> -> |e,n+1> two-photon sideband ladder, in the model basis
     drive_ops: dict = None
     two_photon: np.ndarray = None
 
@@ -265,7 +265,7 @@ class LindbladModel:
     def with_sequence(self, seq):
         """This model, which carries no sequence, driven by seq: its terms
         plus those of seq's segments (see the module docstring).  Builds no
-        basis, so the models of many sequences share one frame."""
+        basis nor class split, so the models of one frame share its arrays."""
         a = self.params.angular()
         cutoff = math.inf if self.frame == "lab" else RWA_CUTOFF
         rot_arr = np.array(self.rot)
@@ -273,8 +273,7 @@ class LindbladModel:
         for seg in seq.segments:
             if seg.amplitude == 0.0:
                 continue
-            lowering = self.drive_ops[seg.target]
-            for key, comp in _split_classes(lowering, self.labels).items():
+            for key, comp in self.drive_ops[seg.target].items():
                 nu = float(np.dot(key, rot_arr))
                 for s in (+1.0, -1.0):
                     carrier = nu + s * seg.carrier
@@ -418,7 +417,8 @@ def build_model(p: DeviceParams, dims: SubsystemDims, seq=None, frame="dispersiv
         return U.conj().T @ op @ U
 
     channel_ops = {QUBIT_CHANNEL: b, STORAGE_CHANNEL: a_s, READOUT_CHANNEL: a_r}
-    drive_ops = {target: to_model(op) for target, op in channel_ops.items()}
+    drive_ops = {target: _split_classes(to_model(op), labels)
+                 for target, op in channel_ops.items()}
     sigma_plus = np.zeros((dims.n_transmon,) * 2, dtype=complex)
     sigma_plus[1, 0] = 1.0
     two_photon_bare = (qsys.tensor_embed(sigma_plus, qsys.TRANSMON, dims)
@@ -775,6 +775,8 @@ def _stepped(table, x, terms, t0, t1, dt, diag):
 # Taylor order of exp(Y) for ||Y||_1 < 1/2: the remainder is below
 # 2 * 0.5**17 / 17! < 1e-19, under the float64 rounding of the sum
 TAYLOR_ORDER = 16
+# entries of a stack of block generators in _exact, which holds four at once
+STACK_ENTRIES = 1 << 12
 
 
 def _static_blocks(table):
@@ -806,28 +808,24 @@ def _static_blocks(table):
     return [np.array(blocks) for _, blocks in sorted(by_size.items())]
 
 
-def _block_generators(table, lam, scale):
-    """(idx, gen) per block size of the table (_static_blocks): gen[b, k]
-    is the generator of block idx[k] in column b of B, with lam (n, B) on
-    its diagonal and the weights of row r times scale[r, b]; every row is
-    taken as static."""
-    out = []
-    for idx in _static_blocks(table):
-        m, n = idx.shape
-        position = np.empty(len(table.lam), dtype=np.intp)
-        position[idx] = np.arange(n)
-        block, row = np.arange(m)[:, None], np.arange(n)[None, :]
-        gen = np.zeros((lam.shape[1], m, n, n), dtype=complex)
-        gen[:, block, row, row] = np.moveaxis(lam[idx], -1, 0)
-        for gather, weight, s in zip(table.gather, table.weight, scale):
-            gen[:, block, row, position[gather[idx]]] += \
-                weight[idx] * s[:, None, None]
-        out.append((idx, gen))
-    return out
+def _block_generators(table, idx, lam, scale):
+    """gen[b, k], the generator of the table's block idx[k] (one size of
+    _static_blocks) in column b of B, with lam (n, B) on its diagonal and
+    the weights of row r times scale[r, b]; every row is taken as
+    static."""
+    m, n = idx.shape
+    position = np.empty(len(table.lam), dtype=np.intp)
+    position[idx] = np.arange(n)
+    block, row = np.arange(m)[:, None], np.arange(n)[None, :]
+    gen = np.zeros((lam.shape[1], m, n, n), dtype=complex)
+    gen[:, block, row, row] = np.moveaxis(lam[idx], -1, 0)
+    for gather, weight, s in zip(table.gather, table.weight, scale):
+        gen[:, block, row, position[gather[idx]]] += weight[idx] * s[:, None, None]
+    return gen
 
 
 def _block_expm(gen):
-    """exp of each matrix in the stack gen (m, n, n).
+    """exp of each matrix in the stack gen (m, n, n), overwriting gen.
 
     Taylor series after scaling each matrix by 2**-s to a 1-norm below 1/2,
     then s squarings (Moler & Van Loan, SIAM Rev. 45, 3 (2003)).  Every
@@ -837,15 +835,16 @@ def _block_expm(gen):
     """
     _, s = np.frexp(np.abs(gen).sum(axis=1).max(axis=1))
     s = np.maximum(s + 1, 0)
-    y = gen * np.ldexp(1.0, -s)[:, None, None]
-    out = np.eye(gen.shape[-1]) + y
-    term = y
+    gen *= np.ldexp(1.0, -s)[:, None, None]
+    out = gen + np.eye(gen.shape[-1])
+    work = gen.copy()               # the Taylor term, then the squared part
     for k in range(2, TAYLOR_ORDER + 1):
-        term = (term @ y) / k
-        out += term
+        np.divide(work @ gen, k, out=work)
+        out += work
     for k in range(int(s.max())):
         sel = s > k
-        out[sel] = out[sel] @ out[sel]
+        work = out[sel]
+        out[sel] = work @ work
     return out
 
 
@@ -856,26 +855,30 @@ def _exact(table, x, terms, frames, t0, t1, diag):
     exp(-S tau) exp(tau (L + S)) x, with S = i(K_a - K_b) on vec(rho), or iK
     on a ket (diag None), added to lam.  Only x's reached support is
     propagated (LiouvilleTable.restricted), block by block
-    (_block_generators), with one _block_expm per block size for all
-    columns.  A column whose invariant (`_invariant` with diag) drifts
-    beyond 1e-6 raises IntegrationError."""
+    (_static_blocks), with one _block_expm per block size for as many
+    columns as a stack of STACK_ENTRIES holds.  A column whose invariant
+    (`_invariant` with diag) drifts beyond 1e-6 raises IntegrationError."""
     tau = t1 - t0
     c = np.array([_coefficients(column, np.array([t]))[0]
                   for column, t in zip(terms, t0)]).T
-    shift = 1j * np.array([k if diag is None else (k[:, None] - k[None, :])
-                           .ravel() for k in frames]).T
     idx, sub, y = table.restricted(x)
-    lam = sub.lam[:, None] + shift[idx]
+    K = np.array(frames).T                      # (d, B)
+    shift = 1j * (K[idx] if diag is None else K[idx // len(K)] - K[idx % len(K)])
+    lam = sub.lam[:, None] + shift
     scale = np.ones((len(sub.weight), x.shape[1]), dtype=complex)
     scale[len(scale) - len(sub.column):] = np.concatenate((c, c.conj()))[sub.column]
     out = np.zeros_like(x)
-    for blocks, gen in _block_generators(sub, lam, scale):
-        n_col, m, n, _ = gen.shape
-        prop = _block_expm((gen * tau[:, None, None, None]).reshape(-1, n, n))
-        y_blocks = np.moveaxis(y[blocks], -1, 0)[..., None]      # (B, m, n, 1)
-        new = prop.reshape(n_col, m, n, n) @ y_blocks
-        out[idx[blocks]] = np.moveaxis(new[..., 0], 0, -1)
-    out[idx] *= np.exp(-shift[idx] * tau)
+    for blocks in _static_blocks(sub):
+        m, n = blocks.shape
+        height = max(1, STACK_ENTRIES // (m * n * n))
+        for lo in range(0, x.shape[1], height):
+            cols = slice(lo, lo + height)
+            gen = _block_generators(sub, blocks, lam[:, cols], scale[:, cols])
+            gen *= tau[cols, None, None, None]
+            prop = _block_expm(gen.reshape(-1, n, n)).reshape(gen.shape)
+            new = prop @ np.moveaxis(y[blocks, cols], -1, 0)[..., None]
+            out[idx[blocks], cols] = np.moveaxis(new[..., 0], 0, -1)
+    out[idx] *= np.exp(-shift * tau)
     drift = np.abs(_invariant(out, diag) - _invariant(x, diag))
     j = np.argmax(drift)
     if drift[j] > TRACE_DRIFT_TOL:
@@ -898,10 +901,11 @@ def propagate(models, x, windows, dt):
     term, and by RK4 at dt otherwise (`_stepped`), where a dt above the
     window's ``max_step`` raises StepSizeError; see the module docstring.
 
-    Columns on the same route under the same term operators propagate
-    together, under one LiouvilleTable built once per call.  Each column's
-    trace (rho) or squared norm (ket) is checked against its entering value,
-    and a drift beyond 1e-6 raises IntegrationError.  A dt that is not a
+    Columns on the same route whose models share their drift, channel and
+    active term arrays (those of one frame) propagate together, under one
+    LiouvilleTable built once per call.  Each column's trace (rho) or
+    squared norm (ket) is checked against its entering value, and a drift
+    beyond 1e-6 raises IntegrationError.  A dt that is not a
     positive finite number raises ParameterError, as does a window with
     t1 < t0.
     """
@@ -916,9 +920,9 @@ def propagate(models, x, windows, dt):
         raise ParameterError(
             "kets propagate only under a model without collapse channels")
     diag = None if ket else np.eye(d, dtype=bool).ravel()
-    # what a column's table depends on besides its terms
-    bases = [(model.drift.tobytes(), *((c.rate, c.op.tobytes())
-                                       for c in model.channels))
+    # what a column's table depends on besides its terms (the models live
+    # through the call, so the ids of their arrays are unique)
+    bases = [(id(model.drift), *((c.rate, id(c.op)) for c in model.channels))
              for model in models]
     tables = {}
     for t0, t1 in windows:
@@ -930,7 +934,7 @@ def propagate(models, x, windows, dt):
         for j, model in enumerate(models):
             terms = model.active_terms(t0[j], t1[j])
             frame = model.carrier_frame(t0[j], t1[j])
-            key = (bases[j], *(term.op.tobytes() for term in terms))
+            key = (bases[j], *(id(term.op) for term in terms))
             routes.setdefault((frame is None, key), []).append(
                 (j, terms, frame))
         for (stepped, key), members in routes.items():
@@ -968,7 +972,9 @@ def effective_bsb_check(p: DeviceParams, omega_drv, *, dims=None,
 
     The tone is placed at the model's own two-photon pair resonance, so the
     comparison isolates the rate rather than a detuning.  The noiseless tone
-    lasts 2.5 swap periods, sampled 36 times per period.  Returns a
+    lasts 2.5 swap periods, sampled 36 times per period, at t_k by ket
+    column k of one propagate call across the tone's ramp-up, its exact
+    plateau and its ramp-down, each clipped to t_k.  Returns a
     BsbComparison with the measured/predicted ratio.
     """
     from .analysis import fit_decaying_cosine
@@ -990,12 +996,13 @@ def effective_bsb_check(p: DeviceParams, omega_drv, *, dims=None,
     # only slow carriers remain on a resonant sideband tone; a coarse fixed
     # step resolves the MHz-scale dynamics comfortably
     dt = min(5e-4, model.max_step(0.0, seg.end), period / 400.0)
-    samples = 90                        # 36 per swap period
-    states = evolve(model, model.basis_state(0, 0, 0), (0.0, seg.end), dt,
-                    steps=samples)
-    proj = model.label_projector(0, 0, 0)
-    pop = np.array([qsys.expectation(s, proj).real for s in states])
-    fit = fit_decaying_cosine(np.linspace(0.0, seg.end, samples + 1), pop)
+    t = np.linspace(0.0, seg.end, 91)   # 36 per swap period
+    edges = np.minimum([[seg.start], [seg.start + seg.ramp],
+                        [seg.end - seg.ramp], [seg.end]], t)
+    psi = np.zeros((dims.total, len(t)), dtype=complex)
+    psi[dims.index(0, 0, 0)] = 1.0
+    psi = propagate([model] * len(t), psi, list(zip(edges, edges[1:])), dt)
+    fit = fit_decaying_cosine(t, np.abs(psi[dims.index(0, 0, 0)]) ** 2)
     contrast = 2.0 * abs(fit.params["A"])
     if contrast < 0.2:
         raise IntegrationError(

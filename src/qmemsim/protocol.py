@@ -19,7 +19,8 @@ from .errors import ParameterError
 from .lindblad import build_model, dressed_frequencies, propagate
 from .pulses import (PulseSegment, PulseSequence, ProtocolCalibration,
                      QUBIT_CHANNEL, READOUT_CHANNEL, STORAGE_CHANNEL,
-                     build_memory_sequence, calibrate_pi_pulse)
+                     build_memory_sequence, calibrate_pi_pulse,
+                     calibrate_pi_pulses)
 from .qsys import QuantumState, SubsystemDims
 from .units import TWO_PI
 
@@ -65,48 +66,70 @@ def _cal_key(p, options, channel, amplitude):
 
 def get_calibration(p: DeviceParams, options: ProtocolOptions):
     """Calibrate (or fetch cached) qubit and sideband pi pulses."""
+    return get_calibrations(p, options, [options.bsb_amplitude])[0]
+
+
+def get_calibrations(p: DeviceParams, options: ProtocolOptions, amplitudes):
+    """get_calibration at each sideband amplitude; the missing sideband pi
+    pulses calibrate together (calibrate_pi_pulses)."""
     key_q = _cal_key(p, options, QUBIT_CHANNEL, QUBIT_AMPLITUDE)
     if key_q not in _CAL_CACHE:
         _CAL_CACHE[key_q] = calibrate_pi_pulse(
             p, options.dims, QUBIT_CHANNEL, QUBIT_AMPLITUDE, frame=options.frame)
-    key_b = _cal_key(p, options, "bsb", options.bsb_amplitude)
-    if key_b not in _CAL_CACHE:
-        _CAL_CACHE[key_b] = calibrate_pi_pulse(
-            p, options.dims, "bsb", options.bsb_amplitude, frame=options.frame)
-    return ProtocolCalibration(qubit=_CAL_CACHE[key_q], bsb=_CAL_CACHE[key_b])
+    keys = {a: _cal_key(p, options, "bsb", a) for a in amplitudes}
+    missing = [a for a, key in keys.items() if key not in _CAL_CACHE]
+    if missing:
+        _CAL_CACHE.update(zip([keys[a] for a in missing], calibrate_pi_pulses(
+            p, options.dims, "bsb", missing, frame=options.frame)))
+    return [ProtocolCalibration(qubit=_CAL_CACHE[key_q], bsb=_CAL_CACHE[keys[a]])
+            for a in amplitudes]
 
 
 def simulate_sequence(p: DeviceParams, seq: PulseSequence,
                       options: ProtocolOptions, rho0=None, start=0.0,
                       upto=None):
-    """Run a pulse sequence piecewise between its segment edges and the
-    edges of their plateaus, as one column of lindblad.propagate.
+    """simulate_sequences for one sequence: (model, final QuantumState)."""
+    models, states = simulate_sequences(
+        p, [seq], options, None if rho0 is None else [rho0], start, upto)
+    return models[0], states[0]
 
-    There, each window whose generator is constant in a frame rotating with
-    its carriers propagates exactly: the idle windows, and the sideband and
-    qubit plateaus.  The others, the pulse ramps and every driven window of
-    the lab frame, step RK4 at options.dt_pulse.  Starts from rho0 at time
-    start, by default the ground product state at 0, and stops at upto, by
-    default the readout marker; the windows after start are those of the
-    whole run.  Returns (model, final QuantumState).
+
+def simulate_sequences(p: DeviceParams, seqs, options: ProtocolOptions,
+                       rho0s=None, start=0.0, upto=None):
+    """Run pulse sequences, under models of one frame, as the columns of
+    one lindblad.propagate call, between their segment and plateau edges:
+    the idle windows and the plateaus exactly, the ramps and every driven
+    window of the lab frame by RK4 at options.dt_pulse.  Column j runs
+    from rho0s[j] (default the ground state) at start to upto (default its
+    readout marker).  Window k of a column spans its k-th and (k+1)-th
+    edges from start on, coincident edges kept, so the columns align; one
+    under 1e-12 us has zero length (an exact identity), and one of zero
+    length in every column is skipped.  Edge counts that differ raise
+    ParameterError.  Returns (models, final QuantumStates).
     """
-    model = build_model(p, options.dims, seq, frame=options.frame,
-                        noiseless=options.noiseless,
-                        storage_t_phi=options.storage_t_phi)
-    state = rho0 if rho0 is not None else qsys.basis_state(options.dims)
-    rho = np.asarray(state.rho if isinstance(state, QuantumState) else state)
-    t_end = upto if upto is not None else (seq.readout_time or seq.end)
-
-    events = {start, t_end}
-    for s in seq.segments:
-        if s.start < t_end:
-            events.update(min(e, t_end) for e in
-                          (s.start, s.start + s.ramp, s.end - s.ramp, s.end))
-    events = sorted(e for e in events if e >= start)
-    windows = [(t0, t1) for t0, t1 in zip(events, events[1:])
-               if t1 - t0 >= 1e-12]
-    x = propagate([model], rho.reshape(-1, 1), windows, options.dt_pulse)
-    return model, QuantumState(x.reshape(rho.shape), options.dims)
+    base = build_model(p, options.dims, frame=options.frame,
+                       noiseless=options.noiseless,
+                       storage_t_phi=options.storage_t_phi)
+    models = [base.with_sequence(seq) for seq in seqs]
+    if rho0s is None:
+        rho0s = [qsys.basis_state(options.dims)] * len(seqs)
+    x = np.array([np.ravel(getattr(r, "rho", r)) for r in rho0s]).T
+    edges = []
+    for seq in seqs:
+        t_end = upto if upto is not None else (seq.readout_time or seq.end)
+        events = [start, t_end] + [
+            min(e, t_end) for s in seq.segments if s.start < t_end
+            for e in (s.start, s.start + s.ramp, s.end - s.ramp, s.end)]
+        edges.append(sorted(e for e in events if e >= start))
+    if len({len(e) for e in edges}) > 1:
+        raise ParameterError("sequences whose segment layouts differ cannot "
+                             "run as the columns of one call")
+    t0, t1 = np.array(edges).T[:-1], np.array(edges).T[1:]
+    t1 = np.where(t1 - t0 < 1e-12, t0, t1)
+    x = propagate(models, x, [w for w in zip(t0, t1) if np.any(w[1] > w[0])],
+                  options.dt_pulse)
+    d = options.dims.total
+    return models, [QuantumState(col.reshape(d, d), options.dims) for col in x.T]
 
 
 def ground_population(model, state):
@@ -150,15 +173,14 @@ def _storage_half(p, prep_angle, options, cal):
 def _delay_sweep(p, prep_angle, delays, options, cal, extra_segments=None):
     """run_memory_protocol's p_g at each delay, bit for bit, with the
     storage half simulated once: each delay runs only its idle window and
-    its retrieval.  extra_segments holds one tuple per delay."""
+    its retrieval, all delays as the columns of one simulate_sequences
+    call.  extra_segments holds one tuple per delay."""
     t_half, half = _storage_half(p, prep_angle, options, cal)
-    pgs = []
-    for d, extra in zip(delays, extra_segments or [()] * len(delays)):
-        seq = _memory_sequence(p, prep_angle, d, options, cal, extra)
-        model, state = simulate_sequence(p, seq, options, rho0=half,
-                                         start=t_half)
-        pgs.append(ground_population(model, state))
-    return np.array(pgs)
+    seqs = [_memory_sequence(p, prep_angle, d, options, cal, extra)
+            for d, extra in zip(delays, extra_segments or [()] * len(delays))]
+    models, states = simulate_sequences(p, seqs, options, [half] * len(seqs),
+                                        start=t_half)
+    return np.array([ground_population(m, s) for m, s in zip(models, states)])
 
 
 def storage_state_after_half(p: DeviceParams, prep_angle=0.0,
@@ -378,33 +400,34 @@ def default_working_points():
 
 def z_fidelity_point(p: DeviceParams, wp: WorkingPoint,
                      options: ProtocolOptions | None = None):
-    """(t_p, F_Z, F_Z_corr) at one working point, zero storage delay."""
-    options = (options or ProtocolOptions()).replace(
-        bsb_amplitude=wp.bsb_amplitude,
-        qubit_pi_multiplier=wp.qubit_pi_multiplier)
-    cal = get_calibration(p, options)
-    p_g = run_memory_protocol(p, 0.0, 0.0, options, cal)
-    return _z_fidelity(p, p_g, options, cal)
+    """(t_p, F_Z, F_Z_corr) at one working point, zero storage delay: the
+    one-point z_fidelity_sweep."""
+    rec = z_fidelity_sweep(p, [wp], options)
+    return rec.xs[0], rec.ys[0], rec.columns["f_z_corr"][0]
 
 
-def _z_fidelity(p, p_g, options, cal):
-    """(t_p, F_Z, F_Z_corr) from the zero-delay protocol's retrieved p_g."""
-    seq = build_memory_sequence(p, 0.0, 0.0, cal,
-                                qubit_pi_multiplier=options.qubit_pi_multiplier)
+def _z_fidelity(p, p_g, seq):
+    """(t_p, F_Z, F_Z_corr) from the zero-delay protocol seq's p_g."""
     t_p = seq.memory_duration
     return t_p, p_g, p_g / math.exp(-t_p / p.t1_q)
 
 
 def z_fidelity_sweep(p: DeviceParams, working_points=None,
                      options: ProtocolOptions | None = None, fit=False):
-    """Z fidelity and corrected Z fidelity versus protocol length."""
+    """Z fidelity and corrected Z fidelity versus protocol length, at zero
+    storage delay.  The missing sideband calibrations run together
+    (get_calibrations), and the protocols as the columns of one
+    simulate_sequences call."""
     options = options or ProtocolOptions()
-    working_points = working_points or default_working_points()
-    rows = [z_fidelity_point(p, wp, options) for wp in working_points]
-    rows.sort(key=lambda r: r[0])
-    t_ps = np.array([r[0] for r in rows])
-    f_z = np.array([r[1] for r in rows])
-    f_corr = np.array([r[2] for r in rows])
+    wps = working_points or default_working_points()
+    cals = get_calibrations(p, options, [wp.bsb_amplitude for wp in wps])
+    seqs = [build_memory_sequence(p, 0.0, 0.0, cal,
+                                  qubit_pi_multiplier=wp.qubit_pi_multiplier)
+            for wp, cal in zip(wps, cals)]
+    models, states = simulate_sequences(p, seqs, options)
+    rows = [_z_fidelity(p, ground_population(m, s), seq)
+            for m, s, seq in zip(models, states, seqs)]
+    t_ps, f_z, f_corr = np.array(sorted(rows, key=lambda r: r[0])).T
     fits = {}
     if fit:
         fits["leakage"] = analysis.fit_leakage(t_ps, f_corr)
@@ -423,22 +446,24 @@ def memory_channel(p: DeviceParams, options: ProtocolOptions | None = None,
 
     The input state is placed on the (g, e) levels with both modes in
     vacuum; the output is the unnormalized (g, e) block of the retrieved
-    transmon state (trace deficiency = leakage and loss).
+    transmon state (trace deficiency = leakage and loss).  The map takes
+    one 2x2 input, or a stack (k, 2, 2) of them, propagated as the columns
+    of one simulate_sequences call.
     """
     options = options or ProtocolOptions()
     cal = cal or get_calibration(p, options)
     seq = build_memory_sequence(p, 0.0, 0.0, cal,
                                 qubit_pi_multiplier=options.qubit_pi_multiplier)
     dims = options.dims
+    qubit = np.array([dims.index(0, 0, 0), dims.index(1, 0, 0)])
 
     def channel(rho_in):
-        rho_full = np.zeros((dims.total, dims.total), dtype=complex)
-        for i in range(2):
-            for j in range(2):
-                rho_full[dims.index(i, 0, 0), dims.index(j, 0, 0)] = rho_in[i, j]
-        _, state = simulate_sequence(
-            p, seq, options, rho0=QuantumState(rho_full, dims))
-        return state.ptrace_transmon()[:2, :2]
+        inputs = np.reshape(rho_in, (-1, 2, 2))
+        rho_full = np.zeros((len(inputs), dims.total, dims.total), dtype=complex)
+        rho_full[:, qubit[:, None], qubit] = inputs
+        _, states = simulate_sequences(p, [seq] * len(inputs), options, rho_full)
+        return np.reshape([s.ptrace_transmon()[:2, :2] for s in states],
+                          np.shape(rho_in))
 
     return channel
 
@@ -450,21 +475,18 @@ def qpt_experiment(p: DeviceParams, options: ProtocolOptions | None = None):
 
     With options.shots set, each output is reconstructed from binomially
     sampled Pauli expectations (normalized, seeded by options.seed and the
-    input's index in tomography.INPUT_STATES).  The Z fidelity's p_g is the
-    exact ground population of the |g> input's output, so the zero-delay
-    protocol runs once per input.
+    input's index in tomography.INPUT_STATES).  The four inputs propagate
+    as the columns of one call (memory_channel), and the Z fidelity's p_g
+    is the exact ground population of the |g> input's output.
     """
     options = options or ProtocolOptions()
     cal = get_calibration(p, options)
-    exact = memory_channel(p, options, cal)
-    p_g = []
+    outputs = memory_channel(p, options, cal)(np.array(tomography.INPUT_STATES))
 
     def channel(rho_in):
-        block = exact(rho_in)
         k = next(i for i, rho in enumerate(tomography.INPUT_STATES)
                  if rho is rho_in)
-        if k == 0:                                   # |g><g|
-            p_g.append(float(np.real(block[0, 0])))
+        block = outputs[k]
         if options.shots is None:
             return block
         rng = np.random.default_rng((options.seed, k))
@@ -481,7 +503,9 @@ def qpt_experiment(p: DeviceParams, options: ProtocolOptions | None = None):
     chi = tomography.process_tomography(channel)
     f_raw = tomography.process_fidelity(chi)
     theta, f_opt = tomography.fidelity_with_z_optimization(chi)
-    t_p, f_z, f_z_corr = _z_fidelity(p, p_g[0], options, cal)
+    p_g = float(np.real(outputs[0][0, 0]))          # |g><g|
+    t_p, f_z, f_z_corr = _z_fidelity(
+        p, p_g, _memory_sequence(p, 0.0, 0.0, options, cal))
     return {
         "chi": chi,
         "f_qpt_raw": f_raw,

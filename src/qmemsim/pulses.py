@@ -315,25 +315,33 @@ def _parabolic_peak(xs, ys):
 
 def calibrate_pi_pulse(params: DeviceParams, dims, channel, amplitude, *,
                        frame="dispersive", rise=DEFAULT_RISE):
-    """Calibrate a pi pulse on the qubit or sideband channel.
+    """calibrate_pi_pulses at one amplitude."""
+    return calibrate_pi_pulses(params, dims, channel, [amplitude], frame=frame,
+                               rise=rise)[0]
+
+
+def calibrate_pi_pulses(params: DeviceParams, dims, channel, amplitudes, *,
+                        frame="dispersive", rise=DEFAULT_RISE):
+    """Calibrate pi pulses on the qubit or sideband channel, one per amplitude.
 
     Scans the carrier about the model's own resonance and then the plateau
     duration, maximizing the target transfer (|g> -> |e> for the qubit
     channel, |g0> -> |e1> for the sideband) in a noiseless simulation.
     Deterministic: fixed scan grids plus parabolic refinement.  Each of the
     five stages (9 and 5 carriers, 9 and 5 plateaus, the final pulse)
-    propagates its trial pulses as the ket columns of one
+    propagates the trial pulses of every amplitude as the ket columns of one
     lindblad.propagate call (_probe_transfers): their ramps by RK4 at a
     fixed step of 1e-4 us for the qubit and 5e-4 us for the sideband, and
-    their plateaus exactly.
+    their plateaus exactly.  A column propagates as it would alone.
 
-    Returns a CalibrationResult whose freq_offset is the found carrier minus
-    the nominal one (bare qubit frequency, or half the nominal sideband
-    frequency).
+    Returns a CalibrationResult per amplitude, whose freq_offset is the
+    found carrier minus the nominal one (bare qubit frequency, or half the
+    nominal sideband frequency).
     """
     from .lindblad import dressed_frequencies, two_photon_resonance
 
-    if amplitude <= 0:
+    amps = np.array(amplitudes, dtype=float)
+    if amps.min() <= 0:
         raise CalibrationError("drive amplitude must be > 0")
     if channel not in (QUBIT_CHANNEL, "bsb"):
         raise CalibrationError(f"cannot calibrate pi pulses on channel {channel!r}")
@@ -344,24 +352,24 @@ def calibrate_pi_pulse(params: DeviceParams, dims, channel, amplitude, *,
     if channel == QUBIT_CHANNEL:
         nominal = a.w_q
         center = dressed_frequencies(params, dims)[0]
-        pi_width = math.pi / amplitude
+        pi_width = math.pi / amps
         initial, target = (0, 0, 0), (1, 0, 0)
-        window = max(0.15 * amplitude, 2.0 * math.pi * 0.5)
+        window = np.maximum(0.15 * amps, 2.0 * math.pi * 0.5)
         ramp_eq = 2.0 * _RAMP_AREA * sigma
     else:
         nominal = 0.5 * bsb_frequency(params)
         center = two_photon_resonance(params, dims)
-        omega_eff = bsb_effective_rate(params, amplitude, carrier=center)
+        omega_eff = bsb_effective_rate(params, amps, carrier=center)
         pi_width = math.pi / (2.0 * omega_eff)
         initial, target = (0, 0, 0), (1, 1, 0)
-        window = max(1.5 * omega_eff, 2.0 * math.pi * 0.3)
+        window = np.maximum(1.5 * omega_eff, 2.0 * math.pi * 0.3)
         ramp_eq = 2.0 * _RAMP_AREA_SQ * sigma
 
     plateau0 = pi_width - ramp_eq
-    if plateau0 < 0:
+    if plateau0.min() < 0:
         raise CalibrationError(
-            f"amplitude too large for rise {rise} us: pi width {pi_width:.4g} us "
-            f"is shorter than the ramps ({ramp_eq:.4g} us)"
+            f"amplitude too large for rise {rise} us: pi width {pi_width.min():.4g}"
+            f" us is shorter than the ramps ({ramp_eq:.4g} us)"
         )
 
     # the sideband probe dynamics is MHz-scale (two-photon term only), so a
@@ -369,41 +377,41 @@ def calibrate_pi_pulse(params: DeviceParams, dims, channel, amplitude, *,
     # default
     probe_dt = 5e-4 if channel == "bsb" else 1e-4
 
-    def probe(plateau, carrier):
-        segs = [PulseSegment(QUBIT_CHANNEL, amplitude, c, plateau=pl, rise=rise,
+    def probe(plateau, carrier):      # broadcast to one row per amplitude
+        plateau, carrier = np.broadcast_arrays(plateau, carrier)
+        segs = [PulseSegment(QUBIT_CHANNEL, amp, c, plateau=pl, rise=rise,
                              start=0.0)
-                for pl, c in np.broadcast(plateau, carrier)]
+                for amp, pls, cs in zip(amps, plateau, carrier)
+                for pl, c in zip(pls, cs)]
         return _probe_transfers(params, dims, segs, frame, probe_dt, initial,
-                                target)
+                                target).reshape(plateau.shape)
+
+    def peaks(xs, transfers):
+        return np.array([_parabolic_peak(x, t) for x, t in zip(xs, transfers)])
 
     # carrier scan at the estimated pi plateau, then parabolic refinement
-    offsets = np.linspace(-window, window, 9)
-    transfers = probe(plateau0, center + offsets)
-    best = _parabolic_peak(offsets, transfers)
-    fine = np.linspace(best - window / 8, best + window / 8, 5)
-    transfers = probe(plateau0, center + fine)
-    carrier = center + _parabolic_peak(fine, transfers)
+    offsets = np.linspace(-window, window, 9, axis=1)
+    best = peaks(offsets, probe(plateau0[:, None], center + offsets))
+    fine = np.linspace(best - window / 8, best + window / 8, 5, axis=1)
+    carrier = center + peaks(fine, probe(plateau0[:, None], center + fine))
 
     # plateau scan around the analytic estimate
     width0 = plateau0 + ramp_eq
-    lo = max(0.0, 0.7 * width0 - ramp_eq)
+    lo = np.maximum(0.0, 0.7 * width0 - ramp_eq)
     hi = 1.3 * width0 - ramp_eq
-    plateaus = np.linspace(lo, hi, 9)
-    transfers = probe(plateaus, carrier)
-    best_pl = _parabolic_peak(plateaus, transfers)
-    fine = np.linspace(best_pl - (hi - lo) / 8.0, best_pl + (hi - lo) / 8.0, 5)
-    fine = np.clip(fine, 0.0, None)
-    transfers = probe(fine, carrier)
-    plateau = float(np.clip(_parabolic_peak(fine, transfers), 0.0, None))
+    plateaus = np.linspace(lo, hi, 9, axis=1)
+    best_pl = peaks(plateaus, probe(plateaus, carrier[:, None]))
+    fine = np.clip(np.linspace(best_pl - (hi - lo) / 8.0,
+                               best_pl + (hi - lo) / 8.0, 5, axis=1), 0.0, None)
+    plateau = np.clip(peaks(fine, probe(fine, carrier[:, None])), 0.0, None)
 
-    transfer = float(probe(plateau, carrier)[0])
-    if transfer < 0.5:
+    transfer = probe(plateau[:, None], carrier[:, None])[:, 0]
+    if transfer.min() < 0.5:
         raise CalibrationError(
-            f"calibration failed on {channel}: best transfer {transfer:.3f} < 0.5 "
-            "(drive too weak against the decoherence-free dynamics)"
+            f"calibration failed on {channel}: best transfer {transfer.min():.3f}"
+            " < 0.5 (drive too weak against the decoherence-free dynamics)"
         )
-    return CalibrationResult(
-        amplitude=amplitude, plateau=plateau, carrier=carrier,
-        freq_offset=carrier - nominal, transfer=transfer,
-        pi_time=plateau + ramp_eq, rise=rise,
-    )
+    return [CalibrationResult(
+        amplitude=amp, plateau=float(pl), carrier=c, freq_offset=c - nominal,
+        transfer=float(t), pi_time=float(pl) + ramp_eq, rise=rise)
+        for amp, pl, c, t in zip(amplitudes, plateau, carrier, transfer)]

@@ -240,7 +240,9 @@ def test_sweep_of_a_variable_the_experiment_does_not_take(
         raise AssertionError("simulated before rejecting the sweep")
 
     for module, name in ((protocol, "get_calibration"),
+                         (protocol, "get_calibrations"),
                          (protocol, "simulate_sequence"),
+                         (protocol, "simulate_sequences"),
                          (cli, "effective_bsb_check")):
         monkeypatch.setattr(module, name, simulate)
     data = tmp_path / "d.csv"

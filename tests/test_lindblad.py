@@ -279,15 +279,15 @@ def idle(model, rho, *windows):
 
 
 def record_blocks(monkeypatch):
-    """The (m, n) index arrays of the blocks `_block_generators` returns."""
-    blocks, generators = [], lindblad._block_generators
+    """The (m, n) index arrays of the blocks `_static_blocks` returns."""
+    blocks, static_blocks = [], lindblad._static_blocks
 
     def record(*args):
-        out = generators(*args)
-        blocks.extend(idx for idx, _ in out)
+        out = static_blocks(*args)
+        blocks.extend(out)
         return out
 
-    monkeypatch.setattr(lindblad, "_block_generators", record)
+    monkeypatch.setattr(lindblad, "_static_blocks", record)
     return blocks
 
 
@@ -367,6 +367,31 @@ def test_driven_windows_step_rk4_and_silent_segments_are_exact(monkeypatch):
     assert np.real(np.trace(out.reshape(4, 4))) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_zero_length_window_is_an_identity_on_both_routes(monkeypatch):
+    # a column whose window has t1 = t0 keeps its input bit for bit, on a
+    # ramp (RK4), on the plateau and in an idle gap (exact), beside a
+    # column that propagates
+    p = DeviceParams()
+    drive = PulseSegment(QUBIT_CHANNEL, TWO_PI * 20.0, p.angular().w_q,
+                         plateau=0.05, start=0.01)
+    m = build_model(p, SubsystemDims(2, 2, 1), PulseSequence((drive,)))
+    routes = []
+    for name in ("_stepped", "_exact"):
+        def record(*args, name=name, route=getattr(lindblad, name)):
+            routes.append(name)
+            return route(*args)
+        monkeypatch.setattr(lindblad, name, record)
+    x = np.stack([random_density_matrix(4, k).reshape(-1) for k in (6, 7)], 1)
+    for t, route in ((drive.start + 0.5 * drive.ramp, "_stepped"),
+                     (drive.start + drive.ramp + 0.02, "_exact"),
+                     (0.005, "_exact")):
+        routes.clear()
+        out = propagate([m, m], x, [(t, np.array([t, t + 0.002]))], 1e-4)
+        assert routes == [route]
+        assert np.array_equal(out[:, 0], x[:, 0])
+        assert not np.array_equal(out[:, 1], x[:, 1])
+
+
 # ---------------------------------------------------------------------------
 # the generator table against a dense reference
 # ---------------------------------------------------------------------------
@@ -442,8 +467,9 @@ def test_liouville_table_matches_dense_reference():
         dense = np.array([dense_lindbladian(m, e).reshape(-1) for e in basis]).T
         scale = np.max(np.abs(dense))
         table = LiouvilleTable(m)
-        blocks = lindblad._block_generators(table, table.lam[:, None],
-                                            np.ones((len(table.weight), 1)))
+        blocks = [(idx, lindblad._block_generators(
+            table, idx, table.lam[:, None], np.ones((len(table.weight), 1))))
+            for idx in lindblad._static_blocks(table)]
         member = np.full(d * d, -1)
         for k, (idx, gen) in enumerate(blocks):
             for b in range(idx.shape[0]):

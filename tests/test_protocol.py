@@ -12,7 +12,8 @@ from qmemsim.protocol import (ExperimentRecord, ProtocolOptions, WorkingPoint,
                               mode_ringdown_experiment, prep_angle_sweep,
                               run_memory_protocol, storage_state_after_half,
                               z_fidelity_point, z_fidelity_sweep)
-from qmemsim.pulses import PulseSegment, QUBIT_CHANNEL
+from qmemsim.pulses import (PulseSegment, QUBIT_CHANNEL,
+                            build_memory_sequence)
 from qmemsim.qsys import SubsystemDims
 from qmemsim.units import TWO_PI
 
@@ -239,20 +240,68 @@ def test_zero_delay_protocol_builds_three_tables(monkeypatch):
 
 
 def test_qpt_simulates_each_tomography_input_once(monkeypatch):
-    sequences = []
-    simulate = protocol.simulate_sequence
+    calls = []
+    simulate = protocol.simulate_sequences
 
-    def counting(p, seq, options, **kw):
-        sequences.append(seq)
-        return simulate(p, seq, options, **kw)
+    def counting(p, seqs, options, *args, **kw):
+        calls.append(len(seqs))
+        return simulate(p, seqs, options, *args, **kw)
 
-    monkeypatch.setattr(protocol, "simulate_sequence", counting)
+    monkeypatch.setattr(protocol, "simulate_sequences", counting)
     out = protocol.qpt_experiment(P, OPTS.replace(shots=1000))
-    # four tomography inputs; the empty reference sequence has no window
-    assert sum(1 for seq in sequences if seq.segments) == 4
+    # the four tomography inputs are the columns of one call
+    assert calls == [4]
     # F_Z comes from the unsampled |g> output, also with shots set
     _, f_z, _ = z_fidelity_point(P, WorkingPoint(OPTS.bsb_amplitude), OPTS)
     assert out["f_z"] == pytest.approx(f_z, rel=0, abs=1e-12)
+
+
+def test_batched_qpt_inputs_equal_single_inputs():
+    from qmemsim import tomography
+
+    chan = memory_channel(P, OPTS)
+    batch = chan(np.array(tomography.INPUT_STATES))
+    assert batch.shape == (4, 2, 2)
+    for out, rho in zip(batch, tomography.INPUT_STATES):
+        assert np.array_equal(out, chan(rho))
+
+
+def test_z_sweep_row_equals_its_single_point(anchor_z_point):
+    # the 6 GHz protocol as one of three columns, beside a 3pi point
+    wps = [WorkingPoint(TWO_PI * 12.0e3), WorkingPoint(TWO_PI * 6.0e3),
+           WorkingPoint(TWO_PI * 3.2e3, qubit_pi_multiplier=3)]
+    rec = z_fidelity_sweep(P, wps, OPTS)
+    row = list(rec.xs).index(anchor_z_point[0])
+    assert (rec.xs[row], rec.ys[row], rec.columns["f_z_corr"][row]) \
+        == anchor_z_point
+
+
+def test_z_sweep_runs_its_protocols_and_calibrations_batched(monkeypatch):
+    # three working points: one propagate call for the three protocols, and
+    # the five scan stages of the three sideband calibrations as five
+    # probe calls (the qubit calibration is cached)
+    protocol.get_calibration(P, OPTS)
+    monkeypatch.setattr(protocol, "_CAL_CACHE", {
+        key: cal for key, cal in protocol._CAL_CACHE.items()
+        if key[3] == QUBIT_CHANNEL})
+    calls = {"propagate": [], "_probe_transfers": []}
+    for module, name in ((protocol, "propagate"), (pulses, "_probe_transfers")):
+        def count(*args, name=name, fn=getattr(module, name)):
+            calls[name].append(None)
+            return fn(*args)
+        monkeypatch.setattr(module, name, count)
+    wps = [WorkingPoint(TWO_PI * a) for a in (12.0e3, 7.0e3, 4.6e3)]
+    z_fidelity_sweep(P, wps, OPTS)
+    assert len(calls["propagate"]) == 1
+    assert len(calls["_probe_transfers"]) == 5
+
+
+def test_sequences_with_different_layouts_raise():
+    cal = protocol.get_calibration(P, OPTS)
+    seqs = [build_memory_sequence(P, angle, 0.0, cal)
+            for angle in (0.0, math.pi / 2.0)]          # no prep, then prep
+    with pytest.raises(ParameterError):
+        protocol.simulate_sequences(P, seqs, OPTS)
 
 
 def test_qpt_inputs_draw_distinct_shot_noise(monkeypatch):

@@ -182,6 +182,13 @@ def test_calibration_deterministic(sample_calibration):
     assert again.carrier == cal.qubit.carrier
 
 
+def test_batched_calibration_equals_single_calibrations(sample_calibration):
+    p, dims, cal = sample_calibration
+    amps = [cal.bsb.amplitude, TWO_PI * 9.0e3]
+    batch = pulses.calibrate_pi_pulses(p, dims, "bsb", amps)
+    assert batch == [cal.bsb, calibrate_pi_pulse(p, dims, "bsb", amps[1])]
+
+
 def test_calibration_rejects_too_strong_drive():
     p = DeviceParams()
     dims = SubsystemDims(2, 2, 1)
