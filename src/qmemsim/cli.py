@@ -10,8 +10,8 @@ configuration and seed are byte-identical, and `run --from-manifest
 with status 1, usage errors (unknown experiment, missing config, a sweep
 that does not strictly increase or of a variable the experiment does not
 take, a dt_pulse <= 0, shots or jobs < 1, a fit input that cannot be read,
-holds no rows or whose x values do not strictly increase) with 2, before
-any simulation.
+holds no rows or a value that is not finite, or whose x values do not
+strictly increase) with 2, before any simulation.
 """
 
 import argparse
@@ -186,6 +186,9 @@ def run_experiment(p, options, args, sweep):
         if data.size == 0 or data.shape[1] < 2:
             raise ConfigError(f"--input {args.input!r} must hold x,y rows "
                               "under a header line")
+        if not np.all(np.isfinite(data[:, :2])):
+            raise ConfigError(f"--input {args.input!r}: every x and y value "
+                              "must be finite")
         if np.any(np.diff(data[:, 0]) <= 0):
             raise ConfigError(f"--input {args.input!r}: the x values must "
                               "strictly increase")

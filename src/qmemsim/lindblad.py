@@ -49,7 +49,8 @@ Every window uses one form of the generator, a :class:`LiouvilleTable`:
 each operator is split into label-shift classes, so the Liouvillian on
 vec(rho) is a diagonal plus gather rows.  One runner, :func:`propagate`,
 takes B columns, each a vec(rho) or a ket under its own model, across a
-list of windows, and routes each column in each window:
+span that it cuts at each column's pulse and ramp edges, and routes each
+column in each window:
 
 - exactly, where the generator is constant in the frame
   rho~ = exp(iKt) rho exp(-iKt), with K = kappa . (n_t, n_s, n_r) diagonal
@@ -85,7 +86,7 @@ reaches everything.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -170,6 +171,11 @@ def _split_classes(op, labels, tol=1e-12):
             for key in _class_keys(op, labels, tol)}
 
 
+def _edges(seg):
+    """A segment's start, ramp ends and end; it is flat between the two."""
+    return seg.start, seg.start + seg.ramp, seg.end - seg.ramp, seg.end
+
+
 def _transition_freqs(energies, dims):
     """(w_q, w_s, w_ro) single-excitation energies; 0 for frozen 1-level modes."""
     e0 = energies[dims.index(0, 0, 0)]
@@ -226,10 +232,12 @@ class LindbladModel:
     rot: tuple                        # per-subsystem rotation freqs (rad/us)
     dressing: np.ndarray              # U, columns = model basis in the bare basis
     labels: tuple = None
-    # per drive channel its lowering operator's classes {key: component},
-    # and the |g,n> -> |e,n+1> two-photon sideband ladder, in the model basis
+    # per drive channel its lowering operator, split into its classes
+    # {key: component} when a model of the frame first drives it, and the
+    # |g,n> -> |e,n+1> two-photon sideband ladder, in the model basis
     drive_ops: dict = None
     two_photon: np.ndarray = None
+    drive_classes: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.labels is None:
@@ -264,8 +272,8 @@ class LindbladModel:
 
     def with_sequence(self, seq):
         """This model, which carries no sequence, driven by seq: its terms
-        plus those of seq's segments (see the module docstring).  Builds no
-        basis nor class split, so the models of one frame share its arrays."""
+        plus those of seq's segments (see the module docstring).  Splits a
+        channel into classes once per frame, so its models share the arrays."""
         a = self.params.angular()
         cutoff = math.inf if self.frame == "lab" else RWA_CUTOFF
         rot_arr = np.array(self.rot)
@@ -273,7 +281,10 @@ class LindbladModel:
         for seg in seq.segments:
             if seg.amplitude == 0.0:
                 continue
-            for key, comp in self.drive_ops[seg.target].items():
+            if seg.target not in self.drive_classes:
+                self.drive_classes[seg.target] = _split_classes(
+                    self.drive_ops[seg.target], self.labels)
+            for key, comp in self.drive_classes[seg.target].items():
                 nu = float(np.dot(key, rot_arr))
                 for s in (+1.0, -1.0):
                     carrier = nu + s * seg.carrier
@@ -322,9 +333,8 @@ class LindbladModel:
         """
         keys, rhs = [], []
         for term in self.active_terms(t0, t1):
-            seg = term.segment
-            if seg is not None and not (seg.start + seg.ramp <= t0
-                                        and t1 <= seg.end - seg.ramp):
+            up, down = _edges(term.segment)[1:3] if term.segment else (t0, t1)
+            if not (up <= t0 and t1 <= down):
                 return None
             for key in _class_keys(term.op, self.labels, tol=0.0):
                 keys.append(key)
@@ -417,8 +427,7 @@ def build_model(p: DeviceParams, dims: SubsystemDims, seq=None, frame="dispersiv
         return U.conj().T @ op @ U
 
     channel_ops = {QUBIT_CHANNEL: b, STORAGE_CHANNEL: a_s, READOUT_CHANNEL: a_r}
-    drive_ops = {target: _split_classes(to_model(op), labels)
-                 for target, op in channel_ops.items()}
+    drive_ops = {target: to_model(op) for target, op in channel_ops.items()}
     sigma_plus = np.zeros((dims.n_transmon,) * 2, dtype=complex)
     sigma_plus[1, 0] = 1.0
     two_photon_bare = (qsys.tensor_embed(sigma_plus, qsys.TRANSMON, dims)
@@ -889,25 +898,34 @@ def _exact(table, x, terms, frames, t0, t1, diag):
     return out
 
 
-def propagate(models, x, windows, dt):
-    """The columns of x propagated across the windows in turn, as a new
-    (n, B) array.
+def _cuts(model, t0, t1):
+    """t0, t1 and the model's segment edges from t0 on, clipped to t1."""
+    segments = {term.segment for term in model.terms} - {None}
+    return sorted([t0, t1] + [min(e, t1) for seg in segments
+                              for e in _edges(seg) if e >= t0])
+
+
+def propagate(models, x, span, dt):
+    """The columns of x propagated across span = (t0, t1), each time a
+    number or one per column, as a new (n, B) array.
 
     Column j of x is a row-major vec(rho) (n = d * d) or a ket (n = d)
-    under models[j]; kets need models without collapse channels.  windows
-    holds (t0, t1) pairs, each time a number or one per column.  In each
-    window a column propagates exactly (`_exact`) where
-    ``models[j].carrier_frame(t0, t1)`` gives a frame, K = 0 with no active
-    term, and by RK4 at dt otherwise (`_stepped`), where a dt above the
-    window's ``max_step`` raises StepSizeError; see the module docstring.
+    under models[j]; kets need models without collapse channels.  Its span
+    is cut at the start, ramp ends and end of each segment that drives
+    models[j] (`_cuts`), coincident edges kept, and window k of every
+    column runs in step k, a column with fewer edges ending in zero-length
+    windows.  A window under 1e-12 us has zero length, and one of zero
+    length in every column is skipped.  A column propagates exactly
+    (`_exact`) where ``models[j].carrier_frame(t0, t1)`` gives a frame, and
+    by RK4 at dt otherwise (`_stepped`), where a dt above the window's
+    ``max_step`` raises StepSizeError; see the module docstring.
 
     Columns on the same route whose models share their drift, channel and
     active term arrays (those of one frame) propagate together, under one
     LiouvilleTable built once per call.  Each column's trace (rho) or
     squared norm (ket) is checked against its entering value, and a drift
-    beyond 1e-6 raises IntegrationError.  A dt that is not a
-    positive finite number raises ParameterError, as does a window with
-    t1 < t0.
+    beyond 1e-6 raises IntegrationError.  A dt that is not a positive
+    finite number raises ParameterError, as does a span with t1 < t0.
     """
     _check_dt(dt)
     x = np.array(x, dtype=complex)
@@ -919,17 +937,22 @@ def propagate(models, x, windows, dt):
     if ket and any(model.channels for model in models):
         raise ParameterError(
             "kets propagate only under a model without collapse channels")
+    start, stop = (np.full(x.shape[1], t, dtype=float) for t in span)
+    if np.any(stop < start):
+        raise ParameterError("span must have t1 >= t0")
+    cuts = [_cuts(*column) for column in zip(models, start, stop)]
+    width = max(map(len, cuts))
+    edges = np.array([c + c[-1:] * (width - len(c)) for c in cuts]).T
     diag = None if ket else np.eye(d, dtype=bool).ravel()
     # what a column's table depends on besides its terms (the models live
     # through the call, so the ids of their arrays are unique)
     bases = [(id(model.drift), *((c.rate, id(c.op)) for c in model.channels))
              for model in models]
     tables = {}
-    for t0, t1 in windows:
-        t0, t1 = (np.broadcast_to(np.asarray(t, dtype=float), x.shape[1:])
-                  for t in (t0, t1))
-        if np.any(t1 < t0):
-            raise ParameterError("windows must have t1 >= t0")
+    for t0, t1 in zip(edges, edges[1:]):
+        t1 = np.where(t1 - t0 < 1e-12, t0, t1)
+        if not np.any(t1 > t0):
+            continue
         routes = {}
         for j, model in enumerate(models):
             terms = model.active_terms(t0[j], t1[j])
@@ -973,9 +996,9 @@ def effective_bsb_check(p: DeviceParams, omega_drv, *, dims=None,
     The tone is placed at the model's own two-photon pair resonance, so the
     comparison isolates the rate rather than a detuning.  The noiseless tone
     lasts 2.5 swap periods, sampled 36 times per period, at t_k by ket
-    column k of one propagate call across the tone's ramp-up, its exact
-    plateau and its ramp-down, each clipped to t_k.  Returns a
-    BsbComparison with the measured/predicted ratio.
+    column k of one propagate call across (0, t_k): the tone's ramps by
+    RK4 and its plateau exactly.  Returns a BsbComparison with the
+    measured/predicted ratio.
     """
     from .analysis import fit_decaying_cosine
     from .device import bsb_effective_rate
@@ -997,11 +1020,8 @@ def effective_bsb_check(p: DeviceParams, omega_drv, *, dims=None,
     # step resolves the MHz-scale dynamics comfortably
     dt = min(5e-4, model.max_step(0.0, seg.end), period / 400.0)
     t = np.linspace(0.0, seg.end, 91)   # 36 per swap period
-    edges = np.minimum([[seg.start], [seg.start + seg.ramp],
-                        [seg.end - seg.ramp], [seg.end]], t)
-    psi = np.zeros((dims.total, len(t)), dtype=complex)
-    psi[dims.index(0, 0, 0)] = 1.0
-    psi = propagate([model] * len(t), psi, list(zip(edges, edges[1:])), dt)
+    ground = np.eye(dims.total)[:, [dims.index(0, 0, 0)] * len(t)]
+    psi = propagate([model] * len(t), ground, (seg.start, t), dt)
     fit = fit_decaying_cosine(t, np.abs(psi[dims.index(0, 0, 0)]) ** 2)
     contrast = 2.0 * abs(fit.params["A"])
     if contrast < 0.2:

@@ -97,16 +97,11 @@ def simulate_sequence(p: DeviceParams, seq: PulseSequence,
 def simulate_sequences(p: DeviceParams, seqs, options: ProtocolOptions,
                        rho0s=None, start=0.0, upto=None):
     """Run pulse sequences, under models of one frame, as the columns of
-    one lindblad.propagate call, between their segment and plateau edges:
-    the idle windows and the plateaus exactly, the ramps and every driven
-    window of the lab frame by RK4 at options.dt_pulse.  Column j runs
-    from rho0s[j] (default the ground state) at start to upto (default its
-    readout marker).  Window k of a column spans its k-th and (k+1)-th
-    edges from start on, coincident edges kept, so the columns align; one
-    under 1e-12 us has zero length (an exact identity), and one of zero
-    length in every column is skipped.  Edge counts that differ raise
-    ParameterError.  Returns (models, final QuantumStates).
-    """
+    one lindblad.propagate call: the idle windows and the plateaus exactly,
+    the ramps and every driven window of the lab frame by RK4 at
+    options.dt_pulse.  Column j runs from rho0s[j] (default the ground
+    state) at start to upto (default its readout marker).  Returns (models,
+    final QuantumStates)."""
     base = build_model(p, options.dims, frame=options.frame,
                        noiseless=options.noiseless,
                        storage_t_phi=options.storage_t_phi)
@@ -114,20 +109,8 @@ def simulate_sequences(p: DeviceParams, seqs, options: ProtocolOptions,
     if rho0s is None:
         rho0s = [qsys.basis_state(options.dims)] * len(seqs)
     x = np.array([np.ravel(getattr(r, "rho", r)) for r in rho0s]).T
-    edges = []
-    for seq in seqs:
-        t_end = upto if upto is not None else (seq.readout_time or seq.end)
-        events = [start, t_end] + [
-            min(e, t_end) for s in seq.segments if s.start < t_end
-            for e in (s.start, s.start + s.ramp, s.end - s.ramp, s.end)]
-        edges.append(sorted(e for e in events if e >= start))
-    if len({len(e) for e in edges}) > 1:
-        raise ParameterError("sequences whose segment layouts differ cannot "
-                             "run as the columns of one call")
-    t0, t1 = np.array(edges).T[:-1], np.array(edges).T[1:]
-    t1 = np.where(t1 - t0 < 1e-12, t0, t1)
-    x = propagate(models, x, [w for w in zip(t0, t1) if np.any(w[1] > w[0])],
-                  options.dt_pulse)
+    stop = [s.readout_time or s.end for s in seqs] if upto is None else upto
+    x = propagate(models, x, (start, stop), options.dt_pulse)
     d = options.dims.total
     return models, [QuantumState(col.reshape(d, d), options.dims) for col in x.T]
 
@@ -312,13 +295,15 @@ def memory_ramsey_experiment(p: DeviceParams, delays=None, detuning=0.35,
 def prep_angle_sweep(p: DeviceParams, angles=None, delay=0.25,
                      options: ProtocolOptions | None = None):
     """Retrieved p_g versus preparation angle at a fixed delay (Rabi
-    pattern)."""
+    pattern), the protocols as the columns of one simulate_sequences call."""
     options = options or ProtocolOptions()
     if angles is None:
         angles = np.linspace(0.0, 2.0 * math.pi, 13)
     angles = np.asarray(angles, dtype=float)
     cal = get_calibration(p, options)
-    pgs = [run_memory_protocol(p, a, delay, options, cal) for a in angles]
+    seqs = [_memory_sequence(p, a, delay, options, cal) for a in angles]
+    models, states = simulate_sequences(p, seqs, options)
+    pgs = [ground_population(m, s) for m, s in zip(models, states)]
     return ExperimentRecord(sweep_variable="prep_angle_rad", observable="p_g",
                             xs=angles, ys=pgs)
 
@@ -357,9 +342,8 @@ def mode_ringdown_experiment(p: DeviceParams, mode="readout",
     n_op = low.conj().T @ low
 
     t = np.linspace(0.0, 2.5 * (2.0 / kappa), 121)
-    x = propagate([model] * len(t), np.repeat(driven.rho.reshape(-1, 1),
-                                              len(t), axis=1),
-                  [(seg.end, seg.end + t)], options.dt_pulse)
+    x = propagate([model] * len(t), np.tile(driven.rho.reshape(-1, 1), len(t)),
+                  (seg.end, seg.end + t), options.dt_pulse)
     rhos = x.T.reshape((len(t),) + driven.rho.shape)
     amp_abs = np.abs(np.trace(rhos @ low, axis1=1, axis2=2))
     n_vals = np.trace(rhos @ n_op, axis1=1, axis2=2).real

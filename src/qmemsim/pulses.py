@@ -278,25 +278,17 @@ def build_memory_sequence(p: DeviceParams, prep_angle, storage_delay, cal,
 # ---------------------------------------------------------------------------
 
 def _probe_transfers(params, dims, segments, frame, dt, initial, target):
-    """Noiseless transfer probabilities of trial segments, one per segment,
-    propagated together as the ket columns of one lindblad.propagate call
-    across each probe's ramp-up, plateau and ramp-down; the probes' models
-    share one frame, built once.
-
-    The ramps step by RK4 at dt, and the plateaus, where each probe's
-    generator is constant in a frame rotating with its carriers, propagate
-    exactly.  In the lab frame no such frame exists, and the plateaus step
-    RK4 too.
-    """
+    """Noiseless transfer probabilities of trial segments starting at 0,
+    one per segment, as the ket columns of one lindblad.propagate call from
+    0 to each segment's end: the ramps by RK4 at dt, the plateaus exactly
+    (by RK4 in the lab frame, which has no frame rotating with a probe's
+    carriers).  The probes' models share one frame, built once."""
     from .lindblad import build_model, propagate
 
     base = build_model(params, dims, frame=frame, noiseless=True)
     models = [base.with_sequence(PulseSequence((seg,))) for seg in segments]
-    psi = np.zeros((dims.total, len(segments)), dtype=complex)
-    psi[dims.index(*initial)] = 1.0
-    edges = np.array([(s.start, s.start + s.ramp, s.end - s.ramp, s.end)
-                      for s in segments]).T
-    psi = propagate(models, psi, list(zip(edges, edges[1:])), dt)
+    psi = np.eye(dims.total)[:, [dims.index(*initial)] * len(segments)]
+    psi = propagate(models, psi, (0.0, [s.end for s in segments]), dt)
     return np.abs(psi[dims.index(*target)]) ** 2
 
 

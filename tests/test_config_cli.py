@@ -263,7 +263,12 @@ def test_sweep_of_a_variable_the_experiment_does_not_take(
     ("x,y\n", 2, "must hold x,y rows"),
     ("x,y\n" + "".join(f"{5 - k},{k + 1}\n" for k in range(6)), 2,
      "x values must strictly increase"),
-], ids=["missing", "one-column", "one-row", "header-only", "decreasing-x"])
+    ("x,y\n" + "".join(f"{k},{'nan' if k == 3 else k + 1}\n"
+                       for k in range(6)), 2, "must be finite"),
+    ("x,y\n" + "".join(f"{'inf' if k == 5 else k},{k + 1}\n"
+                       for k in range(6)), 2, "must be finite"),
+], ids=["missing", "one-column", "one-row", "header-only", "decreasing-x",
+        "nan-y", "inf-x"])
 def test_fit_input_errors(tmp_path, sample_cfg, capsys, text, status, message):
     from qmemsim import cli
 

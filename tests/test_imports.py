@@ -1,7 +1,7 @@
 """Imports of the package: every imported name is used, every dataclass
 field is read somewhere, every qmemsim name the demos use exists, importing
-the CLI loads no scipy, and neither does simulating.  One module routes the
-propagation windows.
+the CLI loads no scipy, and neither does simulating.  One module cuts and
+routes the propagation windows.
 
 No linter ships with the test environment, so these AST scans stand in for
 the unused-import and unused-field checks.  A name listed in the module's
@@ -197,11 +197,10 @@ p = DeviceParams()
 seg = PulseSegment(QUBIT_CHANNEL, 100.0, p.angular().w_q, plateau=0.01)
 m = build_model(p, SubsystemDims(2, 2, 1), PulseSequence((seg,)))
 state = evolve(m, m.basis_state(), (0.0, seg.end), 1e-4)[-1]
-propagate([m], state.rho.reshape(-1, 1), [(seg.end, seg.end + 1.0)], 1e-4)
+propagate([m], state.rho.reshape(-1, 1), (seg.end, seg.end + 1.0), 1e-4)
 kets = build_model(p, SubsystemDims(2, 2, 1), PulseSequence((seg,)),
                    noiseless=True)
-edges = (0.0, seg.ramp, seg.end - seg.ramp, seg.end)
-propagate([kets] * 2, np.eye(4)[:, :2], list(zip(edges, edges[1:])), 1e-4)
+propagate([kets] * 2, np.eye(4)[:, :2], (0.0, seg.end), 1e-4)
 print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))
 """
     res = subprocess.run([sys.executable, "-c", code], capture_output=True,
@@ -241,3 +240,31 @@ def test_routing_check_flags_calls():
                      "max_step(t0, t1)\n")
     assert list(_routing_calls(tree)) == [("carrier_frame", 1),
                                           ("active_terms", 2)]
+
+
+def _ramp_reads(tree):
+    """Lines that read a `.ramp` attribute, other than `self.ramp`."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "ramp" \
+                and isinstance(node.ctx, ast.Load) \
+                and getattr(node.value, "id", None) != "self":
+            yield node.lineno
+
+
+def test_only_lindblad_cuts_windows():
+    # lindblad.propagate cuts each span at its segments' ramp ends; a
+    # second module that reads a segment's ramp rebuilds those edges
+    reads = [f"{path.name} (line {line})" for path in MODULES
+             if path.name != "lindblad.py"
+             for line in _ramp_reads(ast.parse(path.read_text()))]
+    assert not reads, f"segment ramps read outside lindblad.py: {reads}"
+
+
+def test_ramp_check_flags_reads():
+    tree = ast.parse("edges = (s.start, s.start + s.ramp)\n"
+                     "up = self.ramp\n"
+                     "seg.ramp = 1.0\n"
+                     "ramp = seg.ramps\n"
+                     "t = segments[0].ramp\n")
+    assert sorted(_ramp_reads(tree)) == [1, 5]
+

@@ -165,7 +165,7 @@ def test_bad_steps_raise_parameter_error():
         with pytest.raises(ParameterError):
             evolve(m, rho, (0.0, seg.end), dt)
         with pytest.raises(ParameterError):
-            propagate([m], rho.rho.reshape(-1, 1), [(0.0, seg.end)], dt)
+            propagate([m], rho.rho.reshape(-1, 1), (0.0, seg.end), dt)
     with pytest.raises(ParameterError):
         evolve(m, rho, (0.0, seg.end), 1e-4, steps=0)
 
@@ -269,12 +269,12 @@ def default_model():
     return build_model(DeviceParams(), SubsystemDims(), None)
 
 
-def idle(model, rho, *windows):
-    """rho propagated across the windows, which have no active term, in
-    turn; one column per t1 where a window's t1 is an array."""
-    columns, d = np.size(windows[-1][1]), model.dims.total
+def idle(model, rho, span):
+    """rho propagated across the span, which has no active term; one column
+    per t1 where the span's t1 is an array."""
+    columns, d = np.size(span[1]), model.dims.total
     x = propagate([model] * columns, np.repeat(rho.reshape(-1, 1), columns, 1),
-                  windows, 1e-4)
+                  span, 1e-4)
     return x.T.reshape(-1, d, d)
 
 
@@ -308,7 +308,8 @@ def test_static_propagation_conserves_trace_over_16_us(default_model):
 
 def test_static_propagator_is_a_semigroup(default_model):
     rho = random_density_matrix(30, 1)
-    split = idle(default_model, rho, (0.0, 0.7), (0.7, 16.0))[0]
+    split = idle(default_model, idle(default_model, rho, (0.0, 0.7))[0],
+                 (0.7, 16.0))[0]
     whole = idle(default_model, rho, (0.0, 16.0))[0]
     assert np.max(np.abs(split - whole)) < 1e-12
 
@@ -360,9 +361,9 @@ def test_driven_windows_step_rk4_and_silent_segments_are_exact(monkeypatch):
             return route(*args)
         monkeypatch.setattr(lindblad, name, record)
     rho = m.basis_state().rho.reshape(-1, 1)
-    propagate([m], rho, [(0.0, 0.01)], 1e-4)
+    propagate([m], rho, (0.0, 0.01), 1e-4)
     # a zero-amplitude segment contributes no term: its window is exact
-    out = propagate([m], rho, [(silent.start, silent.end)], 1e-4)
+    out = propagate([m], rho, (silent.start, silent.end), 1e-4)
     assert routes == ["_stepped", "_exact"]
     assert np.real(np.trace(out.reshape(4, 4))) == pytest.approx(1.0, abs=1e-12)
 
@@ -386,10 +387,24 @@ def test_zero_length_window_is_an_identity_on_both_routes(monkeypatch):
                      (drive.start + drive.ramp + 0.02, "_exact"),
                      (0.005, "_exact")):
         routes.clear()
-        out = propagate([m, m], x, [(t, np.array([t, t + 0.002]))], 1e-4)
+        out = propagate([m, m], x, (t, np.array([t, t + 0.002])), 1e-4)
         assert routes == [route]
         assert np.array_equal(out[:, 0], x[:, 0])
         assert not np.array_equal(out[:, 1], x[:, 1])
+
+
+def test_window_under_a_picosecond_has_zero_length():
+    # a segment 1e-13 us after the span's start leaves a first window
+    # shorter than 1e-12 us, which propagates as an identity: the span from
+    # 0 gives the bits of the span from the segment's start
+    p = DeviceParams()
+    drive = PulseSegment(QUBIT_CHANNEL, TWO_PI * 20.0, p.angular().w_q,
+                         plateau=0.05, start=1e-13)
+    m = build_model(p, SubsystemDims(2, 2, 1), PulseSequence((drive,)))
+    x = random_density_matrix(4, 8).reshape(-1, 1)
+    t1 = drive.start + 0.5 * drive.ramp
+    assert np.array_equal(propagate([m], x, (0.0, t1), 1e-4),
+                          propagate([m], x, (drive.start, t1), 1e-4))
 
 
 # ---------------------------------------------------------------------------
@@ -542,25 +557,24 @@ def test_restricted_stepping_matches_full_space_rk4():
             assert np.all(x[outside] == 0)
 
         # kets: the norm is no linear invariant of RK4, unlike the trace, so
-        # take 200 steps short against the fastest phase, from a time inside
-        # the pulse, and moved onto the ramp-down where they would lie on
-        # the plateau, which propagate takes exactly; rate bounds |H| by the
-        # drift's largest row sum, the drive amplitude and 2e3 rad/us for
-        # the couplings
+        # take 200 steps short against the fastest phase, on the ramp-up or
+        # the ramp-down: propagate cuts a span at the plateau's edges and
+        # takes the plateau exactly; rate bounds |H| by the drift's largest
+        # row sum, the drive amplitude and 2e3 rad/us for the couplings
         noiseless = dataclasses.replace(m, channels=[])
         psi = np.zeros(d, dtype=complex)
         psi[k], psi[j] = 0.8, 0.6 * phase
         rate = np.abs(m.drift).sum(axis=1).max() + seg.amplitude + 2e3
         dt = min(m.max_step(*span), 0.02 / rate)
-        t0 = data.draw(st.floats(0.0, seg.end - 200 * dt))
-        if noiseless.carrier_frame(t0, t0 + 200 * dt) is not None:
-            t0 = seg.end - 200 * dt
+        t0 = data.draw(st.floats(0.0, seg.ramp - 200 * dt))
+        if data.draw(st.booleans()):
+            t0 += seg.end - seg.ramp
         ket_span = (t0, t0 + 200 * dt)
         table = LiouvilleTable(noiseless, noiseless.active_terms(*ket_span),
                                ket=True)
         outside = np.ones(d, dtype=bool)
         outside[table.restricted(psi)[0]] = False
-        got = propagate([noiseless], psi[:, None], [ket_span], dt)[:, 0]
+        got = propagate([noiseless], psi[:, None], ket_span, dt)[:, 0]
         want = full_space_rk4(table, psi, noiseless.active_terms(*ket_span),
                               ket_span, 200)[-1]
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
@@ -647,7 +661,7 @@ def test_plateau_propagation_matches_rk4_in_every_frame():
         j = (k + data.draw(st.integers(1, d - 1))) % d
         rho = np.zeros((d, d), dtype=complex)
         rho[k, k], rho[k, j] = 1.0, 0.5
-        exact = propagate([m], rho.reshape(-1, 1), [span], 1.0).reshape(d, d)
+        exact = propagate([m], rho.reshape(-1, 1), span, 1.0).reshape(d, d)
         # RK4 at dt and dt / 2: their gap bounds the error of the finer one
         rate = np.abs(m.drift).sum(axis=1).max() + seg.amplitude + 2e3
         dt = min(m.max_step(*span), 0.05 / rate)

@@ -296,12 +296,33 @@ def test_z_sweep_runs_its_protocols_and_calibrations_batched(monkeypatch):
     assert len(calls["_probe_transfers"]) == 5
 
 
-def test_sequences_with_different_layouts_raise():
+def test_sequences_with_different_layouts_run_in_one_call():
+    # a zero angle omits the prep segment, so the first column has four
+    # edges fewer than the second; each equals its one-column run
     cal = protocol.get_calibration(P, OPTS)
     seqs = [build_memory_sequence(P, angle, 0.0, cal)
             for angle in (0.0, math.pi / 2.0)]          # no prep, then prep
-    with pytest.raises(ParameterError):
-        protocol.simulate_sequences(P, seqs, OPTS)
+    _, states = protocol.simulate_sequences(P, seqs, OPTS)
+    for seq, state in zip(seqs, states):
+        alone = protocol.simulate_sequence(P, seq, OPTS)[1]
+        assert np.array_equal(state.rho, alone.rho)
+
+
+def test_one_span_equals_its_windows_one_at_a_time():
+    # the zero-delay protocol as one span, against the windows between its
+    # segment and plateau edges, each its own propagate call (a window
+    # under 1e-12 us is skipped, as propagate skips it)
+    cal = protocol.get_calibration(P, OPTS)
+    seq = build_memory_sequence(P, 0.0, 0.0, cal)
+    model, state = protocol.simulate_sequence(P, seq, OPTS)
+    edges = sorted([0.0, seq.readout_time] + [
+        e for s in seq.segments
+        for e in (s.start, s.start + s.ramp, s.end - s.ramp, s.end)])
+    x = model.basis_state().rho.reshape(-1, 1)
+    for t0, t1 in zip(edges, edges[1:]):
+        if t1 - t0 >= 1e-12:
+            x = lindblad.propagate([model], x, (t0, t1), OPTS.dt_pulse)
+    assert np.array_equal(x[:, 0], state.rho.reshape(-1))
 
 
 def test_qpt_inputs_draw_distinct_shot_noise(monkeypatch):
@@ -333,6 +354,34 @@ def test_record_validation_and_csv(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "x_us,p,uncertainty,extra"
     assert lines[1].startswith("1,0.5")
+
+
+def test_prep_angle_sweep_is_one_call_bit_for_bit(monkeypatch):
+    cal = protocol.get_calibration(P, OPTS)
+    angles = [0.0, math.pi / 2.0, math.pi]
+    singles = [run_memory_protocol(P, a, 0.25, OPTS, cal) for a in angles]
+    calls, propagate = [], protocol.propagate
+
+    def count(*args):
+        calls.append(None)
+        return propagate(*args)
+
+    monkeypatch.setattr(protocol, "propagate", count)
+    rec = prep_angle_sweep(P, angles, delay=0.25, options=OPTS)
+    assert len(calls) == 1
+    assert list(rec.ys) == singles
+
+
+def test_truncation_is_converged():
+    # one more level in each mode moves F_Z at the 4.6 GHz working point
+    # and p_g at 16 us by less than 2e-4 and 1e-6: fewer storage levels
+    # cut off the sideband ladder the noisy protocol climbs
+    wp = WorkingPoint(TWO_PI * 4.6e3)
+    small, large = OPTS, OPTS.replace(dims=SubsystemDims(4, 6, 3))
+    f_z = [z_fidelity_point(P, wp, o)[1] for o in (small, large)]
+    p_g = [run_memory_protocol(P, 0.0, 16.0, o) for o in (small, large)]
+    assert abs(f_z[1] - f_z[0]) < 2e-4
+    assert abs(p_g[1] - p_g[0]) < 1e-6
 
 
 def test_prep_angle_sweep_record():

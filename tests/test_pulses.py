@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qmemsim import pulses, qsys
+from qmemsim import lindblad, pulses, qsys
 from qmemsim.device import DeviceParams, bsb_effective_rate
 from qmemsim.errors import (CalibrationError, IntegrationError, ParameterError,
                             StepSizeError)
@@ -273,8 +273,11 @@ def test_exact_probe_plateaus_match_fine_rk4():
         assert model.carrier_frame(*plateau) is not None
         dt = dt or model.max_step() / 32.0
         got = pulses._probe_transfers(p, dims, [segment], frame, dt, G, target)
-        psi = propagate([model], np.eye(dims.total)[:, [dims.index(*G)]],
-                        [(segment.start, segment.end)], dt)
+        terms = model.active_terms(segment.start, segment.end)
+        psi = lindblad._stepped(
+            lindblad.LiouvilleTable(model, terms, ket=True),
+            np.eye(dims.total, dtype=complex)[:, [dims.index(*G)]], [terms],
+            np.array([segment.start]), np.array([segment.end]), dt, None)
         want = abs(psi[dims.index(*target), 0]) ** 2
         assert want > 0.1
         assert abs(got[0] - want) <= 1e-12
@@ -294,7 +297,7 @@ def test_exact_probe_plateaus_match_fine_rk4():
              segment.end - segment.ramp, segment.end)
     assert model.carrier_frame(*edges[1:3]) is None
     psi = propagate([model], np.eye(dims.total)[:, [dims.index(*G)]],
-                    list(zip(edges, edges[1:])), 1e-4)
+                    (segment.start, segment.end), 1e-4)
     assert got[0] == abs(psi[dims.index(1, 0, 0), 0]) ** 2 > 0.01
 
 
@@ -314,9 +317,9 @@ def test_ket_batch_columns_are_independent():
     spans = [(segment.start, segment.end) for segment in segments]
     psi0 = np.eye(dims.total)[:, [dims.index(*G)]]
     batch = propagate(models, np.repeat(psi0, len(models), axis=1),
-                      [np.array(spans).T], 1e-4)
+                      np.array(spans).T, 1e-4)
     for i, (model, span) in enumerate(zip(models, spans)):
-        alone = propagate([model], psi0, [span], 1e-4)
+        alone = propagate([model], psi0, span, 1e-4)
         assert np.array_equal(batch[:, i], alone[:, 0])
     transfers = np.abs(batch[[dims.index(1, 0, 0), dims.index(*E1)]]) ** 2
     assert transfers.max(axis=0).min() > 1e-3
@@ -329,11 +332,11 @@ def test_ket_probes_reject_noise_and_coarse_steps():
     psi0 = np.eye(dims.total)[:, [0]]
     noisy = build_model(p, dims, PulseSequence((segment,)))
     with pytest.raises(ParameterError):
-        propagate([noisy], psi0, [(segment.start, segment.end)], 1e-4)
+        propagate([noisy], psi0, (segment.start, segment.end), 1e-4)
     bare = build_model(p, dims, PulseSequence((segment,)), frame="bare",
                        noiseless=True)
     with pytest.raises(StepSizeError):
-        propagate([bare], psi0, [(segment.start, segment.end)],
+        propagate([bare], psi0, (segment.start, segment.end),
                   2.0 * bare.max_step())
     # lab frame, driven at a carrier of 1e-3 rad/us: it bounds no step, and
     # w_q dt >> 1 destabilizes RK4 (an undriven window would be exact)
@@ -342,4 +345,4 @@ def test_ket_probes_reject_noise_and_coarse_steps():
                       noiseless=True)
     with pytest.raises(IntegrationError):
         propagate([lab], np.eye(dims.total)[:, [dims.index(1, 0, 0)]],
-                  [(0.0, 0.01)], 1e-3)
+                  (0.0, 0.01), 1e-3)
