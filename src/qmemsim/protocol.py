@@ -115,8 +115,13 @@ def simulate_sequences(p: DeviceParams, seqs, options: ProtocolOptions,
     return models, [QuantumState(col.reshape(d, d), options.dims) for col in x.T]
 
 
-def ground_population(model, state):
-    return float(np.real(np.trace(state.rho @ model.label_projector(nt=0))))
+def ground_populations(p: DeviceParams, seqs, options: ProtocolOptions,
+                       rho0s=None, start=0.0):
+    """The retrieved p_g of each sequence, the sequences as the columns of
+    one simulate_sequences call."""
+    models, states = simulate_sequences(p, seqs, options, rho0s, start)
+    return [float(np.real(np.trace(s.rho @ m.label_projector(nt=0))))
+            for m, s in zip(models, states)]
 
 
 def run_memory_protocol(p: DeviceParams, prep_angle=0.0, storage_delay=0.0,
@@ -131,8 +136,7 @@ def run_memory_protocol(p: DeviceParams, prep_angle=0.0, storage_delay=0.0,
     cal = cal or get_calibration(p, options)
     seq = _memory_sequence(p, prep_angle, storage_delay, options, cal,
                            extra_segments)
-    model, state = simulate_sequence(p, seq, options)
-    return ground_population(model, state)
+    return ground_populations(p, [seq], options)[0]
 
 
 def _memory_sequence(p, prep_angle, storage_delay, options, cal,
@@ -161,9 +165,7 @@ def _delay_sweep(p, prep_angle, delays, options, cal, extra_segments=None):
     t_half, half = _storage_half(p, prep_angle, options, cal)
     seqs = [_memory_sequence(p, prep_angle, d, options, cal, extra)
             for d, extra in zip(delays, extra_segments or [()] * len(delays))]
-    models, states = simulate_sequences(p, seqs, options, [half] * len(seqs),
-                                        start=t_half)
-    return np.array([ground_population(m, s) for m, s in zip(models, states)])
+    return ground_populations(p, seqs, options, [half] * len(seqs), t_half)
 
 
 def storage_state_after_half(p: DeviceParams, prep_angle=0.0,
@@ -302,8 +304,7 @@ def prep_angle_sweep(p: DeviceParams, angles=None, delay=0.25,
     angles = np.asarray(angles, dtype=float)
     cal = get_calibration(p, options)
     seqs = [_memory_sequence(p, a, delay, options, cal) for a in angles]
-    models, states = simulate_sequences(p, seqs, options)
-    pgs = [ground_population(m, s) for m, s in zip(models, states)]
+    pgs = ground_populations(p, seqs, options)
     return ExperimentRecord(sweep_variable="prep_angle_rad", observable="p_g",
                             xs=angles, ys=pgs)
 
@@ -408,9 +409,8 @@ def z_fidelity_sweep(p: DeviceParams, working_points=None,
     seqs = [build_memory_sequence(p, 0.0, 0.0, cal,
                                   qubit_pi_multiplier=wp.qubit_pi_multiplier)
             for wp, cal in zip(wps, cals)]
-    models, states = simulate_sequences(p, seqs, options)
-    rows = [_z_fidelity(p, ground_population(m, s), seq)
-            for m, s, seq in zip(models, states, seqs)]
+    rows = [_z_fidelity(p, p_g, seq)
+            for p_g, seq in zip(ground_populations(p, seqs, options), seqs)]
     t_ps, f_z, f_corr = np.array(sorted(rows, key=lambda r: r[0])).T
     fits = {}
     if fit:
