@@ -1,14 +1,17 @@
 """Deterministic curve fitting for the experiment records.
 
-All fitters use MINPACK Levenberg-Marquardt through scipy.curve_fit with a
-fixed relative step tolerance (1e-10) and the standard bounded evaluation cap
-(200 per free parameter), plus documented deterministic seeding rules, so
-identical inputs always give identical results.  Uncertainties are the
-square roots of the diagonal of the linearized covariance at the optimum.
+Every fitter hands its model and seed to one numpy Levenberg-Marquardt
+least-squares solver (`_run_fit`): a forward-difference Jacobian,
+Marquardt's damping scaled by the Jacobian's column norms (Moré, "The
+Levenberg-Marquardt algorithm: implementation and theory", LNM 630, 1978),
+a fixed relative step tolerance (XTOL = 1e-10) and a budget of
+MAXFEV_PER_PARAM * (p + 1) model evaluations for p free parameters.  With
+the documented deterministic seeding rules, identical inputs always give
+identical results.  Uncertainties are the square roots of the diagonal of
+the linearized covariance at the optimum, inv(J^T J) * SSR / (n - p).
 """
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,7 +19,11 @@ import numpy as np
 from .errors import FitError, ParameterError
 
 XTOL = 1e-10
+# MINPACK's default relative tolerance on the reduction of the sum of squares
+FTOL = 1.49012e-8
 MAXFEV_PER_PARAM = 200
+# forward-difference step relative to a parameter's magnitude
+DIFF_STEP = math.sqrt(np.finfo(float).eps)
 
 
 @dataclass
@@ -32,29 +39,90 @@ class FitResult:
 
 
 def _run_fit(fn, xs, ys, p0, names, model):
-    """curve_fit wrapper; converged only when every parameter and every
-    uncertainty is finite (a singular covariance reports inf uncertainties).
+    """Least-squares fit of fn(xs, *params) to ys by Levenberg-Marquardt
+    from the seed p0.
 
-    scipy is imported here, not at module load, so that importing the CLI
-    (and `qmemsim validate`) does not pay for it.
+    Each iteration takes a forward-difference Jacobian J: parameter j steps
+    by DIFF_STEP times the larger of |p_j| and its typical size, |seed_j|
+    or 1 for a zero seed, so a parameter that converges to zero keeps a
+    step the model can resolve.  It then tries damped Gauss-Newton steps
+    (J^T J + lam D^2) dp = -J^T r, D the running maximum of J's column
+    norms.  A step that lowers the sum of squares is taken and lam falls
+    tenfold; one that does not raises lam tenfold.  The fit ends at an
+    exact fit, when the scaled step |D dp| is at most XTOL |D p|, or when
+    both the actual and the predicted relative reduction of the sum of
+    squares are at most FTOL.  A fit that spends MAXFEV_PER_PARAM * (p + 1)
+    evaluations raises FitError.
+
+    Converged only when every parameter and every uncertainty is finite; a
+    singular J^T J, or no more points than parameters, reports inf
+    uncertainties.
     """
-    from scipy import optimize
+    p = np.array(p0, dtype=float)
+    typical = np.where(p != 0.0, np.abs(p), 1.0)
+    budget = MAXFEV_PER_PARAM * (p.size + 1)
+    nfev = 0
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", optimize.OptimizeWarning)
+    def residual(q):
+        nonlocal nfev
+        nfev += 1
+        return fn(xs, *q) - ys
+
+    r = residual(p)
+    ssr = r @ r
+    scale = np.zeros(p.size)
+    lam = 1e-3
+    done = False
+    while not done:
+        jac = np.empty((xs.size, p.size))
+        for j in range(p.size):
+            q = p.copy()
+            q[j] += DIFF_STEP * max(abs(p[j]), typical[j])
+            jac[:, j] = (residual(q) - r) / (q[j] - p[j])
+        if ssr == 0.0:
+            break
+        scale = np.maximum(scale, np.linalg.norm(jac, axis=0))
+        scale[scale == 0.0] = 1.0
+        u, s, vt = np.linalg.svd(jac / scale, full_matrices=False)
+        c = u.T @ r
+        while True:
+            if nfev >= budget:
+                raise FitError(f"{model} fit did not converge: spent its "
+                               f"budget of {budget} model evaluations")
+            # the step D dp, in the right singular basis of J D^-1
+            w = -s * c / (s**2 + lam)
+            trial = p + (vt.T @ w) / scale
+            r_trial = residual(trial)
+            ssr_trial = r_trial @ r_trial
+            actual = 1.0 - ssr_trial / ssr
+            predicted = (np.sum((s * w) ** 2) + 2.0 * lam * (w @ w)) / ssr
+            done = (abs(actual) <= FTOL and predicted <= FTOL) or \
+                np.linalg.norm(w) <= XTOL * np.linalg.norm(scale * p)
+            if ssr_trial < ssr:
+                p, r, ssr = trial, r_trial, ssr_trial
+                lam *= 0.1
+                break
+            lam *= 10.0
+            if done:
+                break
+
+    sigma = np.full(p.size, math.inf)
+    if xs.size > p.size:
         try:
-            popt, pcov = optimize.curve_fit(
-                fn, xs, ys, p0=p0, method="lm", xtol=XTOL,
-                maxfev=MAXFEV_PER_PARAM * (len(p0) + 1))
-        except RuntimeError as exc:
-            raise FitError(f"{model} fit did not converge: {exc}") from exc
-    resid = ys - fn(xs, *popt)
-    sigma = np.sqrt(np.abs(np.diag(pcov)))
+            rinv = np.linalg.inv(np.linalg.qr(jac, mode="r"))
+        except np.linalg.LinAlgError:
+            pass
+        else:
+            # sqrt(diag(inv(J^T J))) = row norms of inv(R), J = QR
+            spread = np.linalg.norm(rinv, axis=1) * math.sqrt(
+                ssr / (xs.size - p.size))
+            if np.all(np.isfinite(spread)):
+                sigma = spread
     return FitResult(
-        params=dict(zip(names, popt)),
+        params=dict(zip(names, p)),
         uncertainties=dict(zip(names, sigma)),
-        residual_norm=float(np.sqrt(np.mean(resid**2))),
-        converged=bool(np.all(np.isfinite(popt)) and np.all(np.isfinite(sigma))),
+        residual_norm=float(np.sqrt(np.mean(r**2))),
+        converged=bool(np.all(np.isfinite(p)) and np.all(np.isfinite(sigma))),
         model=model,
     )
 
@@ -64,6 +132,8 @@ def _check_series(xs, ys, n_min, model):
     ys = np.asarray(ys, dtype=float)
     if xs.ndim != 1 or xs.shape != ys.shape:
         raise ParameterError(f"{model}: xs and ys must be 1-d and equal length")
+    if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
+        raise ParameterError(f"{model}: xs and ys must be finite")
     if xs.size < n_min:
         raise ParameterError(f"{model}: need >= {n_min} points, got {xs.size}")
     if np.any(np.diff(xs) <= 0):
@@ -144,7 +214,8 @@ def fit_lorentzian(freqs, powers):
 
     Seeds: floor from the minimum, center from the maximum, width from the
     half-maximum crossing span.  Raises when the scanned span is smaller
-    than the estimated linewidth.
+    than the estimated linewidth, before the fit or after it: a scan
+    narrower than the line sees only its parabolic top.
     """
     xs, ys = _check_series(freqs, powers, 7, "lorentzian")
     floor0 = float(np.min(ys))
@@ -156,11 +227,10 @@ def fit_lorentzian(freqs, powers):
     fwhm0 = float(above[-1] - above[0]) if above.size >= 2 else (xs[-1] - xs[0]) / 4.0
     if fwhm0 <= 0:
         fwhm0 = (xs[-1] - xs[0]) / 4.0
-    if (xs[-1] - xs[0]) < fwhm0:
-        raise FitError(
-            f"lorentzian fit: span {xs[-1] - xs[0]:.3g} smaller than the "
-            f"linewidth estimate {fwhm0:.3g}"
-        )
+    span = xs[-1] - xs[0]
+    if span < fwhm0:
+        raise FitError(f"lorentzian fit: span {span:.3g} smaller than the "
+                       f"linewidth estimate {fwhm0:.3g}")
 
     def fn(f, peak, f0, fwhm, floor):
         return peak / (1.0 + 4.0 * (f - f0) ** 2 / fwhm**2) + floor
@@ -168,6 +238,9 @@ def fit_lorentzian(freqs, powers):
     result = _run_fit(fn, xs, ys, [peak0, f00, fwhm0, floor0],
                       ["peak", "f0", "fwhm", "floor"], "lorentzian")
     result.params["fwhm"] = abs(result.params["fwhm"])
+    if span < result.params["fwhm"]:
+        raise FitError(f"lorentzian fit: span {span:.3g} smaller than the "
+                       f"fitted linewidth {result.params['fwhm']:.3g}")
     return result
 
 

@@ -178,3 +178,64 @@ def test_leakage_fit_degenerate_is_not_converged():
     fit = analysis.fit_leakage(t_p, f_corr)
     assert not np.all(np.isfinite(list(fit.uncertainties.values())))
     assert not fit.converged
+
+
+# --- the solver ------------------------------------------------------------
+
+FITTERS = {"exponential": (analysis.fit_exponential, 5),
+           "decaying-cosine": (analysis.fit_decaying_cosine, 8),
+           "lorentzian": (analysis.fit_lorentzian, 7),
+           "leakage": (analysis.fit_leakage, 4)}
+
+
+@pytest.mark.parametrize("model", sorted(FITTERS))
+@pytest.mark.parametrize("where, bad", [("xs", math.inf), ("ys", math.nan)])
+def test_non_finite_input_is_a_parameter_error(model, where, bad):
+    fitter, n = FITTERS[model]
+    series = {"xs": np.linspace(0.1, 1.0, n + 2),
+              "ys": np.linspace(0.9, 0.1, n + 2)}
+    series[where][-1] = bad
+    with pytest.raises(ParameterError, match=f"{model}: xs and ys must be finite"):
+        fitter(series["xs"], series["ys"])
+
+
+# the default Fock-lifetime series (delays in us, ground populations)
+FOCK_DELAYS = [3.0, 4.5, 6.0, 7.5, 9.0, 11.0, 13.5, 16.0]
+FOCK_PG = [0.58536583364455796, 0.48156409604812866, 0.39673950497114463,
+           0.3284294676592629, 0.27419529900410189, 0.21885783738197059,
+           0.16971490704226377, 0.13628753864620499]
+
+
+def test_fock_fit_matches_minpack():
+    # T and its uncertainty as scipy's MINPACK curve_fit gave them
+    fit = analysis.fit_exponential(FOCK_DELAYS, FOCK_PG)
+    assert fit.converged
+    assert fit.params["T"] == pytest.approx(6.686545178641126, rel=1e-7)
+    assert fit.uncertainties["T"] == pytest.approx(0.0505995875618996, rel=1e-5)
+
+
+def test_fits_are_bit_for_bit_repeatable():
+    def bits(fit):
+        return [float(v).hex() for v in (*fit.params.values(),
+                                         *fit.uncertainties.values(),
+                                         fit.residual_norm)]
+    assert bits(analysis.fit_exponential(FOCK_DELAYS, FOCK_PG)) == \
+        bits(analysis.fit_exponential(FOCK_DELAYS, FOCK_PG))
+
+
+def test_zero_seed_keeps_a_resolvable_difference_step():
+    # the symmetric peak seeds f0 = 0; a step relative to |f0| alone would
+    # vanish as f0 converges to 0 and leave J^T J singular
+    xs = np.linspace(-10.0, 10.0, 41)
+    fit = analysis.fit_lorentzian(xs, 1.0 / (1.0 + xs**2))
+    assert fit.converged
+    assert fit.params["f0"] == pytest.approx(0.0, abs=1e-12)
+    assert fit.uncertainties["f0"] < 1e-12
+
+
+def test_spent_evaluation_budget_raises(monkeypatch):
+    # 1 per parameter and 1 more: the seed and its Jacobian use all 4, so
+    # the fit must stop before its first step
+    monkeypatch.setattr(analysis, "MAXFEV_PER_PARAM", 1)
+    with pytest.raises(FitError, match="budget of 4 model evaluations"):
+        analysis.fit_exponential(FOCK_DELAYS, FOCK_PG)

@@ -1,7 +1,7 @@
 """Imports of the package: every imported name is used, every dataclass
-field is read somewhere, every qmemsim name the demos use exists, importing
-the CLI loads no scipy, and neither does simulating.  One module cuts and
-routes the propagation windows.
+field is read somewhere, every qmemsim name the demos use exists, and
+neither importing the CLI, nor simulating, nor fitting loads scipy.  One
+module cuts and routes the propagation windows.
 
 No linter ships with the test environment, so these AST scans stand in for
 the unused-import and unused-field checks.  A name listed in the module's
@@ -15,9 +15,11 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import qmemsim
+from qmemsim import config
 
 ROOT = pathlib.Path(__file__).parents[1]
 MODULES = sorted(pathlib.Path(qmemsim.__file__).parent.glob("*.py"))
@@ -172,8 +174,7 @@ def test_demo_name_check_flags_missing_names():
 
 
 def test_cli_import_loads_no_scipy():
-    # scipy is imported where the fitters run, so CLI start-up (and
-    # `qmemsim validate`) does not pay for it
+    # CLI start-up (and `qmemsim validate`) does not pay for scipy
     code = ("import sys, qmemsim.cli; print([m for m in "
             "('scipy.optimize', 'scipy.stats') if m in sys.modules])")
     res = subprocess.run([sys.executable, "-c", code], capture_output=True,
@@ -201,6 +202,35 @@ propagate([m], state.rho.reshape(-1, 1), (seg.end, seg.end + 1.0), 1e-4)
 kets = build_model(p, SubsystemDims(2, 2, 1), PulseSequence((seg,)),
                    noiseless=True)
 propagate([kets] * 2, np.eye(4)[:, :2], (0.0, seg.end), 1e-4)
+print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))
+"""
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"
+
+
+def test_fitting_loads_no_scipy(tmp_path):
+    # the fitters solve their least squares with numpy alone, from the
+    # library and through `qmemsim run --experiment fit`
+    data = tmp_path / "decay.csv"
+    xs = np.linspace(0.0, 20.0, 21)
+    np.savetxt(data, np.column_stack([xs, np.exp(-xs / 6.44)]), delimiter=",",
+               header="x,y", comments="")
+    cfg = tmp_path / "sample.cfg"
+    config.write_sample_config(cfg)
+    code = f"""
+import sys
+import numpy as np
+from qmemsim import analysis, cli
+x = np.linspace(0.05, 1.0, 12)
+analysis.fit_exponential(x, 0.9 * np.exp(-x / 0.3) + 0.05)
+analysis.fit_decaying_cosine(x, np.exp(-x) * np.cos(12.0 * x) + 0.5)
+analysis.fit_lorentzian(x, 1.0 / (1.0 + 4.0 * (x - 0.5) ** 2 / 0.1**2))
+analysis.fit_leakage(x, 1.0 - analysis.leakage_population(x, 0.5, 80.0))
+assert cli.main(["run", "--config", {str(cfg)!r}, "--experiment", "fit",
+                 "--input", {str(data)!r},
+                 "--out", {str(tmp_path / "out")!r}]) == 0
 print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))
 """
     res = subprocess.run([sys.executable, "-c", code], capture_output=True,
