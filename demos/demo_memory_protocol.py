@@ -29,8 +29,8 @@ n_mean = sum(n * rho_s[n, n].real for n in range(rho_s.shape[0]))
 print(f"  equal superposition: storage <n> = {n_mean:.4f}")
 
 print("\nwith the measured decoherence")
-for delay in (0.0, 2.0, 6.0):
-    p_g = protocol.run_memory_protocol(p, 0.0, delay, opts)
+delays = (0.0, 2.0, 6.0)
+for delay, p_g in zip(delays, protocol.memory_sweep(p, 0.0, delays, opts)):
     print(f"  storage delay {delay:4.1f} us -> retrieved p_g = {p_g:.4f}")
 
 print("\npreparation-angle sweep at 0.25 us delay (stored Rabi pattern)")

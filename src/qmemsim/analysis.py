@@ -55,8 +55,8 @@ def _run_fit(fn, xs, ys, p0, names, model):
     evaluations raises FitError.
 
     Converged only when every parameter and every uncertainty is finite; a
-    singular J^T J, or no more points than parameters, reports inf
-    uncertainties.
+    numerically rank-deficient J (numpy's default matrix_rank tolerance),
+    or no more points than parameters, reports inf uncertainties.
     """
     p = np.array(p0, dtype=float)
     typical = np.where(p != 0.0, np.abs(p), 1.0)
@@ -107,17 +107,13 @@ def _run_fit(fn, xs, ys, p0, names, model):
                 break
 
     sigma = np.full(p.size, math.inf)
-    if xs.size > p.size:
-        try:
-            rinv = np.linalg.inv(np.linalg.qr(jac, mode="r"))
-        except np.linalg.LinAlgError:
-            pass
-        else:
-            # sqrt(diag(inv(J^T J))) = row norms of inv(R), J = QR
-            spread = np.linalg.norm(rinv, axis=1) * math.sqrt(
-                ssr / (xs.size - p.size))
-            if np.all(np.isfinite(spread)):
-                sigma = spread
+    if xs.size > p.size and np.linalg.matrix_rank(jac) == p.size:
+        # sqrt(diag(inv(J^T J))) = row norms of inv(R), J = QR
+        rinv = np.linalg.inv(np.linalg.qr(jac, mode="r"))
+        spread = np.linalg.norm(rinv, axis=1) * math.sqrt(
+            ssr / (xs.size - p.size))
+        if np.all(np.isfinite(spread)):
+            sigma = spread
     return FitResult(
         params=dict(zip(names, p)),
         uncertainties=dict(zip(names, sigma)),

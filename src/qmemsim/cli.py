@@ -77,14 +77,15 @@ def _write_json(path, payload):
 
 # module-level workers so process pools can pickle them
 def _protocol_point(args):
-    p, angle, delay, options, cal = args
-    return protocol.run_memory_protocol(p, angle, delay, options, cal)
+    """memory_sweep of one chunk (p, angles, delays, options, cal)."""
+    return protocol.memory_sweep(*args)
 
 
 def _pmap(fn, items, jobs):
     if jobs <= 1 or len(items) <= 1:
         return [fn(it) for it in items]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # a fork pool starts all its workers at once, however few the items
+    with ProcessPoolExecutor(max_workers=min(jobs, len(items))) as pool:
         return list(pool.map(fn, items))
 
 
@@ -112,13 +113,15 @@ def run_experiment(p, options, args, sweep):
     if name == "memory-protocol":
         var, grid = sweep if sweep else ("prep_angle", np.linspace(0, 2 * math.pi, 13))
         if var in ("prep_angle", "prep_angle_rad"):
-            points = [(a, args.delay) for a in grid]
+            angles, delays = grid, np.full(grid.size, args.delay)
         else:
-            points = [(args.prep_angle, d) for d in grid]
+            angles, delays = np.full(grid.size, args.prep_angle), grid
         # calibrate once here: pool workers do not share the calibration cache
         cal = protocol.get_calibration(p, options)
-        items = [(p, angle, delay, options, cal) for angle, delay in points]
-        pgs = _pmap(_protocol_point, items, args.jobs)
+        n = min(args.jobs, grid.size)
+        chunks = [(p, a, d, options, cal) for a, d in
+                  zip(np.array_split(angles, n), np.array_split(delays, n))]
+        pgs = np.concatenate(_pmap(_protocol_point, chunks, args.jobs))
         return protocol.ExperimentRecord(
             sweep_variable=var, observable="p_g", xs=grid, ys=pgs), {}
 
@@ -339,7 +342,8 @@ def build_parser():
     run.add_argument("--experiment", choices=EXPERIMENTS)
     run.add_argument("--sweep", help="VAR=start:stop:steps")
     run.add_argument("--out", default="qmemsim-out", help="output directory")
-    run.add_argument("--jobs", type=int, default=1, help="parallel sweep points")
+    run.add_argument("--jobs", type=int, default=1,
+                     help="worker processes for the memory-protocol points")
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--dt", type=float, default=None,
                      help="pulse step in ns (config key dt_pulse)")

@@ -130,13 +130,31 @@ def run_memory_protocol(p: DeviceParams, prep_angle=0.0, storage_delay=0.0,
     """Full storage/retrieval protocol; returns the retrieved p_g.
 
     extra_segments (e.g. a trailing analysis pulse) are appended before the
-    readout marker.
+    readout marker.  The one-point memory_sweep.
     """
+    return memory_sweep(p, [prep_angle], [storage_delay], options, cal,
+                        [extra_segments])[0]
+
+
+def memory_sweep(p: DeviceParams, angles, delays,
+                 options: ProtocolOptions | None = None, cal=None,
+                 extra_segments=None):
+    """run_memory_protocol's p_g at each (angle, delay) point, bit for bit,
+    as the columns of one ground_populations call; angles and delays
+    broadcast, and extra_segments holds one tuple per point.  Several points
+    at one angle simulate their storage half once, and from there only
+    their idle windows and retrievals; other points run whole sequences."""
     options = options or ProtocolOptions()
     cal = cal or get_calibration(p, options)
-    seq = _memory_sequence(p, prep_angle, storage_delay, options, cal,
-                           extra_segments)
-    return ground_populations(p, [seq], options)[0]
+    angles, delays = np.broadcast_arrays(np.asarray(angles, dtype=float),
+                                         np.asarray(delays, dtype=float))
+    seqs = [_memory_sequence(p, a, d, options, cal, extra)
+            for a, d, extra in zip(angles, delays,
+                                   extra_segments or [()] * angles.size)]
+    if angles.size > 1 and np.all(angles == angles[0]):
+        t_half, half = _storage_half(p, angles[0], options, cal)
+        return ground_populations(p, seqs, options, [half] * len(seqs), t_half)
+    return ground_populations(p, seqs, options)
 
 
 def _memory_sequence(p, prep_angle, storage_delay, options, cal,
@@ -155,17 +173,6 @@ def _storage_half(p, prep_angle, options, cal):
     seq = _memory_sequence(p, prep_angle, 0.0, options, cal)
     t_half = max(s.end for s in seq.labeled("qubit-pi-store"))
     return t_half, simulate_sequence(p, seq, options, upto=t_half)[1]
-
-
-def _delay_sweep(p, prep_angle, delays, options, cal, extra_segments=None):
-    """run_memory_protocol's p_g at each delay, bit for bit, with the
-    storage half simulated once: each delay runs only its idle window and
-    its retrieval, all delays as the columns of one simulate_sequences
-    call.  extra_segments holds one tuple per delay."""
-    t_half, half = _storage_half(p, prep_angle, options, cal)
-    seqs = [_memory_sequence(p, prep_angle, d, options, cal, extra)
-            for d, extra in zip(delays, extra_segments or [()] * len(delays))]
-    return ground_populations(p, seqs, options, [half] * len(seqs), t_half)
 
 
 def storage_state_after_half(p: DeviceParams, prep_angle=0.0,
@@ -255,8 +262,7 @@ def fock_decay_experiment(p: DeviceParams, delays=None,
             f"delays must span >= 2x the expected lifetime {t1_expected:.2f} us")
     if delays.max() - delays.min() < 1.5 * t1_expected:
         raise ParameterError("delay window too narrow for a stable fit")
-    cal = get_calibration(p, options)
-    pgs = _delay_sweep(p, 0.0, delays, options, cal)
+    pgs = memory_sweep(p, 0.0, delays, options)
     fit = analysis.fit_exponential(delays, pgs)
     return ExperimentRecord(sweep_variable="delay_us", observable="p_g",
                             xs=delays, ys=pgs, fits={"T1_s": fit})
@@ -288,7 +294,8 @@ def memory_ramsey_experiment(p: DeviceParams, delays=None, detuning=0.35,
                       phase=TWO_PI * detuning * d, plateau=q.plateau,
                       rise=q.rise, start=0.0, label="ramsey-analysis"),)
         for d in delays]
-    pgs = _delay_sweep(p, math.pi / 2.0, delays, options, cal, analysis_pulses)
+    pgs = memory_sweep(p, math.pi / 2.0, delays, options, cal,
+                       analysis_pulses)
     fit = analysis.fit_decaying_cosine(delays, pgs)
     return ExperimentRecord(sweep_variable="delay_us", observable="p_g",
                             xs=delays, ys=pgs, fits={"T2_s": fit})
@@ -297,16 +304,12 @@ def memory_ramsey_experiment(p: DeviceParams, delays=None, detuning=0.35,
 def prep_angle_sweep(p: DeviceParams, angles=None, delay=0.25,
                      options: ProtocolOptions | None = None):
     """Retrieved p_g versus preparation angle at a fixed delay (Rabi
-    pattern), the protocols as the columns of one simulate_sequences call."""
-    options = options or ProtocolOptions()
+    pattern), the protocols as one memory_sweep."""
     if angles is None:
         angles = np.linspace(0.0, 2.0 * math.pi, 13)
-    angles = np.asarray(angles, dtype=float)
-    cal = get_calibration(p, options)
-    seqs = [_memory_sequence(p, a, delay, options, cal) for a in angles]
-    pgs = ground_populations(p, seqs, options)
     return ExperimentRecord(sweep_variable="prep_angle_rad", observable="p_g",
-                            xs=angles, ys=pgs)
+                            xs=angles,
+                            ys=memory_sweep(p, angles, delay, options))
 
 
 def mode_ringdown_experiment(p: DeviceParams, mode="readout",

@@ -167,18 +167,13 @@ class PulseSequence:
     def labeled(self, label):
         return [s for s in self.segments if s.label == label]
 
-    def memory_window(self):
-        """(start, end) of the memory operations (preparation excluded)."""
-        ops = [s for s in self.segments if s.label != "prep"]
-        if not ops:
-            return (0.0, 0.0)
-        return (min(s.start for s in ops), max(s.end for s in ops))
-
     @property
     def memory_duration(self):
         """Protocol length t_p: storage+retrieval pulses, preparation excluded."""
-        t0, t1 = self.memory_window()
-        return t1 - t0
+        ops = [s for s in self.segments if s.label != "prep"]
+        if not ops:
+            return 0.0
+        return max(s.end for s in ops) - min(s.start for s in ops)
 
 
 @dataclass(frozen=True)

@@ -180,6 +180,21 @@ def test_leakage_fit_degenerate_is_not_converged():
     assert not fit.converged
 
 
+def test_leakage_fit_with_rank_deficient_jacobian_is_not_converged():
+    # the rows `qmemsim run --experiment zfidelity-sweep` writes for the
+    # sample config: the fit ends with a finite but rank-1 Jacobian (the
+    # model saturates), whose covariance is numerically meaningless
+    t_p = [0.22359761774066736, 0.26619110979255378, 0.32977090401420261,
+           0.38788681118240442, 0.54151326028126712, 0.77731306775331066,
+           1.0394242333677475]
+    f_corr = [1.1021721405147122, 1.1252891971604191, 1.1610228667895672,
+              1.1950080074771459, 1.2914378458233908, 1.4607241845962482,
+              1.6583747557506621]
+    fit = analysis.fit_leakage(t_p, f_corr)
+    assert fit.uncertainties == {"a": math.inf, "gamma_sp": math.inf}
+    assert not fit.converged
+
+
 # --- the solver ------------------------------------------------------------
 
 FITTERS = {"exponential": (analysis.fit_exponential, 5),

@@ -414,6 +414,62 @@ def test_jobs_workers_reuse_the_parent_calibration(tmp_path, monkeypatch):
     assert results[0] == results[1]
 
 
+def test_memory_protocol_sweep_equals_its_points_bit_for_bit(tmp_path,
+                                                             monkeypatch):
+    from qmemsim import cli, protocol
+
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text(config.SAMPLE_CONFIG
+                   + "n_transmon = 2\nn_storage = 2\nn_readout = 1\n")
+    p, dims, run_kw = config.load_run_settings(cfg)
+    options = protocol.ProtocolOptions(dims=dims, **run_kw)
+    angles = np.linspace(0.0, 3.0, 3)
+    singles = [protocol.run_memory_protocol(p, a, 0.5, options)
+               for a in angles]
+    calls, propagate = [], protocol.propagate
+
+    def count(*args):
+        calls.append(None)
+        return propagate(*args)
+
+    monkeypatch.setattr(protocol, "propagate", count)
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}"
+        assert cli.main(["run", "--config", str(cfg), "--experiment",
+                         "memory-protocol", "--sweep", "prep_angle=0:3:3",
+                         "--delay", "0.5", "--jobs", jobs,
+                         "--out", str(out)]) == 0
+        rows = np.loadtxt(out / "results.csv", delimiter=",", skiprows=1)
+        assert list(rows[:, 1]) == singles
+        if jobs == "1":
+            # the forked --jobs 2 workers count in their own memory
+            assert len(calls) == 1
+
+
+def test_jobs_pool_starts_no_more_workers_than_items(monkeypatch):
+    from qmemsim import cli
+
+    workers = []
+
+    class Recorder:
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", Recorder)
+    assert cli._pmap(abs, [-1, -2], 500) == [1, 2]
+    assert cli._pmap(abs, [-1, -2, -3], 2) == [1, 2, 3]
+    assert workers == [2, 2]
+
+
 def test_results_do_not_depend_on_blas_threads(tmp_path):
     cfg = tmp_path / "small.cfg"
     cfg.write_text(config.SAMPLE_CONFIG
