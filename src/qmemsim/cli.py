@@ -9,9 +9,9 @@ configuration and seed are byte-identical, and `run --from-manifest
 <manifest.json>` reproduces a previous run.  Physics or fit failures exit
 with status 1, usage errors (unknown experiment, missing config, a sweep
 that does not strictly increase or of a variable the experiment does not
-take, a dt_pulse <= 0, shots or jobs < 1, a fit input that cannot be read,
-holds no rows or a value that is not finite, or whose x values do not
-strictly increase) with 2, before any simulation.
+take, an unknown frame, a dt_pulse <= 0, shots or jobs < 1, a fit input
+that cannot be read, holds no rows or a value that is not finite, or whose
+x values do not strictly increase) with 2, before any simulation.
 """
 
 import argparse
@@ -29,7 +29,8 @@ from .config import (load_run_settings, parse_run_settings, parse_value,
                      write_sample_config)
 from .device import bsb_frequency, purcell_limit
 from .errors import ConfigError, ParameterError, QmemError
-from .lindblad import FRAMES, build_model, effective_bsb_check
+from .lindblad import build_model, effective_bsb_check
+from .qsys import DIM_CAP
 from .units import GHZ, MHZ, TWO_PI
 
 EXPERIMENTS = ("memory-protocol", "fock-decay", "memory-ramsey", "ringdown",
@@ -116,7 +117,7 @@ def run_experiment(p, options, args, sweep):
             angles, delays = grid, np.full(grid.size, args.delay)
         else:
             angles, delays = np.full(grid.size, args.prep_angle), grid
-        # calibrate once here: pool workers do not share the calibration cache
+        # calibrate once here, for every chunk
         cal = protocol.get_calibration(p, options)
         n = min(args.jobs, grid.size)
         chunks = [(p, a, d, options, cal) for a, d in
@@ -304,22 +305,18 @@ def cmd_validate(args):
     ]
     for name, lin, ang in rows:
         print(f"  {name:14s} {lin:>22s}   {ang}")
-    print(f"  truncation     {dims.as_tuple()} (total {dims.total}, cap {dims.cap})")
+    print(f"  truncation     {dims.as_tuple()} (total {dims.total}, cap {DIM_CAP})")
 
-    frame = run_kw.get("frame", protocol.ProtocolOptions.frame)
     try:
-        dt = protocol.ProtocolOptions(dims=dims, **run_kw).dt_pulse
+        options = protocol.ProtocolOptions(dims=dims, **run_kw)
     except ParameterError as exc:
         breaches.append(str(exc))
-        dt = None
-    if frame not in FRAMES:
-        breaches.append(f"unknown frame {frame!r}")
-    elif dt is not None:
-        bound = build_model(p, dims, frame=frame).max_step()
-        if dt > bound:
+    else:
+        bound = build_model(p, dims, frame=options.frame).max_step()
+        if options.dt_pulse > bound:
             breaches.append(
-                f"dt_pulse = {dt:.3g} us too large for frame {frame!r}; "
-                f"need <= {bound:.3g} us")
+                f"dt_pulse = {options.dt_pulse:.3g} us too large for frame "
+                f"{options.frame!r}; need <= {bound:.3g} us")
 
     if breaches:
         for b in breaches:

@@ -89,9 +89,6 @@ class DeviceParams:
         d.update(kw)
         return DeviceParams(**d)
 
-    def as_dict(self):
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class AngularParams:

@@ -679,7 +679,7 @@ def _rk4_step(table, x, h, c):
     x += (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
 
 
-def _rk4(table, y, h, coeff, due, diag, t0, samples=0):
+def _rk4(table, y, h, coeff, due, diag, t0):
     """Classic RK4 steps of dy/dt = table.apply(y, c(t)), in place: step k
     advances by h[k], with coeff[2k:2k + 3] the coefficients at its start,
     midpoint and end.  y is one column, (m,), with numbers h[k], or B
@@ -687,11 +687,9 @@ def _rk4(table, y, h, coeff, due, diag, t0, samples=0):
     are done).  After each step k where due[k] holds, each column's
     invariant (`_invariant` with diag) is checked against its entering
     value, and a drift beyond 1e-6 raises IntegrationError; t0 (one per
-    column) only dates it.  Returns copies of y after every
-    len(h) // samples steps, none for samples = 0."""
+    column) only dates it."""
     cols = y.reshape(len(y), -1)
     start = _invariant(cols, diag)
-    kept = []
     for k, check in enumerate(due.tolist()):
         _rk4_step(table, y, h[k], coeff[2 * k:2 * k + 3])
         if check:
@@ -704,25 +702,22 @@ def _rk4(table, y, h, coeff, due, diag, t0, samples=0):
                     f"{'norm' if diag is None else 'trace'} drifted by "
                     f"{drift[j]:.3g} at t = {t:.6g} us; "
                     f"retry with dt <= {hj / 2:.3g} us")
-        if samples and (k + 1) % (len(h) // samples) == 0:
-            kept.append(y.copy())
-    return kept
 
 
 def evolve(model: LindbladModel, rho0, t_span, dt, steps=1):
     """Integrate d rho/dt = -i[H(t), rho] + sum_k D[c_k] rho with classic RK4.
 
-    The right-hand side is the LiouvilleTable of the model with the terms
-    active in the window on, restricted to the elements it can reach from
-    the nonzero elements of rho0 (LiouvilleTable.restricted); the others
-    stay exactly zero, as under the exact flow.  Returns the states at the
-    steps + 1 equally spaced times of t_span, the initial state first.  dt
-    is adjusted so that a whole number of fixed steps spans each
-    sub-interval.  Steps by propagate's RK4 core (`_rk4`), checking the
-    trace against rho0's every max(1, n // 200) of the n steps and at every
-    returned state; a drift beyond 1e-6 raises IntegrationError suggesting a
-    smaller step.  A dt that is not a positive finite number, or steps < 1,
-    raises ParameterError.
+    Returns the states at the steps + 1 equally spaced times of t_span, the
+    initial state first.  Each of the steps intervals runs through
+    propagate's RK4 route (`_stepped`), stepped everywhere, under the
+    LiouvilleTable of the terms active in that interval (built once per set
+    of terms): round(interval / dt) fixed steps, at least one, on the
+    elements the table reaches from the state's nonzero ones (the others
+    stay exactly zero, as under the exact flow).  The trace is checked
+    against the interval's entering value every max(1, n // 200) of its n
+    steps and at its end; a drift beyond 1e-6 raises IntegrationError
+    suggesting a smaller step.  A dt that is not a positive finite number,
+    or steps < 1, raises ParameterError.
     """
     t0, t1 = t_span
     if t1 < t0:
@@ -736,21 +731,17 @@ def evolve(model: LindbladModel, rho0, t_span, dt, steps=1):
     rho = rho0.rho if isinstance(rho0, QuantumState) else np.asarray(rho0)
     if rho.shape != (d, d):
         raise DimensionError(f"rho0 shape {rho.shape} does not match dim {d}")
-    x = rho.astype(complex).reshape(-1)
-    per_sample = max(1, int(round((t1 - t0) / steps / dt)))
-    n = steps * per_sample
-    h = (t1 - t0) / n
-    terms = model.active_terms(t0, t1)
-    coeff = _coefficients(terms, t0 + 0.5 * h * np.arange(2 * n + 1))
-    idx, table, y = LiouvilleTable(model, terms).restricted(x)
-    step = np.arange(1, n + 1)
-    due = (step % per_sample == 0) | (step % max(1, n // 200) == 0)
-
-    states = [x.copy()]
-    for sample in _rk4(table, y, np.full(n, h), coeff, due,
-                       np.flatnonzero(idx % (d + 1) == 0), t0, samples=steps):
-        x[idx] = sample
-        states.append(x.copy())
+    x = rho.astype(complex).reshape(-1, 1)
+    diag = np.eye(d, dtype=bool).ravel()
+    times = np.linspace(t0, t1, steps + 1)
+    states, tables = [x], {}
+    for ta, tb in zip(times[:-1, None], times[1:, None]):
+        terms = model.active_terms(ta[0], tb[0])
+        key = tuple(map(id, terms))
+        if key not in tables:
+            tables[key] = LiouvilleTable(model, terms)
+        x = _stepped(tables[key], x, [terms], ta, tb, dt, diag)
+        states.append(x)
     return [QuantumState(s.reshape(d, d), model.dims) for s in states]
 
 

@@ -16,7 +16,7 @@ import numpy as np
 from . import analysis, qsys, tomography
 from .device import DeviceParams
 from .errors import ParameterError
-from .lindblad import build_model, dressed_frequencies, propagate
+from .lindblad import FRAMES, build_model, dressed_frequencies, propagate
 from .pulses import (PulseSegment, PulseSequence, ProtocolCalibration,
                      QUBIT_CHANNEL, READOUT_CHANNEL, STORAGE_CHANNEL,
                      build_memory_sequence, calibrate_pi_pulse,
@@ -38,7 +38,6 @@ class ProtocolOptions:
     dims: SubsystemDims = field(default_factory=SubsystemDims)
     frame: str = "dispersive"
     bsb_amplitude: float = TWO_PI * 5.1e3   # rad/us
-    qubit_pi_multiplier: int = 1
     dt_pulse: float = 1e-4                  # us
     noiseless: bool = False
     storage_t_phi: float | None = None
@@ -46,6 +45,9 @@ class ProtocolOptions:
     seed: int = 0
 
     def __post_init__(self):
+        if self.frame not in FRAMES:
+            raise ParameterError(
+                f"unknown frame {self.frame!r}, expected one of {FRAMES}")
         if not self.dt_pulse > 0:
             raise ParameterError(
                 f"dt_pulse must be > 0 us, got {self.dt_pulse!r} us")
@@ -56,33 +58,19 @@ class ProtocolOptions:
         return dc_replace(self, **kw)
 
 
-_CAL_CACHE = {}
-
-
-def _cal_key(p, options, channel, amplitude):
-    return (tuple(sorted(p.as_dict().items())), options.dims.as_tuple(),
-            options.frame, channel, amplitude)
-
-
 def get_calibration(p: DeviceParams, options: ProtocolOptions):
-    """Calibrate (or fetch cached) qubit and sideband pi pulses."""
+    """Calibrate the qubit and sideband pi pulses."""
     return get_calibrations(p, options, [options.bsb_amplitude])[0]
 
 
 def get_calibrations(p: DeviceParams, options: ProtocolOptions, amplitudes):
-    """get_calibration at each sideband amplitude; the missing sideband pi
-    pulses calibrate together (calibrate_pi_pulses)."""
-    key_q = _cal_key(p, options, QUBIT_CHANNEL, QUBIT_AMPLITUDE)
-    if key_q not in _CAL_CACHE:
-        _CAL_CACHE[key_q] = calibrate_pi_pulse(
-            p, options.dims, QUBIT_CHANNEL, QUBIT_AMPLITUDE, frame=options.frame)
-    keys = {a: _cal_key(p, options, "bsb", a) for a in amplitudes}
-    missing = [a for a, key in keys.items() if key not in _CAL_CACHE]
-    if missing:
-        _CAL_CACHE.update(zip([keys[a] for a in missing], calibrate_pi_pulses(
-            p, options.dims, "bsb", missing, frame=options.frame)))
-    return [ProtocolCalibration(qubit=_CAL_CACHE[key_q], bsb=_CAL_CACHE[keys[a]])
-            for a in amplitudes]
+    """get_calibration at each sideband amplitude: one qubit pi pulse, and
+    the sideband pi pulses calibrated together (calibrate_pi_pulses)."""
+    qubit = calibrate_pi_pulse(p, options.dims, QUBIT_CHANNEL, QUBIT_AMPLITUDE,
+                               frame=options.frame)
+    return [ProtocolCalibration(qubit=qubit, bsb=bsb)
+            for bsb in calibrate_pi_pulses(p, options.dims, "bsb", amplitudes,
+                                           frame=options.frame)]
 
 
 def simulate_sequence(p: DeviceParams, seq: PulseSequence,
@@ -148,7 +136,7 @@ def memory_sweep(p: DeviceParams, angles, delays,
     cal = cal or get_calibration(p, options)
     angles, delays = np.broadcast_arrays(np.asarray(angles, dtype=float),
                                          np.asarray(delays, dtype=float))
-    seqs = [_memory_sequence(p, a, d, options, cal, extra)
+    seqs = [_memory_sequence(p, a, d, cal, extra)
             for a, d, extra in zip(angles, delays,
                                    extra_segments or [()] * angles.size)]
     if angles.size > 1 and np.all(angles == angles[0]):
@@ -157,10 +145,8 @@ def memory_sweep(p: DeviceParams, angles, delays,
     return ground_populations(p, seqs, options)
 
 
-def _memory_sequence(p, prep_angle, storage_delay, options, cal,
-                     extra_segments=()):
-    seq = build_memory_sequence(p, prep_angle, storage_delay, cal,
-                                qubit_pi_multiplier=options.qubit_pi_multiplier)
+def _memory_sequence(p, prep_angle, storage_delay, cal, extra_segments=()):
+    seq = build_memory_sequence(p, prep_angle, storage_delay, cal)
     for seg in extra_segments:
         seg = seg.shifted(seq.readout_time)
         seq = PulseSequence(seq.segments + (seg,), readout_time=seg.end)
@@ -170,7 +156,7 @@ def _memory_sequence(p, prep_angle, storage_delay, options, cal,
 def _storage_half(p, prep_angle, options, cal):
     """(t_half, state) after the preparation, sideband pi and qubit pi, in
     the windows of the protocol at any delay (its retrieval starts later)."""
-    seq = _memory_sequence(p, prep_angle, 0.0, options, cal)
+    seq = _memory_sequence(p, prep_angle, 0.0, cal)
     t_half = max(s.end for s in seq.labeled("qubit-pi-store"))
     return t_half, simulate_sequence(p, seq, options, upto=t_half)[1]
 
@@ -403,7 +389,7 @@ def _z_fidelity(p, p_g, seq):
 def z_fidelity_sweep(p: DeviceParams, working_points=None,
                      options: ProtocolOptions | None = None, fit=False):
     """Z fidelity and corrected Z fidelity versus protocol length, at zero
-    storage delay.  The missing sideband calibrations run together
+    storage delay.  The sideband calibrations run together
     (get_calibrations), and the protocols as the columns of one
     simulate_sequences call."""
     options = options or ProtocolOptions()
@@ -439,8 +425,7 @@ def memory_channel(p: DeviceParams, options: ProtocolOptions | None = None,
     """
     options = options or ProtocolOptions()
     cal = cal or get_calibration(p, options)
-    seq = build_memory_sequence(p, 0.0, 0.0, cal,
-                                qubit_pi_multiplier=options.qubit_pi_multiplier)
+    seq = build_memory_sequence(p, 0.0, 0.0, cal)
     dims = options.dims
     qubit = np.array([dims.index(0, 0, 0), dims.index(1, 0, 0)])
 
@@ -492,7 +477,7 @@ def qpt_experiment(p: DeviceParams, options: ProtocolOptions | None = None):
     theta, f_opt = tomography.fidelity_with_z_optimization(chi)
     p_g = float(np.real(outputs[0][0, 0]))          # |g><g|
     t_p, f_z, f_z_corr = _z_fidelity(
-        p, p_g, _memory_sequence(p, 0.0, 0.0, options, cal))
+        p, p_g, build_memory_sequence(p, 0.0, 0.0, cal))
     return {
         "chi": chi,
         "f_qpt_raw": f_raw,

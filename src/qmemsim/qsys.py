@@ -14,7 +14,7 @@ from .errors import DimensionError
 # subsystem slots, in the fixed tensor order
 TRANSMON, STORAGE, READOUT = 0, 1, 2
 
-DEFAULT_DIM_CAP = 512
+DIM_CAP = 512
 
 
 @dataclass(frozen=True)
@@ -29,7 +29,6 @@ class SubsystemDims:
     n_transmon: int = 3
     n_storage: int = 5
     n_readout: int = 2
-    cap: int = DEFAULT_DIM_CAP
 
     def __post_init__(self):
         if self.n_transmon < 2 or self.n_storage < 2 or self.n_readout < 1:
@@ -37,10 +36,9 @@ class SubsystemDims:
                 "need >= 2 transmon levels, >= 2 storage photons, "
                 f">= 1 readout photon, got {self.as_tuple()}"
             )
-        if not 4 <= self.total <= self.cap:
+        if not 4 <= self.total <= DIM_CAP:
             raise DimensionError(
-                f"total dimension {self.total} outside [4, {self.cap}]"
-            )
+                f"total dimension {self.total} outside [4, {DIM_CAP}]")
 
     @property
     def total(self):
@@ -135,17 +133,16 @@ class QuantumState:
                 f"rho shape {self.rho.shape} does not match dims {self.dims.as_tuple()}"
             )
 
-    def validate(self, trace_tol=None, herm_tol=None, eig_tol=None):
+    def validate(self):
         """Raise if trace, Hermiticity or positivity are violated."""
-        trace_tol = self.TRACE_TOL if trace_tol is None else trace_tol
-        herm_tol = self.HERM_TOL if herm_tol is None else herm_tol
-        eig_tol = self.EIG_TOL if eig_tol is None else eig_tol
         tr = np.trace(self.rho)
-        if abs(tr - 1.0) > trace_tol:
-            raise DimensionError(f"trace(rho) = {tr}, drifted beyond {trace_tol}")
-        if np.max(np.abs(self.rho - self.rho.conj().T)) > herm_tol:
+        if abs(tr - 1.0) > self.TRACE_TOL:
+            raise DimensionError(
+                f"trace(rho) = {tr}, drifted beyond {self.TRACE_TOL}")
+        if np.max(np.abs(self.rho - self.rho.conj().T)) > self.HERM_TOL:
             raise DimensionError("rho is not Hermitian within tolerance")
-        if np.min(np.linalg.eigvalsh(0.5 * (self.rho + self.rho.conj().T))) < eig_tol:
+        if np.min(np.linalg.eigvalsh(0.5 * (self.rho + self.rho.conj().T))) \
+                < self.EIG_TOL:
             raise DimensionError("rho has a negative eigenvalue beyond tolerance")
         return self
 

@@ -143,15 +143,15 @@ def process_fidelity(chi: ChiMatrix, chi_ideal: ChiMatrix | None = None):
 Z_SCAN_RESOLUTION = 1e-3  # rad
 
 
-def fidelity_with_z_optimization(chi: ChiMatrix, resolution=Z_SCAN_RESOLUTION):
+def fidelity_with_z_optimization(chi: ChiMatrix):
     """Best identity-process fidelity over a single Z-rotation of the output.
 
     For Rz(theta) applied after the channel, the fidelity is a sinusoid in
-    theta; it is scanned at the given resolution and the maximum returned as
+    theta; it is scanned at Z_SCAN_RESOLUTION and the maximum returned as
     (theta_best, fidelity).  Never smaller than the raw fidelity (theta=0 is
     in the scan).
     """
-    thetas = np.arange(0.0, 2.0 * math.pi, resolution)
+    thetas = np.arange(0.0, 2.0 * math.pi, Z_SCAN_RESOLUTION)
     # tr(Rz(th) K)/2 components in the Pauli basis: cos(th/2) on I, -i sin on Z
     c = np.cos(0.5 * thetas)
     s = np.sin(0.5 * thetas)

@@ -1,5 +1,5 @@
-"""Session fixtures shared by the acceptance suite and the pinned-number
-regression tests, so each default-device experiment runs once per session."""
+"""Session fixtures shared by the test modules, so each default-device
+experiment, and the default device's calibration, runs once per session."""
 
 import pytest
 
@@ -7,6 +7,14 @@ from qmemsim import protocol
 from qmemsim.device import DeviceParams
 from qmemsim.protocol import ProtocolOptions, WorkingPoint
 from qmemsim.units import TWO_PI
+
+
+@pytest.fixture(scope="session")
+def default_cal():
+    """The default device's qubit and sideband pi pulses at the default
+    options (ProtocolCalibration), for the cal= of the functions that take
+    one; the calibration depends on neither dt_pulse nor noiseless."""
+    return protocol.get_calibration(DeviceParams(), ProtocolOptions())
 
 
 @pytest.fixture(scope="session")

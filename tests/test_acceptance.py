@@ -82,10 +82,11 @@ def test_criterion_06_effective_coupling_scaling():
               f"coupling slope {slope_g:.3f}, prefactor ratio {chk.ratio:.3f}")
 
 
-def test_criterion_07_superposition_storage():
+def test_criterion_07_superposition_storage(default_cal):
     noiseless = OPTS.replace(noiseless=True)
-    rho_g = protocol.storage_state_after_half(P, 0.0, noiseless)
-    rho_e = protocol.storage_state_after_half(P, math.pi, noiseless)
+    rho_g = protocol.storage_state_after_half(P, 0.0, noiseless, default_cal)
+    rho_e = protocol.storage_state_after_half(P, math.pi, noiseless,
+                                              default_cal)
     fid_g = rho_g[1, 1].real
     fid_e = rho_e[0, 0].real
     assert fid_g >= 0.99 and fid_e >= 0.99

@@ -205,6 +205,29 @@ def test_non_positive_config_dt_pulse_is_rejected(tmp_path, capsys):
         assert "breach: dt_pulse must be > 0" in capsys.readouterr().err
 
 
+def test_unknown_frame_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    # an unknown frame is bad input, refused before any simulation with the
+    # valid frames named, not a physics failure of the model build
+    from qmemsim import cli, protocol
+    from qmemsim.lindblad import FRAMES
+
+    def simulate(*args, **kwargs):
+        raise AssertionError("simulated before rejecting the frame")
+
+    monkeypatch.setattr(protocol, "get_calibration", simulate)
+    cfg = tmp_path / "warp.cfg"
+    cfg.write_text(config.SAMPLE_CONFIG + "frame = warp\n")
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(cfg), "--experiment", "qpt",
+                     "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "unknown frame 'warp'" in err
+    assert all(repr(frame) in err for frame in FRAMES)
+    assert not out.exists()
+    assert cli.main(["validate", "--config", str(cfg)]) == 1
+    assert "breach: unknown frame 'warp'" in capsys.readouterr().err
+
+
 def test_run_requires_existing_config(tmp_path):
     out = tmp_path / "out"
     res = run_cli("run", "--config", str(tmp_path / "missing.cfg"),
@@ -391,7 +414,7 @@ def test_memory_protocol_sweep_cli(tmp_path, sample_cfg):
 
 def test_jobs_workers_reuse_the_parent_calibration(tmp_path, monkeypatch):
     # the pool forks, so the patch reaches the workers: any calibration
-    # there, even a cache lookup, fails the run
+    # there fails the run
     from qmemsim import cli, protocol
 
     cfg = tmp_path / "small.cfg"
@@ -424,7 +447,8 @@ def test_memory_protocol_sweep_equals_its_points_bit_for_bit(tmp_path,
     p, dims, run_kw = config.load_run_settings(cfg)
     options = protocol.ProtocolOptions(dims=dims, **run_kw)
     angles = np.linspace(0.0, 3.0, 3)
-    singles = [protocol.run_memory_protocol(p, a, 0.5, options)
+    cal = protocol.get_calibration(p, options)
+    singles = [protocol.run_memory_protocol(p, a, 0.5, options, cal)
                for a in angles]
     calls, propagate = [], protocol.propagate
 

@@ -1,7 +1,8 @@
 """Imports of the package: every imported name is used, every dataclass
 field is read somewhere, every qmemsim name the demos use exists, and
 neither importing the CLI, nor simulating, nor fitting loads scipy.  One
-module cuts and routes the propagation windows.
+module cuts and routes the propagation windows, and no function writes
+module-level state.
 
 No linter ships with the test environment, so these AST scans stand in for
 the unused-import and unused-field checks.  A name listed in the module's
@@ -298,3 +299,81 @@ def test_ramp_check_flags_reads():
                      "t = segments[0].ramp\n")
     assert sorted(_ramp_reads(tree)) == [1, 5]
 
+
+
+# method calls that change a list, dict or set in place
+MUTATORS = ("append", "extend", "insert", "update", "setdefault", "pop",
+            "popitem", "clear", "add", "discard", "remove")
+
+
+def _module_names(tree):
+    """Names the module binds by assignment at its top level."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+            targets = [node.target]
+        else:
+            continue
+        names |= {n.id for t in targets for n in ast.walk(t)
+                  if isinstance(n, ast.Name)}
+    return names
+
+
+def _module_state_writes(tree):
+    """(name, line) of each write to module-level state inside a function:
+    a `global` statement, an item or attribute store into a module-level
+    name, or a MUTATORS call on one.  A name the function binds is its
+    own."""
+    shared = _module_names(tree)
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)):
+            continue
+        own = {a.arg for a in ast.walk(func.args) if isinstance(a, ast.arg)}
+        own |= {n.id for n in ast.walk(func)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+        for node in ast.walk(func):
+            if isinstance(node, ast.Global):
+                yield "global " + ", ".join(node.names), node.lineno
+                continue
+            if isinstance(node, (ast.Subscript, ast.Attribute)) \
+                    and isinstance(node.ctx, (ast.Store, ast.Del)):
+                base = node.value
+            elif isinstance(node, ast.Call) \
+                    and isinstance(node.func, ast.Attribute) \
+                    and node.func.attr in MUTATORS:
+                base = node.func.value
+            else:
+                continue
+            if isinstance(base, ast.Name) and base.id in shared - own:
+                yield base.id, node.lineno
+
+
+def test_no_function_writes_module_state():
+    # state kept between calls is hidden from the caller, grows unbounded
+    # and is inherited by forked --jobs workers: what a call reuses, such
+    # as a calibration, its caller passes
+    writes = [f"{path.name}: {name} (line {line})" for path in MODULES
+              for name, line in sorted(set(_module_state_writes(
+                  ast.parse(path.read_text()))))]
+    assert not writes, f"functions that write module-level state: {writes}"
+
+
+def test_module_state_check_flags_writes():
+    tree = ast.parse("CACHE = {}\n"
+                     "ITEMS: list = []\n"
+                     "LIMIT = 1\n"
+                     "def f(key, value):\n"
+                     "    global LIMIT\n"
+                     "    CACHE[key] = value\n"
+                     "    ITEMS.append(value)\n"
+                     "    CACHE.setdefault(key, value)\n"
+                     "def g(CACHE):\n"
+                     "    CACHE[0] = 1\n"
+                     "    ITEMS = {}\n"
+                     "    ITEMS.update(a=1)\n"
+                     "    return CACHE.get(0), LIMIT\n")
+    assert sorted(_module_state_writes(tree)) == [
+        ("CACHE", 6), ("CACHE", 8), ("ITEMS", 7), ("global LIMIT", 5)]

@@ -583,7 +583,8 @@ def test_restricted_stepping_matches_full_space_rk4():
     check()
 
 
-def test_default_protocol_windows_step_their_reached_elements(monkeypatch):
+def test_default_protocol_windows_step_their_reached_elements(monkeypatch,
+                                                             default_cal):
     # from |g,0,0> the readout stays in vacuum, and the drives and collapse
     # operators shift label differences by fixed classes: the leading idle
     # window reaches the 3 transmon populations, the ramp-up, plateau and
@@ -593,8 +594,7 @@ def test_default_protocol_windows_step_their_reached_elements(monkeypatch):
     # |g><e|.  Only the ramps step RK4, 250 steps of 1e-4 us each.
     p, options = DeviceParams(), ProtocolOptions()
     dims = options.dims
-    cal = protocol.get_calibration(p, options)
-    seq = build_memory_sequence(p, 0.0, 0.0, cal)
+    seq = build_memory_sequence(p, 0.0, 0.0, default_cal)
     store = seq.labeled("bsb-store")[0]
     model = build_model(p, dims, seq)
     table = LiouvilleTable(model, model.active_terms(store.start, store.end))
@@ -617,7 +617,7 @@ def test_default_protocol_windows_step_their_reached_elements(monkeypatch):
 
     monkeypatch.setattr(LiouvilleTable, "restricted", record)
     monkeypatch.setattr(lindblad, "_rk4_step", count)
-    protocol.run_memory_protocol(p, 0.0, 0.0, options, cal)
+    protocol.run_memory_protocol(p, 0.0, 0.0, options, default_cal)
     assert sizes == [3] + [37] * 3 + [171] * 6 + [215] * 3
     ramps = [2 * round(s.ramp / options.dt_pulse) for s in seq.segments]
     assert ramps == [500] * 4

@@ -32,39 +32,40 @@ def frozen_qubit_params():
     return DeviceParams(p_e=0.0, t1_q=4e5, t2_q=8e5)
 
 
-def test_noiseless_round_trip():
-    p_g = run_memory_protocol(P, 0.0, 0.0, NOISELESS)
+def test_noiseless_round_trip(default_cal):
+    p_g = run_memory_protocol(P, 0.0, 0.0, NOISELESS, default_cal)
     assert p_g >= 0.99
 
 
-def test_storage_mapping_ground_to_fock_one():
-    rho_s = storage_state_after_half(P, 0.0, NOISELESS)
+def test_storage_mapping_ground_to_fock_one(default_cal):
+    rho_s = storage_state_after_half(P, 0.0, NOISELESS, default_cal)
     assert rho_s[1, 1].real >= 0.99
 
 
-def test_storage_mapping_excited_to_vacuum():
-    rho_s = storage_state_after_half(P, math.pi, NOISELESS)
+def test_storage_mapping_excited_to_vacuum(default_cal):
+    rho_s = storage_state_after_half(P, math.pi, NOISELESS, default_cal)
     assert rho_s[0, 0].real >= 0.99
 
 
-def test_superposition_stores_half_photon():
-    rho_s = storage_state_after_half(P, math.pi / 2.0, NOISELESS)
+def test_superposition_stores_half_photon(default_cal):
+    rho_s = storage_state_after_half(P, math.pi / 2.0, NOISELESS, default_cal)
     n_mean = sum(n * rho_s[n, n].real for n in range(rho_s.shape[0]))
     assert n_mean == pytest.approx(0.5, abs=0.02)
 
 
-def test_prep_angle_pattern_symmetric_about_pi():
-    lo = run_memory_protocol(P, math.pi / 2.0, 0.0, NOISELESS)
-    hi = run_memory_protocol(P, 3.0 * math.pi / 2.0, 0.0, NOISELESS)
+def test_prep_angle_pattern_symmetric_about_pi(default_cal):
+    lo = run_memory_protocol(P, math.pi / 2.0, 0.0, NOISELESS, default_cal)
+    hi = run_memory_protocol(P, 3.0 * math.pi / 2.0, 0.0, NOISELESS,
+                             default_cal)
     assert lo == pytest.approx(hi, abs=0.01)
-    assert run_memory_protocol(P, math.pi, 0.0, NOISELESS) < 0.02
+    assert run_memory_protocol(P, math.pi, 0.0, NOISELESS, default_cal) < 0.02
 
 
-def test_contrast_decays_at_storage_rate_not_qubit_rate():
+def test_contrast_decays_at_storage_rate_not_qubit_rate(default_cal):
     c = []
     for delay in (0.25, 5.0):
-        pg0 = run_memory_protocol(P, 0.0, delay, OPTS)
-        pg_pi = run_memory_protocol(P, math.pi, delay, OPTS)
+        pg0 = run_memory_protocol(P, 0.0, delay, OPTS, default_cal)
+        pg_pi = run_memory_protocol(P, math.pi, delay, OPTS, default_cal)
         c.append(pg0 - pg_pi)
     ratio = c[1] / c[0]
     # memory-rate decay over 4.75 us ~ 0.49; a qubit-rate protocol would
@@ -117,21 +118,22 @@ def test_memory_ramsey_t2(frozen_ramsey):
 
 
 def test_delay_sweeps_share_the_storage_half_bit_for_bit(fock_record,
-                                                         frozen_ramsey):
+                                                         frozen_ramsey,
+                                                         default_cal):
     # the sweeps simulate the storage half once and each delay from there;
     # every p_g is the one run_memory_protocol gives at that delay
-    cal = protocol.get_calibration(P, OPTS)
     for i in (0, -1):
         assert fock_record.ys[i] == run_memory_protocol(
-            P, 0.0, fock_record.xs[i], OPTS, cal)
+            P, 0.0, fock_record.xs[i], OPTS, default_cal)
 
     p, d = frozen_qubit_params(), frozen_ramsey.xs[5]
-    q = protocol.get_calibration(p, OPTS).qubit
+    cal = protocol.get_calibration(p, OPTS)
+    q = cal.qubit
     analysis_pulse = PulseSegment(
         QUBIT_CHANNEL, 0.5 * q.amplitude, q.carrier, phase=TWO_PI * 0.3 * d,
         plateau=q.plateau, rise=q.rise, label="ramsey-analysis")
     assert frozen_ramsey.ys[5] == run_memory_protocol(
-        p, math.pi / 2.0, d, OPTS, extra_segments=(analysis_pulse,))
+        p, math.pi / 2.0, d, OPTS, cal, extra_segments=(analysis_pulse,))
 
 
 def test_memory_ramsey_needs_fringes():
@@ -157,35 +159,36 @@ def test_storage_ringdown_times():
     assert rec.fits["amplitude_decay"].params["T"] == pytest.approx(2.0 / k, rel=0.05)
 
 
-def test_pulse_step_is_converged(anchor_z_point):
-    # halving dt_pulse with the same calibration (its cache key has no step)
-    # moves the headline numbers by far less than their pinned tolerance
+def test_pulse_step_is_converged(anchor_z_point, default_cal):
+    # halving dt_pulse with the same calibration (the calibration probes
+    # keep their own step) moves the headline numbers by far less than
+    # their pinned tolerance
     fine = OPTS.replace(dt_pulse=0.5 * OPTS.dt_pulse)
-    p_g = run_memory_protocol(P, 0.0, 0.0, OPTS)
-    assert abs(run_memory_protocol(P, 0.0, 0.0, fine) - p_g) < 1e-8
+    p_g = run_memory_protocol(P, 0.0, 0.0, OPTS, default_cal)
+    assert abs(run_memory_protocol(P, 0.0, 0.0, fine, default_cal) - p_g) < 1e-8
     f_z = z_fidelity_point(P, WorkingPoint(TWO_PI * 6.0e3), fine)[1]
     assert abs(f_z - anchor_z_point[1]) < 1e-8
 
 
-def test_calibration_step_is_converged(monkeypatch, anchor_z_point):
+def test_calibration_step_is_converged(monkeypatch, anchor_z_point,
+                                      default_cal):
     # halving every probe's step recalibrates both pulses; with dt_pulse
     # halved too, the headline numbers stay within their pinned tolerance
-    p_g = run_memory_protocol(P, 0.0, 0.0, OPTS)
+    p_g = run_memory_protocol(P, 0.0, 0.0, OPTS, default_cal)
     probe = pulses._probe_transfers
 
     def halved(params, dims, segments, frame, dt, initial, target):
         return probe(params, dims, segments, frame, 0.5 * dt, initial, target)
 
     monkeypatch.setattr(pulses, "_probe_transfers", halved)
-    monkeypatch.setattr(protocol, "_CAL_CACHE", {})
     fine = OPTS.replace(dt_pulse=0.5 * OPTS.dt_pulse)
     assert abs(run_memory_protocol(P, 0.0, 0.0, fine) - p_g) < 1e-6
     f_z = z_fidelity_point(P, WorkingPoint(TWO_PI * 6.0e3), fine)[1]
     assert abs(f_z - anchor_z_point[1]) < 1e-6
 
 
-def test_z_point_correction_identity():
-    t_p, f_z, f_corr = z_fidelity_point(P, WorkingPoint(TWO_PI * 6.0e3), OPTS)
+def test_z_point_correction_identity(anchor_z_point):
+    t_p, f_z, f_corr = anchor_z_point
     assert f_corr * math.exp(-t_p / P.t1_q) == pytest.approx(f_z, abs=1e-12)
     assert f_z <= 1.0 + 1e-6
 
@@ -207,27 +210,26 @@ def test_z_sweep_monotone_corrected_fidelity():
     assert np.all(rec.ys <= 1.0 + 1e-6)
 
 
-def test_memory_channel_trace_deficiency():
-    chan = memory_channel(P, OPTS)
+def test_memory_channel_trace_deficiency(default_cal):
+    chan = memory_channel(P, OPTS, default_cal)
     out = chan(np.diag([1.0, 0.0]).astype(complex))
     tr = np.trace(out).real
     assert 0.7 <= tr <= 1.0 + 1e-9
 
 
-def test_memory_channel_is_linear():
+def test_memory_channel_is_linear(default_cal):
     # inputs of any trace propagate, |g><e| too: |+><+| maps to the mean of
     # the four basis matrices' outputs
-    chan = memory_channel(P, OPTS)
+    chan = memory_channel(P, OPTS, default_cal)
     units = [np.outer(a, b) for a in np.eye(2) for b in np.eye(2)]
     plus = chan(np.full((2, 2), 0.5, dtype=complex))
     assert np.max(np.abs(plus - 0.5 * sum(chan(u) for u in units))) <= 1e-12
 
 
-def test_zero_delay_protocol_builds_three_tables(monkeypatch):
+def test_zero_delay_protocol_builds_three_tables(monkeypatch, default_cal):
     # one LiouvilleTable each for the idle windows, the sideband pulses and
     # the qubit pulses, shared by each pulse's ramps and plateau and by its
     # store and retrieve segments
-    cal = protocol.get_calibration(P, OPTS)
     builds, init = [], lindblad.LiouvilleTable.__init__
 
     def count(self, *args, **kw):
@@ -235,7 +237,7 @@ def test_zero_delay_protocol_builds_three_tables(monkeypatch):
         init(self, *args, **kw)
 
     monkeypatch.setattr(lindblad.LiouvilleTable, "__init__", count)
-    run_memory_protocol(P, 0.0, 0.0, OPTS, cal)
+    run_memory_protocol(P, 0.0, 0.0, OPTS, default_cal)
     assert len(builds) == 3
 
 
@@ -256,10 +258,10 @@ def test_qpt_simulates_each_tomography_input_once(monkeypatch):
     assert out["f_z"] == pytest.approx(f_z, rel=0, abs=1e-12)
 
 
-def test_batched_qpt_inputs_equal_single_inputs():
+def test_batched_qpt_inputs_equal_single_inputs(default_cal):
     from qmemsim import tomography
 
-    chan = memory_channel(P, OPTS)
+    chan = memory_channel(P, OPTS, default_cal)
     batch = chan(np.array(tomography.INPUT_STATES))
     assert batch.shape == (4, 2, 2)
     for out, rho in zip(batch, tomography.INPUT_STATES):
@@ -276,14 +278,13 @@ def test_z_sweep_row_equals_its_single_point(anchor_z_point):
         == anchor_z_point
 
 
-def test_z_sweep_runs_its_protocols_and_calibrations_batched(monkeypatch):
+def test_z_sweep_runs_its_protocols_and_calibrations_batched(monkeypatch,
+                                                            default_cal):
     # three working points: one propagate call for the three protocols, and
     # the five scan stages of the three sideband calibrations as five
-    # probe calls (the qubit calibration is cached)
-    protocol.get_calibration(P, OPTS)
-    monkeypatch.setattr(protocol, "_CAL_CACHE", {
-        key: cal for key, cal in protocol._CAL_CACHE.items()
-        if key[3] == QUBIT_CHANNEL})
+    # probe calls (the qubit calibration is the one given)
+    monkeypatch.setattr(protocol, "calibrate_pi_pulse",
+                        lambda *args, **kw: default_cal.qubit)
     calls = {"propagate": [], "_probe_transfers": []}
     for module, name in ((protocol, "propagate"), (pulses, "_probe_transfers")):
         def count(*args, name=name, fn=getattr(module, name)):
@@ -296,11 +297,10 @@ def test_z_sweep_runs_its_protocols_and_calibrations_batched(monkeypatch):
     assert len(calls["_probe_transfers"]) == 5
 
 
-def test_sequences_with_different_layouts_run_in_one_call():
+def test_sequences_with_different_layouts_run_in_one_call(default_cal):
     # a zero angle omits the prep segment, so the first column has four
     # edges fewer than the second; each equals its one-column run
-    cal = protocol.get_calibration(P, OPTS)
-    seqs = [build_memory_sequence(P, angle, 0.0, cal)
+    seqs = [build_memory_sequence(P, angle, 0.0, default_cal)
             for angle in (0.0, math.pi / 2.0)]          # no prep, then prep
     _, states = protocol.simulate_sequences(P, seqs, OPTS)
     for seq, state in zip(seqs, states):
@@ -308,12 +308,11 @@ def test_sequences_with_different_layouts_run_in_one_call():
         assert np.array_equal(state.rho, alone.rho)
 
 
-def test_one_span_equals_its_windows_one_at_a_time():
+def test_one_span_equals_its_windows_one_at_a_time(default_cal):
     # the zero-delay protocol as one span, against the windows between its
     # segment and plateau edges, each its own propagate call (a window
     # under 1e-12 us is skipped, as propagate skips it)
-    cal = protocol.get_calibration(P, OPTS)
-    seq = build_memory_sequence(P, 0.0, 0.0, cal)
+    seq = build_memory_sequence(P, 0.0, 0.0, default_cal)
     model, state = protocol.simulate_sequence(P, seq, OPTS)
     edges = sorted([0.0, seq.readout_time] + [
         e for s in seq.segments
@@ -356,10 +355,10 @@ def test_record_validation_and_csv(tmp_path):
     assert lines[1].startswith("1,0.5")
 
 
-def test_prep_angle_sweep_is_one_call_bit_for_bit(monkeypatch):
-    cal = protocol.get_calibration(P, OPTS)
+def test_prep_angle_sweep_is_one_call_bit_for_bit(monkeypatch, default_cal):
     angles = [0.0, math.pi / 2.0, math.pi]
-    singles = [run_memory_protocol(P, a, 0.25, OPTS, cal) for a in angles]
+    singles = [run_memory_protocol(P, a, 0.25, OPTS, default_cal)
+               for a in angles]
     calls, propagate = [], protocol.propagate
 
     def count(*args):
@@ -372,14 +371,15 @@ def test_prep_angle_sweep_is_one_call_bit_for_bit(monkeypatch):
     assert list(rec.ys) == singles
 
 
-def test_truncation_is_converged():
+def test_truncation_is_converged(default_cal):
     # one more level in each mode moves F_Z at the 4.6 GHz working point
     # and p_g at 16 us by less than 2e-4 and 1e-6: fewer storage levels
     # cut off the sideband ladder the noisy protocol climbs
     wp = WorkingPoint(TWO_PI * 4.6e3)
     small, large = OPTS, OPTS.replace(dims=SubsystemDims(4, 6, 3))
     f_z = [z_fidelity_point(P, wp, o)[1] for o in (small, large)]
-    p_g = [run_memory_protocol(P, 0.0, 16.0, o) for o in (small, large)]
+    p_g = [run_memory_protocol(P, 0.0, 16.0, small, default_cal),
+           run_memory_protocol(P, 0.0, 16.0, large)]
     assert abs(f_z[1] - f_z[0]) < 2e-4
     assert abs(p_g[1] - p_g[0]) < 1e-6
 

@@ -10,9 +10,8 @@ from qmemsim.errors import (CalibrationError, IntegrationError, ParameterError,
 from qmemsim.lindblad import (build_model, dressed_frequencies, propagate,
                               two_photon_resonance)
 from qmemsim.protocol import ProtocolOptions, simulate_sequence
-from qmemsim.pulses import (PulseSegment, PulseSequence, ProtocolCalibration,
-                            QUBIT_CHANNEL, build_memory_sequence,
-                            calibrate_pi_pulse)
+from qmemsim.pulses import (PulseSegment, PulseSequence, QUBIT_CHANNEL,
+                            build_memory_sequence, calibrate_pi_pulse)
 from qmemsim.qsys import SubsystemDims
 from qmemsim.units import TWO_PI
 
@@ -95,12 +94,10 @@ def test_sequence_duration_and_json_round_trip():
 
 
 @pytest.fixture(scope="module")
-def sample_calibration():
-    p = DeviceParams()
-    dims = SubsystemDims()
-    q = calibrate_pi_pulse(p, dims, QUBIT_CHANNEL, TWO_PI * 20.0)
-    b = calibrate_pi_pulse(p, dims, "bsb", TWO_PI * 5.1e3)
-    return p, dims, ProtocolCalibration(qubit=q, bsb=b)
+def sample_calibration(default_cal):
+    """The default device's qubit pi pulse at 20 MHz and sideband pi pulse
+    at 5.1 GHz, the session's calibration."""
+    return DeviceParams(), SubsystemDims(), default_cal
 
 
 def test_memory_sequence_layout(sample_calibration):

@@ -37,8 +37,9 @@ ABS_CHI = [
 ]
 
 
-def test_ground_population_at_zero_delay():
-    p_g = protocol.run_memory_protocol(DeviceParams(), 0.0, 0.0, ProtocolOptions())
+def test_ground_population_at_zero_delay(default_cal):
+    p_g = protocol.run_memory_protocol(DeviceParams(), 0.0, 0.0,
+                                       ProtocolOptions(), default_cal)
     assert p_g == pytest.approx(PG_DELAY_0, rel=0, abs=1e-6)
 
 
