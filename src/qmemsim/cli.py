@@ -29,7 +29,7 @@ from .config import (load_run_settings, parse_run_settings, parse_value,
                      write_sample_config)
 from .device import bsb_frequency, purcell_limit
 from .errors import ConfigError, ParameterError, QmemError
-from .lindblad import build_model, effective_bsb_check
+from .lindblad import build_model
 from .qsys import DIM_CAP
 from .units import GHZ, MHZ, TWO_PI
 
@@ -147,9 +147,7 @@ def run_experiment(p, options, args, sweep):
 
     if name == "bsb-check":
         grid = sweep[1] if sweep else np.array([1.2e3, 2.0e3, 3.4e3]) / 1e3
-        checks = [effective_bsb_check(p, TWO_PI * 1e3 * amp_ghz,
-                                      dims=options.dims, frame=options.frame)
-                  for amp_ghz in grid]
+        checks = protocol.effective_bsb_check(p, TWO_PI * 1e3 * grid, options)
         rates = np.array([c.measured_rate for c in checks])
         fits = {}
         if len(grid) >= 3:

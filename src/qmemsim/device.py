@@ -109,10 +109,6 @@ class AngularParams:
     n_ro: float
     p_e: float
 
-    @property
-    def t_phi_q(self):
-        return pure_dephasing_time(self.t1_q, self.t2_q)
-
 
 def bsb_frequency(p: DeviceParams):
     """Blue-sideband resonance w_b = w_s + w_q + chi_s + (2 n_ro - 1) chi_ro.

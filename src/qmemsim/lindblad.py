@@ -17,8 +17,9 @@ mode.  ``build_model`` transforms it into one of three frames:
 ``bare``
     Each subsystem rotates at its bare frequency; the exchange couplings stay
     in the generator as explicit difference-frequency terms (GHz scale, so
-    the step bound is ~0.02 ns).  Useful for cross-validating the dressed
-    construction.
+    the step bound is ~0.02 ns, and the calibration probes, which step at
+    half their models' ``max_step``, run at ~0.01 ns).  Useful for
+    cross-validating the dressed construction.
 ``lab``
     No rotation, nothing dropped; only sensible for small test systems.
 
@@ -41,7 +42,7 @@ with T the |g,n> -> |e,n+1> ladder operator; it is retained only when the
 tone is near the two-photon resonance.  The quadratic drive dependence and
 cubic coupling dependence of the sideband rate are properties of this term
 and are cross-checked against the full integration by
-:func:`effective_bsb_check`.
+``protocol.effective_bsb_check``.
 
 Propagation
 -----------
@@ -94,8 +95,8 @@ from . import qsys
 from .device import DeviceParams, pure_dephasing_time
 from .errors import (DimensionError, IntegrationError, ParameterError,
                      StepSizeError)
-from .pulses import (PulseSegment, PulseSequence, QUBIT_CHANNEL,
-                     STORAGE_CHANNEL, READOUT_CHANNEL)
+from .pulses import (PulseSegment, QUBIT_CHANNEL, STORAGE_CHANNEL,
+                     READOUT_CHANNEL)
 from .qsys import SubsystemDims, QuantumState
 from .units import GHZ, TWO_PI
 
@@ -230,7 +231,6 @@ class LindbladModel:
     terms: list                       # HamiltonianTerm entries
     channels: list                    # CollapseChannel entries
     rot: tuple                        # per-subsystem rotation freqs (rad/us)
-    dressing: np.ndarray              # U, columns = model basis in the bare basis
     labels: tuple = None
     # per drive channel its lowering operator, split into its classes
     # {key: component} when a model of the frame first drives it, and the
@@ -260,15 +260,6 @@ class LindbladModel:
         if nr is not None:
             mask &= lr == nr
         return np.diag(mask.astype(complex))
-
-    # -- frame bookkeeping -------------------------------------------------
-    def to_lab_frame(self, state, t):
-        """Map a rotating-frame model-basis state to the lab bare basis."""
-        gvec = sum(w * lab for w, lab in zip(self.rot, self.labels))
-        ph = np.exp(1j * gvec * t)
-        rho = (ph.conj()[:, None] * state.rho) * ph[None, :]
-        rho = self.dressing @ rho @ self.dressing.conj().T
-        return QuantumState(rho, self.dims)
 
     def with_sequence(self, seq):
         """This model, which carries no sequence, driven by seq: its terms
@@ -465,7 +456,7 @@ def build_model(p: DeviceParams, dims: SubsystemDims, seq=None, frame="dispersiv
                 "storage-dephasing"))
 
     model = LindbladModel(dims=dims, params=p, frame=frame, drift=drift,
-                          terms=terms, channels=channels, rot=rot, dressing=U,
+                          terms=terms, channels=channels, rot=rot,
                           labels=labels, drive_ops=drive_ops,
                           two_photon=two_photon)
     return model if seq is None else model.with_sequence(seq)
@@ -964,62 +955,3 @@ def propagate(models, x, span, dt):
                 x[:, cols] = _exact(tables[key], x[:, cols], terms, frames,
                                     t0[cols], t1[cols], diag)
     return x
-
-
-# ---------------------------------------------------------------------------
-# Eq.-(effective sideband) cross-check against the full integration
-# ---------------------------------------------------------------------------
-
-@dataclass
-class BsbComparison:
-    measured_rate: float       # rad/us
-    predicted_rate: float      # rad/us
-    ratio: float
-    carrier: float
-    contrast: float
-
-
-def effective_bsb_check(p: DeviceParams, omega_drv, *, dims=None,
-                        frame="dispersive"):
-    """Drive a constant sideband tone and compare the extracted |g0> <-> |e1>
-    oscillation rate with the closed-form effective coupling.
-
-    The tone is placed at the model's own two-photon pair resonance, so the
-    comparison isolates the rate rather than a detuning.  The noiseless tone
-    lasts 2.5 swap periods, sampled 36 times per period, at t_k by ket
-    column k of one propagate call across (0, t_k): the tone's ramps by
-    RK4 and its plateau exactly.  Returns a BsbComparison with the
-    measured/predicted ratio.
-    """
-    from .analysis import fit_decaying_cosine
-    from .device import bsb_effective_rate
-
-    dims = dims or SubsystemDims()
-    a = p.angular()
-    if a.g > 0.2 * min(abs(a.w_q - a.w_s), abs(a.w_q - a.w_ro)):
-        raise ParameterError("effective_bsb_check requires the dispersive regime")
-    carrier = two_photon_resonance(p, dims)
-    predicted = bsb_effective_rate(p, omega_drv, carrier=carrier)
-
-    period = math.pi / predicted
-    rise = 1e-3
-    seg = PulseSegment(QUBIT_CHANNEL, omega_drv, carrier, plateau=2.5 * period,
-                       rise=rise, start=0.0, label="bsb-tone")
-    model = build_model(p, dims, PulseSequence((seg,)), frame=frame,
-                        noiseless=True)
-    # only slow carriers remain on a resonant sideband tone; a coarse fixed
-    # step resolves the MHz-scale dynamics comfortably
-    dt = min(5e-4, model.max_step(0.0, seg.end), period / 400.0)
-    t = np.linspace(0.0, seg.end, 91)   # 36 per swap period
-    ground = np.eye(dims.total)[:, [dims.index(0, 0, 0)] * len(t)]
-    psi = propagate([model] * len(t), ground, (seg.start, t), dt)
-    fit = fit_decaying_cosine(t, np.abs(psi[dims.index(0, 0, 0)]) ** 2)
-    contrast = 2.0 * abs(fit.params["A"])
-    if contrast < 0.2:
-        raise IntegrationError(
-            f"no discernible sideband oscillation (contrast {contrast:.3f} < 0.2)"
-        )
-    measured = math.pi * abs(fit.params["f"])
-    return BsbComparison(measured_rate=measured, predicted_rate=predicted,
-                         ratio=measured / predicted, carrier=carrier,
-                         contrast=contrast)

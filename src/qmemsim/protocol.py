@@ -1,6 +1,6 @@
 """End-to-end memory experiments: storage/retrieval, lifetime and coherence
-measurements, mode ringdowns, Z-fidelity working-point sweeps and the process
-tomography channel.
+measurements, mode ringdowns, the sideband-rate check, Z-fidelity
+working-point sweeps and the process tomography channel.
 
 Readout convention: the retrieved ground-state population p_g is extracted by
 tracing out both cavity modes and reading the transmon ground-level
@@ -14,9 +14,10 @@ from dataclasses import dataclass, field, replace as dc_replace
 import numpy as np
 
 from . import analysis, qsys, tomography
-from .device import DeviceParams
-from .errors import ParameterError
-from .lindblad import FRAMES, build_model, dressed_frequencies, propagate
+from .device import DeviceParams, bsb_effective_rate
+from .errors import IntegrationError, ParameterError
+from .lindblad import (FRAMES, build_model, dressed_frequencies, propagate,
+                       two_photon_resonance)
 from .pulses import (PulseSegment, PulseSequence, ProtocolCalibration,
                      QUBIT_CHANNEL, READOUT_CHANNEL, STORAGE_CHANNEL,
                      build_memory_sequence, calibrate_pi_pulse,
@@ -287,17 +288,6 @@ def memory_ramsey_experiment(p: DeviceParams, delays=None, detuning=0.35,
                             xs=delays, ys=pgs, fits={"T2_s": fit})
 
 
-def prep_angle_sweep(p: DeviceParams, angles=None, delay=0.25,
-                     options: ProtocolOptions | None = None):
-    """Retrieved p_g versus preparation angle at a fixed delay (Rabi
-    pattern), the protocols as one memory_sweep."""
-    if angles is None:
-        angles = np.linspace(0.0, 2.0 * math.pi, 13)
-    return ExperimentRecord(sweep_variable="prep_angle_rad", observable="p_g",
-                            xs=angles,
-                            ys=memory_sweep(p, angles, delay, options))
-
-
 def mode_ringdown_experiment(p: DeviceParams, mode="readout",
                              options: ProtocolOptions | None = None):
     """Displace a cavity mode to a coherent amplitude near 0.45, switch the
@@ -347,6 +337,74 @@ def mode_ringdown_experiment(p: DeviceParams, mode="readout",
 
 
 # ---------------------------------------------------------------------------
+# the effective sideband rate against the full integration
+# ---------------------------------------------------------------------------
+
+@dataclass
+class BsbComparison:
+    measured_rate: float       # rad/us
+    predicted_rate: float      # rad/us
+    ratio: float
+    carrier: float
+    contrast: float
+
+
+def effective_bsb_check(p: DeviceParams, drives,
+                        options: ProtocolOptions | None = None):
+    """Drive a constant sideband tone at each drive amplitude (rad/us) and
+    compare the extracted |g0> <-> |e1> oscillation rate with the
+    closed-form effective coupling; returns one BsbComparison per drive.
+
+    The tone is placed at the model's own two-photon pair resonance, so the
+    comparison isolates the rate rather than a detuning.  Each noiseless
+    tone lasts 2.5 of its swap periods and is sampled 36 times per period:
+    the 91 sample times of every drive are the ket columns of one
+    propagate call from 0, on one noiseless base model of options.frame
+    and options.dims, the tones' ramps by RK4 and their plateaus exactly.
+    Each drive's rate comes from its own fit.  The columns share one step,
+    the smallest of the drives' own (5e-4 us, a 400th of the swap period,
+    or half the tone model's max_step), so a drive whose own step is
+    coarser runs at the finer one.
+    """
+    options = options or ProtocolOptions()
+    dims = options.dims
+    a = p.angular()
+    if a.g > 0.2 * min(abs(a.w_q - a.w_s), abs(a.w_q - a.w_ro)):
+        raise ParameterError("effective_bsb_check requires the dispersive regime")
+    carrier = two_photon_resonance(p, dims)
+    predicted = [bsb_effective_rate(p, drive, carrier=carrier)
+                 for drive in drives]
+    base = build_model(p, dims, frame=options.frame, noiseless=True)
+    models, times, steps = [], [], []
+    for drive, rate in zip(drives, predicted):
+        period = math.pi / rate
+        seg = PulseSegment(QUBIT_CHANNEL, drive, carrier, plateau=2.5 * period,
+                           rise=1e-3, start=0.0, label="bsb-tone")
+        model = base.with_sequence(PulseSequence((seg,)))
+        models += [model] * 91
+        times.append(np.linspace(0.0, seg.end, 91))   # 36 per swap period
+        # only slow carriers remain on a resonant sideband tone; a coarse
+        # fixed step resolves the MHz-scale dynamics comfortably
+        steps.append(min(5e-4, 0.5 * model.max_step(), period / 400.0))
+    ground = dims.index(0, 0, 0)
+    psi = np.eye(dims.total)[:, [ground] * len(models)]
+    psi = propagate(models, psi, (0.0, np.concatenate(times)), min(steps))
+    pops = np.split(np.abs(psi[ground]) ** 2, len(times))
+    out = []
+    for t, pop, rate in zip(times, pops, predicted):
+        fit = analysis.fit_decaying_cosine(t, pop)
+        contrast = 2.0 * abs(fit.params["A"])
+        if contrast < 0.2:
+            raise IntegrationError(f"no discernible sideband oscillation "
+                                   f"(contrast {contrast:.3f} < 0.2)")
+        measured = math.pi * abs(fit.params["f"])
+        out.append(BsbComparison(measured_rate=measured, predicted_rate=rate,
+                                 ratio=measured / rate, carrier=carrier,
+                                 contrast=contrast))
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Z-fidelity working points
 # ---------------------------------------------------------------------------
 
@@ -370,14 +428,6 @@ def default_working_points():
         WorkingPoint(TWO_PI * 3.6e3),
         WorkingPoint(TWO_PI * 3.2e3, qubit_pi_multiplier=3),
     ]
-
-
-def z_fidelity_point(p: DeviceParams, wp: WorkingPoint,
-                     options: ProtocolOptions | None = None):
-    """(t_p, F_Z, F_Z_corr) at one working point, zero storage delay: the
-    one-point z_fidelity_sweep."""
-    rec = z_fidelity_sweep(p, [wp], options)
-    return rec.xs[0], rec.ys[0], rec.columns["f_z_corr"][0]
 
 
 def _z_fidelity(p, p_g, seq):

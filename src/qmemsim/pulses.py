@@ -110,14 +110,6 @@ class PulseSegment:
         result = self.amplitude * out
         return float(result) if result.ndim == 0 else result
 
-    def area(self):
-        """Time integral of the envelope (rad)."""
-        return self.amplitude * (self.plateau + 2.0 * _RAMP_AREA * self.sigma)
-
-    def squared_area(self):
-        """Time integral of the squared envelope (rad^2/us)."""
-        return self.amplitude**2 * (self.plateau + 2.0 * _RAMP_AREA_SQ * self.sigma)
-
     def equivalent_width(self):
         """Duration of the square pulse with the same area and amplitude."""
         return self.plateau + 2.0 * _RAMP_AREA * self.sigma
@@ -130,9 +122,9 @@ class PulseSegment:
 class PulseSequence:
     """Ordered, per-channel non-overlapping pulse segments.
 
-    total_duration runs from the start of the first segment to the end of the
-    last one.  readout_time marks when the dispersive readout would fire; the
-    readout itself is a marker, not a simulated microwave pulse.
+    start and end are those of the first and last segments.  readout_time
+    marks when the dispersive readout would fire; the readout itself is a
+    marker, not a simulated microwave pulse.
     """
 
     segments: tuple
@@ -159,10 +151,6 @@ class PulseSequence:
     @property
     def end(self):
         return max(s.end for s in self.segments) if self.segments else 0.0
-
-    @property
-    def total_duration(self):
-        return self.end - self.start
 
     def labeled(self, label):
         return [s for s in self.segments if s.label == label]
@@ -212,7 +200,7 @@ def build_memory_sequence(p: DeviceParams, prep_angle, storage_delay, cal,
     ... storage_delay ... [qubit pi * multiplier] [BSB pi] [readout marker].
     The retrieval half is the time-mirror of the storage half.  The prep
     rotation is set through the pulse amplitude at fixed pi-pulse duration;
-    a zero angle omits the segment entirely.
+    a zero angle omits the segment but keeps its time slot.
     """
     if cal is None or cal.qubit is None or cal.bsb is None:
         raise CalibrationError("memory sequence requires qubit and BSB calibrations")
@@ -227,43 +215,23 @@ def build_memory_sequence(p: DeviceParams, prep_angle, storage_delay, cal,
     # contribute a fixed area, the plateau supplies the rest
     ramp_area_time = 2.0 * _RAMP_AREA * (0.5 * q.rise)
     q_plateau_m = m * (q.plateau + ramp_area_time) - ramp_area_time
-    segs = []
-    t = 0.0
-
-    if prep_angle != 0.0:
-        segs.append(PulseSegment(
-            QUBIT_CHANNEL, abs(prep_angle) / math.pi * q.amplitude, q.carrier,
-            phase=math.pi if prep_angle < 0 else 0.0,
-            plateau=q.plateau, rise=q.rise, start=t, label="prep",
-        ))
-    t += q.plateau + 2.5 * q.rise
-
+    # (label, calibration, amplitude, phase, plateau, idle time after it);
     # the two-photon sideband tone is applied through the qubit-charge port
-    segs.append(PulseSegment(
-        QUBIT_CHANNEL, b.amplitude, b.carrier, plateau=b.plateau, rise=b.rise,
-        start=t, label="bsb-store",
-    ))
-    t += b.plateau + 2.5 * b.rise
-
-    segs.append(PulseSegment(
-        QUBIT_CHANNEL, q.amplitude, q.carrier, plateau=q_plateau_m,
-        rise=q.rise, start=t, label="qubit-pi-store",
-    ))
-    t += q_plateau_m + 2.5 * q.rise
-
-    t += storage_delay
-
-    segs.append(PulseSegment(
-        QUBIT_CHANNEL, q.amplitude, q.carrier, plateau=q_plateau_m,
-        rise=q.rise, start=t, label="qubit-pi-retrieve",
-    ))
-    t += q_plateau_m + 2.5 * q.rise
-
-    segs.append(PulseSegment(
-        QUBIT_CHANNEL, b.amplitude, b.carrier, plateau=b.plateau, rise=b.rise,
-        start=t, label="bsb-retrieve",
-    ))
-    t += b.plateau + 2.5 * b.rise
+    pulses = [
+        ("prep", q, abs(prep_angle) / math.pi * q.amplitude,
+         math.pi if prep_angle < 0 else 0.0, q.plateau, 0.0),
+        ("bsb-store", b, b.amplitude, 0.0, b.plateau, 0.0),
+        ("qubit-pi-store", q, q.amplitude, 0.0, q_plateau_m, storage_delay),
+        ("qubit-pi-retrieve", q, q.amplitude, 0.0, q_plateau_m, 0.0),
+        ("bsb-retrieve", b, b.amplitude, 0.0, b.plateau, 0.0),
+    ]
+    segs, t = [], 0.0
+    for label, c, amplitude, phase, plateau, idle in pulses:
+        seg = PulseSegment(QUBIT_CHANNEL, amplitude, c.carrier, phase=phase,
+                           plateau=plateau, rise=c.rise, start=t, label=label)
+        if label != "prep" or prep_angle != 0.0:  # a zero prep keeps its slot
+            segs.append(seg)
+        t = seg.end + idle
 
     return PulseSequence(tuple(segs), readout_time=t)
 
@@ -275,13 +243,16 @@ def build_memory_sequence(p: DeviceParams, prep_angle, storage_delay, cal,
 def _probe_transfers(params, dims, segments, frame, dt, initial, target):
     """Noiseless transfer probabilities of trial segments starting at 0,
     one per segment, as the ket columns of one lindblad.propagate call from
-    0 to each segment's end: the ramps by RK4 at dt, the plateaus exactly
-    (by RK4 in the lab frame, which has no frame rotating with a probe's
-    carriers).  The probes' models share one frame, built once."""
+    0 to each segment's end: the ramps by RK4, the plateaus exactly (by RK4
+    in the lab frame, which has no frame rotating with a probe's carriers).
+    The step is dt, or half the smallest max_step of the probes' models
+    where that is finer, as in the bare frame.  The probes' models share
+    one frame, built once."""
     from .lindblad import build_model, propagate
 
     base = build_model(params, dims, frame=frame, noiseless=True)
     models = [base.with_sequence(PulseSequence((seg,))) for seg in segments]
+    dt = min(dt, *(0.5 * m.max_step() for m in models))
     psi = np.eye(dims.total)[:, [dims.index(*initial)] * len(segments)]
     psi = propagate(models, psi, (0.0, [s.end for s in segments]), dt)
     return np.abs(psi[dims.index(*target)]) ** 2
@@ -318,7 +289,9 @@ def calibrate_pi_pulses(params: DeviceParams, dims, channel, amplitudes, *,
     five stages (9 and 5 carriers, 9 and 5 plateaus, the final pulse)
     propagates the trial pulses of every amplitude as the ket columns of one
     lindblad.propagate call (_probe_transfers): their ramps by RK4 at a
-    fixed step of 1e-4 us for the qubit and 5e-4 us for the sideband, and
+    fixed step of 1e-4 us for the qubit and 5e-4 us for the sideband, or at
+    half the probes' smallest max_step where that is finer (about 1e-5 us
+    in the bare frame, whose GHz-scale couplings bound the step), and
     their plateaus exactly.  A column propagates as it would alone.
 
     Returns a CalibrationResult per amplitude, whose freq_offset is the

@@ -146,9 +146,6 @@ class QuantumState:
             raise DimensionError("rho has a negative eigenvalue beyond tolerance")
         return self
 
-    def purity(self):
-        return float(np.real(np.trace(self.rho @ self.rho)))
-
     def ptrace_transmon(self):
         """Reduced transmon density matrix (trace out both cavity modes)."""
         t = self.dims.as_tuple()
@@ -167,21 +164,3 @@ def basis_state(dims, nt=0, ns=0, nr=0):
     rho[dims.index(nt, ns, nr), dims.index(nt, ns, nr)] = 1.0
     return QuantumState(rho, dims)
 
-
-def pure_state(dims, vec):
-    """QuantumState |v><v| from a (normalized) state vector."""
-    v = np.asarray(vec, dtype=complex).reshape(-1)
-    if v.shape[0] != dims.total:
-        raise DimensionError("state vector length does not match dims")
-    v = v / np.linalg.norm(v)
-    return QuantumState(np.outer(v, v.conj()), dims)
-
-
-def expectation(state, op):
-    """trace(rho @ op); complex in general, real for Hermitian op."""
-    op = np.asarray(op, dtype=complex)
-    if op.shape != state.rho.shape:
-        raise DimensionError(
-            f"operator shape {op.shape} does not match state {state.rho.shape}"
-        )
-    return complex(np.trace(state.rho @ op))

@@ -71,17 +71,6 @@ class ChiMatrix:
             raise DimensionError("chi has a negative eigenvalue beyond tolerance")
         return self
 
-    def apply(self, rho):
-        """Act with the channel on a 2x2 density matrix."""
-        out = np.zeros((2, 2), dtype=complex)
-        for m in range(4):
-            for n in range(4):
-                out += self.entries[m, n] * (PAULIS[m] @ rho @ PAULIS[n])
-        return out
-
-    def eigenvalues(self):
-        return np.linalg.eigvalsh(self.entries)
-
 
 def _physicality_projection(chi):
     """Hermitize, clip negative eigenvalues and renormalize the trace."""
@@ -119,17 +108,6 @@ def process_tomography(channel):
     except np.linalg.LinAlgError as exc:
         raise ParameterError(f"chi reconstruction is singular: {exc}") from exc
     return ChiMatrix(_physicality_projection(chi_vec.reshape(4, 4)))
-
-
-def chi_from_kraus(kraus_ops):
-    """Brute-force chi from Kraus operators: chi_mn = sum_k c_km c_kn*
-    with K_k = sum_m c_km P_m / normalization."""
-    chi = np.zeros((4, 4), dtype=complex)
-    for k in kraus_ops:
-        k = np.asarray(k, dtype=complex)
-        c = np.array([np.trace(p.conj().T @ k) / 2.0 for p in PAULIS])
-        chi += np.outer(c, c.conj())
-    return ChiMatrix(chi)
 
 
 def process_fidelity(chi: ChiMatrix, chi_ideal: ChiMatrix | None = None):

@@ -27,5 +27,6 @@ def fock_record():
 def anchor_z_point():
     """(t_p, F_Z, F_Z_corr) at the 6 GHz sideband drive, the working point
     whose protocol length sits near the 0.37 us anchor."""
-    return protocol.z_fidelity_point(DeviceParams(), WorkingPoint(TWO_PI * 6.0e3),
-                                     ProtocolOptions())
+    rec = protocol.z_fidelity_sweep(DeviceParams(), [WorkingPoint(TWO_PI * 6.0e3)],
+                                    ProtocolOptions())
+    return rec.xs[0], rec.ys[0], rec.columns["f_z_corr"][0]

@@ -266,7 +266,7 @@ def test_sweep_of_a_variable_the_experiment_does_not_take(
                          (protocol, "get_calibrations"),
                          (protocol, "simulate_sequence"),
                          (protocol, "simulate_sequences"),
-                         (cli, "effective_bsb_check")):
+                         (protocol, "effective_bsb_check")):
         monkeypatch.setattr(module, name, simulate)
     data = tmp_path / "d.csv"
     data.write_text("x,y\n" + "".join(f"{x},{math.exp(-x / 3.0)!r}\n"

@@ -1,8 +1,9 @@
 """Imports of the package: every imported name is used, every dataclass
 field is read somewhere, every qmemsim name the demos use exists, and
 neither importing the CLI, nor simulating, nor fitting loads scipy.  One
-module cuts and routes the propagation windows, and no function writes
-module-level state.
+module cuts and routes the propagation windows, no function writes
+module-level state, and every function, class and method of the package is
+named by the program, the demos or the benchmark.
 
 No linter ships with the test environment, so these AST scans stand in for
 the unused-import and unused-field checks.  A name listed in the module's
@@ -10,6 +11,7 @@ the unused-import and unused-field checks.  A name listed in the module's
 """
 
 import ast
+import collections
 import importlib
 import inspect
 import pathlib
@@ -377,3 +379,121 @@ def test_module_state_check_flags_writes():
                      "    return CACHE.get(0), LIMIT\n")
     assert sorted(_module_state_writes(tree)) == [
         ("CACHE", 6), ("CACHE", 8), ("ITEMS", 7), ("global LIMIT", 5)]
+
+
+# names with no caller in src/, demos/ or perfbench/, kept on purpose
+UNCALLED_ON_PURPOSE = {
+    "qsys.QuantumState.validate":
+        "the density-matrix invariant check, run by test_qsys, for callers "
+        "that hand states between windows",
+    "tomography.ChiMatrix.validate":
+        "the chi-matrix invariant check, run by test_tomography, for callers "
+        "that build chi by hand",
+    "config.device_params_to_config":
+        "the inverse of the config parser, whose round trip the config "
+        "tests pin",
+}
+
+
+def _definitions(tree):
+    """(class or None, node) for each module-level function and class, and
+    each method or property of those classes but the dunders."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield None, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not (
+                        item.name.startswith("__") and item.name.endswith("__")):
+                    yield node.name, item
+
+
+def _named_modules(tree):
+    """Last components of the modules the tree imports, and of the names
+    it imports from them (`from . import qsys` names qsys)."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module:
+            names.add(node.module.split(".")[-1])
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= {alias.name.split(".")[-1] for alias in node.names}
+    return names
+
+
+def _references(tree):
+    """How often the tree names each thing: ".x" for an attribute x, "x"
+    for a bare or an imported name x."""
+    refs = collections.Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            refs["." + node.attr] += 1
+        elif isinstance(node, ast.Name):
+            refs[node.id] += 1
+        elif isinstance(node, ast.alias):
+            refs[node.name.split(".")[-1]] += 1
+    return refs
+
+
+def _unreferenced(modules, others):
+    """Definitions of the modules ({name: tree}) that nothing references
+    outside their own body: a function or class by a name, an attribute or
+    an import anywhere in modules or others, a method or property by an
+    attribute in its own module or one that imports it, so that
+    `table.apply` does not count for a method apply of an unrelated
+    class."""
+    trees = [(name, tree) for name, tree in modules.items()]
+    trees += [(None, tree) for tree in others]
+    scopes = [_named_modules(tree) | {name} for name, tree in trees]
+    refs = [_references(tree) for _, tree in trees]
+    found = []
+    for module, tree in modules.items():
+        for cls, node in _definitions(tree):
+            keys = ["." + node.name] + ([node.name] if cls is None else [])
+            own = _references(node)
+            if not any(counts[key] > (own[key] if name == module else 0)
+                       for (name, _), scope, counts in zip(trees, scopes, refs)
+                       if cls is None or module in scope for key in keys):
+                name = ".".join(filter(None, (module, cls, node.name)))
+                found.append(f"{name} (line {node.lineno})")
+    return found
+
+
+def test_src_keeps_only_what_the_program_calls():
+    # a helper that only tests call is code the program carries for them:
+    # a test checks it with plain numpy or the general call instead
+    modules = {path.stem: ast.parse(path.read_text()) for path in MODULES}
+    others = [ast.parse(path.read_text())
+              for top in ("demos", "perfbench")
+              for path in sorted((ROOT / top).rglob("*.py"))]
+    unused = [entry for entry in _unreferenced(modules, others)
+              if entry.split(" ")[0] not in UNCALLED_ON_PURPOSE]
+    assert not unused, f"names nothing in src/, demos/ or perfbench/ uses: {unused}"
+
+
+def test_reference_check_flags_unused_names():
+    toy = ast.parse("def used():\n"
+                    "    pass\n"
+                    "def unused():\n"
+                    "    pass\n"
+                    "def recursive():\n"
+                    "    return recursive()\n"
+                    "class Box:\n"
+                    "    def __init__(self):\n"
+                    "        pass\n"
+                    "    def read(self):\n"
+                    "        return self.helper()\n"
+                    "    def helper(self):\n"
+                    "        pass\n"
+                    "    @property\n"
+                    "    def size(self):\n"
+                    "        pass\n"
+                    "    def apply(self):\n"
+                    "        pass\n")
+    user = ast.parse("from .toy import Box, used\n"
+                     "used(Box().read())\n")
+    # `apply` and `size` of an object of a module that never names toy
+    other = ast.parse("from . import table\n"
+                      "table.Table().apply(table.size)\n")
+    assert _unreferenced({"toy": toy, "user": user}, [other]) == [
+        "toy.unused (line 3)", "toy.recursive (line 5)",
+        "toy.Box.size (line 15)", "toy.Box.apply (line 17)"]

@@ -7,8 +7,7 @@ import pytest
 from qmemsim import analysis, lindblad, protocol, qsys
 from qmemsim.device import DeviceParams, dispersive_shift_estimate
 from qmemsim.errors import IntegrationError, ParameterError, StepSizeError
-from qmemsim.lindblad import (LiouvilleTable, build_model, effective_bsb_check,
-                              evolve, propagate)
+from qmemsim.lindblad import LiouvilleTable, build_model, evolve, propagate
 from qmemsim.protocol import ProtocolOptions
 from qmemsim.pulses import (PulseSegment, PulseSequence, QUBIT_CHANNEL,
                             build_memory_sequence)
@@ -29,7 +28,7 @@ SLOW_PARAMS = DeviceParams(omega_ro=0.021, omega_s=0.034, omega_q=0.027,
 
 def real_expectations(states, op):
     """Real expectation of a Hermitian op in each state."""
-    return np.array([qsys.expectation(s, op).real for s in states])
+    return np.array([np.trace(s.rho @ op).real for s in states])
 
 
 def random_density_matrix(d, seed):
@@ -92,7 +91,7 @@ def test_thermal_steady_state():
     m.channels = [c for c in m.channels if c.name in keep]
     rho0 = m.basis_state(0, 0, 0)
     final = evolve(m, rho0, (0.0, 12.0), 2e-3, steps=12)[-1]
-    p_inf = qsys.expectation(final, m.label_projector(nt=1)).real
+    p_inf = np.trace(final.rho @ m.label_projector(nt=1)).real
     assert abs(p_inf - p.p_e) / p.p_e < 0.05
 
 
@@ -137,7 +136,7 @@ def test_ramsey_t2_closed_form():
     coh_op = np.zeros((4, 4), dtype=complex)
     coh_op[i_g, i_e] = 1.0
     states = evolve(m, rho, (0.0, 5.0), 2e-3, steps=50)
-    coh = np.array([qsys.expectation(s, coh_op) for s in states])
+    coh = np.array([np.trace(s.rho @ coh_op) for s in states])
     fit = analysis.fit_exponential(np.linspace(0.0, 5.0, 51), 2.0 * np.abs(coh))
     t2 = 1.0 / (0.5 / p.t1_q + 1.0 / 43.8197)
     assert fit.params["T"] == pytest.approx(t2, rel=0.02)
@@ -183,7 +182,7 @@ def test_purity_and_positivity_along_trajectory():
     m = build_model(p, SubsystemDims(), None)
     rho0 = m.basis_state(1, 1, 0)
     for state in evolve(m, rho0, (0.0, 2.0), 1e-3, steps=20):
-        assert state.purity() <= 1.0 + 1e-9
+        assert np.trace(state.rho @ state.rho).real <= 1.0 + 1e-9
         assert np.min(np.linalg.eigvalsh(state.rho)) >= -1e-9
 
 
@@ -197,7 +196,7 @@ def test_purity_monotone_for_dephasing():
     rho[i_g, i_g] = rho[i_e, i_e] = 0.5
     rho[i_g, i_e] = rho[i_e, i_g] = 0.5
     states = evolve(m, rho, (0.0, 20.0), 5e-3, steps=20)
-    purities = np.array([s.purity() for s in states])
+    purities = np.array([np.trace(s.rho @ s.rho).real for s in states])
     assert np.all(np.diff(purities) <= 1e-12)
 
 
@@ -235,29 +234,33 @@ def test_frame_invariance_small_system():
             v[dims.index(0, 0, 0)] = 1.0
             v[dims.index(1, 1, 0)] = 1.0
             v[dims.index(0, 0, 1)] = 0.5
-            rho0 = qsys.pure_state(dims, v)
+            v /= np.linalg.norm(v)
+            rho0 = np.outer(v, v.conj())
         final = evolve(m, rho0, (0.0, t_end), 2e-5)[-1]
-        lab_state = m.to_lab_frame(final, t_end)
+        # both frames keep the bare basis: undo the rotation exp(-i G t)
+        phase = np.exp(1j * t_end * sum(w * lab for w, lab
+                                        in zip(m.rot, m.labels)))
+        lab_rho = phase.conj()[:, None] * final.rho * phase[None, :]
         h0 = build_model(p, dims, None, frame="lab").drift
         _, vecs = np.linalg.eigh(h0)
-        pops[frame] = np.real(np.diag(vecs.conj().T @ lab_state.rho @ vecs))
+        pops[frame] = np.real(np.diag(vecs.conj().T @ lab_rho @ vecs))
 
     assert np.max(np.abs(pops["bare"] - pops["lab"])) < 1e-6
 
 
 def test_effective_bsb_ratio_and_quadratic_scaling():
     p = DeviceParams()
-    chk = effective_bsb_check(p, TWO_PI * 2.0e3)
+    chk, chk2 = protocol.effective_bsb_check(p, [TWO_PI * 2.0e3,
+                                                 TWO_PI * 4.0e3])
     assert 0.8 <= chk.ratio <= 1.25
     assert chk.contrast >= 0.2
-    chk2 = effective_bsb_check(p, TWO_PI * 4.0e3)
     assert chk2.measured_rate / chk.measured_rate == pytest.approx(4.0, rel=0.02)
 
 
 def test_effective_bsb_requires_dispersive_regime():
     p = DeviceParams(g=900.0)
     with pytest.raises(ParameterError):
-        effective_bsb_check(p, TWO_PI * 2.0e3)
+        protocol.effective_bsb_check(p, [TWO_PI * 2.0e3])
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,9 @@ from qmemsim.errors import ParameterError
 from qmemsim.protocol import (ExperimentRecord, ProtocolOptions, WorkingPoint,
                               fock_decay_experiment, memory_channel,
                               memory_ramsey_experiment,
-                              mode_ringdown_experiment, prep_angle_sweep,
+                              memory_sweep, mode_ringdown_experiment,
                               run_memory_protocol, storage_state_after_half,
-                              z_fidelity_point, z_fidelity_sweep)
+                              z_fidelity_sweep)
 from qmemsim.pulses import (PulseSegment, QUBIT_CHANNEL,
                             build_memory_sequence)
 from qmemsim.qsys import SubsystemDims
@@ -166,7 +166,7 @@ def test_pulse_step_is_converged(anchor_z_point, default_cal):
     fine = OPTS.replace(dt_pulse=0.5 * OPTS.dt_pulse)
     p_g = run_memory_protocol(P, 0.0, 0.0, OPTS, default_cal)
     assert abs(run_memory_protocol(P, 0.0, 0.0, fine, default_cal) - p_g) < 1e-8
-    f_z = z_fidelity_point(P, WorkingPoint(TWO_PI * 6.0e3), fine)[1]
+    f_z = z_fidelity_sweep(P, [WorkingPoint(TWO_PI * 6.0e3)], fine).ys[0]
     assert abs(f_z - anchor_z_point[1]) < 1e-8
 
 
@@ -183,7 +183,7 @@ def test_calibration_step_is_converged(monkeypatch, anchor_z_point,
     monkeypatch.setattr(pulses, "_probe_transfers", halved)
     fine = OPTS.replace(dt_pulse=0.5 * OPTS.dt_pulse)
     assert abs(run_memory_protocol(P, 0.0, 0.0, fine) - p_g) < 1e-6
-    f_z = z_fidelity_point(P, WorkingPoint(TWO_PI * 6.0e3), fine)[1]
+    f_z = z_fidelity_sweep(P, [WorkingPoint(TWO_PI * 6.0e3)], fine).ys[0]
     assert abs(f_z - anchor_z_point[1]) < 1e-6
 
 
@@ -196,9 +196,8 @@ def test_z_point_correction_identity(anchor_z_point):
 def test_z_fidelity_identity_when_decay_removed():
     # with the qubit lifetime sent to infinity the correction is trivial
     p_slow = DeviceParams(t1_q=1e6, t2_q=2e6, p_e=0.0)
-    t_p, f_z, f_corr = z_fidelity_point(p_slow, WorkingPoint(TWO_PI * 6.0e3),
-                                        OPTS)
-    assert f_corr == pytest.approx(f_z, rel=1e-6)
+    rec = z_fidelity_sweep(p_slow, [WorkingPoint(TWO_PI * 6.0e3)], OPTS)
+    assert rec.columns["f_z_corr"][0] == pytest.approx(rec.ys[0], rel=1e-6)
 
 
 def test_z_sweep_monotone_corrected_fidelity():
@@ -254,7 +253,7 @@ def test_qpt_simulates_each_tomography_input_once(monkeypatch):
     # the four tomography inputs are the columns of one call
     assert calls == [4]
     # F_Z comes from the unsampled |g> output, also with shots set
-    _, f_z, _ = z_fidelity_point(P, WorkingPoint(OPTS.bsb_amplitude), OPTS)
+    f_z = z_fidelity_sweep(P, [WorkingPoint(OPTS.bsb_amplitude)], OPTS).ys[0]
     assert out["f_z"] == pytest.approx(f_z, rel=0, abs=1e-12)
 
 
@@ -366,9 +365,24 @@ def test_prep_angle_sweep_is_one_call_bit_for_bit(monkeypatch, default_cal):
         return propagate(*args)
 
     monkeypatch.setattr(protocol, "propagate", count)
-    rec = prep_angle_sweep(P, angles, delay=0.25, options=OPTS)
+    assert list(memory_sweep(P, angles, 0.25, OPTS, default_cal)) == singles
     assert len(calls) == 1
-    assert list(rec.ys) == singles
+
+
+def test_sideband_check_is_one_call_bit_for_bit(monkeypatch):
+    # all three drives' 91 sample columns run as one propagate call, and
+    # each drive's comparison equals the one it gets alone, bit for bit
+    drives = TWO_PI * np.array([1.2e3, 2.0e3, 3.4e3])
+    singles = [protocol.effective_bsb_check(P, [d])[0] for d in drives]
+    calls, propagate = [], protocol.propagate
+
+    def count(*args):
+        calls.append(args[1].shape[1])
+        return propagate(*args)
+
+    monkeypatch.setattr(protocol, "propagate", count)
+    assert protocol.effective_bsb_check(P, drives) == singles
+    assert calls == [3 * 91]
 
 
 def test_truncation_is_converged(default_cal):
@@ -377,16 +391,16 @@ def test_truncation_is_converged(default_cal):
     # cut off the sideband ladder the noisy protocol climbs
     wp = WorkingPoint(TWO_PI * 4.6e3)
     small, large = OPTS, OPTS.replace(dims=SubsystemDims(4, 6, 3))
-    f_z = [z_fidelity_point(P, wp, o)[1] for o in (small, large)]
+    f_z = [z_fidelity_sweep(P, [wp], o).ys[0] for o in (small, large)]
     p_g = [run_memory_protocol(P, 0.0, 16.0, small, default_cal),
            run_memory_protocol(P, 0.0, 16.0, large)]
     assert abs(f_z[1] - f_z[0]) < 2e-4
     assert abs(p_g[1] - p_g[0]) < 1e-6
 
 
-def test_prep_angle_sweep_record():
+def test_prep_angle_sweep_record(default_cal):
     angles = np.linspace(0.0, 2.0 * math.pi, 5)
-    rec = prep_angle_sweep(P, angles, delay=0.25, options=NOISELESS)
-    assert rec.xs.size == 5
-    assert rec.ys[0] > 0.98       # ground input round trip
-    assert rec.ys[2] < 0.05       # pi input reads excited
+    p_g = memory_sweep(P, angles, 0.25, NOISELESS, default_cal)
+    assert len(p_g) == 5
+    assert p_g[0] > 0.98       # ground input round trip
+    assert p_g[2] < 0.05       # pi input reads excited

@@ -57,7 +57,9 @@ def test_envelope_continuity():
 
 def test_area_additive_in_plateau():
     s1, s2 = seg(plateau=0.1), seg(plateau=0.1 + 0.037)
-    assert s2.area() - s1.area() == pytest.approx(s1.amplitude * 0.037, rel=1e-12)
+    area1 = s1.amplitude * s1.equivalent_width()
+    area2 = s2.amplitude * s2.equivalent_width()
+    assert area2 - area1 == pytest.approx(s1.amplitude * 0.037, rel=1e-12)
 
 
 def test_area_against_quadrature():
@@ -66,8 +68,9 @@ def test_area_against_quadrature():
     env = s.envelope_at(ts)
     area_num = np.trapezoid(env, ts)
     sq_num = np.trapezoid(env**2, ts)
-    assert s.area() == pytest.approx(area_num, rel=1e-8)
-    assert s.squared_area() == pytest.approx(sq_num, rel=1e-8)
+    sq_area = s.amplitude**2 * (s.plateau + 2.0 * pulses._RAMP_AREA_SQ * s.sigma)
+    assert s.amplitude * s.equivalent_width() == pytest.approx(area_num, rel=1e-8)
+    assert sq_area == pytest.approx(sq_num, rel=1e-8)
 
 
 def test_segment_validation():
@@ -90,7 +93,7 @@ def test_sequence_duration_and_json_round_trip():
     a = seg(start=0.0, plateau=0.1, label="one")
     b = seg(start=0.2, plateau=0.05, label="two")
     sq = PulseSequence((a, b), readout_time=b.end)
-    assert sq.total_duration == pytest.approx(b.end)
+    assert sq.end - sq.start == pytest.approx(b.end)
 
 
 @pytest.fixture(scope="module")
@@ -98,6 +101,23 @@ def sample_calibration(default_cal):
     """The default device's qubit pi pulse at 20 MHz and sideband pi pulse
     at 5.1 GHz, the session's calibration."""
     return DeviceParams(), SubsystemDims(), default_cal
+
+
+def test_bare_frame_probe_steps_under_its_carrier_bound():
+    # the bare frame's exchange couplings bound the step at 2.02e-5 us, under
+    # the calibration's 1e-4 us qubit probe step: the probe steps at half
+    # its model's bound instead of failing, and its noiseless pi pulse from
+    # the ground state agrees with the dispersive frame's
+    p, dims = DeviceParams(), SubsystemDims(2, 2, 1)
+    amp = TWO_PI * 20.0
+    pi = PulseSegment(QUBIT_CHANNEL, amp, dressed_frequencies(p, dims)[0],
+                      plateau=math.pi / amp - 2.0 * pulses._RAMP_AREA * 0.01)
+    bare, dispersive = (
+        pulses._probe_transfers(p, dims, [pi], frame, 1e-4, (0, 0, 0),
+                                (1, 0, 0))[0]
+        for frame in ("bare", "dispersive"))
+    assert bare > 0.999 and dispersive > 0.999
+    assert abs(bare - dispersive) < 1e-3
 
 
 def test_memory_sequence_layout(sample_calibration):
@@ -128,15 +148,16 @@ def test_memory_sequence_zero_angle_omits_prep(sample_calibration):
     p, dims, cal = sample_calibration
     sq = build_memory_sequence(p, 0.0, 0.0, cal)
     assert not sq.labeled("prep")
-    assert sq.memory_duration == pytest.approx(sq.total_duration)
+    assert sq.memory_duration == pytest.approx(sq.end - sq.start)
 
 
 def test_memory_sequence_pi_multiplier(sample_calibration):
     p, dims, cal = sample_calibration
     sq1 = build_memory_sequence(p, 0.0, 0.0, cal, qubit_pi_multiplier=1)
     sq3 = build_memory_sequence(p, 0.0, 0.0, cal, qubit_pi_multiplier=3)
-    area1 = sq1.labeled("qubit-pi-store")[0].area()
-    area3 = sq3.labeled("qubit-pi-store")[0].area()
+    area1, area3 = (s.amplitude * s.equivalent_width() for s in
+                    (sq1.labeled("qubit-pi-store")[0],
+                     sq3.labeled("qubit-pi-store")[0]))
     assert area3 / area1 == pytest.approx(3.0, rel=1e-9)
     assert sq3.memory_duration > sq1.memory_duration
     with pytest.raises(ParameterError):
