@@ -29,7 +29,6 @@ from .config import (load_run_settings, parse_run_settings, parse_value,
                      write_sample_config)
 from .device import bsb_frequency, purcell_limit
 from .errors import ConfigError, ParameterError, QmemError
-from .lindblad import build_model
 from .qsys import DIM_CAP
 from .units import GHZ, MHZ, TWO_PI
 
@@ -306,15 +305,9 @@ def cmd_validate(args):
     print(f"  truncation     {dims.as_tuple()} (total {dims.total}, cap {DIM_CAP})")
 
     try:
-        options = protocol.ProtocolOptions(dims=dims, **run_kw)
+        protocol.ProtocolOptions(dims=dims, **run_kw)
     except ParameterError as exc:
         breaches.append(str(exc))
-    else:
-        bound = build_model(p, dims, frame=options.frame).max_step()
-        if options.dt_pulse > bound:
-            breaches.append(
-                f"dt_pulse = {options.dt_pulse:.3g} us too large for frame "
-                f"{options.frame!r}; need <= {bound:.3g} us")
 
     if breaches:
         for b in breaches:

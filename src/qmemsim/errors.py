@@ -13,10 +13,6 @@ class ParameterError(QmemError, ValueError):
     """Device or model parameters violate a precondition."""
 
 
-class StepSizeError(QmemError, ValueError):
-    """Requested integrator step cannot resolve a retained carrier."""
-
-
 class IntegrationError(QmemError, RuntimeError):
     """The integrated state broke an invariant (trace drift, etc.)."""
 

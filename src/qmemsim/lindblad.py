@@ -17,9 +17,9 @@ mode.  ``build_model`` transforms it into one of three frames:
 ``bare``
     Each subsystem rotates at its bare frequency; the exchange couplings stay
     in the generator as explicit difference-frequency terms (GHz scale, so
-    the step bound is ~0.02 ns, and the calibration probes, which step at
-    half their models' ``max_step``, run at ~0.01 ns).  Useful for
-    cross-validating the dressed construction.
+    ``LindbladModel.max_step``, 40 steps per period of the fastest active
+    carrier, bounds every RK4 step, the calibration probes' too, to
+    ~0.01 ns).  Useful for cross-validating the dressed construction.
 ``lab``
     No rotation, nothing dropped; only sensible for small test systems.
 
@@ -63,9 +63,9 @@ column in each window:
   gaps between pulses and the free decays.  Otherwise these are the
   sideband and qubit plateaus, and in the ``bare`` frame also the idle
   windows, whose exchange couplings are always-active terms;
-- by classic RK4 at a fixed step otherwise: the pulse ramps, and every
-  driven window of the ``lab`` frame (its dense drift and its +/- carriers
-  admit no such K).
+- by classic RK4 at a fixed step otherwise, no larger than the window's
+  ``max_step``: the pulse ramps, and every driven window of the ``lab``
+  frame (its dense drift and its +/- carriers admit no such K).
 
 Columns on the same route whose models share their operator arrays, as
 the models of one frame do, share one table, built once per call.
@@ -93,8 +93,7 @@ import numpy as np
 
 from . import qsys
 from .device import DeviceParams, pure_dephasing_time
-from .errors import (DimensionError, IntegrationError, ParameterError,
-                     StepSizeError)
+from .errors import DimensionError, IntegrationError, ParameterError
 from .pulses import (PulseSegment, QUBIT_CHANNEL, STORAGE_CHANNEL,
                      READOUT_CHANNEL)
 from .qsys import SubsystemDims, QuantumState
@@ -303,11 +302,18 @@ class LindbladModel:
                 or (term.segment.end > t0 and term.segment.start < t1)]
 
     def max_step(self, t0=-math.inf, t1=math.inf):
-        """Largest dt satisfying dt <= 1/(20 f_max) for the retained carriers."""
+        """The largest RK4 step in (t0, t1): 1/(40 f_max), for f_max the
+        fastest carrier of the terms active there, or inf with none.
+
+        The only step bound: propagate and evolve step every RK4 window at
+        no more than it, whatever dt they are given.  At 20 steps per
+        period a bare-frame sideband probe's ket norm drifts past 1e-6 at
+        the default dims; 40 keeps it within.
+        """
         w = max((abs(t.carrier) for t in self.active_terms(t0, t1)), default=0.0)
         if w < CARRIER_ZERO_TOL:
             return math.inf
-        return TWO_PI / (20.0 * w)
+        return TWO_PI / (40.0 * w)
 
     def carrier_frame(self, t0, t1):
         """K = kappa . labels, the diagonal of a frame in which the
@@ -631,15 +637,6 @@ def _check_dt(dt):
             f"dt must be a positive finite number of us, got {dt!r}")
 
 
-def _check_step(model, t0, t1, dt):
-    dt_bound = model.max_step(t0, t1)
-    if dt > dt_bound * (1.0 + 1e-9):
-        raise StepSizeError(
-            f"dt = {dt:.3g} us cannot resolve the largest retained carrier; "
-            f"require dt <= {dt_bound:.3g} us in this window"
-        )
-
-
 def _coefficient(term, t):
     """c(t) of a term at the times t: its amplitude times its carrier phase."""
     coeff = term.amplitude_at(t).astype(complex)
@@ -702,13 +699,15 @@ def evolve(model: LindbladModel, rho0, t_span, dt, steps=1):
     initial state first.  Each of the steps intervals runs through
     propagate's RK4 route (`_stepped`), stepped everywhere, under the
     LiouvilleTable of the terms active in that interval (built once per set
-    of terms): round(interval / dt) fixed steps, at least one, on the
-    elements the table reaches from the state's nonzero ones (the others
-    stay exactly zero, as under the exact flow).  The trace is checked
-    against the interval's entering value every max(1, n // 200) of its n
-    steps and at its end; a drift beyond 1e-6 raises IntegrationError
-    suggesting a smaller step.  A dt that is not a positive finite number,
-    or steps < 1, raises ParameterError.
+    of terms): round(interval / h) fixed steps, at least one, for h the
+    smaller of dt and the interval's ``model.max_step`` (so dt is the
+    largest step the caller allows), on the elements the table reaches
+    from the state's nonzero ones (the others stay exactly zero, as under
+    the exact flow).  The trace is checked against the interval's entering
+    value every max(1, n // 200) of its n steps and at its end; a drift
+    beyond 1e-6 raises IntegrationError suggesting a smaller step.  A dt
+    that is not a positive finite number, or steps < 1, raises
+    ParameterError.
     """
     t0, t1 = t_span
     if t1 < t0:
@@ -716,7 +715,6 @@ def evolve(model: LindbladModel, rho0, t_span, dt, steps=1):
     _check_dt(dt)
     if steps < 1:
         raise ParameterError(f"steps must be >= 1, got {steps!r}")
-    _check_step(model, t0, t1, dt)
 
     d = model.dims.total
     rho = rho0.rho if isinstance(rho0, QuantumState) else np.asarray(rho0)
@@ -731,7 +729,8 @@ def evolve(model: LindbladModel, rho0, t_span, dt, steps=1):
         key = tuple(map(id, terms))
         if key not in tables:
             tables[key] = LiouvilleTable(model, terms)
-        x = _stepped(tables[key], x, [terms], ta, tb, dt, diag)
+        h = min(dt, model.max_step(ta[0], tb[0]))
+        x = _stepped(tables[key], x, [terms], ta, tb, h, diag)
         states.append(x)
     return [QuantumState(s.reshape(d, d), model.dims) for s in states]
 
@@ -740,9 +739,9 @@ def _stepped(table, x, terms, t0, t1, dt, diag):
     """The columns of x (n, B) propagated by RK4 from t0 to t1 (B,) under
     the table, column j with the coefficients of terms[j]: n = round((t1 -
     t0) / dt) steps, at least one, of (t1 - t0) / n each, one grid per
-    column.  The invariants are checked wherever a column reaches a
-    multiple of max(1, n // 200) steps or its last (`_rk4`); diag masks the
-    diagonal of vec(rho), None for kets."""
+    column; dt is a number or one per column.  The invariants are checked
+    wherever a column reaches a multiple of max(1, n // 200) steps or its
+    last (`_rk4`); diag masks the diagonal of vec(rho), None for kets."""
     n = np.maximum(1, np.round((t1 - t0) / dt).astype(int))
     h = (t1 - t0) / n
     coeff = np.zeros((2 * n.max() + 1, len(terms[0]), len(n)), dtype=complex)
@@ -899,8 +898,10 @@ def propagate(models, x, span, dt):
     windows.  A window under 1e-12 us has zero length, and one of zero
     length in every column is skipped.  A column propagates exactly
     (`_exact`) where ``models[j].carrier_frame(t0, t1)`` gives a frame, and
-    by RK4 at dt otherwise (`_stepped`), where a dt above the window's
-    ``max_step`` raises StepSizeError; see the module docstring.
+    by RK4 otherwise (`_stepped`), at the smaller of dt and the window's
+    ``models[j].max_step(t0, t1)``: dt is the largest step the caller
+    allows, and the model bounds it where its carriers are fast, as in the
+    ``bare`` frame; see the module docstring.
 
     Columns on the same route whose models share their drift, channel and
     active term arrays (those of one frame) propagate together, under one
@@ -947,10 +948,10 @@ def propagate(models, x, span, dt):
             if key not in tables:
                 tables[key] = LiouvilleTable(models[cols[0]], terms[0], ket=ket)
             if stepped:
-                for j in cols:
-                    _check_step(models[j], t0[j], t1[j], dt)
+                h = np.array([min(dt, models[j].max_step(t0[j], t1[j]))
+                              for j in cols])
                 x[:, cols] = _stepped(tables[key], x[:, cols], terms,
-                                      t0[cols], t1[cols], dt, diag)
+                                      t0[cols], t1[cols], h, diag)
             else:
                 x[:, cols] = _exact(tables[key], x[:, cols], terms, frames,
                                     t0[cols], t1[cols], diag)

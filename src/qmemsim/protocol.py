@@ -362,9 +362,10 @@ def effective_bsb_check(p: DeviceParams, drives,
     propagate call from 0, on one noiseless base model of options.frame
     and options.dims, the tones' ramps by RK4 and their plateaus exactly.
     Each drive's rate comes from its own fit.  The columns share one step,
-    the smallest of the drives' own (5e-4 us, a 400th of the swap period,
-    or half the tone model's max_step), so a drive whose own step is
-    coarser runs at the finer one.
+    the smallest of the drives' own (5e-4 us or a 400th of the swap
+    period), so a drive whose own step is coarser runs at the finer one;
+    propagate steps each ramp at no more than its model's step bound, 40
+    steps per period of its fastest carrier, which binds in the bare frame.
     """
     options = options or ProtocolOptions()
     dims = options.dims
@@ -375,7 +376,7 @@ def effective_bsb_check(p: DeviceParams, drives,
     predicted = [bsb_effective_rate(p, drive, carrier=carrier)
                  for drive in drives]
     base = build_model(p, dims, frame=options.frame, noiseless=True)
-    models, times, steps = [], [], []
+    models, times = [], []
     for drive, rate in zip(drives, predicted):
         period = math.pi / rate
         seg = PulseSegment(QUBIT_CHANNEL, drive, carrier, plateau=2.5 * period,
@@ -383,12 +384,12 @@ def effective_bsb_check(p: DeviceParams, drives,
         model = base.with_sequence(PulseSequence((seg,)))
         models += [model] * 91
         times.append(np.linspace(0.0, seg.end, 91))   # 36 per swap period
-        # only slow carriers remain on a resonant sideband tone; a coarse
-        # fixed step resolves the MHz-scale dynamics comfortably
-        steps.append(min(5e-4, 0.5 * model.max_step(), period / 400.0))
+    # only slow carriers remain on a resonant sideband tone; a coarse fixed
+    # step resolves the MHz-scale dynamics comfortably
+    dt = min(5e-4, math.pi / max(predicted) / 400.0)
     ground = dims.index(0, 0, 0)
     psi = np.eye(dims.total)[:, [ground] * len(models)]
-    psi = propagate(models, psi, (0.0, np.concatenate(times)), min(steps))
+    psi = propagate(models, psi, (0.0, np.concatenate(times)), dt)
     pops = np.split(np.abs(psi[ground]) ** 2, len(times))
     out = []
     for t, pop, rate in zip(times, pops, predicted):
@@ -526,7 +527,7 @@ def qpt_experiment(p: DeviceParams, options: ProtocolOptions | None = None):
     f_raw = tomography.process_fidelity(chi)
     theta, f_opt = tomography.fidelity_with_z_optimization(chi)
     p_g = float(np.real(outputs[0][0, 0]))          # |g><g|
-    t_p, f_z, f_z_corr = _z_fidelity(
+    t_p, f_z, _ = _z_fidelity(
         p, p_g, build_memory_sequence(p, 0.0, 0.0, cal))
     return {
         "chi": chi,
@@ -534,6 +535,5 @@ def qpt_experiment(p: DeviceParams, options: ProtocolOptions | None = None):
         "f_qpt": f_opt,
         "z_rotation_rad": theta,
         "f_z": f_z,
-        "f_z_corr": f_z_corr,
         "t_p_us": t_p,
     }

@@ -245,14 +245,14 @@ def _probe_transfers(params, dims, segments, frame, dt, initial, target):
     one per segment, as the ket columns of one lindblad.propagate call from
     0 to each segment's end: the ramps by RK4, the plateaus exactly (by RK4
     in the lab frame, which has no frame rotating with a probe's carriers).
-    The step is dt, or half the smallest max_step of the probes' models
-    where that is finer, as in the bare frame.  The probes' models share
-    one frame, built once."""
+    dt is the largest step: propagate steps each ramp at no more than its
+    model's step bound, 40 steps per period of its fastest carrier, which
+    binds in the bare frame.  The probes' models share one frame, built
+    once."""
     from .lindblad import build_model, propagate
 
     base = build_model(params, dims, frame=frame, noiseless=True)
     models = [base.with_sequence(PulseSequence((seg,))) for seg in segments]
-    dt = min(dt, *(0.5 * m.max_step() for m in models))
     psi = np.eye(dims.total)[:, [dims.index(*initial)] * len(segments)]
     psi = propagate(models, psi, (0.0, [s.end for s in segments]), dt)
     return np.abs(psi[dims.index(*target)]) ** 2
@@ -290,9 +290,10 @@ def calibrate_pi_pulses(params: DeviceParams, dims, channel, amplitudes, *,
     propagates the trial pulses of every amplitude as the ket columns of one
     lindblad.propagate call (_probe_transfers): their ramps by RK4 at a
     fixed step of 1e-4 us for the qubit and 5e-4 us for the sideband, or at
-    half the probes' smallest max_step where that is finer (about 1e-5 us
-    in the bare frame, whose GHz-scale couplings bound the step), and
-    their plateaus exactly.  A column propagates as it would alone.
+    the probe model's step bound where that is finer (40 steps per period
+    of its fastest carrier: about 1e-5 us in the bare frame, whose
+    GHz-scale couplings bound the step), and their plateaus exactly.  A
+    column propagates as it would alone.
 
     Returns a CalibrationResult per amplitude, whose freq_offset is the
     found carrier minus the nominal one (bare qubit frequency, or half the

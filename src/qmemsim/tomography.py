@@ -110,12 +110,10 @@ def process_tomography(channel):
     return ChiMatrix(_physicality_projection(chi_vec.reshape(4, 4)))
 
 
-def process_fidelity(chi: ChiMatrix, chi_ideal: ChiMatrix | None = None):
-    """F = trace(chi @ chi_ideal); for the ideal identity channel this is the
-    II element of chi."""
-    if chi_ideal is None:
-        return float(np.real(chi.entries[0, 0]))
-    return float(np.real(np.trace(chi.entries @ chi_ideal.entries)))
+def process_fidelity(chi: ChiMatrix):
+    """F = trace(chi @ chi_ideal) for the ideal identity channel: the II
+    element of chi."""
+    return float(np.real(chi.entries[0, 0]))
 
 
 Z_SCAN_RESOLUTION = 1e-3  # rad

@@ -242,7 +242,7 @@ print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))
     assert res.stdout.strip() == "[]"
 
 
-ROUTING = ("carrier_frame", "active_terms")
+ROUTING = ("carrier_frame", "active_terms", "max_step")
 
 
 def _routing_calls(tree):
@@ -257,8 +257,9 @@ def _routing_calls(tree):
 
 
 def test_only_lindblad_routes_windows():
-    # lindblad.propagate decides each window's route; a second module that
-    # asks carrier_frame or active_terms is a second runner in the making
+    # lindblad.propagate decides each window's route and step; a second
+    # module that asks carrier_frame, active_terms or max_step is a second
+    # runner in the making
     calls = [f"{path.name}: {name} (line {line})" for path in MODULES
              if path.name != "lindblad.py"
              for name, line in _routing_calls(ast.parse(path.read_text()))]
@@ -271,8 +272,9 @@ def test_routing_check_flags_calls():
                      "    pass\n"
                      "model.carrier_frame\n"
                      "max_step(t0, t1)\n")
-    assert list(_routing_calls(tree)) == [("carrier_frame", 1),
-                                          ("active_terms", 2)]
+    calls = sorted(_routing_calls(tree), key=lambda call: call[1])
+    assert calls == [("carrier_frame", 1), ("active_terms", 2),
+                     ("max_step", 5)]
 
 
 def _ramp_reads(tree):

@@ -6,7 +6,7 @@ import pytest
 
 from qmemsim import analysis, lindblad, protocol, qsys
 from qmemsim.device import DeviceParams, dispersive_shift_estimate
-from qmemsim.errors import IntegrationError, ParameterError, StepSizeError
+from qmemsim.errors import IntegrationError, ParameterError
 from qmemsim.lindblad import LiouvilleTable, build_model, evolve, propagate
 from qmemsim.protocol import ProtocolOptions
 from qmemsim.pulses import (PulseSegment, PulseSequence, QUBIT_CHANNEL,
@@ -142,12 +142,32 @@ def test_ramsey_t2_closed_form():
     assert fit.params["T"] == pytest.approx(t2, rel=0.02)
 
 
-def test_step_size_error_reports_required_dt():
-    p = DeviceParams()
-    m = build_model(p, SubsystemDims(2, 2, 1), None, frame="bare")
-    with pytest.raises(StepSizeError) as err:
-        evolve(m, m.basis_state(0, 0, 0), (0.0, 0.01), 1e-3)
-    assert "require dt" in str(err.value)
+def test_steps_above_the_bound_run_at_the_bound():
+    # dt is the largest step the caller allows: on a bare-frame ramp, an RK4
+    # window, dt = 10 x max_step runs at max_step, the same to the bit,
+    # through evolve and propagate for vec(rho) and through propagate for
+    # kets
+    p, dims = DeviceParams(), SubsystemDims(2, 2, 1)
+    seg = PulseSegment(QUBIT_CHANNEL, TWO_PI * 20.0, p.angular().w_q,
+                       plateau=0.005)
+    noisy, noiseless = (build_model(p, dims, PulseSequence((seg,)),
+                                    frame="bare", noiseless=flag)
+                        for flag in (False, True))
+    span = (0.0, seg.ramp)
+    bound = noisy.max_step(*span)
+    assert noisy.carrier_frame(*span) is None and bound < 1e-4
+    rho = noisy.basis_state()
+    x = rho.rho.reshape(-1, 1)
+    got = [out for dt in (10.0 * bound, bound)
+           for out in (evolve(noisy, rho, span, dt)[-1].rho.reshape(-1),
+                       propagate([noisy], x, span, dt)[:, 0])]
+    assert not np.array_equal(got[0], x[:, 0])
+    assert all(np.array_equal(out, got[0]) for out in got)
+    psi = np.eye(dims.total)[:, [0]]
+    kets = [propagate([noiseless], psi, span, dt)
+            for dt in (10.0 * bound, bound)]
+    assert not np.array_equal(kets[0], psi)
+    assert np.array_equal(*kets)
 
 
 def test_bad_steps_raise_parameter_error():

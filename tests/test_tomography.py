@@ -95,17 +95,17 @@ def test_composition_with_identity():
     assert np.max(np.abs(chi_direct.entries - chi_composed.entries)) < 1e-10
 
 
-def test_self_fidelity_bounded():
+def test_process_fidelity_bounded():
     rng = np.random.default_rng(4)
     for _ in range(20):
         m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         chi_raw = m @ m.conj().T
         chi = tg.ChiMatrix(chi_raw / np.trace(chi_raw))
-        f = tg.process_fidelity(chi, chi)
+        f = tg.process_fidelity(chi)
         assert f <= 1.0 + 1e-9
-    # equality iff rank one with unit leading eigenvalue
+    # equality for the identity channel
     ident = tg.process_tomography(lambda rho: rho)
-    assert tg.process_fidelity(ident, ident) == pytest.approx(1.0, abs=1e-9)
+    assert tg.process_fidelity(ident) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_z_rotation_never_decreases_fidelity():
