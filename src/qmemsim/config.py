@@ -28,6 +28,7 @@ naming the key.
 """
 
 import decimal
+import importlib.resources
 import math
 
 from .device import DeviceParams
@@ -162,25 +163,9 @@ def load_run_settings(path):
         return parse_run_settings(f.read(), path)
 
 
-SAMPLE_CONFIG = """\
-# measured sample parameters
-omega_ro = 5.518 GHz
-omega_s  = 8.707546 GHz
-omega_q  = 6.234 GHz
-alpha    = -185 MHz
-g        = 53 MHz
-g_102    = 8 MHz
-chi_ro   = 3.6 MHz
-chi_s    = 1.1 MHz
-kappa_ro = 4 MHz
-kappa_s  = 24.7 kHz
-t1_q     = 1.32 us
-t2_q     = 2.49 us
-q0_ro    = 1.9e6
-q0_s     = 1.0e6
-n_ro     = 0
-p_e      = 0.0027
-"""
+# the packaged sample config, data/sample.cfg
+SAMPLE_CONFIG = (importlib.resources.files(__package__) / "data"
+                 / "sample.cfg").read_text()
 
 
 def write_sample_config(path):

@@ -24,8 +24,6 @@ from dataclasses import dataclass, asdict
 from .errors import ParameterError
 from .units import GHZ, MHZ, KHZ
 
-T2_SLACK = 1e-9  # numerical tolerance on the t2 <= 2*t1 invariant
-
 
 @dataclass(frozen=True)
 class DeviceParams:
@@ -54,12 +52,8 @@ class DeviceParams:
                 raise ParameterError(f"{name} must be > 0")
         if self.kappa_ro <= 0 or self.kappa_s <= 0:
             raise ParameterError("decay rates must be > 0")
-        if self.t1_q <= 0 or self.t2_q <= 0:
-            raise ParameterError("qubit times must be > 0")
-        if self.t2_q > 2.0 * self.t1_q + T2_SLACK:
-            raise ParameterError(
-                f"t2_q = {self.t2_q} us exceeds 2*t1_q = {2 * self.t1_q} us"
-            )
+        # the rule build_model applies: t1_q, t2_q > 0 and t2_q <= 2*t1_q
+        pure_dephasing_time(self.t1_q, self.t2_q)
         if self.n_ro < 0:
             raise ParameterError("n_ro must be >= 0")
         if not 0.0 <= self.p_e < 0.5:

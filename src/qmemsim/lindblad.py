@@ -87,7 +87,7 @@ reaches everything.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -219,28 +219,30 @@ def _dress(h0, dims):
     return U, energies
 
 
-@dataclass
+@dataclass(frozen=True)
 class LindbladModel:
-    """Drift, drive terms and collapse channels in a concrete frame/basis."""
+    """Drift, drive terms and collapse channels in a concrete frame/basis.
+
+    A frozen value.  build_model makes a frame, the model with no sequence,
+    and with_sequence derives each driven model from it; the models of one
+    frame share its arrays.
+    """
 
     dims: SubsystemDims
     params: DeviceParams
     frame: str
     drift: np.ndarray                 # static rotating-frame Hamiltonian
-    terms: list                       # HamiltonianTerm entries
-    channels: list                    # CollapseChannel entries
+    terms: tuple                      # HamiltonianTerm entries
+    channels: tuple                   # CollapseChannel entries
     rot: tuple                        # per-subsystem rotation freqs (rad/us)
-    labels: tuple = None
-    # per drive channel its lowering operator, split into its classes
-    # {key: component} when a model of the frame first drives it, and the
-    # |g,n> -> |e,n+1> two-photon sideband ladder, in the model basis
-    drive_ops: dict = None
-    two_photon: np.ndarray = None
-    drive_classes: dict = field(default_factory=dict)
+    labels: tuple                     # (n_t, n_s, n_r) of each basis state
+    # per drive channel its lowering operator split into its classes,
+    # {channel: {key: component}}, and the |g,n> -> |e,n+1> two-photon
+    # sideband ladder, in the model basis
+    drive_ops: dict
+    two_photon: np.ndarray
 
     def __post_init__(self):
-        if self.labels is None:
-            self.labels = self.dims.labels()
         if not qsys.is_hermitian(self.drift, 1e-9):
             raise DimensionError("drift Hamiltonian is not Hermitian")
 
@@ -248,22 +250,15 @@ class LindbladModel:
     def basis_state(self, nt=0, ns=0, nr=0):
         return qsys.basis_state(self.dims, nt, ns, nr)
 
-    def label_projector(self, nt=None, ns=None, nr=None):
-        """Projector onto model basis states matching the given labels."""
-        lt, ls, lr = self.labels
-        mask = np.ones(self.dims.total, dtype=bool)
-        if nt is not None:
-            mask &= lt == nt
-        if ns is not None:
-            mask &= ls == ns
-        if nr is not None:
-            mask &= lr == nr
-        return np.diag(mask.astype(complex))
+    def label_projector(self, nt):
+        """Projector onto the model basis states of transmon label nt."""
+        return np.diag((self.labels[0] == nt).astype(complex))
 
     def with_sequence(self, seq):
         """This model, which carries no sequence, driven by seq: its terms
-        plus those of seq's segments (see the module docstring).  Splits a
-        channel into classes once per frame, so its models share the arrays."""
+        plus those of seq's segments (see the module docstring).  Only
+        reads the frame, so every model driven from it takes its term
+        operators from the same class arrays."""
         a = self.params.angular()
         cutoff = math.inf if self.frame == "lab" else RWA_CUTOFF
         rot_arr = np.array(self.rot)
@@ -271,10 +266,7 @@ class LindbladModel:
         for seg in seq.segments:
             if seg.amplitude == 0.0:
                 continue
-            if seg.target not in self.drive_classes:
-                self.drive_classes[seg.target] = _split_classes(
-                    self.drive_ops[seg.target], self.labels)
-            for key, comp in self.drive_classes[seg.target].items():
+            for key, comp in self.drive_ops[seg.target].items():
                 nu = float(np.dot(key, rot_arr))
                 for s in (+1.0, -1.0):
                     carrier = nu + s * seg.carrier
@@ -293,7 +285,7 @@ class LindbladModel:
                             op=self.two_photon, carrier=carrier,
                             phase=-2.0 * seg.phase, kind="two-photon",
                             strength=coeff, segment=seg))
-        return replace(self, terms=terms)
+        return replace(self, terms=tuple(terms))
 
     # -- integrator support --------------------------------------------------
     def active_terms(self, t0, t1):
@@ -372,12 +364,13 @@ def _bare_operators(dims, a):
     return b, a_s, a_r, h0
 
 
-def build_model(p: DeviceParams, dims: SubsystemDims, seq=None, frame="dispersive",
+def build_model(p: DeviceParams, dims: SubsystemDims, frame="dispersive",
                 *, noiseless=False, storage_t_phi=None):
-    """Construct the rotating-frame Lindblad model for a pulse sequence.
+    """Construct a rotating-frame Lindblad model with no sequence, a frame.
 
-    The frame, the model with no sequence, holds everything that does not
-    depend on the sequence; LindbladModel.with_sequence adds the drive terms.
+    The frame holds everything that does not depend on the pulses, each
+    drive channel's operator already split into its label-shift classes;
+    ``build_model(...).with_sequence(seq)`` drives it with a sequence.
     noiseless strips all collapse channels (used for calibration).
     storage_t_phi adds an optional pure-dephasing channel on the storage
     mode; by default memory dephasing arises only from thermal qubit jumps
@@ -396,7 +389,7 @@ def build_model(p: DeviceParams, dims: SubsystemDims, seq=None, frame="dispersiv
         rot = _transition_freqs(energies, dims)
         lt, ls, lr = labels
         drift = np.diag(rel - rot[0] * lt - rot[1] * ls - rot[2] * lr).astype(complex)
-        couplings = {}
+        couplings = []
     else:
         U = np.eye(dims.total, dtype=complex)
         if frame == "bare":
@@ -404,27 +397,25 @@ def build_model(p: DeviceParams, dims: SubsystemDims, seq=None, frame="dispersiv
             lt, ls, lr = labels
             diag = (0.5 * a.alpha * lt * (lt - 1)).astype(complex)
             drift = np.diag(diag)
-            couplings = {
-                "storage": class_component(a.g * (b.conj().T @ a_s), labels, 1, -1, 0),
-                "readout": class_component(a.g * (b.conj().T @ a_r), labels, 1, 0, -1),
-            }
+            # (class, exchange operator) of the storage and readout
+            couplings = [((1, -1, 0), a.g * (b.conj().T @ a_s)),
+                         ((1, 0, -1), a.g * (b.conj().T @ a_r))]
         else:  # lab
             rot = (0.0, 0.0, 0.0)
             drift = h0.astype(complex)
-            couplings = {}
+            couplings = []
 
-    terms = []
-    for name, comp in couplings.items():
-        nu = rot[0] * 1 + rot[1] * (-1 if name == "storage" else 0) \
-            + rot[2] * (-1 if name == "readout" else 0)
-        terms.append(HamiltonianTerm(op=comp, carrier=nu, phase=0.0,
-                                     kind="coupling", strength=1.0))
+    terms = tuple(HamiltonianTerm(op=class_component(op, labels, *key),
+                                  carrier=float(np.dot(key, rot)), phase=0.0,
+                                  kind="coupling", strength=1.0)
+                  for key, op in couplings)
 
     def to_model(op):
         return U.conj().T @ op @ U
 
     channel_ops = {QUBIT_CHANNEL: b, STORAGE_CHANNEL: a_s, READOUT_CHANNEL: a_r}
-    drive_ops = {target: to_model(op) for target, op in channel_ops.items()}
+    drive_ops = {target: _split_classes(to_model(op), labels)
+                 for target, op in channel_ops.items()}
     sigma_plus = np.zeros((dims.n_transmon,) * 2, dtype=complex)
     sigma_plus[1, 0] = 1.0
     two_photon_bare = (qsys.tensor_embed(sigma_plus, qsys.TRANSMON, dims)
@@ -461,11 +452,10 @@ def build_model(p: DeviceParams, dims: SubsystemDims, seq=None, frame="dispersiv
                 class_component(n_s, labels, 0, 0, 0), 2.0 / storage_t_phi,
                 "storage-dephasing"))
 
-    model = LindbladModel(dims=dims, params=p, frame=frame, drift=drift,
-                          terms=terms, channels=channels, rot=rot,
-                          labels=labels, drive_ops=drive_ops,
-                          two_photon=two_photon)
-    return model if seq is None else model.with_sequence(seq)
+    return LindbladModel(dims=dims, params=p, frame=frame, drift=drift,
+                         terms=terms, channels=tuple(channels), rot=rot,
+                         labels=labels, drive_ops=drive_ops,
+                         two_photon=two_photon)
 
 
 def dressed_energies(p: DeviceParams, dims: SubsystemDims):

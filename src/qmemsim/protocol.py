@@ -49,9 +49,9 @@ class ProtocolOptions:
         if self.frame not in FRAMES:
             raise ParameterError(
                 f"unknown frame {self.frame!r}, expected one of {FRAMES}")
-        if not self.dt_pulse > 0:
+        if not 0.0 < self.dt_pulse < math.inf:
             raise ParameterError(
-                f"dt_pulse must be > 0 us, got {self.dt_pulse!r} us")
+                f"dt_pulse must be > 0 us and finite, got {self.dt_pulse!r} us")
         if self.shots is not None and self.shots < 1:
             raise ParameterError(f"shots must be >= 1, got {self.shots!r}")
 

@@ -240,18 +240,18 @@ def build_memory_sequence(p: DeviceParams, prep_angle, storage_delay, cal,
 # pi-pulse calibration against the simulator
 # ---------------------------------------------------------------------------
 
-def _probe_transfers(params, dims, segments, frame, dt, initial, target):
-    """Noiseless transfer probabilities of trial segments starting at 0,
-    one per segment, as the ket columns of one lindblad.propagate call from
-    0 to each segment's end: the ramps by RK4, the plateaus exactly (by RK4
-    in the lab frame, which has no frame rotating with a probe's carriers).
-    dt is the largest step: propagate steps each ramp at no more than its
-    model's step bound, 40 steps per period of its fastest carrier, which
-    binds in the bare frame.  The probes' models share one frame, built
-    once."""
-    from .lindblad import build_model, propagate
+def _probe_transfers(base, segments, dt, initial, target):
+    """Transfer probabilities of trial segments starting at 0 under the
+    noiseless frame base (a model with no sequence), one per segment, as
+    the ket columns of one lindblad.propagate call from 0 to each segment's
+    end: the ramps by RK4, the plateaus exactly (by RK4 in the lab frame,
+    which has no frame rotating with a probe's carriers).  dt is the
+    largest step: propagate steps each ramp at no more than its model's
+    step bound, 40 steps per period of its fastest carrier, which binds in
+    the bare frame."""
+    from .lindblad import propagate
 
-    base = build_model(params, dims, frame=frame, noiseless=True)
+    dims = base.dims
     models = [base.with_sequence(PulseSequence((seg,))) for seg in segments]
     psi = np.eye(dims.total)[:, [dims.index(*initial)] * len(segments)]
     psi = propagate(models, psi, (0.0, [s.end for s in segments]), dt)
@@ -285,9 +285,10 @@ def calibrate_pi_pulses(params: DeviceParams, dims, channel, amplitudes, *,
     Scans the carrier about the model's own resonance and then the plateau
     duration, maximizing the target transfer (|g> -> |e> for the qubit
     channel, |g0> -> |e1> for the sideband) in a noiseless simulation.
-    Deterministic: fixed scan grids plus parabolic refinement.  Each of the
-    five stages (9 and 5 carriers, 9 and 5 plateaus, the final pulse)
-    propagates the trial pulses of every amplitude as the ket columns of one
+    Deterministic: fixed scan grids plus parabolic refinement.  The
+    noiseless frame is built once; each of the five stages (9 and 5
+    carriers, 9 and 5 plateaus, the final pulse) drives it with the trial
+    pulses of every amplitude, as the ket columns of one
     lindblad.propagate call (_probe_transfers): their ramps by RK4 at a
     fixed step of 1e-4 us for the qubit and 5e-4 us for the sideband, or at
     the probe model's step bound where that is finer (40 steps per period
@@ -299,7 +300,7 @@ def calibrate_pi_pulses(params: DeviceParams, dims, channel, amplitudes, *,
     found carrier minus the nominal one (bare qubit frequency, or half the
     nominal sideband frequency).
     """
-    from .lindblad import dressed_frequencies, two_photon_resonance
+    from .lindblad import build_model, dressed_frequencies, two_photon_resonance
 
     amps = np.array(amplitudes, dtype=float)
     if amps.min() <= 0:
@@ -337,6 +338,7 @@ def calibrate_pi_pulses(params: DeviceParams, dims, channel, amplitudes, *,
     # coarser fixed step resolves its ramps; qubit probes keep the fine
     # default
     probe_dt = 5e-4 if channel == "bsb" else 1e-4
+    base = build_model(params, dims, frame=frame, noiseless=True)
 
     def probe(plateau, carrier):      # broadcast to one row per amplitude
         plateau, carrier = np.broadcast_arrays(plateau, carrier)
@@ -344,7 +346,7 @@ def calibrate_pi_pulses(params: DeviceParams, dims, channel, amplitudes, *,
                              start=0.0)
                 for amp, pls, cs in zip(amps, plateau, carrier)
                 for pl, c in zip(pls, cs)]
-        return _probe_transfers(params, dims, segs, frame, probe_dt, initial,
+        return _probe_transfers(base, segs, probe_dt, initial,
                                 target).reshape(plateau.shape)
 
     def peaks(xs, transfers):

@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 report lines alongside the pytest verdicts.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -147,7 +148,7 @@ def test_criterion_10_leakage_model_round_trip():
 
 def test_criterion_11_integrator_invariants():
     # trace, positivity and purity along a >= 10 us full-model evolution
-    m = build_model(P, SubsystemDims(), None)
+    m = build_model(P, SubsystemDims())
     for state in evolve(m, m.basis_state(1, 1, 0), (0.0, 10.5), 2e-3, steps=21):
         assert abs(np.trace(state.rho) - 1.0) < 1e-8
         assert np.min(np.linalg.eigvalsh(state.rho)) >= -1e-9
@@ -155,8 +156,9 @@ def test_criterion_11_integrator_invariants():
 
     # purity is non-increasing under pure dephasing (H = 0, P_e = 0)
     dims2 = SubsystemDims(2, 2, 1)
-    m2 = build_model(P, dims2, None)
-    m2.channels = [c for c in m2.channels if c.name == "qubit-dephasing"]
+    m2 = build_model(P, dims2)
+    m2 = dataclasses.replace(
+        m2, channels=[c for c in m2.channels if c.name == "qubit-dephasing"])
     i_g, i_e = dims2.index(0, 0, 0), dims2.index(1, 0, 0)
     rho = np.zeros((4, 4), dtype=complex)
     rho[i_g, i_g] = rho[i_e, i_e] = 0.5
@@ -169,10 +171,10 @@ def test_criterion_11_integrator_invariants():
     p0 = DeviceParams(g=1e-12, p_e=0.0)
 
     def max_err(dt):
-        m3 = build_model(p0, dims2, None)
-        m3.channels = [lindblad.CollapseChannel(
+        m3 = build_model(p0, dims2)
+        m3 = dataclasses.replace(m3, channels=[lindblad.CollapseChannel(
             [c.op for c in m3.channels if c.name == "qubit-decay"][0],
-            1.5, "decay")]
+            1.5, "decay")])
         states = evolve(m3, m3.basis_state(1, 0, 0), (0.0, 2.0), dt, steps=10)
         pe = np.array([np.trace(s.rho @ m3.label_projector(nt=1)).real
                        for s in states])
@@ -193,10 +195,10 @@ def test_criterion_11_integrator_invariants():
     v /= np.linalg.norm(v)
     rho0 = np.outer(v, v.conj())
     pops = {}
-    h0 = build_model(p_small, dims8, None, frame="lab").drift
+    h0 = build_model(p_small, dims8, frame="lab").drift
     _, vecs = np.linalg.eigh(h0)
     for frame in ("bare", "lab"):
-        mf = build_model(p_small, dims8, None, frame=frame)
+        mf = build_model(p_small, dims8, frame=frame)
         final = evolve(mf, rho0, (0.0, 0.8), 2e-5)[-1]
         # both frames keep the bare basis: undo the rotation exp(-i G t)
         phase = np.exp(1j * 0.8 * sum(w * lab for w, lab

@@ -143,6 +143,20 @@ def test_validate_rejects_t2_bound(tmp_path):
     assert "t2" in res.stderr.lower()
 
 
+def test_validate_applies_the_model_t2_bound(tmp_path, capsys):
+    # validate accepts a t2_q exactly when the model build does: up to
+    # 2*t1_q to one part in 1e12, with no absolute slack beyond it
+    from qmemsim import cli
+
+    cfg = tmp_path / "t2.cfg"
+    cfg.write_text(config.SAMPLE_CONFIG.replace("2.49 us", "2.6400000005 us"))
+    assert cli.main(["validate", "--config", str(cfg)]) == 1
+    assert "t2" in capsys.readouterr().err
+    cfg.write_text(config.SAMPLE_CONFIG.replace("2.49 us", "2.64 us"))
+    assert cli.main(["validate", "--config", str(cfg)]) == 0
+    assert "config valid" in capsys.readouterr().out
+
+
 def test_validate_rejects_non_finite_values(tmp_path):
     path = tmp_path / "nan.cfg"
     path.write_text("omega_q = nan GHz\nkappa_s = inf kHz\nt1_q = nan us\n")

@@ -199,11 +199,11 @@ from qmemsim.pulses import QUBIT_CHANNEL, PulseSegment, PulseSequence
 from qmemsim.qsys import SubsystemDims
 p = DeviceParams()
 seg = PulseSegment(QUBIT_CHANNEL, 100.0, p.angular().w_q, plateau=0.01)
-m = build_model(p, SubsystemDims(2, 2, 1), PulseSequence((seg,)))
+m = build_model(p, SubsystemDims(2, 2, 1)).with_sequence(PulseSequence((seg,)))
 state = evolve(m, m.basis_state(), (0.0, seg.end), 1e-4)[-1]
 propagate([m], state.rho.reshape(-1, 1), (seg.end, seg.end + 1.0), 1e-4)
-kets = build_model(p, SubsystemDims(2, 2, 1), PulseSequence((seg,)),
-                   noiseless=True)
+kets = build_model(p, SubsystemDims(2, 2, 1),
+                   noiseless=True).with_sequence(PulseSequence((seg,)))
 propagate([kets] * 2, np.eye(4)[:, :2], (0.0, seg.end), 1e-4)
 print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))
 """

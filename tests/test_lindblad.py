@@ -40,7 +40,7 @@ def random_density_matrix(d, seed):
 
 def test_build_model_channel_set():
     p = DeviceParams()
-    m = build_model(p, SubsystemDims(), None)
+    m = build_model(p, SubsystemDims())
     names = {c.name: c.rate for c in m.channels}
     a = p.angular()
     assert names["storage-decay"] == pytest.approx(a.k_s)
@@ -51,9 +51,35 @@ def test_build_model_channel_set():
     assert qsys.is_hermitian(m.drift, 1e-9)
 
 
+def test_built_model_is_frozen():
+    p = DeviceParams()
+    base = build_model(p, SubsystemDims(2, 2, 1))
+    seg = PulseSegment(QUBIT_CHANNEL, 10.0, p.angular().w_q, plateau=0.01)
+    for model in (base, base.with_sequence(PulseSequence((seg,)))):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            model.channels = ()
+
+
+def test_models_of_one_frame_share_its_drive_classes():
+    # the frame splits each drive channel into its classes once, and every
+    # model driven from it takes its term operators from that split
+    p = DeviceParams()
+    base = build_model(p, SubsystemDims(2, 2, 1))
+    driven = [base.with_sequence(PulseSequence((PulseSegment(
+        QUBIT_CHANNEL, amp, p.angular().w_q, plateau=0.01, start=start),)))
+        for amp, start in ((10.0, 0.0), (20.0, 0.5))]
+    first, second = ([t.op for t in m.terms if t.kind == "linear"]
+                     for m in driven)
+    classes = list(base.drive_ops[QUBIT_CHANNEL].values())
+    assert first and len(first) == len(second)
+    for a, b in zip(first, second):
+        assert a is b
+        assert any(a is c for c in classes)
+
+
 def test_drift_generator_preserves_trace():
     p = DeviceParams()
-    m = build_model(p, SubsystemDims(), None)
+    m = build_model(p, SubsystemDims())
     rng = np.random.default_rng(0)
     x = rng.normal(size=(30, 30)) + 1j * rng.normal(size=(30, 30))
     rho = x @ x.conj().T
@@ -64,7 +90,7 @@ def test_drift_generator_preserves_trace():
 
 def test_decoupled_excited_state_decays_at_t1():
     p = decoupled_params()
-    m = build_model(p, SubsystemDims(), None)
+    m = build_model(p, SubsystemDims())
     rho0 = m.basis_state(1, 0, 0)
     states = evolve(m, rho0, (0.0, 3.0), 1e-3, steps=30)
     pe = real_expectations(states, m.label_projector(nt=1))
@@ -86,9 +112,10 @@ def test_drift_dispersive_shift_consistent_with_estimator():
 
 def test_thermal_steady_state():
     p = DeviceParams(t2_q=2.0 * 1.32)  # no extra dephasing channel
-    m = build_model(p, SubsystemDims(2, 2, 1), None)
+    m = build_model(p, SubsystemDims(2, 2, 1))
     keep = {"qubit-decay", "qubit-thermal"}
-    m.channels = [c for c in m.channels if c.name in keep]
+    m = dataclasses.replace(
+        m, channels=[c for c in m.channels if c.name in keep])
     rho0 = m.basis_state(0, 0, 0)
     final = evolve(m, rho0, (0.0, 12.0), 2e-3, steps=12)[-1]
     p_inf = np.trace(final.rho @ m.label_projector(nt=1)).real
@@ -97,8 +124,9 @@ def test_thermal_steady_state():
 
 def test_analytic_decay_of_fock_state():
     p = decoupled_params()
-    m = build_model(p, SubsystemDims(), None)
-    m.channels = [c for c in m.channels if c.name == "storage-decay"]
+    m = build_model(p, SubsystemDims())
+    m = dataclasses.replace(
+        m, channels=[c for c in m.channels if c.name == "storage-decay"])
     k_s = p.angular().k_s
     rho0 = m.basis_state(0, 1, 0)
     span = 5.0 / k_s
@@ -113,7 +141,7 @@ def test_resonant_rabi_analytic():
     amp = TWO_PI * 20.0
     seg = PulseSegment(QUBIT_CHANNEL, amp, p.angular().w_q, plateau=0.12,
                        rise=1e-4, start=0.0)
-    m = build_model(p, dims, PulseSequence((seg,)), noiseless=True)
+    m = build_model(p, dims, noiseless=True).with_sequence(PulseSequence((seg,)))
     states = evolve(m, m.basis_state(0, 0, 0), (0.0, 0.1), 5e-6, steps=100)
     pe = real_expectations(states, m.label_projector(nt=1))
     times = np.linspace(0.0, 0.1, 101)
@@ -128,7 +156,7 @@ def test_resonant_rabi_analytic():
 def test_ramsey_t2_closed_form():
     p = decoupled_params()
     dims = SubsystemDims(2, 2, 1)
-    m = build_model(p, dims, None)
+    m = build_model(p, dims)
     i_g, i_e = dims.index(0, 0, 0), dims.index(1, 0, 0)
     rho = np.zeros((4, 4), dtype=complex)
     rho[i_g, i_g] = rho[i_e, i_e] = 0.5
@@ -150,8 +178,8 @@ def test_steps_above_the_bound_run_at_the_bound():
     p, dims = DeviceParams(), SubsystemDims(2, 2, 1)
     seg = PulseSegment(QUBIT_CHANNEL, TWO_PI * 20.0, p.angular().w_q,
                        plateau=0.005)
-    noisy, noiseless = (build_model(p, dims, PulseSequence((seg,)),
-                                    frame="bare", noiseless=flag)
+    noisy, noiseless = (build_model(p, dims, frame="bare", noiseless=flag)
+                        .with_sequence(PulseSequence((seg,)))
                         for flag in (False, True))
     span = (0.0, seg.ramp)
     bound = noisy.max_step(*span)
@@ -177,8 +205,8 @@ def test_bad_steps_raise_parameter_error():
     p = decoupled_params()
     seg = PulseSegment(QUBIT_CHANNEL, TWO_PI * 20.0, p.angular().w_q,
                        plateau=0.02, start=0.0)
-    m = build_model(p, SubsystemDims(2, 2, 1), PulseSequence((seg,)),
-                    noiseless=True)
+    m = build_model(p, SubsystemDims(2, 2, 1),
+                    noiseless=True).with_sequence(PulseSequence((seg,)))
     rho = m.basis_state()
     for dt in (-1.0, 0.0, math.nan, math.inf):
         with pytest.raises(ParameterError):
@@ -191,7 +219,7 @@ def test_bad_steps_raise_parameter_error():
 
 def test_trace_divergence_detected():
     p = decoupled_params(kappa_ro=1e4)  # kappa dt >> 1 destabilizes RK4
-    m = build_model(p, SubsystemDims(2, 2, 2), None, frame="lab")
+    m = build_model(p, SubsystemDims(2, 2, 2), frame="lab")
     rho0 = m.basis_state(0, 0, 1)
     with pytest.raises(IntegrationError):
         evolve(m, rho0, (0.0, 2.0), 1e-3, steps=40)
@@ -199,7 +227,7 @@ def test_trace_divergence_detected():
 
 def test_purity_and_positivity_along_trajectory():
     p = DeviceParams()
-    m = build_model(p, SubsystemDims(), None)
+    m = build_model(p, SubsystemDims())
     rho0 = m.basis_state(1, 1, 0)
     for state in evolve(m, rho0, (0.0, 2.0), 1e-3, steps=20):
         assert np.trace(state.rho @ state.rho).real <= 1.0 + 1e-9
@@ -209,8 +237,9 @@ def test_purity_and_positivity_along_trajectory():
 def test_purity_monotone_for_dephasing():
     p = DeviceParams()
     dims = SubsystemDims(2, 2, 1)
-    m = build_model(p, dims, None)
-    m.channels = [c for c in m.channels if c.name == "qubit-dephasing"]
+    m = build_model(p, dims)
+    m = dataclasses.replace(
+        m, channels=[c for c in m.channels if c.name == "qubit-dephasing"])
     i_g, i_e = dims.index(0, 0, 0), dims.index(1, 0, 0)
     rho = np.zeros((4, 4), dtype=complex)
     rho[i_g, i_g] = rho[i_e, i_e] = 0.5
@@ -225,10 +254,13 @@ def test_step_halving_fourth_order():
     dims = SubsystemDims(2, 2, 1)
 
     def max_err(dt):
-        m = build_model(p, dims, None)
-        m.channels = [c for c in m.channels if c.name == "qubit-decay"]
+        m = build_model(p, dims)
+        m = dataclasses.replace(
+            m, channels=[c for c in m.channels if c.name == "qubit-decay"])
         # rescale to kappa*dt ~ 0.3 so the truncation error is visible
-        m.channels = [lindblad.CollapseChannel(m.channels[0].op, 1.5, "decay")]
+        m = dataclasses.replace(
+            m, channels=[lindblad.CollapseChannel(m.channels[0].op, 1.5,
+                                                  "decay")])
         # samples every 0.2 us: one or two steps per sample
         states = evolve(m, m.basis_state(1, 0, 0), (0.0, 2.0), dt, steps=10)
         pe = real_expectations(states, m.label_projector(nt=1))
@@ -248,7 +280,7 @@ def test_frame_invariance_small_system():
     rho0 = None
     pops = {}
     for frame in ("bare", "lab"):
-        m = build_model(p, dims, None, frame=frame)
+        m = build_model(p, dims, frame=frame)
         if rho0 is None:
             v = np.zeros(dims.total, dtype=complex)
             v[dims.index(0, 0, 0)] = 1.0
@@ -261,7 +293,7 @@ def test_frame_invariance_small_system():
         phase = np.exp(1j * t_end * sum(w * lab for w, lab
                                         in zip(m.rot, m.labels)))
         lab_rho = phase.conj()[:, None] * final.rho * phase[None, :]
-        h0 = build_model(p, dims, None, frame="lab").drift
+        h0 = build_model(p, dims, frame="lab").drift
         _, vecs = np.linalg.eigh(h0)
         pops[frame] = np.real(np.diag(vecs.conj().T @ lab_rho @ vecs))
 
@@ -289,7 +321,7 @@ def test_effective_bsb_requires_dispersive_regime():
 
 @pytest.fixture(scope="module")
 def default_model():
-    return build_model(DeviceParams(), SubsystemDims(), None)
+    return build_model(DeviceParams(), SubsystemDims())
 
 
 def idle(model, rho, span):
@@ -348,7 +380,7 @@ def test_static_propagation_keeps_positivity(default_model):
 def test_static_propagation_matches_fine_rk4():
     # three transmon levels keep the fast |f> coherences (~1.2e3 rad/us);
     # the exact columns at the times of evolve's grid
-    m = build_model(DeviceParams(), SubsystemDims(3, 2, 1), None)
+    m = build_model(DeviceParams(), SubsystemDims(3, 2, 1))
     rho = random_density_matrix(6, 3)
     exact = idle(m, rho, (0.0, np.linspace(0.0, 0.2, 9)))
     rk4 = evolve(m, rho, (0.0, 0.2), 5e-6, steps=8)
@@ -359,7 +391,7 @@ def test_static_propagation_matches_fine_rk4():
 
 def test_static_propagation_dense_lab_drift_is_one_block(monkeypatch):
     dims = SubsystemDims(2, 2, 1)
-    m = build_model(SLOW_PARAMS, dims, None, frame="lab")
+    m = build_model(SLOW_PARAMS, dims, frame="lab")
     x = np.random.default_rng(4).normal(size=(4, 4))
     m = dataclasses.replace(m, drift=m.drift + 10.0 * (x + x.T))
     blocks = record_blocks(monkeypatch)
@@ -376,7 +408,8 @@ def test_driven_windows_step_rk4_and_silent_segments_are_exact(monkeypatch):
                          plateau=0.05, start=0.0)
     silent = PulseSegment(QUBIT_CHANNEL, 0.0, p.angular().w_q, plateau=0.05,
                           start=drive.end)
-    m = build_model(p, SubsystemDims(2, 2, 1), PulseSequence((drive, silent)))
+    m = build_model(p, SubsystemDims(2, 2, 1)).with_sequence(
+        PulseSequence((drive, silent)))
     routes = []
     for name in ("_stepped", "_exact"):
         def record(*args, name=name, route=getattr(lindblad, name)):
@@ -398,7 +431,7 @@ def test_zero_length_window_is_an_identity_on_both_routes(monkeypatch):
     p = DeviceParams()
     drive = PulseSegment(QUBIT_CHANNEL, TWO_PI * 20.0, p.angular().w_q,
                          plateau=0.05, start=0.01)
-    m = build_model(p, SubsystemDims(2, 2, 1), PulseSequence((drive,)))
+    m = build_model(p, SubsystemDims(2, 2, 1)).with_sequence(PulseSequence((drive,)))
     routes = []
     for name in ("_stepped", "_exact"):
         def record(*args, name=name, route=getattr(lindblad, name)):
@@ -423,7 +456,7 @@ def test_window_under_a_picosecond_has_zero_length():
     p = DeviceParams()
     drive = PulseSegment(QUBIT_CHANNEL, TWO_PI * 20.0, p.angular().w_q,
                          plateau=0.05, start=1e-13)
-    m = build_model(p, SubsystemDims(2, 2, 1), PulseSequence((drive,)))
+    m = build_model(p, SubsystemDims(2, 2, 1)).with_sequence(PulseSequence((drive,)))
     x = random_density_matrix(4, 8).reshape(-1, 1)
     t1 = drive.start + 0.5 * drive.ramp
     assert np.array_equal(propagate([m], x, (0.0, t1), 1e-4),
@@ -475,7 +508,7 @@ def draw_driven_model(data, plateau, rise):
                        data.draw(st.sampled_from(carriers)),
                        phase=data.draw(st.floats(-math.pi, math.pi)),
                        plateau=plateau, rise=rise, start=0.0)
-    return build_model(p, dims, PulseSequence((seg,)), frame=frame), seg
+    return build_model(p, dims, frame).with_sequence(PulseSequence((seg,))), seg
 
 
 def test_liouville_table_matches_dense_reference():
@@ -619,7 +652,7 @@ def test_default_protocol_windows_step_their_reached_elements(monkeypatch,
     dims = options.dims
     seq = build_memory_sequence(p, 0.0, 0.0, default_cal)
     store = seq.labeled("bsb-store")[0]
-    model = build_model(p, dims, seq)
+    model = build_model(p, dims).with_sequence(seq)
     table = LiouvilleTable(model, model.active_terms(store.start, store.end))
     for (i, j), size in (((1, 1), 37), ((0, 1), 34)):
         rho = np.zeros((dims.total, dims.total), dtype=complex)

@@ -32,6 +32,12 @@ def frozen_qubit_params():
     return DeviceParams(p_e=0.0, t1_q=4e5, t2_q=8e5)
 
 
+def test_options_reject_a_pulse_step_that_is_not_positive_and_finite():
+    for dt in (0.0, -1e-4, math.inf, math.nan):
+        with pytest.raises(ParameterError, match="dt_pulse must be > 0"):
+            ProtocolOptions(dt_pulse=dt)
+
+
 def test_noiseless_round_trip(default_cal):
     p_g = run_memory_protocol(P, 0.0, 0.0, NOISELESS, default_cal)
     assert p_g >= 0.99
@@ -177,8 +183,8 @@ def test_calibration_step_is_converged(monkeypatch, anchor_z_point,
     p_g = run_memory_protocol(P, 0.0, 0.0, OPTS, default_cal)
     probe = pulses._probe_transfers
 
-    def halved(params, dims, segments, frame, dt, initial, target):
-        return probe(params, dims, segments, frame, 0.5 * dt, initial, target)
+    def halved(base, segments, dt, initial, target):
+        return probe(base, segments, 0.5 * dt, initial, target)
 
     monkeypatch.setattr(pulses, "_probe_transfers", halved)
     fine = OPTS.replace(dt_pulse=0.5 * OPTS.dt_pulse)

@@ -112,8 +112,8 @@ def test_bare_frame_probe_steps_under_its_carrier_bound():
     pi = PulseSegment(QUBIT_CHANNEL, amp, dressed_frequencies(p, dims)[0],
                       plateau=math.pi / amp - 2.0 * pulses._RAMP_AREA * 0.01)
     bare, dispersive = (
-        pulses._probe_transfers(p, dims, [pi], frame, 1e-4, (0, 0, 0),
-                                (1, 0, 0))[0]
+        pulses._probe_transfers(build_model(p, dims, frame, noiseless=True),
+                                [pi], 1e-4, (0, 0, 0), (1, 0, 0))[0]
         for frame in ("bare", "dispersive"))
     assert bare > 0.999 and dispersive > 0.999
     assert abs(bare - dispersive) < 1e-3
@@ -214,9 +214,24 @@ def test_calibration_rejects_too_strong_drive():
         calibrate_pi_pulse(p, dims, QUBIT_CHANNEL, TWO_PI * 200.0)
 
 
+def test_calibration_builds_one_frame(monkeypatch):
+    # the five scan stages all drive one noiseless frame
+    built = []
+    build = lindblad.build_model
+
+    def counted(*args, **kwargs):
+        built.append(kwargs)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(lindblad, "build_model", counted)
+    calibrate_pi_pulse(DeviceParams(), SubsystemDims(2, 2, 1), QUBIT_CHANNEL,
+                       TWO_PI * 20.0)
+    assert built == [{"frame": "dispersive", "noiseless": True}]
+
+
 def test_calibration_flags_weak_transfer(monkeypatch):
     monkeypatch.setattr(pulses, "_probe_transfers",
-                        lambda p, dims, segments, *a: np.full(len(segments), 0.3))
+                        lambda base, segments, *a: np.full(len(segments), 0.3))
     with pytest.raises(CalibrationError):
         calibrate_pi_pulse(DeviceParams(), SubsystemDims(2, 2, 1),
                            QUBIT_CHANNEL, TWO_PI * 20.0)
@@ -246,8 +261,8 @@ def test_ket_probes_match_density_matrix_evolution():
     bsb = PulseSegment(QUBIT_CHANNEL, TWO_PI * 5.1e3,
                        two_photon_resonance(p, dims), plateau=0.1)
     for segment, target, dt in ((qubit, (1, 0, 0), 1e-4), (bsb, E1, 5e-4)):
-        got = pulses._probe_transfers(p, dims, [segment], "dispersive", dt,
-                                      G, target)
+        got = pulses._probe_transfers(build_model(p, dims, noiseless=True),
+                                      [segment], dt, G, target)
         ref = rho_transfer(p, dims, segment, "dispersive", dt, G, target)
         assert ref > 0.5
         assert got[0] == pytest.approx(ref, rel=0, abs=1e-9)
@@ -256,10 +271,11 @@ def test_ket_probes_match_density_matrix_evolution():
     dims = SubsystemDims(3, 2, 1)
     segment = PulseSegment(QUBIT_CHANNEL, TWO_PI * 20.0, p.angular().w_q,
                            plateau=0.005)
-    model = build_model(p, dims, PulseSequence((segment,)), frame="bare")
+    model = build_model(p, dims, "bare").with_sequence(PulseSequence((segment,)))
     assert any(term.kind == "coupling" for term in model.terms)
     dt = model.max_step()
-    got = pulses._probe_transfers(p, dims, [segment], "bare", dt, G, (1, 0, 0))
+    got = pulses._probe_transfers(build_model(p, dims, "bare", noiseless=True),
+                                  [segment], dt, G, (1, 0, 0))
     ref = rho_transfer(p, dims, segment, "bare", dt, G, (1, 0, 0))
     assert ref > 0.1
     assert got[0] == pytest.approx(ref, rel=0, abs=1e-9)
@@ -284,12 +300,12 @@ def test_exact_probe_plateaus_match_fine_rk4():
                       plateau=0.005, rise=0.001)),
     ]
     for dims, frame, target, dt, segment in cases:
-        model = build_model(p, dims, PulseSequence((segment,)), frame=frame,
-                            noiseless=True)
+        base = build_model(p, dims, frame, noiseless=True)
+        model = base.with_sequence(PulseSequence((segment,)))
         plateau = (segment.start + segment.ramp, segment.end - segment.ramp)
         assert model.carrier_frame(*plateau) is not None
         dt = dt or model.max_step() / 16.0
-        got = pulses._probe_transfers(p, dims, [segment], frame, dt, G, target)
+        got = pulses._probe_transfers(base, [segment], dt, G, target)
         terms = model.active_terms(segment.start, segment.end)
         psi = lindblad._stepped(
             lindblad.LiouvilleTable(model, terms, ket=True),
@@ -307,9 +323,9 @@ def test_exact_probe_plateaus_match_fine_rk4():
     dims = SubsystemDims(2, 2, 1)
     segment = PulseSegment(QUBIT_CHANNEL, TWO_PI * 2.0, p.angular().w_q,
                            plateau=0.05, rise=0.01)
-    model = build_model(p, dims, PulseSequence((segment,)), frame="lab",
-                        noiseless=True)
-    got = pulses._probe_transfers(p, dims, [segment], "lab", 1e-4, G, (1, 0, 0))
+    base = build_model(p, dims, "lab", noiseless=True)
+    model = base.with_sequence(PulseSequence((segment,)))
+    got = pulses._probe_transfers(base, [segment], 1e-4, G, (1, 0, 0))
     edges = (segment.start, segment.start + segment.ramp,
              segment.end - segment.ramp, segment.end)
     assert model.carrier_frame(*edges[1:3]) is None
@@ -329,7 +345,8 @@ def test_ket_batch_columns_are_independent():
         PulseSegment(QUBIT_CHANNEL, TWO_PI * 20.0, w_q + 4.0, plateau=0.03),
         PulseSegment(QUBIT_CHANNEL, TWO_PI * 5.1e3, w_b, plateau=0.0),
     ]
-    models = [build_model(p, dims, PulseSequence((segment,)), noiseless=True)
+    base = build_model(p, dims, noiseless=True)
+    models = [base.with_sequence(PulseSequence((segment,)))
               for segment in segments]
     spans = [(segment.start, segment.end) for segment in segments]
     psi0 = np.eye(dims.total)[:, [dims.index(*G)]]
@@ -347,14 +364,14 @@ def test_ket_probes_reject_noise_and_coarse_steps():
     segment = PulseSegment(QUBIT_CHANNEL, TWO_PI * 20.0, p.angular().w_q,
                            plateau=0.005)
     psi0 = np.eye(dims.total)[:, [0]]
-    noisy = build_model(p, dims, PulseSequence((segment,)))
+    noisy = build_model(p, dims).with_sequence(PulseSequence((segment,)))
     with pytest.raises(ParameterError):
         propagate([noisy], psi0, (segment.start, segment.end), 1e-4)
     # lab frame, driven at a carrier of 1e-3 rad/us: it bounds no step, and
     # w_q dt >> 1 destabilizes RK4 (an undriven window would be exact)
     slow = PulseSegment(QUBIT_CHANNEL, 1.0, 1e-3, plateau=0.005)
-    lab = build_model(p, dims, PulseSequence((slow,)), frame="lab",
-                      noiseless=True)
+    lab = build_model(p, dims, "lab",
+                      noiseless=True).with_sequence(PulseSequence((slow,)))
     with pytest.raises(IntegrationError):
         propagate([lab], np.eye(dims.total)[:, [dims.index(1, 0, 0)]],
                   (0.0, 0.01), 1e-3)
