@@ -6,12 +6,16 @@
 `run` executes one named experiment and writes results.csv, fits.json and
 manifest.json into the output directory.  Reruns with identical
 configuration and seed are byte-identical, and `run --from-manifest
-<manifest.json>` reproduces a previous run.  Physics or fit failures exit
-with status 1, usage errors (unknown experiment, missing config, a sweep
-that does not strictly increase or of a variable the experiment does not
-take, an unknown frame, a dt_pulse <= 0, shots or jobs < 1, a fit input
-that cannot be read, holds no rows or a value that is not finite, or whose
-x values do not strictly increase) with 2, before any simulation.
+<manifest.json>` reproduces a previous run at the pulse step it recorded
+(run.dt_pulse_us).  The manifest does not record the calibration probes'
+step, so a manifest written while the probes stepped the qubit at 1e-4 us
+(before pulses.PROBE_STEP) reproduces to about 2e-8, not bit for bit.
+Physics or fit failures exit with status 1, usage errors (unknown
+experiment, missing config, a sweep that does not strictly increase or of
+a variable the experiment does not take, an unknown frame, a dt_pulse <=
+0, shots or jobs < 1, a fit input that cannot be read, holds no rows or a
+value that is not finite, or whose x values do not strictly increase)
+with 2, before any simulation.
 """
 
 import argparse
@@ -207,6 +211,8 @@ def cmd_run(args):
             manifest = json.load(f)
         config_text = manifest["config_text"]
         p, dims, run_kw = parse_run_settings(config_text, args.from_manifest)
+        # the step the run used, whatever the default is now
+        run_kw["dt_pulse"] = manifest["run"]["dt_pulse_us"]
         ns = argparse.Namespace(**vars(args))
         for key, val in manifest["run"]["args"].items():
             setattr(ns, key, val)

@@ -18,10 +18,10 @@ from .device import DeviceParams, bsb_effective_rate
 from .errors import IntegrationError, ParameterError
 from .lindblad import (FRAMES, build_model, dressed_frequencies, propagate,
                        two_photon_resonance)
-from .pulses import (PulseSegment, PulseSequence, ProtocolCalibration,
-                     QUBIT_CHANNEL, READOUT_CHANNEL, STORAGE_CHANNEL,
-                     build_memory_sequence, calibrate_pi_pulse,
-                     calibrate_pi_pulses)
+from .pulses import (PROBE_STEP, PulseSegment, PulseSequence,
+                     ProtocolCalibration, QUBIT_CHANNEL, READOUT_CHANNEL,
+                     STORAGE_CHANNEL, build_memory_sequence,
+                     calibrate_pi_pulse, calibrate_pi_pulses)
 from .qsys import QuantumState, SubsystemDims
 from .units import TWO_PI
 
@@ -34,12 +34,15 @@ class ProtocolOptions:
 
     The default drive amplitudes give a sideband pi pulse of ~190 ns and a
     qubit pi pulse of ~50 ns, i.e. a protocol length near 0.47 us.
+    dt_pulse is the largest RK4 step of the pulse ramps: at 2e-4 us each
+    25 ns ramp takes 125 steps, and halving it moves p_g and F_Z by under
+    1e-8.  The calibration probes step at their own pulses.PROBE_STEP.
     """
 
     dims: SubsystemDims = field(default_factory=SubsystemDims)
     frame: str = "dispersive"
     bsb_amplitude: float = TWO_PI * 5.1e3   # rad/us
-    dt_pulse: float = 1e-4                  # us
+    dt_pulse: float = 2e-4                  # us
     noiseless: bool = False
     storage_t_phi: float | None = None
     shots: int | None = None
@@ -362,8 +365,9 @@ def effective_bsb_check(p: DeviceParams, drives,
     propagate call from 0, on one noiseless base model of options.frame
     and options.dims, the tones' ramps by RK4 and their plateaus exactly.
     Each drive's rate comes from its own fit.  The columns share one step,
-    the smallest of the drives' own (5e-4 us or a 400th of the swap
-    period), so a drive whose own step is coarser runs at the finer one;
+    the smallest of the drives' own (pulses.PROBE_STEP, the calibration
+    probes' step, or a 400th of the swap period), so a drive whose own
+    step is coarser runs at the finer one;
     propagate steps each ramp at no more than its model's step bound, 40
     steps per period of its fastest carrier, which binds in the bare frame.
     """
@@ -384,9 +388,9 @@ def effective_bsb_check(p: DeviceParams, drives,
         model = base.with_sequence(PulseSequence((seg,)))
         models += [model] * 91
         times.append(np.linspace(0.0, seg.end, 91))   # 36 per swap period
-    # only slow carriers remain on a resonant sideband tone; a coarse fixed
+    # only slow carriers remain on a resonant sideband tone; the probes'
     # step resolves the MHz-scale dynamics comfortably
-    dt = min(5e-4, math.pi / max(predicted) / 400.0)
+    dt = min(PROBE_STEP, math.pi / max(predicted) / 400.0)
     ground = dims.index(0, 0, 0)
     psi = np.eye(dims.total)[:, [ground] * len(models)]
     psi = propagate(models, psi, (0.0, np.concatenate(times)), dt)

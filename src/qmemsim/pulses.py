@@ -27,6 +27,11 @@ CHANNELS = (QUBIT_CHANNEL, STORAGE_CHANNEL, READOUT_CHANNEL)
 DEFAULT_RISE = 0.020  # us
 TRUNC_SIGMAS = 2.5    # ramps truncated at +/- 2.5 sigma
 
+# the largest RK4 step of every calibration probe's ramps, and of the
+# sideband-rate check's tones: the noiseless probe dynamics is MHz-scale,
+# and halving it (with dt_pulse) moves the protocol's p_g and F_Z by ~2e-9
+PROBE_STEP = 5e-4     # us
+
 # baseline of the truncated Gaussian, exp(-2.5^2 / 2)
 _G0 = math.exp(-0.5 * TRUNC_SIGMAS**2)
 
@@ -246,9 +251,9 @@ def _probe_transfers(base, segments, dt, initial, target):
     the ket columns of one lindblad.propagate call from 0 to each segment's
     end: the ramps by RK4, the plateaus exactly (by RK4 in the lab frame,
     which has no frame rotating with a probe's carriers).  dt is the
-    largest step: propagate steps each ramp at no more than its model's
-    step bound, 40 steps per period of its fastest carrier, which binds in
-    the bare frame."""
+    largest step (calibrate_pi_pulses passes PROBE_STEP): propagate steps
+    each ramp at no more than its model's step bound, 40 steps per period
+    of its fastest carrier, which binds in the bare frame."""
     from .lindblad import propagate
 
     dims = base.dims
@@ -289,12 +294,12 @@ def calibrate_pi_pulses(params: DeviceParams, dims, channel, amplitudes, *,
     noiseless frame is built once; each of the five stages (9 and 5
     carriers, 9 and 5 plateaus, the final pulse) drives it with the trial
     pulses of every amplitude, as the ket columns of one
-    lindblad.propagate call (_probe_transfers): their ramps by RK4 at a
-    fixed step of 1e-4 us for the qubit and 5e-4 us for the sideband, or at
-    the probe model's step bound where that is finer (40 steps per period
-    of its fastest carrier: about 1e-5 us in the bare frame, whose
-    GHz-scale couplings bound the step), and their plateaus exactly.  A
-    column propagates as it would alone.
+    lindblad.propagate call (_probe_transfers): their ramps by RK4 at
+    PROBE_STEP, 5e-4 us on both channels, or at the probe model's step
+    bound where that is finer (40 steps per period of its fastest carrier:
+    about 1e-5 us in the bare frame, whose GHz-scale couplings bound the
+    step), and their plateaus exactly.  A column propagates as it would
+    alone.
 
     Returns a CalibrationResult per amplitude, whose freq_offset is the
     found carrier minus the nominal one (bare qubit frequency, or half the
@@ -334,10 +339,6 @@ def calibrate_pi_pulses(params: DeviceParams, dims, channel, amplitudes, *,
             f" us is shorter than the ramps ({ramp_eq:.4g} us)"
         )
 
-    # the sideband probe dynamics is MHz-scale (two-photon term only), so a
-    # coarser fixed step resolves its ramps; qubit probes keep the fine
-    # default
-    probe_dt = 5e-4 if channel == "bsb" else 1e-4
     base = build_model(params, dims, frame=frame, noiseless=True)
 
     def probe(plateau, carrier):      # broadcast to one row per amplitude
@@ -346,7 +347,7 @@ def calibrate_pi_pulses(params: DeviceParams, dims, channel, amplitudes, *,
                              start=0.0)
                 for amp, pls, cs in zip(amps, plateau, carrier)
                 for pl, c in zip(pls, cs)]
-        return _probe_transfers(base, segs, probe_dt, initial,
+        return _probe_transfers(base, segs, PROBE_STEP, initial,
                                 target).reshape(plateau.shape)
 
     def peaks(xs, transfers):

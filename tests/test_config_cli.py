@@ -395,6 +395,32 @@ def test_retired_dt_idle_key_is_accepted_and_ignored(tmp_path, sample_cfg):
     assert (first / "results.csv").read_bytes() == (replay / "results.csv").read_bytes()
 
 
+def test_manifest_replay_runs_at_the_recorded_pulse_step(tmp_path):
+    # a manifest of a run at the default step records that step, with no
+    # --dt; its replay runs at the recorded step, whatever the default is
+    from qmemsim import cli
+
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text(config.SAMPLE_CONFIG
+                   + "n_transmon = 2\nn_storage = 2\nn_readout = 1\n")
+    argv = ["run", "--config", str(cfg), "--experiment", "memory-protocol",
+            "--sweep", "delay=0:1:2"]
+    first, direct, replay = (tmp_path / n for n in ("first", "direct", "replay"))
+    assert cli.main(argv + ["--out", str(first)]) == 0
+    assert cli.main(argv + ["--dt", "0.05", "--out", str(direct)]) == 0
+    manifest = json.loads((first / "manifest.json").read_text())
+    assert manifest["run"]["args"]["dt"] is None
+    manifest["run"]["dt_pulse_us"] = 5e-5
+    edited = tmp_path / "edited.json"
+    edited.write_text(json.dumps(manifest))
+    assert cli.main(["run", "--from-manifest", str(edited),
+                     "--out", str(replay)]) == 0
+    run = json.loads((replay / "manifest.json").read_text())["run"]
+    assert run["dt_pulse_us"] == 5e-5
+    assert (replay / "results.csv").read_bytes() == \
+        (direct / "results.csv").read_bytes()
+
+
 def test_ringdown_cli_reproduces_decay_time(tmp_path, sample_cfg):
     out = tmp_path / "ring"
     res = run_cli("run", "--config", sample_cfg, "--experiment", "ringdown",

@@ -647,7 +647,7 @@ def test_default_protocol_windows_step_their_reached_elements(monkeypatch,
     # ramp-down windows of the default protocol's segments reach 37, 171,
     # 171 and 215 of the 900 elements, and the sideband-store window
     # reaches 37 from the tomography input |e><e| and 34 from its coherence
-    # |g><e|.  Only the ramps step RK4, 250 steps of 1e-4 us each.
+    # |g><e|.  Only the ramps step RK4, 125 steps of 2e-4 us each.
     p, options = DeviceParams(), ProtocolOptions()
     dims = options.dims
     seq = build_memory_sequence(p, 0.0, 0.0, default_cal)
@@ -676,7 +676,7 @@ def test_default_protocol_windows_step_their_reached_elements(monkeypatch,
     protocol.run_memory_protocol(p, 0.0, 0.0, options, default_cal)
     assert sizes == [3] + [37] * 3 + [171] * 6 + [215] * 3
     ramps = [2 * round(s.ramp / options.dt_pulse) for s in seq.segments]
-    assert ramps == [500] * 4
+    assert ramps == [250] * 4
     assert len(steps) == sum(ramps)
 
 

@@ -176,6 +176,20 @@ def test_pulse_step_is_converged(anchor_z_point, default_cal):
     assert abs(f_z - anchor_z_point[1]) < 1e-8
 
 
+def test_pulse_step_is_converged_on_lifetime_and_process(fock_record):
+    # the same holds for the fitted Fock lifetime, the process fidelity and
+    # every chi entry; the bounds are for the default step, 125 RK4 steps
+    # per 25 ns ramp
+    assert OPTS.dt_pulse == 2e-4
+    fine = OPTS.replace(dt_pulse=0.5 * OPTS.dt_pulse)
+    t1 = fock_record.fits["T1_s"].params["T"]
+    t1_fine = fock_decay_experiment(P, options=fine).fits["T1_s"].params["T"]
+    assert abs(t1_fine / t1 - 1.0) < 1e-8
+    qpt, qpt_fine = (protocol.qpt_experiment(P, o) for o in (OPTS, fine))
+    assert abs(qpt_fine["f_qpt"] - qpt["f_qpt"]) < 1e-8
+    assert np.max(np.abs(qpt_fine["chi"].entries - qpt["chi"].entries)) < 1e-8
+
+
 def test_calibration_step_is_converged(monkeypatch, anchor_z_point,
                                       default_cal):
     # halving every probe's step recalibrates both pulses; with dt_pulse

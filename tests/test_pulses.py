@@ -104,9 +104,10 @@ def sample_calibration(default_cal):
 
 def test_bare_frame_probe_steps_under_its_carrier_bound():
     # the bare frame's exchange couplings bound the step at 1.01e-5 us, under
-    # the calibration's 1e-4 us qubit probe step: the probe steps at its
-    # model's bound instead of failing, and its noiseless pi pulse from the
-    # ground state agrees with the dispersive frame's
+    # the 1e-4 us step given here and the calibration's 5e-4 us PROBE_STEP:
+    # the probe steps at its model's bound instead of failing, and its
+    # noiseless pi pulse from the ground state agrees with the dispersive
+    # frame's
     p, dims = DeviceParams(), SubsystemDims(2, 2, 1)
     amp = TWO_PI * 20.0
     pi = PulseSegment(QUBIT_CHANNEL, amp, dressed_frequencies(p, dims)[0],
@@ -117,6 +118,21 @@ def test_bare_frame_probe_steps_under_its_carrier_bound():
         for frame in ("bare", "dispersive"))
     assert bare > 0.999 and dispersive > 0.999
     assert abs(bare - dispersive) < 1e-3
+
+
+def test_qubit_calibration_steps_its_ramps_at_the_probe_step(monkeypatch):
+    # five scan stages, each one propagate call whose two 25 ns ramps step
+    # RK4 at PROBE_STEP (50 steps each) and whose plateau is exact
+    steps, rk4_step = [], lindblad._rk4_step
+
+    def count(*args):
+        steps.append(None)
+        return rk4_step(*args)
+
+    monkeypatch.setattr(lindblad, "_rk4_step", count)
+    calibrate_pi_pulse(DeviceParams(), SubsystemDims(), QUBIT_CHANNEL,
+                       TWO_PI * 20.0)
+    assert len(steps) == 5 * 2 * 50
 
 
 def test_memory_sequence_layout(sample_calibration):
