@@ -11,11 +11,13 @@ configuration and seed are byte-identical, and `run --from-manifest
 step, so a manifest written while the probes stepped the qubit at 1e-4 us
 (before pulses.PROBE_STEP) reproduces to about 2e-8, not bit for bit.
 Physics or fit failures exit with status 1, usage errors (unknown
-experiment, missing config, a sweep that does not strictly increase or of
-a variable the experiment does not take, an unknown frame, a dt_pulse <=
-0, shots or jobs < 1, a fit input that cannot be read, holds no rows or a
-value that is not finite, or whose x values do not strictly increase)
-with 2, before any simulation.
+experiment, missing config, a manifest that cannot be read, is not JSON
+or lacks config_text, run.dt_pulse_us or run.args, a truncation size
+below its minimum or a total dimension above DIM_CAP, a sweep that does
+not strictly increase or of a variable the experiment does not take, an
+unknown frame, a dt_pulse <= 0, shots or jobs < 1, a fit input that
+cannot be read, holds no rows or a value that is not finite, or whose x
+values do not strictly increase) with 2, before any simulation.
 """
 
 import argparse
@@ -205,10 +207,29 @@ def run_experiment(p, options, args, sweep):
     raise ConfigError(f"unknown experiment {name!r}")
 
 
+def _read_manifest(path):
+    """The manifest at path; one that cannot be read, is not JSON or lacks
+    a string config_text, a number run.dt_pulse_us or an object run.args
+    is a ConfigError naming path and what it lacks."""
+    try:
+        with open(path) as f:
+            manifest = json.load(f)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read manifest {path!r}: {exc}") from exc
+    top = manifest if isinstance(manifest, dict) else {}
+    run = top.get("run") if isinstance(top.get("run"), dict) else {}
+    lacking = [name for name, value, kind in (
+        ("config_text", top.get("config_text"), str),
+        ("run.dt_pulse_us", run.get("dt_pulse_us"), (int, float)),
+        ("run.args", run.get("args"), dict)) if not isinstance(value, kind)]
+    if lacking:
+        raise ConfigError(f"manifest {path!r} lacks {', '.join(lacking)}")
+    return manifest
+
+
 def cmd_run(args):
     if args.from_manifest:
-        with open(args.from_manifest) as f:
-            manifest = json.load(f)
+        manifest = _read_manifest(args.from_manifest)
         config_text = manifest["config_text"]
         p, dims, run_kw = parse_run_settings(config_text, args.from_manifest)
         # the step the run used, whatever the default is now

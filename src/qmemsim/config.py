@@ -24,7 +24,8 @@ parse returns an equal :class:`DeviceParams`.
 
 Every number must be finite, and the truncation sizes (n_transmon,
 n_storage, n_readout) must be integral; anything else raises ConfigError
-naming the key.
+naming the key.  Truncation sizes that SubsystemDims rejects, and device
+values that DeviceParams rejects, raise ConfigError naming the source.
 """
 
 import decimal
@@ -32,7 +33,7 @@ import importlib.resources
 import math
 
 from .device import DeviceParams
-from .errors import ConfigError, ParameterError
+from .errors import ConfigError, DimensionError, ParameterError
 from .qsys import SubsystemDims
 
 # power of ten from each unit to the base unit: GHz for frequencies, us for times
@@ -151,9 +152,12 @@ def parse_run_settings(text, source):
         params = DeviceParams(**device_kw)
     except ParameterError as exc:
         raise ConfigError(f"{source}: {exc}") from exc
-    dims = SubsystemDims(_truncation(run_kw, "n_transmon", 3),
-                         _truncation(run_kw, "n_storage", 5),
-                         _truncation(run_kw, "n_readout", 2))
+    try:
+        dims = SubsystemDims(_truncation(run_kw, "n_transmon", 3),
+                             _truncation(run_kw, "n_storage", 5),
+                             _truncation(run_kw, "n_readout", 2))
+    except DimensionError as exc:
+        raise ConfigError(f"{source}: {exc}") from exc
     return params, dims, run_kw
 
 

@@ -46,12 +46,12 @@ and are cross-checked against the full integration by
 
 Propagation
 -----------
-Every window uses one form of the generator, a :class:`LiouvilleTable`:
-each operator is split into label-shift classes, so the Liouvillian on
-vec(rho) is a diagonal plus gather rows.  One runner, :func:`propagate`,
-takes B columns, each a vec(rho) or a ket under its own model, across a
-span that it cuts at each column's pulse and ramp edges, and routes each
-column in each window:
+Every window uses one form of the generator, a :class:`LiouvilleTable`,
+read off the operators that ``build_model`` builds once as label-shift
+classes (:class:`ShiftClass`: key, col, weight): a diagonal plus gather
+rows on vec(rho).  One runner, :func:`propagate`, takes B columns, each a
+vec(rho) or a ket under its own model, across a span that it cuts at each
+column's pulse and ramp edges, and routes each column in each window:
 
 - exactly, where the generator is constant in the frame
   rho~ = exp(iKt) rho exp(-iKt), with K = kappa . (n_t, n_s, n_r) diagonal
@@ -67,8 +67,8 @@ column in each window:
   ``max_step``: the pulse ramps, and every driven window of the ``lab``
   frame (its dense drift and its +/- carriers admit no such K).
 
-Columns on the same route whose models share their operator arrays, as
-the models of one frame do, share one table, built once per call.
+Columns on the same route whose models share their operators, as the
+models of one frame do, share one table, built once per call.
 :func:`evolve` is the RK4 reference: one state, stepped by the same core
 and returned at the steps + 1 equally spaced times of its window.
 
@@ -110,10 +110,49 @@ TRACE_DRIFT_TOL = 1e-6
 
 
 @dataclass(frozen=True)
+class ShiftClass:
+    """The elements of an operator that shift the labels (n_t, n_s, n_r)
+    by key.  Labels are unique, so a class has at most one nonzero per row
+    and per column: row i holds weight[i] at column col[i], and a row with
+    no nonzero points at i with weight 0."""
+
+    key: tuple
+    col: np.ndarray
+    weight: np.ndarray
+
+    def adjoint(self):
+        """The class of the conjugate transpose, of key -key."""
+        rows, live = np.arange(len(self.col)), self.weight != 0
+        col, weight = rows.copy(), np.zeros_like(self.weight)
+        col[self.col[live]] = rows[live]
+        weight[self.col[live]] = self.weight[live].conj()
+        return ShiftClass(tuple(-k for k in self.key), col, weight)
+
+
+def _shift_class(op, labels, key):
+    """The class of the dense op whose elements shift the labels by key."""
+    keep = op != 0
+    for lab, shift in zip(labels, key):
+        keep &= lab[:, None] - lab[None, :] == shift
+    rows, live = np.arange(len(op)), keep.any(axis=1)
+    col = np.where(live, keep.argmax(axis=1), rows)
+    return ShiftClass(key, col, np.where(live, op[rows, col], 0.0))
+
+
+def _split(op, labels, tol):
+    """The classes of the dense op with an element above tol, by key."""
+    nt, ns, nr = labels
+    rows, cols = np.nonzero(np.abs(op) > tol)
+    keys = sorted(set(zip(nt[rows] - nt[cols], ns[rows] - ns[cols],
+                          nr[rows] - nr[cols])))
+    return tuple(_shift_class(op, labels, key) for key in keys)
+
+
+@dataclass(frozen=True)
 class CollapseChannel:
     """One Lindblad dissipator D[sqrt(rate) * op]."""
 
-    op: np.ndarray
+    op: ShiftClass
     rate: float
     name: str = ""
 
@@ -130,7 +169,7 @@ class HamiltonianTerm:
     the segment envelope, 'two-photon' coeff * envelope(t)^2.
     """
 
-    op: np.ndarray
+    op: ShiftClass
     carrier: float
     phase: float
     kind: str
@@ -147,28 +186,6 @@ class HamiltonianTerm:
         if self.kind == "two-photon":
             return self.strength * env**2
         raise ParameterError(f"unknown term kind {self.kind!r}")
-
-
-def class_component(op, labels, dnt, dns, dnr):
-    """Part of op whose elements change the label quantum numbers by (dnt,dns,dnr)."""
-    keep = np.ones(op.shape, dtype=bool)
-    for lab, shift in zip(labels, (dnt, dns, dnr)):
-        keep &= lab[:, None] - lab[None, :] == shift
-    return np.where(keep, op, 0.0)
-
-
-def _class_keys(op, labels, tol=1e-12):
-    """The label shifts (dnt,dns,dnr) of op's elements above tol, sorted."""
-    nt, ns, nr = labels
-    rows, cols = np.nonzero(np.abs(op) > tol)
-    return sorted(set(zip(nt[rows] - nt[cols], ns[rows] - ns[cols],
-                          nr[rows] - nr[cols])))
-
-
-def _split_classes(op, labels, tol=1e-12):
-    """All frequency classes present in op: {(dnt,dns,dnr): component}."""
-    return {key: class_component(op, labels, *key)
-            for key in _class_keys(op, labels, tol)}
 
 
 def _edges(seg):
@@ -236,11 +253,11 @@ class LindbladModel:
     channels: tuple                   # CollapseChannel entries
     rot: tuple                        # per-subsystem rotation freqs (rad/us)
     labels: tuple                     # (n_t, n_s, n_r) of each basis state
-    # per drive channel its lowering operator split into its classes,
-    # {channel: {key: component}}, and the |g,n> -> |e,n+1> two-photon
-    # sideband ladder, in the model basis
+    # per drive channel the ShiftClasses of its lowering operator, sorted by
+    # key, and the class of the |g,n> -> |e,n+1> two-photon sideband
+    # ladder, in the model basis
     drive_ops: dict
-    two_photon: np.ndarray
+    two_photon: ShiftClass
 
     def __post_init__(self):
         if not qsys.is_hermitian(self.drift, 1e-9):
@@ -258,7 +275,7 @@ class LindbladModel:
         """This model, which carries no sequence, driven by seq: its terms
         plus those of seq's segments (see the module docstring).  Only
         reads the frame, so every model driven from it takes its term
-        operators from the same class arrays."""
+        operators from the same classes."""
         a = self.params.angular()
         cutoff = math.inf if self.frame == "lab" else RWA_CUTOFF
         rot_arr = np.array(self.rot)
@@ -266,13 +283,13 @@ class LindbladModel:
         for seg in seq.segments:
             if seg.amplitude == 0.0:
                 continue
-            for key, comp in self.drive_ops[seg.target].items():
-                nu = float(np.dot(key, rot_arr))
+            for cls in self.drive_ops[seg.target]:
+                nu = float(np.dot(cls.key, rot_arr))
                 for s in (+1.0, -1.0):
                     carrier = nu + s * seg.carrier
                     if abs(carrier) <= cutoff:
                         terms.append(HamiltonianTerm(
-                            op=comp, carrier=carrier, phase=s * seg.phase,
+                            op=cls, carrier=carrier, phase=s * seg.phase,
                             kind="linear", segment=seg))
             if seg.target == QUBIT_CHANNEL and self.frame != "lab":
                 d_s = a.w_s - seg.carrier
@@ -316,22 +333,20 @@ class LindbladModel:
         envelope is constant, and a static class k becomes
         exp(i kappa . k (t - t0)).  So each active term must be on its
         plateau and kappa . k = -w must hold for its class, and
-        kappa . k = 0 for the drift's classes and the differences of each
-        collapse operator's classes.  None when no kappa solves these to
-        rounding, as for the lab frame's dense drift and +/- carriers.
+        kappa . k = 0 for the drift's classes (a collapse operator is one
+        class, so its dissipator is static).  None when no kappa solves
+        these to rounding, as for the lab frame's dense drift and +/-
+        carriers.
         """
         keys, rhs = [], []
         for term in self.active_terms(t0, t1):
             up, down = _edges(term.segment)[1:3] if term.segment else (t0, t1)
             if not (up <= t0 and t1 <= down):
                 return None
-            for key in _class_keys(term.op, self.labels, tol=0.0):
-                keys.append(key)
-                rhs.append(-term.carrier)
-        static = {(0, 0, 0), *_class_keys(self.drift, self.labels, tol=0.0)}
-        for channel in self.channels:
-            own = _class_keys(channel.op, self.labels, tol=0.0)
-            static.update(tuple(np.subtract(k, m)) for k in own for m in own)
+            keys.append(term.op.key)
+            rhs.append(-term.carrier)
+        static = {(0, 0, 0),
+                  *(c.key for c in _split(self.drift, self.labels, 0.0))}
         keys += static
         rhs += [0.0] * len(static)
         a, b = np.array(keys, dtype=float), np.array(rhs)
@@ -369,7 +384,9 @@ def build_model(p: DeviceParams, dims: SubsystemDims, frame="dispersive",
     """Construct a rotating-frame Lindblad model with no sequence, a frame.
 
     The frame holds everything that does not depend on the pulses, each
-    drive channel's operator already split into its label-shift classes;
+    operator built once as ShiftClasses: a drive channel's classes above
+    1e-12, and the one class of each collapse channel, coupling and the
+    two-photon ladder.
     ``build_model(...).with_sequence(seq)`` drives it with a sequence.
     noiseless strips all collapse channels (used for calibration).
     storage_t_phi adds an optional pure-dephasing channel on the storage
@@ -405,7 +422,7 @@ def build_model(p: DeviceParams, dims: SubsystemDims, frame="dispersive",
             drift = h0.astype(complex)
             couplings = []
 
-    terms = tuple(HamiltonianTerm(op=class_component(op, labels, *key),
+    terms = tuple(HamiltonianTerm(op=_shift_class(op, labels, key),
                                   carrier=float(np.dot(key, rot)), phase=0.0,
                                   kind="coupling", strength=1.0)
                   for key, op in couplings)
@@ -414,14 +431,14 @@ def build_model(p: DeviceParams, dims: SubsystemDims, frame="dispersive",
         return U.conj().T @ op @ U
 
     channel_ops = {QUBIT_CHANNEL: b, STORAGE_CHANNEL: a_s, READOUT_CHANNEL: a_r}
-    drive_ops = {target: _split_classes(to_model(op), labels)
+    drive_ops = {target: _split(to_model(op), labels, 1e-12)
                  for target, op in channel_ops.items()}
     sigma_plus = np.zeros((dims.n_transmon,) * 2, dtype=complex)
     sigma_plus[1, 0] = 1.0
     two_photon_bare = (qsys.tensor_embed(sigma_plus, qsys.TRANSMON, dims)
                        @ qsys.tensor_embed(qsys.creation(dims.n_storage),
                                            qsys.STORAGE, dims))
-    two_photon = class_component(to_model(two_photon_bare), labels, 1, 1, 0)
+    two_photon = _shift_class(to_model(two_photon_bare), labels, (1, 1, 0))
 
     channels = []
     if not noiseless:
@@ -429,27 +446,27 @@ def build_model(p: DeviceParams, dims: SubsystemDims, frame="dispersive",
         n_t = to_model(qsys.tensor_embed(
             qsys.number_op(dims.n_transmon), qsys.TRANSMON, dims))
         channels.append(CollapseChannel(
-            class_component(to_model(a_s), labels, 0, -1, 0), a.k_s, "storage-decay"))
+            _shift_class(to_model(a_s), labels, (0, -1, 0)), a.k_s, "storage-decay"))
         channels.append(CollapseChannel(
-            class_component(to_model(a_r), labels, 0, 0, -1), a.k_ro, "readout-decay"))
+            _shift_class(to_model(a_r), labels, (0, 0, -1)), a.k_ro, "readout-decay"))
         channels.append(CollapseChannel(
-            class_component(to_model(b), labels, -1, 0, 0), 1.0 / a.t1_q,
+            _shift_class(to_model(b), labels, (-1, 0, 0)), 1.0 / a.t1_q,
             "qubit-decay"))
         if math.isfinite(t_phi_q):
             # rate 2/T_phi on the number operator gives neighbouring-level
             # coherences the dephasing rate 1/T_phi
             channels.append(CollapseChannel(
-                class_component(n_t, labels, 0, 0, 0), 2.0 / t_phi_q,
+                _shift_class(n_t, labels, (0, 0, 0)), 2.0 / t_phi_q,
                 "qubit-dephasing"))
         if a.p_e > 0:
             channels.append(CollapseChannel(
-                class_component(to_model(b.conj().T), labels, 1, 0, 0),
+                _shift_class(to_model(b.conj().T), labels, (1, 0, 0)),
                 a.p_e / a.t1_q, "qubit-thermal"))
         if storage_t_phi is not None and math.isfinite(storage_t_phi):
             n_s = to_model(qsys.tensor_embed(
                 qsys.number_op(dims.n_storage), qsys.STORAGE, dims))
             channels.append(CollapseChannel(
-                class_component(n_s, labels, 0, 0, 0), 2.0 / storage_t_phi,
+                _shift_class(n_s, labels, (0, 0, 0)), 2.0 / storage_t_phi,
                 "storage-dephasing"))
 
     return LindbladModel(dims=dims, params=p, frame=frame, drift=drift,
@@ -483,25 +500,15 @@ def two_photon_resonance(p: DeviceParams, dims: SubsystemDims):
 # the generator as one table of gather rows
 # ---------------------------------------------------------------------------
 
-def _monomial(op):
-    """(columns, weights) of op, which has at most one nonzero per row: row i
-    holds weights[i] at column columns[i]; an empty row points at i."""
-    rows, nonzero = np.arange(len(op)), op != 0
-    cols = np.where(nonzero.any(axis=1), nonzero.argmax(axis=1), rows)
-    return cols, op[rows, cols]
-
-
 def _gather_row(left, right, scale):
-    """(P, W) with scale * vec(left @ rho @ right) = W * x[P] on row-major
-    x = vec(rho) of a d x m rho (m = 1 for a ket), for monomial left and
-    right: entry (i, j) of the product is
-    left[i, p(i)] rho[p(i), q(j)] right[q(j), j].  An entry of zero weight
-    gathers its own element."""
-    m = right.shape[0]
-    p, w_left = _monomial(left)
-    q, w_right = _monomial(right.T)
-    weight = (scale * w_left[:, None] * w_right[None, :]).ravel()
-    gather = np.where(weight != 0, (p[:, None] * m + q[None, :]).ravel(),
+    """(P, W) with scale * vec(left @ rho @ right^dag) = W * x[P] on
+    row-major x = vec(rho) of a d x m rho (m = 1 for a ket), for classes
+    left and right: entry (i, j) of the product is
+    left[i, p(i)] rho[p(i), q(j)] conj(right[j, q(j)]).  An entry of zero
+    weight gathers its own element."""
+    m = len(right.col)
+    weight = (scale * left.weight[:, None] * right.weight.conj()).ravel()
+    gather = np.where(weight != 0, (left.col[:, None] * m + right.col).ravel(),
                       np.arange(weight.size))
     return gather, weight
 
@@ -510,13 +517,13 @@ class LiouvilleTable:
     """The generator of a model with the given terms on, on row-major
     x = vec(rho): L(t) x = lam * x + sum_r s_r(t) * W_r * x[P_r].
 
-    Every operator is split into its label-shift classes (`_split_classes`).
-    Labels are unique, so a class has at most one nonzero per row and per
-    column, and each product left @ rho @ right of classes is one gather
-    row.  The static rows (s = 1) are -i A rho and i rho A^dag for each
-    class of A = H0 - (i/2) sum_k c_k^dag c_k, and the sandwiches
-    c rho c^dag; those that gather the identity, such as the diagonal of A
-    and the qubit dephasing, fold into lam.  Each class of the op of
+    Its gather rows come from the model's ShiftClasses, built once by
+    build_model, each product left @ rho @ right^dag of classes one row;
+    it splits only the dense A = H0 - (i/2) sum_k c_k^dag c_k, whose
+    c^dag c is the diagonal of c's squared weights.  The static rows
+    (s = 1) are -i A rho and i rho A^dag for each class of A, and the
+    sandwiches c rho c^dag; those that gather the identity, such as the
+    diagonal of A and the qubit dephasing, fold into lam.  The class op of
     terms[k] adds -i op rho and i rho op, scaled by c_k(t), and -i op^dag
     rho and i rho op^dag, scaled by conj(c_k(t)).
 
@@ -526,28 +533,28 @@ class LiouvilleTable:
 
     def __init__(self, model, terms=(), ket=False):
         d = model.dims.total
-        eye = np.eye(d)
-
-        def classes(op):
-            return _split_classes(op, model.labels, tol=0.0).values()
-
-        ops = [math.sqrt(c.rate) * c.op for c in model.channels]
-        a0 = model.drift - 0.5j * sum((c.conj().T @ c for c in ops),
-                                      np.zeros((d, d)))
-        # (column, scale, left, right): column -1 marks a static row, k one
-        # scaled by c_k(t) and len(terms) + k one scaled by conj(c_k(t))
-        rows = [(-1, s, left, right) for a in classes(a0) for s, left, right
-                in ((-1j, a, eye), (1j, eye, a.conj().T))]
-        rows += [(-1, 1.0, k, m.conj().T) for c in ops
-                 for k in classes(c) for m in classes(c)]
+        eye = ShiftClass((0, 0, 0), np.arange(d), np.ones(d))
+        ops = [replace(c.op, weight=math.sqrt(c.rate) * c.op.weight)
+               for c in model.channels]
+        cdc = np.zeros(d)
+        for c in ops:
+            cdc += np.bincount(c.col, (c.weight.conj() * c.weight).real, d)
+        a0 = model.drift - 0.5j * np.diag(cdc)
+        # (column, scale, left, right) for left @ rho @ right^dag: column
+        # -1 marks a static row, k one scaled by c_k(t) and len(terms) + k
+        # one scaled by conj(c_k(t))
+        rows = [(-1, s, left, right) for a in _split(a0, model.labels, 0.0)
+                for s, left, right in ((-1j, a, eye), (1j, eye, a))]
+        rows += [(-1, 1.0, c, c) for c in ops]
         for k, term in enumerate(terms):
-            for op in classes(term.op):
-                rows += [(k, -1j, op, eye), (k, 1j, eye, op),
-                         (len(terms) + k, -1j, op.conj().T, eye),
-                         (len(terms) + k, 1j, eye, op.conj().T)]
+            op, adj = term.op, term.op.adjoint()
+            rows += [(k, -1j, op, eye), (k, 1j, eye, adj),
+                     (len(terms) + k, -1j, adj, eye),
+                     (len(terms) + k, 1j, eye, op)]
         if ket:
             # the products left @ psi: the rows with the identity on the right
-            rows = [(column, scale, left, np.eye(1))
+            one = ShiftClass((0, 0, 0), np.zeros(1, dtype=int), np.ones(1))
+            rows = [(column, scale, left, one)
                     for column, scale, left, right in rows if right is eye]
 
         n = d if ket else d * d
@@ -894,7 +901,7 @@ def propagate(models, x, span, dt):
     ``bare`` frame; see the module docstring.
 
     Columns on the same route whose models share their drift, channel and
-    active term arrays (those of one frame) propagate together, under one
+    active term operators (those of one frame) propagate together, under one
     LiouvilleTable built once per call.  Each column's trace (rho) or
     squared norm (ket) is checked against its entering value, and a drift
     beyond 1e-6 raises IntegrationError.  A dt that is not a positive
@@ -918,7 +925,7 @@ def propagate(models, x, span, dt):
     edges = np.array([c + c[-1:] * (width - len(c)) for c in cuts]).T
     diag = None if ket else np.eye(d, dtype=bool).ravel()
     # what a column's table depends on besides its terms (the models live
-    # through the call, so the ids of their arrays are unique)
+    # through the call, so the ids of their operators are unique)
     bases = [(id(model.drift), *((c.rate, id(c.op)) for c in model.channels))
              for model in models]
     tables = {}

@@ -90,6 +90,32 @@ def test_truncation_sizes_must_be_integers(tmp_path):
         assert run_kw == {}
 
 
+@pytest.mark.parametrize("text, message", [
+    ("n_transmon = 1\n", "need >= 2 transmon levels"),
+    ("n_storage = 0\n", "need >= 2 transmon levels"),
+    ("n_storage = 100\nn_readout = 10\n", "total dimension 3000 outside"),
+])
+def test_bad_truncation_size_is_a_usage_error(tmp_path, capsys, monkeypatch,
+                                              text, message):
+    # a truncation the model cannot take is bad input in the config, as a
+    # bad device value is: status 2 naming the file, before any simulation
+    from qmemsim import cli, protocol
+
+    def simulate(*args, **kwargs):
+        raise AssertionError("simulated before rejecting the truncation")
+
+    monkeypatch.setattr(protocol, "get_calibration", simulate)
+    cfg = tmp_path / "dims.cfg"
+    cfg.write_text(config.SAMPLE_CONFIG + text)
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(cfg), "--experiment", "qpt",
+                     "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {cfg}: {message}")
+    assert not out.exists()
+    assert cli.main(["validate", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.startswith(f"invalid: {cfg}: {message}")
+
+
 def test_sample_configs_parse_to_default_params():
     packaged = (importlib.resources.files("qmemsim") / "data" / "sample.cfg").read_text()
     for text in (config.SAMPLE_CONFIG, packaged):
@@ -365,6 +391,34 @@ def test_manifest_round_trip(tmp_path, sample_cfg):
     assert res.returncode == 0, res.stderr
     assert (out1 / "results.csv").read_bytes() == (out2 / "results.csv").read_bytes()
     assert (out1 / "fits.json").read_bytes() == (out2 / "fits.json").read_bytes()
+
+
+@pytest.mark.parametrize("text, message", [
+    (None, "cannot read manifest"),
+    ("{not json", "cannot read manifest"),
+    (json.dumps({"run": {"dt_pulse_us": 1e-4, "args": {}}}),
+     "lacks config_text"),
+    (json.dumps({"config_text": ""}), "lacks run.dt_pulse_us, run.args"),
+])
+def test_unusable_manifest_is_a_usage_error(tmp_path, capsys, monkeypatch,
+                                            text, message):
+    # a manifest that is missing, not JSON or without what a replay needs
+    # exits 2 naming the file, before any simulation
+    from qmemsim import cli, protocol
+
+    def simulate(*args, **kwargs):
+        raise AssertionError("simulated before rejecting the manifest")
+
+    monkeypatch.setattr(protocol, "get_calibration", simulate)
+    path = tmp_path / "manifest.json"
+    if text is not None:
+        path.write_text(text)
+    out = tmp_path / "out"
+    assert cli.main(["run", "--from-manifest", str(path),
+                     "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and repr(str(path)) in err
+    assert not out.exists()
 
 
 def test_retired_dt_idle_key_is_accepted_and_ignored(tmp_path, sample_cfg):

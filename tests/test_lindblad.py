@@ -70,11 +70,28 @@ def test_models_of_one_frame_share_its_drive_classes():
         for amp, start in ((10.0, 0.0), (20.0, 0.5))]
     first, second = ([t.op for t in m.terms if t.kind == "linear"]
                      for m in driven)
-    classes = list(base.drive_ops[QUBIT_CHANNEL].values())
+    classes = list(base.drive_ops[QUBIT_CHANNEL])
     assert first and len(first) == len(second)
     for a, b in zip(first, second):
         assert a is b
         assert any(a is c for c in classes)
+
+
+@pytest.mark.parametrize("frame", lindblad.FRAMES)
+def test_frame_holds_each_class_as_columns_and_weights(frame):
+    # a class has at most one nonzero per row, so a frame holds it as its
+    # key, columns and weights, O(d) numbers, not as a d x d array
+    m = build_model(DeviceParams(), SubsystemDims(), frame)
+    drive = [c for classes in m.drive_ops.values() for c in classes]
+    assert sum(c.col.nbytes + c.weight.nbytes for c in drive) < 64 * 1024
+    for c in drive + [m.two_photon, *(ch.op for ch in m.channels),
+                      *(t.op for t in m.terms)]:
+        live = c.col[c.weight != 0]
+        assert len(np.unique(live)) == len(live)
+        twice = c.adjoint().adjoint()
+        assert twice.key == c.key
+        assert np.array_equal(twice.col, c.col)
+        assert np.array_equal(twice.weight, c.weight)
 
 
 def test_drift_generator_preserves_trace():
@@ -471,12 +488,17 @@ def dense_lindbladian(model, rho, drive=()):
     """-i[H, rho] + sum_k (c rho c^dag - {c^dag c, rho} / 2) in plain
     matmuls, with H = drift + sum of c op + conj(c) op^dag over the
     (term, c) pairs in drive."""
+    def dense(cls):
+        op = np.zeros((len(cls.col),) * 2, dtype=complex)
+        op[np.arange(len(cls.col)), cls.col] = cls.weight
+        return op
+
     h = model.drift.astype(complex)
     for term, c in drive:
-        h = h + c * term.op + np.conj(c) * term.op.conj().T
+        h = h + c * dense(term.op) + np.conj(c) * dense(term.op).conj().T
     out = -1j * (h @ rho - rho @ h)
     for channel in model.channels:
-        c = math.sqrt(channel.rate) * channel.op
+        c = math.sqrt(channel.rate) * dense(channel.op)
         cdc = c.conj().T @ c
         out += c @ rho @ c.conj().T - 0.5 * (cdc @ rho + rho @ cdc)
     return out
