@@ -18,6 +18,11 @@ rad/us, times in us.  All configuration inputs are linear frequencies
 (GHz/MHz/kHz) and are converted once at the boundary.
 """
 
+import os
+
+# before numpy loads: a second BLAS thread only spins on these small products
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 __version__ = "0.1.0"
 
 from . import qsys, device, pulses, lindblad, protocol, analysis, tomography

@@ -26,7 +26,7 @@ import math
 import os
 import sys
 import warnings
-from concurrent.futures import ProcessPoolExecutor
+from concurrent import futures
 
 import numpy as np
 
@@ -91,7 +91,8 @@ def _pmap(fn, items, jobs):
     if jobs <= 1 or len(items) <= 1:
         return [fn(it) for it in items]
     # a fork pool starts all its workers at once, however few the items
-    with ProcessPoolExecutor(max_workers=min(jobs, len(items))) as pool:
+    workers = min(jobs, len(items))
+    with futures.ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
 
 

@@ -129,23 +129,49 @@ class ShiftClass:
         return ShiftClass(tuple(-k for k in self.key), col, weight)
 
 
+def _code(shift, d):
+    """Label shifts (n_t, n_s, n_r) on a d x d operator as integers that sort
+    as the tuples do: digits in (-d, d), base 2d.  Linear, so the code of
+    the shift from state j to state i is _code(labels)[i] - _code(labels)[j],
+    and _code(labels) increases with the index (labels are row-major)."""
+    return (shift[0] * 2 * d + shift[1]) * 2 * d + shift[2]
+
+
+def _key(code, d):
+    """The shift (n_t, n_s, n_r) of a _code: offset by d - 1, its digits
+    are those of an ordinary base-2d number."""
+    b, o = 2 * d, d - 1
+    c = code + o * (b * b + b + 1)
+    return c // (b * b) - o, c // b % b - o, c % b - o
+
+
+def _classes(op, pos, codes):
+    """col and weight of the dense op's class of each shift code, one row
+    each, for pos = _code(labels): row i's column is the state whose
+    labels are row i's shifted back, if the op holds a nonzero there."""
+    rows = np.arange(len(op))
+    target = pos - np.asarray(codes, dtype=pos.dtype)[:, None]
+    col = np.minimum(np.searchsorted(pos, target), len(op) - 1)
+    value = op[rows, col]
+    live = (pos[col] == target) & (value != 0)
+    return np.where(live, col, rows), np.where(live, value, 0.0)
+
+
 def _shift_class(op, labels, key):
     """The class of the dense op whose elements shift the labels by key."""
-    keep = op != 0
-    for lab, shift in zip(labels, key):
-        keep &= lab[:, None] - lab[None, :] == shift
-    rows, live = np.arange(len(op)), keep.any(axis=1)
-    col = np.where(live, keep.argmax(axis=1), rows)
-    return ShiftClass(key, col, np.where(live, op[rows, col], 0.0))
+    d = len(op)
+    col, weight = _classes(op, _code(labels, d), [_code(key, d)])
+    return ShiftClass(key, col[0], weight[0])
 
 
 def _split(op, labels, tol):
     """The classes of the dense op with an element above tol, by key."""
-    nt, ns, nr = labels
-    rows, cols = np.nonzero(np.abs(op) > tol)
-    keys = sorted(set(zip(nt[rows] - nt[cols], ns[rows] - ns[cols],
-                          nr[rows] - nr[cols])))
-    return tuple(_shift_class(op, labels, key) for key in keys)
+    d = len(op)
+    pos = _code(labels, d)
+    codes = sorted(set((pos[:, None] - pos)[np.abs(op) > tol].tolist()))
+    col, weight = _classes(op, pos, codes)
+    return tuple(ShiftClass(_key(c, d), cl, w)
+                 for c, cl, w in zip(codes, col, weight))
 
 
 @dataclass(frozen=True)
@@ -214,25 +240,21 @@ def _dress(h0, dims):
     """
     w, v = np.linalg.eigh(h0)
     d = dims.total
-    used = np.zeros(d, dtype=bool)
-    U = np.zeros_like(v)
-    energies = np.zeros(d)
-    # assign in order of decreasing overlap so near-degenerate pairs resolve
+    # each eigenvector's dominant bare state; a row of the unitary v sums to
+    # 1 as well, so an overlap above 1/2 is the largest of its row too and
+    # no two eigenvectors take the same label
     overlaps = np.abs(v) ** 2
-    order = np.argsort(-np.max(overlaps, axis=0))
-    for k in order:
-        col = overlaps[:, k].copy()
-        col[used] = -1.0
-        idx = int(np.argmax(col))
-        if col[idx] < 0.5:
-            raise ParameterError(
-                "dressed-state labeling is ambiguous (max overlap "
-                f"{col[idx]:.3f} < 0.5); the system is not dispersive enough"
-            )
-        used[idx] = True
-        phase = v[idx, k]
-        U[:, idx] = v[:, k] * (abs(phase) / phase if phase != 0 else 1.0)
-        energies[idx] = w[k]
+    idx, cols = overlaps.argmax(axis=0), np.arange(d)
+    worst = overlaps[idx, cols].min()
+    if worst <= 0.5:
+        raise ParameterError(
+            "dressed-state labeling is ambiguous (max overlap "
+            f"{worst:.3f} <= 0.5); the system is not dispersive enough"
+        )
+    phase = v[idx, cols]
+    U, energies = np.empty_like(v), np.empty(d)
+    U[:, idx] = v * (np.abs(phase) / phase)
+    energies[idx] = w
     return U, energies
 
 
@@ -258,6 +280,8 @@ class LindbladModel:
     # ladder, in the model basis
     drive_ops: dict
     two_photon: ShiftClass
+    # (0, 0, 0) and the keys of the drift's classes, sorted: fixed per frame
+    static_keys: tuple
 
     def __post_init__(self):
         if not qsys.is_hermitian(self.drift, 1e-9):
@@ -345,10 +369,8 @@ class LindbladModel:
                 return None
             keys.append(term.op.key)
             rhs.append(-term.carrier)
-        static = {(0, 0, 0),
-                  *(c.key for c in _split(self.drift, self.labels, 0.0))}
-        keys += static
-        rhs += [0.0] * len(static)
+        keys += self.static_keys
+        rhs += [0.0] * len(self.static_keys)
         a, b = np.array(keys, dtype=float), np.array(rhs)
         kappa = np.linalg.lstsq(a, b, rcond=None)[0]
         if np.max(np.abs(a @ kappa - b)) > 1e-9 * max(1.0, np.max(np.abs(b))):
@@ -427,8 +449,10 @@ def build_model(p: DeviceParams, dims: SubsystemDims, frame="dispersive",
                                   kind="coupling", strength=1.0)
                   for key, op in couplings)
 
+    u_dag = U.conj().T
+
     def to_model(op):
-        return U.conj().T @ op @ U
+        return u_dag @ op @ U
 
     channel_ops = {QUBIT_CHANNEL: b, STORAGE_CHANNEL: a_s, READOUT_CHANNEL: a_r}
     drive_ops = {target: _split(to_model(op), labels, 1e-12)
@@ -469,10 +493,12 @@ def build_model(p: DeviceParams, dims: SubsystemDims, frame="dispersive",
                 _shift_class(n_s, labels, (0, 0, 0)), 2.0 / storage_t_phi,
                 "storage-dephasing"))
 
+    static_keys = tuple(sorted({(0, 0, 0),
+                                *(c.key for c in _split(drift, labels, 0.0))}))
     return LindbladModel(dims=dims, params=p, frame=frame, drift=drift,
                          terms=terms, channels=tuple(channels), rot=rot,
                          labels=labels, drive_ops=drive_ops,
-                         two_photon=two_photon)
+                         two_photon=two_photon, static_keys=static_keys)
 
 
 def dressed_energies(p: DeviceParams, dims: SubsystemDims):

@@ -104,11 +104,12 @@ def tensor_embed(op, slot, dims):
         raise DimensionError(
             f"operator shape {op.shape} does not match slot {slot} (dim {d})"
         )
-    factors = [identity(dims.dim_of(s)) if s != slot else op for s in range(3)]
-    out = factors[0]
-    for f in factors[1:]:
-        out = np.kron(out, f)
-    return out
+    f0, f1, f2 = (identity(dims.dim_of(s)) if s != slot else op
+                  for s in range(3))
+    # kron(kron(f0, f1), f2), element for element, as one broadcast product
+    out = (f0[:, None, None, :, None, None] * f1[None, :, None, None, :, None]
+           * f2[None, None, :, None, None, :])
+    return out.reshape(dims.total, dims.total)
 
 
 def is_hermitian(op, tol=1e-12):

@@ -579,7 +579,7 @@ def test_jobs_pool_starts_no_more_workers_than_items(monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", Recorder)
+    monkeypatch.setattr(cli.futures, "ProcessPoolExecutor", Recorder)
     assert cli._pmap(abs, [-1, -2], 500) == [1, 2]
     assert cli._pmap(abs, [-1, -2, -3], 2) == [1, 2, 3]
     assert workers == [2, 2]

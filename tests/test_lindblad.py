@@ -94,6 +94,72 @@ def test_frame_holds_each_class_as_columns_and_weights(frame):
         assert np.array_equal(twice.weight, c.weight)
 
 
+def dense_class(op, labels, key):
+    """(key, col, weight) of op's class of key by masking the whole d x d
+    operator, the reference for lindblad's one pass over the nonzeros."""
+    keep = op != 0
+    for lab, shift in zip(labels, key):
+        keep &= lab[:, None] - lab[None, :] == shift
+    rows, live = np.arange(len(op)), keep.any(axis=1)
+    col = np.where(live, keep.argmax(axis=1), rows)
+    return key, col, np.where(live, op[rows, col], 0.0)
+
+
+def test_split_matches_the_dense_per_key_mask():
+    # every class of the default frame's three drive operators, and each
+    # collapse-style class of one key, comes out bit for bit as the dense
+    # per-key mask gives it
+    p, dims = DeviceParams(), SubsystemDims()
+    labels = dims.labels()
+    b, a_s, a_r, h0 = lindblad._bare_operators(dims, p.angular())
+    u = lindblad._dress(h0, dims)[0]
+    for op in (b, a_s, a_r):
+        dressed = u.conj().T @ op @ u
+        nt, ns, nr = labels
+        rows, cols = np.nonzero(np.abs(dressed) > 1e-12)
+        keys = sorted(set(zip(nt[rows] - nt[cols], ns[rows] - ns[cols],
+                              nr[rows] - nr[cols])))
+        want = [dense_class(dressed, labels, key) for key in keys]
+        got = lindblad._split(dressed, labels, 1e-12)
+        got += tuple(lindblad._shift_class(dressed, labels, key)
+                     for key in ((0, -1, 0), (2, 2, 1)))
+        want += [dense_class(dressed, labels, key)
+                 for key in ((0, -1, 0), (2, 2, 1))]
+        assert len(got) == len(want) > 2
+        for c, (key, col, weight) in zip(got, want):
+            assert c.key == key
+            assert c.col.dtype == col.dtype and np.array_equal(c.col, col)
+            assert c.weight.dtype == weight.dtype
+            assert c.weight.tobytes() == weight.tobytes()
+
+
+def test_carrier_frame_never_splits_the_drift(monkeypatch):
+    # the drift is fixed per frame: build_model finds the keys of its
+    # classes once and every model driven from the frame carries them
+    p = DeviceParams()
+    seg = PulseSegment(QUBIT_CHANNEL, TWO_PI * 20.0, p.angular().w_q,
+                       plateau=0.05)
+    for frame in lindblad.FRAMES:
+        base = build_model(p, SubsystemDims(2, 2, 1), frame)
+        drift = lindblad._split(base.drift, base.labels, 0.0)
+        assert base.static_keys == tuple(sorted(
+            {(0, 0, 0), *(c.key for c in drift)}))
+        model = base.with_sequence(PulseSequence((seg,)))
+        assert model.static_keys is base.static_keys
+        calls = []
+        split = lindblad._split
+        monkeypatch.setattr(lindblad, "_split",
+                            lambda *a: calls.append(a) or split(*a))
+        plateau = model.carrier_frame(seg.start + seg.ramp,
+                                      seg.end - seg.ramp)
+        idle = model.carrier_frame(seg.end, seg.end + 1.0)
+        monkeypatch.undo()
+        assert calls == []
+        assert (plateau is None) == (frame == "lab")
+        # only the bare frame keeps always-active terms, its couplings
+        assert (np.count_nonzero(idle) == 0) == (frame != "bare")
+
+
 def test_drift_generator_preserves_trace():
     p = DeviceParams()
     m = build_model(p, SubsystemDims())
