@@ -72,6 +72,15 @@ models of one frame do, share one table, built once per call.
 :func:`evolve` is the RK4 reference: one state, stepped by the same core
 and returned at the steps + 1 equally spaced times of its window.
 
+An RK4 window steps its B columns batch-major: their m reached elements
+(below) as one vector of B blocks of m, under the table tiled B times
+(:meth:`LiouvilleTable.tiled`), so each of the 4 evaluations of a step is
+one gather, one contiguous multiply and one row sum over all B * m
+elements, with each column's drive rows scaled on a (rows, B, m) view.
+The window forms those scales once, for every stage of every step, and
+one column is the case B = 1.  Each row sum runs in one fixed order, so
+a column comes out the same to the bit whatever columns step beside it.
+
 Both routes act only on the reached support
 (:meth:`LiouvilleTable.restricted`): the elements the window's table can
 reach from the entering state's nonzero elements.  The others have a zero
@@ -172,6 +181,16 @@ def _split(op, labels, tol):
     col, weight = _classes(op, pos, codes)
     return tuple(ShiftClass(_key(c, d), cl, w)
                  for c, cl, w in zip(codes, col, weight))
+
+
+def _static_keys(drift, labels):
+    """(0, 0, 0) and the label shifts of the drift's nonzero elements, the
+    keys of its classes, sorted: one scan of its nonzero positions."""
+    d = len(drift)
+    pos = _code(labels, d)
+    row, col = np.nonzero(drift)
+    codes = {0, *(pos[row] - pos[col]).tolist()}
+    return tuple(sorted(_key(c, d) for c in codes))
 
 
 @dataclass(frozen=True)
@@ -286,6 +305,12 @@ class LindbladModel:
     def __post_init__(self):
         if not qsys.is_hermitian(self.drift, 1e-9):
             raise DimensionError("drift Hamiltonian is not Hermitian")
+        # a replaced drift must come with its own keys (carrier_frame)
+        keys = _static_keys(self.drift, self.labels)
+        if self.static_keys != keys:
+            raise ParameterError(
+                f"static_keys {self.static_keys} are not those of the "
+                f"drift, {keys}")
 
     # -- basis helpers ----------------------------------------------------
     def basis_state(self, nt=0, ns=0, nr=0):
@@ -493,12 +518,11 @@ def build_model(p: DeviceParams, dims: SubsystemDims, frame="dispersive",
                 _shift_class(n_s, labels, (0, 0, 0)), 2.0 / storage_t_phi,
                 "storage-dephasing"))
 
-    static_keys = tuple(sorted({(0, 0, 0),
-                                *(c.key for c in _split(drift, labels, 0.0))}))
     return LindbladModel(dims=dims, params=p, frame=frame, drift=drift,
                          terms=terms, channels=tuple(channels), rot=rot,
                          labels=labels, drive_ops=drive_ops,
-                         two_photon=two_photon, static_keys=static_keys)
+                         two_photon=two_photon,
+                         static_keys=_static_keys(drift, labels))
 
 
 def dressed_energies(p: DeviceParams, dims: SubsystemDims):
@@ -600,20 +624,47 @@ class LiouvilleTable:
                                dtype=complex).reshape(-1, n)
 
     def apply(self, x, c):
-        """L(t) x for the coefficients c[k] = c_k(t) of the table's terms.
+        """L(t) x at one time t, as an array of x's shape.
 
-        x may carry a trailing batch axis, (n, B), with c then (K, B): one
-        coefficient per term and column.  numpy alone, no BLAS call, so the
-        row sum runs in one fixed order, the same for every column.
+        On one vector x, (n,), c holds the coefficients c_k(t) of the
+        table's K terms, (K,).  On a table tiled b times (`tiled`), x holds
+        b blocks of n / b elements back to back, as one flat vector or its
+        batch-major (b, n / b) view, and c the drive rows' scales of each
+        block, (rows, b), as `scales` forms them from the coefficients.
+        Either way it is one gather, one contiguous multiply by the
+        weights, the drive rows scaled on their (rows, b, n / b) view, and
+        one row sum: numpy alone, no BLAS call, so the row sum runs in one
+        fixed order, the same for every block and for a block alone.
         """
-        batch = (...,) + (None,) * (x.ndim - 1)
-        out = x[self.gather]
-        out *= self.weight[batch]
-        if len(c):
-            scale = np.concatenate((c, c.conj()))[self.column]
-            out[len(out) - len(scale):] *= scale[:, None]
+        flat = x.reshape(-1)
+        out = flat[self.gather]
+        out *= self.weight
+        if len(self.column):
+            scale = self.scales(c[:, None]) if c.ndim == 1 else c
+            rows, b = scale.shape
+            drive = out[len(out) - rows:].reshape(rows, b, len(flat) // b)
+            drive *= scale[:, :, None]
         out = out.sum(axis=0)
-        out += self.lam[batch] * x
+        out += self.lam * flat
+        return out.reshape(x.shape)
+
+    def scales(self, c):
+        """The drive rows' scales, (..., rows, b), of the coefficients c
+        (..., K, b) of the table's terms: c[k] for the rows of terms[k],
+        conj(c[k]) for those of its adjoint."""
+        return np.concatenate((c, c.conj()), axis=-2)[..., self.column, :]
+
+    def tiled(self, b):
+        """This table on b blocks of its n elements back to back, as one
+        vector of b * n: block i gathers from block i alone, with the same
+        weights, lam and drive rows, which `apply` scales per block."""
+        n, rows = len(self.lam), len(self.gather)
+        out = object.__new__(LiouvilleTable)
+        out.lam = np.tile(self.lam, b)
+        out.weight = np.tile(self.weight, b)
+        out.gather = (self.gather[:, None, :] + n * np.arange(b)[:, None]
+                      ).reshape(rows, b * n)
+        out.column = self.column
         return out
 
     def restricted(self, x):
@@ -682,7 +733,7 @@ def _invariant(x, diag):
 
 def _rk4_step(table, x, h, c):
     """One classic RK4 step of dx/dt = table.apply(x, c), in place, with c
-    at the step's start, midpoint and end; h may hold one step per column."""
+    at the step's start, midpoint and end; h may hold one step per block."""
     k1 = table.apply(x, c[0])
     k2 = table.apply(x + 0.5 * h * k1, c[1])
     k3 = table.apply(x + 0.5 * h * k2, c[1])
@@ -690,28 +741,28 @@ def _rk4_step(table, x, h, c):
     x += (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
 
 
-def _rk4(table, y, h, coeff, due, diag, t0):
-    """Classic RK4 steps of dy/dt = table.apply(y, c(t)), in place: step k
-    advances by h[k], with coeff[2k:2k + 3] the coefficients at its start,
-    midpoint and end.  y is one column, (m,), with numbers h[k], or B
-    columns, (m, B), with one step per column (h = 0 once a column's steps
-    are done).  After each step k where due[k] holds, each column's
-    invariant (`_invariant` with diag) is checked against its entering
-    value, and a drift beyond 1e-6 raises IntegrationError; t0 (one per
-    column) only dates it."""
-    cols = y.reshape(len(y), -1)
+def _rk4(table, y, h, scale, due, diag, t0):
+    """Classic RK4 steps of dy/dt = table.apply(y, s(t)), in place, on B
+    columns held batch-major, y (B, m), under a table tiled B times: step k
+    advances column j by h[k, j, 0] (h is (steps, B, 1), 0 once a column's
+    steps are done), with scale[2k:2k + 3] the drive rows' scales
+    (`LiouvilleTable.scales`, (rows, B) each) at its start, midpoint and
+    end.  After each step k where due[k] holds, each column's invariant
+    (`_invariant` with diag) is checked against its entering value, and a
+    drift beyond 1e-6 raises IntegrationError naming the first drifting
+    column's own time and half its own step; t0 (B,) only dates it."""
+    cols = y.T
     start = _invariant(cols, diag)
     for k, check in enumerate(due.tolist()):
-        _rk4_step(table, y, h[k], coeff[2 * k:2 * k + 3])
+        _rk4_step(table, y, h[k], scale[2 * k:2 * k + 3])
         if check:
             drift = np.abs(_invariant(cols, diag) - start)
             if drift.max() > TRACE_DRIFT_TOL:
                 j = np.argmax(drift)
-                hj = np.broadcast_to(h[k], drift.shape)[j]
-                t = np.broadcast_to(t0, drift.shape)[j] + (k + 1) * hj
+                hj = h[k, j, 0]
                 raise IntegrationError(
                     f"{'norm' if diag is None else 'trace'} drifted by "
-                    f"{drift[j]:.3g} at t = {t:.6g} us; "
+                    f"{drift[j]:.3g} at t = {t0[j] + (k + 1) * hj:.6g} us; "
                     f"retry with dt <= {hj / 2:.3g} us")
 
 
@@ -762,9 +813,13 @@ def _stepped(table, x, terms, t0, t1, dt, diag):
     """The columns of x (n, B) propagated by RK4 from t0 to t1 (B,) under
     the table, column j with the coefficients of terms[j]: n = round((t1 -
     t0) / dt) steps, at least one, of (t1 - t0) / n each, one grid per
-    column; dt is a number or one per column.  The invariants are checked
-    wherever a column reaches a multiple of max(1, n // 200) steps or its
-    last (`_rk4`); diag masks the diagonal of vec(rho), None for kets."""
+    column; dt is a number or one per column.  The reached support of the
+    columns (`LiouvilleTable.restricted`), m elements, steps batch-major:
+    one vector of B blocks of m under the restricted table tiled B times,
+    with the drive rows' scales formed once for every stage of the window.
+    The invariants are checked wherever a column reaches a multiple of
+    max(1, n // 200) steps or its last (`_rk4`); diag masks the diagonal of
+    vec(rho), None for kets."""
     n = np.maximum(1, np.round((t1 - t0) / dt).astype(int))
     h = (t1 - t0) / n
     coeff = np.zeros((2 * n.max() + 1, len(terms[0]), len(n)), dtype=complex)
@@ -773,15 +828,14 @@ def _stepped(table, x, terms, t0, t1, dt, diag):
         coeff[:len(stage_t), :, j] = _coefficients(column, stage_t)
     step = np.arange(1, n.max() + 1)[:, None]
     due = (step <= n) & ((step % np.maximum(1, n // 200) == 0) | (step == n))
-    due, h = due.any(axis=1), np.where(step <= n, h, 0.0)
+    due, h = due.any(axis=1), np.where(step <= n, h, 0.0)[..., None]
 
     idx, table, y = table.restricted(x)
     diag = None if diag is None else np.flatnonzero(diag[idx])
-    if len(n) == 1:     # a vector steps faster than an (m, 1) block
-        y, h, coeff = y[:, 0], h[:, 0], coeff[..., 0]
-    _rk4(table, y, h, coeff, due, diag, t0)
+    y = np.ascontiguousarray(y.T)
+    _rk4(table.tiled(len(n)), y, h, table.scales(coeff), due, diag, t0)
     out = np.zeros_like(x)
-    out[idx] = y.reshape(len(idx), -1)
+    out[idx] = y.T
     return out
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -160,6 +161,26 @@ def test_carrier_frame_never_splits_the_drift(monkeypatch):
         assert (np.count_nonzero(idle) == 0) == (frame != "bare")
 
 
+def test_a_replaced_drift_needs_its_own_static_keys():
+    # carrier_frame reads the drift's keys from static_keys: a drift with
+    # new nonzero classes under the old keys would get a frame that ignores
+    # them, so the model refuses it
+    p = DeviceParams()
+    labels = SubsystemDims(2, 2, 1).labels()
+    base = build_model(p, SubsystemDims(2, 2, 1))
+    assert base.static_keys == ((0, 0, 0),)
+    drift = base.drift.copy()
+    drift[0, 1] = drift[1, 0] = 1.0
+    keys = lindblad._static_keys(drift, labels)
+    assert len(keys) == 3 and (0, 0, 0) in keys
+    with pytest.raises(ParameterError, match="static_keys"):
+        dataclasses.replace(base, drift=drift)
+    model = dataclasses.replace(base, drift=drift, static_keys=keys)
+    assert model.static_keys == keys
+    with pytest.raises(ParameterError, match="static_keys"):
+        dataclasses.replace(model, static_keys=base.static_keys)
+
+
 def test_drift_generator_preserves_trace():
     p = DeviceParams()
     m = build_model(p, SubsystemDims())
@@ -306,6 +327,32 @@ def test_trace_divergence_detected():
     rho0 = m.basis_state(0, 0, 1)
     with pytest.raises(IntegrationError):
         evolve(m, rho0, (0.0, 2.0), 1e-3, steps=40)
+
+
+def test_a_drifting_column_names_its_own_time_and_step():
+    # one lab-frame RK4 window of two columns under one table: the same
+    # drive at w_q bounds column 0's step, at 1e-3 rad/us it bounds none,
+    # so column 1 steps at dt with w_q dt >> 1 and only column 1 diverges
+    p, dims = decoupled_params(), SubsystemDims(2, 2, 1)
+    frame = build_model(p, dims, "lab")
+    models = [frame.with_sequence(PulseSequence((PulseSegment(
+        QUBIT_CHANNEL, 1.0, carrier, plateau=0.005),)))
+        for carrier in (p.angular().w_q, 1e-3)]
+    span, dt = (0.0, 0.004), 1e-4
+    assert models[0].max_step(*span) < dt < models[1].max_step(*span)
+    rho = np.zeros((4, 4), dtype=complex)
+    rho[:2, :2] = 0.5
+    x = np.stack([rho.reshape(-1)] * 2, axis=1)
+    propagate(models[:1], x[:, :1], span, dt)
+    with pytest.raises(IntegrationError) as err:
+        propagate(models, x, span, dt)
+    # a whole number of column 1's steps of 1e-4 us and half of one, where
+    # column 0 steps by 4e-6 us
+    match = re.fullmatch(r"trace drifted by \S+ at t = (\S+) us; "
+                         r"retry with dt <= (\S+) us", str(err.value))
+    steps = float(match[1]) / dt
+    assert steps > 1 and abs(steps - round(steps)) < 1e-6
+    assert match[2] == f"{dt / 2:.3g}"
 
 
 def test_purity_and_positivity_along_trajectory():
@@ -476,7 +523,9 @@ def test_static_propagation_dense_lab_drift_is_one_block(monkeypatch):
     dims = SubsystemDims(2, 2, 1)
     m = build_model(SLOW_PARAMS, dims, frame="lab")
     x = np.random.default_rng(4).normal(size=(4, 4))
-    m = dataclasses.replace(m, drift=m.drift + 10.0 * (x + x.T))
+    drift = m.drift + 10.0 * (x + x.T)
+    m = dataclasses.replace(m, drift=drift,
+                            static_keys=lindblad._static_keys(drift, m.labels))
     blocks = record_blocks(monkeypatch)
     rho = random_density_matrix(4, 5)
     exact = idle(m, rho, (0.0, 0.2))[0]
@@ -668,7 +717,45 @@ def full_space_rk4(table, x, terms, t_span, n, samples=1):
     return out
 
 
+def check_stepping(m, rho, span, dt):
+    """evolve of rho across span (from 0) at dt, in two intervals, matches
+    full_space_rk4 and keeps every element its table cannot reach zero."""
+    d = m.dims.total
+    terms = m.active_terms(*span)
+    table = LiouvilleTable(m, terms)
+    outside = np.ones(d * d, dtype=bool)
+    outside[table.restricted(rho.reshape(-1))[0]] = False
+    n = 2 * max(1, int(round(span[1] / 2 / dt)))
+    got = evolve(m, rho, span, dt, steps=2)
+    want = full_space_rk4(table, rho.reshape(-1), terms, span, n, samples=2)
+    assert len(got) == len(want) == 3
+    for state, x in zip(got, want):
+        assert np.max(np.abs(state.rho.reshape(-1) - x)) \
+            <= 1e-12 * np.max(np.abs(x))
+        assert np.all(state.rho.reshape(-1)[outside] == 0)
+        assert np.all(x[outside] == 0)
+
+
 def test_restricted_stepping_matches_full_space_rk4():
+    # a window whose restriction drops every drive row: the two-photon
+    # term moves |g,n> only, and nothing brings the noiseless |f,0,0>
+    # there, so none of its rows gathers a reached source; the diagonal
+    # drift folds into lam, so the restricted table keeps no row at all
+    p, dims = DeviceParams(), SubsystemDims(3, 2, 1)
+    seg = PulseSegment(QUBIT_CHANNEL, TWO_PI * 5e3,
+                       lindblad.two_photon_resonance(p, dims),
+                       plateau=0.003, rise=0.002, start=0.0)
+    m = build_model(p, dims, noiseless=True).with_sequence(
+        PulseSequence((seg,)))
+    f, e = dims.index(2, 0, 0), dims.index(1, 0, 0)
+    rho = np.zeros((dims.total,) * 2, dtype=complex)
+    rho[f, f], rho[f, e] = 1.0, 0.5
+    terms = m.active_terms(0.0, seg.end)
+    sub = LiouvilleTable(m, terms).restricted(rho.reshape(-1))[1]
+    assert [t.kind for t in terms] == ["two-photon"]
+    assert len(sub.column) == len(sub.gather) == 0
+    check_stepping(m, rho, (0.0, seg.end), 2e-5)
+
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
 
@@ -686,19 +773,7 @@ def test_restricted_stepping_matches_full_space_rk4():
         rho = np.zeros((d, d), dtype=complex)
         rho[k, k], rho[k, j] = 1.0, 0.5 * phase
 
-        table = LiouvilleTable(m, terms)
-        outside = np.ones(d * d, dtype=bool)
-        outside[table.restricted(rho.reshape(-1))[0]] = False
-        dt = min(2e-5, m.max_step(*span))
-        n = 2 * max(1, int(round(seg.end / 2 / dt)))
-        got = evolve(m, rho, span, dt, steps=2)
-        want = full_space_rk4(table, rho.reshape(-1), terms, span, n, samples=2)
-        assert len(got) == len(want) == 3
-        for state, x in zip(got, want):
-            assert np.max(np.abs(state.rho.reshape(-1) - x)) \
-                <= 1e-12 * np.max(np.abs(x))
-            assert np.all(state.rho.reshape(-1)[outside] == 0)
-            assert np.all(x[outside] == 0)
+        check_stepping(m, rho, span, min(2e-5, m.max_step(*span)))
 
         # kets: the norm is no linear invariant of RK4, unlike the trace, so
         # take 200 steps short against the fastest phase, on the ramp-up or
