@@ -65,7 +65,7 @@ column's pulse and ramp edges, and routes each column in each window:
   windows, whose exchange couplings are always-active terms;
 - by classic RK4 at a fixed step otherwise, no larger than the window's
   ``max_step``: the pulse ramps, and every driven window of the ``lab``
-  frame (its dense drift and its +/- carriers admit no such K).
+  frame (its drift's couplings and its +/- carriers admit no such K).
 
 Columns on the same route whose models share their operators, as the
 models of one frame do, share one table, built once per call.
@@ -91,8 +91,8 @@ sideband-store pulse reach 37 of the 900 elements of rho at dims (3, 5, 2),
 those of the qubit pi pulses 171 and those of the sideband-retrieve pulse
 215; on a sideband plateau these split into blocks of at most 37 elements,
 on a qubit plateau of at most 45.  A probe ket reaches a few of its 30
-amplitudes.  A state with full support, or the ``lab`` frame's dense drift,
-reaches everything.
+amplitudes.  A state with full support, or a drift with a class between
+any two labels, reaches everything.
 """
 
 import math
@@ -181,16 +181,6 @@ def _split(op, labels, tol):
     col, weight = _classes(op, pos, codes)
     return tuple(ShiftClass(_key(c, d), cl, w)
                  for c, cl, w in zip(codes, col, weight))
-
-
-def _static_keys(drift, labels):
-    """(0, 0, 0) and the label shifts of the drift's nonzero elements, the
-    keys of its classes, sorted: one scan of its nonzero positions."""
-    d = len(drift)
-    pos = _code(labels, d)
-    row, col = np.nonzero(drift)
-    codes = {0, *(pos[row] - pos[col]).tolist()}
-    return tuple(sorted(_key(c, d) for c in codes))
 
 
 @dataclass(frozen=True)
@@ -289,7 +279,7 @@ class LindbladModel:
     dims: SubsystemDims
     params: DeviceParams
     frame: str
-    drift: np.ndarray                 # static rotating-frame Hamiltonian
+    drift: tuple                      # the static Hamiltonian's ShiftClasses
     terms: tuple                      # HamiltonianTerm entries
     channels: tuple                   # CollapseChannel entries
     rot: tuple                        # per-subsystem rotation freqs (rad/us)
@@ -299,23 +289,8 @@ class LindbladModel:
     # ladder, in the model basis
     drive_ops: dict
     two_photon: ShiftClass
-    # (0, 0, 0) and the keys of the drift's classes, sorted: fixed per frame
-    static_keys: tuple
-
-    def __post_init__(self):
-        if not qsys.is_hermitian(self.drift, 1e-9):
-            raise DimensionError("drift Hamiltonian is not Hermitian")
-        # a replaced drift must come with its own keys (carrier_frame)
-        keys = _static_keys(self.drift, self.labels)
-        if self.static_keys != keys:
-            raise ParameterError(
-                f"static_keys {self.static_keys} are not those of the "
-                f"drift, {keys}")
 
     # -- basis helpers ----------------------------------------------------
-    def basis_state(self, nt=0, ns=0, nr=0):
-        return qsys.basis_state(self.dims, nt, ns, nr)
-
     def label_projector(self, nt):
         """Projector onto the model basis states of transmon label nt."""
         return np.diag((self.labels[0] == nt).astype(complex))
@@ -382,10 +357,10 @@ class LindbladModel:
         envelope is constant, and a static class k becomes
         exp(i kappa . k (t - t0)).  So each active term must be on its
         plateau and kappa . k = -w must hold for its class, and
-        kappa . k = 0 for the drift's classes (a collapse operator is one
-        class, so its dissipator is static).  None when no kappa solves
-        these to rounding, as for the lab frame's dense drift and +/-
-        carriers.
+        kappa . k = 0 for (0, 0, 0) and the keys of the drift's classes
+        (a collapse operator is one class, so its dissipator is static).
+        None when no kappa solves these to rounding, as for the lab
+        frame's drift couplings and +/- carriers.
         """
         keys, rhs = [], []
         for term in self.active_terms(t0, t1):
@@ -394,8 +369,9 @@ class LindbladModel:
                 return None
             keys.append(term.op.key)
             rhs.append(-term.carrier)
-        keys += self.static_keys
-        rhs += [0.0] * len(self.static_keys)
+        static = sorted({(0, 0, 0), *(c.key for c in self.drift)})
+        keys += static
+        rhs += [0.0] * len(static)
         a, b = np.array(keys, dtype=float), np.array(rhs)
         kappa = np.linalg.lstsq(a, b, rcond=None)[0]
         if np.max(np.abs(a @ kappa - b)) > 1e-9 * max(1.0, np.max(np.abs(b))):
@@ -431,9 +407,9 @@ def build_model(p: DeviceParams, dims: SubsystemDims, frame="dispersive",
     """Construct a rotating-frame Lindblad model with no sequence, a frame.
 
     The frame holds everything that does not depend on the pulses, each
-    operator built once as ShiftClasses: a drive channel's classes above
-    1e-12, and the one class of each collapse channel, coupling and the
-    two-photon ladder.
+    operator built once as ShiftClasses: the drift's nonzero classes, a
+    drive channel's classes above 1e-12, and the one class of each collapse
+    channel, coupling and the two-photon ladder.
     ``build_model(...).with_sequence(seq)`` drives it with a sequence.
     noiseless strips all collapse channels (used for calibration).
     storage_t_phi adds an optional pure-dephasing channel on the storage
@@ -459,8 +435,7 @@ def build_model(p: DeviceParams, dims: SubsystemDims, frame="dispersive",
         if frame == "bare":
             rot = (a.w_q, a.w_s, a.w_ro)
             lt, ls, lr = labels
-            diag = (0.5 * a.alpha * lt * (lt - 1)).astype(complex)
-            drift = np.diag(diag)
+            drift = np.diag(0.5 * a.alpha * lt * (lt - 1)).astype(complex)
             # (class, exchange operator) of the storage and readout
             couplings = [((1, -1, 0), a.g * (b.conj().T @ a_s)),
                          ((1, 0, -1), a.g * (b.conj().T @ a_r))]
@@ -518,11 +493,10 @@ def build_model(p: DeviceParams, dims: SubsystemDims, frame="dispersive",
                 _shift_class(n_s, labels, (0, 0, 0)), 2.0 / storage_t_phi,
                 "storage-dephasing"))
 
-    return LindbladModel(dims=dims, params=p, frame=frame, drift=drift,
-                         terms=terms, channels=tuple(channels), rot=rot,
-                         labels=labels, drive_ops=drive_ops,
-                         two_photon=two_photon,
-                         static_keys=_static_keys(drift, labels))
+    return LindbladModel(dims=dims, params=p, frame=frame,
+                         drift=_split(drift, labels, 0.0), terms=terms,
+                         channels=tuple(channels), rot=rot, labels=labels,
+                         drive_ops=drive_ops, two_photon=two_photon)
 
 
 def dressed_energies(p: DeviceParams, dims: SubsystemDims):
@@ -568,14 +542,14 @@ class LiouvilleTable:
     x = vec(rho): L(t) x = lam * x + sum_r s_r(t) * W_r * x[P_r].
 
     Its gather rows come from the model's ShiftClasses, built once by
-    build_model, each product left @ rho @ right^dag of classes one row;
-    it splits only the dense A = H0 - (i/2) sum_k c_k^dag c_k, whose
-    c^dag c is the diagonal of c's squared weights.  The static rows
-    (s = 1) are -i A rho and i rho A^dag for each class of A, and the
-    sandwiches c rho c^dag; those that gather the identity, such as the
-    diagonal of A and the qubit dephasing, fold into lam.  The class op of
-    terms[k] adds -i op rho and i rho op, scaled by c_k(t), and -i op^dag
-    rho and i rho op^dag, scaled by conj(c_k(t)).
+    build_model, each product left @ rho @ right^dag of classes one row.
+    A = H0 - (i/2) sum_k c_k^dag c_k has the drift's classes, with
+    c^dag c, the diagonal of c's squared weights, on its key-0 class.
+    The static rows (s = 1) are -i A rho and i rho A^dag for each class
+    of A, and the sandwiches c rho c^dag; those that gather the identity,
+    such as the diagonal of A and the qubit dephasing, fold into lam.  The
+    class op of terms[k] adds -i op rho and i rho op, scaled by c_k(t),
+    and -i op^dag rho and i rho op^dag, scaled by conj(c_k(t)).
 
     With ket=True it is -i H(t) on a ket psi, for a model without collapse
     channels: only the rows -i op psi remain.
@@ -589,12 +563,14 @@ class LiouvilleTable:
         cdc = np.zeros(d)
         for c in ops:
             cdc += np.bincount(c.col, (c.weight.conj() * c.weight).real, d)
-        a0 = model.drift - 0.5j * np.diag(cdc)
+        a = {c.key: c for c in model.drift}           # A's classes by key
+        diag = a.get((0, 0, 0), replace(eye, weight=np.zeros(d)))
+        a[0, 0, 0] = replace(diag, weight=diag.weight - 0.5j * cdc)
         # (column, scale, left, right) for left @ rho @ right^dag: column
         # -1 marks a static row, k one scaled by c_k(t) and len(terms) + k
         # one scaled by conj(c_k(t))
-        rows = [(-1, s, left, right) for a in _split(a0, model.labels, 0.0)
-                for s, left, right in ((-1j, a, eye), (1j, eye, a))]
+        rows = [(-1, s, left, right) for _, cls in sorted(a.items())
+                for s, left, right in ((-1j, cls, eye), (1j, eye, cls))]
         rows += [(-1, 1.0, c, c) for c in ops]
         for k, term in enumerate(terms):
             op, adj = term.op, term.op.adjoint()
@@ -626,12 +602,11 @@ class LiouvilleTable:
     def apply(self, x, c):
         """L(t) x at one time t, as an array of x's shape.
 
-        On one vector x, (n,), c holds the coefficients c_k(t) of the
-        table's K terms, (K,).  On a table tiled b times (`tiled`), x holds
-        b blocks of n / b elements back to back, as one flat vector or its
-        batch-major (b, n / b) view, and c the drive rows' scales of each
-        block, (rows, b), as `scales` forms them from the coefficients.
-        Either way it is one gather, one contiguous multiply by the
+        On a table tiled b times (`tiled`; b = 1 for the table itself), x
+        holds b blocks of n / b elements back to back, as one flat vector
+        or its batch-major (b, n / b) view, and c the drive rows' scales of
+        each block, (rows, b), as `scales` forms them from the
+        coefficients.  It is one gather, one contiguous multiply by the
         weights, the drive rows scaled on their (rows, b, n / b) view, and
         one row sum: numpy alone, no BLAS call, so the row sum runs in one
         fixed order, the same for every block and for a block alone.
@@ -640,10 +615,9 @@ class LiouvilleTable:
         out = flat[self.gather]
         out *= self.weight
         if len(self.column):
-            scale = self.scales(c[:, None]) if c.ndim == 1 else c
-            rows, b = scale.shape
+            rows, b = c.shape
             drive = out[len(out) - rows:].reshape(rows, b, len(flat) // b)
-            drive *= scale[:, :, None]
+            drive *= c[:, :, None]
         out = out.sum(axis=0)
         out += self.lam * flat
         return out.reshape(x.shape)
@@ -724,11 +698,12 @@ def _coefficients(terms, t):
                     dtype=complex).reshape(len(terms), len(t)).T
 
 
-def _invariant(x, diag):
-    """Per column of x (m, B): the sum of its rows diag (indices or a
-    mask), a trace, or with diag None its squared norm."""
-    return np.sum(np.abs(x) ** 2, axis=0) if diag is None \
-        else np.sum(x[diag], axis=0)
+def _invariant(y, diag):
+    """Per column of y (B, m): the sum of its elements diag (indices or a
+    mask), a trace, or with diag None its squared norm, along a C-contiguous
+    copy, so the same to the bit whatever columns stand beside it."""
+    part = np.abs(y) ** 2 if diag is None else y[:, diag]
+    return np.ascontiguousarray(part).sum(axis=1)
 
 
 def _rk4_step(table, x, h, c):
@@ -751,12 +726,11 @@ def _rk4(table, y, h, scale, due, diag, t0):
     (`_invariant` with diag) is checked against its entering value, and a
     drift beyond 1e-6 raises IntegrationError naming the first drifting
     column's own time and half its own step; t0 (B,) only dates it."""
-    cols = y.T
-    start = _invariant(cols, diag)
+    start = _invariant(y, diag)
     for k, check in enumerate(due.tolist()):
         _rk4_step(table, y, h[k], scale[2 * k:2 * k + 3])
         if check:
-            drift = np.abs(_invariant(cols, diag) - start)
+            drift = np.abs(_invariant(y, diag) - start)
             if drift.max() > TRACE_DRIFT_TOL:
                 j = np.argmax(drift)
                 hj = h[k, j, 0]
@@ -933,7 +907,7 @@ def _exact(table, x, terms, frames, t0, t1, diag):
     shift = 1j * (K[idx] if diag is None else K[idx // len(K)] - K[idx % len(K)])
     lam = sub.lam[:, None] + shift
     scale = np.ones((len(sub.weight), x.shape[1]), dtype=complex)
-    scale[len(scale) - len(sub.column):] = np.concatenate((c, c.conj()))[sub.column]
+    scale[len(scale) - len(sub.column):] = sub.scales(c)
     out = np.zeros_like(x)
     for blocks in _static_blocks(sub):
         m, n = blocks.shape
@@ -946,7 +920,7 @@ def _exact(table, x, terms, frames, t0, t1, diag):
             new = prop @ np.moveaxis(y[blocks, cols], -1, 0)[..., None]
             out[idx[blocks], cols] = np.moveaxis(new[..., 0], 0, -1)
     out[idx] *= np.exp(-shift * tau)
-    drift = np.abs(_invariant(out, diag) - _invariant(x, diag))
+    drift = np.abs(_invariant(out.T, diag) - _invariant(x.T, diag))
     j = np.argmax(drift)
     if drift[j] > TRACE_DRIFT_TOL:
         raise IntegrationError(

@@ -112,10 +112,6 @@ def tensor_embed(op, slot, dims):
     return out.reshape(dims.total, dims.total)
 
 
-def is_hermitian(op, tol=1e-12):
-    return bool(np.max(np.abs(op - op.conj().T)) < tol)
-
-
 @dataclass
 class QuantumState:
     """Density matrix over the composite space, with its sanity checks."""

@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from qmemsim import analysis, device, lindblad, protocol, tomography
+from qmemsim import analysis, device, lindblad, protocol, qsys, tomography
 from qmemsim.device import DeviceParams
 from qmemsim.lindblad import build_model, evolve
 from qmemsim.protocol import ProtocolOptions, WorkingPoint
@@ -149,7 +149,8 @@ def test_criterion_10_leakage_model_round_trip():
 def test_criterion_11_integrator_invariants():
     # trace, positivity and purity along a >= 10 us full-model evolution
     m = build_model(P, SubsystemDims())
-    for state in evolve(m, m.basis_state(1, 1, 0), (0.0, 10.5), 2e-3, steps=21):
+    rho0 = qsys.basis_state(m.dims, 1, 1, 0)
+    for state in evolve(m, rho0, (0.0, 10.5), 2e-3, steps=21):
         assert abs(np.trace(state.rho) - 1.0) < 1e-8
         assert np.min(np.linalg.eigvalsh(state.rho)) >= -1e-9
         assert np.trace(state.rho @ state.rho).real <= 1.0 + 1e-9
@@ -175,7 +176,8 @@ def test_criterion_11_integrator_invariants():
         m3 = dataclasses.replace(m3, channels=[lindblad.CollapseChannel(
             [c.op for c in m3.channels if c.name == "qubit-decay"][0],
             1.5, "decay")])
-        states = evolve(m3, m3.basis_state(1, 0, 0), (0.0, 2.0), dt, steps=10)
+        states = evolve(m3, qsys.basis_state(m3.dims, 1, 0, 0), (0.0, 2.0),
+                        dt, steps=10)
         pe = np.array([np.trace(s.rho @ m3.label_projector(nt=1)).real
                        for s in states])
         return np.max(np.abs(pe - np.exp(-1.5 * np.linspace(0.0, 2.0, 11))))
@@ -195,7 +197,10 @@ def test_criterion_11_integrator_invariants():
     v /= np.linalg.norm(v)
     rho0 = np.outer(v, v.conj())
     pops = {}
-    h0 = build_model(p_small, dims8, frame="lab").drift
+    # the lab drift, densified from its classes
+    h0 = np.zeros((dims8.total,) * 2, dtype=complex)
+    for c in build_model(p_small, dims8, frame="lab").drift:
+        h0[np.arange(dims8.total), c.col] += c.weight
     _, vecs = np.linalg.eigh(h0)
     for frame in ("bare", "lab"):
         mf = build_model(p_small, dims8, frame=frame)

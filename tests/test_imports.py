@@ -194,13 +194,14 @@ def test_simulation_path_loads_no_scipy():
 import sys
 from qmemsim.device import DeviceParams
 import numpy as np
+from qmemsim import qsys
 from qmemsim.lindblad import build_model, evolve, propagate
 from qmemsim.pulses import QUBIT_CHANNEL, PulseSegment, PulseSequence
 from qmemsim.qsys import SubsystemDims
 p = DeviceParams()
 seg = PulseSegment(QUBIT_CHANNEL, 100.0, p.angular().w_q, plateau=0.01)
 m = build_model(p, SubsystemDims(2, 2, 1)).with_sequence(PulseSequence((seg,)))
-state = evolve(m, m.basis_state(), (0.0, seg.end), 1e-4)[-1]
+state = evolve(m, qsys.basis_state(m.dims), (0.0, seg.end), 1e-4)[-1]
 propagate([m], state.rho.reshape(-1, 1), (seg.end, seg.end + 1.0), 1e-4)
 kets = build_model(p, SubsystemDims(2, 2, 1),
                    noiseless=True).with_sequence(PulseSequence((seg,)))

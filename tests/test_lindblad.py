@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import re
 
@@ -32,6 +33,14 @@ def real_expectations(states, op):
     return np.array([np.trace(s.rho @ op).real for s in states])
 
 
+def dense(classes, d):
+    """The d x d operator that is the sum of the ShiftClasses classes."""
+    op = np.zeros((d, d), dtype=complex)
+    for c in classes:
+        op[np.arange(d), c.col] += c.weight
+    return op
+
+
 def random_density_matrix(d, seed):
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
@@ -49,7 +58,9 @@ def test_build_model_channel_set():
     assert names["qubit-decay"] == pytest.approx(1.0 / a.t1_q)
     assert names["qubit-thermal"] == pytest.approx(a.p_e / a.t1_q)
     assert "qubit-dephasing" in names
-    assert qsys.is_hermitian(m.drift, 1e-9)
+    for frame in lindblad.FRAMES:
+        h = dense(build_model(p, SubsystemDims(), frame).drift, 30)
+        assert np.max(np.abs(h - h.conj().T)) < 1e-9
 
 
 def test_built_model_is_frozen():
@@ -135,18 +146,17 @@ def test_split_matches_the_dense_per_key_mask():
 
 
 def test_carrier_frame_never_splits_the_drift(monkeypatch):
-    # the drift is fixed per frame: build_model finds the keys of its
-    # classes once and every model driven from the frame carries them
+    # the drift is fixed per frame: build_model splits it into its classes
+    # once, by key, and every model driven from the frame carries them
     p = DeviceParams()
     seg = PulseSegment(QUBIT_CHANNEL, TWO_PI * 20.0, p.angular().w_q,
                        plateau=0.05)
     for frame in lindblad.FRAMES:
         base = build_model(p, SubsystemDims(2, 2, 1), frame)
-        drift = lindblad._split(base.drift, base.labels, 0.0)
-        assert base.static_keys == tuple(sorted(
-            {(0, 0, 0), *(c.key for c in drift)}))
+        keys = [c.key for c in base.drift]
+        assert keys == sorted(set(keys))
         model = base.with_sequence(PulseSequence((seg,)))
-        assert model.static_keys is base.static_keys
+        assert model.drift is base.drift
         calls = []
         split = lindblad._split
         monkeypatch.setattr(lindblad, "_split",
@@ -161,24 +171,26 @@ def test_carrier_frame_never_splits_the_drift(monkeypatch):
         assert (np.count_nonzero(idle) == 0) == (frame != "bare")
 
 
-def test_a_replaced_drift_needs_its_own_static_keys():
-    # carrier_frame reads the drift's keys from static_keys: a drift with
-    # new nonzero classes under the old keys would get a frame that ignores
-    # them, so the model refuses it
-    p = DeviceParams()
-    labels = SubsystemDims(2, 2, 1).labels()
-    base = build_model(p, SubsystemDims(2, 2, 1))
-    assert base.static_keys == ((0, 0, 0),)
-    drift = base.drift.copy()
-    drift[0, 1] = drift[1, 0] = 1.0
-    keys = lindblad._static_keys(drift, labels)
-    assert len(keys) == 3 and (0, 0, 0) in keys
-    with pytest.raises(ParameterError, match="static_keys"):
-        dataclasses.replace(base, drift=drift)
-    model = dataclasses.replace(base, drift=drift, static_keys=keys)
-    assert model.static_keys == keys
-    with pytest.raises(ParameterError, match="static_keys"):
-        dataclasses.replace(model, static_keys=base.static_keys)
+def test_a_replaced_drift_sets_the_carrier_frame():
+    # carrier_frame reads the keys off the drift's classes: a bare-frame
+    # idle window solves kappa . k = -carrier for the two couplings alone,
+    # and a drift with storage classes (0, +/-1, 0) adds kappa_s = 0
+    p, dims = DeviceParams(), SubsystemDims(2, 2, 1)
+    base = build_model(p, dims, "bare")
+    assert base.drift == ()
+    g, s = dims.index(0, 0, 0), dims.index(0, 1, 0)
+    x = np.zeros((dims.total,) * 2, dtype=complex)
+    x[g, s] = x[s, g] = 1.0
+    drift = lindblad._split(x, base.labels, 0.0)
+    assert [c.key for c in drift] == [(0, -1, 0), (0, 1, 0)]
+    for model, storage in ((base, False),
+                           (dataclasses.replace(base, drift=drift), True)):
+        K = model.carrier_frame(0.0, 1.0)           # 0 at |g,0,0>
+        kappa_t, kappa_s = K[dims.index(1, 0, 0)], K[s]
+        assert (abs(kappa_s) <= 1e-9 * abs(kappa_t)) == storage
+        exchange = next(t for t in model.terms if t.op.key == (1, -1, 0))
+        assert kappa_t - kappa_s == pytest.approx(-exchange.carrier,
+                                                  rel=1e-12)
 
 
 def test_drift_generator_preserves_trace():
@@ -195,7 +207,7 @@ def test_drift_generator_preserves_trace():
 def test_decoupled_excited_state_decays_at_t1():
     p = decoupled_params()
     m = build_model(p, SubsystemDims())
-    rho0 = m.basis_state(1, 0, 0)
+    rho0 = qsys.basis_state(m.dims, 1, 0, 0)
     states = evolve(m, rho0, (0.0, 3.0), 1e-3, steps=30)
     pe = real_expectations(states, m.label_projector(nt=1))
     expected = np.exp(-np.linspace(0.0, 3.0, 31) / p.t1_q)
@@ -220,7 +232,7 @@ def test_thermal_steady_state():
     keep = {"qubit-decay", "qubit-thermal"}
     m = dataclasses.replace(
         m, channels=[c for c in m.channels if c.name in keep])
-    rho0 = m.basis_state(0, 0, 0)
+    rho0 = qsys.basis_state(m.dims, 0, 0, 0)
     final = evolve(m, rho0, (0.0, 12.0), 2e-3, steps=12)[-1]
     p_inf = np.trace(final.rho @ m.label_projector(nt=1)).real
     assert abs(p_inf - p.p_e) / p.p_e < 0.05
@@ -232,7 +244,7 @@ def test_analytic_decay_of_fock_state():
     m = dataclasses.replace(
         m, channels=[c for c in m.channels if c.name == "storage-decay"])
     k_s = p.angular().k_s
-    rho0 = m.basis_state(0, 1, 0)
+    rho0 = qsys.basis_state(m.dims, 0, 1, 0)
     span = 5.0 / k_s
     states = evolve(m, rho0, (0.0, span), 2e-3, steps=50)
     n = real_expectations(states, np.diag(m.labels[1].astype(complex)))
@@ -246,7 +258,7 @@ def test_resonant_rabi_analytic():
     seg = PulseSegment(QUBIT_CHANNEL, amp, p.angular().w_q, plateau=0.12,
                        rise=1e-4, start=0.0)
     m = build_model(p, dims, noiseless=True).with_sequence(PulseSequence((seg,)))
-    states = evolve(m, m.basis_state(0, 0, 0), (0.0, 0.1), 5e-6, steps=100)
+    states = evolve(m, qsys.basis_state(m.dims), (0.0, 0.1), 5e-6, steps=100)
     pe = real_expectations(states, m.label_projector(nt=1))
     times = np.linspace(0.0, 0.1, 101)
     # the short ramp advances the rotation by its pulse area; folding it into
@@ -288,7 +300,7 @@ def test_steps_above_the_bound_run_at_the_bound():
     span = (0.0, seg.ramp)
     bound = noisy.max_step(*span)
     assert noisy.carrier_frame(*span) is None and bound < 1e-4
-    rho = noisy.basis_state()
+    rho = qsys.basis_state(noisy.dims)
     x = rho.rho.reshape(-1, 1)
     got = [out for dt in (10.0 * bound, bound)
            for out in (evolve(noisy, rho, span, dt)[-1].rho.reshape(-1),
@@ -311,7 +323,7 @@ def test_bad_steps_raise_parameter_error():
                        plateau=0.02, start=0.0)
     m = build_model(p, SubsystemDims(2, 2, 1),
                     noiseless=True).with_sequence(PulseSequence((seg,)))
-    rho = m.basis_state()
+    rho = qsys.basis_state(m.dims)
     for dt in (-1.0, 0.0, math.nan, math.inf):
         with pytest.raises(ParameterError):
             evolve(m, rho, (0.0, seg.end), dt)
@@ -324,7 +336,7 @@ def test_bad_steps_raise_parameter_error():
 def test_trace_divergence_detected():
     p = decoupled_params(kappa_ro=1e4)  # kappa dt >> 1 destabilizes RK4
     m = build_model(p, SubsystemDims(2, 2, 2), frame="lab")
-    rho0 = m.basis_state(0, 0, 1)
+    rho0 = qsys.basis_state(m.dims, 0, 0, 1)
     with pytest.raises(IntegrationError):
         evolve(m, rho0, (0.0, 2.0), 1e-3, steps=40)
 
@@ -346,6 +358,10 @@ def test_a_drifting_column_names_its_own_time_and_step():
     propagate(models[:1], x[:, :1], span, dt)
     with pytest.raises(IntegrationError) as err:
         propagate(models, x, span, dt)
+    # the check of a column does not depend on the columns beside it
+    with pytest.raises(IntegrationError) as alone:
+        propagate(models[1:], x[:, 1:], span, dt)
+    assert str(alone.value) == str(err.value)
     # a whole number of column 1's steps of 1e-4 us and half of one, where
     # column 0 steps by 4e-6 us
     match = re.fullmatch(r"trace drifted by \S+ at t = (\S+) us; "
@@ -358,7 +374,7 @@ def test_a_drifting_column_names_its_own_time_and_step():
 def test_purity_and_positivity_along_trajectory():
     p = DeviceParams()
     m = build_model(p, SubsystemDims())
-    rho0 = m.basis_state(1, 1, 0)
+    rho0 = qsys.basis_state(m.dims, 1, 1, 0)
     for state in evolve(m, rho0, (0.0, 2.0), 1e-3, steps=20):
         assert np.trace(state.rho @ state.rho).real <= 1.0 + 1e-9
         assert np.min(np.linalg.eigvalsh(state.rho)) >= -1e-9
@@ -392,7 +408,8 @@ def test_step_halving_fourth_order():
             m, channels=[lindblad.CollapseChannel(m.channels[0].op, 1.5,
                                                   "decay")])
         # samples every 0.2 us: one or two steps per sample
-        states = evolve(m, m.basis_state(1, 0, 0), (0.0, 2.0), dt, steps=10)
+        states = evolve(m, qsys.basis_state(m.dims, 1, 0, 0), (0.0, 2.0), dt,
+                        steps=10)
         pe = real_expectations(states, m.label_projector(nt=1))
         return np.max(np.abs(pe - np.exp(-1.5 * np.linspace(0.0, 2.0, 11))))
 
@@ -423,7 +440,7 @@ def test_frame_invariance_small_system():
         phase = np.exp(1j * t_end * sum(w * lab for w, lab
                                         in zip(m.rot, m.labels)))
         lab_rho = phase.conj()[:, None] * final.rho * phase[None, :]
-        h0 = build_model(p, dims, frame="lab").drift
+        h0 = dense(build_model(p, dims, frame="lab").drift, dims.total)
         _, vecs = np.linalg.eigh(h0)
         pops[frame] = np.real(np.diag(vecs.conj().T @ lab_rho @ vecs))
 
@@ -523,9 +540,8 @@ def test_static_propagation_dense_lab_drift_is_one_block(monkeypatch):
     dims = SubsystemDims(2, 2, 1)
     m = build_model(SLOW_PARAMS, dims, frame="lab")
     x = np.random.default_rng(4).normal(size=(4, 4))
-    drift = m.drift + 10.0 * (x + x.T)
-    m = dataclasses.replace(m, drift=drift,
-                            static_keys=lindblad._static_keys(drift, m.labels))
+    drift = dense(m.drift, 4) + 10.0 * (x + x.T)
+    m = dataclasses.replace(m, drift=lindblad._split(drift, m.labels, 0.0))
     blocks = record_blocks(monkeypatch)
     rho = random_density_matrix(4, 5)
     exact = idle(m, rho, (0.0, 0.2))[0]
@@ -548,7 +564,7 @@ def test_driven_windows_step_rk4_and_silent_segments_are_exact(monkeypatch):
             routes.append(name)
             return route(*args)
         monkeypatch.setattr(lindblad, name, record)
-    rho = m.basis_state().rho.reshape(-1, 1)
+    rho = qsys.basis_state(m.dims).rho.reshape(-1, 1)
     propagate([m], rho, (0.0, 0.01), 1e-4)
     # a zero-amplitude segment contributes no term: its window is exact
     out = propagate([m], rho, (silent.start, silent.end), 1e-4)
@@ -603,17 +619,14 @@ def dense_lindbladian(model, rho, drive=()):
     """-i[H, rho] + sum_k (c rho c^dag - {c^dag c, rho} / 2) in plain
     matmuls, with H = drift + sum of c op + conj(c) op^dag over the
     (term, c) pairs in drive."""
-    def dense(cls):
-        op = np.zeros((len(cls.col),) * 2, dtype=complex)
-        op[np.arange(len(cls.col)), cls.col] = cls.weight
-        return op
-
-    h = model.drift.astype(complex)
+    d = len(rho)
+    h = dense(model.drift, d)
     for term, c in drive:
-        h = h + c * dense(term.op) + np.conj(c) * dense(term.op).conj().T
+        op = dense([term.op], d)
+        h = h + c * op + np.conj(c) * op.conj().T
     out = -1j * (h @ rho - rho @ h)
     for channel in model.channels:
-        c = math.sqrt(channel.rate) * dense(channel.op)
+        c = math.sqrt(channel.rate) * dense([channel.op], d)
         cdc = c.conj().T @ c
         out += c @ rho @ c.conj().T - 0.5 * (cdc @ rho + rho @ cdc)
     return out
@@ -665,7 +678,8 @@ def test_liouville_table_matches_dense_reference():
         coeffs = np.array([term.amplitude_at(t)
                            * np.exp(1j * (term.carrier * t + term.phase))
                            for term in terms], dtype=complex)
-        got = LiouvilleTable(m, terms).apply(rho.reshape(-1), coeffs)
+        table = LiouvilleTable(m, terms)
+        got = table.apply(rho.reshape(-1), table.scales(coeffs[:, None]))
         want = dense_lindbladian(m, rho, zip(terms, coeffs))
         assert np.max(np.abs(got.reshape(d, d) - want)) \
             <= 1e-12 * np.max(np.abs(want))
@@ -692,25 +706,97 @@ def test_liouville_table_matches_dense_reference():
     check()
 
 
+def dense_split_table(model, terms, ket):
+    """(lam, gather, weight, column) of the generator as LiouvilleTable
+    lays it out, but with A = H0 - (i/2) sum_k c_k^dag c_k formed as a
+    dense d x d array and split into its classes by lindblad._split."""
+    d = model.dims.total
+    eye = lindblad.ShiftClass((0, 0, 0), np.arange(d), np.ones(d))
+    ops = [dataclasses.replace(c.op, weight=math.sqrt(c.rate) * c.op.weight)
+           for c in model.channels]
+    cdc = np.zeros(d)
+    for c in ops:
+        cdc += np.bincount(c.col, (c.weight.conj() * c.weight).real, d)
+    a0 = dense(model.drift, d) - 0.5j * np.diag(cdc)
+    rows = [(-1, s, left, right)
+            for a in lindblad._split(a0, model.labels, 0.0)
+            for s, left, right in ((-1j, a, eye), (1j, eye, a))]
+    rows += [(-1, 1.0, c, c) for c in ops]
+    for k, term in enumerate(terms):
+        op, adj = term.op, term.op.adjoint()
+        rows += [(k, -1j, op, eye), (k, 1j, eye, adj),
+                 (len(terms) + k, -1j, adj, eye),
+                 (len(terms) + k, 1j, eye, op)]
+    if ket:
+        one = lindblad.ShiftClass((0, 0, 0), np.zeros(1, dtype=int),
+                                  np.ones(1))
+        rows = [(k, s, left, one) for k, s, left, right in rows
+                if right is eye]
+    n = d if ket else d * d
+    lam, kept = np.zeros(n, dtype=complex), []
+    for column, scale, left, right in rows:
+        gather, weight = lindblad._gather_row(left, right, scale)
+        if column < 0 and np.array_equal(gather, np.arange(n)):
+            lam += weight
+        elif np.any(weight):
+            kept.append((column, gather, weight))
+    kept.sort(key=lambda row: row[0])
+    gather = np.array([g for _, g, _ in kept], dtype=np.intp).reshape(-1, n)
+    weight = np.array([w for _, _, w in kept], dtype=complex).reshape(-1, n)
+    column = np.array([c for c, _, _ in kept if c >= 0], dtype=np.intp)
+    return lam, gather, weight, column
+
+
+@pytest.mark.parametrize("frame", lindblad.FRAMES)
+def test_table_of_class_form_a_matches_a_dense_split(frame):
+    # the table forms A's classes from the drift's, adding -(i/2) c^dag c
+    # to its key-0 class; that gives the table of a dense A split into
+    # classes, bit for bit, noisy and noiseless, on rho and on kets, with
+    # no term, one and all, and with a drift of no key-0 class
+    p = DeviceParams()
+    for dims, noiseless in itertools.product(
+            (SubsystemDims(3, 3, 2), SubsystemDims(2, 2, 1)), (False, True)):
+        base = build_model(p, dims, frame, noiseless=noiseless,
+                           storage_t_phi=3.0)
+        seg = PulseSegment(QUBIT_CHANNEL, 3e4,
+                           lindblad.two_photon_resonance(p, dims),
+                           plateau=0.02, start=0.1)
+        m = base.with_sequence(PulseSequence((
+            PulseSegment(QUBIT_CHANNEL, 50.0, p.angular().w_q, plateau=0.02),
+            seg)))
+        kets = (False, True) if noiseless else (False,)
+        for terms, ket in itertools.product(((), m.terms[:1], m.terms), kets):
+            table = LiouvilleTable(m, terms, ket=ket)
+            want = dense_split_table(m, terms, ket)
+            got = (table.lam, table.gather, table.weight, table.column)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and g.shape == w.shape
+                assert g.tobytes() == w.tobytes()
+        if frame == "bare" and dims.n_transmon == 2:
+            assert all(c.key != (0, 0, 0) for c in m.drift)
+
+
 # ---------------------------------------------------------------------------
 # driven windows step only the elements their initial state can reach
 # ---------------------------------------------------------------------------
 
 def full_space_rk4(table, x, terms, t_span, n, samples=1):
-    """Classic RK4 of dx/dt = table.apply(x, c(t)) on the whole vector, n
-    steps across t_span, with c_k(t) the amplitude times the carrier phase
-    of terms[k]; x at the samples + 1 equally spaced times."""
+    """Classic RK4 of dx/dt = table.apply(x, s(t)) on the whole vector, n
+    steps across t_span, with s(t) the drive rows' scales (table.scales)
+    of c_k(t), the amplitude times the carrier phase of terms[k]; x at the
+    samples + 1 equally spaced times."""
     t0, t1 = t_span
     h = (t1 - t0) / n
     t = t0 + 0.5 * h * np.arange(2 * n + 1)
     c = np.array([term.amplitude_at(t) * np.exp(1j * (term.carrier * t + term.phase))
                   for term in terms], dtype=complex).reshape(len(terms), -1).T
+    s = table.scales(c[:, :, None])
     out = [x]
     for k in range(n):
-        k1 = table.apply(x, c[2 * k])
-        k2 = table.apply(x + 0.5 * h * k1, c[2 * k + 1])
-        k3 = table.apply(x + 0.5 * h * k2, c[2 * k + 1])
-        k4 = table.apply(x + h * k3, c[2 * k + 2])
+        k1 = table.apply(x, s[2 * k])
+        k2 = table.apply(x + 0.5 * h * k1, s[2 * k + 1])
+        k3 = table.apply(x + 0.5 * h * k2, s[2 * k + 1])
+        k4 = table.apply(x + h * k3, s[2 * k + 2])
         x = x + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
         if (k + 1) % (n // samples) == 0:
             out.append(x)
@@ -783,7 +869,8 @@ def test_restricted_stepping_matches_full_space_rk4():
         noiseless = dataclasses.replace(m, channels=[])
         psi = np.zeros(d, dtype=complex)
         psi[k], psi[j] = 0.8, 0.6 * phase
-        rate = np.abs(m.drift).sum(axis=1).max() + seg.amplitude + 2e3
+        rate = (np.abs(dense(m.drift, d)).sum(axis=1).max() + seg.amplitude
+                + 2e3)
         dt = min(m.max_step(*span), 0.02 / rate)
         t0 = data.draw(st.floats(0.0, seg.ramp - 200 * dt))
         if data.draw(st.booleans()):
@@ -857,7 +944,8 @@ def test_noisy_sideband_plateau_matches_fine_rk4():
     model, exact = protocol.simulate_sequence(p, PulseSequence((seg,)), options)
     assert model.carrier_frame(seg.start + seg.ramp, seg.end - seg.ramp) \
         is not None
-    rk4 = evolve(model, model.basis_state(), (seg.start, seg.end), dt)[-1]
+    rk4 = evolve(model, qsys.basis_state(model.dims), (seg.start, seg.end),
+                 dt)[-1]
     assert abs(rk4.rho[dims.index(1, 1, 0), dims.index(1, 1, 0)]) > 0.05
     assert np.max(np.abs(exact.rho - rk4.rho)) <= 1e-12
 
@@ -882,7 +970,8 @@ def test_plateau_propagation_matches_rk4_in_every_frame():
         rho[k, k], rho[k, j] = 1.0, 0.5
         exact = propagate([m], rho.reshape(-1, 1), span, 1.0).reshape(d, d)
         # RK4 at dt and dt / 2: their gap bounds the error of the finer one
-        rate = np.abs(m.drift).sum(axis=1).max() + seg.amplitude + 2e3
+        rate = (np.abs(dense(m.drift, d)).sum(axis=1).max() + seg.amplitude
+                + 2e3)
         dt = min(m.max_step(*span), 0.05 / rate)
         coarse = evolve(m, rho, span, dt)[-1].rho
         fine = evolve(m, rho, span, dt / 2)[-1].rho

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qmemsim import analysis, lindblad, protocol, pulses
+from qmemsim import analysis, lindblad, protocol, pulses, qsys
 from qmemsim.device import DeviceParams
 from qmemsim.errors import ParameterError
 from qmemsim.protocol import (ExperimentRecord, ProtocolOptions, WorkingPoint,
@@ -336,7 +336,7 @@ def test_one_span_equals_its_windows_one_at_a_time(default_cal):
     edges = sorted([0.0, seq.readout_time] + [
         e for s in seq.segments
         for e in (s.start, s.start + s.ramp, s.end - s.ramp, s.end)])
-    x = model.basis_state().rho.reshape(-1, 1)
+    x = qsys.basis_state(model.dims).rho.reshape(-1, 1)
     for t0, t1 in zip(edges, edges[1:]):
         if t1 - t0 >= 1e-12:
             x = lindblad.propagate([model], x, (t0, t1), OPTS.dt_pulse)
