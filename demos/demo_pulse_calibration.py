@@ -44,7 +44,7 @@ print(f"  pi time {cal_b.pi_time * 1e3:6.1f} ns "
 print(f"  carrier offset from nominal w_b/2 {cal_b.freq_offset / MHZ:+.3f} MHz")
 print(f"  transfer {cal_b.transfer:.5f}")
 
-seq = pulses.build_memory_sequence(p, math.pi / 2, 0.5,
+seq = pulses.build_memory_sequence(math.pi / 2, 0.5,
                                    pulses.ProtocolCalibration(cal_q, cal_b))
 print("\nassembled memory sequence (0.5 us storage delay)")
 for s in seq.segments:

@@ -7,9 +7,11 @@
 manifest.json into the output directory.  Reruns with identical
 configuration and seed are byte-identical, and `run --from-manifest
 <manifest.json>` reproduces a previous run at the pulse step it recorded
-(run.dt_pulse_us).  The manifest does not record the calibration probes'
-step, so a manifest written while the probes stepped the qubit at 1e-4 us
-(before pulses.PROBE_STEP) reproduces to about 2e-8, not bit for bit.
+(run.dt_pulse_us), with the recorded arguments (RECORDED_ARGS) and the
+replay's own --out and --jobs.  The manifest does not record the
+calibration probes' step, so a manifest written while the probes stepped
+the qubit at 1e-4 us (before pulses.PROBE_STEP) reproduces to about 2e-8,
+not bit for bit.
 Physics or fit failures exit with status 1, usage errors (unknown
 experiment, missing config, a manifest that cannot be read, is not JSON
 or lacks config_text, run.dt_pulse_us or run.args, a truncation size
@@ -56,6 +58,11 @@ FIT_MODELS = {
     "lorentzian": analysis.fit_lorentzian,
     "leakage": analysis.fit_leakage,
 }
+
+# the run arguments a manifest records and a replay restores; --out and
+# --jobs are the replay's own
+RECORDED_ARGS = ("experiment", "sweep", "seed", "shots", "dt", "mode", "delay",
+                 "prep_angle", "detuning", "fit_leakage", "fit_model", "input")
 
 
 def _parse_sweep(text):
@@ -235,10 +242,10 @@ def cmd_run(args):
         p, dims, run_kw = parse_run_settings(config_text, args.from_manifest)
         # the step the run used, whatever the default is now
         run_kw["dt_pulse"] = manifest["run"]["dt_pulse_us"]
-        ns = argparse.Namespace(**vars(args))
-        for key, val in manifest["run"]["args"].items():
-            setattr(ns, key, val)
-        args = ns
+        recorded = manifest["run"]["args"]
+        args = argparse.Namespace(**vars(args))
+        for key in recorded.keys() & RECORDED_ARGS:
+            setattr(args, key, recorded[key])
     else:
         if not args.config:
             print("error: --config is required (or --from-manifest)",
@@ -276,20 +283,7 @@ def cmd_run(args):
             "dims": dims.as_tuple(),
             "frame": options.frame,
             "dt_pulse_us": options.dt_pulse,
-            "args": {
-                "experiment": args.experiment,
-                "sweep": args.sweep,
-                "seed": args.seed,
-                "shots": args.shots,
-                "dt": args.dt,
-                "mode": args.mode,
-                "delay": args.delay,
-                "prep_angle": args.prep_angle,
-                "detuning": args.detuning,
-                "fit_leakage": args.fit_leakage,
-                "fit_model": args.fit_model,
-                "input": args.input,
-            },
+            "args": {key: getattr(args, key) for key in RECORDED_ARGS},
         },
     }
     if extra:

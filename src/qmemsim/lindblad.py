@@ -411,13 +411,19 @@ def build_model(p: DeviceParams, dims: SubsystemDims, frame="dispersive",
     drive channel's classes above 1e-12, and the one class of each collapse
     channel, coupling and the two-photon ladder.
     ``build_model(...).with_sequence(seq)`` drives it with a sequence.
-    noiseless strips all collapse channels (used for calibration).
-    storage_t_phi adds an optional pure-dephasing channel on the storage
-    mode; by default memory dephasing arises only from thermal qubit jumps
-    through the dispersive interaction.
+    noiseless strips all collapse channels (used for calibration); else a
+    channel of rate zero is left out: the qubit dephasing at t2_q = 2 t1_q,
+    the thermal excitation at p_e = 0, and the storage dephasing unless
+    storage_t_phi, its pure-dephasing time in us, is finite, so that memory
+    dephasing arises by default only from thermal qubit jumps through the
+    dispersive interaction.  A storage_t_phi that is not a number > 0
+    raises ParameterError.
     """
     if frame not in FRAMES:
         raise ParameterError(f"unknown frame {frame!r}, expected one of {FRAMES}")
+    if storage_t_phi is not None and not storage_t_phi > 0:
+        raise ParameterError(f"storage_t_phi must be a number of us > 0 (inf "
+                             f"for no storage dephasing), got {storage_t_phi!r}")
     a = p.angular()
     labels = dims.labels()
     b, a_s, a_r, h0 = _bare_operators(dims, a)
@@ -464,38 +470,28 @@ def build_model(p: DeviceParams, dims: SubsystemDims, frame="dispersive",
                                            qsys.STORAGE, dims))
     two_photon = _shift_class(to_model(two_photon_bare), labels, (1, 1, 0))
 
-    channels = []
+    channels = ()
     if not noiseless:
-        t_phi_q = pure_dephasing_time(a.t1_q, a.t2_q)
-        n_t = to_model(qsys.tensor_embed(
-            qsys.number_op(dims.n_transmon), qsys.TRANSMON, dims))
-        channels.append(CollapseChannel(
-            _shift_class(to_model(a_s), labels, (0, -1, 0)), a.k_s, "storage-decay"))
-        channels.append(CollapseChannel(
-            _shift_class(to_model(a_r), labels, (0, 0, -1)), a.k_ro, "readout-decay"))
-        channels.append(CollapseChannel(
-            _shift_class(to_model(b), labels, (-1, 0, 0)), 1.0 / a.t1_q,
-            "qubit-decay"))
-        if math.isfinite(t_phi_q):
-            # rate 2/T_phi on the number operator gives neighbouring-level
-            # coherences the dephasing rate 1/T_phi
-            channels.append(CollapseChannel(
-                _shift_class(n_t, labels, (0, 0, 0)), 2.0 / t_phi_q,
-                "qubit-dephasing"))
-        if a.p_e > 0:
-            channels.append(CollapseChannel(
-                _shift_class(to_model(b.conj().T), labels, (1, 0, 0)),
-                a.p_e / a.t1_q, "qubit-thermal"))
-        if storage_t_phi is not None and math.isfinite(storage_t_phi):
-            n_s = to_model(qsys.tensor_embed(
-                qsys.number_op(dims.n_storage), qsys.STORAGE, dims))
-            channels.append(CollapseChannel(
-                _shift_class(n_s, labels, (0, 0, 0)), 2.0 / storage_t_phi,
-                "storage-dephasing"))
+        n_t = qsys.tensor_embed(qsys.number_op(dims.n_transmon), qsys.TRANSMON, dims)
+        n_s = qsys.tensor_embed(qsys.number_op(dims.n_storage), qsys.STORAGE, dims)
+        # (bare operator, label shift, rate, name); rate 2/T_phi on a number
+        # operator gives neighbouring-level coherences dephasing rate 1/T_phi
+        listed = (
+            (a_s, (0, -1, 0), a.k_s, "storage-decay"),
+            (a_r, (0, 0, -1), a.k_ro, "readout-decay"),
+            (b, (-1, 0, 0), 1.0 / a.t1_q, "qubit-decay"),
+            (n_t, (0, 0, 0), 2.0 / pure_dephasing_time(a.t1_q, a.t2_q),
+             "qubit-dephasing"),
+            (b.conj().T, (1, 0, 0), a.p_e / a.t1_q, "qubit-thermal"),
+            (n_s, (0, 0, 0), 2.0 / (storage_t_phi or math.inf),
+             "storage-dephasing"))
+        channels = tuple(
+            CollapseChannel(_shift_class(to_model(op), labels, key), rate, name)
+            for op, key, rate, name in listed if rate != 0)
 
     return LindbladModel(dims=dims, params=p, frame=frame,
                          drift=_split(drift, labels, 0.0), terms=terms,
-                         channels=tuple(channels), rot=rot, labels=labels,
+                         channels=channels, rot=rot, labels=labels,
                          drive_ops=drive_ops, two_photon=two_photon)
 
 
@@ -685,17 +681,12 @@ def _check_dt(dt):
             f"dt must be a positive finite number of us, got {dt!r}")
 
 
-def _coefficient(term, t):
-    """c(t) of a term at the times t: its amplitude times its carrier phase."""
-    coeff = term.amplitude_at(t).astype(complex)
-    coeff *= np.exp(1j * (term.carrier * t + term.phase))
-    return coeff
-
-
 def _coefficients(terms, t):
-    """(len(t), K): the coefficients of terms[k] at the times t in column k."""
-    return np.array([_coefficient(term, t) for term in terms],
-                    dtype=complex).reshape(len(terms), len(t)).T
+    """(len(t), K): the coefficients c(t) of terms[k] at the times t in
+    column k, each its amplitude times its carrier phase."""
+    c = [term.amplitude_at(t) * np.exp(1j * (term.carrier * t + term.phase))
+         for term in terms]
+    return np.array(c, dtype=complex).reshape(len(terms), len(t)).T
 
 
 def _invariant(y, diag):
@@ -716,30 +707,6 @@ def _rk4_step(table, x, h, c):
     x += (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
 
 
-def _rk4(table, y, h, scale, due, diag, t0):
-    """Classic RK4 steps of dy/dt = table.apply(y, s(t)), in place, on B
-    columns held batch-major, y (B, m), under a table tiled B times: step k
-    advances column j by h[k, j, 0] (h is (steps, B, 1), 0 once a column's
-    steps are done), with scale[2k:2k + 3] the drive rows' scales
-    (`LiouvilleTable.scales`, (rows, B) each) at its start, midpoint and
-    end.  After each step k where due[k] holds, each column's invariant
-    (`_invariant` with diag) is checked against its entering value, and a
-    drift beyond 1e-6 raises IntegrationError naming the first drifting
-    column's own time and half its own step; t0 (B,) only dates it."""
-    start = _invariant(y, diag)
-    for k, check in enumerate(due.tolist()):
-        _rk4_step(table, y, h[k], scale[2 * k:2 * k + 3])
-        if check:
-            drift = np.abs(_invariant(y, diag) - start)
-            if drift.max() > TRACE_DRIFT_TOL:
-                j = np.argmax(drift)
-                hj = h[k, j, 0]
-                raise IntegrationError(
-                    f"{'norm' if diag is None else 'trace'} drifted by "
-                    f"{drift[j]:.3g} at t = {t0[j] + (k + 1) * hj:.6g} us; "
-                    f"retry with dt <= {hj / 2:.3g} us")
-
-
 def evolve(model: LindbladModel, rho0, t_span, dt, steps=1):
     """Integrate d rho/dt = -i[H(t), rho] + sum_k D[c_k] rho with classic RK4.
 
@@ -751,9 +718,7 @@ def evolve(model: LindbladModel, rho0, t_span, dt, steps=1):
     smaller of dt and the interval's ``model.max_step`` (so dt is the
     largest step the caller allows), on the elements the table reaches
     from the state's nonzero ones (the others stay exactly zero, as under
-    the exact flow).  The trace is checked against the interval's entering
-    value every max(1, n // 200) of its n steps and at its end; a drift
-    beyond 1e-6 raises IntegrationError suggesting a smaller step.  A dt
+    the exact flow), with the trace checked as `_stepped` checks it.  A dt
     that is not a positive finite number, or steps < 1, raises
     ParameterError.
     """
@@ -788,12 +753,16 @@ def _stepped(table, x, terms, t0, t1, dt, diag):
     the table, column j with the coefficients of terms[j]: n = round((t1 -
     t0) / dt) steps, at least one, of (t1 - t0) / n each, one grid per
     column; dt is a number or one per column.  The reached support of the
-    columns (`LiouvilleTable.restricted`), m elements, steps batch-major:
-    one vector of B blocks of m under the restricted table tiled B times,
-    with the drive rows' scales formed once for every stage of the window.
-    The invariants are checked wherever a column reaches a multiple of
-    max(1, n // 200) steps or its last (`_rk4`); diag masks the diagonal of
-    vec(rho), None for kets."""
+    columns (`LiouvilleTable.restricted`), m elements, steps batch-major as
+    y (B, m) under the restricted table tiled B times: step k advances
+    column j by h[k, j, 0] (h is (steps, B, 1), 0 once the column is done)
+    with scale[2k:2k + 3], the drive rows' scales (`LiouvilleTable.scales`)
+    at its start, midpoint and end, formed once for the window.  Each
+    column's invariant (`_invariant`; diag masks the diagonal of vec(rho),
+    None for kets) is checked wherever a column reaches a multiple of
+    max(1, n // 200) steps or its last; a drift beyond 1e-6 from its
+    entering value raises IntegrationError at the first drifting column's
+    own time, suggesting half its own step."""
     n = np.maximum(1, np.round((t1 - t0) / dt).astype(int))
     h = (t1 - t0) / n
     coeff = np.zeros((2 * n.max() + 1, len(terms[0]), len(n)), dtype=complex)
@@ -807,7 +776,19 @@ def _stepped(table, x, terms, t0, t1, dt, diag):
     idx, table, y = table.restricted(x)
     diag = None if diag is None else np.flatnonzero(diag[idx])
     y = np.ascontiguousarray(y.T)
-    _rk4(table.tiled(len(n)), y, h, table.scales(coeff), due, diag, t0)
+    table, scale = table.tiled(len(n)), table.scales(coeff)
+    start = _invariant(y, diag)
+    for k, check in enumerate(due.tolist()):
+        _rk4_step(table, y, h[k], scale[2 * k:2 * k + 3])
+        if check:
+            drift = np.abs(_invariant(y, diag) - start)
+            if drift.max() > TRACE_DRIFT_TOL:
+                j = np.argmax(drift)
+                hj = h[k, j, 0]
+                raise IntegrationError(
+                    f"{'norm' if diag is None else 'trace'} drifted by "
+                    f"{drift[j]:.3g} at t = {t0[j] + (k + 1) * hj:.6g} us; "
+                    f"retry with dt <= {hj / 2:.3g} us")
     out = np.zeros_like(x)
     out[idx] = y.T
     return out

@@ -140,7 +140,7 @@ def memory_sweep(p: DeviceParams, angles, delays,
     cal = cal or get_calibration(p, options)
     angles, delays = np.broadcast_arrays(np.asarray(angles, dtype=float),
                                          np.asarray(delays, dtype=float))
-    seqs = [_memory_sequence(p, a, d, cal, extra)
+    seqs = [_memory_sequence(a, d, cal, extra)
             for a, d, extra in zip(angles, delays,
                                    extra_segments or [()] * angles.size)]
     if angles.size > 1 and np.all(angles == angles[0]):
@@ -149,8 +149,8 @@ def memory_sweep(p: DeviceParams, angles, delays,
     return ground_populations(p, seqs, options)
 
 
-def _memory_sequence(p, prep_angle, storage_delay, cal, extra_segments=()):
-    seq = build_memory_sequence(p, prep_angle, storage_delay, cal)
+def _memory_sequence(prep_angle, storage_delay, cal, extra_segments=()):
+    seq = build_memory_sequence(prep_angle, storage_delay, cal)
     for seg in extra_segments:
         seg = seg.shifted(seq.readout_time)
         seq = PulseSequence(seq.segments + (seg,), readout_time=seg.end)
@@ -160,7 +160,7 @@ def _memory_sequence(p, prep_angle, storage_delay, cal, extra_segments=()):
 def _storage_half(p, prep_angle, options, cal):
     """(t_half, state) after the preparation, sideband pi and qubit pi, in
     the windows of the protocol at any delay (its retrieval starts later)."""
-    seq = _memory_sequence(p, prep_angle, 0.0, cal)
+    seq = _memory_sequence(prep_angle, 0.0, cal)
     t_half = max(s.end for s in seq.labeled("qubit-pi-store"))
     return t_half, simulate_sequence(p, seq, options, upto=t_half)[1]
 
@@ -450,7 +450,7 @@ def z_fidelity_sweep(p: DeviceParams, working_points=None,
     options = options or ProtocolOptions()
     wps = working_points or default_working_points()
     cals = get_calibrations(p, options, [wp.bsb_amplitude for wp in wps])
-    seqs = [build_memory_sequence(p, 0.0, 0.0, cal,
+    seqs = [build_memory_sequence(0.0, 0.0, cal,
                                   qubit_pi_multiplier=wp.qubit_pi_multiplier)
             for wp, cal in zip(wps, cals)]
     rows = [_z_fidelity(p, p_g, seq)
@@ -480,7 +480,7 @@ def memory_channel(p: DeviceParams, options: ProtocolOptions | None = None,
     """
     options = options or ProtocolOptions()
     cal = cal or get_calibration(p, options)
-    seq = build_memory_sequence(p, 0.0, 0.0, cal)
+    seq = build_memory_sequence(0.0, 0.0, cal)
     dims = options.dims
     qubit = np.array([dims.index(0, 0, 0), dims.index(1, 0, 0)])
 
@@ -532,7 +532,7 @@ def qpt_experiment(p: DeviceParams, options: ProtocolOptions | None = None):
     theta, f_opt = tomography.fidelity_with_z_optimization(chi)
     p_g = float(np.real(outputs[0][0, 0]))          # |g><g|
     t_p, f_z, _ = _z_fidelity(
-        p, p_g, build_memory_sequence(p, 0.0, 0.0, cal))
+        p, p_g, build_memory_sequence(0.0, 0.0, cal))
     return {
         "chi": chi,
         "f_qpt_raw": f_raw,

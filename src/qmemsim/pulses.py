@@ -197,7 +197,7 @@ class ProtocolCalibration:
     bsb: CalibrationResult
 
 
-def build_memory_sequence(p: DeviceParams, prep_angle, storage_delay, cal,
+def build_memory_sequence(prep_angle, storage_delay, cal,
                           qubit_pi_multiplier=1):
     """Assemble the storage/retrieval protocol of the memory experiment.
 

@@ -393,6 +393,30 @@ def test_manifest_round_trip(tmp_path, sample_cfg):
     assert (out1 / "fits.json").read_bytes() == (out2 / "fits.json").read_bytes()
 
 
+def test_replay_restores_only_the_recorded_arguments(tmp_path, sample_cfg):
+    # a manifest whose run.args hold out and jobs neither redirects nor
+    # parallelizes its replay: the outputs go to the replay's own --out
+    from qmemsim import cli
+
+    data = tmp_path / "d.csv"
+    data.write_text("x,y\n" + "".join(f"{x:.17g},{np.exp(-x / 3.0):.17g}\n"
+                                      for x in np.linspace(0.0, 10.0, 20)))
+    first, elsewhere, replay = (tmp_path / n
+                                for n in ("first", "elsewhere", "replay"))
+    assert cli.main(["run", "--config", sample_cfg, "--experiment", "fit",
+                     "--input", str(data), "--out", str(first)]) == 0
+    manifest = json.loads((first / "manifest.json").read_text())
+    manifest["run"]["args"].update(out=str(elsewhere), jobs=2)
+    edited = tmp_path / "edited.json"
+    edited.write_text(json.dumps(manifest))
+    assert cli.main(["run", "--from-manifest", str(edited),
+                     "--out", str(replay)]) == 0
+    assert sorted(os.listdir(tmp_path)) == [
+        "d.csv", "edited.json", "first", "replay", "sample.cfg"]
+    for name in ("results.csv", "fits.json", "manifest.json"):
+        assert (replay / name).read_bytes() == (first / name).read_bytes()
+
+
 @pytest.mark.parametrize("text, message", [
     (None, "cannot read manifest"),
     ("{not json", "cannot read manifest"),

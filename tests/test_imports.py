@@ -2,8 +2,9 @@
 field is read somewhere, every qmemsim name the demos use exists, and
 neither importing the CLI, nor simulating, nor fitting loads scipy.  One
 module cuts and routes the propagation windows, no function writes
-module-level state, and every function, class and method of the package is
-named by the program, the demos or the benchmark.
+module-level state or keeps a parameter it never reads, and every
+function, class and method of the package is named by the program, the
+demos or the benchmark.
 
 No linter ships with the test environment, so these AST scans stand in for
 the unused-import and unused-field checks.  A name listed in the module's
@@ -241,6 +242,55 @@ print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))
                          text=True)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "[]"
+
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def _unused_parameters(tree, scope):
+    """"<scope>.<function>: <parameter>" for each parameter of each function
+    or lambda in the tree that its body (nested functions included) never
+    loads: positional, keyword-only, *args and **kwargs alike, but self and
+    cls.  scope names the tree; a nested definition is named by the chain
+    of functions and classes around it."""
+    for node in ast.iter_child_nodes(tree):
+        name = scope
+        if isinstance(node, (*FUNCTIONS, ast.ClassDef)):
+            name = f"{scope}.{getattr(node, 'name', '<lambda>')}"
+        if isinstance(node, FUNCTIONS):
+            a = node.args
+            params = [*a.posonlyargs, *a.args, a.vararg, *a.kwonlyargs, a.kwarg]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            loaded = {n.id for stmt in body for n in ast.walk(stmt)
+                      if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            yield from (f"{name}: {arg.arg}" for arg in params if arg
+                        and arg.arg not in loaded | {"self", "cls"})
+        yield from _unused_parameters(node, name)
+
+
+def test_every_parameter_is_used():
+    # a parameter the function never reads is an input every caller must
+    # pass for nothing, and one more thing a reader must rule out
+    unused = [entry for path in MODULES
+              for entry in _unused_parameters(ast.parse(path.read_text()),
+                                              path.stem)]
+    assert not unused, f"parameters their function never reads: {unused}"
+
+
+def test_parameter_check_flags_unused_parameters():
+    tree = ast.parse("def f(a, b, /, c, *args, d, e=1, **kwargs):\n"
+                     "    return a + d\n"
+                     "class Box:\n"
+                     "    def read(self, key, spare):\n"
+                     "        return key\n"
+                     "    @classmethod\n"
+                     "    def make(cls, size, default=lambda x, y: x):\n"
+                     "        def inner(z):\n"
+                     "            return size\n"
+                     "        return inner\n")
+    assert list(_unused_parameters(tree, "toy")) == [
+        "toy.f: b", "toy.f: c", "toy.f: args", "toy.f: e", "toy.f: kwargs",
+        "toy.Box.read: spare", "toy.Box.make: default",
+        "toy.Box.make.<lambda>: y", "toy.Box.make.inner: z"]
 
 
 ROUTING = ("carrier_frame", "active_terms", "max_step")

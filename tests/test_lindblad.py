@@ -63,6 +63,34 @@ def test_build_model_channel_set():
         assert np.max(np.abs(h - h.conj().T)) < 1e-9
 
 
+def test_build_model_leaves_out_channels_of_rate_zero():
+    dims = SubsystemDims(2, 2, 1)
+
+    def channels(p=DeviceParams(), **kw):
+        return {c.name: c.rate for c in build_model(p, dims, **kw).channels}
+
+    every = ["storage-decay", "readout-decay", "qubit-decay",
+             "qubit-dephasing", "qubit-thermal"]
+    assert list(channels()) == every
+    assert list(channels(DeviceParams(p_e=0.0))) == [
+        name for name in every if name != "qubit-thermal"]
+    t1_q = DeviceParams().t1_q
+    assert list(channels(DeviceParams(t2_q=2.0 * t1_q))) == [
+        name for name in every if name != "qubit-dephasing"]
+    for t_phi in (None, math.inf):
+        assert list(channels(storage_t_phi=t_phi)) == every
+    with_storage = channels(storage_t_phi=3.0)
+    assert list(with_storage) == every + ["storage-dephasing"]
+    assert with_storage["storage-dephasing"] == 2.0 / 3.0
+    assert build_model(DeviceParams(), dims, noiseless=True).channels == ()
+
+
+@pytest.mark.parametrize("t_phi", [0.0, -1.0, math.nan])
+def test_storage_t_phi_must_be_a_positive_number(t_phi):
+    with pytest.raises(ParameterError, match="storage_t_phi"):
+        build_model(DeviceParams(), SubsystemDims(2, 2, 1), storage_t_phi=t_phi)
+
+
 def test_built_model_is_frozen():
     p = DeviceParams()
     base = build_model(p, SubsystemDims(2, 2, 1))
@@ -369,6 +397,25 @@ def test_a_drifting_column_names_its_own_time_and_step():
     steps = float(match[1]) / dt
     assert steps > 1 and abs(steps - round(steps)) < 1e-6
     assert match[2] == f"{dt / 2:.3g}"
+
+
+def test_an_exact_window_whose_generator_drifts_raises():
+    # a drift of -0.5j on every level decays the trace of rho and the
+    # squared norm of a ket as exp(-t): the idle window takes the exact
+    # route, which checks the invariant once, at the window's end
+    base = build_model(DeviceParams(), SubsystemDims(2, 2, 1), noiseless=True)
+    d = base.dims.total
+    leaky = dataclasses.replace(base, drift=(lindblad.ShiftClass(
+        (0, 0, 0), np.arange(d), np.full(d, -0.5j)),))
+    g = np.zeros(d, dtype=complex)
+    g[base.dims.index(0, 0, 0)] = 1.0
+    for x, invariant in ((np.outer(g, g).reshape(-1, 1), "trace"),
+                         (g[:, None], "norm")):
+        with pytest.raises(IntegrationError) as err:
+            propagate([leaky], x, (0.0, 1.0), 1e-3)
+        assert re.fullmatch(
+            rf"{invariant} drifted by 0\.632 over \[0, 1\] us; the generator "
+            r"of the window does not conserve it", str(err.value))
 
 
 def test_purity_and_positivity_along_trajectory():
@@ -900,7 +947,7 @@ def test_default_protocol_windows_step_their_reached_elements(monkeypatch,
     # |g><e|.  Only the ramps step RK4, 125 steps of 2e-4 us each.
     p, options = DeviceParams(), ProtocolOptions()
     dims = options.dims
-    seq = build_memory_sequence(p, 0.0, 0.0, default_cal)
+    seq = build_memory_sequence(0.0, 0.0, default_cal)
     store = seq.labeled("bsb-store")[0]
     model = build_model(p, dims).with_sequence(seq)
     table = LiouvilleTable(model, model.active_terms(store.start, store.end))

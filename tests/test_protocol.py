@@ -319,7 +319,7 @@ def test_z_sweep_runs_its_protocols_and_calibrations_batched(monkeypatch,
 def test_sequences_with_different_layouts_run_in_one_call(default_cal):
     # a zero angle omits the prep segment, so the first column has four
     # edges fewer than the second; each equals its one-column run
-    seqs = [build_memory_sequence(P, angle, 0.0, default_cal)
+    seqs = [build_memory_sequence(angle, 0.0, default_cal)
             for angle in (0.0, math.pi / 2.0)]          # no prep, then prep
     _, states = protocol.simulate_sequences(P, seqs, OPTS)
     for seq, state in zip(seqs, states):
@@ -331,7 +331,7 @@ def test_one_span_equals_its_windows_one_at_a_time(default_cal):
     # the zero-delay protocol as one span, against the windows between its
     # segment and plateau edges, each its own propagate call (a window
     # under 1e-12 us is skipped, as propagate skips it)
-    seq = build_memory_sequence(P, 0.0, 0.0, default_cal)
+    seq = build_memory_sequence(0.0, 0.0, default_cal)
     model, state = protocol.simulate_sequence(P, seq, OPTS)
     edges = sorted([0.0, seq.readout_time] + [
         e for s in seq.segments

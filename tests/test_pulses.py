@@ -137,7 +137,7 @@ def test_qubit_calibration_steps_its_ramps_at_the_probe_step(monkeypatch):
 
 def test_memory_sequence_layout(sample_calibration):
     p, dims, cal = sample_calibration
-    sq = build_memory_sequence(p, 0.3, 0.5, cal)
+    sq = build_memory_sequence(0.3, 0.5, cal)
     labels = [s.label for s in sq.segments]
     assert labels == ["prep", "bsb-store", "qubit-pi-store",
                       "qubit-pi-retrieve", "bsb-retrieve"]
@@ -150,7 +150,7 @@ def test_memory_sequence_layout(sample_calibration):
 
 def test_memory_sequence_mirror_symmetry(sample_calibration):
     p, dims, cal = sample_calibration
-    sq = build_memory_sequence(p, 0.0, 0.0, cal)
+    sq = build_memory_sequence(0.0, 0.0, cal)
     ops = [s for s in sq.segments if s.label != "prep"]
     half = len(ops) // 2
     for a, b in zip(ops[:half], reversed(ops[half:])):
@@ -161,27 +161,27 @@ def test_memory_sequence_mirror_symmetry(sample_calibration):
 
 def test_memory_sequence_zero_angle_omits_prep(sample_calibration):
     p, dims, cal = sample_calibration
-    sq = build_memory_sequence(p, 0.0, 0.0, cal)
+    sq = build_memory_sequence(0.0, 0.0, cal)
     assert not sq.labeled("prep")
     assert sq.memory_duration == pytest.approx(sq.end - sq.start)
 
 
 def test_memory_sequence_pi_multiplier(sample_calibration):
     p, dims, cal = sample_calibration
-    sq1 = build_memory_sequence(p, 0.0, 0.0, cal, qubit_pi_multiplier=1)
-    sq3 = build_memory_sequence(p, 0.0, 0.0, cal, qubit_pi_multiplier=3)
+    sq1 = build_memory_sequence(0.0, 0.0, cal, qubit_pi_multiplier=1)
+    sq3 = build_memory_sequence(0.0, 0.0, cal, qubit_pi_multiplier=3)
     area1, area3 = (s.amplitude * s.equivalent_width() for s in
                     (sq1.labeled("qubit-pi-store")[0],
                      sq3.labeled("qubit-pi-store")[0]))
     assert area3 / area1 == pytest.approx(3.0, rel=1e-9)
     assert sq3.memory_duration > sq1.memory_duration
     with pytest.raises(ParameterError):
-        build_memory_sequence(p, 0.0, 0.0, cal, qubit_pi_multiplier=2)
+        build_memory_sequence(0.0, 0.0, cal, qubit_pi_multiplier=2)
 
 
 def test_memory_sequence_requires_calibration():
     with pytest.raises(CalibrationError):
-        build_memory_sequence(DeviceParams(), 0.0, 0.0, None)
+        build_memory_sequence(0.0, 0.0, None)
 
 
 def test_qubit_calibration_matches_rabi_formula():
