@@ -28,5 +28,5 @@ print(f"Z fidelity, same point    {out['f_z']:.4f} "
       f"(protocol length {out['t_p_us'] * 1e3:.0f} ns)")
 
 print("\nsanity: the identity channel reconstructs exactly")
-ident = tomography.process_tomography(lambda rho: rho)
+ident = tomography.process_tomography(tomography.INPUT_STATES)
 print(f"  F(identity) = {tomography.process_fidelity(ident):.12f}")

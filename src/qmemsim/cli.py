@@ -13,13 +13,15 @@ calibration probes' step, so a manifest written while the probes stepped
 the qubit at 1e-4 us (before pulses.PROBE_STEP) reproduces to about 2e-8,
 not bit for bit.
 Physics or fit failures exit with status 1, usage errors (unknown
-experiment, missing config, a manifest that cannot be read, is not JSON
-or lacks config_text, run.dt_pulse_us or run.args, a truncation size
-below its minimum or a total dimension above DIM_CAP, a sweep that does
-not strictly increase or of a variable the experiment does not take, an
-unknown frame, a dt_pulse <= 0, shots or jobs < 1, a fit input that
-cannot be read, holds no rows or a value that is not finite, or whose x
-values do not strictly increase) with 2, before any simulation.
+experiment, missing config or --experiment, a recorded argument given
+beside --from-manifest with a value other than its default, a manifest
+that cannot be read, is not JSON or lacks config_text, run.dt_pulse_us
+or run.args, a truncation size below its minimum or a total dimension
+above DIM_CAP, a sweep that does not strictly increase or of a variable
+the experiment does not take, an unknown frame, a dt_pulse <= 0, shots
+or jobs < 1, a fit input that cannot be read, holds no rows or a value
+that is not finite, or whose x values do not strictly increase) with 2,
+before any simulation.
 """
 
 import argparse
@@ -237,6 +239,12 @@ def _read_manifest(path):
 
 def cmd_run(args):
     if args.from_manifest:
+        defaults = build_parser().parse_args(["run"])
+        given = ["--" + key.replace("_", "-") for key in RECORDED_ARGS
+                 if getattr(args, key) != getattr(defaults, key)]
+        if given:
+            raise ConfigError(f"--from-manifest replays the recorded run "
+                              f"arguments; drop {', '.join(given)}")
         manifest = _read_manifest(args.from_manifest)
         config_text = manifest["config_text"]
         p, dims, run_kw = parse_run_settings(config_text, args.from_manifest)
@@ -248,19 +256,15 @@ def cmd_run(args):
             setattr(args, key, recorded[key])
     else:
         if not args.config:
-            print("error: --config is required (or --from-manifest)",
-                  file=sys.stderr)
-            return 2
+            raise ConfigError("--config is required (or --from-manifest)")
         if not os.path.exists(args.config):
-            print(f"error: config file {args.config!r} not found", file=sys.stderr)
-            return 2
+            raise ConfigError(f"config file {args.config!r} not found")
         with open(args.config) as f:
             config_text = f.read()
         p, dims, run_kw = parse_run_settings(config_text, args.config)
 
     if args.experiment is None:
-        print("error: --experiment is required", file=sys.stderr)
-        return 2
+        raise ConfigError("--experiment is required")
 
     sweep = _parse_sweep(args.sweep) if args.sweep else None
     accepted = SWEEP_VARIABLES.get(args.experiment, ())
@@ -293,10 +297,8 @@ def cmd_run(args):
 
 
 def cmd_validate(args):
-    if not args.config or not os.path.exists(args.config or ""):
-        print(f"error: config file {args.config!r} not found", file=sys.stderr)
-        return 2
-    breaches = []
+    if not os.path.exists(args.config):
+        raise ConfigError(f"config file {args.config!r} not found")
     try:
         p, dims, run_kw = load_run_settings(args.config)
     except ConfigError as exc:
@@ -329,11 +331,7 @@ def cmd_validate(args):
     try:
         protocol.ProtocolOptions(dims=dims, **run_kw)
     except ParameterError as exc:
-        breaches.append(str(exc))
-
-    if breaches:
-        for b in breaches:
-            print("breach:", b, file=sys.stderr)
+        print("breach:", exc, file=sys.stderr)
         return 1
     print("config valid")
     return 0

@@ -24,6 +24,12 @@ from dataclasses import dataclass, asdict
 from .errors import ParameterError
 from .units import GHZ, MHZ, KHZ
 
+# the sample's drive ports
+QUBIT_CHANNEL = "qubit-charge"
+STORAGE_CHANNEL = "storage-direct"
+READOUT_CHANNEL = "readout-direct"
+CHANNELS = (QUBIT_CHANNEL, STORAGE_CHANNEL, READOUT_CHANNEL)
+
 
 @dataclass(frozen=True)
 class DeviceParams:

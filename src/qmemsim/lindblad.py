@@ -38,10 +38,11 @@ two-photon sideband term
     Omega2(t) * (T exp(i((nu_T - 2 w_c) t - 2 phi)) + h.c.),
     Omega2(t) = g^3 Omega(t)^2 / ((w_s - w_c)^2 (w_q - w_c)^2),
 
-with T the |g,n> -> |e,n+1> ladder operator; it is retained only when the
-tone is near the two-photon resonance.  The quadratic drive dependence and
-cubic coupling dependence of the sideband rate are properties of this term
-and are cross-checked against the full integration by
+with T the |g,n> -> |e,n+1> ladder operator, at ``device.bsb_effective_rate``
+for w_c; it is retained only when its carrier is within the RWA cutoff, near
+the two-photon resonance.  The quadratic drive dependence and cubic coupling
+dependence of the sideband rate are properties of this term and are
+cross-checked against the full integration by
 ``protocol.effective_bsb_check``.
 
 Propagation
@@ -101,10 +102,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import qsys
-from .device import DeviceParams, pure_dephasing_time
+from .device import (QUBIT_CHANNEL, READOUT_CHANNEL, STORAGE_CHANNEL,
+                     DeviceParams, bsb_effective_rate, pure_dephasing_time)
 from .errors import DimensionError, IntegrationError, ParameterError
-from .pulses import (PulseSegment, QUBIT_CHANNEL, STORAGE_CHANNEL,
-                     READOUT_CHANNEL)
 from .qsys import SubsystemDims, QuantumState
 from .units import GHZ, TWO_PI
 
@@ -209,7 +209,7 @@ class HamiltonianTerm:
     phase: float
     kind: str
     strength: float = 0.0
-    segment: PulseSegment | None = None
+    segment: "pulses.PulseSegment | None" = None
 
     def amplitude_at(self, t):
         if self.kind == "coupling":
@@ -300,7 +300,6 @@ class LindbladModel:
         plus those of seq's segments (see the module docstring).  Only
         reads the frame, so every model driven from it takes its term
         operators from the same classes."""
-        a = self.params.angular()
         cutoff = math.inf if self.frame == "lab" else RWA_CUTOFF
         rot_arr = np.array(self.rot)
         terms = list(self.terms)
@@ -315,17 +314,14 @@ class LindbladModel:
                         terms.append(HamiltonianTerm(
                             op=cls, carrier=carrier, phase=s * seg.phase,
                             kind="linear", segment=seg))
-            if seg.target == QUBIT_CHANNEL and self.frame != "lab":
-                d_s = a.w_s - seg.carrier
-                d_q = a.w_q - seg.carrier
-                if min(abs(d_s), abs(d_q)) > TWO_PI * 1.0:
-                    coeff = a.g**3 / (d_s**2 * d_q**2)
-                    carrier = (self.rot[0] + self.rot[1]) - 2.0 * seg.carrier
-                    if abs(carrier) <= cutoff:
-                        terms.append(HamiltonianTerm(
-                            op=self.two_photon, carrier=carrier,
-                            phase=-2.0 * seg.phase, kind="two-photon",
-                            strength=coeff, segment=seg))
+            carrier = (self.rot[0] + self.rot[1]) - 2.0 * seg.carrier
+            if seg.target == QUBIT_CHANNEL and self.frame != "lab" \
+                    and abs(carrier) <= cutoff:
+                terms.append(HamiltonianTerm(
+                    op=self.two_photon, carrier=carrier,
+                    phase=-2.0 * seg.phase, kind="two-photon",
+                    strength=bsb_effective_rate(self.params, 1.0, seg.carrier),
+                    segment=seg))
         return replace(self, terms=tuple(terms))
 
     # -- integrator support --------------------------------------------------
@@ -402,6 +398,13 @@ def _bare_operators(dims, a):
     return b, a_s, a_r, h0
 
 
+def check_storage_t_phi(storage_t_phi):
+    """The storage dephasing time is None or a number of us > 0."""
+    if storage_t_phi is not None and not storage_t_phi > 0:
+        raise ParameterError(f"storage_t_phi must be a number of us > 0 (inf "
+                             f"for no storage dephasing), got {storage_t_phi!r}")
+
+
 def build_model(p: DeviceParams, dims: SubsystemDims, frame="dispersive",
                 *, noiseless=False, storage_t_phi=None):
     """Construct a rotating-frame Lindblad model with no sequence, a frame.
@@ -421,9 +424,7 @@ def build_model(p: DeviceParams, dims: SubsystemDims, frame="dispersive",
     """
     if frame not in FRAMES:
         raise ParameterError(f"unknown frame {frame!r}, expected one of {FRAMES}")
-    if storage_t_phi is not None and not storage_t_phi > 0:
-        raise ParameterError(f"storage_t_phi must be a number of us > 0 (inf "
-                             f"for no storage dephasing), got {storage_t_phi!r}")
+    check_storage_t_phi(storage_t_phi)
     a = p.angular()
     labels = dims.labels()
     b, a_s, a_r, h0 = _bare_operators(dims, a)

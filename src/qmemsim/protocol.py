@@ -13,14 +13,14 @@ from dataclasses import dataclass, field, replace as dc_replace
 
 import numpy as np
 
-from . import analysis, qsys, tomography
-from .device import DeviceParams, bsb_effective_rate
+from . import analysis, pulses, qsys, tomography
+from .device import (QUBIT_CHANNEL, READOUT_CHANNEL, STORAGE_CHANNEL,
+                     DeviceParams, bsb_effective_rate)
 from .errors import IntegrationError, ParameterError
-from .lindblad import (FRAMES, build_model, dressed_frequencies, propagate,
-                       two_photon_resonance)
+from .lindblad import (FRAMES, build_model, check_storage_t_phi,
+                       dressed_frequencies, propagate, two_photon_resonance)
 from .pulses import (PROBE_STEP, PulseSegment, PulseSequence,
-                     ProtocolCalibration, QUBIT_CHANNEL, READOUT_CHANNEL,
-                     STORAGE_CHANNEL, build_memory_sequence,
+                     ProtocolCalibration, build_memory_sequence,
                      calibrate_pi_pulse, calibrate_pi_pulses)
 from .qsys import QuantumState, SubsystemDims
 from .units import TWO_PI
@@ -57,6 +57,7 @@ class ProtocolOptions:
                 f"dt_pulse must be > 0 us and finite, got {self.dt_pulse!r} us")
         if self.shots is not None and self.shots < 1:
             raise ParameterError(f"shots must be >= 1, got {self.shots!r}")
+        check_storage_t_phi(self.storage_t_phi)
 
     def replace(self, **kw):
         return dc_replace(self, **kw)
@@ -361,15 +362,13 @@ def effective_bsb_check(p: DeviceParams, drives,
     The tone is placed at the model's own two-photon pair resonance, so the
     comparison isolates the rate rather than a detuning.  Each noiseless
     tone lasts 2.5 of its swap periods and is sampled 36 times per period:
-    the 91 sample times of every drive are the ket columns of one
-    propagate call from 0, on one noiseless base model of options.frame
-    and options.dims, the tones' ramps by RK4 and their plateaus exactly.
-    Each drive's rate comes from its own fit.  The columns share one step,
-    the smallest of the drives' own (pulses.PROBE_STEP, the calibration
-    probes' step, or a 400th of the swap period), so a drive whose own
-    step is coarser runs at the finer one;
-    propagate steps each ramp at no more than its model's step bound, 40
-    steps per period of its fastest carrier, which binds in the bare frame.
+    91 copies of each drive's tone, each read at one sample time, are the
+    columns of one pulses._probe_transfers call on the noiseless frame of
+    options.frame and options.dims.  Each drive's rate comes from its own
+    fit.  The columns share one step, the smallest of the drives' own
+    (pulses.PROBE_STEP, the calibration probes' step, or a 400th of the
+    swap period), so a drive whose own step is coarser runs at the finer
+    one; propagate steps each ramp at no more than its model's step bound.
     """
     options = options or ProtocolOptions()
     dims = options.dims
@@ -379,22 +378,20 @@ def effective_bsb_check(p: DeviceParams, drives,
     carrier = two_photon_resonance(p, dims)
     predicted = [bsb_effective_rate(p, drive, carrier=carrier)
                  for drive in drives]
-    base = build_model(p, dims, frame=options.frame, noiseless=True)
-    models, times = [], []
+    segments, times = [], []
     for drive, rate in zip(drives, predicted):
         period = math.pi / rate
         seg = PulseSegment(QUBIT_CHANNEL, drive, carrier, plateau=2.5 * period,
                            rise=1e-3, start=0.0, label="bsb-tone")
-        model = base.with_sequence(PulseSequence((seg,)))
-        models += [model] * 91
+        segments += [seg] * 91
         times.append(np.linspace(0.0, seg.end, 91))   # 36 per swap period
     # only slow carriers remain on a resonant sideband tone; the probes'
     # step resolves the MHz-scale dynamics comfortably
     dt = min(PROBE_STEP, math.pi / max(predicted) / 400.0)
-    ground = dims.index(0, 0, 0)
-    psi = np.eye(dims.total)[:, [ground] * len(models)]
-    psi = propagate(models, psi, (0.0, np.concatenate(times)), dt)
-    pops = np.split(np.abs(psi[ground]) ** 2, len(times))
+    base = build_model(p, dims, frame=options.frame, noiseless=True)
+    pops = np.split(pulses._probe_transfers(
+        base, segments, np.concatenate(times), dt, (0, 0, 0), (0, 0, 0)),
+        len(times))
     out = []
     for t, pop, rate in zip(times, pops, predicted):
         fit = analysis.fit_decaying_cosine(t, pop)
@@ -495,6 +492,16 @@ def memory_channel(p: DeviceParams, options: ProtocolOptions | None = None,
     return channel
 
 
+def _sampled_output(block, shots, rng):
+    """The state tomography of the normalized 2x2 output block from shots
+    binomial samples of each of its Pauli expectations."""
+    rho_n = block / np.trace(block)
+    ups = [min(1.0, max(0.0, 0.5 * (1.0 + np.real(np.trace(rho_n @ op)))))
+           for op in tomography.PAULIS[1:]]
+    return tomography.state_tomography(
+        [2.0 * rng.binomial(shots, up) / shots - 1.0 for up in ups])
+
+
 def qpt_experiment(p: DeviceParams, options: ProtocolOptions | None = None):
     """Process tomography of the memory protocol; returns a dict with the
     chi matrix, raw and Z-optimized process fidelities and the Z fidelity at
@@ -509,25 +516,11 @@ def qpt_experiment(p: DeviceParams, options: ProtocolOptions | None = None):
     options = options or ProtocolOptions()
     cal = get_calibration(p, options)
     outputs = memory_channel(p, options, cal)(np.array(tomography.INPUT_STATES))
-
-    def channel(rho_in):
-        k = next(i for i, rho in enumerate(tomography.INPUT_STATES)
-                 if rho is rho_in)
-        block = outputs[k]
-        if options.shots is None:
-            return block
-        rng = np.random.default_rng((options.seed, k))
-        rho_n = block / np.trace(block)
-        out = {}
-        for name, op in (("X", tomography.PAULI_X), ("Y", tomography.PAULI_Y),
-                         ("Z", tomography.PAULI_Z)):
-            prob_up = 0.5 * (1.0 + np.real(np.trace(rho_n @ op)))
-            prob_up = min(1.0, max(0.0, prob_up))
-            k = rng.binomial(options.shots, prob_up)
-            out[name] = 2.0 * k / options.shots - 1.0
-        return tomography.state_tomography(lambda ax: out[ax])
-
-    chi = tomography.process_tomography(channel)
+    blocks = outputs if options.shots is None else [
+        _sampled_output(block, options.shots,
+                        np.random.default_rng((options.seed, k)))
+        for k, block in enumerate(outputs)]
+    chi = tomography.process_tomography(blocks)
     f_raw = tomography.process_fidelity(chi)
     theta, f_opt = tomography.fidelity_with_z_optimization(chi)
     p_g = float(np.real(outputs[0][0, 0]))          # |g><g|

@@ -15,14 +15,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .device import DeviceParams, bsb_frequency, bsb_effective_rate
+from . import lindblad
+from .device import (CHANNELS, QUBIT_CHANNEL, DeviceParams, bsb_effective_rate,
+                     bsb_frequency)
 from .errors import CalibrationError, ParameterError
-
-# drive channels
-QUBIT_CHANNEL = "qubit-charge"
-STORAGE_CHANNEL = "storage-direct"
-READOUT_CHANNEL = "readout-direct"
-CHANNELS = (QUBIT_CHANNEL, STORAGE_CHANNEL, READOUT_CHANNEL)
 
 DEFAULT_RISE = 0.020  # us
 TRUNC_SIGMAS = 2.5    # ramps truncated at +/- 2.5 sigma
@@ -245,21 +241,21 @@ def build_memory_sequence(prep_angle, storage_delay, cal,
 # pi-pulse calibration against the simulator
 # ---------------------------------------------------------------------------
 
-def _probe_transfers(base, segments, dt, initial, target):
+def _probe_transfers(base, segments, ends, dt, initial, target):
     """Transfer probabilities of trial segments starting at 0 under the
-    noiseless frame base (a model with no sequence), one per segment, as
-    the ket columns of one lindblad.propagate call from 0 to each segment's
-    end: the ramps by RK4, the plateaus exactly (by RK4 in the lab frame,
-    which has no frame rotating with a probe's carriers).  dt is the
-    largest step (calibrate_pi_pulses passes PROBE_STEP): propagate steps
-    each ramp at no more than its model's step bound, 40 steps per period
-    of its fastest carrier, which binds in the bare frame."""
-    from .lindblad import propagate
-
+    noiseless frame base (a model with no sequence), segments[j] read at
+    ends[j], as the ket columns of one lindblad.propagate call from 0: the
+    ramps by RK4, the plateaus exactly (by RK4 in the lab frame, which has
+    no frame rotating with a probe's carriers), one model per distinct
+    segment.  dt is the largest step: propagate steps each ramp at no more
+    than its model's step bound, 40 steps per period of its fastest
+    carrier, which binds in the bare frame."""
     dims = base.dims
-    models = [base.with_sequence(PulseSequence((seg,))) for seg in segments]
+    models = {seg: base.with_sequence(PulseSequence((seg,)))
+              for seg in dict.fromkeys(segments)}
     psi = np.eye(dims.total)[:, [dims.index(*initial)] * len(segments)]
-    psi = propagate(models, psi, (0.0, [s.end for s in segments]), dt)
+    psi = lindblad.propagate([models[seg] for seg in segments], psi,
+                             (0.0, ends), dt)
     return np.abs(psi[dims.index(*target)]) ** 2
 
 
@@ -305,8 +301,6 @@ def calibrate_pi_pulses(params: DeviceParams, dims, channel, amplitudes, *,
     found carrier minus the nominal one (bare qubit frequency, or half the
     nominal sideband frequency).
     """
-    from .lindblad import build_model, dressed_frequencies, two_photon_resonance
-
     amps = np.array(amplitudes, dtype=float)
     if amps.min() <= 0:
         raise CalibrationError("drive amplitude must be > 0")
@@ -318,14 +312,14 @@ def calibrate_pi_pulses(params: DeviceParams, dims, channel, amplitudes, *,
 
     if channel == QUBIT_CHANNEL:
         nominal = a.w_q
-        center = dressed_frequencies(params, dims)[0]
+        center = lindblad.dressed_frequencies(params, dims)[0]
         pi_width = math.pi / amps
         initial, target = (0, 0, 0), (1, 0, 0)
         window = np.maximum(0.15 * amps, 2.0 * math.pi * 0.5)
         ramp_eq = 2.0 * _RAMP_AREA * sigma
     else:
         nominal = 0.5 * bsb_frequency(params)
-        center = two_photon_resonance(params, dims)
+        center = lindblad.two_photon_resonance(params, dims)
         omega_eff = bsb_effective_rate(params, amps, carrier=center)
         pi_width = math.pi / (2.0 * omega_eff)
         initial, target = (0, 0, 0), (1, 1, 0)
@@ -339,7 +333,7 @@ def calibrate_pi_pulses(params: DeviceParams, dims, channel, amplitudes, *,
             f" us is shorter than the ramps ({ramp_eq:.4g} us)"
         )
 
-    base = build_model(params, dims, frame=frame, noiseless=True)
+    base = lindblad.build_model(params, dims, frame=frame, noiseless=True)
 
     def probe(plateau, carrier):      # broadcast to one row per amplitude
         plateau, carrier = np.broadcast_arrays(plateau, carrier)
@@ -347,8 +341,8 @@ def calibrate_pi_pulses(params: DeviceParams, dims, channel, amplitudes, *,
                              start=0.0)
                 for amp, pls, cs in zip(amps, plateau, carrier)
                 for pl, c in zip(pls, cs)]
-        return _probe_transfers(base, segs, PROBE_STEP, initial,
-                                target).reshape(plateau.shape)
+        return _probe_transfers(base, segs, [s.end for s in segs], PROBE_STEP,
+                                initial, target).reshape(plateau.shape)
 
     def peaks(xs, transfers):
         return np.array([_parabolic_peak(x, t) for x, t in zip(xs, transfers)])

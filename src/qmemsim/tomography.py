@@ -33,14 +33,13 @@ INPUT_STATES = tuple(np.outer(k, k.conj())
                      for k in (KET_G, KET_E, KET_PLUS, KET_PLUS_I))
 
 
-def state_tomography(measure):
-    """Reconstruct rho = (I + xX + yY + zZ)/2 from an expectation provider.
-
-    ``measure`` maps "X" | "Y" | "Z" to the corresponding expectation value.
-    Bloch vectors outside the unit ball (measurement noise) are radially
-    projected back onto the sphere.
+def state_tomography(bloch):
+    """Reconstruct rho = (I + xX + yY + zZ)/2 from the Bloch vector
+    (x, y, z) of measured Pauli expectations.  Bloch vectors outside the
+    unit ball (measurement noise) are radially projected back onto the
+    sphere.
     """
-    r = np.array([float(measure(axis)) for axis in ("X", "Y", "Z")])
+    r = np.asarray(bloch, dtype=float)
     norm = np.linalg.norm(r)
     if norm > 1.0:
         r = r / norm
@@ -83,26 +82,20 @@ def _physicality_projection(chi):
     return chi / np.trace(chi)
 
 
-def process_tomography(channel):
-    """Linear-inversion chi matrix of a channel evaluated on the 4 inputs.
+def process_tomography(outputs):
+    """Linear-inversion chi matrix of a channel from its outputs on the 4
+    inputs.
 
-    ``channel`` maps a 2x2 density matrix to its (possibly trace-deficient)
-    2x2 output.  The 16 linear equations sum_mn chi_mn P_m rho_k P_n =
-    E(rho_k) are solved directly, then the result is projected onto the
-    physical (Hermitian, positive, unit-trace) cone.  Deterministic.
+    outputs[k] is the (possibly trace-deficient) 2x2 output of
+    INPUT_STATES[k].  The 16 linear equations sum_mn chi_mn P_m rho_k P_n =
+    E(rho_k) are solved directly (Chuang & Nielsen, J. Mod. Opt. 44, 2455
+    (1997)), then the result is projected onto the physical (Hermitian,
+    positive, unit-trace) cone.  Deterministic.
     """
-    outputs = [np.asarray(channel(rho), dtype=complex) for rho in INPUT_STATES]
-    a_mat = np.zeros((16, 16), dtype=complex)
-    b_vec = np.zeros(16, dtype=complex)
-    row = 0
-    for rho, out in zip(INPUT_STATES, outputs):
-        for i in range(2):
-            for j in range(2):
-                for m in range(4):
-                    for n in range(4):
-                        a_mat[row, 4 * m + n] = (PAULIS[m] @ rho @ PAULIS[n])[i, j]
-                b_vec[row] = out[i, j]
-                row += 1
+    # row (k, i, j), column (m, n): (P_m rho_k P_n)[i, j]
+    a_mat = np.einsum("mab,kbc,ncd->kadmn", PAULIS, INPUT_STATES,
+                      PAULIS).reshape(16, 16)
+    b_vec = np.asarray(outputs, dtype=complex).reshape(16)
     try:
         chi_vec = np.linalg.solve(a_mat, b_vec)
     except np.linalg.LinAlgError as exc:

@@ -116,7 +116,7 @@ def test_criterion_08_z_fidelity(anchor_z_point):
 
 
 def test_criterion_09_process_tomography(anchor_z_point):
-    chi_id = tomography.process_tomography(lambda rho: rho)
+    chi_id = tomography.process_tomography(tomography.INPUT_STATES)
     assert tomography.process_fidelity(chi_id) == pytest.approx(1.0, abs=1e-10)
 
     opts = OPTS.replace(bsb_amplitude=ANCHOR_POINT.bsb_amplitude)

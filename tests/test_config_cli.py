@@ -417,6 +417,36 @@ def test_replay_restores_only_the_recorded_arguments(tmp_path, sample_cfg):
         assert (replay / name).read_bytes() == (first / name).read_bytes()
 
 
+@pytest.mark.parametrize("flags, named", [
+    (["--shots", "20", "--seed", "7"], "--seed, --shots"),
+    (["--seed", "0", "--shots", "20", "--fit-leakage"],
+     "--shots, --fit-leakage"),
+])
+def test_recorded_arguments_beside_a_manifest_are_a_usage_error(
+        tmp_path, capsys, monkeypatch, flags, named):
+    # a replay runs with the arguments its manifest records; a flag that
+    # gives one of them a value other than its default is refused by name,
+    # before any simulation, instead of being silently overridden
+    from qmemsim import cli, protocol
+
+    def simulate(*args, **kwargs):
+        raise AssertionError("simulated before rejecting the flags")
+
+    monkeypatch.setattr(protocol, "get_calibration", simulate)
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({
+        "config_text": config.SAMPLE_CONFIG,
+        "run": {"dt_pulse_us": 2e-4,
+                "args": {"experiment": "qpt", "shots": 500, "seed": 0}}}))
+    out = tmp_path / "out"
+    assert cli.main(["run", "--from-manifest", str(path), *flags,
+                     "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: --from-manifest replays the recorded run arguments; "
+        f"drop {named}\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("text, message", [
     (None, "cannot read manifest"),
     ("{not json", "cannot read manifest"),

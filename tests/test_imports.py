@@ -193,11 +193,11 @@ def test_simulation_path_loads_no_scipy():
     # about 35 MB for a whole simulating run
     code = """
 import sys
-from qmemsim.device import DeviceParams
+from qmemsim.device import QUBIT_CHANNEL, DeviceParams
 import numpy as np
 from qmemsim import qsys
 from qmemsim.lindblad import build_model, evolve, propagate
-from qmemsim.pulses import QUBIT_CHANNEL, PulseSegment, PulseSequence
+from qmemsim.pulses import PulseSegment, PulseSequence
 from qmemsim.qsys import SubsystemDims
 p = DeviceParams()
 seg = PulseSegment(QUBIT_CHANNEL, 100.0, p.angular().w_q, plateau=0.01)
@@ -291,6 +291,42 @@ def test_parameter_check_flags_unused_parameters():
         "toy.f: b", "toy.f: c", "toy.f: args", "toy.f: e", "toy.f: kwargs",
         "toy.Box.read: spare", "toy.Box.make: default",
         "toy.Box.make.<lambda>: y", "toy.Box.make.inner: z"]
+
+
+def _function_imports(tree, scope=None):
+    """(function, line) of each import statement in a function's body,
+    named by the innermost function around it."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and scope:
+            yield scope, node.lineno
+        inner = node.name if isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope
+        yield from _function_imports(node, inner)
+
+
+def test_no_function_imports():
+    # a module's dependencies are its top-level imports; an import inside
+    # a function hides one, or an import cycle, and a test that replaces a
+    # name must then know when the function looks it up
+    found = [f"{path.name}: {name} (line {line})" for path in MODULES
+             for name, line in _function_imports(ast.parse(path.read_text()))]
+    assert not found, f"imports inside functions: {found}"
+
+
+def test_function_import_check_flags_imports():
+    tree = ast.parse("import math\n"
+                     "def f():\n"
+                     "    import os\n"
+                     "    def g():\n"
+                     "        from . import lindblad\n"
+                     "    return os, g\n"
+                     "class A:\n"
+                     "    import json\n"
+                     "    def m(self):\n"
+                     "        from .x import y\n"
+                     "if math:\n"
+                     "    import sys\n")
+    assert list(_function_imports(tree)) == [("f", 3), ("g", 5), ("m", 10)]
 
 
 ROUTING = ("carrier_frame", "active_terms", "max_step")

@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 
 from qmemsim import analysis, lindblad, protocol, qsys
-from qmemsim.device import DeviceParams, dispersive_shift_estimate
+from qmemsim.device import (QUBIT_CHANNEL, DeviceParams,
+                            dispersive_shift_estimate)
 from qmemsim.errors import IntegrationError, ParameterError
 from qmemsim.lindblad import LiouvilleTable, build_model, evolve, propagate
 from qmemsim.protocol import ProtocolOptions
-from qmemsim.pulses import (PulseSegment, PulseSequence, QUBIT_CHANNEL,
+from qmemsim.pulses import (PulseSegment, PulseSequence,
                             build_memory_sequence)
 from qmemsim.qsys import SubsystemDims
 from qmemsim.units import GHZ, MHZ, TWO_PI

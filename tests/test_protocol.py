@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qmemsim import analysis, lindblad, protocol, pulses, qsys
-from qmemsim.device import DeviceParams
+from qmemsim.device import QUBIT_CHANNEL, DeviceParams
 from qmemsim.errors import ParameterError
 from qmemsim.protocol import (ExperimentRecord, ProtocolOptions, WorkingPoint,
                               fock_decay_experiment, memory_channel,
@@ -12,8 +12,7 @@ from qmemsim.protocol import (ExperimentRecord, ProtocolOptions, WorkingPoint,
                               memory_sweep, mode_ringdown_experiment,
                               run_memory_protocol, storage_state_after_half,
                               z_fidelity_sweep)
-from qmemsim.pulses import (PulseSegment, QUBIT_CHANNEL,
-                            build_memory_sequence)
+from qmemsim.pulses import PulseSegment, build_memory_sequence
 from qmemsim.qsys import SubsystemDims
 from qmemsim.units import TWO_PI
 
@@ -36,6 +35,21 @@ def test_options_reject_a_pulse_step_that_is_not_positive_and_finite():
     for dt in (0.0, -1e-4, math.inf, math.nan):
         with pytest.raises(ParameterError, match="dt_pulse must be > 0"):
             ProtocolOptions(dt_pulse=dt)
+
+
+@pytest.mark.parametrize("t_phi", [0.0, -1.0, math.nan])
+def test_options_reject_a_storage_t_phi_that_is_not_positive(t_phi):
+    # at construction, before any calibration, with build_model's message
+    with pytest.raises(ParameterError) as model_error:
+        lindblad.build_model(P, SubsystemDims(2, 2, 1), storage_t_phi=t_phi)
+    with pytest.raises(ParameterError, match="storage_t_phi") as error:
+        ProtocolOptions(storage_t_phi=t_phi)
+    assert str(error.value) == str(model_error.value)
+
+
+def test_options_take_no_or_infinite_storage_dephasing():
+    for t_phi in (None, math.inf):
+        assert ProtocolOptions(storage_t_phi=t_phi).storage_t_phi == t_phi
 
 
 def test_noiseless_round_trip(default_cal):
@@ -197,8 +211,8 @@ def test_calibration_step_is_converged(monkeypatch, anchor_z_point,
     p_g = run_memory_protocol(P, 0.0, 0.0, OPTS, default_cal)
     probe = pulses._probe_transfers
 
-    def halved(base, segments, dt, initial, target):
-        return probe(base, segments, 0.5 * dt, initial, target)
+    def halved(base, segments, ends, dt, initial, target):
+        return probe(base, segments, ends, 0.5 * dt, initial, target)
 
     monkeypatch.setattr(pulses, "_probe_transfers", halved)
     fine = OPTS.replace(dt_pulse=0.5 * OPTS.dt_pulse)
@@ -394,13 +408,13 @@ def test_sideband_check_is_one_call_bit_for_bit(monkeypatch):
     # each drive's comparison equals the one it gets alone, bit for bit
     drives = TWO_PI * np.array([1.2e3, 2.0e3, 3.4e3])
     singles = [protocol.effective_bsb_check(P, [d])[0] for d in drives]
-    calls, propagate = [], protocol.propagate
+    calls, propagate = [], lindblad.propagate
 
     def count(*args):
         calls.append(args[1].shape[1])
         return propagate(*args)
 
-    monkeypatch.setattr(protocol, "propagate", count)
+    monkeypatch.setattr(lindblad, "propagate", count)
     assert protocol.effective_bsb_check(P, drives) == singles
     assert calls == [3 * 91]
 

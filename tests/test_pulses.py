@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from qmemsim import lindblad, pulses, qsys
-from qmemsim.device import DeviceParams, bsb_effective_rate
+from qmemsim.device import QUBIT_CHANNEL, DeviceParams, bsb_effective_rate
 from qmemsim.errors import CalibrationError, IntegrationError, ParameterError
 from qmemsim.lindblad import (build_model, dressed_frequencies, propagate,
                               two_photon_resonance)
 from qmemsim.protocol import ProtocolOptions, simulate_sequence
-from qmemsim.pulses import (PulseSegment, PulseSequence, QUBIT_CHANNEL,
+from qmemsim.pulses import (PulseSegment, PulseSequence,
                             build_memory_sequence, calibrate_pi_pulse)
 from qmemsim.qsys import SubsystemDims
 from qmemsim.units import TWO_PI
@@ -114,7 +114,7 @@ def test_bare_frame_probe_steps_under_its_carrier_bound():
                       plateau=math.pi / amp - 2.0 * pulses._RAMP_AREA * 0.01)
     bare, dispersive = (
         pulses._probe_transfers(build_model(p, dims, frame, noiseless=True),
-                                [pi], 1e-4, (0, 0, 0), (1, 0, 0))[0]
+                                [pi], [pi.end], 1e-4, (0, 0, 0), (1, 0, 0))[0]
         for frame in ("bare", "dispersive"))
     assert bare > 0.999 and dispersive > 0.999
     assert abs(bare - dispersive) < 1e-3
@@ -278,7 +278,7 @@ def test_ket_probes_match_density_matrix_evolution():
                        two_photon_resonance(p, dims), plateau=0.1)
     for segment, target, dt in ((qubit, (1, 0, 0), 1e-4), (bsb, E1, 5e-4)):
         got = pulses._probe_transfers(build_model(p, dims, noiseless=True),
-                                      [segment], dt, G, target)
+                                      [segment], [segment.end], dt, G, target)
         ref = rho_transfer(p, dims, segment, "dispersive", dt, G, target)
         assert ref > 0.5
         assert got[0] == pytest.approx(ref, rel=0, abs=1e-9)
@@ -291,7 +291,7 @@ def test_ket_probes_match_density_matrix_evolution():
     assert any(term.kind == "coupling" for term in model.terms)
     dt = model.max_step()
     got = pulses._probe_transfers(build_model(p, dims, "bare", noiseless=True),
-                                  [segment], dt, G, (1, 0, 0))
+                                  [segment], [segment.end], dt, G, (1, 0, 0))
     ref = rho_transfer(p, dims, segment, "bare", dt, G, (1, 0, 0))
     assert ref > 0.1
     assert got[0] == pytest.approx(ref, rel=0, abs=1e-9)
@@ -321,7 +321,8 @@ def test_exact_probe_plateaus_match_fine_rk4():
         plateau = (segment.start + segment.ramp, segment.end - segment.ramp)
         assert model.carrier_frame(*plateau) is not None
         dt = dt or model.max_step() / 16.0
-        got = pulses._probe_transfers(base, [segment], dt, G, target)
+        got = pulses._probe_transfers(base, [segment], [segment.end], dt, G,
+                                      target)
         terms = model.active_terms(segment.start, segment.end)
         psi = lindblad._stepped(
             lindblad.LiouvilleTable(model, terms, ket=True),
@@ -341,7 +342,8 @@ def test_exact_probe_plateaus_match_fine_rk4():
                            plateau=0.05, rise=0.01)
     base = build_model(p, dims, "lab", noiseless=True)
     model = base.with_sequence(PulseSequence((segment,)))
-    got = pulses._probe_transfers(base, [segment], 1e-4, G, (1, 0, 0))
+    got = pulses._probe_transfers(base, [segment], [segment.end], 1e-4, G,
+                                  (1, 0, 0))
     edges = (segment.start, segment.start + segment.ramp,
              segment.end - segment.ramp, segment.end)
     assert model.carrier_frame(*edges[1:3]) is None

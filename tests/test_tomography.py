@@ -27,6 +27,11 @@ def chi_from_kraus(kraus_ops):
     return tg.ChiMatrix(chi)
 
 
+def outputs(channel):
+    """The channel's outputs on the four tomography inputs, in order."""
+    return [channel(rho) for rho in tg.INPUT_STATES]
+
+
 def apply_chi(chi, rho):
     """The channel of a chi matrix on a 2x2 rho: sum_mn chi_mn P_m rho P_n."""
     return sum(chi.entries[m, n] * (tg.PAULIS[m] @ rho @ tg.PAULIS[n])
@@ -34,16 +39,16 @@ def apply_chi(chi, rho):
 
 
 def test_state_tomography_cardinal_points():
-    rho = tg.state_tomography(lambda ax: {"X": 0, "Y": 0, "Z": 1}[ax])
+    rho = tg.state_tomography([0, 0, 1])
     assert np.allclose(rho, np.diag([1.0, 0.0]))
 
-    rho = tg.state_tomography(lambda ax: {"X": 1, "Y": 0, "Z": 0}[ax])
+    rho = tg.state_tomography([1, 0, 0])
     plus = np.full((2, 2), 0.5)
     assert np.allclose(rho, plus)
 
 
 def test_state_tomography_projects_noisy_bloch_vector():
-    rho = tg.state_tomography(lambda ax: {"X": 0, "Y": 0, "Z": 1.06}[ax])
+    rho = tg.state_tomography([0, 0, 1.06])
     # projected radially to the Bloch sphere surface
     evals = np.linalg.eigvalsh(rho)
     assert evals.min() >= -1e-12
@@ -53,7 +58,7 @@ def test_state_tomography_projects_noisy_bloch_vector():
 
 
 def test_identity_channel_chi():
-    chi = tg.process_tomography(lambda rho: rho)
+    chi = tg.process_tomography(tg.INPUT_STATES)
     expected = np.zeros((4, 4))
     expected[0, 0] = 1.0
     assert np.max(np.abs(chi.entries - expected)) < 1e-10
@@ -65,7 +70,7 @@ def test_depolarizing_channel_chi():
     def depolarize(rho):
         return np.trace(rho) * np.eye(2) / 2.0
 
-    chi = tg.process_tomography(depolarize)
+    chi = tg.process_tomography(outputs(depolarize))
     assert np.max(np.abs(chi.entries - np.eye(4) / 4.0)) < 1e-10
     assert tg.process_fidelity(chi) == pytest.approx(0.25, abs=1e-10)
 
@@ -73,16 +78,39 @@ def test_depolarizing_channel_chi():
 @pytest.mark.parametrize("p", [0.1, 0.35, 0.8])
 def test_amplitude_damping_matches_kraus_oracle(p):
     channel, kraus = amplitude_damping_channel(p)
-    chi = tg.process_tomography(channel)
+    chi = tg.process_tomography(outputs(channel))
     oracle = chi_from_kraus(kraus)
     assert np.max(np.abs(chi.entries - oracle.entries)) < 1e-8
+
+
+def test_chi_matches_the_elementwise_system_bit_for_bit():
+    # the system of the 16 equations, row (k, i, j) and column (m, n),
+    # filled entry by entry: its entries are exact, so chi is the same to
+    # the bit
+    channel, _ = amplitude_damping_channel(0.35)
+    outs = outputs(channel)
+    a_mat = np.zeros((16, 16), dtype=complex)
+    b_vec = np.zeros(16, dtype=complex)
+    row = 0
+    for rho, out in zip(tg.INPUT_STATES, outs):
+        for i in range(2):
+            for j in range(2):
+                for m in range(4):
+                    for n in range(4):
+                        a_mat[row, 4 * m + n] = \
+                            (tg.PAULIS[m] @ rho @ tg.PAULIS[n])[i, j]
+                b_vec[row] = out[i, j]
+                row += 1
+    chi = tg._physicality_projection(
+        np.linalg.solve(a_mat, b_vec).reshape(4, 4))
+    assert np.array_equal(tg.process_tomography(outs).entries, chi)
 
 
 def test_unitary_channel_is_rank_one():
     theta = 0.7
     u = np.array([[math.cos(theta), -math.sin(theta)],
                   [math.sin(theta), math.cos(theta)]], dtype=complex)
-    chi = tg.process_tomography(lambda rho: u @ rho @ u.conj().T)
+    chi = tg.process_tomography(outputs(lambda rho: u @ rho @ u.conj().T))
     evals = np.linalg.eigvalsh(chi.entries)
     assert evals[-1] == pytest.approx(1.0, abs=1e-10)
     assert evals[-2] < 1e-8
@@ -90,8 +118,9 @@ def test_unitary_channel_is_rank_one():
 
 def test_composition_with_identity():
     channel, _ = amplitude_damping_channel(0.3)
-    chi_direct = tg.process_tomography(channel)
-    chi_composed = tg.process_tomography(lambda rho: channel(1.0 * rho))
+    chi_direct = tg.process_tomography(outputs(channel))
+    chi_composed = tg.process_tomography(
+        outputs(lambda rho: channel(1.0 * rho)))
     assert np.max(np.abs(chi_direct.entries - chi_composed.entries)) < 1e-10
 
 
@@ -104,35 +133,37 @@ def test_process_fidelity_bounded():
         f = tg.process_fidelity(chi)
         assert f <= 1.0 + 1e-9
     # equality for the identity channel
-    ident = tg.process_tomography(lambda rho: rho)
+    ident = tg.process_tomography(tg.INPUT_STATES)
     assert tg.process_fidelity(ident) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_z_rotation_never_decreases_fidelity():
     channel, _ = amplitude_damping_channel(0.25)
     rz = np.diag([np.exp(-0.4j), np.exp(0.4j)])
-    chi = tg.process_tomography(lambda rho: rz @ channel(rho) @ rz.conj().T)
+    chi = tg.process_tomography(
+        outputs(lambda rho: rz @ channel(rho) @ rz.conj().T))
     raw = tg.process_fidelity(chi)
     _, best = tg.fidelity_with_z_optimization(chi)
     assert best >= raw - 1e-12
     # the optimization should recover the rotation-free fidelity
-    chi_plain = tg.process_tomography(channel)
+    chi_plain = tg.process_tomography(outputs(channel))
     assert best == pytest.approx(tg.process_fidelity(chi_plain), abs=1e-4)
 
 
 def test_apply_z_rotation_matches_scan():
     channel, _ = amplitude_damping_channel(0.25)
     rz = np.diag([np.exp(-0.4j), np.exp(0.4j)])
-    chi = tg.process_tomography(lambda rho: rz @ channel(rho) @ rz.conj().T)
+    chi = tg.process_tomography(
+        outputs(lambda rho: rz @ channel(rho) @ rz.conj().T))
     theta, best = tg.fidelity_with_z_optimization(chi)
     rz_theta = np.diag([np.exp(-0.5j * theta), np.exp(0.5j * theta)])
-    rotated = tg.process_tomography(
-        lambda rho: rz_theta @ apply_chi(chi, rho) @ rz_theta.conj().T)
+    rotated = tg.process_tomography(outputs(
+        lambda rho: rz_theta @ apply_chi(chi, rho) @ rz_theta.conj().T))
     assert tg.process_fidelity(rotated) == pytest.approx(best, abs=1e-6)
 
 
 def test_chi_export_dict_shape():
-    chi = tg.process_tomography(lambda rho: rho)
+    chi = tg.process_tomography(tg.INPUT_STATES)
     d = tg.chi_export_dict(chi)
     assert d["basis"] == ["I", "X", "Y", "Z"]
     assert np.asarray(d["abs"]).shape == (4, 4)
