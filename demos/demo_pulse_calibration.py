@@ -31,7 +31,8 @@ print("\ncalibrating the qubit pi pulse at 20 MHz Rabi amplitude")
 cal_q = pulses.calibrate_pi_pulse(p, dims, "qubit-charge", TWO_PI * 20.0)
 print(f"  pi time {cal_q.pi_time * 1e3:6.2f} ns "
       f"(square-pulse formula {math.pi / cal_q.amplitude * 1e3:.2f} ns)")
-print(f"  carrier offset from the bare qubit {cal_q.freq_offset / MHZ:+.3f} MHz "
+offset_q = cal_q.carrier - p.angular().w_q
+print(f"  carrier offset from the bare qubit {offset_q / MHZ:+.3f} MHz "
       "(dressing + drive shift)")
 print(f"  transfer {cal_q.transfer:.5f}")
 
@@ -41,7 +42,8 @@ cal_b = pulses.calibrate_pi_pulse(p, dims, "bsb", amp_bsb)
 rate = bsb_effective_rate(p, amp_bsb, carrier=cal_b.carrier)
 print(f"  pi time {cal_b.pi_time * 1e3:6.1f} ns "
       f"(effective-coupling estimate {math.pi / (2 * rate) * 1e3:.1f} ns)")
-print(f"  carrier offset from nominal w_b/2 {cal_b.freq_offset / MHZ:+.3f} MHz")
+offset_b = cal_b.carrier - 0.5 * bsb_frequency(p)
+print(f"  carrier offset from nominal w_b/2 {offset_b / MHZ:+.3f} MHz")
 print(f"  transfer {cal_b.transfer:.5f}")
 
 seq = pulses.build_memory_sequence(math.pi / 2, 0.5,

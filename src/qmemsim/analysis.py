@@ -34,9 +34,6 @@ class FitResult:
     converged: bool
     model: str = ""
 
-    def __getitem__(self, key):
-        return self.params[key]
-
 
 def _run_fit(fn, xs, ys, p0, names, model):
     """Least-squares fit of fn(xs, *params) to ys by Levenberg-Marquardt

@@ -13,15 +13,15 @@ calibration probes' step, so a manifest written while the probes stepped
 the qubit at 1e-4 us (before pulses.PROBE_STEP) reproduces to about 2e-8,
 not bit for bit.
 Physics or fit failures exit with status 1, usage errors (unknown
-experiment, missing config or --experiment, a recorded argument given
-beside --from-manifest with a value other than its default, a manifest
-that cannot be read, is not JSON or lacks config_text, run.dt_pulse_us
-or run.args, a truncation size below its minimum or a total dimension
-above DIM_CAP, a sweep that does not strictly increase or of a variable
-the experiment does not take, an unknown frame, a dt_pulse <= 0, shots
-or jobs < 1, a fit input that cannot be read, holds no rows or a value
-that is not finite, or whose x values do not strictly increase) with 2,
-before any simulation.
+experiment, missing config or --experiment, --config or a recorded
+argument with a value other than its default given beside
+--from-manifest, a manifest that cannot be read, is not JSON or lacks
+config_text, run.dt_pulse_us or run.args, a truncation size below its
+minimum or a total dimension above DIM_CAP, a sweep that does not strictly
+increase or of a variable the experiment does not take, an unknown frame,
+a dt_pulse <= 0, shots or jobs < 1, a fit input that cannot be read, holds
+no rows or a value that is not finite, or whose x values do not strictly
+increase) with 2, before any simulation.
 """
 
 import argparse
@@ -240,7 +240,9 @@ def _read_manifest(path):
 def cmd_run(args):
     if args.from_manifest:
         defaults = build_parser().parse_args(["run"])
-        given = ["--" + key.replace("_", "-") for key in RECORDED_ARGS
+        # the manifest holds the config too
+        given = ["--" + key.replace("_", "-")
+                 for key in ("config",) + RECORDED_ARGS
                  if getattr(args, key) != getattr(defaults, key)]
         if given:
             raise ConfigError(f"--from-manifest replays the recorded run "

@@ -200,27 +200,23 @@ class CollapseChannel:
 class HamiltonianTerm:
     """Time-dependent term f(t) * (op * exp(i(carrier*t + phase)) + h.c.).
 
-    kind selects f(t): 'coupling' uses the constant strength, 'linear' half
-    the segment envelope, 'two-photon' coeff * envelope(t)^2.
+    f(t) = strength * envelope(t)**power for a term of a segment, the
+    strength alone for a coupling (no segment): power 1 and strength 0.5 for
+    a linear drive, power 2 and the sideband rate per unit drive squared for
+    the two-photon sideband.
     """
 
     op: ShiftClass
     carrier: float
     phase: float
-    kind: str
-    strength: float = 0.0
+    power: int
+    strength: float
     segment: "pulses.PulseSegment | None" = None
 
     def amplitude_at(self, t):
-        if self.kind == "coupling":
-            t = np.asarray(t, dtype=float)
-            return np.full(t.shape, self.strength)
-        env = self.segment.envelope_at(t)
-        if self.kind == "linear":
-            return 0.5 * env
-        if self.kind == "two-photon":
-            return self.strength * env**2
-        raise ParameterError(f"unknown term kind {self.kind!r}")
+        if self.segment is None:
+            return self.strength
+        return self.strength * self.segment.envelope_at(t) ** self.power
 
 
 def _edges(seg):
@@ -313,13 +309,13 @@ class LindbladModel:
                     if abs(carrier) <= cutoff:
                         terms.append(HamiltonianTerm(
                             op=cls, carrier=carrier, phase=s * seg.phase,
-                            kind="linear", segment=seg))
+                            power=1, strength=0.5, segment=seg))
             carrier = (self.rot[0] + self.rot[1]) - 2.0 * seg.carrier
             if seg.target == QUBIT_CHANNEL and self.frame != "lab" \
                     and abs(carrier) <= cutoff:
                 terms.append(HamiltonianTerm(
                     op=self.two_photon, carrier=carrier,
-                    phase=-2.0 * seg.phase, kind="two-photon",
+                    phase=-2.0 * seg.phase, power=2,
                     strength=bsb_effective_rate(self.params, 1.0, seg.carrier),
                     segment=seg))
         return replace(self, terms=tuple(terms))
@@ -453,7 +449,7 @@ def build_model(p: DeviceParams, dims: SubsystemDims, frame="dispersive",
 
     terms = tuple(HamiltonianTerm(op=_shift_class(op, labels, key),
                                   carrier=float(np.dot(key, rot)), phase=0.0,
-                                  kind="coupling", strength=1.0)
+                                  power=0, strength=1.0)
                   for key, op in couplings)
 
     u_dag = U.conj().T

@@ -79,11 +79,10 @@ def get_calibrations(p: DeviceParams, options: ProtocolOptions, amplitudes):
 
 
 def simulate_sequence(p: DeviceParams, seq: PulseSequence,
-                      options: ProtocolOptions, rho0=None, start=0.0,
-                      upto=None):
-    """simulate_sequences for one sequence: (model, final QuantumState)."""
-    models, states = simulate_sequences(
-        p, [seq], options, None if rho0 is None else [rho0], start, upto)
+                      options: ProtocolOptions, upto=None):
+    """simulate_sequences for one sequence from the ground state at 0:
+    (model, final QuantumState)."""
+    models, states = simulate_sequences(p, [seq], options, upto=upto)
     return models[0], states[0]
 
 
@@ -118,25 +117,22 @@ def ground_populations(p: DeviceParams, seqs, options: ProtocolOptions,
 
 
 def run_memory_protocol(p: DeviceParams, prep_angle=0.0, storage_delay=0.0,
-                        options: ProtocolOptions | None = None, cal=None,
-                        extra_segments=()):
-    """Full storage/retrieval protocol; returns the retrieved p_g.
-
-    extra_segments (e.g. a trailing analysis pulse) are appended before the
-    readout marker.  The one-point memory_sweep.
-    """
-    return memory_sweep(p, [prep_angle], [storage_delay], options, cal,
-                        [extra_segments])[0]
+                        options: ProtocolOptions | None = None, cal=None):
+    """Full storage/retrieval protocol; returns the retrieved p_g.  The
+    one-point memory_sweep."""
+    return memory_sweep(p, [prep_angle], [storage_delay], options, cal)[0]
 
 
 def memory_sweep(p: DeviceParams, angles, delays,
                  options: ProtocolOptions | None = None, cal=None,
                  extra_segments=None):
-    """run_memory_protocol's p_g at each (angle, delay) point, bit for bit,
-    as the columns of one ground_populations call; angles and delays
-    broadcast, and extra_segments holds one tuple per point.  Several points
-    at one angle simulate their storage half once, and from there only
-    their idle windows and retrievals; other points run whole sequences."""
+    """The retrieved p_g at each (angle, delay) point, each bit for bit
+    the one it gets alone, as the columns of one ground_populations call;
+    angles and delays broadcast, and extra_segments holds one tuple per
+    point of segments (e.g. a trailing analysis pulse) appended before the
+    readout marker.  Several points at one angle simulate their storage
+    half once, and from there only their idle windows and retrievals; other
+    points run whole sequences."""
     options = options or ProtocolOptions()
     cal = cal or get_calibration(p, options)
     angles, delays = np.broadcast_arrays(np.asarray(angles, dtype=float),
@@ -283,7 +279,7 @@ def memory_ramsey_experiment(p: DeviceParams, delays=None, detuning=0.35,
     analysis_pulses = [
         (PulseSegment(QUBIT_CHANNEL, 0.5 * q.amplitude, q.carrier,
                       phase=TWO_PI * detuning * d, plateau=q.plateau,
-                      rise=q.rise, start=0.0, label="ramsey-analysis"),)
+                      start=0.0, label="ramsey-analysis"),)
         for d in delays]
     pgs = memory_sweep(p, math.pi / 2.0, delays, options, cal,
                        analysis_pulses)
@@ -364,11 +360,10 @@ def effective_bsb_check(p: DeviceParams, drives,
     tone lasts 2.5 of its swap periods and is sampled 36 times per period:
     91 copies of each drive's tone, each read at one sample time, are the
     columns of one pulses._probe_transfers call on the noiseless frame of
-    options.frame and options.dims.  Each drive's rate comes from its own
-    fit.  The columns share one step, the smallest of the drives' own
-    (pulses.PROBE_STEP, the calibration probes' step, or a 400th of the
-    swap period), so a drive whose own step is coarser runs at the finer
-    one; propagate steps each ramp at no more than its model's step bound.
+    options.frame and options.dims, whose ramps step at pulses.PROBE_STEP
+    as every calibration probe's do (or at the model's step bound where
+    that is finer).  Each drive's rate comes from its own fit, and each
+    drive's comparison is the one it gets alone.
     """
     options = options or ProtocolOptions()
     dims = options.dims
@@ -385,13 +380,10 @@ def effective_bsb_check(p: DeviceParams, drives,
                            rise=1e-3, start=0.0, label="bsb-tone")
         segments += [seg] * 91
         times.append(np.linspace(0.0, seg.end, 91))   # 36 per swap period
-    # only slow carriers remain on a resonant sideband tone; the probes'
-    # step resolves the MHz-scale dynamics comfortably
-    dt = min(PROBE_STEP, math.pi / max(predicted) / 400.0)
     base = build_model(p, dims, frame=options.frame, noiseless=True)
     pops = np.split(pulses._probe_transfers(
-        base, segments, np.concatenate(times), dt, (0, 0, 0), (0, 0, 0)),
-        len(times))
+        base, segments, np.concatenate(times), PROBE_STEP, (0, 0, 0),
+        (0, 0, 0)), len(times))
     out = []
     for t, pop, rate in zip(times, pops, predicted):
         fit = analysis.fit_decaying_cosine(t, pop)

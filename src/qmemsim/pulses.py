@@ -16,8 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import lindblad
-from .device import (CHANNELS, QUBIT_CHANNEL, DeviceParams, bsb_effective_rate,
-                     bsb_frequency)
+from .device import CHANNELS, QUBIT_CHANNEL, DeviceParams, bsb_effective_rate
 from .errors import CalibrationError, ParameterError
 
 DEFAULT_RISE = 0.020  # us
@@ -44,6 +43,11 @@ _RAMP_AREA_SQ = (
     - 2.0 * _G0 * math.sqrt(math.pi / 2.0) * math.erf(TRUNC_SIGMAS / math.sqrt(2.0))
     + TRUNC_SIGMAS * _G0**2
 ) / (1.0 - _G0) ** 2
+
+# square-pulse-equivalent time of a calibrated pulse's two ramps: their area
+# over the amplitude, and their squared area over the sideband's peak rate
+_RAMP_TIME = 2.0 * _RAMP_AREA * (0.5 * DEFAULT_RISE)
+_RAMP_TIME_SQ = 2.0 * _RAMP_AREA_SQ * (0.5 * DEFAULT_RISE)
 
 
 @dataclass(frozen=True)
@@ -123,9 +127,9 @@ class PulseSegment:
 class PulseSequence:
     """Ordered, per-channel non-overlapping pulse segments.
 
-    start and end are those of the first and last segments.  readout_time
-    marks when the dispersive readout would fire; the readout itself is a
-    marker, not a simulated microwave pulse.
+    end is that of the last segment.  readout_time marks when the
+    dispersive readout would fire; the readout itself is a marker, not a
+    simulated microwave pulse.
     """
 
     segments: tuple
@@ -146,10 +150,6 @@ class PulseSequence:
                     )
 
     @property
-    def start(self):
-        return min(s.start for s in self.segments) if self.segments else 0.0
-
-    @property
     def end(self):
         return max(s.end for s in self.segments) if self.segments else 0.0
 
@@ -167,22 +167,18 @@ class PulseSequence:
 
 @dataclass(frozen=True)
 class CalibrationResult:
-    """Calibrated pi-pulse for one drive channel.
+    """Calibrated pi-pulse for one drive channel, with DEFAULT_RISE ramps.
 
     pi_time is the square-pulse-equivalent duration (area/amplitude for the
     linear channels, squared-area/peak rate for the sideband), so it can be
     compared directly against pi/Omega_rabi or pi/(2*Omega_eff).
-    freq_offset is the measured shift of the actual resonance from the
-    nominal carrier (dressing plus any residual drive-induced shift).
     """
 
     amplitude: float
     plateau: float
     carrier: float
-    freq_offset: float
     transfer: float
     pi_time: float
-    rise: float = DEFAULT_RISE
 
 
 @dataclass(frozen=True)
@@ -214,8 +210,7 @@ def build_memory_sequence(prep_angle, storage_delay, cal,
     m = qubit_pi_multiplier
     # plateau for an m*pi rotation at the calibrated amplitude: the ramps
     # contribute a fixed area, the plateau supplies the rest
-    ramp_area_time = 2.0 * _RAMP_AREA * (0.5 * q.rise)
-    q_plateau_m = m * (q.plateau + ramp_area_time) - ramp_area_time
+    q_plateau_m = m * (q.plateau + _RAMP_TIME) - _RAMP_TIME
     # (label, calibration, amplitude, phase, plateau, idle time after it);
     # the two-photon sideband tone is applied through the qubit-charge port
     pulses = [
@@ -229,7 +224,7 @@ def build_memory_sequence(prep_angle, storage_delay, cal,
     segs, t = [], 0.0
     for label, c, amplitude, phase, plateau, idle in pulses:
         seg = PulseSegment(QUBIT_CHANNEL, amplitude, c.carrier, phase=phase,
-                           plateau=plateau, rise=c.rise, start=t, label=label)
+                           plateau=plateau, start=t, label=label)
         if label != "prep" or prep_angle != 0.0:  # a zero prep keeps its slot
             segs.append(seg)
         t = seg.end + idle
@@ -273,14 +268,14 @@ def _parabolic_peak(xs, ys):
 
 
 def calibrate_pi_pulse(params: DeviceParams, dims, channel, amplitude, *,
-                       frame="dispersive", rise=DEFAULT_RISE):
+                       frame="dispersive"):
     """calibrate_pi_pulses at one amplitude."""
-    return calibrate_pi_pulses(params, dims, channel, [amplitude], frame=frame,
-                               rise=rise)[0]
+    return calibrate_pi_pulses(params, dims, channel, [amplitude],
+                               frame=frame)[0]
 
 
 def calibrate_pi_pulses(params: DeviceParams, dims, channel, amplitudes, *,
-                        frame="dispersive", rise=DEFAULT_RISE):
+                        frame="dispersive"):
     """Calibrate pi pulses on the qubit or sideband channel, one per amplitude.
 
     Scans the carrier about the model's own resonance and then the plateau
@@ -289,17 +284,13 @@ def calibrate_pi_pulses(params: DeviceParams, dims, channel, amplitudes, *,
     Deterministic: fixed scan grids plus parabolic refinement.  The
     noiseless frame is built once; each of the five stages (9 and 5
     carriers, 9 and 5 plateaus, the final pulse) drives it with the trial
-    pulses of every amplitude, as the ket columns of one
-    lindblad.propagate call (_probe_transfers): their ramps by RK4 at
-    PROBE_STEP, 5e-4 us on both channels, or at the probe model's step
-    bound where that is finer (40 steps per period of its fastest carrier:
-    about 1e-5 us in the bare frame, whose GHz-scale couplings bound the
-    step), and their plateaus exactly.  A column propagates as it would
-    alone.
-
-    Returns a CalibrationResult per amplitude, whose freq_offset is the
-    found carrier minus the nominal one (bare qubit frequency, or half the
-    nominal sideband frequency).
+    pulses of every amplitude, all with DEFAULT_RISE ramps, as the ket
+    columns of one lindblad.propagate call (_probe_transfers): their ramps
+    by RK4 at PROBE_STEP, 5e-4 us on both channels, or at the probe model's
+    step bound where that is finer (40 steps per period of its fastest
+    carrier: about 1e-5 us in the bare frame, whose GHz-scale couplings
+    bound the step), and their plateaus exactly.  A column propagates as it
+    would alone.  Returns a CalibrationResult per amplitude.
     """
     amps = np.array(amplitudes, dtype=float)
     if amps.min() <= 0:
@@ -307,38 +298,33 @@ def calibrate_pi_pulses(params: DeviceParams, dims, channel, amplitudes, *,
     if channel not in (QUBIT_CHANNEL, "bsb"):
         raise CalibrationError(f"cannot calibrate pi pulses on channel {channel!r}")
 
-    a = params.angular()
-    sigma = 0.5 * rise
-
     if channel == QUBIT_CHANNEL:
-        nominal = a.w_q
         center = lindblad.dressed_frequencies(params, dims)[0]
         pi_width = math.pi / amps
         initial, target = (0, 0, 0), (1, 0, 0)
         window = np.maximum(0.15 * amps, 2.0 * math.pi * 0.5)
-        ramp_eq = 2.0 * _RAMP_AREA * sigma
+        ramp_eq = _RAMP_TIME
     else:
-        nominal = 0.5 * bsb_frequency(params)
         center = lindblad.two_photon_resonance(params, dims)
         omega_eff = bsb_effective_rate(params, amps, carrier=center)
         pi_width = math.pi / (2.0 * omega_eff)
         initial, target = (0, 0, 0), (1, 1, 0)
         window = np.maximum(1.5 * omega_eff, 2.0 * math.pi * 0.3)
-        ramp_eq = 2.0 * _RAMP_AREA_SQ * sigma
+        ramp_eq = _RAMP_TIME_SQ
 
     plateau0 = pi_width - ramp_eq
     if plateau0.min() < 0:
         raise CalibrationError(
-            f"amplitude too large for rise {rise} us: pi width {pi_width.min():.4g}"
-            f" us is shorter than the ramps ({ramp_eq:.4g} us)"
+            f"amplitude too large for rise {DEFAULT_RISE} us: pi width "
+            f"{pi_width.min():.4g} us is shorter than the ramps "
+            f"({ramp_eq:.4g} us)"
         )
 
     base = lindblad.build_model(params, dims, frame=frame, noiseless=True)
 
     def probe(plateau, carrier):      # broadcast to one row per amplitude
         plateau, carrier = np.broadcast_arrays(plateau, carrier)
-        segs = [PulseSegment(QUBIT_CHANNEL, amp, c, plateau=pl, rise=rise,
-                             start=0.0)
+        segs = [PulseSegment(QUBIT_CHANNEL, amp, c, plateau=pl, start=0.0)
                 for amp, pls, cs in zip(amps, plateau, carrier)
                 for pl, c in zip(pls, cs)]
         return _probe_transfers(base, segs, [s.end for s in segs], PROBE_STEP,
@@ -370,6 +356,6 @@ def calibrate_pi_pulses(params: DeviceParams, dims, channel, amplitudes, *,
             " < 0.5 (drive too weak against the decoherence-free dynamics)"
         )
     return [CalibrationResult(
-        amplitude=amp, plateau=float(pl), carrier=c, freq_offset=c - nominal,
-        transfer=float(t), pi_time=float(pl) + ramp_eq, rise=rise)
+        amplitude=amp, plateau=float(pl), carrier=c, transfer=float(t),
+        pi_time=float(pl) + ramp_eq)
         for amp, pl, c, t in zip(amplitudes, plateau, carrier, transfer)]

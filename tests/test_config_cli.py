@@ -421,6 +421,7 @@ def test_replay_restores_only_the_recorded_arguments(tmp_path, sample_cfg):
     (["--shots", "20", "--seed", "7"], "--seed, --shots"),
     (["--seed", "0", "--shots", "20", "--fit-leakage"],
      "--shots, --fit-leakage"),
+    (["--config", "sample.cfg"], "--config"),
 ])
 def test_recorded_arguments_beside_a_manifest_are_a_usage_error(
         tmp_path, capsys, monkeypatch, flags, named):

@@ -109,7 +109,7 @@ def test_models_of_one_frame_share_its_drive_classes():
     driven = [base.with_sequence(PulseSequence((PulseSegment(
         QUBIT_CHANNEL, amp, p.angular().w_q, plateau=0.01, start=start),)))
         for amp, start in ((10.0, 0.0), (20.0, 0.5))]
-    first, second = ([t.op for t in m.terms if t.kind == "linear"]
+    first, second = ([t.op for t in m.terms if t.power == 1]
                      for m in driven)
     classes = list(base.drive_ops[QUBIT_CHANNEL])
     assert first and len(first) == len(second)
@@ -886,7 +886,7 @@ def test_restricted_stepping_matches_full_space_rk4():
     rho[f, f], rho[f, e] = 1.0, 0.5
     terms = m.active_terms(0.0, seg.end)
     sub = LiouvilleTable(m, terms).restricted(rho.reshape(-1))[1]
-    assert [t.kind for t in terms] == ["two-photon"]
+    assert [t.power for t in terms] == [2]
     assert len(sub.column) == len(sub.gather) == 0
     check_stepping(m, rho, (0.0, seg.end), 2e-5)
 

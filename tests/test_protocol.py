@@ -141,7 +141,7 @@ def test_delay_sweeps_share_the_storage_half_bit_for_bit(fock_record,
                                                          frozen_ramsey,
                                                          default_cal):
     # the sweeps simulate the storage half once and each delay from there;
-    # every p_g is the one run_memory_protocol gives at that delay
+    # every p_g is the one a one-point sweep gives at that delay
     for i in (0, -1):
         assert fock_record.ys[i] == run_memory_protocol(
             P, 0.0, fock_record.xs[i], OPTS, default_cal)
@@ -151,9 +151,9 @@ def test_delay_sweeps_share_the_storage_half_bit_for_bit(fock_record,
     q = cal.qubit
     analysis_pulse = PulseSegment(
         QUBIT_CHANNEL, 0.5 * q.amplitude, q.carrier, phase=TWO_PI * 0.3 * d,
-        plateau=q.plateau, rise=q.rise, label="ramsey-analysis")
-    assert frozen_ramsey.ys[5] == run_memory_protocol(
-        p, math.pi / 2.0, d, OPTS, cal, extra_segments=(analysis_pulse,))
+        plateau=q.plateau, label="ramsey-analysis")
+    assert frozen_ramsey.ys[5] == memory_sweep(
+        p, [math.pi / 2.0], [d], OPTS, cal, [(analysis_pulse,)])[0]
 
 
 def test_memory_ramsey_needs_fringes():
@@ -417,6 +417,14 @@ def test_sideband_check_is_one_call_bit_for_bit(monkeypatch):
     monkeypatch.setattr(lindblad, "propagate", count)
     assert protocol.effective_bsb_check(P, drives) == singles
     assert calls == [3 * 91]
+
+
+def test_sideband_check_of_a_drive_does_not_depend_on_its_neighbours():
+    # every tone steps at the calibration probes' step, so a strong drive
+    # beside a weak one leaves the weak drive's comparison as it is alone
+    weak, strong = TWO_PI * 2.0e3, TWO_PI * 8.0e3
+    alone = protocol.effective_bsb_check(P, [weak])[0]
+    assert protocol.effective_bsb_check(P, [weak, strong])[0] == alone
 
 
 def test_truncation_is_converged(default_cal):
