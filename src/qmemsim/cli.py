@@ -9,9 +9,12 @@ configuration and seed are byte-identical, and `run --from-manifest
 <manifest.json>` reproduces a previous run at the pulse step it recorded
 (run.dt_pulse_us), with the recorded arguments (RECORDED_ARGS) and the
 replay's own --out and --jobs.  The manifest does not record the
-calibration probes' step, so a manifest written while the probes stepped
-the qubit at 1e-4 us (before pulses.PROBE_STEP) reproduces to about 2e-8,
-not bit for bit.
+integrator or the calibration probes' step, so a manifest written while
+the ramps and probes stepped by RK4 (probes at 5e-4 us) replays at its
+recorded pulse step under DOP853 (probes at pulses.PROBE_STEP): on the
+sample config its results.csv values move by at most 1.4e-7
+(memory-protocol) and 4.3e-6 (memory-ramsey), about the former probes'
+own error, not bit for bit.
 Physics or fit failures exit with status 1, usage errors (unknown
 experiment, missing config or --experiment, --config or a recorded
 argument with a value other than its default given beside

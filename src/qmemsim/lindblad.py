@@ -17,9 +17,9 @@ mode.  ``build_model`` transforms it into one of three frames:
 ``bare``
     Each subsystem rotates at its bare frequency; the exchange couplings stay
     in the generator as explicit difference-frequency terms (GHz scale, so
-    ``LindbladModel.max_step``, 40 steps per period of the fastest active
-    carrier, bounds every RK4 step, the calibration probes' too, to
-    ~0.01 ns).  Useful for cross-validating the dressed construction.
+    ``LindbladModel.max_step``, 13 steps per period of the fastest active
+    carrier, bounds every step of propagate, the calibration probes' too,
+    to ~0.03 ns).  Useful for cross-validating the dressed construction.
 ``lab``
     No rotation, nothing dropped; only sensible for small test systems.
 
@@ -64,22 +64,30 @@ column's pulse and ramp edges, and routes each column in each window:
   gaps between pulses and the free decays.  Otherwise these are the
   sideband and qubit plateaus, and in the ``bare`` frame also the idle
   windows, whose exchange couplings are always-active terms;
-- by classic RK4 at a fixed step otherwise, no larger than the window's
-  ``max_step``: the pulse ramps, and every driven window of the ``lab``
-  frame (its drift's couplings and its +/- carriers admit no such K).
+- otherwise by the 12-stage 8th-order Runge-Kutta formula of DOP853
+  (:data:`DOP853`) at a fixed step, without its error estimate: the pulse
+  ramps, and every driven window of the ``lab`` frame (its drift's
+  couplings and its +/- carriers admit no such K).  The step is the
+  caller's dt or less: the window's ``max_step``, 13 steps per period of
+  its fastest carrier, and STABLE_STEP / max|lam| over the diagonal lam
+  of its table before restriction, under DOP853's stability radius on the
+  imaginary axis (5.96), bound it.
 
 Columns on the same route whose models share their operators, as the
 models of one frame do, share one table, built once per call.
-:func:`evolve` is the RK4 reference: one state, stepped by the same core
-and returned at the steps + 1 equally spaced times of its window.
+:func:`evolve` is the reference: one state, stepped by the same loop with
+classic RK4 (:data:`RK4`) and returned at the steps + 1 equally spaced
+times of its window.
 
-An RK4 window steps its B columns batch-major: their m reached elements
-(below) as one vector of B blocks of m, under the table tiled B times
-(:meth:`LiouvilleTable.tiled`), so each of the 4 evaluations of a step is
-one gather, one contiguous multiply and one row sum over all B * m
-elements, with each column's drive rows scaled on a (rows, B, m) view.
-The window forms those scales once, for every stage of every step, and
-one column is the case B = 1.  Each row sum runs in one fixed order, so
+A stepped window steps its B columns batch-major: their m reached
+elements (below) as one vector of B blocks of m, under the table tiled B
+times (:meth:`LiouvilleTable.tiled`), so each of the 12 evaluations of a
+step is one gather, one contiguous multiply and one row sum over all
+B * m elements, with each column's drive rows scaled on a (rows, B, m)
+view.  The window forms those scales once, for every stage of every
+step, and one column is the case B = 1.  Each row sum and each stage sum
+runs element by element in one fixed order (numpy alone: BLAS, and numpy
+on a stack one element wide, sum in orders that depend on the width), so
 a column comes out the same to the bit whatever columns step beside it.
 
 Both routes act only on the reached support
@@ -94,6 +102,21 @@ those of the qubit pi pulses 171 and those of the sideband-retrieve pulse
 on a qubit plateau of at most 45.  A probe ket reaches a few of its 30
 amplitudes.  A state with full support, or a drift with a class between
 any two labels, reaches everything.
+
+A density matrix needs half of that.  The generator maps X^dag to
+L(X)^dag, so the transposes (j, i) of the elements of a connected
+component C of a table form a component C* too, and for Hermitian rho one
+fixes the other.  Each vec(rho) table labels its components once and
+keeps C where min(C) <= min(C*) (:func:`_conjugate_halves`); where every
+column of a window is Hermitian to the bit, both routes propagate the
+kept reached elements alone, then set each other one to the conjugate of
+its partner and make the diagonal real (:func:`_mirror`), so a Hermitian
+column leaves Hermitian to the bit.  The default protocol's windows then
+propagate 37, 108 and 126 elements.  A column that is not Hermitian, as
+a one-sided coherence |g><e|, propagates on the whole reached support,
+and the columns beside it do too.  The exact route exponentiates once for
+the columns whose lam, scales and window length agree to the bit, as the
+four tomography inputs of process tomography do.
 """
 
 import math
@@ -326,19 +349,24 @@ class LindbladModel:
         return [term for term in self.terms if term.segment is None
                 or (term.segment.end > t0 and term.segment.start < t1)]
 
-    def max_step(self, t0=-math.inf, t1=math.inf):
-        """The largest RK4 step in (t0, t1): 1/(40 f_max), for f_max the
-        fastest carrier of the terms active there, or inf with none.
+    def max_step(self, t0=-math.inf, t1=math.inf, per_period=13.0):
+        """The largest step in (t0, t1): 1/(per_period f_max), for f_max
+        the fastest carrier of the terms active there, or inf with none.
 
-        The only step bound: propagate and evolve step every RK4 window at
-        no more than it, whatever dt they are given.  At 20 steps per
-        period a bare-frame sideband probe's ket norm drifts past 1e-6 at
-        the default dims; 40 keeps it within.
+        The carrier bound: propagate steps every stepped window at no more
+        than it, whatever dt it is given, and evolve at its bound for RK4,
+        40 steps per period (propagate also bounds its steps by the table's
+        diagonal, STABLE_STEP).  The default is propagate's, for DOP853:
+        its 13 steps of 12 stages take 156 applies per period, against 160
+        for RK4's 40, and a bare-frame sideband or qubit ramp of a ket at
+        the default dims then keeps its norm within 1.3e-12 and lands
+        within 1.8e-11 of 80 steps per period.  RK4 at 20 steps per period
+        lets such a ket's norm drift past 1e-6.
         """
         w = max((abs(t.carrier) for t in self.active_terms(t0, t1)), default=0.0)
         if w < CARRIER_ZERO_TOL:
             return math.inf
-        return TWO_PI / (40.0 * w)
+        return TWO_PI / (per_period * w)
 
     def carrier_frame(self, t0, t1):
         """K = kappa . labels, the diagonal of a frame in which the
@@ -545,7 +573,10 @@ class LiouvilleTable:
     and -i op^dag rho and i rho op^dag, scaled by conj(c_k(t)).
 
     With ket=True it is -i H(t) on a ket psi, for a model without collapse
-    channels: only the rows -i op psi remain.
+    channels: only the rows -i op psi remain.  A vec(rho) table also holds
+    its conjugate halves (`_conjugate_halves`): kept, the mask of the
+    elements a window of Hermitian columns propagates, and mirrored and
+    partner, the elements it reads off their partners' conjugates.
     """
 
     def __init__(self, model, terms=(), ket=False):
@@ -591,9 +622,14 @@ class LiouvilleTable:
                                dtype=np.intp).reshape(-1, n)
         self.weight = np.array([w for _, _, w in kept],
                                dtype=complex).reshape(-1, n)
+        self.kept = self.mirrored = self.partner = None
+        if not ket:
+            self.kept, self.mirrored, self.partner = _conjugate_halves(
+                self.gather, d)
 
-    def apply(self, x, c):
-        """L(t) x at one time t, as an array of x's shape.
+    def apply(self, x, c, out=None):
+        """L(t) x at one time t, as an array of x's shape, written into the
+        flat array out if given.
 
         On a table tiled b times (`tiled`; b = 1 for the table itself), x
         holds b blocks of n / b elements back to back, as one flat vector
@@ -605,13 +641,13 @@ class LiouvilleTable:
         fixed order, the same for every block and for a block alone.
         """
         flat = x.reshape(-1)
-        out = flat[self.gather]
-        out *= self.weight
+        terms = flat.take(self.gather)
+        terms *= self.weight
         if len(self.column):
             rows, b = c.shape
-            drive = out[len(out) - rows:].reshape(rows, b, len(flat) // b)
+            drive = terms[len(terms) - rows:].reshape(rows, b, len(flat) // b)
             drive *= c[:, :, None]
-        out = out.sum(axis=0)
+        out = np.add.reduce(terms, axis=0, out=out)
         out += self.lam * flat
         return out.reshape(x.shape)
 
@@ -634,20 +670,25 @@ class LiouvilleTable:
         out.column = self.column
         return out
 
-    def restricted(self, x):
+    def restricted(self, x, keep=None):
         """(idx, table, y): the table on the elements idx reachable from the
-        nonzero elements of x (n, or n x B), and x on them as y.
+        nonzero elements of x (n, or n x B), and x on them as y; with keep,
+        a mask of whole components (`_conjugate_halves`), from those of them
+        in keep.
 
         An element joins once any nonzero-weight source of it has joined.
         Every other element has a zero derivative from zero sources, so it
-        stays exactly zero, under the exact flow and under RK4 alike.  The
-        table keeps lam, weight and gather on idx and the rows that still
-        gather a reached source; an entry whose source was not reached
-        gathers its own element with zero weight, as in the full table.
+        stays exactly zero, under the exact flow and every Runge-Kutta step
+        alike.  The table keeps lam, weight and gather on idx and the rows
+        that still gather a reached source; an entry whose source was not
+        reached gathers its own element with zero weight, as in the full
+        table.
         Each row sum keeps its order and loses only exact zeros.
         """
         live = self.weight != 0
         reached = (x != 0).reshape(len(x), -1).any(axis=1)
+        if keep is not None:
+            reached &= keep
         while True:
             grown = reached | (live & reached[self.gather]).any(axis=0)
             if np.array_equal(grown, reached):
@@ -669,8 +710,98 @@ class LiouvilleTable:
 
 
 # ---------------------------------------------------------------------------
-# the window runner: exact windows and fixed-step RK4
+# the window runner: exact windows and fixed-step Runge-Kutta
 # ---------------------------------------------------------------------------
+
+def _lower(rows):
+    """The square matrix whose row i holds rows[i] left of its diagonal."""
+    a = np.zeros((len(rows),) * 2)
+    for i, row in enumerate(rows):
+        a[i, :i] = row
+    return a
+
+
+# explicit Runge-Kutta methods as (A, b, c): stage i of a step of h from t
+# applies the generator at t + c_i h to x + h sum_j a_ij k_j, and the step
+# adds h sum_i b_i k_i.  Classic RK4 is evolve's, the reference's.
+RK4 = (_lower([[], [0.5], [0.0, 0.5], [0.0, 0.0, 1.0]]),
+       np.array([1.0, 2.0, 2.0, 1.0]) / 6.0,
+       np.array([0.0, 0.5, 0.5, 1.0]))
+# The 12-stage 8th-order formula of DOP853, propagate's, at a fixed step and
+# without its error estimate: Prince & Dormand, J. Comput. Appl. Math. 7, 67
+# (1981); Hairer, Norsett & Wanner, Solving ODEs I, 2nd ed. (1993), II.10.
+DOP853 = (
+    _lower([
+        [],
+        [5.26001519587677318785587544488e-2],
+        [1.97250569845378994544595329183e-2,
+         5.91751709536136983633785987549e-2],
+        [2.95875854768068491816892993775e-2, 0.0,
+         8.87627564304205475450678981324e-2],
+        [2.41365134159266685502369798665e-1, 0.0,
+         -8.84549479328286085344864962717e-1,
+         9.24834003261792003115737966543e-1],
+        [3.7037037037037037037037037037e-2, 0.0, 0.0,
+         1.70828608729473871279604482173e-1,
+         1.25467687566822425016691814123e-1],
+        [3.7109375e-2, 0.0, 0.0, 1.70252211019544039314978060272e-1,
+         6.02165389804559606850219397283e-2, -1.7578125e-2],
+        [3.70920001185047927108779319836e-2, 0.0, 0.0,
+         1.70383925712239993810214054705e-1,
+         1.07262030446373284651809199168e-1,
+         -1.53194377486244017527936158236e-2,
+         8.27378916381402288758473766002e-3],
+        [6.24110958716075717114429577812e-1, 0.0, 0.0,
+         -3.36089262944694129406857109825,
+         -8.68219346841726006818189891453e-1,
+         2.75920996994467083049415600797e1,
+         2.01540675504778934086186788979e1,
+         -4.34898841810699588477366255144e1],
+        [4.77662536438264365890433908527e-1, 0.0, 0.0,
+         -2.48811461997166764192642586468,
+         -5.90290826836842996371446475743e-1,
+         2.12300514481811942347288949897e1,
+         1.52792336328824235832596922938e1,
+         -3.32882109689848629194453265587e1,
+         -2.03312017085086261358222928593e-2],
+        [-9.3714243008598732571704021658e-1, 0.0, 0.0,
+         5.18637242884406370830023853209,
+         1.09143734899672957818500254654,
+         -8.14978701074692612513997267357,
+         -1.85200656599969598641566180701e1,
+         2.27394870993505042818970056734e1,
+         2.49360555267965238987089396762,
+         -3.0467644718982195003823669022],
+        [2.27331014751653820792359768449, 0.0, 0.0,
+         -1.05344954667372501984066689879e1,
+         -2.00087205822486249909675718444,
+         -1.79589318631187989172765950534e1,
+         2.79488845294199600508499808837e1,
+         -2.85899827713502369474065508674,
+         -8.87285693353062954433549289258,
+         1.23605671757943030647266201528e1,
+         6.43392746015763530355970484046e-1]]),
+    np.array([5.42937341165687622380535766363e-2, 0.0, 0.0, 0.0, 0.0,
+              4.45031289275240888144113950566,
+              1.89151789931450038304281599044,
+              -5.8012039600105847814672114227,
+              3.1116436695781989440891606237e-1,
+              -1.52160949662516078556178806805e-1,
+              2.01365400804030348374776537501e-1,
+              4.47106157277725905176885569043e-2]),
+    np.array([0.0, 5.26001519587677318785587544488e-2,
+              7.89002279381515978178381316732e-2,
+              1.18350341907227396726757197510e-1,
+              2.81649658092772603273242802490e-1,
+              3.33333333333333333333333333333e-1, 0.25,
+              3.07692307692307692307692307692e-1,
+              6.51282051282051282051282051282e-1, 0.6,
+              8.57142857142857142857142857142e-1, 1.0]))
+# the largest h max|lam| of a propagate step, for lam the diagonal of the
+# window's table: under DOP853's stability radius on the imaginary axis,
+# 5.96 (RK4's is 2.83)
+STABLE_STEP = 4.0
+
 
 def _check_dt(dt):
     if not 0.0 < dt < math.inf:
@@ -694,14 +825,31 @@ def _invariant(y, diag):
     return np.ascontiguousarray(part).sum(axis=1)
 
 
-def _rk4_step(table, x, h, c):
-    """One classic RK4 step of dx/dt = table.apply(x, c), in place, with c
-    at the step's start, midpoint and end; h may hold one step per block."""
-    k1 = table.apply(x, c[0])
-    k2 = table.apply(x + 0.5 * h * k1, c[1])
-    k3 = table.apply(x + 0.5 * h * k2, c[1])
-    k4 = table.apply(x + h * k3, c[2])
-    x += (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+def _halves(table, x, diag):
+    """(keep, herm) for the columns of x (n, B) under the table: herm marks
+    the vec(rho) columns that are Hermitian to the bit, and keep is
+    table.kept where all of them are, else None; (None, None) for kets
+    (diag None).  A window propagates the elements in keep (all with keep
+    None), and `_mirror` sets the others of each Hermitian column."""
+    if diag is None:
+        return None, None
+    d = math.isqrt(len(x))
+    adj = x.reshape(d, d, -1).transpose(1, 0, 2).conj().reshape(x.shape)
+    herm = (x == adj).all(axis=0)
+    return (table.kept if herm.all() else None), herm
+
+
+def _mirror(table, out, herm, diag):
+    """out (n, B) with each Hermitian column's (herm) elements
+    table.mirrored set to the conjugates of their partners and its diagonal
+    (diag) made real, so that it leaves Hermitian to the bit; the others,
+    and kets (herm None), as they are."""
+    if herm is not None and herm.any():
+        cols = np.flatnonzero(herm)
+        partners = out[np.ix_(table.partner, cols)]
+        out[np.ix_(table.mirrored, cols)] = partners.conj()
+        out.imag[np.ix_(np.flatnonzero(diag), cols)] = 0.0
+    return out
 
 
 def evolve(model: LindbladModel, rho0, t_span, dt, steps=1):
@@ -709,15 +857,16 @@ def evolve(model: LindbladModel, rho0, t_span, dt, steps=1):
 
     Returns the states at the steps + 1 equally spaced times of t_span, the
     initial state first.  Each of the steps intervals runs through
-    propagate's RK4 route (`_stepped`), stepped everywhere, under the
-    LiouvilleTable of the terms active in that interval (built once per set
-    of terms): round(interval / h) fixed steps, at least one, for h the
-    smaller of dt and the interval's ``model.max_step`` (so dt is the
-    largest step the caller allows), on the elements the table reaches
-    from the state's nonzero ones (the others stay exactly zero, as under
-    the exact flow), with the trace checked as `_stepped` checks it.  A dt
-    that is not a positive finite number, or steps < 1, raises
-    ParameterError.
+    propagate's stepped route (`_stepped`) with the RK4 tableau, stepped
+    everywhere, under the LiouvilleTable of the terms active in that
+    interval (built once per set of terms): round(interval / h) fixed
+    steps, at least one, for h the smaller of dt and the interval's
+    ``model.max_step`` at 40 steps per period (so dt is the largest step
+    the caller allows; unlike propagate, evolve bounds no step by the
+    table's diagonal), on the elements the table reaches from the state's
+    nonzero ones (the others stay exactly zero, as under the exact flow),
+    with the trace checked as `_stepped` checks it.  A dt that is not a
+    positive finite number, or steps < 1, raises ParameterError.
     """
     t0, t1 = t_span
     if t1 < t0:
@@ -734,61 +883,90 @@ def evolve(model: LindbladModel, rho0, t_span, dt, steps=1):
     diag = np.eye(d, dtype=bool).ravel()
     times = np.linspace(t0, t1, steps + 1)
     states, tables = [x], {}
-    for ta, tb in zip(times[:-1, None], times[1:, None]):
-        terms = model.active_terms(ta[0], tb[0])
+    for ta, tb in zip(times[:-1], times[1:]):
+        terms = model.active_terms(ta, tb)
         key = tuple(map(id, terms))
         if key not in tables:
             tables[key] = LiouvilleTable(model, terms)
-        h = min(dt, model.max_step(ta[0], tb[0]))
-        x = _stepped(tables[key], x, [terms], ta, tb, h, diag)
+        h = min(dt, model.max_step(ta, tb, 40.0))
+        x = _stepped(tables[key], x, [terms], np.array([ta]), np.array([tb]),
+                     h, diag, RK4)
         states.append(x)
     return [QuantumState(s.reshape(d, d), model.dims) for s in states]
 
 
-def _stepped(table, x, terms, t0, t1, dt, diag):
-    """The columns of x (n, B) propagated by RK4 from t0 to t1 (B,) under
-    the table, column j with the coefficients of terms[j]: n = round((t1 -
-    t0) / dt) steps, at least one, of (t1 - t0) / n each, one grid per
-    column; dt is a number or one per column.  The reached support of the
-    columns (`LiouvilleTable.restricted`), m elements, steps batch-major as
-    y (B, m) under the restricted table tiled B times: step k advances
-    column j by h[k, j, 0] (h is (steps, B, 1), 0 once the column is done)
-    with scale[2k:2k + 3], the drive rows' scales (`LiouvilleTable.scales`)
-    at its start, midpoint and end, formed once for the window.  Each
-    column's invariant (`_invariant`; diag masks the diagonal of vec(rho),
-    None for kets) is checked wherever a column reaches a multiple of
-    max(1, n // 200) steps or its last; a drift beyond 1e-6 from its
-    entering value raises IntegrationError at the first drifting column's
-    own time, suggesting half its own step."""
+def _stepped(table, x, terms, t0, t1, dt, diag, tableau=DOP853):
+    """The columns of x (n, B) propagated by the explicit Runge-Kutta method
+    tableau = (A, b, c) from t0 to t1 (B,) under the table, column j with
+    the coefficients of terms[j]: n = round((t1 - t0) / dt) steps, at least
+    one, of (t1 - t0) / n each, one grid per column; dt is a number or one
+    per column.  The reached support of the columns
+    (`LiouvilleTable.restricted`), within table.kept where every column is
+    Hermitian (`_halves`), m elements, steps batch-major, as one flat y of
+    B blocks of m under the restricted table tiled B times, and `_mirror`
+    sets the rest of each Hermitian column: step k advances column j by
+    h[k, j] (h is (steps, B), 0 once the column is done), its stage i
+    applying the table with scale[k, i], the drive rows' scales
+    (`LiouvilleTable.scales`) at the stage's time t + c_i h, formed once
+    for the window.  Every sum runs element by element in one fixed order,
+    so a column comes out the same to the bit whatever columns step beside
+    it.  Each column's invariant (`_invariant`; diag masks the diagonal of
+    vec(rho), None for kets) is checked wherever a column reaches a
+    multiple of max(1, n // 200) steps or its last; a drift beyond 1e-6
+    from its entering value, or none that compares, raises
+    IntegrationError at the first drifting column's own time, suggesting
+    half its own step."""
+    a, b, c = tableau
     n = np.maximum(1, np.round((t1 - t0) / dt).astype(int))
     h = (t1 - t0) / n
-    coeff = np.zeros((2 * n.max() + 1, len(terms[0]), len(n)), dtype=complex)
+    coeff = np.zeros((n.max(), len(c), len(terms[0]), len(n)), dtype=complex)
     for j, column in enumerate(terms):
-        stage_t = t0[j] + 0.5 * h[j] * np.arange(2 * n[j] + 1)
-        coeff[:len(stage_t), :, j] = _coefficients(column, stage_t)
+        stage_t = t0[j] + h[j] * (np.arange(n[j])[:, None] + c)
+        coeff[:n[j], ..., j] = _coefficients(
+            column, stage_t.ravel()).reshape(n[j], len(c), -1)
     step = np.arange(1, n.max() + 1)[:, None]
     due = (step <= n) & ((step % np.maximum(1, n // 200) == 0) | (step == n))
-    due, h = due.any(axis=1), np.where(step <= n, h, 0.0)[..., None]
+    due, h = due.any(axis=1), np.where(step <= n, h, 0.0)
 
-    idx, table, y = table.restricted(x)
-    diag = None if diag is None else np.flatnonzero(diag[idx])
-    y = np.ascontiguousarray(y.T)
-    table, scale = table.tiled(len(n)), table.scales(coeff)
-    start = _invariant(y, diag)
+    keep, herm = _halves(table, x, diag)
+    idx, sub, y = table.restricted(x, keep)
+    checked = None if diag is None else np.flatnonzero(diag[idx])
+    y = np.ascontiguousarray(y.T).reshape(-1)   # batch-major, flat
+    sub, scale = sub.tiled(len(n)), sub.scales(coeff)
+    # the stages in rows, with a spare zero element: numpy sums a stack of
+    # rows two elements wide or more in row order, element by element, one
+    # a single element wide pairwise.  Stages 1.. and the step each weigh
+    # the stages from their first nonzero weight on, a single one unsummed.
+    stages = np.zeros((len(c), y.size + 1), dtype=complex)
+    sums = []
+    for w in (*(a[i, :i] for i in range(1, len(c))), b):
+        lo = np.flatnonzero(w)[0]
+        sums.append((w[lo], stages[lo]) if lo == len(w) - 1
+                    else (w[lo:, None], stages[lo:len(w)]))
+    outs = [row[:-1] for row in stages]
+
+    def weighed(w, rows):
+        part = w * rows
+        return (np.add.reduce(part) if part.ndim > 1 else part)[:-1]
+
+    start = _invariant(y.reshape(len(n), -1), checked)
     for k, check in enumerate(due.tolist()):
-        _rk4_step(table, y, h[k], scale[2 * k:2 * k + 3])
+        hk = h[k].repeat(len(idx))              # each element's step
+        sub.apply(y, scale[k, 0], out=outs[0])
+        for (w, rows), out, s in zip(sums, outs[1:], scale[k, 1:]):
+            sub.apply(y + hk * weighed(w, rows), s, out=out)
+        y += hk * weighed(*sums[-1])
         if check:
-            drift = np.abs(_invariant(y, diag) - start)
-            if drift.max() > TRACE_DRIFT_TOL:
+            drift = np.abs(_invariant(y.reshape(len(n), -1), checked) - start)
+            if not drift.max() <= TRACE_DRIFT_TOL:
                 j = np.argmax(drift)
-                hj = h[k, j, 0]
                 raise IntegrationError(
                     f"{'norm' if diag is None else 'trace'} drifted by "
-                    f"{drift[j]:.3g} at t = {t0[j] + (k + 1) * hj:.6g} us; "
-                    f"retry with dt <= {hj / 2:.3g} us")
+                    f"{drift[j]:.3g} at t = {t0[j] + (k + 1) * h[k, j]:.6g} "
+                    f"us; retry with dt <= {h[k, j] / 2:.3g} us")
     out = np.zeros_like(x)
-    out[idx] = y.T
-    return out
+    out[idx] = y.reshape(len(n), -1).T
+    return _mirror(table, out, herm, diag)
 
 
 # Taylor order of exp(Y) for ||Y||_1 < 1/2: the remainder is below
@@ -798,29 +976,51 @@ TAYLOR_ORDER = 16
 STACK_ENTRIES = 1 << 12
 
 
-def _static_blocks(table):
-    """Decoupled blocks of a table of static rows, grouped by size: the
-    connected components of the rows' gathers, which never couple two
-    elements of different blocks.  Returns one (m, n) index array per block
-    size n, each row one block in ascending order.
-    """
-    n_el, dst = len(table.lam), table.gather
-    src = np.broadcast_to(np.arange(n_el), dst.shape)
-
-    # min-label propagation with pointer jumping: each element ends labeled
-    # with the smallest index of its component
+def _components(gather):
+    """Each element's label, the smallest index of its connected component,
+    for the gather rows (rows, n) of a table, which join each element to
+    those it gathers."""
+    n_el = gather.shape[1]
+    src = np.broadcast_to(np.arange(n_el), gather.shape)
+    # min-label propagation with pointer jumping
     label = np.arange(n_el)
     while True:
         new = label.copy()
-        np.minimum.at(new, src, label[dst])
-        np.minimum.at(new, dst, label[src])
+        np.minimum.at(new, src, label[gather])
+        np.minimum.at(new, gather, label[src])
         new = new[new]
         if np.array_equal(new, label):
-            break
+            return label
         label = new
 
+
+def _conjugate_halves(gather, d):
+    """(kept, mirrored, partner) for a table with the gather rows (rows, n)
+    on vec(rho) of a d x d rho.  Its generator maps X^dag to L(X)^dag, so
+    the elements (j, i) of a component C's elements (i, j) form a component
+    C* too, and for Hermitian rho one of C, C* fixes the other.  kept
+    masks each C with min(C) <= min(C*); mirrored indexes the elements a
+    Hermitian column reads off the conjugates of their partner elements,
+    (j, i): those outside kept, and the strict lower triangle of each C =
+    C*, which the components in kept propagate too."""
+    label = _components(gather)
+    n_el = d * d
+    partner = np.arange(n_el).reshape(d, d).T.ravel()
+    lower = np.arange(n_el) // d > np.arange(n_el) % d
+    kept = label <= label[partner]
+    mirrored = np.flatnonzero(~kept | (lower & (label == label[partner])))
+    return kept, mirrored, partner[mirrored]
+
+
+def _static_blocks(table):
+    """Decoupled blocks of a table of static rows, grouped by size: the
+    connected components of the rows' gathers (`_components`), which never
+    couple two elements of different blocks.  Returns one (m, n) index
+    array per block size n, each row one block in ascending order.
+    """
+    label = _components(table.gather)
     order = np.argsort(label, kind="stable")
-    cuts = [0, *(np.flatnonzero(np.diff(label[order])) + 1), n_el]
+    cuts = [0, *(np.flatnonzero(np.diff(label[order])) + 1), len(label)]
     by_size = {}
     for lo, hi in zip(cuts, cuts[1:]):
         by_size.setdefault(hi - lo, []).append(order[lo:hi])
@@ -873,31 +1073,43 @@ def _exact(table, x, terms, frames, t0, t1, diag):
     the frame K = frames[j] (`LindbladModel.carrier_frame`):
     exp(-S tau) exp(tau (L + S)) x, with S = i(K_a - K_b) on vec(rho), or iK
     on a ket (diag None), added to lam.  Only x's reached support is
-    propagated (LiouvilleTable.restricted), block by block
-    (_static_blocks), with one _block_expm per block size for as many
-    columns as a stack of STACK_ENTRIES holds.  A column whose invariant
-    (`_invariant` with diag) drifts beyond 1e-6 raises IntegrationError."""
+    propagated (LiouvilleTable.restricted), within table.kept where every
+    column is Hermitian (`_halves`), block by block (_static_blocks), and
+    `_mirror` sets the rest of each Hermitian column.
+    Columns whose lam, scales and tau are equal to the bit share one block
+    propagator, and one _block_expm per block size takes as many such
+    propagators as a stack of STACK_ENTRIES holds.  A column whose
+    invariant (`_invariant` with diag) drifts beyond 1e-6 raises
+    IntegrationError."""
     tau = t1 - t0
     c = np.array([_coefficients(column, np.array([t]))[0]
                   for column, t in zip(terms, t0)]).T
-    idx, sub, y = table.restricted(x)
+    keep, herm = _halves(table, x, diag)
+    idx, sub, y = table.restricted(x, keep)
     K = np.array(frames).T                      # (d, B)
     shift = 1j * (K[idx] if diag is None else K[idx // len(K)] - K[idx % len(K)])
     lam = sub.lam[:, None] + shift
     scale = np.ones((len(sub.weight), x.shape[1]), dtype=complex)
     scale[len(scale) - len(sub.column):] = sub.scales(c)
+    groups = {}
+    for j in range(x.shape[1]):
+        key = lam[:, j].tobytes() + scale[:, j].tobytes() + tau[j].tobytes()
+        groups.setdefault(key, []).append(j)
+    groups = list(groups.values())
     out = np.zeros_like(x)
     for blocks in _static_blocks(sub):
         m, n = blocks.shape
         height = max(1, STACK_ENTRIES // (m * n * n))
-        for lo in range(0, x.shape[1], height):
-            cols = slice(lo, lo + height)
-            gen = _block_generators(sub, blocks, lam[:, cols], scale[:, cols])
-            gen *= tau[cols, None, None, None]
+        for lo in range(0, len(groups), height):
+            first = [cols[0] for cols in groups[lo:lo + height]]
+            gen = _block_generators(sub, blocks, lam[:, first], scale[:, first])
+            gen *= tau[first, None, None, None]
             prop = _block_expm(gen.reshape(-1, n, n)).reshape(gen.shape)
-            new = prop @ np.moveaxis(y[blocks, cols], -1, 0)[..., None]
-            out[idx[blocks], cols] = np.moveaxis(new[..., 0], 0, -1)
+            for p, cols in zip(prop, groups[lo:lo + height]):
+                new = p @ np.moveaxis(y[blocks[..., None], cols], -1, 0)[..., None]
+                out[idx[blocks][..., None], cols] = np.moveaxis(new[..., 0], 0, -1)
     out[idx] *= np.exp(-shift * tau)
+    out = _mirror(table, out, herm, diag)
     drift = np.abs(_invariant(out.T, diag) - _invariant(x.T, diag))
     j = np.argmax(drift)
     if drift[j] > TRACE_DRIFT_TOL:
@@ -927,10 +1139,11 @@ def propagate(models, x, span, dt):
     windows.  A window under 1e-12 us has zero length, and one of zero
     length in every column is skipped.  A column propagates exactly
     (`_exact`) where ``models[j].carrier_frame(t0, t1)`` gives a frame, and
-    by RK4 otherwise (`_stepped`), at the smaller of dt and the window's
-    ``models[j].max_step(t0, t1)``: dt is the largest step the caller
-    allows, and the model bounds it where its carriers are fast, as in the
-    ``bare`` frame; see the module docstring.
+    by DOP853 otherwise (`_stepped`), at the smallest of dt, the window's
+    ``models[j].max_step(t0, t1)`` and STABLE_STEP over the largest |lam|
+    of the window's table: dt is the largest step the caller allows, the
+    model bounds it where its carriers are fast, as in the ``bare`` frame,
+    and the table where its diagonal is; see the module docstring.
 
     Columns on the same route whose models share their drift, channel and
     active term operators (those of one frame) propagate together, under one
@@ -977,7 +1190,9 @@ def propagate(models, x, span, dt):
             if key not in tables:
                 tables[key] = LiouvilleTable(models[cols[0]], terms[0], ket=ket)
             if stepped:
-                h = np.array([min(dt, models[j].max_step(t0[j], t1[j]))
+                lam = np.abs(tables[key].lam).max(initial=0.0)
+                stable = STABLE_STEP / lam if lam else math.inf
+                h = np.array([min(dt, stable, models[j].max_step(t0[j], t1[j]))
                               for j in cols])
                 x[:, cols] = _stepped(tables[key], x[:, cols], terms,
                                       t0[cols], t1[cols], h, diag)

@@ -34,15 +34,16 @@ class ProtocolOptions:
 
     The default drive amplitudes give a sideband pi pulse of ~190 ns and a
     qubit pi pulse of ~50 ns, i.e. a protocol length near 0.47 us.
-    dt_pulse is the largest RK4 step of the pulse ramps: at 2e-4 us each
-    25 ns ramp takes 125 steps, and halving it moves p_g and F_Z by under
-    1e-8.  The calibration probes step at their own pulses.PROBE_STEP.
+    dt_pulse is the largest step of the pulse ramps, which propagate
+    steps by DOP853: at 1.5e-3 us each 25 ns ramp takes 17 steps, and
+    halving it moves p_g and F_Z by under 1e-9 (at 2e-3 us, F_Z by
+    1.46e-8).  The calibration probes step at their own pulses.PROBE_STEP.
     """
 
     dims: SubsystemDims = field(default_factory=SubsystemDims)
     frame: str = "dispersive"
     bsb_amplitude: float = TWO_PI * 5.1e3   # rad/us
-    dt_pulse: float = 2e-4                  # us
+    dt_pulse: float = 1.5e-3                # us
     noiseless: bool = False
     storage_t_phi: float | None = None
     shots: int | None = None
@@ -90,7 +91,7 @@ def simulate_sequences(p: DeviceParams, seqs, options: ProtocolOptions,
                        rho0s=None, start=0.0, upto=None):
     """Run pulse sequences, under models of one frame, as the columns of
     one lindblad.propagate call: the idle windows and the plateaus exactly,
-    the ramps and every driven window of the lab frame by RK4 at
+    the ramps and every driven window of the lab frame by DOP853 at
     options.dt_pulse.  Column j runs from rho0s[j] (default the ground
     state) at start to upto (default its readout marker).  Returns (models,
     final QuantumStates)."""

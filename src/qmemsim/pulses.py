@@ -22,10 +22,13 @@ from .errors import CalibrationError, ParameterError
 DEFAULT_RISE = 0.020  # us
 TRUNC_SIGMAS = 2.5    # ramps truncated at +/- 2.5 sigma
 
-# the largest RK4 step of every calibration probe's ramps, and of the
-# sideband-rate check's tones: the noiseless probe dynamics is MHz-scale,
-# and halving it (with dt_pulse) moves the protocol's p_g and F_Z by ~2e-9
-PROBE_STEP = 5e-4     # us
+# the largest DOP853 step of every calibration probe's ramps, and of the
+# sideband-rate check's tones: the noiseless probe dynamics is MHz-scale;
+# the qubit plateau lands within 1.2e-7 of probes at 5e-5 us (RK4 at the
+# former 5e-4 us: 1.6e-6; DOP853 at 3e-3 us: 1.8e-6, and above 3.2e-3 us
+# the probes' diagonal bound, lindblad.STABLE_STEP, binds).  At dt_pulse,
+# 1.5e-3 us, a probe's 25 ns ramp would take 17 steps, against 12.
+PROBE_STEP = 2e-3     # us
 
 # baseline of the truncated Gaussian, exp(-2.5^2 / 2)
 _G0 = math.exp(-0.5 * TRUNC_SIGMAS**2)
@@ -240,11 +243,11 @@ def _probe_transfers(base, segments, ends, dt, initial, target):
     """Transfer probabilities of trial segments starting at 0 under the
     noiseless frame base (a model with no sequence), segments[j] read at
     ends[j], as the ket columns of one lindblad.propagate call from 0: the
-    ramps by RK4, the plateaus exactly (by RK4 in the lab frame, which has
-    no frame rotating with a probe's carriers), one model per distinct
-    segment.  dt is the largest step: propagate steps each ramp at no more
-    than its model's step bound, 40 steps per period of its fastest
-    carrier, which binds in the bare frame."""
+    ramps by DOP853, the plateaus exactly (stepped too in the lab frame,
+    which has no frame rotating with a probe's carriers), one model per
+    distinct segment.  dt is the largest step: propagate steps each ramp
+    at no more than its model's step bound, 13 steps per period of its
+    fastest carrier, which binds in the bare frame."""
     dims = base.dims
     models = {seg: base.with_sequence(PulseSequence((seg,)))
               for seg in dict.fromkeys(segments)}
@@ -286,10 +289,10 @@ def calibrate_pi_pulses(params: DeviceParams, dims, channel, amplitudes, *,
     carriers, 9 and 5 plateaus, the final pulse) drives it with the trial
     pulses of every amplitude, all with DEFAULT_RISE ramps, as the ket
     columns of one lindblad.propagate call (_probe_transfers): their ramps
-    by RK4 at PROBE_STEP, 5e-4 us on both channels, or at the probe model's
-    step bound where that is finer (40 steps per period of its fastest
-    carrier: about 1e-5 us in the bare frame, whose GHz-scale couplings
-    bound the step), and their plateaus exactly.  A column propagates as it
+    by DOP853 at PROBE_STEP, 2e-3 us on both channels, or at the probe
+    model's step bound where that is finer (13 steps per period of its
+    fastest carrier: about 3e-5 us in the bare frame, whose GHz-scale
+    couplings bound the step), and their plateaus exactly.  A column propagates as it
     would alone.  Returns a CalibrationResult per amplitude.
     """
     amps = np.array(amplitudes, dtype=float)

@@ -316,10 +316,10 @@ def test_ramsey_t2_closed_form():
 
 
 def test_steps_above_the_bound_run_at_the_bound():
-    # dt is the largest step the caller allows: on a bare-frame ramp, an RK4
-    # window, dt = 10 x max_step runs at max_step, the same to the bit,
-    # through evolve and propagate for vec(rho) and through propagate for
-    # kets
+    # dt is the largest step the caller allows: on a bare-frame ramp, a
+    # stepped window, dt = 10 x max_step runs at max_step, the same to the
+    # bit, through evolve (RK4) and propagate (DOP853) for vec(rho) and
+    # through propagate for kets
     p, dims = DeviceParams(), SubsystemDims(2, 2, 1)
     seg = PulseSegment(QUBIT_CHANNEL, TWO_PI * 20.0, p.angular().w_q,
                        plateau=0.005)
@@ -331,11 +331,11 @@ def test_steps_above_the_bound_run_at_the_bound():
     assert noisy.carrier_frame(*span) is None and bound < 1e-4
     rho = qsys.basis_state(noisy.dims)
     x = rho.rho.reshape(-1, 1)
-    got = [out for dt in (10.0 * bound, bound)
-           for out in (evolve(noisy, rho, span, dt)[-1].rho.reshape(-1),
-                       propagate([noisy], x, span, dt)[:, 0])]
-    assert not np.array_equal(got[0], x[:, 0])
-    assert all(np.array_equal(out, got[0]) for out in got)
+    for route in (lambda dt: evolve(noisy, rho, span, dt)[-1].rho.reshape(-1),
+                  lambda dt: propagate([noisy], x, span, dt)[:, 0]):
+        got = [route(dt) for dt in (10.0 * bound, bound)]
+        assert not np.array_equal(got[0], x[:, 0])
+        assert np.array_equal(*got)
     psi = np.eye(dims.total)[:, [0]]
     kets = [propagate([noiseless], psi, span, dt)
             for dt in (10.0 * bound, bound)]
@@ -371,16 +371,19 @@ def test_trace_divergence_detected():
 
 
 def test_a_drifting_column_names_its_own_time_and_step():
-    # one lab-frame RK4 window of two columns under one table: the same
-    # drive at w_q bounds column 0's step, at 1e-3 rad/us it bounds none,
-    # so column 1 steps at dt with w_q dt >> 1 and only column 1 diverges
+    # one lab-frame ramp of two columns under one table: the same drive at
+    # w_q bounds column 0's step, at 1e-3 rad/us it bounds none, so column 1
+    # steps at dt, under the bound of the table's diagonal (STABLE_STEP),
+    # which does not cover the drive: with amplitude * dt >> 1 only column
+    # 1 diverges
     p, dims = decoupled_params(), SubsystemDims(2, 2, 1)
     frame = build_model(p, dims, "lab")
     models = [frame.with_sequence(PulseSequence((PulseSegment(
-        QUBIT_CHANNEL, 1.0, carrier, plateau=0.005),)))
+        QUBIT_CHANNEL, 2e5, carrier, plateau=0.005, rise=0.01),)))
         for carrier in (p.angular().w_q, 1e-3)]
-    span, dt = (0.0, 0.004), 1e-4
+    span, dt = (0.0, 0.012), 4e-5
     assert models[0].max_step(*span) < dt < models[1].max_step(*span)
+    assert dt < lindblad.STABLE_STEP / np.abs(LiouvilleTable(frame).lam).max()
     rho = np.zeros((4, 4), dtype=complex)
     rho[:2, :2] = 0.5
     x = np.stack([rho.reshape(-1)] * 2, axis=1)
@@ -391,8 +394,8 @@ def test_a_drifting_column_names_its_own_time_and_step():
     with pytest.raises(IntegrationError) as alone:
         propagate(models[1:], x[:, 1:], span, dt)
     assert str(alone.value) == str(err.value)
-    # a whole number of column 1's steps of 1e-4 us and half of one, where
-    # column 0 steps by 4e-6 us
+    # a whole number of column 1's steps of 4e-5 us and half of one, where
+    # column 0 steps by 1.2e-5 us
     match = re.fullmatch(r"trace drifted by \S+ at t = (\S+) us; "
                          r"retry with dt <= (\S+) us", str(err.value))
     steps = float(match[1]) / dt
@@ -463,6 +466,95 @@ def test_step_halving_fourth_order():
 
     ratio = max_err(0.2) / max_err(0.1)
     assert 12.0 <= ratio <= 20.0
+
+
+@pytest.mark.parametrize("name, order", [("RK4", 4), ("DOP853", 8)])
+def test_tableau_meets_its_order_conditions(name, order):
+    # each node is its row sum of A, and b . c^(k-1) = 1/k and
+    # b . A c^(k-1) = 1/(k (k + 1)) up to the method's order: a mistyped
+    # digit of a constant breaks one of them
+    a, b, c = getattr(lindblad, name)
+    assert np.array_equal(a, np.tril(a, -1))
+    assert np.max(np.abs(a.sum(axis=1) - c)) < 1e-13
+    for k in range(1, order + 1):
+        assert abs(np.sum(b * c ** (k - 1)) - 1.0 / k) < 1e-13
+        if k < order:
+            assert abs(np.sum(b * (a @ c ** (k - 1))) - 1.0 / (k * (k + 1))) \
+                < 1e-13
+
+
+def test_stepped_error_falls_as_the_eighth_power_of_the_step():
+    # one 25 ns ramp of a 100 MHz qubit drive, stepped by propagate at 16,
+    # 32 and 64 steps against 256: each halving of the step divides the
+    # error by 2^8 = 256 within 10%, in the measured range 244-258
+    p, dims = DeviceParams(), SubsystemDims(3, 2, 1)
+    seg = PulseSegment(QUBIT_CHANNEL, TWO_PI * 100.0,
+                       lindblad.dressed_frequencies(p, dims)[0], plateau=0.01)
+    m = build_model(p, dims).with_sequence(PulseSequence((seg,)))
+    x = qsys.basis_state(dims).rho.reshape(-1, 1)
+    span = (0.0, seg.ramp)
+    assert m.carrier_frame(*span) is None
+    ref = propagate([m], x, span, seg.ramp / 256)
+    errors = [np.max(np.abs(propagate([m], x, span, seg.ramp / n) - ref))
+              for n in (16, 32, 64)]
+    assert errors[-1] > 1e-12
+    for coarse, fine in zip(errors, errors[1:]):
+        assert 0.9 * 256 <= coarse / fine <= 1.1 * 256
+
+
+def test_a_non_hermitian_column_steps_as_it_would_alone():
+    # |g><e| steps as its Hermitian and anti-Hermitian parts beside |g><g|
+    # and |+><+|, across a stepped ramp, an exact plateau and an idle gap:
+    # each column comes out the same to the bit as alone, and |g><e| keeps
+    # exactly zero every element that the idle window's table cannot reach
+    # from it, its conjugate |e><g| among them
+    p, dims = DeviceParams(), SubsystemDims(3, 2, 1)
+    seg = PulseSegment(QUBIT_CHANNEL, TWO_PI * 20.0,
+                       lindblad.dressed_frequencies(p, dims)[0], plateau=0.01)
+    m = build_model(p, dims).with_sequence(PulseSequence((seg,)))
+    d, g, e = dims.total, dims.index(0, 0, 0), dims.index(1, 0, 0)
+    columns = []
+    for elements in ([(g, g)], [(g, e)], [(g, g), (g, e), (e, g), (e, e)]):
+        rho = np.zeros((d, d), dtype=complex)
+        for i, j in elements:
+            rho[i, j] = 1.0 / len(elements) ** 0.5 if i != j else 0.5
+        columns.append(rho.reshape(-1))
+    x = np.stack(columns, axis=1)
+    x[:, 0] *= 2.0
+    span = (0.0, seg.end)
+    batch = propagate([m] * 3, x, span, 1.5e-3)
+    for j in range(3):
+        assert np.array_equal(batch[:, j], propagate([m], x[:, [j]], span,
+                                                     1.5e-3)[:, 0])
+    idle = build_model(p, dims)
+    reach = LiouvilleTable(idle).restricted(x[:, 1])[0]
+    out = propagate([idle], x[:, [1]], (0.0, 1.0), 1.5e-3)[:, 0]
+    outside = np.ones(d * d, dtype=bool)
+    outside[reach] = False
+    assert outside[e * d + g] and np.all(out[outside] == 0)
+    assert abs(out[g * d + e]) > 0.1
+
+
+def test_a_one_element_ket_steps_as_it_would_alone():
+    # the two-photon term moves |g,n> only, and nothing brings the
+    # noiseless |f,0,0> there: alone, its ramp steps a support of one
+    # element, whose stage sums numpy would take pairwise; beside |g,0,0>
+    # it steps in a wider stack, and comes out the same to the bit
+    p, dims = DeviceParams(), SubsystemDims(3, 2, 1)
+    seg = PulseSegment(QUBIT_CHANNEL, TWO_PI * 5e3,
+                       lindblad.two_photon_resonance(p, dims),
+                       plateau=0.003, rise=0.002, start=0.0)
+    m = build_model(p, dims, noiseless=True).with_sequence(
+        PulseSequence((seg,)))
+    span = (0.0, seg.ramp)
+    assert [t.power for t in m.active_terms(*span)] == [2]
+    psi = np.eye(dims.total, dtype=complex)[
+        :, [dims.index(2, 0, 0), dims.index(0, 0, 0)]]
+    table = LiouvilleTable(m, m.active_terms(*span), ket=True)
+    assert len(table.restricted(psi[:, 0])[0]) == 1
+    alone = propagate([m], psi[:, :1], span, 1e-4)[:, 0]
+    assert np.array_equal(propagate([m, m], psi, span, 1e-4)[:, 0], alone)
+    assert alone[dims.index(2, 0, 0)] != 1.0
 
 
 def test_frame_invariance_small_system():
@@ -542,12 +634,25 @@ def record_blocks(monkeypatch):
 
 
 def test_static_blocks_partition_liouville_space(default_model, monkeypatch):
+    # a rho with full support, Hermitian to the bit, so the window
+    # propagates only the kept elements, and all of them
     blocks = record_blocks(monkeypatch)
-    idle(default_model, random_density_matrix(30, 0), (0.0, 1.0))
-    elements = np.concatenate([idx.ravel() for idx in blocks])
-    assert np.array_equal(np.sort(elements), np.arange(30 * 30))
-    # dispersive frame: one block per label difference of (i, j)
-    assert sum(idx.shape[0] for idx in blocks) == 135
+    rho = random_density_matrix(30, 0)
+    idle(default_model, 0.5 * (rho + rho.conj().T), (0.0, 1.0))
+    # the blocks index the kept elements; they and the conjugates of their
+    # elements, (j, i) for (i, j), cover the space, and overlap only in the
+    # blocks that are their own conjugates
+    kept = np.flatnonzero(LiouvilleTable(default_model).kept)
+    elements = kept[np.concatenate([idx.ravel() for idx in blocks])]
+    partners = elements % 30 * 30 + elements // 30
+    assert len(np.unique(elements)) == len(elements)
+    assert np.array_equal(np.union1d(elements, partners), np.arange(30 * 30))
+    # dispersive frame: one block per label difference of (i, j), 135 in
+    # all, and one of each conjugate pair; the populations, of difference
+    # 0, are their own conjugates
+    assert np.array_equal(np.intersect1d(elements, partners),
+                          np.arange(30) * 31)
+    assert sum(idx.shape[0] for idx in blocks) == 1 + (135 - 1) // 2
     assert max(idx.shape[1] for idx in blocks) == 30
 
 
@@ -828,24 +933,24 @@ def test_table_of_class_form_a_matches_a_dense_split(frame):
 # driven windows step only the elements their initial state can reach
 # ---------------------------------------------------------------------------
 
-def full_space_rk4(table, x, terms, t_span, n, samples=1):
-    """Classic RK4 of dx/dt = table.apply(x, s(t)) on the whole vector, n
-    steps across t_span, with s(t) the drive rows' scales (table.scales)
-    of c_k(t), the amplitude times the carrier phase of terms[k]; x at the
-    samples + 1 equally spaced times."""
+def full_space_steps(table, x, terms, t_span, n, tableau, samples=1):
+    """The explicit Runge-Kutta method tableau = (A, b, c) on dx/dt =
+    table.apply(x, s(t)) on the whole vector, n steps across t_span, with
+    s(t) the drive rows' scales (table.scales) of c_k(t), the amplitude
+    times the carrier phase of terms[k]; x at the samples + 1 equally
+    spaced times."""
+    a, b, nodes = tableau
     t0, t1 = t_span
     h = (t1 - t0) / n
-    t = t0 + 0.5 * h * np.arange(2 * n + 1)
+    t = (t0 + h * (np.arange(n)[:, None] + nodes)).ravel()
     c = np.array([term.amplitude_at(t) * np.exp(1j * (term.carrier * t + term.phase))
                   for term in terms], dtype=complex).reshape(len(terms), -1).T
-    s = table.scales(c[:, :, None])
-    out = [x]
+    s = table.scales(c[:, :, None]).reshape(n, len(nodes), -1, 1)
+    out, stages = [x], np.zeros((len(nodes), len(x)), dtype=complex)
     for k in range(n):
-        k1 = table.apply(x, s[2 * k])
-        k2 = table.apply(x + 0.5 * h * k1, s[2 * k + 1])
-        k3 = table.apply(x + 0.5 * h * k2, s[2 * k + 1])
-        k4 = table.apply(x + h * k3, s[2 * k + 2])
-        x = x + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+        for i in range(len(nodes)):
+            stages[i] = table.apply(x + h * (a[i, :i] @ stages[:i]), s[k, i])
+        x = x + h * (b @ stages)
         if (k + 1) % (n // samples) == 0:
             out.append(x)
     return out
@@ -853,7 +958,8 @@ def full_space_rk4(table, x, terms, t_span, n, samples=1):
 
 def check_stepping(m, rho, span, dt):
     """evolve of rho across span (from 0) at dt, in two intervals, matches
-    full_space_rk4 and keeps every element its table cannot reach zero."""
+    full_space_steps with RK4, evolve's tableau, and keeps every element
+    its table cannot reach zero."""
     d = m.dims.total
     terms = m.active_terms(*span)
     table = LiouvilleTable(m, terms)
@@ -861,7 +967,8 @@ def check_stepping(m, rho, span, dt):
     outside[table.restricted(rho.reshape(-1))[0]] = False
     n = 2 * max(1, int(round(span[1] / 2 / dt)))
     got = evolve(m, rho, span, dt, steps=2)
-    want = full_space_rk4(table, rho.reshape(-1), terms, span, n, samples=2)
+    want = full_space_steps(table, rho.reshape(-1), terms, span, n,
+                            lindblad.RK4, samples=2)
     assert len(got) == len(want) == 3
     for state, x in zip(got, want):
         assert np.max(np.abs(state.rho.reshape(-1) - x)) \
@@ -907,13 +1014,15 @@ def test_restricted_stepping_matches_full_space_rk4():
         rho = np.zeros((d, d), dtype=complex)
         rho[k, k], rho[k, j] = 1.0, 0.5 * phase
 
-        check_stepping(m, rho, span, min(2e-5, m.max_step(*span)))
+        # at most evolve's step bound, 40 RK4 steps per carrier period
+        check_stepping(m, rho, span, min(2e-5, m.max_step(*span, 40.0)))
 
-        # kets: the norm is no linear invariant of RK4, unlike the trace, so
-        # take 200 steps short against the fastest phase, on the ramp-up or
-        # the ramp-down: propagate cuts a span at the plateau's edges and
-        # takes the plateau exactly; rate bounds |H| by the drift's largest
-        # row sum, the drive amplitude and 2e3 rad/us for the couplings
+        # kets through propagate, against its DOP853: the norm is no linear
+        # invariant of a Runge-Kutta method, unlike the trace, so take 200
+        # steps short against the fastest phase, on the ramp-up or the
+        # ramp-down: propagate cuts a span at the plateau's edges and takes
+        # the plateau exactly; rate bounds |H| by the drift's largest row
+        # sum, the drive amplitude and 2e3 rad/us for the couplings
         noiseless = dataclasses.replace(m, channels=[])
         psi = np.zeros(d, dtype=complex)
         psi[k], psi[j] = 0.8, 0.6 * phase
@@ -929,8 +1038,8 @@ def test_restricted_stepping_matches_full_space_rk4():
         outside = np.ones(d, dtype=bool)
         outside[table.restricted(psi)[0]] = False
         got = propagate([noiseless], psi[:, None], ket_span, dt)[:, 0]
-        want = full_space_rk4(table, psi, noiseless.active_terms(*ket_span),
-                              ket_span, 200)[-1]
+        want = full_space_steps(table, psi, noiseless.active_terms(*ket_span),
+                                ket_span, 200, lindblad.DOP853)[-1]
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
         assert np.all(got[outside] == 0) and np.all(want[outside] == 0)
 
@@ -945,37 +1054,43 @@ def test_default_protocol_windows_step_their_reached_elements(monkeypatch,
     # ramp-down windows of the default protocol's segments reach 37, 171,
     # 171 and 215 of the 900 elements, and the sideband-store window
     # reaches 37 from the tomography input |e><e| and 34 from its coherence
-    # |g><e|.  Only the ramps step RK4, 125 steps of 2e-4 us each.
+    # |g><e| or |e><g|.  Of each pair of conjugate components a window keeps
+    # one, that of |e><g| here, so the windows propagate 3, 37, 108, 108 and
+    # 126 elements.  Only the ramps step, 17 DOP853 steps of 1.5e-3 us each.
     p, options = DeviceParams(), ProtocolOptions()
     dims = options.dims
     seq = build_memory_sequence(0.0, 0.0, default_cal)
     store = seq.labeled("bsb-store")[0]
     model = build_model(p, dims).with_sequence(seq)
     table = LiouvilleTable(model, model.active_terms(store.start, store.end))
-    for (i, j), size in (((1, 1), 37), ((0, 1), 34)):
+    for (i, j), size, kept in (((1, 1), 37, 37), ((0, 1), 34, 0),
+                               ((1, 0), 34, 34)):
         rho = np.zeros((dims.total, dims.total), dtype=complex)
         rho[dims.index(i, 0, 0), dims.index(j, 0, 0)] = 1.0
         assert len(table.restricted(rho.reshape(-1))[0]) == size
+        assert len(table.restricted(rho.reshape(-1), table.kept)[0]) == kept
 
-    sizes, steps = [], []
-    restricted, rk4_step = LiouvilleTable.restricted, lindblad._rk4_step
+    sizes, applies = [], []
+    restricted, apply = LiouvilleTable.restricted, LiouvilleTable.apply
 
-    def record(table, x):
-        out = restricted(table, x)
-        sizes.append(len(out[0]))
+    def record(table, x, keep=None):
+        out = restricted(table, x, keep)
+        sizes.append((len(restricted(table, x)[0]), len(out[0])))
         return out
 
-    def count(*args):
-        steps.append(None)
-        return rk4_step(*args)
+    def count(*args, **kw):
+        applies.append(None)
+        return apply(*args, **kw)
 
     monkeypatch.setattr(LiouvilleTable, "restricted", record)
-    monkeypatch.setattr(lindblad, "_rk4_step", count)
+    monkeypatch.setattr(LiouvilleTable, "apply", count)
     protocol.run_memory_protocol(p, 0.0, 0.0, options, default_cal)
-    assert sizes == [3] + [37] * 3 + [171] * 6 + [215] * 3
+    assert sizes == [(3, 3)] + [(37, 37)] * 3 + [(171, 108)] * 6 \
+        + [(215, 126)] * 3
     ramps = [2 * round(s.ramp / options.dt_pulse) for s in seq.segments]
-    assert ramps == [250] * 4
-    assert len(steps) == sum(ramps)
+    assert ramps == [34] * 4
+    # a step applies the table once per stage, an exact window never
+    assert len(applies) == len(lindblad.DOP853[2]) * sum(ramps)
 
 
 # ---------------------------------------------------------------------------
@@ -1020,7 +1135,7 @@ def test_plateau_propagation_matches_rk4_in_every_frame():
         # RK4 at dt and dt / 2: their gap bounds the error of the finer one
         rate = (np.abs(dense(m.drift, d)).sum(axis=1).max() + seg.amplitude
                 + 2e3)
-        dt = min(m.max_step(*span), 0.05 / rate)
+        dt = min(m.max_step(*span, 40.0), 0.05 / rate)
         coarse = evolve(m, rho, span, dt)[-1].rho
         fine = evolve(m, rho, span, dt / 2)[-1].rho
         bound = 2.0 * np.max(np.abs(coarse - fine)) / 15.0 + 1e-12
@@ -1051,7 +1166,7 @@ def test_lab_plateaus_step_rk4_and_bare_plateaus_do_not(monkeypatch):
             + [(s.end - s.ramp, s.end) for s in seq.segments]
         plateaus = [(s.start + s.ramp, s.end - s.ramp) for s in seq.segments]
         options = ProtocolOptions(dims=SubsystemDims(2, 2, 1), frame=frame,
-                                  dt_pulse=1e-5)
+                                  dt_pulse=3e-5)
         spans.clear()
         model, _ = protocol.simulate_sequence(p, seq, options)
         if frame == "lab":

@@ -192,9 +192,9 @@ def test_pulse_step_is_converged(anchor_z_point, default_cal):
 
 def test_pulse_step_is_converged_on_lifetime_and_process(fock_record):
     # the same holds for the fitted Fock lifetime, the process fidelity and
-    # every chi entry; the bounds are for the default step, 125 RK4 steps
+    # every chi entry; the bounds are for the default step, 17 DOP853 steps
     # per 25 ns ramp
-    assert OPTS.dt_pulse == 2e-4
+    assert OPTS.dt_pulse == 1.5e-3
     fine = OPTS.replace(dt_pulse=0.5 * OPTS.dt_pulse)
     t1 = fock_record.fits["T1_s"].params["T"]
     t1_fine = fock_decay_experiment(P, options=fine).fits["T1_s"].params["T"]
@@ -297,6 +297,30 @@ def test_batched_qpt_inputs_equal_single_inputs(default_cal):
     chan = memory_channel(P, OPTS, default_cal)
     batch = chan(np.array(tomography.INPUT_STATES))
     assert batch.shape == (4, 2, 2)
+    for out, rho in zip(batch, tomography.INPUT_STATES):
+        assert np.array_equal(out, chan(rho))
+
+
+def test_qpt_inputs_share_one_block_propagator(monkeypatch, default_cal):
+    # the four tomography inputs run one sequence under one frame, so each
+    # exact window gives them equal lam, scales and tau: _exact exponentiates
+    # the blocks of one column, those |+> alone hands it (its support is the
+    # union of theirs), and every output keeps the bits it has alone
+    from qmemsim import tomography
+
+    stacks, block_expm = [], lindblad._block_expm
+
+    def record(gen):
+        stacks.append(gen.shape)
+        return block_expm(gen)
+
+    monkeypatch.setattr(lindblad, "_block_expm", record)
+    chan = memory_channel(P, OPTS, default_cal)
+    batch = chan(np.array(tomography.INPUT_STATES))
+    shared = list(stacks)
+    stacks.clear()
+    chan(tomography.INPUT_STATES[2])
+    assert shared == stacks
     for out, rho in zip(batch, tomography.INPUT_STATES):
         assert np.array_equal(out, chan(rho))
 

@@ -122,17 +122,18 @@ def test_bare_frame_probe_steps_under_its_carrier_bound():
 
 def test_qubit_calibration_steps_its_ramps_at_the_probe_step(monkeypatch):
     # five scan stages, each one propagate call whose two 25 ns ramps step
-    # RK4 at PROBE_STEP (50 steps each) and whose plateau is exact
-    steps, rk4_step = [], lindblad._rk4_step
+    # DOP853 at PROBE_STEP (12 steps each, of its 12 stages) and whose
+    # plateau is exact, which applies no table
+    applies, apply = [], lindblad.LiouvilleTable.apply
 
-    def count(*args):
-        steps.append(None)
-        return rk4_step(*args)
+    def count(*args, **kw):
+        applies.append(None)
+        return apply(*args, **kw)
 
-    monkeypatch.setattr(lindblad, "_rk4_step", count)
+    monkeypatch.setattr(lindblad.LiouvilleTable, "apply", count)
     calibrate_pi_pulse(DeviceParams(), SubsystemDims(), QUBIT_CHANNEL,
                        TWO_PI * 20.0)
-    assert len(steps) == 5 * 2 * 50
+    assert len(applies) == 5 * 2 * 12 * len(lindblad.DOP853[2])
 
 
 def test_memory_sequence_layout(sample_calibration):
@@ -260,7 +261,7 @@ G, E1 = (0, 0, 0), (1, 1, 0)
 
 def rho_transfer(p, dims, segment, frame, dt, initial, target):
     """The probe's transfer from a density matrix run through the same
-    windows as the probe's ket, by simulate_sequences: RK4 ramps at dt and
+    windows as the probe's ket, by simulate_sequences: DOP853 ramps at dt and
     an exact plateau."""
     options = ProtocolOptions(dims=dims, frame=frame, dt_pulse=dt,
                               noiseless=True)
@@ -301,8 +302,8 @@ def test_exact_probe_plateaus_match_fine_rk4():
     # ramps at a fine step and the plateau exact, against RK4 at that step
     # across the whole probe: a qubit and a sideband probe in the dispersive
     # frame, and a qubit probe in the bare frame with its always-on
-    # couplings, at 1/16 of its step bound (at the bound, RK4 is 1.5e-9
-    # off on the plateau)
+    # couplings, at 1/16 of RK4's step bound, 40 steps per carrier period
+    # (at the bound, RK4 is 1.5e-9 off on the plateau)
     p, dims, small = DeviceParams(), SubsystemDims(), SubsystemDims(3, 2, 1)
     cases = [
         (dims, "dispersive", (1, 0, 0), 2.5e-5,
@@ -320,19 +321,20 @@ def test_exact_probe_plateaus_match_fine_rk4():
         model = base.with_sequence(PulseSequence((segment,)))
         plateau = (segment.start + segment.ramp, segment.end - segment.ramp)
         assert model.carrier_frame(*plateau) is not None
-        dt = dt or model.max_step() / 16.0
+        dt = dt or model.max_step(per_period=40.0) / 16.0
         got = pulses._probe_transfers(base, [segment], [segment.end], dt, G,
                                       target)
         terms = model.active_terms(segment.start, segment.end)
         psi = lindblad._stepped(
             lindblad.LiouvilleTable(model, terms, ket=True),
             np.eye(dims.total, dtype=complex)[:, [dims.index(*G)]], [terms],
-            np.array([segment.start]), np.array([segment.end]), dt, None)
+            np.array([segment.start]), np.array([segment.end]), dt, None,
+            lindblad.RK4)
         want = abs(psi[dims.index(*target), 0]) ** 2
         assert want > 0.1
         assert abs(got[0] - want) <= 1e-12
 
-    # the lab frame admits no such frame: its probes step RK4 throughout,
+    # the lab frame admits no such frame: its probes step DOP853 throughout,
     # across the ramp-up, the plateau and the ramp-down
     p = DeviceParams(omega_ro=0.021, omega_s=0.034, omega_q=0.027, alpha=-3.0,
                      g=0.4, chi_ro=0.1, chi_s=0.1, kappa_ro=0.05,
@@ -386,7 +388,10 @@ def test_ket_probes_reject_noise_and_coarse_steps():
     with pytest.raises(ParameterError):
         propagate([noisy], psi0, (segment.start, segment.end), 1e-4)
     # lab frame, driven at a carrier of 1e-3 rad/us: it bounds no step, and
-    # w_q dt >> 1 destabilizes RK4 (an undriven window would be exact)
+    # the table's diagonal caps it at 3e-5 us (STABLE_STEP), where the norm
+    # of |e> rotating at w_q, which no Runge-Kutta step conserves, still
+    # drifts past 1e-6 within a few steps (an undriven window would be
+    # exact)
     slow = PulseSegment(QUBIT_CHANNEL, 1.0, 1e-3, plateau=0.005)
     lab = build_model(p, dims, "lab",
                       noiseless=True).with_sequence(PulseSequence((slow,)))
