@@ -513,14 +513,11 @@ def test_a_non_hermitian_column_steps_as_it_would_alone():
                        lindblad.dressed_frequencies(p, dims)[0], plateau=0.01)
     m = build_model(p, dims).with_sequence(PulseSequence((seg,)))
     d, g, e = dims.total, dims.index(0, 0, 0), dims.index(1, 0, 0)
-    columns = []
-    for elements in ([(g, g)], [(g, e)], [(g, g), (g, e), (e, g), (e, e)]):
-        rho = np.zeros((d, d), dtype=complex)
-        for i, j in elements:
-            rho[i, j] = 1.0 / len(elements) ** 0.5 if i != j else 0.5
-        columns.append(rho.reshape(-1))
-    x = np.stack(columns, axis=1)
-    x[:, 0] *= 2.0
+    rho = np.zeros((3, d, d), dtype=complex)
+    rho[0, g, g] = 1.0                          # |g><g|
+    rho[1, g, e] = 1.0                          # |g><e|
+    rho[2][np.ix_([g, e], [g, e])] = 0.5        # |+><+|
+    x = rho.reshape(3, -1).T
     span = (0.0, seg.end)
     batch = propagate([m] * 3, x, span, 1.5e-3)
     for j in range(3):
