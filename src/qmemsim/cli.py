@@ -318,7 +318,6 @@ def cmd_validate(args):
         ("omega_q", f"{p.omega_q:.9g} GHz", f"{a.w_q:.6g} rad/us"),
         ("alpha", f"{p.alpha:.9g} MHz", f"{a.alpha:.6g} rad/us"),
         ("g", f"{p.g:.9g} MHz", f"{a.g:.6g} rad/us"),
-        ("g_102", f"{p.g_102:.9g} MHz", f"{a.g_102:.6g} rad/us"),
         ("chi_ro", f"{p.chi_ro:.9g} MHz", f"{a.chi_ro:.6g} rad/us"),
         ("chi_s", f"{p.chi_s:.9g} MHz", f"{a.chi_s:.6g} rad/us"),
         ("kappa_ro", f"{p.kappa_ro:.9g} MHz", f"{a.k_ro:.6g} 1/us"),

@@ -2,8 +2,8 @@
 
 Frequencies and times must carry an explicit unit suffix (GHz, MHz, kHz, Hz,
 s, ms, us, ns); unit-less entries are rejected for those keys.  Dimensionless
-quantities (quality factors, populations, counts) are plain numbers.  Lines
-starting with # are comments.
+quantities (populations, counts) are plain numbers.  Lines starting with #
+are comments.
 
 Example::
 
@@ -11,7 +11,7 @@ Example::
     omega_ro = 5.518 GHz
     kappa_s  = 24.7 kHz
     t1_q     = 1.32 us
-    q0_ro    = 1.9e6
+    p_e      = 0.0027
 
 Unit conversion is exact.  Every unit, and the unit each key is stored in,
 is a power of ten of the base unit (GHz for frequencies, us for times), so a
@@ -48,28 +48,32 @@ _DEVICE_KEYS = {
     "omega_q": ("freq", "GHz"),
     "alpha": ("freq", "MHz"),
     "g": ("freq", "MHz"),
-    "g_102": ("freq", "MHz"),
     "chi_ro": ("freq", "MHz"),
     "chi_s": ("freq", "MHz"),
     "kappa_ro": ("freq", "MHz"),
     "kappa_s": ("freq", "kHz"),
     "t1_q": ("time", "us"),
     "t2_q": ("time", "us"),
-    "q0_ro": ("plain", None),
-    "q0_s": ("plain", None),
     "n_ro": ("plain", None),
     "p_e": ("plain", None),
 }
 
 _RUN_KEYS = {
     "dt_pulse": ("time", "us"),
-    # retired (idle windows propagate exactly); still parsed so that old
-    # configs and manifests load, then dropped by parse_run_settings
-    "dt_idle": ("time", "us"),
     "n_transmon": ("plain", None),
     "n_storage": ("plain", None),
     "n_readout": ("plain", None),
     "frame": ("word", None),
+}
+
+# parsed and checked so that older configs and manifests load, then dropped:
+# g_102, q0_ro and q0_s never entered the dynamics, nor dt_idle since idle
+# windows propagate exactly
+_RETIRED_KEYS = {
+    "g_102": ("freq", "MHz"),
+    "q0_ro": ("plain", None),
+    "q0_s": ("plain", None),
+    "dt_idle": ("time", "us"),
 }
 
 # Unbounded precision and exponent range: constructing the literal and
@@ -91,7 +95,8 @@ def _scaled_float(key, text, exp):
 
 def parse_value(key, raw):
     """Parse the value text of a known key into the unit it is stored in."""
-    kind, storage_unit = _DEVICE_KEYS.get(key) or _RUN_KEYS[key]
+    kind, storage_unit = (_DEVICE_KEYS.get(key) or _RUN_KEYS.get(key)
+                          or _RETIRED_KEYS[key])
     parts = raw.split()
     if kind == "word":
         if len(parts) != 1:
@@ -112,7 +117,8 @@ def parse_value(key, raw):
 
 
 def parse_config_text(text):
-    """Parse the flat key = value format into (device_kw, run_kw) dicts."""
+    """Parse the flat key = value format into (device_kw, run_kw) dicts,
+    without the retired keys."""
     device_kw, run_kw = {}, {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
@@ -126,6 +132,8 @@ def parse_config_text(text):
             device_kw[key] = parse_value(key, raw)
         elif key in _RUN_KEYS:
             run_kw[key] = parse_value(key, raw)
+        elif key in _RETIRED_KEYS:
+            parse_value(key, raw)
         else:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
     return device_kw, run_kw
@@ -143,11 +151,9 @@ def parse_run_settings(text, source):
 
     Missing device keys keep the sample defaults; the run settings dict
     holds the remaining run keys (frame, dt_pulse), the ProtocolOptions
-    fields they name.  The retired dt_idle key is checked and ignored.
-    source names the text in error messages.
+    fields they name.  source names the text in error messages.
     """
     device_kw, run_kw = parse_config_text(text)
-    run_kw.pop("dt_idle", None)
     try:
         params = DeviceParams(**device_kw)
     except ParameterError as exc:
@@ -167,14 +173,12 @@ def load_run_settings(path):
         return parse_run_settings(f.read(), path)
 
 
-# the packaged sample config, data/sample.cfg
-SAMPLE_CONFIG = (importlib.resources.files(__package__) / "data"
-                 / "sample.cfg").read_text()
-
-
 def write_sample_config(path):
+    """Write the packaged sample config, data/sample.cfg, to path."""
+    text = (importlib.resources.files(__package__) / "data"
+            / "sample.cfg").read_text()
     with open(path, "w") as f:
-        f.write(SAMPLE_CONFIG)
+        f.write(text)
 
 
 def device_params_to_config(p: DeviceParams):

@@ -6,20 +6,22 @@ everything to the internal rad/us convention in one place.
 
 Sign and bookkeeping conventions
 --------------------------------
-* The measured dispersive shifts ``chi_ro`` and ``chi_s`` drive all frequency
-  bookkeeping (sideband placement, Ramsey detunings).  The standard transmon
-  estimator ``dispersive_shift_estimate`` is exposed for reference only; it
-  does not reproduce the measured values on this sample.
+* The measured dispersive shifts ``chi_ro`` and ``chi_s`` enter only
+  ``bsb_frequency``: the nominal sideband carrier that ``validate`` prints,
+  the default carrier of ``bsb_detunings`` and the demos' carrier.  The
+  model places the sideband at its own two-photon resonance
+  (``lindblad.two_photon_resonance``), and the Ramsey analysis pulse uses
+  the calibrated carrier.  The standard transmon estimator
+  ``dispersive_shift_estimate`` is exposed for reference only; it does not
+  reproduce the measured values on this sample.
 * With the qubit excited, the storage ladder is shifted such that the
   dispersive Hamiltonian reads ``omega_m + chi_m * sigma_z`` with
   ``sigma_z = -1`` for the qubit ground state; the qubit-state-dependent mode
   splitting is 2*chi_m.
-* ``g_102`` (residual coupling to the next cavity mode) is stored for
-  completeness but never enters the dynamics.
 """
 
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, replace as dc_replace
 
 from .errors import ParameterError
 from .units import GHZ, MHZ, KHZ
@@ -40,15 +42,12 @@ class DeviceParams:
     omega_q: float = 6.234         # qubit g-e frequency, GHz
     alpha: float = -185.0          # anharmonicity, MHz (negative)
     g: float = 53.0                # qubit-mode coupling (both modes), MHz
-    g_102: float = 8.0             # residual TE102 coupling, MHz (informational)
     chi_ro: float = 3.6            # measured readout dispersive shift, MHz
     chi_s: float = 1.1             # measured storage dispersive shift, MHz
     kappa_ro: float = 4.0          # readout decay rate, MHz
     kappa_s: float = 24.7          # storage decay rate, kHz
     t1_q: float = 1.32             # qubit energy decay time, us
     t2_q: float = 2.49             # qubit Ramsey decoherence time, us
-    q0_ro: float = 1.9e6           # readout internal Q
-    q0_s: float = 1.0e6            # storage internal Q
     n_ro: float = 0.0              # mean readout photon number during protocol
     p_e: float = 0.0027            # equilibrium qubit excited-state population
 
@@ -73,7 +72,6 @@ class DeviceParams:
             w_q=self.omega_q * GHZ,
             alpha=self.alpha * MHZ,
             g=self.g * MHZ,
-            g_102=self.g_102 * MHZ,
             chi_ro=self.chi_ro * MHZ,
             chi_s=self.chi_s * MHZ,
             k_ro=self.kappa_ro * MHZ,
@@ -85,9 +83,7 @@ class DeviceParams:
         )
 
     def replace(self, **kw):
-        d = asdict(self)
-        d.update(kw)
-        return DeviceParams(**d)
+        return dc_replace(self, **kw)
 
 
 @dataclass(frozen=True)
@@ -99,7 +95,6 @@ class AngularParams:
     w_q: float
     alpha: float
     g: float
-    g_102: float
     chi_ro: float
     chi_s: float
     k_ro: float

@@ -643,10 +643,9 @@ class LiouvilleTable:
         flat = x.reshape(-1)
         terms = flat.take(self.gather)
         terms *= self.weight
-        if len(self.column):
-            rows, b = c.shape
-            drive = terms[len(terms) - rows:].reshape(rows, b, len(flat) // b)
-            drive *= c[:, :, None]
+        rows, b = c.shape
+        drive = terms[len(terms) - rows:].reshape(rows, b, len(flat) // b)
+        drive *= c[:, :, None]
         out = np.add.reduce(terms, axis=0, out=out)
         out += self.lam * flat
         return out.reshape(x.shape)
@@ -935,27 +934,22 @@ def _stepped(table, x, terms, t0, t1, dt, diag, tableau=DOP853):
     sub, scale = sub.tiled(len(n)), sub.scales(coeff)
     # the stages in rows, with a spare zero element: numpy sums a stack of
     # rows two elements wide or more in row order, element by element, one
-    # a single element wide pairwise.  Stages 1.. and the step each weigh
-    # the stages from their first nonzero weight on, a single one unsummed.
+    # a single element wide pairwise.  Stage i and the step weigh all the
+    # stages before them: a one-row stack sums to its row, and a zero
+    # weight adds a zero, so no sum needs a form of its own.
     stages = np.zeros((len(c), y.size + 1), dtype=complex)
-    sums = []
-    for w in (*(a[i, :i] for i in range(1, len(c))), b):
-        lo = np.flatnonzero(w)[0]
-        sums.append((w[lo], stages[lo]) if lo == len(w) - 1
-                    else (w[lo:, None], stages[lo:len(w)]))
     outs = [row[:-1] for row in stages]
 
-    def weighed(w, rows):
-        part = w * rows
-        return (np.add.reduce(part) if part.ndim > 1 else part)[:-1]
+    def weighed(w):
+        return np.add.reduce(w[:, None] * stages[:len(w)])[:-1]
 
     start = _invariant(y.reshape(len(n), -1), checked)
     for k, check in enumerate(due.tolist()):
         hk = h[k].repeat(len(idx))              # each element's step
         sub.apply(y, scale[k, 0], out=outs[0])
-        for (w, rows), out, s in zip(sums, outs[1:], scale[k, 1:]):
-            sub.apply(y + hk * weighed(w, rows), s, out=out)
-        y += hk * weighed(*sums[-1])
+        for i, (out, s) in enumerate(zip(outs[1:], scale[k, 1:]), 1):
+            sub.apply(y + hk * weighed(a[i, :i]), s, out=out)
+        y += hk * weighed(b)
         if check:
             drift = np.abs(_invariant(y.reshape(len(n), -1), checked) - start)
             if not drift.max() <= TRACE_DRIFT_TOL:

@@ -21,6 +21,10 @@ def run_cli(*args, cwd=None, env=None):
                           cwd=cwd, env=env)
 
 
+def sample_text():
+    return (importlib.resources.files("qmemsim") / "data" / "sample.cfg").read_text()
+
+
 @pytest.fixture()
 def sample_cfg(tmp_path):
     path = tmp_path / "sample.cfg"
@@ -29,7 +33,7 @@ def sample_cfg(tmp_path):
 
 
 def test_parse_sample_config():
-    device_kw, run_kw = config.parse_config_text(config.SAMPLE_CONFIG)
+    device_kw, run_kw = config.parse_config_text(sample_text())
     p = DeviceParams(**device_kw)
     assert p.omega_s == pytest.approx(8.707546)
     assert p.kappa_s == pytest.approx(24.7)
@@ -106,7 +110,7 @@ def test_bad_truncation_size_is_a_usage_error(tmp_path, capsys, monkeypatch,
 
     monkeypatch.setattr(protocol, "get_calibration", simulate)
     cfg = tmp_path / "dims.cfg"
-    cfg.write_text(config.SAMPLE_CONFIG + text)
+    cfg.write_text(sample_text() + text)
     out = tmp_path / "out"
     assert cli.main(["run", "--config", str(cfg), "--experiment", "qpt",
                      "--out", str(out)]) == 2
@@ -116,9 +120,8 @@ def test_bad_truncation_size_is_a_usage_error(tmp_path, capsys, monkeypatch,
     assert capsys.readouterr().err.startswith(f"invalid: {cfg}: {message}")
 
 
-def test_sample_configs_parse_to_default_params():
-    packaged = (importlib.resources.files("qmemsim") / "data" / "sample.cfg").read_text()
-    for text in (config.SAMPLE_CONFIG, packaged):
+def test_sample_configs_parse_to_default_params(sample_cfg):
+    for text in (open(sample_cfg).read(), sample_text()):
         device_kw, run_kw = config.parse_config_text(text)
         assert DeviceParams(**device_kw) == DeviceParams()
         assert run_kw == {}
@@ -175,10 +178,10 @@ def test_validate_applies_the_model_t2_bound(tmp_path, capsys):
     from qmemsim import cli
 
     cfg = tmp_path / "t2.cfg"
-    cfg.write_text(config.SAMPLE_CONFIG.replace("2.49 us", "2.6400000005 us"))
+    cfg.write_text(sample_text().replace("2.49 us", "2.6400000005 us"))
     assert cli.main(["validate", "--config", str(cfg)]) == 1
     assert "t2" in capsys.readouterr().err
-    cfg.write_text(config.SAMPLE_CONFIG.replace("2.49 us", "2.64 us"))
+    cfg.write_text(sample_text().replace("2.49 us", "2.64 us"))
     assert cli.main(["validate", "--config", str(cfg)]) == 0
     assert "config valid" in capsys.readouterr().out
 
@@ -232,7 +235,7 @@ def test_non_positive_config_dt_pulse_is_rejected(tmp_path, capsys):
 
     cfg = tmp_path / "zero.cfg"
     for value in ("0 ns", "-0.1 ns"):
-        cfg.write_text(config.SAMPLE_CONFIG + f"dt_pulse = {value}\n")
+        cfg.write_text(sample_text() + f"dt_pulse = {value}\n")
         out = tmp_path / "out"
         assert cli.main(["run", "--config", str(cfg), "--experiment", "qpt",
                          "--out", str(out)]) == 2
@@ -253,7 +256,7 @@ def test_unknown_frame_is_a_usage_error(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(protocol, "get_calibration", simulate)
     cfg = tmp_path / "warp.cfg"
-    cfg.write_text(config.SAMPLE_CONFIG + "frame = warp\n")
+    cfg.write_text(sample_text() + "frame = warp\n")
     out = tmp_path / "out"
     assert cli.main(["run", "--config", str(cfg), "--experiment", "qpt",
                      "--out", str(out)]) == 2
@@ -436,7 +439,7 @@ def test_recorded_arguments_beside_a_manifest_are_a_usage_error(
     monkeypatch.setattr(protocol, "get_calibration", simulate)
     path = tmp_path / "manifest.json"
     path.write_text(json.dumps({
-        "config_text": config.SAMPLE_CONFIG,
+        "config_text": sample_text(),
         "run": {"dt_pulse_us": 2e-4,
                 "args": {"experiment": "qpt", "shots": 500, "seed": 0}}}))
     out = tmp_path / "out"
@@ -477,20 +480,27 @@ def test_unusable_manifest_is_a_usage_error(tmp_path, capsys, monkeypatch,
 
 
 def test_retired_dt_idle_key_is_accepted_and_ignored(tmp_path, sample_cfg):
-    cfg = tmp_path / "old.cfg"
-    cfg.write_text(open(sample_cfg).read() + "dt_idle = 2 ns\n")
-    assert "dt_idle" not in config.load_run_settings(str(cfg))[2]
+    # the sample holds the retired g_102, q0_ro and q0_s; dt_idle joins them
+    retired = {"dt_idle", "g_102", "q0_ro", "q0_s"}
+    text = open(sample_cfg).read() + "dt_idle = 2 ns\n"
+    lines = text.splitlines(keepends=True)
+    kept = [line for line in lines if line.split("=")[0].strip() not in retired]
+    assert len(lines) - len(kept) == len(retired)
+    cfg, plain = tmp_path / "old.cfg", tmp_path / "plain.cfg"
+    cfg.write_text(text)
+    plain.write_text("".join(kept))
+    settings = config.load_run_settings(str(cfg))
+    assert settings == config.load_run_settings(str(plain))
+    assert not retired & set(settings[2])
     assert run_cli("validate", "--config", str(cfg)).returncode == 0
 
-    data = tmp_path / "d.csv"
-    data.write_text("x,y\n" + "".join(f"{x:.17g},{np.exp(-x / 3.0):.17g}\n"
-                                      for x in np.linspace(0.0, 10.0, 20)))
-    first = tmp_path / "first"
-    res = run_cli("run", "--config", str(cfg), "--experiment", "fit",
-                  "--input", str(data), "--out", str(first))
-    assert res.returncode == 0, res.stderr
+    first, without = tmp_path / "first", tmp_path / "without"
+    for path, out in ((cfg, first), (plain, without)):
+        res = run_cli("run", "--config", str(path), "--experiment", "ringdown",
+                      "--out", str(out))
+        assert res.returncode == 0, res.stderr
     manifest = json.loads((first / "manifest.json").read_text())
-    assert "dt_idle = 2 ns" in manifest["config_text"]
+    assert manifest["config_text"] == text
     assert "dt_idle_us" not in manifest["run"]
 
     # a manifest written before the key was retired also records it
@@ -501,7 +511,9 @@ def test_retired_dt_idle_key_is_accepted_and_ignored(tmp_path, sample_cfg):
     res = run_cli("run", "--from-manifest", str(old_manifest), "--out", str(replay))
     assert res.returncode == 0, res.stderr
     assert "dt_idle_us" not in json.loads((replay / "manifest.json").read_text())["run"]
-    assert (first / "results.csv").read_bytes() == (replay / "results.csv").read_bytes()
+    for out in (without, replay):
+        for name in ("results.csv", "fits.json"):
+            assert (first / name).read_bytes() == (out / name).read_bytes()
 
 
 def test_manifest_replay_runs_at_the_recorded_pulse_step(tmp_path):
@@ -510,7 +522,7 @@ def test_manifest_replay_runs_at_the_recorded_pulse_step(tmp_path):
     from qmemsim import cli
 
     cfg = tmp_path / "small.cfg"
-    cfg.write_text(config.SAMPLE_CONFIG
+    cfg.write_text(sample_text()
                    + "n_transmon = 2\nn_storage = 2\nn_readout = 1\n")
     argv = ["run", "--config", str(cfg), "--experiment", "memory-protocol",
             "--sweep", "delay=0:1:2"]
@@ -564,7 +576,7 @@ def test_jobs_workers_reuse_the_parent_calibration(tmp_path, monkeypatch):
     from qmemsim import cli, protocol
 
     cfg = tmp_path / "small.cfg"
-    cfg.write_text(config.SAMPLE_CONFIG
+    cfg.write_text(sample_text()
                    + "n_transmon = 2\nn_storage = 2\nn_readout = 1\n")
     parent, calibrate = os.getpid(), protocol.get_calibration
 
@@ -588,7 +600,7 @@ def test_memory_protocol_sweep_equals_its_points_bit_for_bit(tmp_path,
     from qmemsim import cli, protocol
 
     cfg = tmp_path / "small.cfg"
-    cfg.write_text(config.SAMPLE_CONFIG
+    cfg.write_text(sample_text()
                    + "n_transmon = 2\nn_storage = 2\nn_readout = 1\n")
     p, dims, run_kw = config.load_run_settings(cfg)
     options = protocol.ProtocolOptions(dims=dims, **run_kw)
@@ -642,7 +654,7 @@ def test_jobs_pool_starts_no_more_workers_than_items(monkeypatch):
 
 def test_results_do_not_depend_on_blas_threads(tmp_path):
     cfg = tmp_path / "small.cfg"
-    cfg.write_text(config.SAMPLE_CONFIG
+    cfg.write_text(sample_text()
                    + "n_transmon = 2\nn_storage = 2\nn_readout = 1\n")
     results = []
     for threads in ("1", "2"):

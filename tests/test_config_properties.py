@@ -18,12 +18,11 @@ def device_params(draw):
     t1_q = draw(st.floats(min_value=1e-300, max_value=1e300))
     return DeviceParams(
         omega_ro=draw(positive), omega_s=draw(positive), omega_q=draw(positive),
-        alpha=draw(finite), g=draw(finite), g_102=draw(finite),
+        alpha=draw(finite), g=draw(finite),
         chi_ro=draw(finite), chi_s=draw(finite),
         kappa_ro=draw(positive), kappa_s=draw(positive),
         t1_q=t1_q,
         t2_q=draw(st.floats(min_value=0.0, max_value=2.0 * t1_q, exclude_min=True)),
-        q0_ro=draw(finite), q0_s=draw(finite),
         n_ro=draw(st.floats(min_value=0.0, allow_infinity=False)),
         p_e=draw(st.floats(min_value=0.0, max_value=0.5, exclude_max=True)),
     )

@@ -16,15 +16,12 @@ def test_defaults_match_sample():
     assert p.omega_q == 6.234
     assert p.alpha == -185.0
     assert p.g == 53.0
-    assert p.g_102 == 8.0
     assert p.chi_ro == 3.6
     assert p.chi_s == 1.1
     assert p.kappa_ro == 4.0
     assert p.kappa_s == 24.7
     assert p.t1_q == 1.32
     assert p.t2_q == 2.49
-    assert p.q0_ro == 1.9e6
-    assert p.q0_s == 1.0e6
     assert p.n_ro == 0.0
 
 
