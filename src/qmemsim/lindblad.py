@@ -858,7 +858,7 @@ def evolve(model: LindbladModel, rho0, t_span, dt, steps=1):
     initial state first.  Each of the steps intervals runs through
     propagate's stepped route (`_stepped`) with the RK4 tableau, stepped
     everywhere, under the LiouvilleTable of the terms active in that
-    interval (built once per set of terms): round(interval / h) fixed
+    interval (built once per set of terms): ceil(interval / h) fixed
     steps, at least one, for h the smaller of dt and the interval's
     ``model.max_step`` at 40 steps per period (so dt is the largest step
     the caller allows; unlike propagate, evolve bounds no step by the
@@ -897,9 +897,10 @@ def evolve(model: LindbladModel, rho0, t_span, dt, steps=1):
 def _stepped(table, x, terms, t0, t1, dt, diag, tableau=DOP853):
     """The columns of x (n, B) propagated by the explicit Runge-Kutta method
     tableau = (A, b, c) from t0 to t1 (B,) under the table, column j with
-    the coefficients of terms[j]: n = round((t1 - t0) / dt) steps, at least
-    one, of (t1 - t0) / n each, one grid per column; dt is a number or one
-    per column.  The reached support of the columns
+    the coefficients of terms[j]: n = ceil((t1 - t0) / dt) steps, at least
+    one, of (t1 - t0) / n each, one grid per column, so no step exceeds dt;
+    a ratio within 1e-9 of an integer, as a window's float edges leave it,
+    takes that integer.  dt is a number or one per column.  The reached support of the columns
     (`LiouvilleTable.restricted`), within table.kept where every column is
     Hermitian (`_halves`), m elements, steps batch-major, as one flat y of
     B blocks of m under the restricted table tiled B times, and `_mirror`
@@ -916,7 +917,7 @@ def _stepped(table, x, terms, t0, t1, dt, diag, tableau=DOP853):
     IntegrationError at the first drifting column's own time, suggesting
     half its own step."""
     a, b, c = tableau
-    n = np.maximum(1, np.round((t1 - t0) / dt).astype(int))
+    n = np.maximum(1, np.ceil((t1 - t0) / dt - 1e-9).astype(int))
     h = (t1 - t0) / n
     coeff = np.zeros((n.max(), len(c), len(terms[0]), len(n)), dtype=complex)
     for j, column in enumerate(terms):

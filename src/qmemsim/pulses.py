@@ -26,9 +26,9 @@ TRUNC_SIGMAS = 2.5    # ramps truncated at +/- 2.5 sigma
 # sideband-rate check's tones: the noiseless probe dynamics is MHz-scale;
 # the qubit plateau lands within 1.2e-7 of probes at 5e-5 us (RK4 at the
 # former 5e-4 us: 1.6e-6; DOP853 at 3e-3 us: 1.8e-6, and above 3.2e-3 us
-# the probes' diagonal bound, lindblad.STABLE_STEP, binds).  At dt_pulse,
-# 1.5e-3 us, a probe's 25 ns ramp would take 17 steps, against 12.
-PROBE_STEP = 2e-3     # us
+# the probes' diagonal bound, lindblad.STABLE_STEP, binds).  A probe's 25 ns
+# ramp takes 12 steps of it; at dt_pulse, 1.5e-3 us, it would take 17.
+PROBE_STEP = 0.025 / 12     # us
 
 # baseline of the truncated Gaussian, exp(-2.5^2 / 2)
 _G0 = math.exp(-0.5 * TRUNC_SIGMAS**2)
@@ -289,7 +289,7 @@ def calibrate_pi_pulses(params: DeviceParams, dims, channel, amplitudes, *,
     carriers, 9 and 5 plateaus, the final pulse) drives it with the trial
     pulses of every amplitude, all with DEFAULT_RISE ramps, as the ket
     columns of one lindblad.propagate call (_probe_transfers): their ramps
-    by DOP853 at PROBE_STEP, 2e-3 us on both channels, or at the probe
+    by DOP853 at PROBE_STEP, 25/12 ns on both channels, or at the probe
     model's step bound where that is finer (13 steps per period of its
     fastest carrier: about 3e-5 us in the bare frame, whose GHz-scale
     couplings bound the step), and their plateaus exactly.  A column propagates as it

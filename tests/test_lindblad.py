@@ -343,6 +343,34 @@ def test_steps_above_the_bound_run_at_the_bound():
     assert np.array_equal(*kets)
 
 
+def test_no_step_exceeds_its_bound(monkeypatch):
+    # a window takes ceil(window / dt) steps: one 1.4 bounds long takes two,
+    # not one of 1.4 dt (which, at STABLE_STEP's bound, would sit near
+    # DOP853's stability radius), and a ratio off an integer by rounding
+    # alone takes that integer
+    p, dims = DeviceParams(), SubsystemDims(2, 2, 1)
+    seg = PulseSegment(QUBIT_CHANNEL, TWO_PI * 2.0, p.angular().w_q,
+                       plateau=0.005)
+    m = build_model(p, dims, noiseless=True).with_sequence(PulseSequence((seg,)))
+    span = (0.0, seg.ramp)
+    lam = np.abs(LiouvilleTable(m, m.active_terms(*span), ket=True).lam).max()
+    assert m.carrier_frame(*span) is None
+    assert seg.ramp < m.max_step(*span) and seg.ramp * lam < lindblad.STABLE_STEP
+    applies, apply = [], LiouvilleTable.apply
+
+    def count(*args, **kw):
+        applies.append(None)
+        return apply(*args, **kw)
+
+    monkeypatch.setattr(LiouvilleTable, "apply", count)
+    psi = np.eye(dims.total)[:, [0]]
+    for dt, steps in ((seg.ramp / 1.4, 2), (seg.ramp / 2.6, 3),
+                      (np.nextafter(seg.ramp / 12, 0.0), 12)):
+        applies.clear()
+        propagate([m], psi, span, dt)
+        assert len(applies) == steps * len(lindblad.DOP853[2])
+
+
 def test_bad_steps_raise_parameter_error():
     # a dt that is not a positive finite number, or steps < 1, is refused
     # before any step: a negative dt would step backwards, and dt = 0 or
@@ -962,7 +990,7 @@ def check_stepping(m, rho, span, dt):
     table = LiouvilleTable(m, terms)
     outside = np.ones(d * d, dtype=bool)
     outside[table.restricted(rho.reshape(-1))[0]] = False
-    n = 2 * max(1, int(round(span[1] / 2 / dt)))
+    n = 2 * max(1, math.ceil(span[1] / 2 / dt - 1e-9))
     got = evolve(m, rho, span, dt, steps=2)
     want = full_space_steps(table, rho.reshape(-1), terms, span, n,
                             lindblad.RK4, samples=2)
