@@ -900,10 +900,11 @@ def _stepped(table, x, terms, t0, t1, dt, diag, tableau=DOP853):
     the coefficients of terms[j]: n = ceil((t1 - t0) / dt) steps, at least
     one, of (t1 - t0) / n each, one grid per column, so no step exceeds dt;
     a ratio within 1e-9 of an integer, as a window's float edges leave it,
-    takes that integer.  dt is a number or one per column.  The reached support of the columns
-    (`LiouvilleTable.restricted`), within table.kept where every column is
-    Hermitian (`_halves`), m elements, steps batch-major, as one flat y of
-    B blocks of m under the restricted table tiled B times, and `_mirror`
+    takes that integer.  dt is a number or one per column.  The reached
+    support of the columns (`LiouvilleTable.restricted`), within table.kept
+    where every column is Hermitian (`_halves`), m elements, steps
+    batch-major, as one flat y of B blocks of m under the restricted table
+    tiled B times, and `_mirror`
     sets the rest of each Hermitian column: step k advances column j by
     h[k, j] (h is (steps, B), 0 once the column is done), its stage i
     applying the table with scale[k, i], the drive rows' scales
