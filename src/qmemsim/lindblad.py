@@ -75,9 +75,9 @@ column's pulse and ramp edges, and routes each column in each window:
 
 Columns on the same route whose models share their operators, as the
 models of one frame do, share one table, built once per call.
-:func:`evolve` is the reference: one state, stepped by the same loop with
-classic RK4 (:data:`RK4`) and returned at the steps + 1 equally spaced
-times of its window.
+:func:`evolve` is the reference: one state, stepped by the same loop on
+the same support frame with classic RK4 (:data:`RK4`) and returned at
+the steps + 1 equally spaced times of its window.
 
 A stepped window steps its B columns batch-major: their m reached
 elements (below) as one vector of B blocks of m, under the table tiled B
@@ -90,10 +90,10 @@ runs element by element in one fixed order (numpy alone: BLAS, and numpy
 on a stack one element wide, sum in orders that depend on the width), so
 a column comes out the same to the bit whatever columns step beside it.
 
-Both routes act only on the reached support
-(:meth:`LiouvilleTable.restricted`): the elements the window's table can
-reach from the entering state's nonzero elements.  The others have a zero
-derivative from zero sources and stay exactly zero.  Drives and collapse
+One frame, :func:`_on_support`, owns every window's support, and both
+routes map it alone (:meth:`LiouvilleTable.restricted`): the elements the
+window's table can reach from the entering columns' nonzero elements.  The
+others stay exactly zero, fed by zero sources alone.  Drives and collapse
 operators shift label differences by fixed classes, and the default
 protocol never drives the readout, so from |g,0,0> the windows of its
 sideband-store pulse reach 37 of the 900 elements of rho at dims (3, 5, 2),
@@ -106,11 +106,12 @@ any two labels, reaches everything.
 A density matrix needs half of that.  The generator maps X^dag to
 L(X)^dag, so the transposes (j, i) of the elements of a connected
 component C of a table form a component C* too, and for Hermitian rho one
-fixes the other.  Each vec(rho) table labels its components once and
-keeps C where min(C) <= min(C*) (:func:`_conjugate_halves`); where every
-column of a window is Hermitian to the bit, both routes propagate the
-kept reached elements alone, then set each other one to the conjugate of
-its partner and make the diagonal real (:func:`_mirror`), so a Hermitian
+fixes the other.  A table knows its kind, the positions of rho's diagonal
+in vec(rho) (None for a ket), and a vec(rho) table labels its components
+once and keeps C where min(C) <= min(C*) (:func:`_conjugate_halves`).
+Where every column of a window is Hermitian to the bit, the frame hands
+the route the kept reached elements alone, then sets each other one to
+the conjugate of its partner and makes the diagonal real, so a Hermitian
 column leaves Hermitian to the bit.  The default protocol's windows then
 propagate 37, 108 and 126 elements.  A column that is not Hermitian, as
 a one-sided coherence |g><e|, propagates on the whole reached support,
@@ -573,8 +574,9 @@ class LiouvilleTable:
     and -i op^dag rho and i rho op^dag, scaled by conj(c_k(t)).
 
     With ket=True it is -i H(t) on a ket psi, for a model without collapse
-    channels: only the rows -i op psi remain.  A vec(rho) table also holds
-    its conjugate halves (`_conjugate_halves`): kept, the mask of the
+    channels: only the rows -i op psi remain.  diagonal holds the positions
+    of rho's diagonal in vec(rho), None for a ket table, and a vec(rho)
+    table its conjugate halves (`_conjugate_halves`): kept, the mask of the
     elements a window of Hermitian columns propagates, and mirrored and
     partner, the elements it reads off their partners' conjugates.
     """
@@ -622,8 +624,9 @@ class LiouvilleTable:
                                dtype=np.intp).reshape(-1, n)
         self.weight = np.array([w for _, _, w in kept],
                                dtype=complex).reshape(-1, n)
-        self.kept = self.mirrored = self.partner = None
+        self.diagonal = self.kept = self.mirrored = self.partner = None
         if not ket:
+            self.diagonal = np.arange(d) * (d + 1)
             self.kept, self.mirrored, self.partner = _conjugate_halves(
                 self.gather, d)
 
@@ -673,7 +676,7 @@ class LiouvilleTable:
         """(idx, table, y): the table on the elements idx reachable from the
         nonzero elements of x (n, or n x B), and x on them as y; with keep,
         a mask of whole components (`_conjugate_halves`), from those of them
-        in keep.
+        in keep.  The restricted table holds idx, and diagonal in idx.
 
         An element joins once any nonzero-weight source of it has joined.
         Every other element has a zero derivative from zero sources, so it
@@ -705,6 +708,8 @@ class LiouvilleTable:
         out.gather = np.where(source, position[gather[rows]], np.arange(len(idx)))
         out.weight = np.where(source, self.weight[rows][:, idx], 0.0)
         out.column = self.column[rows[len(rows) - len(self.column):]]
+        out.idx, out.diagonal = idx, (None if self.diagonal is None else
+                                      position[self.diagonal[reached[self.diagonal]]])
         return idx, out, x[idx]
 
 
@@ -817,37 +822,34 @@ def _coefficients(terms, t):
 
 
 def _invariant(y, diag):
-    """Per column of y (B, m): the sum of its elements diag (indices or a
-    mask), a trace, or with diag None its squared norm, along a C-contiguous
+    """Per column of y (B, m): the sum of its elements at the positions
+    diag, a trace, or with diag None its squared norm, along a C-contiguous
     copy, so the same to the bit whatever columns stand beside it."""
     part = np.abs(y) ** 2 if diag is None else y[:, diag]
     return np.ascontiguousarray(part).sum(axis=1)
 
 
-def _halves(table, x, diag):
-    """(keep, herm) for the columns of x (n, B) under the table: herm marks
-    the vec(rho) columns that are Hermitian to the bit, and keep is
-    table.kept where all of them are, else None; (None, None) for kets
-    (diag None).  A window propagates the elements in keep (all with keep
-    None), and `_mirror` sets the others of each Hermitian column."""
-    if diag is None:
-        return None, None
-    d = math.isqrt(len(x))
-    adj = x.reshape(d, d, -1).transpose(1, 0, 2).conj().reshape(x.shape)
-    herm = (x == adj).all(axis=0)
-    return (table.kept if herm.all() else None), herm
-
-
-def _mirror(table, out, herm, diag):
-    """out (n, B) with each Hermitian column's (herm) elements
-    table.mirrored set to the conjugates of their partners and its diagonal
-    (diag) made real, so that it leaves Hermitian to the bit; the others,
-    and kets (herm None), as they are."""
-    if herm is not None and herm.any():
+def _on_support(table, x, route, *args):
+    """The columns of x (n, B) after a window under the table, propagated
+    on their reached support alone: route(sub, y, *args) returns y after
+    the window, for sub the table restricted to the elements idx it reaches
+    from x's nonzero ones (`LiouvilleTable.restricted`) and y = x[idx]; the
+    other elements stay exactly zero.  Where every column of a vec(rho)
+    table is Hermitian to the bit, only the components in table.kept are
+    propagated, and each Hermitian column then sets table.mirrored to the
+    conjugates of their partners and makes its diagonal real, so that it
+    leaves Hermitian to the bit."""
+    herm = np.zeros(x.shape[1], dtype=bool)
+    if table.diagonal is not None:      # one of each (i, j), (j, i) is mirrored
+        herm = ((x[table.mirrored] == x[table.partner].conj()).all(axis=0)
+                & (x[table.diagonal].imag == 0).all(axis=0))
+    idx, sub, y = table.restricted(x, table.kept if herm.all() else None)
+    out = np.zeros_like(x)
+    out[idx] = route(sub, y, *args)
+    if herm.any():
         cols = np.flatnonzero(herm)
-        partners = out[np.ix_(table.partner, cols)]
-        out[np.ix_(table.mirrored, cols)] = partners.conj()
-        out.imag[np.ix_(np.flatnonzero(diag), cols)] = 0.0
+        out[np.ix_(table.mirrored, cols)] = out[np.ix_(table.partner, cols)].conj()
+        out.imag[np.ix_(table.diagonal, cols)] = 0.0
     return out
 
 
@@ -857,15 +859,14 @@ def evolve(model: LindbladModel, rho0, t_span, dt, steps=1):
     Returns the states at the steps + 1 equally spaced times of t_span, the
     initial state first.  Each of the steps intervals runs through
     propagate's stepped route (`_stepped`) with the RK4 tableau, stepped
-    everywhere, under the LiouvilleTable of the terms active in that
-    interval (built once per set of terms): ceil(interval / h) fixed
-    steps, at least one, for h the smaller of dt and the interval's
-    ``model.max_step`` at 40 steps per period (so dt is the largest step
-    the caller allows; unlike propagate, evolve bounds no step by the
-    table's diagonal), on the elements the table reaches from the state's
-    nonzero ones (the others stay exactly zero, as under the exact flow),
-    with the trace checked as `_stepped` checks it.  A dt that is not a
-    positive finite number, or steps < 1, raises ParameterError.
+    everywhere, on the support frame (`_on_support`) of the LiouvilleTable
+    of the terms active in that interval (built once per set of terms):
+    ceil(interval / h) fixed steps, at least one, for h the smaller of dt
+    and the interval's ``model.max_step`` at 40 steps per period (so dt is
+    the largest step the caller allows; unlike propagate, evolve bounds no
+    step by the table's diagonal), with the trace checked as `_stepped`
+    checks it.  A dt that is not a positive finite number, or steps < 1,
+    raises ParameterError.
     """
     t0, t1 = t_span
     if t1 < t0:
@@ -879,7 +880,6 @@ def evolve(model: LindbladModel, rho0, t_span, dt, steps=1):
     if rho.shape != (d, d):
         raise DimensionError(f"rho0 shape {rho.shape} does not match dim {d}")
     x = rho.astype(complex).reshape(-1, 1)
-    diag = np.eye(d, dtype=bool).ravel()
     times = np.linspace(t0, t1, steps + 1)
     states, tables = [x], {}
     for ta, tb in zip(times[:-1], times[1:]):
@@ -888,35 +888,31 @@ def evolve(model: LindbladModel, rho0, t_span, dt, steps=1):
         if key not in tables:
             tables[key] = LiouvilleTable(model, terms)
         h = min(dt, model.max_step(ta, tb, 40.0))
-        x = _stepped(tables[key], x, [terms], np.array([ta]), np.array([tb]),
-                     h, diag, RK4)
+        x = _on_support(tables[key], x, _stepped, [terms], np.array([ta]),
+                        np.array([tb]), h, RK4)
         states.append(x)
     return [QuantumState(s.reshape(d, d), model.dims) for s in states]
 
 
-def _stepped(table, x, terms, t0, t1, dt, diag, tableau=DOP853):
-    """The columns of x (n, B) propagated by the explicit Runge-Kutta method
+def _stepped(table, y, terms, t0, t1, dt, tableau=DOP853):
+    """The columns of y (m, B) propagated by the explicit Runge-Kutta method
     tableau = (A, b, c) from t0 to t1 (B,) under the table, column j with
     the coefficients of terms[j]: n = ceil((t1 - t0) / dt) steps, at least
     one, of (t1 - t0) / n each, one grid per column, so no step exceeds dt;
     a ratio within 1e-9 of an integer, as a window's float edges leave it,
-    takes that integer.  dt is a number or one per column.  The reached
-    support of the columns (`LiouvilleTable.restricted`), within table.kept
-    where every column is Hermitian (`_halves`), m elements, steps
-    batch-major, as one flat y of B blocks of m under the restricted table
-    tiled B times, and `_mirror`
-    sets the rest of each Hermitian column: step k advances column j by
-    h[k, j] (h is (steps, B), 0 once the column is done), its stage i
-    applying the table with scale[k, i], the drive rows' scales
-    (`LiouvilleTable.scales`) at the stage's time t + c_i h, formed once
-    for the window.  Every sum runs element by element in one fixed order,
-    so a column comes out the same to the bit whatever columns step beside
-    it.  Each column's invariant (`_invariant`; diag masks the diagonal of
-    vec(rho), None for kets) is checked wherever a column reaches a
-    multiple of max(1, n // 200) steps or its last; a drift beyond 1e-6
-    from its entering value, or none that compares, raises
-    IntegrationError at the first drifting column's own time, suggesting
-    half its own step."""
+    takes that integer.  dt is a number or one per column.  The columns
+    step batch-major, as one flat vector of B blocks of m under the table
+    tiled B times: step k advances column j by h[k, j] (h is (steps, B), 0
+    once the column is done), its stage i applying the table with
+    scale[k, i], the drive rows' scales (`LiouvilleTable.scales`) at the
+    stage's time t + c_i h, formed once for the window.  Every sum runs
+    element by element in one fixed order, so a column comes out the same
+    to the bit whatever columns step beside it.  Each column's invariant
+    (`_invariant` on table.diagonal: a trace, or a ket's squared norm) is
+    checked wherever a column reaches a multiple of max(1, n // 200) steps
+    or its last; a drift beyond 1e-6 from its entering value, or none that
+    compares, raises IntegrationError at the first drifting column's own
+    time, suggesting half its own step."""
     a, b, c = tableau
     n = np.maximum(1, np.ceil((t1 - t0) / dt - 1e-9).astype(int))
     h = (t1 - t0) / n
@@ -929,11 +925,8 @@ def _stepped(table, x, terms, t0, t1, dt, diag, tableau=DOP853):
     due = (step <= n) & ((step % np.maximum(1, n // 200) == 0) | (step == n))
     due, h = due.any(axis=1), np.where(step <= n, h, 0.0)
 
-    keep, herm = _halves(table, x, diag)
-    idx, sub, y = table.restricted(x, keep)
-    checked = None if diag is None else np.flatnonzero(diag[idx])
     y = np.ascontiguousarray(y.T).reshape(-1)   # batch-major, flat
-    sub, scale = sub.tiled(len(n)), sub.scales(coeff)
+    tiled, scale = table.tiled(len(n)), table.scales(coeff)
     # the stages in rows, with a spare zero element: numpy sums a stack of
     # rows two elements wide or more in row order, element by element, one
     # a single element wide pairwise.  Stage i and the step weigh all the
@@ -945,24 +938,22 @@ def _stepped(table, x, terms, t0, t1, dt, diag, tableau=DOP853):
     def weighed(w):
         return np.add.reduce(w[:, None] * stages[:len(w)])[:-1]
 
-    start = _invariant(y.reshape(len(n), -1), checked)
+    start = _invariant(y.reshape(len(n), -1), table.diagonal)
     for k, check in enumerate(due.tolist()):
-        hk = h[k].repeat(len(idx))              # each element's step
-        sub.apply(y, scale[k, 0], out=outs[0])
+        hk = h[k].repeat(len(table.lam))        # each element's step
+        tiled.apply(y, scale[k, 0], out=outs[0])
         for i, (out, s) in enumerate(zip(outs[1:], scale[k, 1:]), 1):
-            sub.apply(y + hk * weighed(a[i, :i]), s, out=out)
+            tiled.apply(y + hk * weighed(a[i, :i]), s, out=out)
         y += hk * weighed(b)
         if check:
-            drift = np.abs(_invariant(y.reshape(len(n), -1), checked) - start)
+            drift = np.abs(_invariant(y.reshape(len(n), -1), table.diagonal) - start)
             if not drift.max() <= TRACE_DRIFT_TOL:
                 j = np.argmax(drift)
                 raise IntegrationError(
-                    f"{'norm' if diag is None else 'trace'} drifted by "
+                    f"{'norm' if table.diagonal is None else 'trace'} drifted by "
                     f"{drift[j]:.3g} at t = {t0[j] + (k + 1) * h[k, j]:.6g} "
                     f"us; retry with dt <= {h[k, j] / 2:.3g} us")
-    out = np.zeros_like(x)
-    out[idx] = y.reshape(len(n), -1).T
-    return _mirror(table, out, herm, diag)
+    return y.reshape(len(n), -1).T
 
 
 # Taylor order of exp(Y) for ||Y||_1 < 1/2: the remainder is below
@@ -1063,54 +1054,50 @@ def _block_expm(gen):
     return out
 
 
-def _exact(table, x, terms, frames, t0, t1, diag):
-    """The columns of x (n, B) propagated exactly from t0 to t1 (B,) under
-    the table, column j with the coefficients of terms[j] fixed at t0[j] in
-    the frame K = frames[j] (`LindbladModel.carrier_frame`):
-    exp(-S tau) exp(tau (L + S)) x, with S = i(K_a - K_b) on vec(rho), or iK
-    on a ket (diag None), added to lam.  Only x's reached support is
-    propagated (LiouvilleTable.restricted), within table.kept where every
-    column is Hermitian (`_halves`), block by block (_static_blocks), and
-    `_mirror` sets the rest of each Hermitian column.
-    Columns whose lam, scales and tau are equal to the bit share one block
-    propagator, and one _block_expm per block size takes as many such
-    propagators as a stack of STACK_ENTRIES holds.  A column whose
-    invariant (`_invariant` with diag) drifts beyond 1e-6 raises
-    IntegrationError."""
+def _exact(table, y, terms, t0, t1, frames):
+    """The columns of y (m, B) propagated exactly from t0 to t1 (B,) under
+    the restricted table (`LiouvilleTable.restricted`), column j with the
+    coefficients of terms[j] fixed at t0[j] in the frame K = frames[j]
+    (`LindbladModel.carrier_frame`): exp(-S tau) exp(tau (L + S)) y, with
+    S = i(K_a - K_b) on vec(rho), or iK on a ket (table.diagonal None), taken
+    at the table's elements table.idx and added to lam, block by block
+    (_static_blocks).  Columns whose lam, scales and tau are equal to the
+    bit share one block propagator, and one _block_expm per block size
+    takes as many such propagators as a stack of STACK_ENTRIES holds.  A
+    column whose invariant (`_invariant` on table.diagonal) drifts beyond 1e-6
+    raises IntegrationError."""
     tau = t1 - t0
     c = np.array([_coefficients(column, np.array([t]))[0]
                   for column, t in zip(terms, t0)]).T
-    keep, herm = _halves(table, x, diag)
-    idx, sub, y = table.restricted(x, keep)
-    K = np.array(frames).T                      # (d, B)
-    shift = 1j * (K[idx] if diag is None else K[idx // len(K)] - K[idx % len(K)])
-    lam = sub.lam[:, None] + shift
-    scale = np.ones((len(sub.weight), x.shape[1]), dtype=complex)
-    scale[len(scale) - len(sub.column):] = sub.scales(c)
+    K, idx = np.array(frames).T, table.idx      # (d, B), (m,)
+    shift = 1j * (K[idx] if table.diagonal is None
+                  else K[idx // len(K)] - K[idx % len(K)])
+    lam = table.lam[:, None] + shift
+    scale = np.ones((len(table.weight), y.shape[1]), dtype=complex)
+    scale[len(scale) - len(table.column):] = table.scales(c)
     groups = {}
-    for j in range(x.shape[1]):
+    for j in range(y.shape[1]):
         key = lam[:, j].tobytes() + scale[:, j].tobytes() + tau[j].tobytes()
         groups.setdefault(key, []).append(j)
     groups = list(groups.values())
-    out = np.zeros_like(x)
-    for blocks in _static_blocks(sub):
+    out = np.zeros_like(y)
+    for blocks in _static_blocks(table):
         m, n = blocks.shape
         height = max(1, STACK_ENTRIES // (m * n * n))
         for lo in range(0, len(groups), height):
             first = [cols[0] for cols in groups[lo:lo + height]]
-            gen = _block_generators(sub, blocks, lam[:, first], scale[:, first])
+            gen = _block_generators(table, blocks, lam[:, first], scale[:, first])
             gen *= tau[first, None, None, None]
             prop = _block_expm(gen.reshape(-1, n, n)).reshape(gen.shape)
             for p, cols in zip(prop, groups[lo:lo + height]):
                 new = p @ np.moveaxis(y[blocks[..., None], cols], -1, 0)[..., None]
-                out[idx[blocks][..., None], cols] = np.moveaxis(new[..., 0], 0, -1)
-    out[idx] *= np.exp(-shift * tau)
-    out = _mirror(table, out, herm, diag)
-    drift = np.abs(_invariant(out.T, diag) - _invariant(x.T, diag))
+                out[blocks[..., None], cols] = np.moveaxis(new[..., 0], 0, -1)
+    out *= np.exp(-shift * tau)
+    drift = np.abs(_invariant(out.T, table.diagonal) - _invariant(y.T, table.diagonal))
     j = np.argmax(drift)
     if drift[j] > TRACE_DRIFT_TOL:
         raise IntegrationError(
-            f"{'norm' if diag is None else 'trace'} drifted by "
+            f"{'norm' if table.diagonal is None else 'trace'} drifted by "
             f"{drift[j]:.3g} over [{t0[j]:.6g}, {t1[j]:.6g}] us; the "
             "generator of the window does not conserve it")
     return out
@@ -1146,10 +1133,14 @@ def propagate(models, x, span, dt):
     LiouvilleTable built once per call.  Each column's trace (rho) or
     squared norm (ket) is checked against its entering value, and a drift
     beyond 1e-6 raises IntegrationError.  A dt that is not a positive
-    finite number raises ParameterError, as does a span with t1 < t0.
+    finite number, or a span that is not two finite times t0 <= t1, raises
+    ParameterError; an x without one column per model, DimensionError.
     """
     _check_dt(dt)
     x = np.array(x, dtype=complex)
+    if x.ndim != 2 or x.shape[1] != len(models) or not models:
+        raise DimensionError(f"propagate takes one model per column of x (n, B), "
+                             f"got {len(models)} models for x of shape {x.shape}")
     d = models[0].dims.total
     ket = len(x) == d
     if not ket and len(x) != d * d:
@@ -1158,13 +1149,15 @@ def propagate(models, x, span, dt):
     if ket and any(model.channels for model in models):
         raise ParameterError(
             "kets propagate only under a model without collapse channels")
-    start, stop = (np.full(x.shape[1], t, dtype=float) for t in span)
-    if np.any(stop < start):
-        raise ParameterError("span must have t1 >= t0")
+    try:
+        start, stop = (np.full(x.shape[1], t, dtype=float) for t in span)
+    except (TypeError, ValueError):
+        start = stop = np.nan
+    if not np.all(np.isfinite(start) & np.isfinite(stop) & (start <= stop)):
+        raise ParameterError(f"span must be two finite times t0 <= t1, got {span!r}")
     cuts = [_cuts(*column) for column in zip(models, start, stop)]
     width = max(map(len, cuts))
     edges = np.array([c + c[-1:] * (width - len(c)) for c in cuts]).T
-    diag = None if ket else np.eye(d, dtype=bool).ravel()
     # what a column's table depends on besides its terms (the models live
     # through the call, so the ids of their operators are unique)
     bases = [(id(model.drift), *((c.rate, id(c.op)) for c in model.channels))
@@ -1185,14 +1178,13 @@ def propagate(models, x, span, dt):
             cols, terms, frames = (list(v) for v in zip(*members))
             if key not in tables:
                 tables[key] = LiouvilleTable(models[cols[0]], terms[0], ket=ket)
+            # each route's own last argument: the frames, or the step bounds
+            table, route, own = tables[key], _exact, frames
             if stepped:
-                lam = np.abs(tables[key].lam).max(initial=0.0)
+                lam = np.abs(table.lam).max(initial=0.0)
                 stable = STABLE_STEP / lam if lam else math.inf
-                h = np.array([min(dt, stable, models[j].max_step(t0[j], t1[j]))
-                              for j in cols])
-                x[:, cols] = _stepped(tables[key], x[:, cols], terms,
-                                      t0[cols], t1[cols], h, diag)
-            else:
-                x[:, cols] = _exact(tables[key], x[:, cols], terms, frames,
-                                    t0[cols], t1[cols], diag)
+                route, own = _stepped, np.array(
+                    [min(dt, stable, models[j].max_step(t0[j], t1[j])) for j in cols])
+            x[:, cols] = _on_support(table, x[:, cols], route, terms, t0[cols],
+                                     t1[cols], own)
     return x

@@ -438,7 +438,9 @@ def z_fidelity_sweep(p: DeviceParams, working_points=None,
     (get_calibrations), and the protocols as the columns of one
     simulate_sequences call."""
     options = options or ProtocolOptions()
-    wps = working_points or default_working_points()
+    wps = default_working_points() if working_points is None else working_points
+    if not wps:
+        raise ParameterError("no working_points given; None runs the defaults")
     cals = get_calibrations(p, options, [wp.bsb_amplitude for wp in wps])
     seqs = [build_memory_sequence(0.0, 0.0, cal,
                                   qubit_pi_multiplier=wp.qubit_pi_multiplier)

@@ -296,8 +296,8 @@ def calibrate_pi_pulses(params: DeviceParams, dims, channel, amplitudes, *,
     would alone.  Returns a CalibrationResult per amplitude.
     """
     amps = np.array(amplitudes, dtype=float)
-    if amps.min() <= 0:
-        raise CalibrationError("drive amplitude must be > 0")
+    if not amps.size or amps.min() <= 0:
+        raise CalibrationError(f"need drive amplitudes > 0, got {amplitudes!r}")
     if channel not in (QUBIT_CHANNEL, "bsb"):
         raise CalibrationError(f"cannot calibrate pi pulses on channel {channel!r}")
 

@@ -364,6 +364,56 @@ def test_routing_check_flags_calls():
                      ("max_step", 5)]
 
 
+# a window's support: the table restricted to it, and the conjugate halves
+# that a window of Hermitian columns cuts it to and mirrors back
+SUPPORT = ("restricted", "kept", "mirrored", "partner")
+# lindblad's support frame, and the table, which builds the halves
+SUPPORT_OWNERS = ("_on_support", "LiouvilleTable")
+
+
+def _support_reads(tree, module):
+    """"<module>: <name> in <owner> (line n)" for each read of a SUPPORT
+    attribute (a call of `restricted` reads it too) outside lindblad.py's
+    SUPPORT_OWNERS; owner is the top-level function or class around it."""
+    for top in tree.body:
+        owner = getattr(top, "name", None)
+        if module == "lindblad.py" and owner in SUPPORT_OWNERS:
+            continue
+        for node in ast.walk(top):
+            if isinstance(node, ast.Attribute) and node.attr in SUPPORT \
+                    and isinstance(node.ctx, ast.Load):
+                yield f"{module}: {node.attr} in {owner} (line {node.lineno})"
+
+
+def test_only_the_support_frame_restricts_windows():
+    # lindblad._on_support restricts each window to its support and
+    # mirrors the conjugate halves back, around both routes; a route or
+    # module that does either is a second frame in the making
+    reads = [read for path in MODULES
+             for read in _support_reads(ast.parse(path.read_text()), path.name)]
+    assert not reads, f"support read outside lindblad._on_support: {reads}"
+
+
+def test_support_check_flags_reads():
+    toy = ("def _on_support(table, x):\n"
+           "    return table.restricted(x, table.kept)\n"
+           "def _exact(table, x):\n"
+           "    idx, sub, y = table.restricted(x)\n"
+           "    out[table.mirrored] = out[table.partner].conj()\n"
+           "class LiouvilleTable:\n"
+           "    def __init__(self):\n"
+           "        self.kept = self.partner\n"
+           "keep = table.kept\n")
+    outside = ["restricted in _exact (line 4)", "mirrored in _exact (line 5)",
+               "partner in _exact (line 5)", "kept in None (line 9)"]
+    assert sorted(_support_reads(ast.parse(toy), "lindblad.py")) == sorted(
+        f"lindblad.py: {read}" for read in outside)
+    inside = ["restricted in _on_support (line 2)", "kept in _on_support (line 2)",
+              "partner in LiouvilleTable (line 8)"]
+    assert sorted(_support_reads(ast.parse(toy), "pulses.py")) == sorted(
+        f"pulses.py: {read}" for read in outside + inside)
+
+
 def _ramp_reads(tree):
     """Lines that read a `.ramp` attribute, other than `self.ramp`."""
     for node in ast.walk(tree):

@@ -9,7 +9,7 @@ import pytest
 from qmemsim import analysis, lindblad, protocol, qsys
 from qmemsim.device import (QUBIT_CHANNEL, DeviceParams,
                             dispersive_shift_estimate)
-from qmemsim.errors import IntegrationError, ParameterError
+from qmemsim.errors import DimensionError, IntegrationError, ParameterError
 from qmemsim.lindblad import LiouvilleTable, build_model, evolve, propagate
 from qmemsim.protocol import ProtocolOptions
 from qmemsim.pulses import (PulseSegment, PulseSequence,
@@ -448,6 +448,32 @@ def test_an_exact_window_whose_generator_drifts_raises():
         assert re.fullmatch(
             rf"{invariant} drifted by 0\.632 over \[0, 1\] us; the generator "
             r"of the window does not conserve it", str(err.value))
+
+
+def test_propagate_takes_one_model_per_column():
+    # zip(models, span) truncated: with one model for two columns the
+    # second came back unpropagated, its input bit for bit, and a 1-D x
+    # raised a bare IndexError
+    m = build_model(DeviceParams(), SubsystemDims(2, 2, 1))
+    rho = qsys.basis_state(m.dims, 1, 0, 0).rho.reshape(-1, 1)
+    for models, x in (([m], np.tile(rho, 2)), ([m, m], rho), ([m], rho[:, 0]),
+                      ([], rho[:, :0])):
+        with pytest.raises(DimensionError) as err:
+            propagate(models, x, (0.0, 0.1), 1e-3)
+        assert f"got {len(models)} models for x of shape {x.shape}" \
+            in str(err.value)
+
+
+def test_propagate_takes_a_span_of_two_finite_times():
+    # a NaN end skipped every window and returned the input, an infinite
+    # end returned NaN states, and a per-column span of the wrong length
+    # raised numpy's broadcast ValueError
+    m = build_model(DeviceParams(), SubsystemDims(2, 2, 1))
+    x = np.tile(qsys.basis_state(m.dims, 1, 0, 0).rho.reshape(-1, 1), 2)
+    for span in ((0.0, math.nan), (math.nan, 0.1), (0.0, math.inf),
+                 (0.0, np.array([0.1, 0.2, 0.3])), (0.1, 0.0), (0.0,)):
+        with pytest.raises(ParameterError, match="^span must be two finite"):
+            propagate([m, m], x, span, 1e-3)
 
 
 def test_purity_and_positivity_along_trajectory():
@@ -1177,9 +1203,9 @@ def test_lab_plateaus_step_rk4_and_bare_plateaus_do_not(monkeypatch):
     # exact
     spans, stepped = [], lindblad._stepped
 
-    def record(table, x, terms, t0, t1, dt, diag):
+    def record(table, y, terms, t0, t1, dt):
         spans.extend(zip(t0.tolist(), t1.tolist()))
-        return stepped(table, x, terms, t0, t1, dt, diag)
+        return stepped(table, y, terms, t0, t1, dt)
 
     monkeypatch.setattr(lindblad, "_stepped", record)
     for frame, p in (("lab", SLOW_PARAMS), ("bare", DeviceParams())):

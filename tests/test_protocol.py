@@ -234,6 +234,12 @@ def test_z_fidelity_identity_when_decay_removed():
     assert rec.columns["f_z_corr"][0] == pytest.approx(rec.ys[0], rel=1e-6)
 
 
+def test_z_sweep_refuses_no_working_points():
+    # an empty list ran the seven default working points
+    with pytest.raises(ParameterError, match="no working_points"):
+        z_fidelity_sweep(P, [], OPTS)
+
+
 def test_z_sweep_monotone_corrected_fidelity():
     wps = [WorkingPoint(TWO_PI * a) for a in (12.0e3, 7.0e3, 4.6e3)]
     rec = z_fidelity_sweep(P, wps, OPTS)

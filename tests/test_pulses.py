@@ -231,6 +231,13 @@ def test_calibration_rejects_too_strong_drive():
         calibrate_pi_pulse(p, dims, QUBIT_CHANNEL, TWO_PI * 200.0)
 
 
+def test_calibration_refuses_no_amplitudes():
+    # an empty list raised numpy's "zero-size array" ValueError
+    with pytest.raises(CalibrationError, match="need drive amplitudes > 0"):
+        pulses.calibrate_pi_pulses(DeviceParams(), SubsystemDims(2, 2, 1),
+                                   "bsb", [])
+
+
 def test_calibration_builds_one_frame(monkeypatch):
     # the five scan stages all drive one noiseless frame
     built = []
@@ -328,7 +335,7 @@ def test_exact_probe_plateaus_match_fine_rk4():
         psi = lindblad._stepped(
             lindblad.LiouvilleTable(model, terms, ket=True),
             np.eye(dims.total, dtype=complex)[:, [dims.index(*G)]], [terms],
-            np.array([segment.start]), np.array([segment.end]), dt, None,
+            np.array([segment.start]), np.array([segment.end]), dt,
             lindblad.RK4)
         want = abs(psi[dims.index(*target), 0]) ** 2
         assert want > 0.1
