@@ -51,8 +51,8 @@ Every window uses one form of the generator, a :class:`LiouvilleTable`,
 read off the operators that ``build_model`` builds once as label-shift
 classes (:class:`ShiftClass`: key, col, weight): a diagonal plus gather
 rows on vec(rho).  One runner, :func:`propagate`, takes B columns, each a
-vec(rho) or a ket under its own model, across a span that it cuts at each
-column's pulse and ramp edges, and routes each column in each window:
+vec(rho) or a ket under its own model, the models of one frame, across a
+span cut at each column's pulse and ramp edges, routing each per window:
 
 - exactly, where the generator is constant in the frame
   rho~ = exp(iKt) rho exp(-iKt), with K = kappa . (n_t, n_s, n_r) diagonal
@@ -73,8 +73,8 @@ column's pulse and ramp edges, and routes each column in each window:
   of its table before restriction, under DOP853's stability radius on the
   imaginary axis (5.96), bound it.
 
-Columns on the same route whose models share their operators, as the
-models of one frame do, share one table, built once per call.
+Columns on the same route with the same active term operators share one
+table, built once per call.
 :func:`evolve` is the reference: one state, stepped by the same loop on
 the same support frame with classic RK4 (:data:`RK4`) and returned at
 the steps + 1 equally spaced times of its window.
@@ -423,15 +423,8 @@ def _bare_operators(dims, a):
     return b, a_s, a_r, h0
 
 
-def check_storage_t_phi(storage_t_phi):
-    """The storage dephasing time is None or a number of us > 0."""
-    if storage_t_phi is not None and not storage_t_phi > 0:
-        raise ParameterError(f"storage_t_phi must be a number of us > 0 (inf "
-                             f"for no storage dephasing), got {storage_t_phi!r}")
-
-
 def build_model(p: DeviceParams, dims: SubsystemDims, frame="dispersive",
-                *, noiseless=False, storage_t_phi=None):
+                *, noiseless=False):
     """Construct a rotating-frame Lindblad model with no sequence, a frame.
 
     The frame holds everything that does not depend on the pulses, each
@@ -440,16 +433,13 @@ def build_model(p: DeviceParams, dims: SubsystemDims, frame="dispersive",
     channel, coupling and the two-photon ladder.
     ``build_model(...).with_sequence(seq)`` drives it with a sequence.
     noiseless strips all collapse channels (used for calibration); else a
-    channel of rate zero is left out: the qubit dephasing at t2_q = 2 t1_q,
-    the thermal excitation at p_e = 0, and the storage dephasing unless
-    storage_t_phi, its pure-dephasing time in us, is finite, so that memory
-    dephasing arises by default only from thermal qubit jumps through the
-    dispersive interaction.  A storage_t_phi that is not a number > 0
-    raises ParameterError.
+    channel of rate zero is left out: the qubit dephasing at t2_q = 2 t1_q
+    and the thermal excitation at p_e = 0.  The storage mode has no
+    dephasing channel: memory dephasing comes from thermal qubit jumps
+    (p_e) acting through the dispersive interaction.
     """
     if frame not in FRAMES:
         raise ParameterError(f"unknown frame {frame!r}, expected one of {FRAMES}")
-    check_storage_t_phi(storage_t_phi)
     a = p.angular()
     labels = dims.labels()
     b, a_s, a_r, h0 = _bare_operators(dims, a)
@@ -499,7 +489,6 @@ def build_model(p: DeviceParams, dims: SubsystemDims, frame="dispersive",
     channels = ()
     if not noiseless:
         n_t = qsys.tensor_embed(qsys.number_op(dims.n_transmon), qsys.TRANSMON, dims)
-        n_s = qsys.tensor_embed(qsys.number_op(dims.n_storage), qsys.STORAGE, dims)
         # (bare operator, label shift, rate, name); rate 2/T_phi on a number
         # operator gives neighbouring-level coherences dephasing rate 1/T_phi
         listed = (
@@ -508,9 +497,7 @@ def build_model(p: DeviceParams, dims: SubsystemDims, frame="dispersive",
             (b, (-1, 0, 0), 1.0 / a.t1_q, "qubit-decay"),
             (n_t, (0, 0, 0), 2.0 / pure_dephasing_time(a.t1_q, a.t2_q),
              "qubit-dephasing"),
-            (b.conj().T, (1, 0, 0), a.p_e / a.t1_q, "qubit-thermal"),
-            (n_s, (0, 0, 0), 2.0 / (storage_t_phi or math.inf),
-             "storage-dephasing"))
+            (b.conj().T, (1, 0, 0), a.p_e / a.t1_q, "qubit-thermal"))
         channels = tuple(
             CollapseChannel(_shift_class(to_model(op), labels, key), rate, name)
             for op, key, rate, name in listed if rate != 0)
@@ -1115,7 +1102,9 @@ def propagate(models, x, span, dt):
     number or one per column, as a new (n, B) array.
 
     Column j of x is a row-major vec(rho) (n = d * d) or a ket (n = d)
-    under models[j]; kets need models without collapse channels.  Its span
+    under models[j], the models of one frame: each shares models[0]'s drift
+    and channels, as every model that ``with_sequence`` drives from one
+    frame does; kets need a frame without collapse channels.  Its span
     is cut at the start, ramp ends and end of each segment that drives
     models[j] (`_cuts`), coincident edges kept, and window k of every
     column runs in step k, a column with fewer edges ending in zero-length
@@ -1128,25 +1117,30 @@ def propagate(models, x, span, dt):
     model bounds it where its carriers are fast, as in the ``bare`` frame,
     and the table where its diagonal is; see the module docstring.
 
-    Columns on the same route whose models share their drift, channel and
-    active term operators (those of one frame) propagate together, under one
-    LiouvilleTable built once per call.  Each column's trace (rho) or
-    squared norm (ket) is checked against its entering value, and a drift
-    beyond 1e-6 raises IntegrationError.  A dt that is not a positive
-    finite number, or a span that is not two finite times t0 <= t1, raises
-    ParameterError; an x without one column per model, DimensionError.
+    Columns on the same route with the same active term operators propagate
+    together, under one LiouvilleTable built once per call.  Each column's
+    trace (rho) or squared norm (ket) is checked against its entering value,
+    and a drift beyond 1e-6 raises IntegrationError.  A dt that is not a
+    positive finite number, a span that is not two finite times t0 <= t1,
+    or a model of another frame than models[0]'s raises ParameterError; an
+    x without one column per model, DimensionError.
     """
     _check_dt(dt)
     x = np.array(x, dtype=complex)
     if x.ndim != 2 or x.shape[1] != len(models) or not models:
         raise DimensionError(f"propagate takes one model per column of x (n, B), "
                              f"got {len(models)} models for x of shape {x.shape}")
-    d = models[0].dims.total
+    base = models[0]
+    for j, model in enumerate(models):
+        if model.drift is not base.drift or model.channels is not base.channels:
+            raise ParameterError(f"the model of column {j} is not of column 0's "
+                                 f"frame: it has its own drift or channels")
+    d = base.dims.total
     ket = len(x) == d
     if not ket and len(x) != d * d:
         raise DimensionError(f"columns of length {len(x)} are neither kets "
                              f"nor vec(rho) of dimension {d}")
-    if ket and any(model.channels for model in models):
+    if ket and base.channels:
         raise ParameterError(
             "kets propagate only under a model without collapse channels")
     try:
@@ -1158,11 +1152,7 @@ def propagate(models, x, span, dt):
     cuts = [_cuts(*column) for column in zip(models, start, stop)]
     width = max(map(len, cuts))
     edges = np.array([c + c[-1:] * (width - len(c)) for c in cuts]).T
-    # what a column's table depends on besides its terms (the models live
-    # through the call, so the ids of their operators are unique)
-    bases = [(id(model.drift), *((c.rate, id(c.op)) for c in model.channels))
-             for model in models]
-    tables = {}
+    tables = {}     # by the ids of the active term operators the models hold
     for t0, t1 in zip(edges, edges[1:]):
         t1 = np.where(t1 - t0 < 1e-12, t0, t1)
         if not np.any(t1 > t0):
@@ -1171,7 +1161,7 @@ def propagate(models, x, span, dt):
         for j, model in enumerate(models):
             terms = model.active_terms(t0[j], t1[j])
             frame = model.carrier_frame(t0[j], t1[j])
-            key = (bases[j], *(id(term.op) for term in terms))
+            key = tuple(id(term.op) for term in terms)
             routes.setdefault((frame is None, key), []).append(
                 (j, terms, frame))
         for (stepped, key), members in routes.items():

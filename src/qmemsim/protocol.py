@@ -17,8 +17,8 @@ from . import analysis, pulses, qsys, tomography
 from .device import (QUBIT_CHANNEL, READOUT_CHANNEL, STORAGE_CHANNEL,
                      DeviceParams, bsb_effective_rate)
 from .errors import IntegrationError, ParameterError
-from .lindblad import (FRAMES, build_model, check_storage_t_phi,
-                       dressed_frequencies, propagate, two_photon_resonance)
+from .lindblad import (FRAMES, build_model, dressed_frequencies, propagate,
+                       two_photon_resonance)
 from .pulses import (PROBE_STEP, PulseSegment, PulseSequence,
                      ProtocolCalibration, build_memory_sequence,
                      calibrate_pi_pulse, calibrate_pi_pulses)
@@ -45,7 +45,6 @@ class ProtocolOptions:
     bsb_amplitude: float = TWO_PI * 5.1e3   # rad/us
     dt_pulse: float = 1.5e-3                # us
     noiseless: bool = False
-    storage_t_phi: float | None = None
     shots: int | None = None
     seed: int = 0
 
@@ -58,7 +57,6 @@ class ProtocolOptions:
                 f"dt_pulse must be > 0 us and finite, got {self.dt_pulse!r} us")
         if self.shots is not None and self.shots < 1:
             raise ParameterError(f"shots must be >= 1, got {self.shots!r}")
-        check_storage_t_phi(self.storage_t_phi)
 
     def replace(self, **kw):
         return dc_replace(self, **kw)
@@ -96,8 +94,7 @@ def simulate_sequences(p: DeviceParams, seqs, options: ProtocolOptions,
     state) at start to upto (default its readout marker).  Returns (models,
     final QuantumStates)."""
     base = build_model(p, options.dims, frame=options.frame,
-                       noiseless=options.noiseless,
-                       storage_t_phi=options.storage_t_phi)
+                       noiseless=options.noiseless)
     models = [base.with_sequence(seq) for seq in seqs]
     if rho0s is None:
         rho0s = [qsys.basis_state(options.dims)] * len(seqs)

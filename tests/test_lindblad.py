@@ -78,18 +78,7 @@ def test_build_model_leaves_out_channels_of_rate_zero():
     t1_q = DeviceParams().t1_q
     assert list(channels(DeviceParams(t2_q=2.0 * t1_q))) == [
         name for name in every if name != "qubit-dephasing"]
-    for t_phi in (None, math.inf):
-        assert list(channels(storage_t_phi=t_phi)) == every
-    with_storage = channels(storage_t_phi=3.0)
-    assert list(with_storage) == every + ["storage-dephasing"]
-    assert with_storage["storage-dephasing"] == 2.0 / 3.0
     assert build_model(DeviceParams(), dims, noiseless=True).channels == ()
-
-
-@pytest.mark.parametrize("t_phi", [0.0, -1.0, math.nan])
-def test_storage_t_phi_must_be_a_positive_number(t_phi):
-    with pytest.raises(ParameterError, match="storage_t_phi"):
-        build_model(DeviceParams(), SubsystemDims(2, 2, 1), storage_t_phi=t_phi)
 
 
 def test_built_model_is_frozen():
@@ -474,6 +463,24 @@ def test_propagate_takes_a_span_of_two_finite_times():
                  (0.0, np.array([0.1, 0.2, 0.3])), (0.1, 0.0), (0.0,)):
         with pytest.raises(ParameterError, match="^span must be two finite"):
             propagate([m, m], x, span, 1e-3)
+
+
+def test_propagate_takes_the_models_of_one_frame():
+    # columns share a table by their term operators alone, so each model
+    # shares models[0]'s drift and channels; a list mixing dims raised a
+    # bare IndexError deep inside the runner
+    p, dims = DeviceParams(), SubsystemDims(2, 2, 1)
+    m = build_model(p, dims)
+    driven = m.with_sequence(PulseSequence((
+        PulseSegment(QUBIT_CHANNEL, 50.0, p.angular().w_q, plateau=0.02),)))
+    rho = qsys.basis_state(dims, 1, 0, 0).rho.reshape(-1, 1)
+    propagate([m, driven], np.tile(rho, 2), (0.0, 0.1), 1e-3)
+    for other in (build_model(p, SubsystemDims(4, 2, 1)), build_model(p, dims),
+                  dataclasses.replace(m, channels=m.channels[1:]),
+                  dataclasses.replace(m, drift=list(m.drift))):
+        with pytest.raises(ParameterError, match="^the model of column 2 is "
+                           "not of column 0's frame"):
+            propagate([m, driven, other], np.tile(rho, 3), (0.0, 0.1), 1e-3)
 
 
 def test_purity_and_positivity_along_trajectory():
@@ -960,8 +967,7 @@ def test_table_of_class_form_a_matches_a_dense_split(frame):
     p = DeviceParams()
     for dims, noiseless in itertools.product(
             (SubsystemDims(3, 3, 2), SubsystemDims(2, 2, 1)), (False, True)):
-        base = build_model(p, dims, frame, noiseless=noiseless,
-                           storage_t_phi=3.0)
+        base = build_model(p, dims, frame, noiseless=noiseless)
         seg = PulseSegment(QUBIT_CHANNEL, 3e4,
                            lindblad.two_photon_resonance(p, dims),
                            plateau=0.02, start=0.1)

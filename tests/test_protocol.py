@@ -37,21 +37,6 @@ def test_options_reject_a_pulse_step_that_is_not_positive_and_finite():
             ProtocolOptions(dt_pulse=dt)
 
 
-@pytest.mark.parametrize("t_phi", [0.0, -1.0, math.nan])
-def test_options_reject_a_storage_t_phi_that_is_not_positive(t_phi):
-    # at construction, before any calibration, with build_model's message
-    with pytest.raises(ParameterError) as model_error:
-        lindblad.build_model(P, SubsystemDims(2, 2, 1), storage_t_phi=t_phi)
-    with pytest.raises(ParameterError, match="storage_t_phi") as error:
-        ProtocolOptions(storage_t_phi=t_phi)
-    assert str(error.value) == str(model_error.value)
-
-
-def test_options_take_no_or_infinite_storage_dephasing():
-    for t_phi in (None, math.inf):
-        assert ProtocolOptions(storage_t_phi=t_phi).storage_t_phi == t_phi
-
-
 def test_noiseless_round_trip(default_cal):
     p_g = run_memory_protocol(P, 0.0, 0.0, NOISELESS, default_cal)
     assert p_g >= 0.99
@@ -113,18 +98,9 @@ def frozen_ramsey():
 
 
 def test_memory_ramsey_t2(frozen_ramsey):
-    delays = frozen_ramsey.xs
     # only the storage decay active: T2 saturates the 2 T1 bound
     t2 = frozen_ramsey.fits["T2_s"].params["T2"]
     assert t2 == pytest.approx(2.0 / P.angular().k_s, rel=0.10)
-
-    # an explicit storage dephasing channel shifts T2 by the closed form
-    opts_phi = OPTS.replace(storage_t_phi=500.0)
-    rec2 = memory_ramsey_experiment(frozen_qubit_params(), delays, 0.3,
-                                    opts_phi)
-    t2_phi = rec2.fits["T2_s"].params["T2"]
-    expected = 1.0 / (0.5 * P.angular().k_s + 1.0 / 500.0)
-    assert t2_phi == pytest.approx(expected, rel=0.05)
 
     # thermal qubit jumps dephase the memory through the dispersive shift
     # and push T2 below the 2 T1 bound; an enlarged equilibrium population
