@@ -852,12 +852,13 @@ def evolve(model: LindbladModel, rho0, t_span, dt, steps=1):
     and the interval's ``model.max_step`` at 40 steps per period (so dt is
     the largest step the caller allows; unlike propagate, evolve bounds no
     step by the table's diagonal), with the trace checked as `_stepped`
-    checks it.  A dt that is not a positive finite number, or steps < 1,
-    raises ParameterError.
+    checks it.  A dt that is not a positive finite number, steps < 1, or a
+    t_span that is not two finite times t0 <= t1 raises ParameterError.
     """
     t0, t1 = t_span
-    if t1 < t0:
-        raise ParameterError("t_span must be increasing")
+    if not -math.inf < t0 <= t1 < math.inf:
+        raise ParameterError(f"t_span must be two finite times t0 <= t1, "
+                             f"got {t_span!r}")
     _check_dt(dt)
     if steps < 1:
         raise ParameterError(f"steps must be >= 1, got {steps!r}")

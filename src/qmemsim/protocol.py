@@ -235,12 +235,19 @@ def default_fock_delays():
     return np.array([3.0, 4.5, 6.0, 7.5, 9.0, 11.0, 13.5, 16.0])
 
 
+def _delays(delays, default):
+    """The delays in us as a float array, default where None; none raises."""
+    delays = np.asarray(default if delays is None else delays, dtype=float)
+    if delays.size == 0:
+        raise ParameterError("no delays given; None runs the defaults")
+    return delays
+
+
 def fock_decay_experiment(p: DeviceParams, delays=None,
                           options: ProtocolOptions | None = None):
     """Store Fock |1> (ground-state input), vary the idle delay, fit T1_s."""
     options = options or ProtocolOptions()
-    delays = np.asarray(default_fock_delays() if delays is None else delays,
-                        dtype=float)
+    delays = _delays(delays, default_fock_delays())
     t1_expected = 1.0 / p.angular().k_s
     if delays.max() < 2.0 * t1_expected:
         raise ParameterError(
@@ -263,9 +270,7 @@ def memory_ramsey_experiment(p: DeviceParams, delays=None, detuning=0.35,
     frame, exactly like a lab LO mismatch; the T2 extraction is unaffected.
     """
     options = options or ProtocolOptions()
-    if delays is None:
-        delays = np.linspace(0.25, 21.0, 22)
-    delays = np.asarray(delays, dtype=float)
+    delays = _delays(delays, np.linspace(0.25, 21.0, 22))
     span = delays.max() - delays.min()
     if detuning * span < 3.0:
         raise ParameterError(
@@ -363,6 +368,12 @@ def effective_bsb_check(p: DeviceParams, drives,
     that is finer).  Each drive's rate comes from its own fit, and each
     drive's comparison is the one it gets alone.
     """
+    if len(drives) == 0:
+        raise ParameterError("no drives given")
+    for drive in drives:
+        if not 0.0 < drive < math.inf:
+            raise ParameterError(f"each drive must be a finite amplitude > 0 "
+                                 f"rad/us, got {drive:.6g}")
     options = options or ProtocolOptions()
     dims = options.dims
     a = p.angular()

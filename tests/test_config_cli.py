@@ -285,6 +285,18 @@ def test_descending_sweep_is_a_usage_error(tmp_path, sample_cfg):
     assert not out.exists()
 
 
+def test_sideband_check_of_a_zero_drive_fails_in_one_line(tmp_path, sample_cfg):
+    # it printed two numpy divide-by-zero warnings, then propagate's span
+    # error with all 273 sample times
+    out = tmp_path / "out"
+    res = run_cli("run", "--config", sample_cfg, "--experiment", "bsb-check",
+                  "--sweep", "omega_drv_ghz=0:2:3", "--out", str(out))
+    assert res.returncode == 1
+    assert res.stderr.splitlines() == [
+        "failure: each drive must be a finite amplitude > 0 rad/us, got 0"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("experiment, sweep", [
     ("fock-decay", "prep_angle=3:16:8"),
     ("memory-ramsey", "prep_angle=0.25:9:8"),

@@ -165,7 +165,7 @@ def test_demo_uses_existing_names(path):
 
 def test_demo_name_check_flags_missing_names():
     tree = ast.parse("from qmemsim import protocol\n"
-                     "from qmemsim.lindblad import Trajectory, evolve\n"
+                     "from qmemsim.lindblad import Trajectory, propagate\n"
                      "import qmemsim.tomography as tg\n"
                      "protocol.run_memory_protocol\n"
                      "protocol.reference_ground_population\n"

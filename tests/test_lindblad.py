@@ -465,6 +465,17 @@ def test_propagate_takes_a_span_of_two_finite_times():
             propagate([m, m], x, span, 1e-3)
 
 
+def test_evolve_takes_a_t_span_of_two_finite_times():
+    # a NaN or infinite end raised IntegrationError "trace drifted by nan",
+    # advising a step of nan us
+    m = build_model(DeviceParams(), SubsystemDims(2, 2, 1))
+    rho = qsys.basis_state(m.dims, 1, 0, 0)
+    for t_span in ((0.0, math.nan), (math.nan, 0.1), (0.0, math.inf),
+                   (-math.inf, 0.0), (0.1, 0.0)):
+        with pytest.raises(ParameterError, match="^t_span must be two finite"):
+            evolve(m, rho, t_span, 1e-3)
+
+
 def test_propagate_takes_the_models_of_one_frame():
     # columns share a table by their term operators alone, so each model
     # shares models[0]'s drift and channels; a list mixing dims raised a

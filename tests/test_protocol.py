@@ -216,6 +216,44 @@ def test_z_sweep_refuses_no_working_points():
         z_fidelity_sweep(P, [], OPTS)
 
 
+def test_protocol_states_keep_their_invariants_at_every_window_edge(
+        monkeypatch, default_cal):
+    # criterion 11's checks on the program's own path, not the RK4
+    # reference: the default zero-delay protocol from |g,0,0> through
+    # simulate_sequences, column k read at window edge k, and every window
+    # propagating one of each conjugate pair of rho's blocks
+    seq = build_memory_sequence(0.0, 0.0, default_cal)
+    model = lindblad.build_model(P, OPTS.dims).with_sequence(seq)
+    edges = sorted(set(lindblad._cuts(model, 0.0, seq.readout_time)))
+    halved, restricted = [], lindblad.LiouvilleTable.restricted
+
+    def spy(table, x, keep=None):
+        halved.append(keep is not None)
+        return restricted(table, x, keep)
+
+    monkeypatch.setattr(lindblad.LiouvilleTable, "restricted", spy)
+    _, states = protocol.simulate_sequences(P, [seq] * len(edges), OPTS,
+                                            upto=edges)
+    assert len(edges) > 10 and halved and all(halved)
+    for rho in (state.rho for state in states):
+        assert abs(np.trace(rho) - 1.0) < 1e-8
+        assert np.min(np.linalg.eigvalsh(rho)) >= -1e-9
+        assert np.trace(rho @ rho).real <= 1.0 + 1e-9
+        assert np.array_equal(rho, rho.conj().T)
+
+
+def test_experiments_refuse_an_empty_list():
+    # each raised a bare numpy ValueError: a reduction over no delays, or a
+    # concatenation of no drives' sample times
+    for run, name in ((lambda: fock_decay_experiment(P, [], OPTS), "delays"),
+                      (lambda: memory_ramsey_experiment(P, [], 0.3, OPTS),
+                       "delays"),
+                      (lambda: protocol.effective_bsb_check(P, [], OPTS),
+                       "drives")):
+        with pytest.raises(ParameterError, match=f"^no {name} given"):
+            run()
+
+
 def test_z_sweep_monotone_corrected_fidelity():
     wps = [WorkingPoint(TWO_PI * a) for a in (12.0e3, 7.0e3, 4.6e3)]
     rec = z_fidelity_sweep(P, wps, OPTS)
@@ -431,6 +469,19 @@ def test_sideband_check_of_a_drive_does_not_depend_on_its_neighbours():
     weak, strong = TWO_PI * 2.0e3, TWO_PI * 8.0e3
     alone = protocol.effective_bsb_check(P, [weak])[0]
     assert protocol.effective_bsb_check(P, [weak, strong])[0] == alone
+
+
+@pytest.mark.parametrize("drive", [0.0, -TWO_PI * 1e3, math.nan, math.inf])
+def test_sideband_check_refuses_a_drive_not_above_zero(monkeypatch, drive):
+    # a zero drive divided by zero, and its NaN and infinite sample times
+    # failed the span check of propagate, after the model was built
+    def build(*args, **kwargs):
+        raise AssertionError("built a model before checking the drives")
+
+    monkeypatch.setattr(protocol, "build_model", build)
+    with pytest.raises(ParameterError,
+                       match="^each drive must be a finite amplitude > 0"):
+        protocol.effective_bsb_check(P, [TWO_PI * 2.0e3, drive], OPTS)
 
 
 def test_truncation_is_converged(default_cal):

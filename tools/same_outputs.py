@@ -1,0 +1,82 @@
+#!/usr/bin/env python3
+"""Check that two source trees of qmemsim write the same outputs.
+
+    python3 tools/same_outputs.py <tree-a> <tree-b>
+
+For each tree, with PYTHONPATH=<tree>/src, writes the tree's sample config
+(`qmemsim init-config`), runs the CLI runs of RUNS on it and runs the
+tree's demos.  Then compares every run's results.csv, fits.json and
+manifest.json, and every demo's stdout, byte for byte.  Prints each output
+that differs and exits 1 on any difference, 0 when all are the same; a run
+or demo that fails exits 1 with its stderr.  Standard library only; the
+outputs go to a temporary directory that is removed afterwards.
+"""
+
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+# (name, lines appended to the sample config, CLI run arguments)
+RUNS = [
+    *((experiment, "", ["--experiment", experiment]) for experiment in (
+        "memory-protocol", "fock-decay", "memory-ramsey", "ringdown",
+        "zfidelity-sweep", "bsb-check", "qpt")),
+    ("qpt-shots", "", ["--experiment", "qpt", "--shots", "500"]),
+    ("zfidelity-leakage", "",
+     ["--experiment", "zfidelity-sweep", "--fit-leakage"]),
+    ("ringdown-storage", "", ["--experiment", "ringdown", "--mode", "storage"]),
+    ("memory-protocol-delays", "", ["--experiment", "memory-protocol",
+                                    "--sweep", "delay=3:4.5:2", "--jobs", "2"]),
+    ("ringdown-bare", "frame = bare\n", ["--experiment", "ringdown"]),
+]
+OUTPUTS = ("results.csv", "fits.json", "manifest.json")
+
+
+def outputs(tree, work):
+    """{name: bytes} of every output of tree, written under work."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+
+    def run(cmd):
+        res = subprocess.run(cmd, env=env, cwd=work, capture_output=True)
+        if res.returncode:
+            sys.exit(f"failed in {tree}: {' '.join(cmd)}\n"
+                     + res.stderr.decode(errors="replace"))
+        return res.stdout
+
+    cli = [sys.executable, "-m", "qmemsim.cli"]
+    run(cli + ["init-config", "sample.cfg"])
+    sample = (work / "sample.cfg").read_text()
+    found = {}
+    for name, extra, args in RUNS:
+        (work / f"{name}.cfg").write_text(sample + extra)
+        run(cli + ["run", "--config", f"{name}.cfg", "--out", name, *args])
+        for out in OUTPUTS:
+            found[f"{name}/{out}"] = (work / name / out).read_bytes()
+    for demo in sorted((tree / "demos").glob("demo_*.py")):
+        found[f"demos/{demo.name} stdout"] = run([sys.executable, str(demo)])
+    return found
+
+
+def main(argv):
+    if len(argv) != 2:
+        sys.exit("usage: same_outputs.py <tree-a> <tree-b>")
+    with tempfile.TemporaryDirectory() as tmp:
+        found = []
+        for k, tree in enumerate(argv):
+            work = Path(tmp, str(k))
+            work.mkdir()
+            found.append(outputs(Path(tree).resolve(), work))
+    a, b = found
+    names = sorted(a.keys() | b.keys())
+    differ = [name for name in names if a.get(name) != b.get(name)]
+    for name in differ:
+        print(f"differs: {name}")
+    print(f"{len(names) - len(differ)} of {len(names)} outputs byte-identical "
+          f"({len(RUNS)} runs, {len(names) - len(RUNS) * len(OUTPUTS)} demos)")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
