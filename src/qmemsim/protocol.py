@@ -236,7 +236,7 @@ def default_fock_delays():
 
 
 def _delays(delays, default):
-    """The delays in us as a float array, default where None; none raises."""
+    """delays in us, default where None, as floats; an empty list raises."""
     delays = np.asarray(default if delays is None else delays, dtype=float)
     if delays.size == 0:
         raise ParameterError("no delays given; None runs the defaults")
