@@ -34,6 +34,7 @@ import os
 import sys
 import warnings
 from concurrent import futures
+from dataclasses import astuple, fields
 
 import numpy as np
 
@@ -310,20 +311,17 @@ def cmd_validate(args):
         print(f"invalid: {exc}", file=sys.stderr)
         return 1
 
-    a = p.angular()
     print("normalized device parameters (linear | angular):")
-    rows = [
-        ("omega_ro", f"{p.omega_ro:.9g} GHz", f"{a.w_ro:.6g} rad/us"),
-        ("omega_s", f"{p.omega_s:.9g} GHz", f"{a.w_s:.6g} rad/us"),
-        ("omega_q", f"{p.omega_q:.9g} GHz", f"{a.w_q:.6g} rad/us"),
-        ("alpha", f"{p.alpha:.9g} MHz", f"{a.alpha:.6g} rad/us"),
-        ("g", f"{p.g:.9g} MHz", f"{a.g:.6g} rad/us"),
-        ("chi_ro", f"{p.chi_ro:.9g} MHz", f"{a.chi_ro:.6g} rad/us"),
-        ("chi_s", f"{p.chi_s:.9g} MHz", f"{a.chi_s:.6g} rad/us"),
-        ("kappa_ro", f"{p.kappa_ro:.9g} MHz", f"{a.k_ro:.6g} 1/us"),
-        ("kappa_s", f"{p.kappa_s:.9g} kHz", f"{a.k_s:.6g} 1/us"),
-        ("t1_q", f"{p.t1_q:.9g} us", f"gamma1 {1 / p.t1_q:.6g} 1/us"),
-        ("t2_q", f"{p.t2_q:.9g} us", f"gamma2 {1 / p.t2_q:.6g} 1/us"),
+    rows = []
+    for f, ang in zip(fields(p), astuple(p.angular())):
+        value, unit = getattr(p, f.name), f.metadata["unit"]
+        if unit == "us":    # t1_q, t2_q beside their rates gamma1, gamma2
+            ang = f"gamma{f.name[1]} {1 / value:.6g} 1/us"
+        elif unit:          # a decay rate kappa_* in 1/us
+            ang = f"{ang:.6g} {'1/us' if f.name[0] == 'k' else 'rad/us'}"
+        if unit:
+            rows.append((f.name, f"{value:.9g} {unit}", ang))
+    rows += [
         ("bsb carrier", f"{bsb_frequency(p) / 2 / GHZ:.9g} GHz",
          f"{bsb_frequency(p) / 2:.6g} rad/us"),
         ("purcell limit", f"{purcell_limit(p):.4g} us", ""),

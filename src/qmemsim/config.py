@@ -13,7 +13,9 @@ Example::
     t1_q     = 1.32 us
     p_e      = 0.0027
 
-Unit conversion is exact.  Every unit, and the unit each key is stored in,
+A device key is stored in the unit that its DeviceParams field declares,
+the one DeviceParams.angular() scales from (``kappa_s`` in kHz).  Unit
+conversion is exact.  Every unit, and the unit each key is stored in,
 is a power of ten of the base unit (GHz for frequencies, us for times), so a
 value is the decimal literal as written, shifted by the combined exponent
 and rounded to the nearest float once.  A value written in its storage unit
@@ -28,6 +30,7 @@ naming the key.  Truncation sizes that SubsystemDims rejects, and device
 values that DeviceParams rejects, raise ConfigError naming the source.
 """
 
+import dataclasses
 import decimal
 import importlib.resources
 import math
@@ -41,22 +44,12 @@ FREQ_UNITS = {"ghz": 0, "mhz": -3, "khz": -6, "hz": -9}
 TIME_UNITS = {"s": 6, "ms": 3, "us": 0, "ns": -3}
 _UNITS = {"freq": FREQ_UNITS, "time": TIME_UNITS}
 
+# the kind of value each storage unit holds
+_KINDS = {"GHz": "freq", "MHz": "freq", "kHz": "freq", "us": "time", None: "plain"}
+
 # key: (kind, unit the value is stored in)
-_DEVICE_KEYS = {
-    "omega_ro": ("freq", "GHz"),
-    "omega_s": ("freq", "GHz"),
-    "omega_q": ("freq", "GHz"),
-    "alpha": ("freq", "MHz"),
-    "g": ("freq", "MHz"),
-    "chi_ro": ("freq", "MHz"),
-    "chi_s": ("freq", "MHz"),
-    "kappa_ro": ("freq", "MHz"),
-    "kappa_s": ("freq", "kHz"),
-    "t1_q": ("time", "us"),
-    "t2_q": ("time", "us"),
-    "n_ro": ("plain", None),
-    "p_e": ("plain", None),
-}
+_DEVICE_KEYS = {f.name: (_KINDS[f.metadata["unit"]], f.metadata["unit"])
+                for f in dataclasses.fields(DeviceParams)}
 
 _RUN_KEYS = {
     "dt_pulse": ("time", "us"),
@@ -159,9 +152,8 @@ def parse_run_settings(text, source):
     except ParameterError as exc:
         raise ConfigError(f"{source}: {exc}") from exc
     try:
-        dims = SubsystemDims(_truncation(run_kw, "n_transmon", 3),
-                             _truncation(run_kw, "n_storage", 5),
-                             _truncation(run_kw, "n_readout", 2))
+        dims = SubsystemDims(*(_truncation(run_kw, f.name, f.default)
+                               for f in dataclasses.fields(SubsystemDims)))
     except DimensionError as exc:
         raise ConfigError(f"{source}: {exc}") from exc
     return params, dims, run_kw

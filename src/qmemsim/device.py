@@ -1,8 +1,9 @@
 """Device parameters and closed-form derived quantities.
 
 Field values are stored in the units they are quoted in experimentally
-(linear GHz/MHz/kHz, times in us).  :meth:`DeviceParams.angular` converts
-everything to the internal rad/us convention in one place.
+(linear GHz/MHz/kHz, times in us), which each field declares once, as its
+metadata ``unit``.  The config parser reads it there, and
+:meth:`DeviceParams.angular` converts everything to rad/us in one place.
 
 Sign and bookkeeping conventions
 --------------------------------
@@ -21,7 +22,7 @@ Sign and bookkeeping conventions
 """
 
 import math
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import dataclass, field, fields, replace as dc_replace
 
 from .errors import ParameterError
 from .units import GHZ, MHZ, KHZ
@@ -32,24 +33,32 @@ STORAGE_CHANNEL = "storage-direct"
 READOUT_CHANNEL = "readout-direct"
 CHANNELS = (QUBIT_CHANNEL, STORAGE_CHANNEL, READOUT_CHANNEL)
 
+# linear frequency unit -> rad/us; times (us) and plain numbers are not scaled
+_ANGULAR = {"GHz": GHZ, "MHz": MHZ, "kHz": KHZ}
+
+
+def _quoted(default, unit):
+    """A DeviceParams field quoted in unit: GHz, MHz, kHz, us or None."""
+    return field(default=default, metadata={"unit": unit})
+
 
 @dataclass(frozen=True)
 class DeviceParams:
     """All sample parameters.  Defaults describe the measured device."""
 
-    omega_ro: float = 5.518        # readout mode frequency, GHz
-    omega_s: float = 8.707546      # storage mode frequency, GHz
-    omega_q: float = 6.234         # qubit g-e frequency, GHz
-    alpha: float = -185.0          # anharmonicity, MHz (negative)
-    g: float = 53.0                # qubit-mode coupling (both modes), MHz
-    chi_ro: float = 3.6            # measured readout dispersive shift, MHz
-    chi_s: float = 1.1             # measured storage dispersive shift, MHz
-    kappa_ro: float = 4.0          # readout decay rate, MHz
-    kappa_s: float = 24.7          # storage decay rate, kHz
-    t1_q: float = 1.32             # qubit energy decay time, us
-    t2_q: float = 2.49             # qubit Ramsey decoherence time, us
-    n_ro: float = 0.0              # mean readout photon number during protocol
-    p_e: float = 0.0027            # equilibrium qubit excited-state population
+    omega_ro: float = _quoted(5.518, "GHz")     # readout mode frequency
+    omega_s: float = _quoted(8.707546, "GHz")   # storage mode frequency
+    omega_q: float = _quoted(6.234, "GHz")      # qubit g-e frequency
+    alpha: float = _quoted(-185.0, "MHz")       # anharmonicity (negative)
+    g: float = _quoted(53.0, "MHz")             # qubit-mode coupling (both modes)
+    chi_ro: float = _quoted(3.6, "MHz")         # measured readout dispersive shift
+    chi_s: float = _quoted(1.1, "MHz")          # measured storage dispersive shift
+    kappa_ro: float = _quoted(4.0, "MHz")       # readout decay rate
+    kappa_s: float = _quoted(24.7, "kHz")       # storage decay rate
+    t1_q: float = _quoted(1.32, "us")           # qubit energy decay time
+    t2_q: float = _quoted(2.49, "us")           # qubit Ramsey decoherence time
+    n_ro: float = _quoted(0.0, None)    # mean readout photon number during protocol
+    p_e: float = _quoted(0.0027, None)  # equilibrium qubit excited-state population
 
     def __post_init__(self):
         for name in ("omega_ro", "omega_s", "omega_q"):
@@ -65,22 +74,10 @@ class DeviceParams:
             raise ParameterError("p_e must be in [0, 0.5)")
 
     def angular(self):
-        """Angular view of all frequencies/rates (rad/us, times in us)."""
-        return AngularParams(
-            w_ro=self.omega_ro * GHZ,
-            w_s=self.omega_s * GHZ,
-            w_q=self.omega_q * GHZ,
-            alpha=self.alpha * MHZ,
-            g=self.g * MHZ,
-            chi_ro=self.chi_ro * MHZ,
-            chi_s=self.chi_s * MHZ,
-            k_ro=self.kappa_ro * MHZ,
-            k_s=self.kappa_s * KHZ,
-            t1_q=self.t1_q,
-            t2_q=self.t2_q,
-            n_ro=self.n_ro,
-            p_e=self.p_e,
-        )
+        """Angular view (rad/us, times in us): each field times its unit's scale."""
+        return AngularParams(*(getattr(self, f.name)
+                               * _ANGULAR.get(f.metadata["unit"], 1)
+                               for f in fields(self)))
 
     def replace(self, **kw):
         return dc_replace(self, **kw)
