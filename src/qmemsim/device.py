@@ -57,8 +57,8 @@ class DeviceParams:
     kappa_s: float = _quoted(24.7, "kHz")       # storage decay rate
     t1_q: float = _quoted(1.32, "us")           # qubit energy decay time
     t2_q: float = _quoted(2.49, "us")           # qubit Ramsey decoherence time
-    n_ro: float = _quoted(0.0, None)    # mean readout photon number during protocol
-    p_e: float = _quoted(0.0027, None)  # equilibrium qubit excited-state population
+    n_ro: float = _quoted(0.0, None)            # mean readout photons in protocol
+    p_e: float = _quoted(0.0027, None)          # thermal qubit excited population
 
     def __post_init__(self):
         for name in ("omega_ro", "omega_s", "omega_q"):

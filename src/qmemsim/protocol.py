@@ -130,11 +130,13 @@ def memory_sweep(p: DeviceParams, angles, delays,
     point of segments (e.g. a trailing analysis pulse) appended before the
     readout marker.  Several points at one angle simulate their storage
     half once, and from there only their idle windows and retrievals; other
-    points run whole sequences."""
+    points run whole sequences.  An empty angles or delays, an angle that
+    is not finite or a delay that is not a finite time >= 0 us raises
+    ParameterError naming it, before any calibration."""
     options = options or ProtocolOptions()
+    angles, delays = np.broadcast_arrays(_checked("angles", angles),
+                                         _checked("delays", delays, 0.0))
     cal = cal or get_calibration(p, options)
-    angles, delays = np.broadcast_arrays(np.asarray(angles, dtype=float),
-                                         np.asarray(delays, dtype=float))
     seqs = [_memory_sequence(a, d, cal, extra)
             for a, d, extra in zip(angles, delays,
                                    extra_segments or [()] * angles.size)]
@@ -235,12 +237,23 @@ def default_fock_delays():
     return np.array([3.0, 4.5, 6.0, 7.5, 9.0, 11.0, 13.5, 16.0])
 
 
+def _checked(name, values, least=-math.inf):
+    """values as floats; an empty list, or a value that is not finite or
+    is below least, raises ParameterError naming name."""
+    values = np.asarray(values, dtype=float)
+    if values.size == 0:
+        raise ParameterError(f"no {name} given")
+    if not np.all(np.isfinite(values) & (values >= least)):
+        bound = "" if least == -math.inf else f" and >= {least:g}"
+        raise ParameterError(f"{name} must be finite{bound}, got {values}")
+    return values
+
+
 def _delays(delays, default):
-    """delays in us, default where None, as floats; an empty list raises."""
-    delays = np.asarray(default if delays is None else delays, dtype=float)
-    if delays.size == 0:
+    """delays in us, default where None, as memory_sweep checks them."""
+    if delays is not None and np.size(delays) == 0:
         raise ParameterError("no delays given; None runs the defaults")
-    return delays
+    return _checked("delays", default if delays is None else delays, 0.0)
 
 
 def fock_decay_experiment(p: DeviceParams, delays=None,
@@ -271,6 +284,9 @@ def memory_ramsey_experiment(p: DeviceParams, delays=None, detuning=0.35,
     """
     options = options or ProtocolOptions()
     delays = _delays(delays, np.linspace(0.25, 21.0, 22))
+    if not math.isfinite(detuning):
+        raise ParameterError(f"detuning must be a finite frequency in MHz, "
+                             f"got {detuning!r}")
     span = delays.max() - delays.min()
     if detuning * span < 3.0:
         raise ParameterError(

@@ -100,22 +100,13 @@ class PulseSegment:
 
     def envelope_at(self, t):
         """Envelope value at time(s) t.  Accepts scalars or arrays."""
-        t = np.asarray(t, dtype=float)
-        x = t - self.start
-        up_end = self.ramp
+        x = np.asarray(t, dtype=float) - self.start
         flat_end = self.ramp + self.plateau
-        out = np.zeros_like(x)
-
-        rising = (x >= 0) & (x < up_end)
-        falling = (x > flat_end) & (x <= flat_end + self.ramp)
-        flat = (x >= up_end) & (x <= flat_end)
-
-        g_up = np.exp(-0.5 * ((x[rising] - up_end) / self.sigma) ** 2)
-        g_dn = np.exp(-0.5 * ((x[falling] - flat_end) / self.sigma) ** 2)
-        out[rising] = (g_up - _G0) / (1.0 - _G0)
-        out[falling] = (g_dn - _G0) / (1.0 - _G0)
-        out[flat] = 1.0
-        result = self.amplitude * out
+        # distance past the plateau, 0 on it, where the Gaussian reads 1
+        d = x - np.clip(x, self.ramp, flat_end)
+        g = (np.exp(-0.5 * np.square(d / self.sigma)) - _G0) / (1.0 - _G0)
+        result = self.amplitude * np.where(
+            (x >= 0) & (x <= flat_end + self.ramp), g, 0.0)
         return float(result) if result.ndim == 0 else result
 
     def equivalent_width(self):
@@ -206,8 +197,9 @@ def build_memory_sequence(prep_angle, storage_delay, cal,
         raise CalibrationError("memory sequence requires qubit and BSB calibrations")
     if qubit_pi_multiplier < 1 or qubit_pi_multiplier % 2 == 0:
         raise ParameterError("qubit_pi_multiplier must be an odd positive integer")
-    if storage_delay < 0:
-        raise ParameterError("storage_delay must be >= 0")
+    if not 0.0 <= storage_delay < math.inf:
+        raise ParameterError(f"storage_delay must be >= 0 and finite, "
+                             f"got {storage_delay!r}")
 
     q, b = cal.qubit, cal.bsb
     m = qubit_pi_multiplier

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.resources
 import json
 import math
@@ -148,6 +149,17 @@ def test_dt_flag_matches_config_dt_pulse(tmp_path, sample_cfg):
     run = json.loads((out / "manifest.json").read_text())["run"]
     assert run["dt_pulse_us"] == config.parse_value("dt_pulse", "0.07 ns")
     assert run["args"]["dt"] == 0.07
+
+
+def test_device_keys_are_the_device_fields_in_order():
+    # each key is stored in the unit its field declares, and renders in it
+    fields = dataclasses.fields(DeviceParams)
+    assert list(config._DEVICE_KEYS) == [f.name for f in fields]
+    assert [unit for _, unit in config._DEVICE_KEYS.values()] == [
+        f.metadata["unit"] for f in fields]
+    lines = config.device_params_to_config(DeviceParams()).splitlines()
+    assert [line.split()[0] for line in lines] == [f.name for f in fields]
+    assert lines[8] == "kappa_s  = 24.7 kHz" and lines[12] == "p_e      = 0.0027"
 
 
 def test_config_render_round_trip():

@@ -1,12 +1,13 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from qmemsim import device
-from qmemsim.device import DeviceParams
+from qmemsim.device import AngularParams, DeviceParams
 from qmemsim.errors import ParameterError
-from qmemsim.units import GHZ, MHZ, TWO_PI
+from qmemsim.units import GHZ, KHZ, MHZ, TWO_PI
 
 
 def test_defaults_match_sample():
@@ -23,6 +24,33 @@ def test_defaults_match_sample():
     assert p.t1_q == 1.32
     assert p.t2_q == 2.49
     assert p.n_ro == 0.0
+
+
+def test_each_field_declares_the_unit_the_paper_quotes():
+    units = {f.name: f.metadata["unit"] for f in dataclasses.fields(DeviceParams)}
+    assert units == {
+        "omega_ro": "GHz", "omega_s": "GHz", "omega_q": "GHz",
+        "alpha": "MHz", "g": "MHz", "chi_ro": "MHz", "chi_s": "MHz",
+        "kappa_ro": "MHz", "kappa_s": "kHz", "t1_q": "us", "t2_q": "us",
+        "n_ro": None, "p_e": None}
+
+
+def test_angular_scales_each_field_by_its_declared_unit():
+    # 13 distinct values, so a field read in another's place shows
+    p = DeviceParams(omega_ro=5.1, omega_s=8.3, omega_q=6.7, alpha=-171.0,
+                     g=47.0, chi_ro=2.9, chi_s=0.8, kappa_ro=3.3,
+                     kappa_s=19.0, t1_q=1.7, t2_q=2.3, n_ro=0.4, p_e=0.011)
+    source = {"w_ro": "omega_ro", "w_s": "omega_s", "w_q": "omega_q",
+              "alpha": "alpha", "g": "g", "chi_ro": "chi_ro",
+              "chi_s": "chi_s", "k_ro": "kappa_ro", "k_s": "kappa_s",
+              "t1_q": "t1_q", "t2_q": "t2_q", "n_ro": "n_ro", "p_e": "p_e"}
+    scale = {"GHz": GHZ, "MHz": MHZ, "kHz": KHZ, "us": 1.0, None: 1.0}
+    units = {f.name: f.metadata["unit"] for f in dataclasses.fields(DeviceParams)}
+    a = p.angular()
+    assert [f.name for f in dataclasses.fields(AngularParams)] == list(source)
+    assert len(set(dataclasses.astuple(p))) == len(source)
+    for name, field in source.items():
+        assert getattr(a, name) == getattr(p, field) * scale[units[field]], name
 
 
 def test_invariants_rejected():

@@ -254,6 +254,43 @@ def test_experiments_refuse_an_empty_list():
             run()
 
 
+def _no_calibration(*args):
+    raise AssertionError("calibrated before checking its arguments")
+
+
+def test_bad_protocol_points_are_refused_by_name_before_calibrating(
+        monkeypatch):
+    # an empty list raised propagate's DimensionError, and a NaN delay its
+    # span error after the calibrations had run
+    monkeypatch.setattr(protocol, "get_calibration", _no_calibration)
+    cases = [
+        (lambda: memory_sweep(P, [], []), "no angles given"),
+        (lambda: memory_sweep(P, 0.0, [], OPTS), "no delays given"),
+        (lambda: memory_sweep(P, [0.0, math.nan], 1.0), "angles must be finite"),
+        (lambda: memory_sweep(P, -math.inf, 1.0), "angles must be finite"),
+        (lambda: run_memory_protocol(P, 0.0, math.nan),
+         r"delays must be finite and >= 0"),
+        (lambda: run_memory_protocol(P, 0.0, math.inf), "delays must be"),
+        (lambda: run_memory_protocol(P, 0.0, -1.0), "delays must be"),
+        (lambda: fock_decay_experiment(P, [3.0, math.nan, 16.0], OPTS),
+         "delays must be finite"),
+        (lambda: memory_ramsey_experiment(P, [0.25, math.nan, 21.0], 0.35,
+                                          OPTS), "delays must be finite"),
+    ]
+    for run, message in cases:
+        with pytest.raises(ParameterError, match=f"^{message}"):
+            run()
+
+
+def test_memory_ramsey_refuses_a_detuning_that_is_not_finite(monkeypatch):
+    # NaN passed the fringe check and failed in the analysis pulse with an
+    # IntegrationError whose advice was wrong
+    monkeypatch.setattr(protocol, "get_calibration", _no_calibration)
+    for detuning in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ParameterError, match="^detuning must be a finite"):
+            memory_ramsey_experiment(P, None, detuning, OPTS)
+
+
 def test_z_sweep_monotone_corrected_fidelity():
     wps = [WorkingPoint(TWO_PI * a) for a in (12.0e3, 7.0e3, 4.6e3)]
     rec = z_fidelity_sweep(P, wps, OPTS)

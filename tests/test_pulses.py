@@ -54,6 +54,35 @@ def test_envelope_continuity():
         assert jump < 1e-3 * s.amplitude
 
 
+def _piecewise_envelope(s, t):
+    """The envelope at one time by its pieces: the rising Gaussian on
+    [0, ramp), 1 on the plateau, the falling one on (flat_end, flat_end +
+    ramp] and 0 elsewhere, x = t - start."""
+    x = t - s.start
+    flat_end = s.ramp + s.plateau
+    if 0 <= x < s.ramp or flat_end < x <= flat_end + s.ramp:
+        edge = s.ramp if x < s.ramp else flat_end
+        g = np.exp(-0.5 * np.square(np.array([(x - edge) / s.sigma])))[0]
+        return s.amplitude * ((g - pulses._G0) / (1.0 - pulses._G0))
+    return s.amplitude * (1.0 if s.ramp <= x <= flat_end else 0.0)
+
+
+def test_envelope_bits_at_the_edges():
+    # at each of the four edges and its two float neighbours, as an array
+    # and as scalars, the envelope is the piecewise form's to the bit
+    for s in (seg(), seg(amplitude=3.7, plateau=0.0, rise=0.013, start=0.41),
+              seg(amplitude=0.93, plateau=0.2371, rise=0.031, start=-0.2)):
+        edges = [s.start, s.start + s.ramp, s.start + s.ramp + s.plateau,
+                 s.end]
+        ts = np.array([u for e in edges for u in (
+            np.nextafter(e, -np.inf), e, np.nextafter(e, np.inf))])
+        want = np.array([_piecewise_envelope(s, t) for t in ts])
+        assert np.array_equal(s.envelope_at(ts), want)
+        assert [s.envelope_at(float(t)) for t in ts] == list(want)
+        assert type(s.envelope_at(float(ts[0]))) is float
+        assert want[0] == 0.0 and s.amplitude in want
+
+
 def test_area_additive_in_plateau():
     s1, s2 = seg(plateau=0.1), seg(plateau=0.1 + 0.037)
     area1 = s1.amplitude * s1.equivalent_width()
@@ -178,6 +207,16 @@ def test_memory_sequence_pi_multiplier(sample_calibration):
     assert sq3.memory_duration > sq1.memory_duration
     with pytest.raises(ParameterError):
         build_memory_sequence(0.0, 0.0, cal, qubit_pi_multiplier=2)
+
+
+def test_memory_sequence_refuses_a_delay_that_is_not_a_finite_time(
+        sample_calibration):
+    # a NaN delay passed the `storage_delay < 0` check
+    _, _, cal = sample_calibration
+    for delay in (-1.0, math.nan, math.inf):
+        with pytest.raises(ParameterError,
+                           match="storage_delay must be >= 0 and finite"):
+            build_memory_sequence(0.0, delay, cal)
 
 
 def test_memory_sequence_requires_calibration():

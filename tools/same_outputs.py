@@ -4,12 +4,15 @@
     python3 tools/same_outputs.py <tree-a> <tree-b>
 
 For each tree, with PYTHONPATH=<tree>/src, writes the tree's sample config
-(`qmemsim init-config`), runs the CLI runs of RUNS on it and runs the
-tree's demos.  Then compares every run's results.csv, fits.json and
-manifest.json, and every demo's stdout, byte for byte.  Prints each output
-that differs and exits 1 on any difference, 0 when all are the same; a run
-or demo that fails exits 1 with its stderr.  Standard library only; the
-outputs go to a temporary directory that is removed afterwards.
+(`qmemsim init-config`), runs the CLI runs of RUNS on it, replays the
+REPLAY run from its manifest (`run --from-manifest`), validates the
+VALIDATED runs' configs (`qmemsim validate`) and runs the tree's demos.
+Then compares the sample config file, every run's and the replay's
+results.csv, fits.json and manifest.json, every validate's stdout and
+every demo's stdout, byte for byte.  Prints each output that differs and
+exits 1 on any difference, 0 when all are the same; a command that fails
+exits 1 with its stderr.  Standard library only; the outputs go to a
+temporary directory that is removed afterwards.
 """
 
 import os
@@ -32,6 +35,10 @@ RUNS = [
     ("ringdown-bare", "frame = bare\n", ["--experiment", "ringdown"]),
 ]
 OUTPUTS = ("results.csv", "fits.json", "manifest.json")
+# the run replayed from its manifest, and the runs whose configs are
+# validated: the sample config and the sample with frame = bare
+REPLAY = "qpt-shots"
+VALIDATED = ("qpt", "ringdown-bare")
 
 
 def outputs(tree, work):
@@ -48,12 +55,20 @@ def outputs(tree, work):
     cli = [sys.executable, "-m", "qmemsim.cli"]
     run(cli + ["init-config", "sample.cfg"])
     sample = (work / "sample.cfg").read_text()
-    found = {}
-    for name, extra, args in RUNS:
+    found = {"init-config sample.cfg": (work / "sample.cfg").read_bytes()}
+    runs = [(name, ["--config", f"{name}.cfg", *args])
+            for name, _, args in RUNS]
+    runs.append((f"{REPLAY}-replay",
+                 ["--from-manifest", f"{REPLAY}/manifest.json"]))
+    for name, extra, _ in RUNS:
         (work / f"{name}.cfg").write_text(sample + extra)
-        run(cli + ["run", "--config", f"{name}.cfg", "--out", name, *args])
+    for name, args in runs:
+        run(cli + ["run", "--out", name, *args])
         for out in OUTPUTS:
             found[f"{name}/{out}"] = (work / name / out).read_bytes()
+    for name in VALIDATED:
+        found[f"validate {name}.cfg stdout"] = run(
+            cli + ["validate", "--config", f"{name}.cfg"])
     for demo in sorted((tree / "demos").glob("demo_*.py")):
         found[f"demos/{demo.name} stdout"] = run([sys.executable, str(demo)])
     return found
@@ -73,8 +88,10 @@ def main(argv):
     differ = [name for name in names if a.get(name) != b.get(name)]
     for name in differ:
         print(f"differs: {name}")
+    demos = sum(name.startswith("demos/") for name in names)
     print(f"{len(names) - len(differ)} of {len(names)} outputs byte-identical "
-          f"({len(RUNS)} runs, {len(names) - len(RUNS) * len(OUTPUTS)} demos)")
+          f"({len(RUNS)} runs, 1 replay, {len(VALIDATED)} validates, "
+          f"init-config, {demos} demos)")
     return 1 if differ else 0
 
 
