@@ -115,14 +115,14 @@ def ground_populations(p: DeviceParams, seqs, options: ProtocolOptions,
 
 
 def run_memory_protocol(p: DeviceParams, prep_angle=0.0, storage_delay=0.0,
-                        options: ProtocolOptions | None = None, cal=None):
+                        options: ProtocolOptions = ProtocolOptions(), cal=None):
     """Full storage/retrieval protocol; returns the retrieved p_g.  The
     one-point memory_sweep."""
     return memory_sweep(p, [prep_angle], [storage_delay], options, cal)[0]
 
 
 def memory_sweep(p: DeviceParams, angles, delays,
-                 options: ProtocolOptions | None = None, cal=None,
+                 options: ProtocolOptions = ProtocolOptions(), cal=None,
                  extra_segments=None):
     """The retrieved p_g at each (angle, delay) point, each bit for bit
     the one it gets alone, as the columns of one ground_populations call;
@@ -133,7 +133,6 @@ def memory_sweep(p: DeviceParams, angles, delays,
     points run whole sequences.  An empty angles or delays, an angle that
     is not finite or a delay that is not a finite time >= 0 us raises
     ParameterError naming it, before any calibration."""
-    options = options or ProtocolOptions()
     angles, delays = np.broadcast_arrays(_checked("angles", angles),
                                          _checked("delays", delays, 0.0))
     cal = cal or get_calibration(p, options)
@@ -163,9 +162,8 @@ def _storage_half(p, prep_angle, options, cal):
 
 
 def storage_state_after_half(p: DeviceParams, prep_angle=0.0,
-                             options: ProtocolOptions | None = None, cal=None):
+                             options: ProtocolOptions = ProtocolOptions(), cal=None):
     """Reduced storage-mode state right after the storage half."""
-    options = options or ProtocolOptions()
     cal = cal or get_calibration(p, options)
     return _storage_half(p, prep_angle, options, cal)[1].ptrace_storage()
 
@@ -257,9 +255,8 @@ def _delays(delays, default):
 
 
 def fock_decay_experiment(p: DeviceParams, delays=None,
-                          options: ProtocolOptions | None = None):
+                          options: ProtocolOptions = ProtocolOptions()):
     """Store Fock |1> (ground-state input), vary the idle delay, fit T1_s."""
-    options = options or ProtocolOptions()
     delays = _delays(delays, default_fock_delays())
     t1_expected = 1.0 / p.angular().k_s
     if delays.max() < 2.0 * t1_expected:
@@ -274,7 +271,7 @@ def fock_decay_experiment(p: DeviceParams, delays=None,
 
 
 def memory_ramsey_experiment(p: DeviceParams, delays=None, detuning=0.35,
-                             options: ProtocolOptions | None = None):
+                             options: ProtocolOptions = ProtocolOptions()):
     """Ramsey on the memory: prep pi/2, store, retrieve, analyze with a
     software-detuned pi/2.  detuning in MHz; fits a decaying cosine for T2_s.
 
@@ -282,7 +279,6 @@ def memory_ramsey_experiment(p: DeviceParams, delays=None, detuning=0.35,
     calibrated pulse carriers (Stark-shifted optimum) and the idle dressed
     frame, exactly like a lab LO mismatch; the T2 extraction is unaffected.
     """
-    options = options or ProtocolOptions()
     delays = _delays(delays, np.linspace(0.25, 21.0, 22))
     if not math.isfinite(detuning):
         raise ParameterError(f"detuning must be a finite frequency in MHz, "
@@ -308,7 +304,7 @@ def memory_ramsey_experiment(p: DeviceParams, delays=None, detuning=0.35,
 
 
 def mode_ringdown_experiment(p: DeviceParams, mode="readout",
-                             options: ProtocolOptions | None = None):
+                             options: ProtocolOptions = ProtocolOptions()):
     """Displace a cavity mode to a coherent amplitude near 0.45, switch the
     drive off and fit the free decay.
 
@@ -318,7 +314,6 @@ def mode_ringdown_experiment(p: DeviceParams, mode="readout",
     field-amplitude decay time (2/kappa) and the energy decay time
     (1/kappa).
     """
-    options = options or ProtocolOptions()
     a = p.angular()
     freqs = dressed_frequencies(p, options.dims)
     if mode == "readout":
@@ -369,7 +364,7 @@ class BsbComparison:
 
 
 def effective_bsb_check(p: DeviceParams, drives,
-                        options: ProtocolOptions | None = None):
+                        options: ProtocolOptions = ProtocolOptions()):
     """Drive a constant sideband tone at each drive amplitude (rad/us) and
     compare the extracted |g0> <-> |e1> oscillation rate with the
     closed-form effective coupling; returns one BsbComparison per drive.
@@ -390,7 +385,6 @@ def effective_bsb_check(p: DeviceParams, drives,
         if not 0.0 < drive < math.inf:
             raise ParameterError(f"each drive must be a finite amplitude > 0 "
                                  f"rad/us, got {drive:.6g}")
-    options = options or ProtocolOptions()
     dims = options.dims
     a = p.angular()
     if a.g > 0.2 * min(abs(a.w_q - a.w_s), abs(a.w_q - a.w_ro)):
@@ -407,8 +401,8 @@ def effective_bsb_check(p: DeviceParams, drives,
         times.append(np.linspace(0.0, seg.end, 91))   # 36 per swap period
     base = build_model(p, dims, frame=options.frame, noiseless=True)
     pops = np.split(pulses._probe_transfers(
-        base, segments, np.concatenate(times), PROBE_STEP, (0, 0, 0),
-        (0, 0, 0)), len(times))
+        base, segments, np.concatenate(times), PROBE_STEP, (0, 0, 0)),
+        len(times))
     out = []
     for t, pop, rate in zip(times, pops, predicted):
         fit = analysis.fit_decaying_cosine(t, pop)
@@ -456,12 +450,11 @@ def _z_fidelity(p, p_g, seq):
 
 
 def z_fidelity_sweep(p: DeviceParams, working_points=None,
-                     options: ProtocolOptions | None = None, fit=False):
+                     options: ProtocolOptions = ProtocolOptions(), fit=False):
     """Z fidelity and corrected Z fidelity versus protocol length, at zero
     storage delay.  The sideband calibrations run together
     (get_calibrations), and the protocols as the columns of one
     simulate_sequences call."""
-    options = options or ProtocolOptions()
     wps = default_working_points() if working_points is None else working_points
     if not wps:
         raise ParameterError("no working_points given; None runs the defaults")
@@ -484,7 +477,7 @@ def z_fidelity_sweep(p: DeviceParams, working_points=None,
 # process tomography of the memory channel
 # ---------------------------------------------------------------------------
 
-def memory_channel(p: DeviceParams, options: ProtocolOptions | None = None,
+def memory_channel(p: DeviceParams, options: ProtocolOptions = ProtocolOptions(),
                    cal=None):
     """The storage/retrieval protocol as a map on 2x2 qubit states.
 
@@ -494,7 +487,6 @@ def memory_channel(p: DeviceParams, options: ProtocolOptions | None = None,
     one 2x2 input, or a stack (k, 2, 2) of them, propagated as the columns
     of one simulate_sequences call.
     """
-    options = options or ProtocolOptions()
     cal = cal or get_calibration(p, options)
     seq = build_memory_sequence(0.0, 0.0, cal)
     dims = options.dims
@@ -521,7 +513,7 @@ def _sampled_output(block, shots, rng):
         [2.0 * rng.binomial(shots, up) / shots - 1.0 for up in ups])
 
 
-def qpt_experiment(p: DeviceParams, options: ProtocolOptions | None = None):
+def qpt_experiment(p: DeviceParams, options: ProtocolOptions = ProtocolOptions()):
     """Process tomography of the memory protocol; returns a dict with the
     chi matrix, raw and Z-optimized process fidelities and the Z fidelity at
     the same working point.
@@ -532,7 +524,6 @@ def qpt_experiment(p: DeviceParams, options: ProtocolOptions | None = None):
     as the columns of one call (memory_channel), and the Z fidelity's p_g
     is the exact ground population of the |g> input's output.
     """
-    options = options or ProtocolOptions()
     cal = get_calibration(p, options)
     outputs = memory_channel(p, options, cal)(np.array(tomography.INPUT_STATES))
     blocks = outputs if options.shots is None else [

@@ -231,19 +231,20 @@ def build_memory_sequence(prep_angle, storage_delay, cal,
 # pi-pulse calibration against the simulator
 # ---------------------------------------------------------------------------
 
-def _probe_transfers(base, segments, ends, dt, initial, target):
-    """Transfer probabilities of trial segments starting at 0 under the
-    noiseless frame base (a model with no sequence), segments[j] read at
-    ends[j], as the ket columns of one lindblad.propagate call from 0: the
-    ramps by DOP853, the plateaus exactly (stepped too in the lab frame,
-    which has no frame rotating with a probe's carriers), one model per
-    distinct segment.  dt is the largest step: propagate steps each ramp
-    at no more than its model's step bound, 13 steps per period of its
-    fastest carrier, which binds in the bare frame."""
+def _probe_transfers(base, segments, ends, dt, target):
+    """Transfer probabilities to target from the ground state of trial
+    segments starting at 0 under the noiseless frame base (a model with no
+    sequence), segments[j] read at ends[j], as the ket columns of one
+    lindblad.propagate call from 0: the ramps by DOP853, the plateaus
+    exactly (stepped too in the lab frame, which has no frame rotating with
+    a probe's carriers), one model per distinct segment.  dt is the largest
+    step: propagate steps each ramp at no more than its model's step bound,
+    13 steps per period of its fastest carrier, which binds in the bare
+    frame."""
     dims = base.dims
     models = {seg: base.with_sequence(PulseSequence((seg,)))
               for seg in dict.fromkeys(segments)}
-    psi = np.eye(dims.total)[:, [dims.index(*initial)] * len(segments)]
+    psi = np.eye(dims.total)[:, [dims.index(0, 0, 0)] * len(segments)]
     psi = lindblad.propagate([models[seg] for seg in segments], psi,
                              (0.0, ends), dt)
     return np.abs(psi[dims.index(*target)]) ** 2
@@ -296,14 +297,14 @@ def calibrate_pi_pulses(params: DeviceParams, dims, channel, amplitudes, *,
     if channel == QUBIT_CHANNEL:
         center = lindblad.dressed_frequencies(params, dims)[0]
         pi_width = math.pi / amps
-        initial, target = (0, 0, 0), (1, 0, 0)
+        target = (1, 0, 0)
         window = np.maximum(0.15 * amps, 2.0 * math.pi * 0.5)
         ramp_eq = _RAMP_TIME
     else:
         center = lindblad.two_photon_resonance(params, dims)
         omega_eff = bsb_effective_rate(params, amps, carrier=center)
         pi_width = math.pi / (2.0 * omega_eff)
-        initial, target = (0, 0, 0), (1, 1, 0)
+        target = (1, 1, 0)
         window = np.maximum(1.5 * omega_eff, 2.0 * math.pi * 0.3)
         ramp_eq = _RAMP_TIME_SQ
 
@@ -323,7 +324,7 @@ def calibrate_pi_pulses(params: DeviceParams, dims, channel, amplitudes, *,
                 for amp, pls, cs in zip(amps, plateau, carrier)
                 for pl, c in zip(pls, cs)]
         return _probe_transfers(base, segs, [s.end for s in segs], PROBE_STEP,
-                                initial, target).reshape(plateau.shape)
+                                target).reshape(plateau.shape)
 
     def peaks(xs, transfers):
         return np.array([_parabolic_peak(x, t) for x, t in zip(xs, transfers)])

@@ -112,16 +112,25 @@ def tensor_embed(op, slot, dims):
     return out.reshape(dims.total, dims.total)
 
 
+def check_physical(m, name):
+    """Raise DimensionError naming m unless it is a density matrix: trace 1
+    within 1e-8, Hermitian within 1e-10, and no eigenvalue of its Hermitian
+    part below -1e-9."""
+    tr = np.trace(m)
+    if abs(tr - 1.0) > 1e-8:
+        raise DimensionError(f"trace({name}) = {tr}, not 1 within 1e-8")
+    if np.max(np.abs(m - m.conj().T)) > 1e-10:
+        raise DimensionError(f"{name} is not Hermitian within 1e-10")
+    if np.min(np.linalg.eigvalsh(0.5 * (m + m.conj().T))) < -1e-9:
+        raise DimensionError(f"{name} has an eigenvalue below -1e-9")
+
+
 @dataclass
 class QuantumState:
     """Density matrix over the composite space, with its sanity checks."""
 
     rho: np.ndarray
     dims: SubsystemDims
-
-    TRACE_TOL = 1e-8
-    HERM_TOL = 1e-10
-    EIG_TOL = -1e-9
 
     def __post_init__(self):
         self.rho = np.asarray(self.rho, dtype=complex)
@@ -132,15 +141,7 @@ class QuantumState:
 
     def validate(self):
         """Raise if trace, Hermiticity or positivity are violated."""
-        tr = np.trace(self.rho)
-        if abs(tr - 1.0) > self.TRACE_TOL:
-            raise DimensionError(
-                f"trace(rho) = {tr}, drifted beyond {self.TRACE_TOL}")
-        if np.max(np.abs(self.rho - self.rho.conj().T)) > self.HERM_TOL:
-            raise DimensionError("rho is not Hermitian within tolerance")
-        if np.min(np.linalg.eigvalsh(0.5 * (self.rho + self.rho.conj().T))) \
-                < self.EIG_TOL:
-            raise DimensionError("rho has a negative eigenvalue beyond tolerance")
+        check_physical(self.rho, "rho")
         return self
 
     def ptrace_transmon(self):

@@ -187,8 +187,8 @@ def test_calibration_step_is_converged(monkeypatch, anchor_z_point,
     p_g = run_memory_protocol(P, 0.0, 0.0, OPTS, default_cal)
     probe = pulses._probe_transfers
 
-    def halved(base, segments, ends, dt, initial, target):
-        return probe(base, segments, ends, 0.5 * dt, initial, target)
+    def halved(base, segments, ends, dt, target):
+        return probe(base, segments, ends, 0.5 * dt, target)
 
     monkeypatch.setattr(pulses, "_probe_transfers", halved)
     fine = OPTS.replace(dt_pulse=0.5 * OPTS.dt_pulse)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qmemsim import tomography as tg
+from qmemsim.errors import DimensionError
 
 
 def amplitude_damping_channel(p):
@@ -160,6 +161,45 @@ def test_apply_z_rotation_matches_scan():
     rotated = tg.process_tomography(outputs(
         lambda rho: rz_theta @ apply_chi(chi, rho) @ rz_theta.conj().T))
     assert tg.process_fidelity(rotated) == pytest.approx(best, abs=1e-6)
+
+
+def random_chi(rng):
+    m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    chi = m @ m.conj().T
+    return tg.ChiMatrix(chi / np.trace(chi))
+
+
+def test_closed_form_z_optimum_beats_a_fine_scan():
+    # on random physical chi matrices no angle of a 1e-5 rad grid beats the
+    # closed-form optimum, and rotating the process by it reaches its value
+    rng = np.random.default_rng(11)
+    thetas = np.arange(0.0, 2.0 * math.pi, 1e-5)
+    c, s = np.cos(0.5 * thetas), np.sin(0.5 * thetas)
+    for _ in range(8):
+        chi = random_chi(rng)
+        theta, best = tg.fidelity_with_z_optimization(chi)
+        assert 0.0 <= theta <= 2.0 * math.pi
+        e = chi.entries
+        scan = (c**2 * e[0, 0].real + s**2 * e[3, 3].real
+                + 2.0 * c * s * e[3, 0].imag)
+        assert scan.max() <= best + 1e-15
+        assert best >= tg.process_fidelity(chi)
+        rz = np.diag([np.exp(-0.5j * theta), np.exp(0.5j * theta)])
+        rotated = tg.process_tomography(outputs(
+            lambda rho: rz @ apply_chi(chi, rho) @ rz.conj().T))
+        assert tg.process_fidelity(rotated) == pytest.approx(best, abs=1e-12)
+
+
+def test_chi_validate_refuses_a_process_that_is_not_physical():
+    good = tg.ChiMatrix(np.diag([0.7, 0.1, 0.1, 0.1]))
+    good.validate()
+    skew = good.entries.copy()
+    skew[0, 1] = 0.01
+    bad_trace = np.diag([0.7, 0.1, 0.1, 0.2])
+    negative = np.diag([0.8, 0.1, 0.1 + 1e-6, -1e-6])
+    for entries in (skew, bad_trace, negative):
+        with pytest.raises(DimensionError):
+            tg.ChiMatrix(entries).validate()
 
 
 def test_chi_export_dict_shape():
