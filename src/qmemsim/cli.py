@@ -22,9 +22,10 @@ argument with a value other than its default given beside
 config_text, run.dt_pulse_us or run.args, a truncation size below its
 minimum or a total dimension above DIM_CAP, a sweep that does not strictly
 increase or of a variable the experiment does not take, an unknown frame,
-a dt_pulse <= 0, shots or jobs < 1, a fit input that cannot be read, holds
-no rows or a value that is not finite, or whose x values do not strictly
-increase) with 2, before any simulation.
+a dt_pulse <= 0, shots or jobs < 1, a memory-protocol angle that is not
+finite or delay that is not a finite time >= 0, a fit input that cannot be
+read, holds no rows or a value that is not finite, or whose x values do not
+strictly increase) with 2, before any simulation.
 """
 
 import argparse
@@ -136,6 +137,11 @@ def run_experiment(p, options, args, sweep):
             angles, delays = grid, np.full(grid.size, args.delay)
         else:
             angles, delays = np.full(grid.size, args.prep_angle), grid
+        try:        # memory_sweep's own check, before the calibration
+            protocol._checked("angles", angles)
+            protocol._checked("delays", delays, 0.0)
+        except ParameterError as exc:
+            raise ConfigError(str(exc)) from exc
         # calibrate once here, for every chunk
         cal = protocol.get_calibration(p, options)
         n = min(args.jobs, grid.size)

@@ -1123,8 +1123,9 @@ def propagate(models, x, span, dt):
     trace (rho) or squared norm (ket) is checked against its entering value,
     and a drift beyond 1e-6 raises IntegrationError.  A dt that is not a
     positive finite number, a span that is not two finite times t0 <= t1,
-    or a model of another frame than models[0]'s raises ParameterError; an
-    x without one column per model, DimensionError.
+    a column of x that holds a value that is not finite, or a model of
+    another frame than models[0]'s raises ParameterError, before any window
+    runs; an x without one column per model, DimensionError.
     """
     _check_dt(dt)
     x = np.array(x, dtype=complex)
@@ -1150,6 +1151,9 @@ def propagate(models, x, span, dt):
         start = stop = np.nan
     if not np.all(np.isfinite(start) & np.isfinite(stop) & (start <= stop)):
         raise ParameterError(f"span must be two finite times t0 <= t1, got {span!r}")
+    bad = np.flatnonzero(~np.isfinite(x).all(axis=0))
+    if bad.size:
+        raise ParameterError(f"column {bad[0]} of x holds a value that is not finite")
     cuts = [_cuts(*column) for column in zip(models, start, stop)]
     width = max(map(len, cuts))
     edges = np.array([c + c[-1:] * (width - len(c)) for c in cuts]).T

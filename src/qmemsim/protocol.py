@@ -131,10 +131,16 @@ def memory_sweep(p: DeviceParams, angles, delays,
     readout marker.  Several points at one angle simulate their storage
     half once, and from there only their idle windows and retrievals; other
     points run whole sequences.  An empty angles or delays, an angle that
-    is not finite or a delay that is not a finite time >= 0 us raises
-    ParameterError naming it, before any calibration."""
-    angles, delays = np.broadcast_arrays(_checked("angles", angles),
-                                         _checked("delays", delays, 0.0))
+    is not finite, a delay that is not a finite time >= 0 us, or angles and
+    delays that do not broadcast raise ParameterError naming them, before
+    any calibration."""
+    angles, delays = _checked("angles", angles), _checked("delays", delays, 0.0)
+    try:
+        angles, delays = np.broadcast_arrays(angles, delays)
+    except ValueError:
+        raise ParameterError(f"angles ({angles.size}) and delays "
+                             f"({delays.size}) must have one length, or one "
+                             "of them a single value") from None
     cal = cal or get_calibration(p, options)
     seqs = [_memory_sequence(a, d, cal, extra)
             for a, d, extra in zip(angles, delays,

@@ -242,6 +242,29 @@ def test_bad_run_values_fail_before_simulating(tmp_path, sample_cfg, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags, name", [
+    (["--delay", "-1"], "delays"),
+    (["--delay", "nan"], "delays"),
+    (["--sweep", "delay=-1:1:3"], "delays"),
+    (["--sweep", "delay=3:4:2", "--prep-angle", "nan"], "angles"),
+])
+def test_bad_memory_protocol_points_are_usage_errors(tmp_path, sample_cfg,
+                                                     capsys, monkeypatch,
+                                                     flags, name):
+    # they failed with status 1 after the calibration had run
+    from qmemsim import cli, protocol
+
+    def calibrate(*args, **kwargs):
+        raise AssertionError("calibrated before checking the points")
+
+    monkeypatch.setattr(protocol, "get_calibration", calibrate)
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", sample_cfg, "--experiment",
+                     "memory-protocol", *flags, "--out", str(out)]) == 2
+    assert f"{name} must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_non_positive_config_dt_pulse_is_rejected(tmp_path, capsys):
     from qmemsim import cli
 

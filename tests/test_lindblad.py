@@ -465,6 +465,30 @@ def test_propagate_takes_a_span_of_two_finite_times():
             propagate([m, m], x, span, 1e-3)
 
 
+def test_propagate_refuses_a_column_that_is_not_finite(monkeypatch):
+    # a NaN column came back all NaN from an exact idle window, and on a
+    # ramp raised IntegrationError "trace drifted by nan" with wrong advice
+    p, dims = DeviceParams(), SubsystemDims(2, 2, 1)
+    m = build_model(p, dims)
+    seg = PulseSegment(QUBIT_CHANNEL, 50.0, p.angular().w_q, plateau=0.02)
+    driven = m.with_sequence(PulseSequence((seg,)))
+    x = np.tile(qsys.basis_state(dims, 1, 0, 0).rho.reshape(-1, 1), 2)
+
+    def no_window(*args):
+        raise AssertionError("ran a window before checking x")
+
+    monkeypatch.setattr(lindblad, "_exact", no_window)
+    monkeypatch.setattr(lindblad, "_stepped", no_window)
+    for model, span in ((m, (0.0, 1.0)), (driven, (0.0, seg.ramp))):
+        for bad in (math.nan, math.inf):
+            y = x.copy()
+            y[3, 1] = bad
+            with pytest.raises(ParameterError,
+                               match="^column 1 of x holds a value that is "
+                               "not finite"):
+                propagate([model, model], y, span, 1e-3)
+
+
 def test_evolve_takes_a_t_span_of_two_finite_times():
     # a NaN or infinite end raised IntegrationError "trace drifted by nan",
     # advising a step of nan us

@@ -282,6 +282,15 @@ def test_bad_protocol_points_are_refused_by_name_before_calibrating(
             run()
 
 
+def test_memory_sweep_names_points_that_do_not_broadcast(monkeypatch):
+    # numpy's bare "shape mismatch" ValueError named neither list
+    monkeypatch.setattr(protocol, "get_calibration", _no_calibration)
+    with pytest.raises(ParameterError,
+                       match=r"^angles \(2\) and delays \(3\) must have one "
+                       "length"):
+        memory_sweep(P, [0.0, 1.0], [1.0, 2.0, 3.0])
+
+
 def test_memory_ramsey_refuses_a_detuning_that_is_not_finite(monkeypatch):
     # NaN passed the fringe check and failed in the analysis pulse with an
     # IntegrationError whose advice was wrong

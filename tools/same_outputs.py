@@ -33,6 +33,11 @@ RUNS = [
     ("memory-protocol-delays", "", ["--experiment", "memory-protocol",
                                     "--sweep", "delay=3:4.5:2", "--jobs", "2"]),
     ("ringdown-bare", "frame = bare\n", ["--experiment", "ringdown"]),
+    ("memory-protocol-dt", "", ["--experiment", "memory-protocol",
+                                "--sweep", "delay=3:4.5:2", "--dt", "1"]),
+    # runs in order, so it fits the fock-decay run's results
+    ("fit", "", ["--experiment", "fit", "--fit-model", "exponential",
+                 "--input", "fock-decay/results.csv"]),
 ]
 OUTPUTS = ("results.csv", "fits.json", "manifest.json")
 # the run replayed from its manifest, and the runs whose configs are
