@@ -113,9 +113,9 @@ def tensor_embed(op, slot, dims):
 
 
 def check_physical(m, name):
-    """Raise DimensionError naming m unless it is a density matrix: trace 1
-    within 1e-8, Hermitian within 1e-10, and no eigenvalue of its Hermitian
-    part below -1e-9."""
+    """Raise DimensionError, naming m as name, unless m is a density
+    matrix: trace 1 within 1e-8, Hermitian within 1e-10, and no eigenvalue
+    of its Hermitian part below -1e-9."""
     tr = np.trace(m)
     if abs(tr - 1.0) > 1e-8:
         raise DimensionError(f"trace({name}) = {tr}, not 1 within 1e-8")

@@ -226,6 +226,15 @@ def test_validate_accepts_any_step_for_bare_frame(tmp_path):
     (["--experiment", "qpt", "--shots", "-3"], "shots"),
     (["--experiment", "memory-protocol", "--jobs", "-1"], "--jobs"),
     (["--experiment", "memory-protocol", "--jobs", "0"], "--jobs"),
+    # bad memory-protocol points failed with status 1 after calibrating
+    (["--experiment", "memory-protocol", "--delay", "-1"],
+     "delays must be finite"),
+    (["--experiment", "memory-protocol", "--delay", "nan"],
+     "delays must be finite"),
+    (["--experiment", "memory-protocol", "--sweep", "delay=-1:1:3"],
+     "delays must be finite"),
+    (["--experiment", "memory-protocol", "--sweep", "delay=3:4:2",
+      "--prep-angle", "nan"], "angles must be finite"),
 ])
 def test_bad_run_values_fail_before_simulating(tmp_path, sample_cfg, capsys,
                                                monkeypatch, flags, name):
@@ -239,29 +248,6 @@ def test_bad_run_values_fail_before_simulating(tmp_path, sample_cfg, capsys,
     assert cli.main(["run", "--config", sample_cfg, *flags,
                      "--out", str(out)]) == 2
     assert name in capsys.readouterr().err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("flags, name", [
-    (["--delay", "-1"], "delays"),
-    (["--delay", "nan"], "delays"),
-    (["--sweep", "delay=-1:1:3"], "delays"),
-    (["--sweep", "delay=3:4:2", "--prep-angle", "nan"], "angles"),
-])
-def test_bad_memory_protocol_points_are_usage_errors(tmp_path, sample_cfg,
-                                                     capsys, monkeypatch,
-                                                     flags, name):
-    # they failed with status 1 after the calibration had run
-    from qmemsim import cli, protocol
-
-    def calibrate(*args, **kwargs):
-        raise AssertionError("calibrated before checking the points")
-
-    monkeypatch.setattr(protocol, "get_calibration", calibrate)
-    out = tmp_path / "out"
-    assert cli.main(["run", "--config", sample_cfg, "--experiment",
-                     "memory-protocol", *flags, "--out", str(out)]) == 2
-    assert f"{name} must be finite" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -260,14 +260,17 @@ def _no_calibration(*args):
 
 def test_bad_protocol_points_are_refused_by_name_before_calibrating(
         monkeypatch):
-    # an empty list raised propagate's DimensionError, and a NaN delay its
-    # span error after the calibrations had run
+    # an empty list raised propagate's DimensionError, a NaN delay its span
+    # error after the calibrations had run, and points that do not
+    # broadcast numpy's bare ValueError
     monkeypatch.setattr(protocol, "get_calibration", _no_calibration)
     cases = [
         (lambda: memory_sweep(P, [], []), "no angles given"),
         (lambda: memory_sweep(P, 0.0, [], OPTS), "no delays given"),
         (lambda: memory_sweep(P, [0.0, math.nan], 1.0), "angles must be finite"),
         (lambda: memory_sweep(P, -math.inf, 1.0), "angles must be finite"),
+        (lambda: memory_sweep(P, [0.0, 1.0], [1.0, 2.0, 3.0]),
+         r"angles \(2\) and delays \(3\) must have one length"),
         (lambda: run_memory_protocol(P, 0.0, math.nan),
          r"delays must be finite and >= 0"),
         (lambda: run_memory_protocol(P, 0.0, math.inf), "delays must be"),
@@ -280,15 +283,6 @@ def test_bad_protocol_points_are_refused_by_name_before_calibrating(
     for run, message in cases:
         with pytest.raises(ParameterError, match=f"^{message}"):
             run()
-
-
-def test_memory_sweep_names_points_that_do_not_broadcast(monkeypatch):
-    # numpy's bare "shape mismatch" ValueError named neither list
-    monkeypatch.setattr(protocol, "get_calibration", _no_calibration)
-    with pytest.raises(ParameterError,
-                       match=r"^angles \(2\) and delays \(3\) must have one "
-                       "length"):
-        memory_sweep(P, [0.0, 1.0], [1.0, 2.0, 3.0])
 
 
 def test_memory_ramsey_refuses_a_detuning_that_is_not_finite(monkeypatch):
