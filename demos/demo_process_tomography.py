@@ -14,11 +14,11 @@ p = DeviceParams()
 opts = protocol.ProtocolOptions()
 
 print("running the four tomography inputs through the protocol...")
-out = protocol.qpt_experiment(p, opts)
-chi = out["chi"]
+rec = protocol.qpt_experiment(p, opts)
+out = rec.fits["process_fidelity"]
 
 print("\n|chi| in the (I, X, Y, Z) basis")
-for row in np.abs(chi.entries):
+for row in rec.extra["chi"]["abs"]:
     print("  " + "  ".join(f"{v:6.4f}" for v in row))
 
 print(f"\nraw process fidelity      {out['f_qpt_raw']:.4f}")

@@ -39,25 +39,13 @@ from dataclasses import astuple, fields
 
 import numpy as np
 
-from . import __version__, analysis, protocol, tomography
+from . import __version__, analysis, protocol
 from .config import (load_run_settings, parse_run_settings, parse_value,
                      write_sample_config)
 from .device import bsb_frequency, purcell_limit
 from .errors import ConfigError, ParameterError, QmemError
 from .qsys import DIM_CAP
 from .units import GHZ, MHZ, TWO_PI
-
-EXPERIMENTS = ("memory-protocol", "fock-decay", "memory-ramsey", "ringdown",
-               "zfidelity-sweep", "bsb-check", "qpt", "fit")
-
-# the --sweep variables each experiment takes; the others take no --sweep
-SWEEP_VARIABLES = {
-    "memory-protocol": ("prep_angle", "prep_angle_rad", "delay", "delay_us"),
-    "fock-decay": ("delay", "delay_us"),
-    "memory-ramsey": ("delay", "delay_us"),
-    "zfidelity-sweep": ("bsb_amp_ghz",),
-    "bsb-check": ("omega_drv_ghz",),
-}
 
 FIT_MODELS = {
     "exponential": analysis.fit_exponential,
@@ -127,104 +115,97 @@ def _options_from_args(dims, run_kw, args):
         raise ConfigError(str(exc)) from exc
 
 
+def _memory_protocol(r):
+    """memory_sweep in r.jobs chunks that share one calibration."""
+    var, grid = r.sweep or ("prep_angle", np.linspace(0, 2 * math.pi, 13))
+    if var in ("prep_angle", "prep_angle_rad"):
+        angles, delays = grid, np.full(grid.size, r.delay)
+    else:
+        angles, delays = np.full(grid.size, r.prep_angle), grid
+    try:        # memory_sweep's own check, before the calibration
+        protocol._checked("angles", angles)
+        protocol._checked("delays", delays, 0.0)
+    except ParameterError as exc:
+        raise ConfigError(str(exc)) from exc
+    cal = protocol.get_calibration(r.p, r.options)
+    n = min(r.jobs, grid.size)
+    chunks = [(r.p, a, d, r.options, cal) for a, d in
+              zip(np.array_split(angles, n), np.array_split(delays, n))]
+    pgs = np.concatenate(_pmap(_protocol_point, chunks, r.jobs))
+    return protocol.ExperimentRecord(
+        sweep_variable=var, observable="p_g", xs=grid, ys=pgs)
+
+
+def _bsb_check(r):
+    """effective_bsb_check's record, whose xs are the GHz grid bit for bit."""
+    grid = r.sweep[1] if r.sweep else np.array([1.2e3, 2.0e3, 3.4e3]) / 1e3
+    checks = protocol.effective_bsb_check(r.p, TWO_PI * 1e3 * grid, r.options)
+    rates = np.array([c.measured_rate for c in checks])
+    fits = {}
+    if len(grid) >= 3:
+        slope = float(np.polyfit(np.log(grid), np.log(rates), 1)[0])
+        fits["drive_scaling"] = {"log_log_slope": slope}
+    return protocol.ExperimentRecord(
+        sweep_variable="omega_drv_ghz",
+        observable="measured_rate_mhz", xs=grid, ys=rates / MHZ,
+        columns={"predicted_rate_mhz":
+                 np.array([c.predicted_rate for c in checks]) / MHZ,
+                 "ratio": np.array([c.ratio for c in checks])},
+        fits=fits)
+
+
+def _fit(r):
+    """The r.fit_model fit of the x,y rows of the CSV file r.input."""
+    if not r.input:
+        raise ConfigError("--experiment fit requires --input CSV")
+    try:
+        with warnings.catch_warnings():
+            # a file without rows is reported below
+            warnings.simplefilter("ignore", UserWarning)
+            data = np.loadtxt(r.input, delimiter=",", skiprows=1, ndmin=2)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read --input {r.input!r}: {exc}") from exc
+    if data.size == 0 or data.shape[1] < 2:
+        raise ConfigError(f"--input {r.input!r} must hold x,y rows "
+                          "under a header line")
+    if not np.all(np.isfinite(data[:, :2])):
+        raise ConfigError(f"--input {r.input!r}: every x and y value "
+                          "must be finite")
+    if np.any(np.diff(data[:, 0]) <= 0):
+        raise ConfigError(f"--input {r.input!r}: the x values must "
+                          "strictly increase")
+    fit = FIT_MODELS[r.fit_model](data[:, 0], data[:, 1])
+    return protocol.ExperimentRecord(
+        sweep_variable="x", observable="y", xs=data[:, 0], ys=data[:, 1],
+        fits={r.fit_model: fit})
+
+
+# name: (runner, the --sweep variables it takes, the run flags it reads);
+# a runner takes the run's arguments with p, options and the parsed sweep
+EXPERIMENTS = {
+    "memory-protocol": (_memory_protocol, ("prep_angle", "prep_angle_rad",
+                        "delay", "delay_us"), ("jobs", "delay", "prep_angle")),
+    "fock-decay": (lambda r: protocol.fock_decay_experiment(
+        r.p, r.sweep and r.sweep[1], r.options), ("delay", "delay_us"), ()),
+    "memory-ramsey": (lambda r: protocol.memory_ramsey_experiment(
+        r.p, r.sweep and r.sweep[1], r.detuning, r.options),
+        ("delay", "delay_us"), ("detuning",)),
+    "ringdown": (lambda r: protocol.mode_ringdown_experiment(
+        r.p, r.mode, r.options), (), ("mode",)),
+    "zfidelity-sweep": (lambda r: protocol.z_fidelity_sweep(r.p, r.sweep and [
+        protocol.WorkingPoint(TWO_PI * 1e3 * a) for a in r.sweep[1]],
+        r.options, fit=r.fit_leakage), ("bsb_amp_ghz",), ("fit_leakage",)),
+    "bsb-check": (_bsb_check, ("omega_drv_ghz",), ()),
+    "qpt": (lambda r: protocol.qpt_experiment(r.p, r.options), (), ("shots",)),
+    "fit": (_fit, (), ("fit_model", "input")),
+}
+
+
 def run_experiment(p, options, args, sweep):
-    """Dispatch one experiment; returns (ExperimentRecord, manifest extra)."""
-    name = args.experiment
-
-    if name == "memory-protocol":
-        var, grid = sweep if sweep else ("prep_angle", np.linspace(0, 2 * math.pi, 13))
-        if var in ("prep_angle", "prep_angle_rad"):
-            angles, delays = grid, np.full(grid.size, args.delay)
-        else:
-            angles, delays = np.full(grid.size, args.prep_angle), grid
-        try:        # memory_sweep's own check, before the calibration
-            protocol._checked("angles", angles)
-            protocol._checked("delays", delays, 0.0)
-        except ParameterError as exc:
-            raise ConfigError(str(exc)) from exc
-        # calibrate once here, for every chunk
-        cal = protocol.get_calibration(p, options)
-        n = min(args.jobs, grid.size)
-        chunks = [(p, a, d, options, cal) for a, d in
-                  zip(np.array_split(angles, n), np.array_split(delays, n))]
-        pgs = np.concatenate(_pmap(_protocol_point, chunks, args.jobs))
-        return protocol.ExperimentRecord(
-            sweep_variable=var, observable="p_g", xs=grid, ys=pgs), {}
-
-    if name == "fock-decay":
-        delays = sweep[1] if sweep else None
-        return protocol.fock_decay_experiment(p, delays, options), {}
-
-    if name == "memory-ramsey":
-        delays = sweep[1] if sweep else None
-        return protocol.memory_ramsey_experiment(p, delays, args.detuning,
-                                                 options), {}
-
-    if name == "ringdown":
-        return (protocol.mode_ringdown_experiment(p, args.mode, options),
-                {"mode": args.mode})
-
-    if name == "zfidelity-sweep":
-        wps = None
-        if sweep:
-            wps = [protocol.WorkingPoint(TWO_PI * 1e3 * a) for a in sweep[1]]
-        return protocol.z_fidelity_sweep(p, wps, options, fit=args.fit_leakage), {}
-
-    if name == "bsb-check":
-        grid = sweep[1] if sweep else np.array([1.2e3, 2.0e3, 3.4e3]) / 1e3
-        checks = protocol.effective_bsb_check(p, TWO_PI * 1e3 * grid, options)
-        rates = np.array([c.measured_rate for c in checks])
-        fits = {}
-        if len(grid) >= 3:
-            slope = float(np.polyfit(np.log(grid), np.log(rates), 1)[0])
-            fits["drive_scaling"] = {"log_log_slope": slope}
-        return protocol.ExperimentRecord(
-            sweep_variable="omega_drv_ghz",
-            observable="measured_rate_mhz", xs=grid, ys=rates / MHZ,
-            columns={"predicted_rate_mhz":
-                     np.array([c.predicted_rate for c in checks]) / MHZ,
-                     "ratio": np.array([c.ratio for c in checks])},
-            fits=fits), {}
-
-    if name == "qpt":
-        out = protocol.qpt_experiment(p, options)
-        chi = out["chi"]
-        fits = {"process_fidelity": {
-            key: out[key] for key in ("f_qpt", "f_qpt_raw", "z_rotation_rad",
-                                      "f_z", "t_p_us")}}
-        return protocol.ExperimentRecord(
-            sweep_variable="chi_index", observable="abs_chi",
-            # scalar abs: numpy's vectorized complex abs differs in the last bit
-            xs=np.arange(16), ys=[abs(c) for c in chi.entries.ravel()],
-            fits=fits), {"chi": tomography.chi_export_dict(chi)}
-
-    if name == "fit":
-        if not args.input:
-            raise ConfigError("--experiment fit requires --input CSV")
-        try:
-            with warnings.catch_warnings():
-                # a file without rows is reported below
-                warnings.simplefilter("ignore", UserWarning)
-                data = np.loadtxt(args.input, delimiter=",", skiprows=1,
-                                  ndmin=2)
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"cannot read --input {args.input!r}: {exc}") \
-                from exc
-        if data.size == 0 or data.shape[1] < 2:
-            raise ConfigError(f"--input {args.input!r} must hold x,y rows "
-                              "under a header line")
-        if not np.all(np.isfinite(data[:, :2])):
-            raise ConfigError(f"--input {args.input!r}: every x and y value "
-                              "must be finite")
-        if np.any(np.diff(data[:, 0]) <= 0):
-            raise ConfigError(f"--input {args.input!r}: the x values must "
-                              "strictly increase")
-        fit = FIT_MODELS[args.fit_model](data[:, 0], data[:, 1])
-        return protocol.ExperimentRecord(
-            sweep_variable="x", observable="y", xs=data[:, 0], ys=data[:, 1],
-            fits={args.fit_model: fit}), {}
-
-    raise ConfigError(f"unknown experiment {name!r}")
+    """The ExperimentRecord of args.experiment's runner in EXPERIMENTS."""
+    r = argparse.Namespace(**{**vars(args), "p": p, "options": options,
+                              "sweep": sweep})
+    return EXPERIMENTS[args.experiment][0](r)
 
 
 def _read_manifest(path):
@@ -275,18 +256,19 @@ def cmd_run(args):
             config_text = f.read()
         p, dims, run_kw = parse_run_settings(config_text, args.config)
 
-    if args.experiment is None:
-        raise ConfigError("--experiment is required")
+    if args.experiment not in EXPERIMENTS:
+        raise ConfigError("--experiment is required" if args.experiment is None
+                          else f"unknown experiment {args.experiment!r}")
 
     sweep = _parse_sweep(args.sweep) if args.sweep else None
-    accepted = SWEEP_VARIABLES.get(args.experiment, ())
+    accepted = EXPERIMENTS[args.experiment][1]
     if sweep and sweep[0] not in accepted:
         raise ConfigError(
             f"{args.experiment} cannot sweep {sweep[0]!r}; it takes "
             + (" or ".join(accepted) if accepted else "no --sweep"))
     options = _options_from_args(dims, run_kw, args)
 
-    rec, extra = run_experiment(p, options, args, sweep)
+    rec = run_experiment(p, options, args, sweep)
 
     os.makedirs(args.out, exist_ok=True)
     rec.to_csv(os.path.join(args.out, "results.csv"))
@@ -302,8 +284,8 @@ def cmd_run(args):
             "args": {key: getattr(args, key) for key in RECORDED_ARGS},
         },
     }
-    if extra:
-        manifest["extra"] = extra
+    if rec.extra:
+        manifest["extra"] = rec.extra
     _write_json(os.path.join(args.out, "manifest.json"), manifest)
     return 0
 

@@ -180,8 +180,8 @@ def storage_state_after_half(p: DeviceParams, prep_angle=0.0,
 
 @dataclass
 class ExperimentRecord:
-    """Tabulated sweep output plus fits: what results.csv and fits.json
-    hold."""
+    """Tabulated sweep output, fits and JSON-ready extras: what
+    results.csv, fits.json and the manifest's extra hold."""
 
     sweep_variable: str
     observable: str
@@ -189,6 +189,7 @@ class ExperimentRecord:
     ys: np.ndarray
     columns: dict = field(default_factory=dict)
     fits: dict = field(default_factory=dict)
+    extra: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.xs = np.asarray(self.xs, dtype=float)
@@ -353,7 +354,8 @@ def mode_ringdown_experiment(p: DeviceParams, mode="readout",
     return ExperimentRecord(
         sweep_variable="t_us", observable="field_amplitude", xs=t, ys=amp_abs,
         columns={"n": n_vals},
-        fits={"amplitude_decay": fit_amp, "energy_decay": fit_n})
+        fits={"amplitude_decay": fit_amp, "energy_decay": fit_n},
+        extra={"mode": mode})
 
 
 # ---------------------------------------------------------------------------
@@ -520,9 +522,9 @@ def _sampled_output(block, shots, rng):
 
 
 def qpt_experiment(p: DeviceParams, options: ProtocolOptions = ProtocolOptions()):
-    """Process tomography of the memory protocol; returns a dict with the
-    chi matrix, raw and Z-optimized process fidelities and the Z fidelity at
-    the same working point.
+    """Process tomography of the memory protocol; returns the record of
+    |chi| by chi index, its process_fidelity fit (raw and Z-optimized
+    fidelities, Z rotation, Z fidelity and t_p) and chi as its extra.
 
     With options.shots set, each output is reconstructed from binomially
     sampled Pauli expectations (normalized, seeded by options.seed and the
@@ -542,11 +544,11 @@ def qpt_experiment(p: DeviceParams, options: ProtocolOptions = ProtocolOptions()
     p_g = float(np.real(outputs[0][0, 0]))          # |g><g|
     t_p, f_z, _ = _z_fidelity(
         p, p_g, build_memory_sequence(0.0, 0.0, cal))
-    return {
-        "chi": chi,
-        "f_qpt_raw": f_raw,
-        "f_qpt": f_opt,
-        "z_rotation_rad": theta,
-        "f_z": f_z,
-        "t_p_us": t_p,
-    }
+    return ExperimentRecord(
+        sweep_variable="chi_index", observable="abs_chi",
+        # scalar abs: numpy's vectorized complex abs differs in the last bit
+        xs=np.arange(16), ys=[abs(c) for c in chi.entries.ravel()],
+        fits={"process_fidelity": {
+            "f_qpt_raw": f_raw, "f_qpt": f_opt, "z_rotation_rad": theta,
+            "f_z": f_z, "t_p_us": t_p}},
+        extra={"chi": tomography.chi_export_dict(chi)})

@@ -120,7 +120,7 @@ def test_criterion_09_process_tomography(anchor_z_point):
     assert tomography.process_fidelity(chi_id) == pytest.approx(1.0, abs=1e-10)
 
     opts = OPTS.replace(bsb_amplitude=ANCHOR_POINT.bsb_amplitude)
-    out = protocol.qpt_experiment(P, opts)
+    out = protocol.qpt_experiment(P, opts).fits["process_fidelity"]
     diff = abs(out["f_qpt"] - out["f_z"])
     assert diff <= 0.08
     report(9, f"F_QPT = {out['f_qpt']:.3f} vs F_Z = {out['f_z']:.3f} "

@@ -176,8 +176,13 @@ def test_pulse_step_is_converged_on_lifetime_and_process(fock_record):
     t1_fine = fock_decay_experiment(P, options=fine).fits["T1_s"].params["T"]
     assert abs(t1_fine / t1 - 1.0) < 1e-8
     qpt, qpt_fine = (protocol.qpt_experiment(P, o) for o in (OPTS, fine))
-    assert abs(qpt_fine["f_qpt"] - qpt["f_qpt"]) < 1e-8
-    assert np.max(np.abs(qpt_fine["chi"].entries - qpt["chi"].entries)) < 1e-8
+    f_qpt, f_qpt_fine = (rec.fits["process_fidelity"]["f_qpt"]
+                         for rec in (qpt, qpt_fine))
+    assert abs(f_qpt_fine - f_qpt) < 1e-8
+    chi, chi_fine = (np.array(rec.extra["chi"]["real"])
+                     + 1j * np.array(rec.extra["chi"]["imag"])
+                     for rec in (qpt, qpt_fine))
+    assert np.max(np.abs(chi_fine - chi)) < 1e-8
 
 
 def test_calibration_step_is_converged(monkeypatch, anchor_z_point,
@@ -348,7 +353,8 @@ def test_qpt_simulates_each_tomography_input_once(monkeypatch):
     assert calls == [4]
     # F_Z comes from the unsampled |g> output, also with shots set
     f_z = z_fidelity_sweep(P, [WorkingPoint(OPTS.bsb_amplitude)], OPTS).ys[0]
-    assert out["f_z"] == pytest.approx(f_z, rel=0, abs=1e-12)
+    assert out.fits["process_fidelity"]["f_z"] == pytest.approx(
+        f_z, rel=0, abs=1e-12)
 
 
 def test_batched_qpt_inputs_equal_single_inputs(default_cal):

@@ -59,8 +59,9 @@ def test_z_fidelity_at_anchor_point(anchor_z_point):
 
 
 def test_process_tomography_at_default_options():
-    out = protocol.qpt_experiment(DeviceParams(), ProtocolOptions())
+    rec = protocol.qpt_experiment(DeviceParams(), ProtocolOptions())
+    out = rec.fits["process_fidelity"]
     assert out["f_qpt"] == pytest.approx(F_QPT, rel=0, abs=1e-6)
     assert out["f_qpt_raw"] == pytest.approx(F_QPT_RAW, rel=0, abs=1e-6)
-    assert np.abs(out["chi"].entries).ravel() == pytest.approx(ABS_CHI, rel=0,
-                                                               abs=1e-6)
+    assert np.ravel(rec.extra["chi"]["abs"]) == pytest.approx(ABS_CHI, rel=0,
+                                                              abs=1e-6)
