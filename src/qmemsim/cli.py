@@ -4,7 +4,9 @@
     qmemsim validate --config sample.cfg
 
 `run` executes one named experiment and writes results.csv, fits.json and
-manifest.json into the output directory.  Reruns with identical
+manifest.json into the output directory: run_experiment runs its row of
+EXPERIMENTS, the one table of experiments, and returns one
+ExperimentRecord, whose extra the manifest stores.  Reruns with identical
 configuration and seed are byte-identical, and `run --from-manifest
 <manifest.json>` reproduces a previous run at the pulse step it recorded
 (run.dt_pulse_us), with the recorded arguments (RECORDED_ARGS) and the
@@ -21,11 +23,14 @@ argument with a value other than its default given beside
 --from-manifest, a manifest that cannot be read, is not JSON or lacks
 config_text, run.dt_pulse_us or run.args, a truncation size below its
 minimum or a total dimension above DIM_CAP, a sweep that does not strictly
-increase or of a variable the experiment does not take, an unknown frame,
-a dt_pulse <= 0, shots or jobs < 1, a memory-protocol angle that is not
-finite or delay that is not a finite time >= 0, a fit input that cannot be
-read, holds no rows or a value that is not finite, or whose x values do not
-strictly increase) with 2, before any simulation.
+increase or of a variable the experiment does not take, a flag that some
+experiments read given away from its default to one that does not read it
+(memory-protocol reads --delay under a prep-angle sweep, its default, and
+--prep-angle under a delay sweep; in a manifest's run.args too), an
+unknown frame, a dt_pulse <= 0, shots or jobs < 1, a memory-protocol angle
+that is not finite or delay that is not a finite time >= 0, a fit input
+that cannot be read, holds no rows or a value that is not finite, or whose
+x values do not strictly increase) with 2, before any simulation.
 """
 
 import argparse
@@ -118,13 +123,10 @@ def _options_from_args(dims, run_kw, args):
 def _memory_protocol(r):
     """memory_sweep in r.jobs chunks that share one calibration."""
     var, grid = r.sweep or ("prep_angle", np.linspace(0, 2 * math.pi, 13))
-    if var in ("prep_angle", "prep_angle_rad"):
-        angles, delays = grid, np.full(grid.size, r.delay)
-    else:
-        angles, delays = np.full(grid.size, r.prep_angle), grid
+    angles, delays = ((grid, r.delay) if var.startswith("prep_angle")
+                      else (r.prep_angle, grid))
     try:        # memory_sweep's own check, before the calibration
-        protocol._checked("angles", angles)
-        protocol._checked("delays", delays, 0.0)
+        angles, delays = protocol.sweep_points(angles, delays)
     except ParameterError as exc:
         raise ConfigError(str(exc)) from exc
     cal = protocol.get_calibration(r.p, r.options)
@@ -229,12 +231,12 @@ def _read_manifest(path):
 
 
 def cmd_run(args):
+    defaults = vars(build_parser().parse_args(["run"]))
     if args.from_manifest:
-        defaults = build_parser().parse_args(["run"])
         # the manifest holds the config too
         given = ["--" + key.replace("_", "-")
                  for key in ("config",) + RECORDED_ARGS
-                 if getattr(args, key) != getattr(defaults, key)]
+                 if getattr(args, key) != defaults[key]]
         if given:
             raise ConfigError(f"--from-manifest replays the recorded run "
                               f"arguments; drop {', '.join(given)}")
@@ -261,11 +263,22 @@ def cmd_run(args):
                           else f"unknown experiment {args.experiment!r}")
 
     sweep = _parse_sweep(args.sweep) if args.sweep else None
-    accepted = EXPERIMENTS[args.experiment][1]
+    _, accepted, reads = EXPERIMENTS[args.experiment]
     if sweep and sweep[0] not in accepted:
         raise ConfigError(
             f"{args.experiment} cannot sweep {sweep[0]!r}; it takes "
             + (" or ".join(accepted) if accepted else "no --sweep"))
+    # a flag some experiment reads, away from its default, must be read by
+    # this one; the swept variable (the row's first without --sweep) stands
+    # in for the flag it names, with or without its unit
+    swept = sweep[0] if sweep else next(iter(accepted), "")
+    some = {flag for _, _, flags in EXPERIMENTS.values() for flag in flags}
+    unread = ["--" + key.replace("_", "-") for key in defaults
+              if key in some and getattr(args, key) != defaults[key]
+              and (key not in reads or swept.startswith(key))]
+    if unread:
+        raise ConfigError(f"{args.experiment} does not read "
+                          + ", ".join(unread))
     options = _options_from_args(dims, run_kw, args)
 
     rec = run_experiment(p, options, args, sweep)

@@ -130,17 +130,9 @@ def memory_sweep(p: DeviceParams, angles, delays,
     point of segments (e.g. a trailing analysis pulse) appended before the
     readout marker.  Several points at one angle simulate their storage
     half once, and from there only their idle windows and retrievals; other
-    points run whole sequences.  An empty angles or delays, an angle that
-    is not finite, a delay that is not a finite time >= 0 us, or angles and
-    delays that do not broadcast raise ParameterError naming them, before
-    any calibration."""
-    angles, delays = _checked("angles", angles), _checked("delays", delays, 0.0)
-    try:
-        angles, delays = np.broadcast_arrays(angles, delays)
-    except ValueError:
-        raise ParameterError(f"angles ({angles.size}) and delays "
-                             f"({delays.size}) must have one length, or one "
-                             "of them a single value") from None
+    points run whole sequences.  The points are checked (sweep_points)
+    before any calibration."""
+    angles, delays = sweep_points(angles, delays)
     cal = cal or get_calibration(p, options)
     seqs = [_memory_sequence(a, d, cal, extra)
             for a, d, extra in zip(angles, delays,
@@ -149,6 +141,20 @@ def memory_sweep(p: DeviceParams, angles, delays,
         t_half, half = _storage_half(p, angles[0], options, cal)
         return ground_populations(p, seqs, options, [half] * len(seqs), t_half)
     return ground_populations(p, seqs, options)
+
+
+def sweep_points(angles, delays):
+    """angles and delays as broadcast float arrays; an empty angles or
+    delays, an angle that is not finite, a delay that is not a finite time
+    >= 0 us, or angles and delays that do not broadcast raise
+    ParameterError naming them."""
+    angles, delays = _checked("angles", angles), _checked("delays", delays, 0.0)
+    try:
+        return np.broadcast_arrays(angles, delays)
+    except ValueError:
+        raise ParameterError(f"angles ({angles.size}) and delays "
+                             f"({delays.size}) must have one length, or one "
+                             "of them a single value") from None
 
 
 def _memory_sequence(prep_angle, storage_delay, cal, extra_segments=()):
@@ -381,7 +387,7 @@ def effective_bsb_check(p: DeviceParams, drives,
     comparison isolates the rate rather than a detuning.  Each noiseless
     tone lasts 2.5 of its swap periods and is sampled 36 times per period:
     91 copies of each drive's tone, each read at one sample time, are the
-    columns of one pulses._probe_transfers call on the noiseless frame of
+    columns of one pulses.probe_transfers call on the noiseless frame of
     options.frame and options.dims, whose ramps step at pulses.PROBE_STEP
     as every calibration probe's do (or at the model's step bound where
     that is finer).  Each drive's rate comes from its own fit, and each
@@ -408,7 +414,7 @@ def effective_bsb_check(p: DeviceParams, drives,
         segments += [seg] * 91
         times.append(np.linspace(0.0, seg.end, 91))   # 36 per swap period
     base = build_model(p, dims, frame=options.frame, noiseless=True)
-    pops = np.split(pulses._probe_transfers(
+    pops = np.split(pulses.probe_transfers(
         base, segments, np.concatenate(times), PROBE_STEP, (0, 0, 0)),
         len(times))
     out = []

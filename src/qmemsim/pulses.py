@@ -231,7 +231,7 @@ def build_memory_sequence(prep_angle, storage_delay, cal,
 # pi-pulse calibration against the simulator
 # ---------------------------------------------------------------------------
 
-def _probe_transfers(base, segments, ends, dt, target):
+def probe_transfers(base, segments, ends, dt, target):
     """Transfer probabilities to target from the ground state of trial
     segments starting at 0 under the noiseless frame base (a model with no
     sequence), segments[j] read at ends[j], as the ket columns of one
@@ -281,7 +281,7 @@ def calibrate_pi_pulses(params: DeviceParams, dims, channel, amplitudes, *,
     noiseless frame is built once; each of the five stages (9 and 5
     carriers, 9 and 5 plateaus, the final pulse) drives it with the trial
     pulses of every amplitude, all with DEFAULT_RISE ramps, as the ket
-    columns of one lindblad.propagate call (_probe_transfers): their ramps
+    columns of one lindblad.propagate call (probe_transfers): their ramps
     by DOP853 at PROBE_STEP, 25/12 ns on both channels, or at the probe
     model's step bound where that is finer (13 steps per period of its
     fastest carrier: about 3e-5 us in the bare frame, whose GHz-scale
@@ -323,8 +323,8 @@ def calibrate_pi_pulses(params: DeviceParams, dims, channel, amplitudes, *,
         segs = [PulseSegment(QUBIT_CHANNEL, amp, c, plateau=pl, start=0.0)
                 for amp, pls, cs in zip(amps, plateau, carrier)
                 for pl, c in zip(pls, cs)]
-        return _probe_transfers(base, segs, [s.end for s in segs], PROBE_STEP,
-                                target).reshape(plateau.shape)
+        return probe_transfers(base, segs, [s.end for s in segs], PROBE_STEP,
+                               target).reshape(plateau.shape)
 
     def peaks(xs, transfers):
         return np.array([_parabolic_peak(x, t) for x, t in zip(xs, transfers)])

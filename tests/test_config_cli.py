@@ -235,6 +235,26 @@ def test_validate_accepts_any_step_for_bare_frame(tmp_path):
      "delays must be finite"),
     (["--experiment", "memory-protocol", "--sweep", "delay=3:4:2",
       "--prep-angle", "nan"], "angles must be finite"),
+    # a flag the experiment does not read was dropped without a word, and
+    # a nan one written to the manifest as invalid JSON
+    (["--experiment", "memory-protocol", "--prep-angle", "nan"],
+     "memory-protocol does not read --prep-angle"),
+    (["--experiment", "memory-protocol", "--sweep", "delay=3:4:2",
+      "--delay", "1"], "memory-protocol does not read --delay"),
+    (["--experiment", "fock-decay", "--mode", "storage", "--input", "d.csv"],
+     "fock-decay does not read --mode, --input"),
+    (["--experiment", "memory-ramsey", "--jobs", "2"],
+     "memory-ramsey does not read --jobs"),
+    (["--experiment", "ringdown", "--detuning", "1"],
+     "ringdown does not read --detuning"),
+    (["--experiment", "zfidelity-sweep", "--shots", "10"],
+     "zfidelity-sweep does not read --shots"),
+    (["--experiment", "bsb-check", "--fit-leakage"],
+     "bsb-check does not read --fit-leakage"),
+    (["--experiment", "qpt", "--fit-model", "lorentzian", "--delay", "3"],
+     "qpt does not read --delay, --fit-model"),
+    (["--experiment", "fit", "--prep-angle", "1"],
+     "fit does not read --prep-angle"),
 ])
 def test_bad_run_values_fail_before_simulating(tmp_path, sample_cfg, capsys,
                                                monkeypatch, flags, name):
@@ -243,7 +263,9 @@ def test_bad_run_values_fail_before_simulating(tmp_path, sample_cfg, capsys,
     def simulate(*args, **kwargs):
         raise AssertionError("simulated before rejecting the run values")
 
-    monkeypatch.setattr(protocol, "get_calibration", simulate)
+    for fn in ("get_calibration", "get_calibrations", "simulate_sequence",
+               "simulate_sequences", "effective_bsb_check"):
+        monkeypatch.setattr(protocol, fn, simulate)
     out = tmp_path / "out"
     assert cli.main(["run", "--config", sample_cfg, *flags,
                      "--out", str(out)]) == 2
@@ -481,6 +503,28 @@ def test_recorded_arguments_beside_a_manifest_are_a_usage_error(
     assert capsys.readouterr().err == (
         "error: --from-manifest replays the recorded run arguments; "
         f"drop {named}\n")
+    assert not out.exists()
+
+
+def test_manifest_with_an_unread_argument_fails_to_replay(tmp_path, capsys,
+                                                         monkeypatch):
+    # run.args that give the experiment a flag it does not read, away from
+    # its default, replay to the usage error of that flag on the command line
+    from qmemsim import cli, protocol
+
+    def simulate(*args, **kwargs):
+        raise AssertionError("simulated before rejecting the manifest")
+
+    monkeypatch.setattr(protocol, "get_calibration", simulate)
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({
+        "config_text": sample_text(),
+        "run": {"dt_pulse_us": 2e-4, "args": {
+            "experiment": "qpt", "shots": 500, "mode": "storage"}}}))
+    out = tmp_path / "out"
+    assert cli.main(["run", "--from-manifest", str(path),
+                     "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: qpt does not read --mode\n"
     assert not out.exists()
 
 

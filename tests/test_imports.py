@@ -364,6 +364,51 @@ def test_routing_check_flags_calls():
                      ("max_step", 5)]
 
 
+def _private(name):
+    return name.startswith("_") and not name.endswith("__")
+
+
+def _private_reads(tree):
+    """(name, line) of each private name of another module that the tree
+    reads: `module._name` of a module it imports, or `from module import
+    _name`."""
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                if isinstance(node, ast.ImportFrom) and _private(alias.name):
+                    yield f"{node.module or '.'}.{alias.name}", node.lineno
+                if isinstance(node, ast.Import) or not node.module:
+                    modules.add(alias.asname or alias.name.split(".")[0])
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and _private(node.attr) \
+                and getattr(node.value, "id", None) in modules:
+            yield f"{node.value.id}.{node.attr}", node.lineno
+
+
+def test_no_module_reads_another_modules_private_name():
+    # a private name is its module's own to change; a second module that
+    # reads one depends on what its owner may rename or drop unseen
+    reads = [f"{path.name}: {name} (line {line})" for path in MODULES
+             for name, line in _private_reads(ast.parse(path.read_text()))]
+    assert not reads, f"private names read across modules: {reads}"
+
+
+def test_private_name_check_flags_reads():
+    tree = ast.parse("import numpy as np\n"
+                     "from . import __version__, pulses\n"
+                     "from .lindblad import _block_expm, propagate\n"
+                     "pulses._probe_transfers(base)\n"
+                     "pulses.probe_transfers(base)\n"
+                     "np._core\n"
+                     "self._cache = obj._field\n"
+                     "def _own():\n"
+                     "    return _own, pulses.__name__\n")
+    assert sorted(_private_reads(tree), key=lambda read: read[1]) == [
+        ("lindblad._block_expm", 3), ("pulses._probe_transfers", 4),
+        ("np._core", 6)]
+
+
 # a window's support: the table restricted to it, and the conjugate halves
 # that a window of Hermitian columns cuts it to and mirrors back
 SUPPORT = ("restricted", "kept", "mirrored", "partner")

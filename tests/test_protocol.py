@@ -190,12 +190,12 @@ def test_calibration_step_is_converged(monkeypatch, anchor_z_point,
     # halving every probe's step recalibrates both pulses; with dt_pulse
     # halved too, the headline numbers stay within their pinned tolerance
     p_g = run_memory_protocol(P, 0.0, 0.0, OPTS, default_cal)
-    probe = pulses._probe_transfers
+    probe = pulses.probe_transfers
 
     def halved(base, segments, ends, dt, target):
         return probe(base, segments, ends, 0.5 * dt, target)
 
-    monkeypatch.setattr(pulses, "_probe_transfers", halved)
+    monkeypatch.setattr(pulses, "probe_transfers", halved)
     fine = OPTS.replace(dt_pulse=0.5 * OPTS.dt_pulse)
     assert abs(run_memory_protocol(P, 0.0, 0.0, fine) - p_g) < 1e-6
     f_z = z_fidelity_sweep(P, [WorkingPoint(TWO_PI * 6.0e3)], fine).ys[0]
@@ -408,8 +408,8 @@ def test_z_sweep_runs_its_protocols_and_calibrations_batched(monkeypatch,
     # probe calls (the qubit calibration is the one given)
     monkeypatch.setattr(protocol, "calibrate_pi_pulse",
                         lambda *args, **kw: default_cal.qubit)
-    calls = {"propagate": [], "_probe_transfers": []}
-    for module, name in ((protocol, "propagate"), (pulses, "_probe_transfers")):
+    calls = {"propagate": [], "probe_transfers": []}
+    for module, name in ((protocol, "propagate"), (pulses, "probe_transfers")):
         def count(*args, name=name, fn=getattr(module, name)):
             calls[name].append(None)
             return fn(*args)
@@ -417,7 +417,7 @@ def test_z_sweep_runs_its_protocols_and_calibrations_batched(monkeypatch,
     wps = [WorkingPoint(TWO_PI * a) for a in (12.0e3, 7.0e3, 4.6e3)]
     z_fidelity_sweep(P, wps, OPTS)
     assert len(calls["propagate"]) == 1
-    assert len(calls["_probe_transfers"]) == 5
+    assert len(calls["probe_transfers"]) == 5
 
 
 def test_sequences_with_different_layouts_run_in_one_call(default_cal):

@@ -142,8 +142,8 @@ def test_bare_frame_probe_steps_under_its_carrier_bound():
     pi = PulseSegment(QUBIT_CHANNEL, amp, dressed_frequencies(p, dims)[0],
                       plateau=math.pi / amp - 2.0 * pulses._RAMP_AREA * 0.01)
     bare, dispersive = (
-        pulses._probe_transfers(build_model(p, dims, frame, noiseless=True),
-                                [pi], [pi.end], 1e-4, (1, 0, 0))[0]
+        pulses.probe_transfers(build_model(p, dims, frame, noiseless=True),
+                               [pi], [pi.end], 1e-4, (1, 0, 0))[0]
         for frame in ("bare", "dispersive"))
     assert bare > 0.999 and dispersive > 0.999
     assert abs(bare - dispersive) < 1e-3
@@ -293,7 +293,7 @@ def test_calibration_builds_one_frame(monkeypatch):
 
 
 def test_calibration_flags_weak_transfer(monkeypatch):
-    monkeypatch.setattr(pulses, "_probe_transfers",
+    monkeypatch.setattr(pulses, "probe_transfers",
                         lambda base, segments, *a: np.full(len(segments), 0.3))
     with pytest.raises(CalibrationError):
         calibrate_pi_pulse(DeviceParams(), SubsystemDims(2, 2, 1),
@@ -324,8 +324,8 @@ def test_ket_probes_match_density_matrix_evolution():
     bsb = PulseSegment(QUBIT_CHANNEL, TWO_PI * 5.1e3,
                        two_photon_resonance(p, dims), plateau=0.1)
     for segment, target, dt in ((qubit, (1, 0, 0), 1e-4), (bsb, E1, 5e-4)):
-        got = pulses._probe_transfers(build_model(p, dims, noiseless=True),
-                                      [segment], [segment.end], dt, target)
+        got = pulses.probe_transfers(build_model(p, dims, noiseless=True),
+                                     [segment], [segment.end], dt, target)
         ref = rho_transfer(p, dims, segment, "dispersive", dt, G, target)
         assert ref > 0.5
         assert got[0] == pytest.approx(ref, rel=0, abs=1e-9)
@@ -337,8 +337,8 @@ def test_ket_probes_match_density_matrix_evolution():
     model = build_model(p, dims, "bare").with_sequence(PulseSequence((segment,)))
     assert any(term.segment is None for term in model.terms)
     dt = model.max_step()
-    got = pulses._probe_transfers(build_model(p, dims, "bare", noiseless=True),
-                                  [segment], [segment.end], dt, (1, 0, 0))
+    got = pulses.probe_transfers(build_model(p, dims, "bare", noiseless=True),
+                                 [segment], [segment.end], dt, (1, 0, 0))
     ref = rho_transfer(p, dims, segment, "bare", dt, G, (1, 0, 0))
     assert ref > 0.1
     assert got[0] == pytest.approx(ref, rel=0, abs=1e-9)
@@ -368,8 +368,8 @@ def test_exact_probe_plateaus_match_fine_rk4():
         plateau = (segment.start + segment.ramp, segment.end - segment.ramp)
         assert model.carrier_frame(*plateau) is not None
         dt = dt or model.max_step(per_period=40.0) / 16.0
-        got = pulses._probe_transfers(base, [segment], [segment.end], dt,
-                                      target)
+        got = pulses.probe_transfers(base, [segment], [segment.end], dt,
+                                     target)
         terms = model.active_terms(segment.start, segment.end)
         psi = lindblad._stepped(
             lindblad.LiouvilleTable(model, terms, ket=True),
@@ -390,8 +390,8 @@ def test_exact_probe_plateaus_match_fine_rk4():
                            plateau=0.05, rise=0.01)
     base = build_model(p, dims, "lab", noiseless=True)
     model = base.with_sequence(PulseSequence((segment,)))
-    got = pulses._probe_transfers(base, [segment], [segment.end], 1e-4,
-                                  (1, 0, 0))
+    got = pulses.probe_transfers(base, [segment], [segment.end], 1e-4,
+                                 (1, 0, 0))
     edges = (segment.start, segment.start + segment.ramp,
              segment.end - segment.ramp, segment.end)
     assert model.carrier_frame(*edges[1:3]) is None

@@ -35,6 +35,13 @@ RUNS = [
     ("ringdown-bare", "frame = bare\n", ["--experiment", "ringdown"]),
     ("memory-protocol-dt", "", ["--experiment", "memory-protocol",
                                 "--sweep", "delay=3:4.5:2", "--dt", "1"]),
+    ("fock-decay-sweep", "", ["--experiment", "fock-decay",
+                              "--sweep", "delay=3:16:8"]),
+    ("zfidelity-sweep-amps", "", ["--experiment", "zfidelity-sweep",
+                                  "--sweep", "bsb_amp_ghz=4:6:3"]),
+    ("memory-protocol-angle", "", ["--experiment", "memory-protocol",
+                                   "--sweep", "delay=3:4.5:2",
+                                   "--prep-angle", "1.5"]),
     # runs in order, so it fits the fock-decay run's results
     ("fit", "", ["--experiment", "fit", "--fit-model", "exponential",
                  "--input", "fock-decay/results.csv"]),
