@@ -553,7 +553,7 @@ def qpt_experiment(p: DeviceParams, options: ProtocolOptions = ProtocolOptions()
     return ExperimentRecord(
         sweep_variable="chi_index", observable="abs_chi",
         # scalar abs: numpy's vectorized complex abs differs in the last bit
-        xs=np.arange(16), ys=[abs(c) for c in chi.entries.ravel()],
+        xs=np.arange(16), ys=[abs(c) for c in chi.ravel()],
         fits={"process_fidelity": {
             "f_qpt_raw": f_raw, "f_qpt": f_opt, "z_rotation_rad": theta,
             "f_z": f_z, "t_p_us": t_p}},

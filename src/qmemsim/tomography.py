@@ -9,15 +9,16 @@ Process fidelity against the ideal (identity) channel is the II element of
 chi.  The memory protocol imparts a deterministic frame phase, so the
 fidelity is also reported after optimizing a single Z rotation, whose
 optimum is closed-form (fidelity_with_z_optimization).
+
+A chi matrix is a plain (4, 4) complex ndarray, which qsys.check_physical
+checks; the system process_tomography inverts is built once, at import.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, ParameterError
-from .qsys import check_physical
+from .errors import ParameterError
 
 I2 = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -34,6 +35,11 @@ KET_PLUS_I = np.array([1.0, 1.0j], dtype=complex) / math.sqrt(2.0)
 INPUT_STATES = tuple(np.outer(k, k.conj())
                      for k in (KET_G, KET_E, KET_PLUS, KET_PLUS_I))
 
+# the 16 equations sum_mn chi_mn P_m rho_k P_n = E(rho_k): row (k, i, j),
+# column (m, n) holds (P_m rho_k P_n)[i, j]; condition number 3.2
+_CHI_SYSTEM = np.einsum("mab,kbc,ncd->kadmn", PAULIS, INPUT_STATES,
+                        PAULIS).reshape(16, 16)
+
 
 def state_tomography(bloch):
     """Reconstruct rho = (I + xX + yY + zZ)/2 from the Bloch vector
@@ -46,23 +52,6 @@ def state_tomography(bloch):
     if norm > 1.0:
         r = r / norm
     return 0.5 * (I2 + r[0] * PAULI_X + r[1] * PAULI_Y + r[2] * PAULI_Z)
-
-
-@dataclass
-class ChiMatrix:
-    """Process matrix in the Pauli basis."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        self.entries = np.asarray(self.entries, dtype=complex)
-        if self.entries.shape != (4, 4):
-            raise DimensionError("chi matrix must be 4x4")
-
-    def validate(self):
-        """Raise if trace, Hermiticity or positivity are violated."""
-        check_physical(self.entries, "chi")
-        return self
 
 
 def _physicality_projection(chi):
@@ -84,26 +73,20 @@ def process_tomography(outputs):
     INPUT_STATES[k].  The 16 linear equations sum_mn chi_mn P_m rho_k P_n =
     E(rho_k) are solved directly (Chuang & Nielsen, J. Mod. Opt. 44, 2455
     (1997)), then the result is projected onto the physical (Hermitian,
-    positive, unit-trace) cone.  Deterministic.
+    positive, unit-trace) cone, a (4, 4) complex ndarray.  Deterministic.
     """
-    # row (k, i, j), column (m, n): (P_m rho_k P_n)[i, j]
-    a_mat = np.einsum("mab,kbc,ncd->kadmn", PAULIS, INPUT_STATES,
-                      PAULIS).reshape(16, 16)
-    b_vec = np.asarray(outputs, dtype=complex).reshape(16)
-    try:
-        chi_vec = np.linalg.solve(a_mat, b_vec)
-    except np.linalg.LinAlgError as exc:
-        raise ParameterError(f"chi reconstruction is singular: {exc}") from exc
-    return ChiMatrix(_physicality_projection(chi_vec.reshape(4, 4)))
+    chi = np.linalg.solve(_CHI_SYSTEM,
+                          np.asarray(outputs, dtype=complex).reshape(16))
+    return _physicality_projection(chi.reshape(4, 4))
 
 
-def process_fidelity(chi: ChiMatrix):
+def process_fidelity(chi):
     """F = trace(chi @ chi_ideal) for the ideal identity channel: the II
     element of chi."""
-    return float(np.real(chi.entries[0, 0]))
+    return float(np.real(chi[0, 0]))
 
 
-def fidelity_with_z_optimization(chi: ChiMatrix):
+def fidelity_with_z_optimization(chi):
     """Best identity-process fidelity over a single Z-rotation of the output,
     as (theta_best, fidelity).
 
@@ -112,17 +95,17 @@ def fidelity_with_z_optimization(chi: ChiMatrix):
     c00 = Re chi_II, c33 = Re chi_ZZ and c30 = Im chi_ZI, whose maximum is
     closed-form.  Never smaller than the raw fidelity c00.
     """
-    c00, c33 = float(chi.entries[0, 0].real), float(chi.entries[3, 3].real)
-    c30 = float(chi.entries[3, 0].imag)
+    c00, c33 = float(chi[0, 0].real), float(chi[3, 3].real)
+    c30 = float(chi[3, 0].imag)
     theta = math.atan2(c30, 0.5 * (c00 - c33)) % (2.0 * math.pi)
     return theta, 0.5 * (c00 + c33) + math.hypot(0.5 * (c00 - c33), c30)
 
 
-def chi_export_dict(chi: ChiMatrix):
+def chi_export_dict(chi):
     """JSON-ready real/imaginary parts plus |chi_ij| rows for CSV plotting."""
     return {
         "basis": ["I", "X", "Y", "Z"],
-        "real": np.real(chi.entries).tolist(),
-        "imag": np.imag(chi.entries).tolist(),
-        "abs": np.abs(chi.entries).tolist(),
+        "real": np.real(chi).tolist(),
+        "imag": np.imag(chi).tolist(),
+        "abs": np.abs(chi).tolist(),
     }

@@ -570,9 +570,6 @@ UNCALLED_ON_PURPOSE = {
     "qsys.QuantumState.validate":
         "the density-matrix invariant check, run by test_qsys, for callers "
         "that hand states between windows",
-    "tomography.ChiMatrix.validate":
-        "the chi-matrix invariant check, run by test_tomography, for callers "
-        "that build chi by hand",
     "config.device_params_to_config":
         "the inverse of the config parser, whose round trip the config "
         "tests pin",

@@ -5,6 +5,7 @@ import pytest
 
 from qmemsim import tomography as tg
 from qmemsim.errors import DimensionError
+from qmemsim.qsys import check_physical
 
 
 def amplitude_damping_channel(p):
@@ -25,7 +26,7 @@ def chi_from_kraus(kraus_ops):
         k = np.asarray(k, dtype=complex)
         c = np.array([np.trace(p.conj().T @ k) / 2.0 for p in tg.PAULIS])
         chi += np.outer(c, c.conj())
-    return tg.ChiMatrix(chi)
+    return chi
 
 
 def outputs(channel):
@@ -35,7 +36,7 @@ def outputs(channel):
 
 def apply_chi(chi, rho):
     """The channel of a chi matrix on a 2x2 rho: sum_mn chi_mn P_m rho P_n."""
-    return sum(chi.entries[m, n] * (tg.PAULIS[m] @ rho @ tg.PAULIS[n])
+    return sum(chi[m, n] * (tg.PAULIS[m] @ rho @ tg.PAULIS[n])
                for m in range(4) for n in range(4))
 
 
@@ -62,9 +63,10 @@ def test_identity_channel_chi():
     chi = tg.process_tomography(tg.INPUT_STATES)
     expected = np.zeros((4, 4))
     expected[0, 0] = 1.0
-    assert np.max(np.abs(chi.entries - expected)) < 1e-10
+    assert chi.shape == (4, 4) and chi.dtype == complex
+    assert np.max(np.abs(chi - expected)) < 1e-10
     assert tg.process_fidelity(chi) == pytest.approx(1.0, abs=1e-10)
-    chi.validate()
+    check_physical(chi, "chi")
 
 
 def test_depolarizing_channel_chi():
@@ -72,7 +74,7 @@ def test_depolarizing_channel_chi():
         return np.trace(rho) * np.eye(2) / 2.0
 
     chi = tg.process_tomography(outputs(depolarize))
-    assert np.max(np.abs(chi.entries - np.eye(4) / 4.0)) < 1e-10
+    assert np.max(np.abs(chi - np.eye(4) / 4.0)) < 1e-10
     assert tg.process_fidelity(chi) == pytest.approx(0.25, abs=1e-10)
 
 
@@ -81,7 +83,7 @@ def test_amplitude_damping_matches_kraus_oracle(p):
     channel, kraus = amplitude_damping_channel(p)
     chi = tg.process_tomography(outputs(channel))
     oracle = chi_from_kraus(kraus)
-    assert np.max(np.abs(chi.entries - oracle.entries)) < 1e-8
+    assert np.max(np.abs(chi - oracle)) < 1e-8
 
 
 def test_chi_matches_the_elementwise_system_bit_for_bit():
@@ -104,7 +106,13 @@ def test_chi_matches_the_elementwise_system_bit_for_bit():
                 row += 1
     chi = tg._physicality_projection(
         np.linalg.solve(a_mat, b_vec).reshape(4, 4))
-    assert np.array_equal(tg.process_tomography(outs).entries, chi)
+    assert np.array_equal(tg.process_tomography(outs), chi)
+
+
+def test_chi_system_is_well_conditioned():
+    # the inputs span the 2x2 operators, so the system is never singular
+    # and process_tomography solves it with no handler
+    assert np.linalg.cond(tg._CHI_SYSTEM) < 4.0
 
 
 def test_unitary_channel_is_rank_one():
@@ -112,7 +120,7 @@ def test_unitary_channel_is_rank_one():
     u = np.array([[math.cos(theta), -math.sin(theta)],
                   [math.sin(theta), math.cos(theta)]], dtype=complex)
     chi = tg.process_tomography(outputs(lambda rho: u @ rho @ u.conj().T))
-    evals = np.linalg.eigvalsh(chi.entries)
+    evals = np.linalg.eigvalsh(chi)
     assert evals[-1] == pytest.approx(1.0, abs=1e-10)
     assert evals[-2] < 1e-8
 
@@ -122,7 +130,7 @@ def test_composition_with_identity():
     chi_direct = tg.process_tomography(outputs(channel))
     chi_composed = tg.process_tomography(
         outputs(lambda rho: channel(1.0 * rho)))
-    assert np.max(np.abs(chi_direct.entries - chi_composed.entries)) < 1e-10
+    assert np.max(np.abs(chi_direct - chi_composed)) < 1e-10
 
 
 def test_process_fidelity_bounded():
@@ -130,7 +138,7 @@ def test_process_fidelity_bounded():
     for _ in range(20):
         m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         chi_raw = m @ m.conj().T
-        chi = tg.ChiMatrix(chi_raw / np.trace(chi_raw))
+        chi = chi_raw / np.trace(chi_raw)
         f = tg.process_fidelity(chi)
         assert f <= 1.0 + 1e-9
     # equality for the identity channel
@@ -166,7 +174,7 @@ def test_apply_z_rotation_matches_scan():
 def random_chi(rng):
     m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     chi = m @ m.conj().T
-    return tg.ChiMatrix(chi / np.trace(chi))
+    return chi / np.trace(chi)
 
 
 def test_closed_form_z_optimum_beats_a_fine_scan():
@@ -179,9 +187,8 @@ def test_closed_form_z_optimum_beats_a_fine_scan():
         chi = random_chi(rng)
         theta, best = tg.fidelity_with_z_optimization(chi)
         assert 0.0 <= theta <= 2.0 * math.pi
-        e = chi.entries
-        scan = (c**2 * e[0, 0].real + s**2 * e[3, 3].real
-                + 2.0 * c * s * e[3, 0].imag)
+        scan = (c**2 * chi[0, 0].real + s**2 * chi[3, 3].real
+                + 2.0 * c * s * chi[3, 0].imag)
         assert scan.max() <= best + 1e-15
         assert best >= tg.process_fidelity(chi)
         rz = np.diag([np.exp(-0.5j * theta), np.exp(0.5j * theta)])
@@ -191,15 +198,15 @@ def test_closed_form_z_optimum_beats_a_fine_scan():
 
 
 def test_chi_validate_refuses_a_process_that_is_not_physical():
-    good = tg.ChiMatrix(np.diag([0.7, 0.1, 0.1, 0.1]))
-    good.validate()
-    skew = good.entries.copy()
+    good = np.diag([0.7, 0.1, 0.1, 0.1]).astype(complex)
+    check_physical(good, "chi")
+    skew = good.copy()
     skew[0, 1] = 0.01
     bad_trace = np.diag([0.7, 0.1, 0.1, 0.2])
     negative = np.diag([0.8, 0.1, 0.1 + 1e-6, -1e-6])
     for entries in (skew, bad_trace, negative):
         with pytest.raises(DimensionError):
-            tg.ChiMatrix(entries).validate()
+            check_physical(entries, "chi")
 
 
 def test_chi_export_dict_shape():
