@@ -18,22 +18,25 @@ sample config its results.csv values move by at most 1.4e-7
 (memory-protocol) and 4.3e-6 (memory-ramsey), about the former probes'
 own error, not bit for bit.
 Physics or fit failures exit with status 1, usage errors (unknown
-experiment, missing config or --experiment, --config or a recorded
-argument with a value other than its default given beside
---from-manifest, a manifest that cannot be read, is not JSON or lacks
-config_text, run.dt_pulse_us or run.args, a truncation size below its
-minimum or a total dimension above DIM_CAP, a sweep that does not strictly
-increase or of a variable the experiment does not take, a flag that some
-experiments read given away from its default to one that does not read it
+experiment, missing config or --experiment, --config or a recorded argument
+with a value other than its default given beside --from-manifest, a
+manifest that cannot be read, is not JSON or lacks config_text,
+run.dt_pulse_us or run.args, a run.args value that its flag's parser
+refuses or reads as another value, a truncation size below its minimum or a
+total dimension above DIM_CAP, a sweep that does not strictly increase or
+of a variable the experiment does not take, a flag that some experiments
+read given away from its default to one that does not read it
 (memory-protocol reads --delay under a prep-angle sweep, its default, and
---prep-angle under a delay sweep; in a manifest's run.args too), an
-unknown frame, a dt_pulse <= 0, shots or jobs < 1, a memory-protocol angle
-that is not finite or delay that is not a finite time >= 0, a fit input
-that cannot be read, holds no rows or a value that is not finite, or whose
-x values do not strictly increase) with 2, before any simulation.
+--prep-angle under a delay sweep; in a manifest's run.args too), an unknown
+frame, a dt_pulse <= 0, shots or jobs < 1, an angle or --detuning that is
+not finite, a delay that is not a finite time >= 0, a fit input that cannot
+be read, holds no rows or a value that is not finite, or whose x values do
+not strictly increase) with 2, before any simulation.
 """
 
 import argparse
+import contextlib
+import io
 import json
 import math
 import os
@@ -103,21 +106,29 @@ def _pmap(fn, items, jobs):
         return list(pool.map(fn, items))
 
 
+def _usage(check, *args, **kw):
+    """check(*args, **kw), a ParameterError from it a usage error."""
+    try:
+        return check(*args, **kw)
+    except ParameterError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def _options_from_args(dims, run_kw, args):
-    """The run's ProtocolOptions; a value it rejects, or --jobs < 1, is a
-    usage error."""
+    """The run's ProtocolOptions; a value it rejects, --jobs < 1 or a
+    --detuning that is not finite is a usage error."""
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
+    if not math.isfinite(args.detuning):
+        raise ConfigError(f"--detuning must be a finite frequency in MHz, "
+                          f"got {args.detuning!r}")
     kw = dict(run_kw, seed=args.seed)
     if args.dt is not None:
         # same exact conversion as `dt_pulse = <dt> ns` in a config file
         kw["dt_pulse"] = parse_value("dt_pulse", f"{args.dt!r} ns")
     if args.shots is not None:
         kw["shots"] = args.shots
-    try:
-        return protocol.ProtocolOptions(dims=dims, **kw)
-    except ParameterError as exc:
-        raise ConfigError(str(exc)) from exc
+    return _usage(protocol.ProtocolOptions, dims=dims, **kw)
 
 
 def _memory_protocol(r):
@@ -125,10 +136,8 @@ def _memory_protocol(r):
     var, grid = r.sweep or ("prep_angle", np.linspace(0, 2 * math.pi, 13))
     angles, delays = ((grid, r.delay) if var.startswith("prep_angle")
                       else (r.prep_angle, grid))
-    try:        # memory_sweep's own check, before the calibration
-        angles, delays = protocol.sweep_points(angles, delays)
-    except ParameterError as exc:
-        raise ConfigError(str(exc)) from exc
+    # memory_sweep's own check, before the calibration
+    angles, delays = _usage(protocol.sweep_points, angles, delays)
     cal = protocol.get_calibration(r.p, r.options)
     n = min(r.jobs, grid.size)
     chunks = [(r.p, a, d, r.options, cal) for a, d in
@@ -230,6 +239,26 @@ def _read_manifest(path):
     return manifest
 
 
+def _replayed(args, recorded, path):
+    """args with each value of recorded, a manifest's run.args, as the run
+    parser reads its flag; one the parser refuses or reads as another value
+    is a ConfigError naming path and its key."""
+    args = argparse.Namespace(**vars(args))
+    for key in sorted(recorded.keys() & RECORDED_ARGS):
+        value, flag = recorded[key], "--" + key.replace("_", "-")
+        argv = [] if value is None or value is False else [
+            flag if value is True else f"{flag}={value}"]
+        # argparse prints its usage and exits on a value it refuses
+        with contextlib.redirect_stderr(io.StringIO()), \
+                contextlib.suppress(SystemExit):
+            setattr(args, key, getattr(build_parser().parse_args(
+                ["run", *argv]), key))
+        if getattr(args, key) != value:
+            raise ConfigError(f"manifest {path!r}: run.args.{key} = {value!r} "
+                              f"is not a value of {flag}")
+    return args
+
+
 def cmd_run(args):
     defaults = vars(build_parser().parse_args(["run"]))
     if args.from_manifest:
@@ -245,10 +274,7 @@ def cmd_run(args):
         p, dims, run_kw = parse_run_settings(config_text, args.from_manifest)
         # the step the run used, whatever the default is now
         run_kw["dt_pulse"] = manifest["run"]["dt_pulse_us"]
-        recorded = manifest["run"]["args"]
-        args = argparse.Namespace(**vars(args))
-        for key in recorded.keys() & RECORDED_ARGS:
-            setattr(args, key, recorded[key])
+        args = _replayed(args, manifest["run"]["args"], args.from_manifest)
     else:
         if not args.config:
             raise ConfigError("--config is required (or --from-manifest)")
@@ -258,9 +284,8 @@ def cmd_run(args):
             config_text = f.read()
         p, dims, run_kw = parse_run_settings(config_text, args.config)
 
-    if args.experiment not in EXPERIMENTS:
-        raise ConfigError("--experiment is required" if args.experiment is None
-                          else f"unknown experiment {args.experiment!r}")
+    if args.experiment is None:
+        raise ConfigError("--experiment is required")
 
     sweep = _parse_sweep(args.sweep) if args.sweep else None
     _, accepted, reads = EXPERIMENTS[args.experiment]
@@ -279,6 +304,8 @@ def cmd_run(args):
     if unread:
         raise ConfigError(f"{args.experiment} does not read "
                           + ", ".join(unread))
+    if sweep and sweep[0].startswith("delay"):   # as memory_sweep checks it
+        _usage(protocol.sweep_points, 0.0, sweep[1])
     options = _options_from_args(dims, run_kw, args)
 
     rec = run_experiment(p, options, args, sweep)

@@ -852,8 +852,9 @@ def evolve(model: LindbladModel, rho0, t_span, dt, steps=1):
     and the interval's ``model.max_step`` at 40 steps per period (so dt is
     the largest step the caller allows; unlike propagate, evolve bounds no
     step by the table's diagonal), with the trace checked as `_stepped`
-    checks it.  A dt that is not a positive finite number, steps < 1, or a
-    t_span that is not two finite times t0 <= t1 raises ParameterError.
+    checks it.  A dt that is not a positive finite number, steps < 1, a
+    t_span that is not two finite times t0 <= t1, or a rho0 that holds a
+    value that is not finite raises ParameterError.
     """
     t0, t1 = t_span
     if not -math.inf < t0 <= t1 < math.inf:
@@ -867,6 +868,8 @@ def evolve(model: LindbladModel, rho0, t_span, dt, steps=1):
     rho = rho0.rho if isinstance(rho0, QuantumState) else np.asarray(rho0)
     if rho.shape != (d, d):
         raise DimensionError(f"rho0 shape {rho.shape} does not match dim {d}")
+    if not np.all(np.isfinite(rho)):
+        raise ParameterError("rho0 holds a value that is not finite")
     x = rho.astype(complex).reshape(-1, 1)
     times = np.linspace(t0, t1, steps + 1)
     states, tables = [x], {}

@@ -68,13 +68,13 @@ def get_calibration(p: DeviceParams, options: ProtocolOptions):
 
 
 def get_calibrations(p: DeviceParams, options: ProtocolOptions, amplitudes):
-    """get_calibration at each sideband amplitude: one qubit pi pulse, and
-    the sideband pi pulses calibrated together (calibrate_pi_pulses)."""
+    """get_calibration at each sideband amplitude: the sideband pi pulses,
+    calibrated together first (calibrate_pi_pulses), and one qubit pi pulse."""
+    bsbs = calibrate_pi_pulses(p, options.dims, "bsb", amplitudes,
+                               frame=options.frame)
     qubit = calibrate_pi_pulse(p, options.dims, QUBIT_CHANNEL, QUBIT_AMPLITUDE,
                                frame=options.frame)
-    return [ProtocolCalibration(qubit=qubit, bsb=bsb)
-            for bsb in calibrate_pi_pulses(p, options.dims, "bsb", amplitudes,
-                                           frame=options.frame)]
+    return [ProtocolCalibration(qubit=qubit, bsb=bsb) for bsb in bsbs]
 
 
 def simulate_sequence(p: DeviceParams, seq: PulseSequence,

@@ -290,7 +290,7 @@ def calibrate_pi_pulses(params: DeviceParams, dims, channel, amplitudes, *,
     """
     amps = np.array(amplitudes, dtype=float)
     if not amps.size or amps.min() <= 0:
-        raise CalibrationError(f"need drive amplitudes > 0, got {amplitudes!r}")
+        raise CalibrationError(f"need drive amplitudes > 0, got {amps.tolist()}")
     if channel not in (QUBIT_CHANNEL, "bsb"):
         raise CalibrationError(f"cannot calibrate pi pulses on channel {channel!r}")
 

@@ -35,8 +35,7 @@ KET_PLUS_I = np.array([1.0, 1.0j], dtype=complex) / math.sqrt(2.0)
 INPUT_STATES = tuple(np.outer(k, k.conj())
                      for k in (KET_G, KET_E, KET_PLUS, KET_PLUS_I))
 
-# the 16 equations sum_mn chi_mn P_m rho_k P_n = E(rho_k): row (k, i, j),
-# column (m, n) holds (P_m rho_k P_n)[i, j]; condition number 3.2
+# row (k, i, j), column (m, n): (P_m rho_k P_n)[i, j]; condition number 3.2
 _CHI_SYSTEM = np.einsum("mab,kbc,ncd->kadmn", PAULIS, INPUT_STATES,
                         PAULIS).reshape(16, 16)
 

@@ -255,6 +255,13 @@ def test_validate_accepts_any_step_for_bare_frame(tmp_path):
      "qpt does not read --delay, --fit-model"),
     (["--experiment", "fit", "--prep-angle", "1"],
      "fit does not read --prep-angle"),
+    # bad fock-decay and memory-ramsey values failed with status 1
+    (["--experiment", "memory-ramsey", "--detuning", "nan"],
+     "--detuning must be a finite"),
+    (["--experiment", "fock-decay", "--sweep", "delay=-1:16:8"],
+     "delays must be finite"),
+    (["--experiment", "memory-ramsey", "--sweep", "delay=-1:20:8"],
+     "delays must be finite"),
 ])
 def test_bad_run_values_fail_before_simulating(tmp_path, sample_cfg, capsys,
                                                monkeypatch, flags, name):
@@ -525,6 +532,36 @@ def test_manifest_with_an_unread_argument_fails_to_replay(tmp_path, capsys,
     assert cli.main(["run", "--from-manifest", str(path),
                      "--out", str(out)]) == 2
     assert capsys.readouterr().err == "error: qpt does not read --mode\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("recorded, key", [
+    ({"experiment": ["qpt"]}, "experiment"),
+    ({"experiment": "qpt", "shots": "many"}, "shots"),
+    ({"experiment": "ringdown", "mode": "sideways"}, "mode"),
+])
+def test_manifest_value_the_run_parser_refuses_is_a_usage_error(
+        tmp_path, capsys, monkeypatch, recorded, key):
+    # a list for experiment ended in a TypeError traceback and a string for
+    # shots in another: each recorded value is read as the command line
+    # reads its flag, and one the run parser refuses exits 2 naming its
+    # key, before any simulation
+    from qmemsim import cli, protocol
+
+    def simulate(*args, **kwargs):
+        raise AssertionError("simulated before rejecting the manifest")
+
+    for fn in ("get_calibration", "simulate_sequence", "simulate_sequences"):
+        monkeypatch.setattr(protocol, fn, simulate)
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({"config_text": sample_text(),
+                                "run": {"dt_pulse_us": 2e-4, "args": recorded}}))
+    out = tmp_path / "out"
+    assert cli.main(["run", "--from-manifest", str(path),
+                     "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"run.args.{key} = {recorded[key]!r}" in err
+    assert repr(str(path)) in err
     assert not out.exists()
 
 

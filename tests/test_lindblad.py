@@ -500,6 +500,23 @@ def test_evolve_takes_a_t_span_of_two_finite_times():
             evolve(m, rho, t_span, 1e-3)
 
 
+def test_evolve_refuses_a_state_that_is_not_finite(monkeypatch):
+    # a NaN state raised IntegrationError "trace drifted by nan", advising
+    # a smaller step
+    m = build_model(DeviceParams(), SubsystemDims(2, 2, 1))
+
+    def no_step(*args):
+        raise AssertionError("stepped before checking rho0")
+
+    monkeypatch.setattr(lindblad, "_stepped", no_step)
+    for bad in (math.nan, math.inf):
+        rho = qsys.basis_state(m.dims, 1, 0, 0).rho.copy()
+        rho[0, 1] = bad
+        with pytest.raises(ParameterError,
+                           match="^rho0 holds a value that is not finite"):
+            evolve(m, rho, (0.0, 0.1), 1e-3)
+
+
 def test_propagate_takes_the_models_of_one_frame():
     # columns share a table by their term operators alone, so each model
     # shares models[0]'s drift and channels; a list mixing dims raised a

@@ -5,7 +5,7 @@ import pytest
 
 from qmemsim import analysis, lindblad, protocol, pulses, qsys
 from qmemsim.device import QUBIT_CHANNEL, DeviceParams
-from qmemsim.errors import ParameterError
+from qmemsim.errors import CalibrationError, ParameterError
 from qmemsim.protocol import (ExperimentRecord, ProtocolOptions, WorkingPoint,
                               fock_decay_experiment, memory_channel,
                               memory_ramsey_experiment,
@@ -297,6 +297,19 @@ def test_memory_ramsey_refuses_a_detuning_that_is_not_finite(monkeypatch):
     for detuning in (math.nan, math.inf, -math.inf):
         with pytest.raises(ParameterError, match="^detuning must be a finite"):
             memory_ramsey_experiment(P, None, detuning, OPTS)
+
+
+def test_calibrations_refuse_an_amplitude_not_above_zero_first(monkeypatch):
+    # a negative sideband amplitude failed only after the five probe stages
+    # of the qubit calibration, listing the amplitudes as np.float64(...)
+    def no_qubit_calibration(*args, **kw):
+        raise AssertionError("calibrated the qubit before checking the "
+                             "sideband amplitudes")
+
+    monkeypatch.setattr(protocol, "calibrate_pi_pulse", no_qubit_calibration)
+    with pytest.raises(CalibrationError) as err:
+        protocol.get_calibrations(P, OPTS, list(np.array([-1.0, 1.0])))
+    assert str(err.value) == "need drive amplitudes > 0, got [-1.0, 1.0]"
 
 
 def test_z_sweep_monotone_corrected_fidelity():

@@ -39,6 +39,8 @@ RUNS = [
                               "--sweep", "delay=3:16:8"]),
     ("zfidelity-sweep-amps", "", ["--experiment", "zfidelity-sweep",
                                   "--sweep", "bsb_amp_ghz=4:6:3"]),
+    ("memory-ramsey-sweep", "", ["--experiment", "memory-ramsey", "--sweep",
+                                 "delay=0.25:15.25:16", "--detuning", "0.3"]),
     ("memory-protocol-angle", "", ["--experiment", "memory-protocol",
                                    "--sweep", "delay=3:4.5:2",
                                    "--prep-angle", "1.5"]),
