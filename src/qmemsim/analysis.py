@@ -24,6 +24,9 @@ FTOL = 1.49012e-8
 MAXFEV_PER_PARAM = 200
 # forward-difference step relative to a parameter's magnitude
 DIFF_STEP = math.sqrt(np.finfo(float).eps)
+# the fewest points each model's fit takes
+MIN_POINTS = {"exponential": 5, "decaying-cosine": 8, "lorentzian": 7,
+              "leakage": 4}
 
 
 @dataclass
@@ -120,15 +123,20 @@ def _run_fit(fn, xs, ys, p0, names, model):
     )
 
 
-def _check_series(xs, ys, n_min, model):
+def check_point_count(model, n):
+    """ParameterError unless n points are enough for model's fit."""
+    if n < MIN_POINTS[model]:
+        raise ParameterError(f"{model}: need >= {MIN_POINTS[model]} points, got {n}")
+
+
+def _check_series(xs, ys, model):
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     if xs.ndim != 1 or xs.shape != ys.shape:
         raise ParameterError(f"{model}: xs and ys must be 1-d and equal length")
     if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
         raise ParameterError(f"{model}: xs and ys must be finite")
-    if xs.size < n_min:
-        raise ParameterError(f"{model}: need >= {n_min} points, got {xs.size}")
+    check_point_count(model, xs.size)
     if np.any(np.diff(xs) <= 0):
         raise ParameterError(f"{model}: xs must be strictly increasing")
     return xs, ys
@@ -141,7 +149,7 @@ def fit_exponential(xs, ys):
     from a log-linear regression over the early decade of the decay.
     Constant input returns converged=False with T = inf.
     """
-    xs, ys = _check_series(xs, ys, 5, "exponential")
+    xs, ys = _check_series(xs, ys, "exponential")
     if np.ptp(ys) < 1e-300:
         return FitResult({"A": 0.0, "T": math.inf, "offset": float(ys[0])},
                          {"A": math.inf, "T": math.inf, "offset": math.inf},
@@ -174,7 +182,7 @@ def fit_decaying_cosine(xs, ys):
     exponential); the phase seed is the phase of that spectral component.
     Assumes an (approximately) uniform sample grid for the seeding step.
     """
-    xs, ys = _check_series(xs, ys, 8, "decaying-cosine")
+    xs, ys = _check_series(xs, ys, "decaying-cosine")
     if np.ptp(ys) < 1e-300:
         raise FitError("decaying-cosine fit: zero-amplitude input")
     offset0 = float(np.mean(ys))
@@ -210,7 +218,7 @@ def fit_lorentzian(freqs, powers):
     than the estimated linewidth, before the fit or after it: a scan
     narrower than the line sees only its parabolic top.
     """
-    xs, ys = _check_series(freqs, powers, 7, "lorentzian")
+    xs, ys = _check_series(freqs, powers, "lorentzian")
     floor0 = float(np.min(ys))
     peak0 = float(np.max(ys) - floor0)
     if peak0 <= 0:
@@ -270,7 +278,7 @@ def fit_leakage(t_ps, f_corrs):
     its floor) and gamma_sp from the largest-t_p point.  The reported params
     include the implied short-pulse fidelity floor.
     """
-    xs, ys = _check_series(t_ps, f_corrs, 4, "leakage")
+    xs, ys = _check_series(t_ps, f_corrs, "leakage")
     pl_small = min(0.49, max(1e-6, 1.0 - float(ys[0])))
     a0 = -0.5 * math.log(1.0 - 2.0 * pl_small)
     pl_large = max(1e-9, 1.0 - float(ys[-1]))

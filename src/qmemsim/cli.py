@@ -17,21 +17,10 @@ recorded pulse step under DOP853 (probes at pulses.PROBE_STEP): on the
 sample config its results.csv values move by at most 1.4e-7
 (memory-protocol) and 4.3e-6 (memory-ramsey), about the former probes'
 own error, not bit for bit.
-Physics or fit failures exit with status 1, usage errors (unknown
-experiment, missing config or --experiment, --config or a recorded argument
-with a value other than its default given beside --from-manifest, a
-manifest that cannot be read, is not JSON or lacks config_text,
-run.dt_pulse_us or run.args, a run.args value that its flag's parser
-refuses or reads as another value, a truncation size below its minimum or a
-total dimension above DIM_CAP, a sweep that does not strictly increase or
-of a variable the experiment does not take, a flag that some experiments
-read given away from its default to one that does not read it
-(memory-protocol reads --delay under a prep-angle sweep, its default, and
---prep-angle under a delay sweep; in a manifest's run.args too), an unknown
-frame, a dt_pulse <= 0, shots or jobs < 1, an angle or --detuning that is
-not finite, a delay that is not a finite time >= 0, a fit input that cannot
-be read, holds no rows or a value that is not finite, or whose x values do
-not strictly increase) with 2, before any simulation.
+A ConfigError (the command line, the config or the manifest) or a
+ParameterError (a value the library refuses) is a usage error: it exits
+with status 2, before any calibration or simulation.  Any other QmemError
+is a physics or fit failure and exits with status 1.
 """
 
 import argparse
@@ -106,29 +95,17 @@ def _pmap(fn, items, jobs):
         return list(pool.map(fn, items))
 
 
-def _usage(check, *args, **kw):
-    """check(*args, **kw), a ParameterError from it a usage error."""
-    try:
-        return check(*args, **kw)
-    except ParameterError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 def _options_from_args(dims, run_kw, args):
-    """The run's ProtocolOptions; a value it rejects, --jobs < 1 or a
-    --detuning that is not finite is a usage error."""
+    """The run's ProtocolOptions; --jobs < 1 is a usage error."""
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
-    if not math.isfinite(args.detuning):
-        raise ConfigError(f"--detuning must be a finite frequency in MHz, "
-                          f"got {args.detuning!r}")
     kw = dict(run_kw, seed=args.seed)
     if args.dt is not None:
         # same exact conversion as `dt_pulse = <dt> ns` in a config file
         kw["dt_pulse"] = parse_value("dt_pulse", f"{args.dt!r} ns")
     if args.shots is not None:
         kw["shots"] = args.shots
-    return _usage(protocol.ProtocolOptions, dims=dims, **kw)
+    return protocol.ProtocolOptions(dims=dims, **kw)
 
 
 def _memory_protocol(r):
@@ -137,7 +114,7 @@ def _memory_protocol(r):
     angles, delays = ((grid, r.delay) if var.startswith("prep_angle")
                       else (r.prep_angle, grid))
     # memory_sweep's own check, before the calibration
-    angles, delays = _usage(protocol.sweep_points, angles, delays)
+    angles, delays = protocol.sweep_points(angles, delays)
     cal = protocol.get_calibration(r.p, r.options)
     n = min(r.jobs, grid.size)
     chunks = [(r.p, a, d, r.options, cal) for a, d in
@@ -179,13 +156,10 @@ def _fit(r):
     if data.size == 0 or data.shape[1] < 2:
         raise ConfigError(f"--input {r.input!r} must hold x,y rows "
                           "under a header line")
-    if not np.all(np.isfinite(data[:, :2])):
-        raise ConfigError(f"--input {r.input!r}: every x and y value "
-                          "must be finite")
-    if np.any(np.diff(data[:, 0]) <= 0):
-        raise ConfigError(f"--input {r.input!r}: the x values must "
-                          "strictly increase")
-    fit = FIT_MODELS[r.fit_model](data[:, 0], data[:, 1])
+    try:
+        fit = FIT_MODELS[r.fit_model](data[:, 0], data[:, 1])
+    except ParameterError as exc:
+        raise ParameterError(f"--input {r.input!r}: {exc}") from exc
     return protocol.ExperimentRecord(
         sweep_variable="x", observable="y", xs=data[:, 0], ys=data[:, 1],
         fits={r.fit_model: fit})
@@ -304,8 +278,6 @@ def cmd_run(args):
     if unread:
         raise ConfigError(f"{args.experiment} does not read "
                           + ", ".join(unread))
-    if sweep and sweep[0].startswith("delay"):   # as memory_sweep checks it
-        _usage(protocol.sweep_points, 0.0, sweep[1])
     options = _options_from_args(dims, run_kw, args)
 
     rec = run_experiment(p, options, args, sweep)
@@ -413,7 +385,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, ParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except QmemError as exc:

@@ -2,7 +2,8 @@
 
 
 class QmemError(Exception):
-    """Base class for physics/numerics failures (CLI maps these to exit 1)."""
+    """Base class of the package's errors: the CLI exits 2 on a ConfigError
+    or ParameterError (usage errors) and 1 on any other (failures)."""
 
 
 class DimensionError(QmemError, ValueError):
@@ -10,7 +11,8 @@ class DimensionError(QmemError, ValueError):
 
 
 class ParameterError(QmemError, ValueError):
-    """Device or model parameters violate a precondition."""
+    """The caller's input violates a precondition: raised before any
+    calibration or simulation that input would start."""
 
 
 class IntegrationError(QmemError, RuntimeError):

@@ -277,6 +277,7 @@ def fock_decay_experiment(p: DeviceParams, delays=None,
             f"delays must span >= 2x the expected lifetime {t1_expected:.2f} us")
     if delays.max() - delays.min() < 1.5 * t1_expected:
         raise ParameterError("delay window too narrow for a stable fit")
+    analysis.check_point_count("exponential", delays.size)
     pgs = memory_sweep(p, 0.0, delays, options)
     fit = analysis.fit_exponential(delays, pgs)
     return ExperimentRecord(sweep_variable="delay_us", observable="p_g",
@@ -300,6 +301,7 @@ def memory_ramsey_experiment(p: DeviceParams, delays=None, detuning=0.35,
     if detuning * span < 3.0:
         raise ParameterError(
             f"detuning {detuning} MHz gives fewer than 3 fringes over {span} us")
+    analysis.check_point_count("decaying-cosine", delays.size)
     cal = get_calibration(p, options)
     q = cal.qubit
     # analysis pulse: half-area at the pi-pulse duration, phase advanced by
@@ -472,6 +474,8 @@ def z_fidelity_sweep(p: DeviceParams, working_points=None,
     wps = default_working_points() if working_points is None else working_points
     if not wps:
         raise ParameterError("no working_points given; None runs the defaults")
+    if fit:
+        analysis.check_point_count("leakage", len(wps))
     cals = get_calibrations(p, options, [wp.bsb_amplitude for wp in wps])
     seqs = [build_memory_sequence(0.0, 0.0, cal,
                                   qubit_pi_multiplier=wp.qubit_pi_multiplier)

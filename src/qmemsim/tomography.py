@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import FitError
 
 I2 = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -59,7 +59,7 @@ def _physicality_projection(chi):
     w, v = np.linalg.eigh(chi)
     w = np.clip(w, 0.0, None)
     if w.sum() <= 0:
-        raise ParameterError("chi projection failed: all eigenvalues clipped")
+        raise FitError("chi projection failed: all eigenvalues clipped")
     chi = (v * w) @ v.conj().T
     return chi / np.trace(chi)
 

@@ -257,11 +257,23 @@ def test_validate_accepts_any_step_for_bare_frame(tmp_path):
      "fit does not read --prep-angle"),
     # bad fock-decay and memory-ramsey values failed with status 1
     (["--experiment", "memory-ramsey", "--detuning", "nan"],
-     "--detuning must be a finite"),
+     "detuning must be a finite"),
     (["--experiment", "fock-decay", "--sweep", "delay=-1:16:8"],
      "delays must be finite"),
     (["--experiment", "memory-ramsey", "--sweep", "delay=-1:20:8"],
      "delays must be finite"),
+    # a window too short or too few points for the fit failed with status
+    # 1, the point counts only after simulating every point
+    (["--experiment", "fock-decay", "--sweep", "delay=3:4:3"],
+     "delays must span >= 2x the expected lifetime"),
+    (["--experiment", "fock-decay", "--sweep", "delay=3:16:4"],
+     "exponential: need >= 5 points, got 4"),
+    (["--experiment", "memory-ramsey", "--detuning", "0"],
+     "gives fewer than 3 fringes"),
+    (["--experiment", "memory-ramsey", "--sweep", "delay=0.25:21:7"],
+     "decaying-cosine: need >= 8 points, got 7"),
+    (["--experiment", "zfidelity-sweep", "--sweep", "bsb_amp_ghz=4:6:3",
+      "--fit-leakage"], "leakage: need >= 4 points, got 3"),
 ])
 def test_bad_run_values_fail_before_simulating(tmp_path, sample_cfg, capsys,
                                                monkeypatch, flags, name):
@@ -341,9 +353,9 @@ def test_sideband_check_of_a_zero_drive_fails_in_one_line(tmp_path, sample_cfg):
     out = tmp_path / "out"
     res = run_cli("run", "--config", sample_cfg, "--experiment", "bsb-check",
                   "--sweep", "omega_drv_ghz=0:2:3", "--out", str(out))
-    assert res.returncode == 1
+    assert res.returncode == 2
     assert res.stderr.splitlines() == [
-        "failure: each drive must be a finite amplitude > 0 rad/us, got 0"]
+        "error: each drive must be a finite amplitude > 0 rad/us, got 0"]
     assert not out.exists()
 
 
@@ -384,10 +396,10 @@ def test_sweep_of_a_variable_the_experiment_does_not_take(
 @pytest.mark.parametrize("text, status, message", [
     (None, 2, "cannot read --input"),
     ("y\n" + "".join(f"{y}\n" for y in range(10)), 2, "must hold x,y rows"),
-    ("x,y\n0,1\n", 1, "need >= 5 points"),
+    ("x,y\n0,1\n", 2, "exponential: need >= 5 points, got 1"),
     ("x,y\n", 2, "must hold x,y rows"),
     ("x,y\n" + "".join(f"{5 - k},{k + 1}\n" for k in range(6)), 2,
-     "x values must strictly increase"),
+     "xs must be strictly increasing"),
     ("x,y\n" + "".join(f"{k},{'nan' if k == 3 else k + 1}\n"
                        for k in range(6)), 2, "must be finite"),
     ("x,y\n" + "".join(f"{'inf' if k == 5 else k},{k + 1}\n"
@@ -408,8 +420,7 @@ def test_fit_input_errors(tmp_path, sample_cfg, capsys, text, status, message):
     assert not caught
     err = capsys.readouterr().err
     assert message in err
-    if status == 2:         # a usage error names the file
-        assert str(data) in err
+    assert str(data) in err
     assert not out.exists()
 
 

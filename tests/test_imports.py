@@ -2,9 +2,9 @@
 field is read somewhere, every qmemsim name the demos use exists, and
 neither importing the CLI, nor simulating, nor fitting loads scipy.  One
 module cuts and routes the propagation windows, no function writes
-module-level state or keeps a parameter it never reads, and every
-function, class and method of the package is named by the program, the
-demos or the benchmark.
+module-level state or keeps a parameter it never reads, cli.py turns no
+ParameterError into a ConfigError, and every function, class and method
+of the package is named by the program, the demos or the benchmark.
 
 No linter ships with the test environment, so these AST scans stand in for
 the unused-import and unused-field checks.  A name listed in the module's
@@ -407,6 +407,58 @@ def test_private_name_check_flags_reads():
     assert sorted(_private_reads(tree), key=lambda read: read[1]) == [
         ("lindblad._block_expm", 3), ("pulses._probe_transfers", 4),
         ("np._core", 6)]
+
+
+# what a handler that catches a ParameterError names: it, its package base
+# or any exception (cli.py's ValueError handlers wrap numpy and argparse)
+CATCH_PARAMETER_ERROR = {"ParameterError", "QmemError", "Exception",
+                         "BaseException"}
+
+
+def _name(node):
+    return getattr(node, "id", getattr(node, "attr", None))
+
+
+def _usage_conversions(tree):
+    """Line of each `raise ConfigError` in an except handler that catches a
+    ParameterError."""
+    for handler in ast.walk(tree):
+        if not isinstance(handler, ast.ExceptHandler):
+            continue
+        kinds = getattr(handler.type, "elts", [handler.type])
+        if handler.type and not {_name(k) for k in kinds} & CATCH_PARAMETER_ERROR:
+            continue
+        for node in ast.walk(handler):
+            if isinstance(node, ast.Raise) and _name(
+                    getattr(node.exc, "func", node.exc)) == "ConfigError":
+                yield node.lineno
+
+
+def test_cli_converts_no_parameter_error():
+    # cli.main reports a ParameterError as a usage error itself; a handler
+    # that re-raises one as a ConfigError restates the library's check
+    path = pathlib.Path(qmemsim.__file__).parent / "cli.py"
+    lines = list(_usage_conversions(ast.parse(path.read_text())))
+    assert not lines, f"cli.py converts a ParameterError on lines {lines}"
+
+
+def test_conversion_check_flags_handlers():
+    tree = ast.parse("def _usage(check):\n"
+                     "    try:\n"
+                     "        return check()\n"
+                     "    except ParameterError as exc:\n"
+                     "        raise ConfigError(str(exc)) from exc\n"
+                     "try:\n"
+                     "    f()\n"
+                     "except (OSError, errors.QmemError):\n"
+                     "    raise errors.ConfigError('x')\n"
+                     "except ValueError:\n"
+                     "    raise ConfigError('cannot parse')\n"
+                     "except ParameterError as exc:\n"
+                     "    raise ParameterError(f'--input: {exc}')\n"
+                     "except:\n"
+                     "    raise ConfigError\n")
+    assert sorted(_usage_conversions(tree)) == [5, 9, 15]
 
 
 # a window's support: the table restricted to it, and the conjugate halves
