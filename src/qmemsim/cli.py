@@ -41,6 +41,7 @@ from .config import (load_run_settings, parse_run_settings, parse_value,
                      write_sample_config)
 from .device import bsb_frequency, purcell_limit
 from .errors import ConfigError, ParameterError, QmemError
+from .lindblad import dressed_frequencies
 from .qsys import DIM_CAP
 from .units import GHZ, MHZ, TWO_PI
 
@@ -68,7 +69,7 @@ def _parse_sweep(text):
                           "expected VAR=start:stop:steps") from exc
     if grid.size < 1:
         raise ConfigError("sweep needs at least one point")
-    if np.any(np.diff(grid) <= 0):
+    if not np.all(np.diff(grid) > 0):
         raise ConfigError(f"sweep {text!r} must strictly increase: "
                           "give start < stop")
     return name.strip(), grid
@@ -332,6 +333,8 @@ def cmd_validate(args):
 
     try:
         protocol.ProtocolOptions(dims=dims, **run_kw)
+        # the dressed-state labeling every simulating run starts with
+        dressed_frequencies(p, dims)
     except ParameterError as exc:
         print("breach:", exc, file=sys.stderr)
         return 1

@@ -286,11 +286,12 @@ def calibrate_pi_pulses(params: DeviceParams, dims, channel, amplitudes, *,
     model's step bound where that is finer (13 steps per period of its
     fastest carrier: about 3e-5 us in the bare frame, whose GHz-scale
     couplings bound the step), and their plateaus exactly.  A column propagates as it
-    would alone.  Returns a CalibrationResult per amplitude.
+    would alone.  Returns a CalibrationResult per amplitude; no amplitudes,
+    or one not above 0, raise ParameterError before any probe runs.
     """
     amps = np.array(amplitudes, dtype=float)
-    if not amps.size or amps.min() <= 0:
-        raise CalibrationError(f"need drive amplitudes > 0, got {amps.tolist()}")
+    if not (amps.size and amps.min() > 0):
+        raise ParameterError(f"need drive amplitudes > 0, got {amps.tolist()}")
     if channel not in (QUBIT_CHANNEL, "bsb"):
         raise CalibrationError(f"cannot calibrate pi pulses on channel {channel!r}")
 

@@ -207,6 +207,20 @@ def test_validate_rejects_non_finite_values(tmp_path):
     assert "config valid" not in res.stdout
 
 
+def test_validate_runs_the_dressed_state_labeling(tmp_path, capsys):
+    # it read "config valid" on a config every run of which fails to
+    # label the dressed states
+    from qmemsim import cli
+
+    cfg = tmp_path / "resonant.cfg"
+    cfg.write_text(sample_text().replace("8.707546 GHz", "6.25 GHz"))
+    assert cli.main(["validate", "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(
+        "breach: dressed-state labeling is ambiguous")
+    assert "config valid" not in captured.out
+
+
 def test_validate_accepts_any_step_for_bare_frame(tmp_path):
     # dt_pulse is the largest step a run allows; the runner steps each
     # window at no more than its model's max_step, so a dt_pulse above the
@@ -274,6 +288,9 @@ def test_validate_accepts_any_step_for_bare_frame(tmp_path):
      "decaying-cosine: need >= 8 points, got 7"),
     (["--experiment", "zfidelity-sweep", "--sweep", "bsb_amp_ghz=4:6:3",
       "--fit-leakage"], "leakage: need >= 4 points, got 3"),
+    # a grid holding nan passed as strictly increasing
+    (["--experiment", "zfidelity-sweep", "--sweep", "bsb_amp_ghz=nan:1:3"],
+     "must strictly increase"),
 ])
 def test_bad_run_values_fail_before_simulating(tmp_path, sample_cfg, capsys,
                                                monkeypatch, flags, name):
@@ -289,6 +306,27 @@ def test_bad_run_values_fail_before_simulating(tmp_path, sample_cfg, capsys,
     assert cli.main(["run", "--config", sample_cfg, *flags,
                      "--out", str(out)]) == 2
     assert name in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sweep", ["bsb_amp_ghz=-1:1:3",
+                                   "bsb_amp_ghz=nan:nan:1"])
+def test_sideband_amplitude_not_above_zero_is_a_usage_error(
+        tmp_path, sample_cfg, capsys, monkeypatch, sweep):
+    # it failed with status 1, a calibration failure, and a nan amplitude
+    # with propagate's span error
+    from qmemsim import cli, pulses
+
+    def probe(*args, **kwargs):
+        raise AssertionError("probed before rejecting the amplitudes")
+
+    monkeypatch.setattr(pulses, "probe_transfers", probe)
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", sample_cfg, "--experiment",
+                     "zfidelity-sweep", "--sweep", sweep,
+                     "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: need drive amplitudes > 0")
     assert not out.exists()
 
 

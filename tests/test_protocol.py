@@ -5,7 +5,7 @@ import pytest
 
 from qmemsim import analysis, lindblad, protocol, pulses, qsys
 from qmemsim.device import QUBIT_CHANNEL, DeviceParams
-from qmemsim.errors import CalibrationError, ParameterError
+from qmemsim.errors import ParameterError
 from qmemsim.protocol import (ExperimentRecord, ProtocolOptions, WorkingPoint,
                               fock_decay_experiment, memory_channel,
                               memory_ramsey_experiment,
@@ -307,7 +307,7 @@ def test_calibrations_refuse_an_amplitude_not_above_zero_first(monkeypatch):
                              "sideband amplitudes")
 
     monkeypatch.setattr(protocol, "calibrate_pi_pulse", no_qubit_calibration)
-    with pytest.raises(CalibrationError) as err:
+    with pytest.raises(ParameterError) as err:
         protocol.get_calibrations(P, OPTS, list(np.array([-1.0, 1.0])))
     assert str(err.value) == "need drive amplitudes > 0, got [-1.0, 1.0]"
 

@@ -272,7 +272,7 @@ def test_calibration_rejects_too_strong_drive():
 
 def test_calibration_refuses_no_amplitudes():
     # an empty list raised numpy's "zero-size array" ValueError
-    with pytest.raises(CalibrationError, match="need drive amplitudes > 0"):
+    with pytest.raises(ParameterError, match="need drive amplitudes > 0"):
         pulses.calibrate_pi_pulses(DeviceParams(), SubsystemDims(2, 2, 1),
                                    "bsb", [])
 

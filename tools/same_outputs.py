@@ -6,12 +6,14 @@
 For each tree, with PYTHONPATH=<tree>/src, writes the tree's sample config
 (`qmemsim init-config`), runs the CLI runs of RUNS on it, replays the
 REPLAY run from its manifest (`run --from-manifest`), validates the
-VALIDATED runs' configs (`qmemsim validate`) and runs the tree's demos.
-Then compares the sample config file, every run's and the replay's
-results.csv, fits.json and manifest.json, every validate's stdout and
-every demo's stdout, byte for byte.  Prints each output that differs and
-exits 1 on any difference, 0 when all are the same; a command that fails
-exits 1 with its stderr.  Standard library only; the outputs go to a
+VALIDATED runs' configs (`qmemsim validate`), runs the tree's demos and
+runs the REFUSED inputs, each of which the CLI must refuse.  Then compares
+the sample config file, every run's and the replay's results.csv,
+fits.json and manifest.json, every validate's stdout, every demo's stdout,
+and each refused input's exit status and stderr, byte for byte.  Prints
+each output that differs and exits 1 on any difference, 0 when all are the
+same; a command that fails, but for a refused input, exits 1 with its
+stderr.  Standard library only; the outputs go to a
 temporary directory that is removed afterwards.
 """
 
@@ -53,6 +55,30 @@ OUTPUTS = ("results.csv", "fits.json", "manifest.json")
 # validated: the sample config and the sample with frame = bare
 REPLAY = "qpt-shots"
 VALIDATED = ("qpt", "ringdown-bare")
+# (name, lines appended to the sample config, command and its arguments
+# after --config <name>.cfg): inputs the CLI refuses, so that a change to
+# a usage error or a failure shows
+REFUSED = [
+    ("fock-decay-short", "", ["run", "--experiment", "fock-decay",
+                              "--sweep", "delay=3:4:3"]),
+    ("fock-decay-few", "", ["run", "--experiment", "fock-decay",
+                            "--sweep", "delay=3:16:4"]),
+    ("memory-ramsey-still", "", ["run", "--experiment", "memory-ramsey",
+                                 "--detuning", "0"]),
+    ("memory-ramsey-few", "", ["run", "--experiment", "memory-ramsey",
+                               "--sweep", "delay=0.25:21:7"]),
+    ("zfidelity-leakage-few", "", ["run", "--experiment", "zfidelity-sweep",
+                                   "--sweep", "bsb_amp_ghz=4:6:3",
+                                   "--fit-leakage"]),
+    ("zfidelity-sweep-negative", "", ["run", "--experiment",
+                                      "zfidelity-sweep",
+                                      "--sweep", "bsb_amp_ghz=-1:1:3"]),
+    ("bsb-check-zero", "", ["run", "--experiment", "bsb-check",
+                            "--sweep", "omega_drv_ghz=0:2:3"]),
+    ("fit-one-row", "", ["run", "--experiment", "fit",
+                         "--input", "one-row.csv"]),
+    ("validate-resonant", "omega_s = 6.25 GHz\n", ["validate"]),
+]
 
 
 def outputs(tree, work):
@@ -85,6 +111,15 @@ def outputs(tree, work):
             cli + ["validate", "--config", f"{name}.cfg"])
     for demo in sorted((tree / "demos").glob("demo_*.py")):
         found[f"demos/{demo.name} stdout"] = run([sys.executable, str(demo)])
+    (work / "one-row.csv").write_text("x,y\n0,1\n")
+    for name, extra, (command, *args) in REFUSED:
+        (work / f"{name}.cfg").write_text(sample + extra)
+        out = ["--out", name] if command == "run" else []
+        res = subprocess.run(cli + [command, "--config", f"{name}.cfg",
+                                    *args, *out],
+                             env=env, cwd=work, capture_output=True)
+        found[f"refused {name}: status and stderr"] = (
+            f"exit {res.returncode}\n".encode() + res.stderr)
     return found
 
 
@@ -102,10 +137,14 @@ def main(argv):
     differ = [name for name in names if a.get(name) != b.get(name)]
     for name in differ:
         print(f"differs: {name}")
+        if name.startswith("refused "):     # short: show both sides
+            for tree, side in zip(argv, (a, b)):
+                text = side.get(name, b"").decode(errors="replace")
+                print(f"  {tree}: {text.rstrip()!r}")
     demos = sum(name.startswith("demos/") for name in names)
     print(f"{len(names) - len(differ)} of {len(names)} outputs byte-identical "
           f"({len(RUNS)} runs, 1 replay, {len(VALIDATED)} validates, "
-          f"init-config, {demos} demos)")
+          f"init-config, {demos} demos, {len(REFUSED)} refused inputs)")
     return 1 if differ else 0
 
 
