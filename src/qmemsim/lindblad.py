@@ -129,7 +129,7 @@ from . import qsys
 from .device import (QUBIT_CHANNEL, READOUT_CHANNEL, STORAGE_CHANNEL,
                      DeviceParams, bsb_effective_rate, pure_dephasing_time)
 from .errors import DimensionError, IntegrationError, ParameterError
-from .qsys import SubsystemDims, QuantumState
+from .qsys import SubsystemDims
 from .units import GHZ, TWO_PI
 
 FRAMES = ("dispersive", "bare", "lab")
@@ -309,11 +309,6 @@ class LindbladModel:
     # ladder, in the model basis
     drive_ops: dict
     two_photon: ShiftClass
-
-    # -- basis helpers ----------------------------------------------------
-    def label_projector(self, nt):
-        """Projector onto the model basis states of transmon label nt."""
-        return np.diag((self.labels[0] == nt).astype(complex))
 
     def with_sequence(self, seq):
         """This model, which carries no sequence, driven by seq: its terms
@@ -843,7 +838,8 @@ def _on_support(table, x, route, *args):
 def evolve(model: LindbladModel, rho0, t_span, dt, steps=1):
     """Integrate d rho/dt = -i[H(t), rho] + sum_k D[c_k] rho with classic RK4.
 
-    Returns the states at the steps + 1 equally spaced times of t_span, the
+    rho0 is a (d, d) density matrix.  Returns the states, as (d, d)
+    complex arrays, at the steps + 1 equally spaced times of t_span, the
     initial state first.  Each of the steps intervals runs through
     propagate's stepped route (`_stepped`) with the RK4 tableau, stepped
     everywhere, on the support frame (`_on_support`) of the LiouvilleTable
@@ -865,7 +861,7 @@ def evolve(model: LindbladModel, rho0, t_span, dt, steps=1):
         raise ParameterError(f"steps must be >= 1, got {steps!r}")
 
     d = model.dims.total
-    rho = rho0.rho if isinstance(rho0, QuantumState) else np.asarray(rho0)
+    rho = np.asarray(rho0)
     if rho.shape != (d, d):
         raise DimensionError(f"rho0 shape {rho.shape} does not match dim {d}")
     if not np.all(np.isfinite(rho)):
@@ -882,7 +878,7 @@ def evolve(model: LindbladModel, rho0, t_span, dt, steps=1):
         x = _on_support(tables[key], x, _stepped, [terms], np.array([ta]),
                         np.array([tb]), h, RK4)
         states.append(x)
-    return [QuantumState(s.reshape(d, d), model.dims) for s in states]
+    return [s.reshape(d, d) for s in states]
 
 
 def _stepped(table, y, terms, t0, t1, dt, tableau=DOP853):

@@ -22,7 +22,7 @@ from .lindblad import (FRAMES, build_model, dressed_frequencies, propagate,
 from .pulses import (PROBE_STEP, PulseSegment, PulseSequence,
                      ProtocolCalibration, build_memory_sequence,
                      calibrate_pi_pulse, calibrate_pi_pulses)
-from .qsys import QuantumState, SubsystemDims
+from .qsys import SubsystemDims
 from .units import TWO_PI
 
 QUBIT_AMPLITUDE = TWO_PI * 20.0             # rad/us (20 MHz Rabi)
@@ -80,7 +80,7 @@ def get_calibrations(p: DeviceParams, options: ProtocolOptions, amplitudes):
 def simulate_sequence(p: DeviceParams, seq: PulseSequence,
                       options: ProtocolOptions, upto=None):
     """simulate_sequences for one sequence from the ground state at 0:
-    (model, final QuantumState)."""
+    (model, final density matrix)."""
     models, states = simulate_sequences(p, [seq], options, upto=upto)
     return models[0], states[0]
 
@@ -92,17 +92,18 @@ def simulate_sequences(p: DeviceParams, seqs, options: ProtocolOptions,
     the ramps and every driven window of the lab frame by DOP853 at
     options.dt_pulse.  Column j runs from rho0s[j] (default the ground
     state) at start to upto (default its readout marker).  Returns (models,
-    final QuantumStates)."""
+    final states), each state a (d, d) array that views one column of the
+    propagated block."""
     base = build_model(p, options.dims, frame=options.frame,
                        noiseless=options.noiseless)
     models = [base.with_sequence(seq) for seq in seqs]
     if rho0s is None:
         rho0s = [qsys.basis_state(options.dims)] * len(seqs)
-    x = np.array([np.ravel(getattr(r, "rho", r)) for r in rho0s]).T
+    x = np.array([np.ravel(r) for r in rho0s]).T
     stop = [s.readout_time or s.end for s in seqs] if upto is None else upto
     x = propagate(models, x, (start, stop), options.dt_pulse)
     d = options.dims.total
-    return models, [QuantumState(col.reshape(d, d), options.dims) for col in x.T]
+    return models, list(x.T.reshape(-1, d, d))
 
 
 def ground_populations(p: DeviceParams, seqs, options: ProtocolOptions,
@@ -110,8 +111,8 @@ def ground_populations(p: DeviceParams, seqs, options: ProtocolOptions,
     """The retrieved p_g of each sequence, the sequences as the columns of
     one simulate_sequences call."""
     models, states = simulate_sequences(p, seqs, options, rho0s, start)
-    return [float(np.real(np.trace(s.rho @ m.label_projector(nt=0))))
-            for m, s in zip(models, states)]
+    return [float(np.real(np.trace(rho * (m.labels[0] == 0))))
+            for m, rho in zip(models, states)]
 
 
 def run_memory_protocol(p: DeviceParams, prep_angle=0.0, storage_delay=0.0,
@@ -175,9 +176,11 @@ def _storage_half(p, prep_angle, options, cal):
 
 def storage_state_after_half(p: DeviceParams, prep_angle=0.0,
                              options: ProtocolOptions = ProtocolOptions(), cal=None):
-    """Reduced storage-mode state right after the storage half."""
+    """Reduced storage-mode density matrix, a (n_storage, n_storage)
+    array, right after the storage half."""
     cal = cal or get_calibration(p, options)
-    return _storage_half(p, prep_angle, options, cal)[1].ptrace_storage()
+    rho = _storage_half(p, prep_angle, options, cal)[1]
+    return qsys.ptrace(rho, options.dims, qsys.STORAGE)
 
 
 # ---------------------------------------------------------------------------
@@ -351,9 +354,9 @@ def mode_ringdown_experiment(p: DeviceParams, mode="readout",
     n_op = low.conj().T @ low
 
     t = np.linspace(0.0, 2.5 * (2.0 / kappa), 121)
-    x = propagate([model] * len(t), np.tile(driven.rho.reshape(-1, 1), len(t)),
+    x = propagate([model] * len(t), np.tile(driven.reshape(-1, 1), len(t)),
                   (seg.end, seg.end + t), options.dt_pulse)
-    rhos = x.T.reshape((len(t),) + driven.rho.shape)
+    rhos = x.T.reshape((len(t),) + driven.shape)
     amp_abs = np.abs(np.trace(rhos @ low, axis1=1, axis2=2))
     n_vals = np.trace(rhos @ n_op, axis1=1, axis2=2).real
 
@@ -515,7 +518,8 @@ def memory_channel(p: DeviceParams, options: ProtocolOptions = ProtocolOptions()
         rho_full = np.zeros((len(inputs), dims.total, dims.total), dtype=complex)
         rho_full[:, qubit[:, None], qubit] = inputs
         _, states = simulate_sequences(p, [seq] * len(inputs), options, rho_full)
-        return np.reshape([s.ptrace_transmon()[:2, :2] for s in states],
+        return np.reshape([qsys.ptrace(s, dims, qsys.TRANSMON)[:2, :2]
+                           for s in states],
                           np.shape(rho_in))
 
     return channel

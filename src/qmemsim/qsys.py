@@ -1,8 +1,9 @@
 """Hilbert-space plumbing for the composite transmon/storage/readout system.
 
 Tensor order is fixed everywhere as transmon (x) storage (x) readout.  All
-operators are dense complex numpy arrays; states are density matrices wrapped
-in :class:`QuantumState` so their invariants can be asserted cheaply.
+operators are dense complex numpy arrays, and a state is a plain (d, d)
+complex density matrix; check_physical asserts its invariants and ptrace
+reduces it to one subsystem.
 """
 
 from dataclasses import dataclass
@@ -125,40 +126,16 @@ def check_physical(m, name):
         raise DimensionError(f"{name} has an eigenvalue below -1e-9")
 
 
-@dataclass
-class QuantumState:
-    """Density matrix over the composite space, with its sanity checks."""
-
-    rho: np.ndarray
-    dims: SubsystemDims
-
-    def __post_init__(self):
-        self.rho = np.asarray(self.rho, dtype=complex)
-        if self.rho.shape != (self.dims.total, self.dims.total):
-            raise DimensionError(
-                f"rho shape {self.rho.shape} does not match dims {self.dims.as_tuple()}"
-            )
-
-    def validate(self):
-        """Raise if trace, Hermiticity or positivity are violated."""
-        check_physical(self.rho, "rho")
-        return self
-
-    def ptrace_transmon(self):
-        """Reduced transmon density matrix (trace out both cavity modes)."""
-        t = self.dims.as_tuple()
-        r = self.rho.reshape(t + t)
-        return np.einsum("iabjab->ij", r)
-
-    def ptrace_storage(self):
-        t = self.dims.as_tuple()
-        r = self.rho.reshape(t + t)
-        return np.einsum("aibajb->ij", r)
+def ptrace(rho, dims, slot):
+    """Reduced density matrix of subsystem slot: trace out the other two."""
+    t = dims.as_tuple()
+    subscripts = ("iabjab->ij", "aibajb->ij", "abiabj->ij")[slot]
+    return np.einsum(subscripts, rho.reshape(t + t))
 
 
 def basis_state(dims, nt=0, ns=0, nr=0):
-    """Pure product basis state |nt, ns, nr><...| as a QuantumState."""
+    """Pure product basis state |nt, ns, nr><...| as a density matrix."""
     rho = np.zeros((dims.total, dims.total), dtype=complex)
     rho[dims.index(nt, ns, nr), dims.index(nt, ns, nr)] = 1.0
-    return QuantumState(rho, dims)
+    return rho
 

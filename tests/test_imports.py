@@ -203,7 +203,7 @@ p = DeviceParams()
 seg = PulseSegment(QUBIT_CHANNEL, 100.0, p.angular().w_q, plateau=0.01)
 m = build_model(p, SubsystemDims(2, 2, 1)).with_sequence(PulseSequence((seg,)))
 state = evolve(m, qsys.basis_state(m.dims), (0.0, seg.end), 1e-4)[-1]
-propagate([m], state.rho.reshape(-1, 1), (seg.end, seg.end + 1.0), 1e-4)
+propagate([m], state.reshape(-1, 1), (seg.end, seg.end + 1.0), 1e-4)
 kets = build_model(p, SubsystemDims(2, 2, 1),
                    noiseless=True).with_sequence(PulseSequence((seg,)))
 propagate([kets] * 2, np.eye(4)[:, :2], (0.0, seg.end), 1e-4)
@@ -619,9 +619,9 @@ def test_module_state_check_flags_writes():
 
 # names with no caller in src/, demos/ or perfbench/, kept on purpose
 UNCALLED_ON_PURPOSE = {
-    "qsys.QuantumState.validate":
-        "the density-matrix invariant check, run by test_qsys, for callers "
-        "that hand states between windows",
+    "qsys.check_physical":
+        "the density-matrix invariant check, run by test_qsys and "
+        "test_tomography, for callers that hand states between windows",
     "config.device_params_to_config":
         "the inverse of the config parser, whose round trip the config "
         "tests pin",

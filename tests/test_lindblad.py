@@ -31,7 +31,12 @@ SLOW_PARAMS = DeviceParams(omega_ro=0.021, omega_s=0.034, omega_q=0.027,
 
 def real_expectations(states, op):
     """Real expectation of a Hermitian op in each state."""
-    return np.array([np.trace(s.rho @ op).real for s in states])
+    return np.array([np.trace(s @ op).real for s in states])
+
+
+def excited_projector(m):
+    """Projector onto the model basis states of transmon label 1."""
+    return np.diag((m.labels[0] == 1).astype(complex))
 
 
 def dense(classes, d):
@@ -219,7 +224,7 @@ def test_drift_generator_preserves_trace():
     rho = x @ x.conj().T
     rho /= np.trace(rho)
     final = evolve(m, rho, (0.0, 0.05), 1e-3)[-1]
-    assert abs(np.trace(final.rho) - 1.0) < 1e-10
+    assert abs(np.trace(final) - 1.0) < 1e-10
 
 
 def test_decoupled_excited_state_decays_at_t1():
@@ -227,7 +232,7 @@ def test_decoupled_excited_state_decays_at_t1():
     m = build_model(p, SubsystemDims())
     rho0 = qsys.basis_state(m.dims, 1, 0, 0)
     states = evolve(m, rho0, (0.0, 3.0), 1e-3, steps=30)
-    pe = real_expectations(states, m.label_projector(nt=1))
+    pe = real_expectations(states, excited_projector(m))
     expected = np.exp(-np.linspace(0.0, 3.0, 31) / p.t1_q)
     assert np.max(np.abs(pe - expected) / expected) < 1e-3
 
@@ -252,7 +257,7 @@ def test_thermal_steady_state():
         m, channels=[c for c in m.channels if c.name in keep])
     rho0 = qsys.basis_state(m.dims, 0, 0, 0)
     final = evolve(m, rho0, (0.0, 12.0), 2e-3, steps=12)[-1]
-    p_inf = np.trace(final.rho @ m.label_projector(nt=1)).real
+    p_inf = np.trace(final @ excited_projector(m)).real
     assert abs(p_inf - p.p_e) / p.p_e < 0.05
 
 
@@ -277,7 +282,7 @@ def test_resonant_rabi_analytic():
                        rise=1e-4, start=0.0)
     m = build_model(p, dims, noiseless=True).with_sequence(PulseSequence((seg,)))
     states = evolve(m, qsys.basis_state(m.dims), (0.0, 0.1), 5e-6, steps=100)
-    pe = real_expectations(states, m.label_projector(nt=1))
+    pe = real_expectations(states, excited_projector(m))
     times = np.linspace(0.0, 0.1, 101)
     # the short ramp advances the rotation by its pulse area; folding it into
     # the time origin leaves the square-pulse law sin^2(Omega t / 2)
@@ -298,7 +303,7 @@ def test_ramsey_t2_closed_form():
     coh_op = np.zeros((4, 4), dtype=complex)
     coh_op[i_g, i_e] = 1.0
     states = evolve(m, rho, (0.0, 5.0), 2e-3, steps=50)
-    coh = np.array([np.trace(s.rho @ coh_op) for s in states])
+    coh = np.array([np.trace(s @ coh_op) for s in states])
     fit = analysis.fit_exponential(np.linspace(0.0, 5.0, 51), 2.0 * np.abs(coh))
     t2 = 1.0 / (0.5 / p.t1_q + 1.0 / 43.8197)
     assert fit.params["T"] == pytest.approx(t2, rel=0.02)
@@ -319,8 +324,8 @@ def test_steps_above_the_bound_run_at_the_bound():
     bound = noisy.max_step(*span)
     assert noisy.carrier_frame(*span) is None and bound < 1e-4
     rho = qsys.basis_state(noisy.dims)
-    x = rho.rho.reshape(-1, 1)
-    for route in (lambda dt: evolve(noisy, rho, span, dt)[-1].rho.reshape(-1),
+    x = rho.reshape(-1, 1)
+    for route in (lambda dt: evolve(noisy, rho, span, dt)[-1].reshape(-1),
                   lambda dt: propagate([noisy], x, span, dt)[:, 0]):
         got = [route(dt) for dt in (10.0 * bound, bound)]
         assert not np.array_equal(got[0], x[:, 0])
@@ -374,7 +379,7 @@ def test_bad_steps_raise_parameter_error():
         with pytest.raises(ParameterError):
             evolve(m, rho, (0.0, seg.end), dt)
         with pytest.raises(ParameterError):
-            propagate([m], rho.rho.reshape(-1, 1), (0.0, seg.end), dt)
+            propagate([m], rho.reshape(-1, 1), (0.0, seg.end), dt)
     with pytest.raises(ParameterError):
         evolve(m, rho, (0.0, seg.end), 1e-4, steps=0)
 
@@ -444,7 +449,7 @@ def test_propagate_takes_one_model_per_column():
     # second came back unpropagated, its input bit for bit, and a 1-D x
     # raised a bare IndexError
     m = build_model(DeviceParams(), SubsystemDims(2, 2, 1))
-    rho = qsys.basis_state(m.dims, 1, 0, 0).rho.reshape(-1, 1)
+    rho = qsys.basis_state(m.dims, 1, 0, 0).reshape(-1, 1)
     for models, x in (([m], np.tile(rho, 2)), ([m, m], rho), ([m], rho[:, 0]),
                       ([], rho[:, :0])):
         with pytest.raises(DimensionError) as err:
@@ -458,7 +463,7 @@ def test_propagate_takes_a_span_of_two_finite_times():
     # end returned NaN states, and a per-column span of the wrong length
     # raised numpy's broadcast ValueError
     m = build_model(DeviceParams(), SubsystemDims(2, 2, 1))
-    x = np.tile(qsys.basis_state(m.dims, 1, 0, 0).rho.reshape(-1, 1), 2)
+    x = np.tile(qsys.basis_state(m.dims, 1, 0, 0).reshape(-1, 1), 2)
     for span in ((0.0, math.nan), (math.nan, 0.1), (0.0, math.inf),
                  (0.0, np.array([0.1, 0.2, 0.3])), (0.1, 0.0), (0.0,)):
         with pytest.raises(ParameterError, match="^span must be two finite"):
@@ -472,7 +477,7 @@ def test_propagate_refuses_a_column_that_is_not_finite(monkeypatch):
     m = build_model(p, dims)
     seg = PulseSegment(QUBIT_CHANNEL, 50.0, p.angular().w_q, plateau=0.02)
     driven = m.with_sequence(PulseSequence((seg,)))
-    x = np.tile(qsys.basis_state(dims, 1, 0, 0).rho.reshape(-1, 1), 2)
+    x = np.tile(qsys.basis_state(dims, 1, 0, 0).reshape(-1, 1), 2)
 
     def no_window(*args):
         raise AssertionError("ran a window before checking x")
@@ -510,7 +515,7 @@ def test_evolve_refuses_a_state_that_is_not_finite(monkeypatch):
 
     monkeypatch.setattr(lindblad, "_stepped", no_step)
     for bad in (math.nan, math.inf):
-        rho = qsys.basis_state(m.dims, 1, 0, 0).rho.copy()
+        rho = qsys.basis_state(m.dims, 1, 0, 0).copy()
         rho[0, 1] = bad
         with pytest.raises(ParameterError,
                            match="^rho0 holds a value that is not finite"):
@@ -525,7 +530,7 @@ def test_propagate_takes_the_models_of_one_frame():
     m = build_model(p, dims)
     driven = m.with_sequence(PulseSequence((
         PulseSegment(QUBIT_CHANNEL, 50.0, p.angular().w_q, plateau=0.02),)))
-    rho = qsys.basis_state(dims, 1, 0, 0).rho.reshape(-1, 1)
+    rho = qsys.basis_state(dims, 1, 0, 0).reshape(-1, 1)
     propagate([m, driven], np.tile(rho, 2), (0.0, 0.1), 1e-3)
     for other in (build_model(p, SubsystemDims(4, 2, 1)), build_model(p, dims),
                   dataclasses.replace(m, channels=m.channels[1:]),
@@ -540,8 +545,8 @@ def test_purity_and_positivity_along_trajectory():
     m = build_model(p, SubsystemDims())
     rho0 = qsys.basis_state(m.dims, 1, 1, 0)
     for state in evolve(m, rho0, (0.0, 2.0), 1e-3, steps=20):
-        assert np.trace(state.rho @ state.rho).real <= 1.0 + 1e-9
-        assert np.min(np.linalg.eigvalsh(state.rho)) >= -1e-9
+        assert np.trace(state @ state).real <= 1.0 + 1e-9
+        assert np.min(np.linalg.eigvalsh(state)) >= -1e-9
 
 
 def test_purity_monotone_for_dephasing():
@@ -555,7 +560,7 @@ def test_purity_monotone_for_dephasing():
     rho[i_g, i_g] = rho[i_e, i_e] = 0.5
     rho[i_g, i_e] = rho[i_e, i_g] = 0.5
     states = evolve(m, rho, (0.0, 20.0), 5e-3, steps=20)
-    purities = np.array([np.trace(s.rho @ s.rho).real for s in states])
+    purities = np.array([np.trace(s @ s).real for s in states])
     assert np.all(np.diff(purities) <= 1e-12)
 
 
@@ -574,7 +579,7 @@ def test_step_halving_fourth_order():
         # samples every 0.2 us: one or two steps per sample
         states = evolve(m, qsys.basis_state(m.dims, 1, 0, 0), (0.0, 2.0), dt,
                         steps=10)
-        pe = real_expectations(states, m.label_projector(nt=1))
+        pe = real_expectations(states, excited_projector(m))
         return np.max(np.abs(pe - np.exp(-1.5 * np.linspace(0.0, 2.0, 11))))
 
     ratio = max_err(0.2) / max_err(0.1)
@@ -604,7 +609,7 @@ def test_stepped_error_falls_as_the_eighth_power_of_the_step():
     seg = PulseSegment(QUBIT_CHANNEL, TWO_PI * 100.0,
                        lindblad.dressed_frequencies(p, dims)[0], plateau=0.01)
     m = build_model(p, dims).with_sequence(PulseSequence((seg,)))
-    x = qsys.basis_state(dims).rho.reshape(-1, 1)
+    x = qsys.basis_state(dims).reshape(-1, 1)
     span = (0.0, seg.ramp)
     assert m.carrier_frame(*span) is None
     ref = propagate([m], x, span, seg.ramp / 256)
@@ -689,7 +694,7 @@ def test_frame_invariance_small_system():
         # both frames keep the bare basis: undo the rotation exp(-i G t)
         phase = np.exp(1j * t_end * sum(w * lab for w, lab
                                         in zip(m.rot, m.labels)))
-        lab_rho = phase.conj()[:, None] * final.rho * phase[None, :]
+        lab_rho = phase.conj()[:, None] * final * phase[None, :]
         h0 = dense(build_model(p, dims, frame="lab").drift, dims.total)
         _, vecs = np.linalg.eigh(h0)
         pops[frame] = np.real(np.diag(vecs.conj().T @ lab_rho @ vecs))
@@ -796,7 +801,7 @@ def test_static_propagation_matches_fine_rk4():
     rk4 = evolve(m, rho, (0.0, 0.2), 5e-6, steps=8)
     assert len(exact) == len(rk4) == 9
     for e, r in zip(exact, rk4):
-        assert np.max(np.abs(e - r.rho)) < 1e-9
+        assert np.max(np.abs(e - r)) < 1e-9
 
 
 def test_static_propagation_dense_lab_drift_is_one_block(monkeypatch):
@@ -809,7 +814,7 @@ def test_static_propagation_dense_lab_drift_is_one_block(monkeypatch):
     rho = random_density_matrix(4, 5)
     exact = idle(m, rho, (0.0, 0.2))[0]
     assert [idx.shape for idx in blocks] == [(1, 16)]
-    rk4 = evolve(m, rho, (0.0, 0.2), 1e-5)[-1].rho
+    rk4 = evolve(m, rho, (0.0, 0.2), 1e-5)[-1]
     assert np.max(np.abs(exact - rk4)) < 1e-9
 
 
@@ -827,7 +832,7 @@ def test_driven_windows_step_rk4_and_silent_segments_are_exact(monkeypatch):
             routes.append(name)
             return route(*args)
         monkeypatch.setattr(lindblad, name, record)
-    rho = qsys.basis_state(m.dims).rho.reshape(-1, 1)
+    rho = qsys.basis_state(m.dims).reshape(-1, 1)
     propagate([m], rho, (0.0, 0.01), 1e-4)
     # a zero-amplitude segment contributes no term: its window is exact
     out = propagate([m], rho, (silent.start, silent.end), 1e-4)
@@ -1080,9 +1085,9 @@ def check_stepping(m, rho, span, dt):
                             lindblad.RK4, samples=2)
     assert len(got) == len(want) == 3
     for state, x in zip(got, want):
-        assert np.max(np.abs(state.rho.reshape(-1) - x)) \
+        assert np.max(np.abs(state.reshape(-1) - x)) \
             <= 1e-12 * np.max(np.abs(x))
-        assert np.all(state.rho.reshape(-1)[outside] == 0)
+        assert np.all(state.reshape(-1)[outside] == 0)
         assert np.all(x[outside] == 0)
 
 
@@ -1218,8 +1223,8 @@ def test_noisy_sideband_plateau_matches_fine_rk4():
         is not None
     rk4 = evolve(model, qsys.basis_state(model.dims), (seg.start, seg.end),
                  dt)[-1]
-    assert abs(rk4.rho[dims.index(1, 1, 0), dims.index(1, 1, 0)]) > 0.05
-    assert np.max(np.abs(exact.rho - rk4.rho)) <= 1e-12
+    assert abs(rk4[dims.index(1, 1, 0), dims.index(1, 1, 0)]) > 0.05
+    assert np.max(np.abs(exact - rk4)) <= 1e-12
 
 
 def test_plateau_propagation_matches_rk4_in_every_frame():
@@ -1245,8 +1250,8 @@ def test_plateau_propagation_matches_rk4_in_every_frame():
         rate = (np.abs(dense(m.drift, d)).sum(axis=1).max() + seg.amplitude
                 + 2e3)
         dt = min(m.max_step(*span, 40.0), 0.05 / rate)
-        coarse = evolve(m, rho, span, dt)[-1].rho
-        fine = evolve(m, rho, span, dt / 2)[-1].rho
+        coarse = evolve(m, rho, span, dt)[-1]
+        fine = evolve(m, rho, span, dt / 2)[-1]
         bound = 2.0 * np.max(np.abs(coarse - fine)) / 15.0 + 1e-12
         assert np.max(np.abs(exact - fine)) <= bound
 

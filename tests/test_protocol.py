@@ -240,7 +240,7 @@ def test_protocol_states_keep_their_invariants_at_every_window_edge(
     _, states = protocol.simulate_sequences(P, [seq] * len(edges), OPTS,
                                             upto=edges)
     assert len(edges) > 10 and halved and all(halved)
-    for rho in (state.rho for state in states):
+    for rho in states:
         assert abs(np.trace(rho) - 1.0) < 1e-8
         assert np.min(np.linalg.eigvalsh(rho)) >= -1e-9
         assert np.trace(rho @ rho).real <= 1.0 + 1e-9
@@ -441,7 +441,7 @@ def test_sequences_with_different_layouts_run_in_one_call(default_cal):
     _, states = protocol.simulate_sequences(P, seqs, OPTS)
     for seq, state in zip(seqs, states):
         alone = protocol.simulate_sequence(P, seq, OPTS)[1]
-        assert np.array_equal(state.rho, alone.rho)
+        assert np.array_equal(state, alone)
 
 
 def test_one_span_equals_its_windows_one_at_a_time(default_cal):
@@ -453,11 +453,11 @@ def test_one_span_equals_its_windows_one_at_a_time(default_cal):
     edges = sorted([0.0, seq.readout_time] + [
         e for s in seq.segments
         for e in (s.start, s.start + s.ramp, s.end - s.ramp, s.end)])
-    x = qsys.basis_state(model.dims).rho.reshape(-1, 1)
+    x = qsys.basis_state(model.dims).reshape(-1, 1)
     for t0, t1 in zip(edges, edges[1:]):
         if t1 - t0 >= 1e-12:
             x = lindblad.propagate([model], x, (t0, t1), OPTS.dt_pulse)
-    assert np.array_equal(x[:, 0], state.rho.reshape(-1))
+    assert np.array_equal(x[:, 0], state.reshape(-1))
 
 
 def test_qpt_inputs_draw_distinct_shot_noise(monkeypatch):

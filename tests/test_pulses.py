@@ -314,7 +314,7 @@ def rho_transfer(p, dims, segment, frame, dt, initial, target):
     _, [state] = simulate_sequences(p, [PulseSequence((segment,))], options,
                                     [qsys.basis_state(dims, *initial)])
     i = dims.index(*target)
-    return state.rho[i, i].real
+    return state[i, i].real
 
 
 def test_ket_probes_match_density_matrix_evolution():

@@ -106,22 +106,21 @@ def test_tensor_embed_dimension_mismatch():
 def test_state_invariants_enforced():
     dims = qsys.SubsystemDims(2, 2, 1)
     good = qsys.basis_state(dims, 0, 0, 0)
-    good.validate()
+    qsys.check_physical(good, "rho")
 
-    bad_trace = qsys.QuantumState(1.5 * good.rho.copy(), dims)
     with pytest.raises(DimensionError):
-        bad_trace.validate()
+        qsys.check_physical(1.5 * good.copy(), "rho")
 
-    herm = good.rho.copy()
+    herm = good.copy()
     herm[0, 1] = 0.1
     with pytest.raises(DimensionError):
-        qsys.QuantumState(herm, dims).validate()
+        qsys.check_physical(herm, "rho")
 
-    neg = good.rho.copy()
+    neg = good.copy()
     neg[1, 1] = -1e-6
     neg[0, 0] = 1.0 + 1e-6
     with pytest.raises(DimensionError):
-        qsys.QuantumState(neg, dims).validate()
+        qsys.check_physical(neg, "rho")
 
 
 def test_expectation_trivial_cases():
@@ -130,21 +129,32 @@ def test_expectation_trivial_cases():
     n_t = qsys.tensor_embed(np.diag([0.0, 1.0]), qsys.TRANSMON, dims)
 
     ground = qsys.basis_state(dims, 0, 0, 0)
-    assert np.trace(ground.rho @ n_t) == pytest.approx(0.0)
+    assert np.trace(ground @ n_t) == pytest.approx(0.0)
 
     excited = qsys.basis_state(dims, 1, 0, 0)
-    assert np.trace(excited.rho @ n_t).real == pytest.approx(1.0)
+    assert np.trace(excited @ n_t).real == pytest.approx(1.0)
 
-    mixed = qsys.QuantumState(
-        0.5 * (ground.rho + excited.rho), dims)
-    assert np.trace(mixed.rho @ n_t).real == pytest.approx(0.5)
+    mixed = 0.5 * (ground + excited)
+    assert np.trace(mixed @ n_t).real == pytest.approx(0.5)
 
 
 def test_partial_traces():
     dims = qsys.SubsystemDims(2, 3, 2)
     state = qsys.basis_state(dims, 1, 2, 0)
-    rho_t = state.ptrace_transmon()
-    rho_s = state.ptrace_storage()
+    rho_t = qsys.ptrace(state, dims, qsys.TRANSMON)
+    rho_s = qsys.ptrace(state, dims, qsys.STORAGE)
     assert rho_t[1, 1].real == pytest.approx(1.0)
     assert rho_s[2, 2].real == pytest.approx(1.0)
     assert np.trace(rho_t).real == pytest.approx(1.0)
+
+    # a product of three distinct mixed states reduces to each factor, on
+    # every slot, the readout's included
+    rng = np.random.default_rng(7)
+    factors = []
+    for n in dims.as_tuple():
+        m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        factors.append(m @ m.conj().T / np.trace(m @ m.conj().T))
+    product = np.kron(np.kron(*factors[:2]), factors[2])
+    for slot, factor in enumerate(factors):
+        assert np.allclose(qsys.ptrace(product, dims, slot), factor,
+                           atol=1e-14)
