@@ -322,10 +322,14 @@ def cmd_validate(args):
             ang = f"{ang:.6g} {'1/us' if f.name[0] == 'k' else 'rad/us'}"
         if unit:
             rows.append((f.name, f"{value:.9g} {unit}", ang))
+    try:    # no run uses the bound; near resonance it is only n/a
+        purcell = (f"{purcell_limit(p):.4g} us", "")
+    except ParameterError as exc:
+        purcell = ("n/a", str(exc))
     rows += [
         ("bsb carrier", f"{bsb_frequency(p) / 2 / GHZ:.9g} GHz",
          f"{bsb_frequency(p) / 2:.6g} rad/us"),
-        ("purcell limit", f"{purcell_limit(p):.4g} us", ""),
+        ("purcell limit", *purcell),
     ]
     for name, lin, ang in rows:
         print(f"  {name:14s} {lin:>22s}   {ang}")

@@ -169,7 +169,8 @@ def purcell_limit(p: DeviceParams):
     if abs(delta) < PURCELL_MIN_RATIO * a.g:
         raise ParameterError(
             "Purcell formula invalid near resonance: "
-            f"|w_q - w_ro| = {abs(delta):.3g} < {PURCELL_MIN_RATIO} g"
+            f"|w_q - w_ro| = {abs(delta):.3g} rad/us < {PURCELL_MIN_RATIO} g "
+            f"= {PURCELL_MIN_RATIO * a.g:.3g} rad/us"
         )
     rate = a.k_ro * (a.g / delta) ** 2
     if rate == 0.0:

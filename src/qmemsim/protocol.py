@@ -23,7 +23,7 @@ from .pulses import (PROBE_STEP, PulseSegment, PulseSequence,
                      ProtocolCalibration, build_memory_sequence,
                      calibrate_pi_pulse, calibrate_pi_pulses)
 from .qsys import SubsystemDims
-from .units import TWO_PI
+from .units import GHZ, TWO_PI
 
 QUBIT_AMPLITUDE = TWO_PI * 20.0             # rad/us (20 MHz Rabi)
 
@@ -403,7 +403,8 @@ def effective_bsb_check(p: DeviceParams, drives,
     for drive in drives:
         if not 0.0 < drive < math.inf:
             raise ParameterError(f"each drive must be a finite amplitude > 0 "
-                                 f"rad/us, got {drive:.6g}")
+                                 f"rad/us, got {drive:.6g} rad/us "
+                                 f"({drive / GHZ:.6g} GHz)")
     dims = options.dims
     a = p.angular()
     if a.g > 0.2 * min(abs(a.w_q - a.w_s), abs(a.w_q - a.w_ro)):

@@ -18,6 +18,7 @@ import numpy as np
 from . import lindblad
 from .device import CHANNELS, QUBIT_CHANNEL, DeviceParams, bsb_effective_rate
 from .errors import CalibrationError, ParameterError
+from .units import GHZ
 
 DEFAULT_RISE = 0.020  # us
 TRUNC_SIGMAS = 2.5    # ramps truncated at +/- 2.5 sigma
@@ -291,7 +292,9 @@ def calibrate_pi_pulses(params: DeviceParams, dims, channel, amplitudes, *,
     """
     amps = np.array(amplitudes, dtype=float)
     if not (amps.size and amps.min() > 0):
-        raise ParameterError(f"need drive amplitudes > 0, got {amps.tolist()}")
+        ghz = [float(f"{a:.6g}") for a in amps / GHZ]
+        raise ParameterError(f"need drive amplitudes > 0 rad/us, got "
+                             f"{amps.tolist()} rad/us ({ghz} GHz)")
     if channel not in (QUBIT_CHANNEL, "bsb"):
         raise CalibrationError(f"cannot calibrate pi pulses on channel {channel!r}")
 

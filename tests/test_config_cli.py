@@ -221,6 +221,27 @@ def test_validate_runs_the_dressed_state_labeling(tmp_path, capsys):
     assert "config valid" not in captured.out
 
 
+def test_validate_shows_the_purcell_limit_as_na_near_resonance(tmp_path):
+    # it printed the table's header, then refused a readout 842 rad/us
+    # from the qubit that no run refuses, for the Purcell bound no run uses
+    cfg = tmp_path / "near.cfg"
+    cfg.write_text(sample_text() + "omega_ro = 6.1 GHz\n")
+    res = run_cli("validate", "--config", str(cfg))
+    assert res.returncode == 0, res.stderr
+    assert res.stderr == ""
+    rows = res.stdout.splitlines()
+    assert rows[0] == "normalized device parameters (linear | angular):"
+    assert [row.split()[0] for row in rows[1:-1]] == [
+        f.name for f in dataclasses.fields(DeviceParams) if f.metadata["unit"]
+    ] + ["bsb", "purcell", "truncation"]
+    assert rows[1].split()[:3] == ["omega_ro", "6.1", "GHz"]
+    assert rows[-3].split()[:3] == ["purcell", "limit", "n/a"]
+    assert rows[-3].endswith(
+        "Purcell formula invalid near resonance: |w_q - w_ro| = 842 rad/us "
+        "< 5.0 g = 1.67e+03 rad/us")
+    assert rows[-1] == "config valid"
+
+
 def test_validate_accepts_any_step_for_bare_frame(tmp_path):
     # dt_pulse is the largest step a run allows; the runner steps each
     # window at no more than its model's max_step, so a dt_pulse above the
@@ -393,7 +414,8 @@ def test_sideband_check_of_a_zero_drive_fails_in_one_line(tmp_path, sample_cfg):
                   "--sweep", "omega_drv_ghz=0:2:3", "--out", str(out))
     assert res.returncode == 2
     assert res.stderr.splitlines() == [
-        "error: each drive must be a finite amplitude > 0 rad/us, got 0"]
+        "error: each drive must be a finite amplitude > 0 rad/us, "
+        "got 0 rad/us (0 GHz)"]
     assert not out.exists()
 
 

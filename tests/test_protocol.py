@@ -309,7 +309,9 @@ def test_calibrations_refuse_an_amplitude_not_above_zero_first(monkeypatch):
     monkeypatch.setattr(protocol, "calibrate_pi_pulse", no_qubit_calibration)
     with pytest.raises(ParameterError) as err:
         protocol.get_calibrations(P, OPTS, list(np.array([-1.0, 1.0])))
-    assert str(err.value) == "need drive amplitudes > 0, got [-1.0, 1.0]"
+    assert str(err.value) == ("need drive amplitudes > 0 rad/us, got "
+                              "[-1.0, 1.0] rad/us ([-0.000159155, "
+                              "0.000159155] GHz)")
 
 
 def test_z_sweep_monotone_corrected_fidelity():

@@ -7,13 +7,13 @@ For each tree, with PYTHONPATH=<tree>/src, writes the tree's sample config
 (`qmemsim init-config`), runs the CLI runs of RUNS on it, replays the
 REPLAY run from its manifest (`run --from-manifest`), validates the
 VALIDATED runs' configs (`qmemsim validate`), runs the tree's demos and
-runs the REFUSED inputs, each of which the CLI must refuse.  Then compares
-the sample config file, every run's and the replay's results.csv,
+runs the REFUSED inputs: refused and edge inputs, which may fail.  Then
+compares the sample config file, every run's and the replay's results.csv,
 fits.json and manifest.json, every validate's stdout, every demo's stdout,
-and each refused input's exit status and stderr, byte for byte.  Prints
-each output that differs and exits 1 on any difference, 0 when all are the
-same; a command that fails, but for a refused input, exits 1 with its
-stderr.  Standard library only; the outputs go to a
+and each REFUSED input's exit status, stdout and stderr, byte for byte.
+Prints each output that differs and exits 1 on any difference, 0 when all
+are the same; a command that fails, but for a REFUSED input, exits 1 with
+its stderr.  Standard library only; the outputs go to a
 temporary directory that is removed afterwards.
 """
 
@@ -56,8 +56,9 @@ OUTPUTS = ("results.csv", "fits.json", "manifest.json")
 REPLAY = "qpt-shots"
 VALIDATED = ("qpt", "ringdown-bare")
 # (name, lines appended to the sample config, command and its arguments
-# after --config <name>.cfg): inputs the CLI refuses, so that a change to
-# a usage error or a failure shows
+# after --config <name>.cfg): inputs the CLI refuses, and edge inputs near
+# a refusal, so that a change to a usage error, a failure or an edge
+# output shows
 REFUSED = [
     ("fock-decay-short", "", ["run", "--experiment", "fock-decay",
                               "--sweep", "delay=3:4:3"]),
@@ -78,6 +79,7 @@ REFUSED = [
     ("fit-one-row", "", ["run", "--experiment", "fit",
                          "--input", "one-row.csv"]),
     ("validate-resonant", "omega_s = 6.25 GHz\n", ["validate"]),
+    ("validate-near-readout", "omega_ro = 6.1 GHz\n", ["validate"]),
 ]
 
 
@@ -118,8 +120,9 @@ def outputs(tree, work):
         res = subprocess.run(cli + [command, "--config", f"{name}.cfg",
                                     *args, *out],
                              env=env, cwd=work, capture_output=True)
-        found[f"refused {name}: status and stderr"] = (
-            f"exit {res.returncode}\n".encode() + res.stderr)
+        found[f"refused {name}: status, stdout and stderr"] = (
+            f"exit {res.returncode}\nstdout:\n".encode() + res.stdout
+            + b"stderr:\n" + res.stderr)
     return found
 
 
@@ -144,7 +147,7 @@ def main(argv):
     demos = sum(name.startswith("demos/") for name in names)
     print(f"{len(names) - len(differ)} of {len(names)} outputs byte-identical "
           f"({len(RUNS)} runs, 1 replay, {len(VALIDATED)} validates, "
-          f"init-config, {demos} demos, {len(REFUSED)} refused inputs)")
+          f"init-config, {demos} demos, {len(REFUSED)} refused or edge inputs)")
     return 1 if differ else 0
 
 
